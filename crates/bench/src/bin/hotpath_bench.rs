@@ -1,5 +1,5 @@
-//! Hot-path benchmark: wall-clock events/sec and packets/sec over three
-//! fixed-seed scenarios, tracked across PRs in `BENCH_hotpath.json`.
+//! Hot-path benchmark: wall-clock seconds (plus events/sec and packets/sec)
+//! for three fixed-seed scenarios, tracked across PRs in `BENCH_hotpath.json`.
 //!
 //! The three scenarios stress the three legs of the simulator hot path:
 //!
@@ -14,8 +14,10 @@
 //! Usage: `hotpath_bench [--quick] [--out PATH]`
 //!
 //! Every run rewrites `BENCH_hotpath.json` at the repo root with the frozen
-//! pre-refactor baseline (recorded once, commit 44500e1) next to the current
-//! numbers, so the perf trajectory of every later PR stays visible.
+//! baseline wall time next to the current numbers, so the perf trajectory of
+//! every later PR stays visible. The speed-up is a ratio of wall times for a
+//! fixed simulation: events/sec is reported too, but a change that deletes
+//! no-op events lowers it while making the run faster.
 
 use std::net::Ipv4Addr;
 use std::time::Instant;
@@ -47,21 +49,44 @@ impl ScenarioResult {
     fn packets_per_sec(&self) -> f64 {
         self.packets as f64 / self.wall_s
     }
+    /// Baseline wall time ÷ this run's wall time.
+    fn speedup(&self, quick: bool) -> Option<f64> {
+        baseline_wall_s(self.name, quick).map(|b| b / self.wall_s)
+    }
 }
 
-/// Baseline events/sec measured on the pre-refactor tree (commit 44500e1:
-/// closure-based scheduler, deep-copied packet payloads, binary event heap),
-/// running this same benchmark binary. Recorded as the best of several runs
-/// interleaved with the refactored binary on the same machine, so the two
-/// sides saw identical machine conditions. The two trees execute the exact
-/// same simulation — identical event counts and throughputs — so events/sec
-/// compares per-event wall cost directly.
-/// `(scenario, quick events/sec, full events/sec)`.
-const BASELINE_EVENTS_PER_SEC: [(&str, f64, f64); 3] = [
-    ("lan_ttcp", 1_931_000.0, 3_253_000.0),
-    ("wan_ttcp", 3_286_000.0, 3_385_000.0),
-    ("ring_churn", 729_000.0, 1_100_000.0),
+/// Frozen baseline wall seconds, `(scenario, quick, full)`, each written as
+/// events ÷ events/sec. The events/sec were measured on the pre-refactor tree
+/// (commit 44500e1: closure-based scheduler, deep-copied packet payloads,
+/// binary event heap) as the best of several runs interleaved with its
+/// successor on one machine. The event counts are what this binary executed
+/// up to commit 0397be5 — the last tree on which every wake-up an earlier
+/// deadline superseded still fired, as it did at 44500e1.
+const BASELINE_WALL_S: [(&str, f64, f64); 3] = [
+    (
+        "lan_ttcp",
+        149_315.0 / 1_931_000.0,
+        8_737_285.0 / 3_253_000.0,
+    ),
+    (
+        "wan_ttcp",
+        1_105_526.0 / 3_286_000.0,
+        1_105_526.0 / 3_385_000.0,
+    ),
+    (
+        "ring_churn",
+        896_529.0 / 729_000.0,
+        3_959_591.0 / 1_100_000.0,
+    ),
 ];
+
+/// The frozen baseline wall time of a scenario in the given mode.
+fn baseline_wall_s(name: &str, quick: bool) -> Option<f64> {
+    BASELINE_WALL_S
+        .iter()
+        .find(|(n, _, _)| *n == name)
+        .map(|&(_, q, f)| if quick { q } else { f })
+}
 
 const VIPS: [Ipv4Addr; 6] = [
     Ipv4Addr::new(172, 16, 0, 3),  // F1
@@ -201,11 +226,11 @@ fn ring_churn_scenario(nodes: usize, churn: usize, run_secs: u64, seed: u64) -> 
     }
 }
 
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".to_string()
+/// A JSON number with `decimals` places, `null` when absent or not finite.
+fn json_num(v: Option<f64>, decimals: usize) -> String {
+    match v {
+        Some(v) if v.is_finite() => format!("{v:.decimals$}"),
+        _ => "null".to_string(),
     }
 }
 
@@ -216,44 +241,35 @@ fn render_json(mode: &str, results: &[ScenarioResult]) -> String {
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str("  \"baseline\": {\n");
     out.push_str("    \"commit\": \"44500e1\",\n");
-    out.push_str("    \"note\": \"closure-based scheduler, deep-copied packet payloads (pre typed-event refactor)\",\n");
-    out.push_str("    \"events_per_sec\": {\n");
+    out.push_str("    \"note\": \"closure-based scheduler, deep-copied packet payloads (pre typed-event refactor); wall_s = events executed up to 0397be5 / events per second measured at 44500e1\",\n");
+    out.push_str("    \"wall_s\": {\n");
     let quick = mode == "quick";
-    for (i, (name, q, f)) in BASELINE_EVENTS_PER_SEC.iter().enumerate() {
-        let v = if quick { *q } else { *f };
-        let comma = if i + 1 < BASELINE_EVENTS_PER_SEC.len() {
+    for (i, (name, _, _)) in BASELINE_WALL_S.iter().enumerate() {
+        let comma = if i + 1 < BASELINE_WALL_S.len() {
             ","
         } else {
             ""
         };
-        out.push_str(&format!("      \"{name}\": {}{comma}\n", json_f(v)));
+        out.push_str(&format!(
+            "      \"{name}\": {}{comma}\n",
+            json_num(baseline_wall_s(name, quick), 3)
+        ));
     }
     out.push_str("    }\n  },\n");
     out.push_str("  \"current\": {\n");
-    let quick_or_full = |q: f64, f: f64| if quick { q } else { f };
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
-        let kbps = r.kbps.map(json_f).unwrap_or_else(|| "null".to_string());
-        let baseline = BASELINE_EVENTS_PER_SEC
-            .iter()
-            .find(|(n, _, _)| *n == r.name)
-            .map(|&(_, q, f)| quick_or_full(q, f))
-            .unwrap_or(0.0);
-        let speedup = if baseline > 0.0 {
-            format!("{:.2}", r.events_per_sec() / baseline)
-        } else {
-            "null".to_string()
-        };
         out.push_str(&format!(
-            "    \"{}\": {{ \"events\": {}, \"packets\": {}, \"wall_s\": {:.3}, \"virtual_s\": {:.1}, \"events_per_sec\": {}, \"packets_per_sec\": {}, \"kbps\": {}, \"speedup_vs_baseline\": {speedup} }}{comma}\n",
+            "    \"{}\": {{ \"events\": {}, \"packets\": {}, \"wall_s\": {:.3}, \"virtual_s\": {:.1}, \"speedup_vs_baseline\": {}, \"events_per_sec\": {}, \"packets_per_sec\": {}, \"kbps\": {} }}{comma}\n",
             r.name,
             r.events,
             r.packets,
             r.wall_s,
             r.virtual_s,
-            json_f(r.events_per_sec()),
-            json_f(r.packets_per_sec()),
-            kbps,
+            json_num(r.speedup(quick), 2),
+            json_num(Some(r.events_per_sec()), 1),
+            json_num(Some(r.packets_per_sec()), 1),
+            json_num(r.kbps, 1),
         ));
     }
     out.push_str("  }\n}\n");
@@ -319,26 +335,19 @@ fn main() {
         }));
     }
 
-    let quick_or_full = |q: f64, f: f64| if quick { q } else { f };
     for r in &results {
-        let baseline = BASELINE_EVENTS_PER_SEC
-            .iter()
-            .find(|(n, _, _)| *n == r.name)
-            .map(|&(_, q, f)| quick_or_full(q, f))
-            .unwrap_or(0.0);
-        let speedup = if baseline > 0.0 {
-            format!(" ({:.2}x baseline)", r.events_per_sec() / baseline)
-        } else {
-            String::new()
-        };
+        let speedup = r
+            .speedup(quick)
+            .map(|x| format!(" ({x:.2}x baseline)"))
+            .unwrap_or_default();
         eprintln!(
-            "  {:<11} {:>9} events in {:>6.2}s wall / {:>6.1}s virtual -> {:>9.0} ev/s{}, {:>7.0} pkt/s{}",
+            "  {:<11} {:>9} events in {:>6.3}s wall{} / {:>6.1}s virtual -> {:>9.0} ev/s, {:>7.0} pkt/s{}",
             r.name,
             r.events,
             r.wall_s,
+            speedup,
             r.virtual_s,
             r.events_per_sec(),
-            speedup,
             r.packets_per_sec(),
             r.kbps
                 .map(|k| format!(", {k:.0} KB/s"))

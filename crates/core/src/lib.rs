@@ -58,6 +58,7 @@ pub mod builder;
 pub mod config;
 pub mod node;
 pub mod plain;
+mod wakeup;
 
 pub use app::{AppEnv, NullApp, VirtualApp};
 pub use brunet_arp::{BrunetArp, Resolution};

@@ -22,6 +22,7 @@
 //! Table I and the load-dependent behaviour of Fig. 5.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 use ipop_netsim::{HostAgent, HostCtx};
@@ -43,9 +44,7 @@ use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
 use crate::app::{AppEnv, VirtualApp};
 use crate::brunet_arp::{BrunetArp, Resolution};
 use crate::config::IpopConfig;
-
-/// Timer token used for the agent's self-scheduled wakeups.
-const WAKEUP: TimerToken = TimerToken(1);
+use crate::wakeup::Wakeup;
 
 /// Counters describing one IPOP node's activity.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,26 +125,18 @@ pub struct IpopHostAgent {
     addr_cache: std::collections::BTreeMap<Ipv4Addr, Address>,
 
     /// Tunnel packets whose receive-side user-level processing completes at the
-    /// given instant (so latency measurements include that cost).
-    rx_pending: Vec<(SimTime, Ipv4Packet)>,
-    /// Earliest completion instant in `rx_pending` (kept in sync so the wakeup
-    /// scheduler does not rescan the queue on every event).
-    rx_pending_min: Option<SimTime>,
+    /// given instant (so latency measurements include that cost). Completion
+    /// instants come from the host's FIFO CPU queue, so both pending queues
+    /// are ordered and the earliest deadline is the front.
+    rx_pending: VecDeque<(SimTime, Ipv4Packet)>,
     /// Outbound virtual packets whose user-level processing completes at the
     /// given instant; the overlay send happens then. The completion instant
     /// reflects the router's per-packet latency, while only the (smaller)
     /// pipeline occupancy blocks the CPU — consecutive packets overlap.
-    tx_pending: Vec<(SimTime, Ipv4Packet)>,
-    /// Earliest completion instant in `tx_pending`.
-    tx_pending_min: Option<SimTime>,
+    tx_pending: VecDeque<(SimTime, Ipv4Packet)>,
 
     next_overlay_tick: SimTime,
-    scheduled_wakeup: Option<SimTime>,
-    /// Memo of the last completed event-handling pass: the virtual instant it
-    /// ran at and the (unclamped) wakeup deadline it computed — valid only if
-    /// the pump reached a fixpoint and no external input arrived since. Used
-    /// to service redundant same-instant wakeups without re-running the pump.
-    last_pass: Option<(SimTime, SimTime)>,
+    wakeup: Wakeup,
     last_forwarded: u64,
     /// Transport parse-error count at the last pump pass; the delta per poll
     /// is charged to the overlay's malformed-drop counter.
@@ -257,13 +248,10 @@ impl IpopHostAgent {
             host_name: String::new(),
             overlay_started_at: SimTime::ZERO,
             addr_cache: std::collections::BTreeMap::new(),
-            rx_pending: Vec::new(),
-            rx_pending_min: None,
-            tx_pending: Vec::new(),
-            tx_pending_min: None,
+            rx_pending: VecDeque::new(),
+            tx_pending: VecDeque::new(),
             next_overlay_tick: SimTime::ZERO,
-            scheduled_wakeup: None,
-            last_pass: None,
+            wakeup: Wakeup::default(),
             last_forwarded: 0,
             last_parse_errors: 0,
             metrics: IpopMetrics::default(),
@@ -318,7 +306,6 @@ impl IpopHostAgent {
 
     /// Mutable downcast of the embedded application.
     pub fn app_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.last_pass = None;
         self.app.as_any_mut().downcast_mut::<T>()
     }
 
@@ -327,7 +314,6 @@ impl IpopHostAgent {
     /// registered in the DHT as a lease renewed at half [`IpopConfig::lease_ttl`];
     /// packets for that IP are collected in a guest queue.
     pub fn route_for(&mut self, now: SimTime, ip: Ipv4Addr) {
-        self.last_pass = None;
         if !self.extra_ips.contains(&ip) {
             self.extra_ips.push(ip);
         }
@@ -344,7 +330,6 @@ impl IpopHostAgent {
     /// because the migration target has already re-registered it (deleting
     /// would race the new owner's mapping).
     pub fn unroute_for(&mut self, _now: SimTime, ip: Ipv4Addr) {
-        self.last_pass = None;
         self.extra_ips.retain(|&x| x != ip);
         if self.brunet_arp.is_some() {
             self.overlay.dht_unpublish(&BrunetArp::key_for(ip));
@@ -372,7 +357,6 @@ impl IpopHostAgent {
     /// after "migration"). No-op while a dynamic node has no address — there
     /// the allocator's claim doubles as the mapping.
     pub fn publish_own_mapping(&mut self, now: SimTime) {
-        self.last_pass = None;
         if self.brunet_arp.is_some() && !self.cfg.virtual_ip.is_unspecified() {
             let key = BrunetArp::key_for(self.cfg.virtual_ip);
             let value = BrunetArp::encode_mapping(&self.overlay.address());
@@ -402,7 +386,6 @@ impl IpopHostAgent {
     /// cache); the result arrives via [`IpopHostAgent::take_probe_results`].
     /// Used by churn experiments to measure resolution success.
     pub fn resolve_ip(&mut self, now: SimTime, ip: Ipv4Addr) -> u64 {
-        self.last_pass = None;
         let token = self.overlay.dht_get(now, BrunetArp::key_for(ip));
         self.probe_tokens.insert(token);
         token
@@ -417,7 +400,6 @@ impl IpopHostAgent {
     /// cached IP when fresh; otherwise issues a DHT lookup whose outcome
     /// arrives via [`IpopHostAgent::take_name_results`].
     pub fn lookup_name(&mut self, now: SimTime, name: &str) -> Option<Ipv4Addr> {
-        self.last_pass = None;
         match self.name_service.resolve(&mut self.overlay, now, name) {
             ipop_services::Resolution::Cached(ip) => Some(ip),
             ipop_services::Resolution::Pending(_) => None,
@@ -433,7 +415,6 @@ impl IpopHostAgent {
     /// Returns the cached name when fresh; otherwise issues a DHT lookup
     /// whose outcome arrives via [`IpopHostAgent::take_reverse_results`].
     pub fn lookup_ip(&mut self, now: SimTime, ip: Ipv4Addr) -> Option<String> {
-        self.last_pass = None;
         match self.name_service.lookup_ip(&mut self.overlay, now, ip) {
             ipop_services::ReverseResolution::Cached(name) => Some(name),
             ipop_services::ReverseResolution::Pending(_) => None,
@@ -449,13 +430,11 @@ impl IpopHostAgent {
     /// renewed at half [`IpopConfig::pubsub_ttl`] until unsubscribed;
     /// messages arrive via [`IpopHostAgent::take_topic_messages`].
     pub fn subscribe(&mut self, now: SimTime, topic: &str) {
-        self.last_pass = None;
         self.pubsub.subscribe(&mut self.overlay, now, topic);
     }
 
     /// Withdraw a topic subscription.
     pub fn unsubscribe(&mut self, now: SimTime, topic: &str) {
-        self.last_pass = None;
         self.pubsub.unsubscribe(&mut self.overlay, now, topic);
     }
 
@@ -463,7 +442,6 @@ impl IpopHostAgent {
     /// assigned message id. The publish routes to the topic root, which fans
     /// it out to every subscriber along a bounded-degree relay tree.
     pub fn publish(&mut self, now: SimTime, topic: &str, payload: ipop_packet::Bytes) -> u64 {
-        self.last_pass = None;
         self.pubsub.publish(&mut self.overlay, now, topic, payload)
     }
 
@@ -507,7 +485,6 @@ impl IpopHostAgent {
     /// data via [`IpopHostAgent::take_stream_data`], and lifecycle changes
     /// via [`IpopHostAgent::take_stream_fates`].
     pub fn stream_connect(&mut self, now: SimTime, remote: Address) -> VirtualStream {
-        self.last_pass = None;
         self.vstreams.connect(&mut self.overlay, now, remote)
     }
 
@@ -524,7 +501,6 @@ impl IpopHostAgent {
         stream: VirtualStream,
         data: impl Into<ipop_packet::Bytes>,
     ) -> bool {
-        self.last_pass = None;
         self.vstreams.send(&mut self.overlay, now, stream, data)
     }
 
@@ -536,7 +512,6 @@ impl IpopHostAgent {
     /// Close a stream; buffered data still delivers, then the FIN tears it
     /// down in both directions.
     pub fn stream_close(&mut self, now: SimTime, stream: VirtualStream) {
-        self.last_pass = None;
         self.vstreams.close(&mut self.overlay, now, stream);
     }
 
@@ -555,7 +530,6 @@ impl IpopHostAgent {
     /// neighbours and close every overlay edge. The queued goodbye traffic
     /// flushes on the agent's next wakeup.
     pub fn leave(&mut self, now: SimTime) {
-        self.last_pass = None;
         if let Some(alloc) = self.allocator.as_mut() {
             alloc.release(now, &mut self.overlay);
         }
@@ -603,10 +577,26 @@ impl IpopHostAgent {
         occupied_until.max(now + cal.ipop_cost_at_load(load) + cal.tap_crossing_cost)
     }
 
+    /// Queue a packet behind the user-level router until `ready`.
+    fn push_pending(queue: &mut VecDeque<(SimTime, Ipv4Packet)>, ready: SimTime, vpkt: Ipv4Packet) {
+        debug_assert!(
+            queue.back().is_none_or(|(t, _)| *t <= ready),
+            "router completion instants are FIFO"
+        );
+        queue.push_back((ready, vpkt));
+    }
+
+    /// Take the front packet if the router has finished with it by `now`.
+    fn pop_ready(queue: &mut VecDeque<(SimTime, Ipv4Packet)>, now: SimTime) -> Option<Ipv4Packet> {
+        if queue.front()?.0 > now {
+            return None;
+        }
+        queue.pop_front().map(|(_, vpkt)| vpkt)
+    }
+
     fn tunnel_out(&mut self, ctx: &mut HostCtx<'_, '_>, vpkt: Ipv4Packet) {
         let ready = Self::router_ready_at(ctx);
-        self.tx_pending.push((ready, vpkt));
-        self.tx_pending_min = Some(self.tx_pending_min.map_or(ready, |m| m.min(ready)));
+        Self::push_pending(&mut self.tx_pending, ready, vpkt);
     }
 
     /// Hand one processed outbound packet to the overlay (runs at its ready
@@ -659,7 +649,6 @@ impl IpopHostAgent {
         let now = ctx.now();
         let cal = ctx.calibration();
         let load = ctx.load();
-        let mut fixpoint = false;
         for _ in 0..64 {
             let mut progress = false;
 
@@ -692,9 +681,7 @@ impl IpopHostAgent {
                     match Ipv4Packet::from_bytes(&bytes) {
                         Ok(vpkt) => {
                             let ready = Self::router_ready_at(ctx);
-                            self.rx_pending.push((ready, vpkt));
-                            self.rx_pending_min =
-                                Some(self.rx_pending_min.map_or(ready, |m| m.min(ready)));
+                            Self::push_pending(&mut self.rx_pending, ready, vpkt);
                         }
                         Err(_) => self.metrics.decode_errors += 1,
                     }
@@ -927,40 +914,21 @@ impl IpopHostAgent {
             }
 
             if !progress {
-                fixpoint = true;
                 break;
             }
         }
-        self.arm_wakeup(ctx, fixpoint);
+        self.arm_wakeup(ctx);
     }
 
     /// Deliver any queued packets whose user-level processing delay has elapsed,
     /// in both directions. Kept separate from `pump` so the borrows of the
     /// pending queues do not overlap the main loop's borrows.
     fn flush_pending(&mut self, now: SimTime) {
-        if self.rx_pending_min.is_some_and(|m| m <= now) {
-            let mut i = 0;
-            while i < self.rx_pending.len() {
-                if self.rx_pending[i].0 <= now {
-                    let (_, vpkt) = self.rx_pending.remove(i);
-                    self.deliver_virtual(now, vpkt);
-                } else {
-                    i += 1;
-                }
-            }
-            self.rx_pending_min = self.rx_pending.iter().map(|(t, _)| *t).min();
+        while let Some(vpkt) = Self::pop_ready(&mut self.rx_pending, now) {
+            self.deliver_virtual(now, vpkt);
         }
-        if self.tx_pending_min.is_some_and(|m| m <= now) {
-            let mut i = 0;
-            while i < self.tx_pending.len() {
-                if self.tx_pending[i].0 <= now {
-                    let (_, vpkt) = self.tx_pending.remove(i);
-                    self.dispatch_tunnel_out(now, vpkt);
-                } else {
-                    i += 1;
-                }
-            }
-            self.tx_pending_min = self.tx_pending.iter().map(|(t, _)| *t).min();
+        while let Some(vpkt) = Self::pop_ready(&mut self.tx_pending, now) {
+            self.dispatch_tunnel_out(now, vpkt);
         }
     }
 
@@ -1026,44 +994,25 @@ impl IpopHostAgent {
     /// holds). Shared by re-bind and relinquish so the two stay in lockstep.
     fn clear_pending_virtual_state(&mut self) {
         self.rx_pending.clear();
-        self.rx_pending_min = None;
         self.tx_pending.clear();
-        self.tx_pending_min = None;
         if let Some(arp) = self.brunet_arp.as_mut() {
             arp.reset_pending();
         }
     }
 
-    fn arm_wakeup(&mut self, ctx: &mut HostCtx<'_, '_>, fixpoint: bool) {
-        let now = ctx.now();
-        let mut next = self.next_overlay_tick;
-        if let Some(t) = self.phys.next_timeout() {
-            next = next.min(t);
-        }
-        if let Some(t) = self.vstack.next_timeout() {
-            next = next.min(t);
-        }
-        if let Some(t) = self.app_next {
-            next = next.min(t);
-        }
-        if let Some(t) = self.rx_pending_min {
-            next = next.min(t);
-        }
-        if let Some(t) = self.tx_pending_min {
-            next = next.min(t);
-        }
-        // Remember this pass so redundant wakeups at the same instant can
-        // replay the re-arm without re-running the (fixpoint) pump.
-        self.last_pass = fixpoint.then_some((now, next));
-        let next = next.max(now + Duration::from_micros(10));
-        let need_new = match self.scheduled_wakeup {
-            Some(t) => next < t || t <= now,
-            None => true,
-        };
-        if need_new {
-            ctx.set_timer(next - now, WAKEUP);
-            self.scheduled_wakeup = Some(next);
-        }
+    /// Arm the wake-up for the earliest deadline of any component.
+    fn arm_wakeup(&mut self, ctx: &mut HostCtx<'_, '_>) {
+        let next = [
+            self.phys.next_timeout(),
+            self.vstack.next_timeout(),
+            self.app_next,
+            self.rx_pending.front().map(|(t, _)| *t),
+            self.tx_pending.front().map(|(t, _)| *t),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(self.next_overlay_tick, SimTime::min);
+        self.wakeup.arm(ctx, next);
     }
 }
 
@@ -1101,32 +1050,13 @@ impl HostAgent for IpopHostAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Ipv4Packet) {
-        self.last_pass = None;
         self.phys.handle_packet(ctx.now(), pkt);
         self.flush_pending(ctx.now());
         self.pump(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: TimerToken) {
-        if token == WAKEUP {
-            // Redundant wakeup at an instant the agent already pumped to a
-            // fixpoint, with no packet in between: flushing and pumping again
-            // would make no progress (every queued delivery is strictly in the
-            // future, every stack is drained for this instant), so replay the
-            // re-arm the full pass performed and skip the rest. This is what
-            // keeps duplicate wakeups — scheduled whenever an earlier deadline
-            // superseded a queued timer — from costing a full pump each.
-            if let Some((at, raw_next)) = self.last_pass {
-                if at == ctx.now() {
-                    let now = ctx.now();
-                    let next = raw_next.max(now + Duration::from_micros(10));
-                    ctx.set_timer(next - now, WAKEUP);
-                    self.scheduled_wakeup = Some(next);
-                    return;
-                }
-            }
-            self.scheduled_wakeup = None;
-        }
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, _token: TimerToken) {
+        self.wakeup.fired();
         self.flush_pending(ctx.now());
         self.pump(ctx);
     }

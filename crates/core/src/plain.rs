@@ -13,11 +13,10 @@ use std::net::Ipv4Addr;
 use ipop_netsim::{HostAgent, HostCtx};
 use ipop_netstack::{NetStack, StackConfig};
 use ipop_packet::ipv4::Ipv4Packet;
-use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
+use ipop_simcore::{SimTime, StreamRng, TimerToken};
 
 use crate::app::{AppEnv, VirtualApp};
-
-const WAKEUP: TimerToken = TimerToken(2);
+use crate::wakeup::Wakeup;
 
 /// A host agent running an application directly on the physical network.
 pub struct PlainHostAgent {
@@ -25,11 +24,7 @@ pub struct PlainHostAgent {
     app: Box<dyn VirtualApp>,
     app_rng: StreamRng,
     app_next: Option<SimTime>,
-    scheduled_wakeup: Option<SimTime>,
-    /// Memo of the last completed pump pass `(instant, unclamped deadline)`,
-    /// valid only while no packet has arrived since; lets redundant
-    /// same-instant wakeups replay the re-arm without re-running the pump.
-    last_pass: Option<(SimTime, Option<SimTime>)>,
+    wakeup: Wakeup,
     label: String,
 }
 
@@ -42,8 +37,7 @@ impl PlainHostAgent {
             app,
             app_rng: StreamRng::new(seed, "plain.app"),
             app_next: None,
-            scheduled_wakeup: None,
-            last_pass: None,
+            wakeup: Wakeup::default(),
             label: format!("plain-{addr}"),
         }
     }
@@ -55,13 +49,11 @@ impl PlainHostAgent {
 
     /// Mutable downcast of the embedded application.
     pub fn app_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.last_pass = None;
         self.app.as_any_mut().downcast_mut::<T>()
     }
 
     fn pump(&mut self, ctx: &mut HostCtx<'_, '_>) {
         let now = ctx.now();
-        let mut fixpoint = false;
         for _ in 0..32 {
             let mut env = AppEnv {
                 stack: &mut self.stack,
@@ -73,32 +65,16 @@ impl PlainHostAgent {
             self.stack.poll(now);
             let out = self.stack.take_packets();
             if out.is_empty() {
-                fixpoint = true;
                 break;
             }
             for pkt in out {
                 ctx.send(pkt);
             }
         }
-        self.arm_wakeup(ctx, fixpoint);
-    }
-
-    fn arm_wakeup(&mut self, ctx: &mut HostCtx<'_, '_>, fixpoint: bool) {
-        let now = ctx.now();
-        let mut next: Option<SimTime> = self.stack.next_timeout();
-        if let Some(t) = self.app_next {
-            next = Some(next.map_or(t, |n| n.min(t)));
-        }
-        self.last_pass = fixpoint.then_some((now, next));
-        let Some(next) = next else { return };
-        let next = next.max(now + Duration::from_micros(10));
-        let need_new = match self.scheduled_wakeup {
-            Some(t) => next < t || t <= now,
-            None => true,
-        };
-        if need_new {
-            ctx.set_timer(next - now, WAKEUP);
-            self.scheduled_wakeup = Some(next);
+        // With no deadline at all the agent sleeps until the next packet.
+        let next = [self.stack.next_timeout(), self.app_next];
+        if let Some(next) = next.into_iter().flatten().min() {
+            self.wakeup.arm(ctx, next);
         }
     }
 }
@@ -118,28 +94,12 @@ impl HostAgent for PlainHostAgent {
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Ipv4Packet) {
-        self.last_pass = None;
         self.stack.handle_packet(ctx.now(), pkt);
         self.pump(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: TimerToken) {
-        if token == WAKEUP {
-            // Redundant same-instant wakeup after a fixpoint pass: replay the
-            // re-arm the full pass would perform (see IpopHostAgent::on_timer).
-            if let Some((at, raw_next)) = self.last_pass {
-                if at == ctx.now() {
-                    let now = ctx.now();
-                    if let Some(raw) = raw_next {
-                        let next = raw.max(now + Duration::from_micros(10));
-                        ctx.set_timer(next - now, WAKEUP);
-                        self.scheduled_wakeup = Some(next);
-                    }
-                    return;
-                }
-            }
-            self.scheduled_wakeup = None;
-        }
+    fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, _token: TimerToken) {
+        self.wakeup.fired();
         self.pump(ctx);
     }
 

@@ -8,20 +8,31 @@
 //!
 //! Agents are plain state machines: the network calls [`HostAgent::on_start`] once,
 //! then [`HostAgent::on_packet`] for every delivered packet and
-//! [`HostAgent::on_timer`] for every timer the agent armed. All interaction with
-//! the outside world goes through the [`HostCtx`] handle passed into those calls.
+//! [`HostAgent::on_timer`] for every timer the agent armed and did not cancel. All
+//! interaction with the outside world goes through the [`HostCtx`] handle passed
+//! into those calls.
+//!
+//! Timers are owned by the agent that armed them: [`HostCtx::set_timer`] returns a
+//! [`TimerId`], [`HostCtx::cancel_timer`] retires it before it fires, and a timer
+//! still pending when its agent is replaced ([`crate::Network::set_agent`], which
+//! is how experiments crash a host) is dropped without reaching the successor.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
 
 use ipop_packet::ipv4::Ipv4Packet;
-use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
+use ipop_simcore::{Duration, EventId, SimTime, StreamRng, TimerToken};
 
 use crate::network::{NetEvent, SiteId};
 
 /// Identifier of a host in the network.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct HostId(pub usize);
+
+/// Handle of a pending timer, returned by [`HostCtx::set_timer`] and accepted
+/// by [`HostCtx::cancel_timer`].
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct TimerId(EventId);
 
 /// Per-host traffic counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -54,6 +65,9 @@ pub struct Host {
     /// Traffic counters.
     pub counters: HostCounters,
     pub(crate) agent: Option<Box<dyn HostAgent>>,
+    /// Bumped every time an agent is installed; a timer fires only while the
+    /// epoch it was armed in is current.
+    pub(crate) agent_epoch: u32,
     pub(crate) rng: StreamRng,
 }
 
@@ -75,6 +89,7 @@ impl Host {
             cpu_busy_until: SimTime::ZERO,
             counters: HostCounters::default(),
             agent: None,
+            agent_epoch: 0,
             rng,
         }
     }
@@ -170,11 +185,21 @@ impl HostCtx<'_, '_> {
     }
 
     /// Arm a timer that will call [`HostAgent::on_timer`] with `token` after
-    /// `delay`.
-    pub fn set_timer(&mut self, delay: Duration, token: TimerToken) {
+    /// `delay`, unless it is cancelled or this agent is replaced first.
+    pub fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
         let host = self.host;
-        self.ctl
-            .schedule_event_in(delay, NetEvent::Timer(host, token));
+        let epoch = self.net.host(host).agent_epoch;
+        TimerId(
+            self.ctl
+                .schedule_event_in(delay, NetEvent::Timer { host, token, epoch }),
+        )
+    }
+
+    /// Cancel a pending timer so it never reaches [`HostAgent::on_timer`].
+    /// Returns false — and does nothing — when the timer already fired or was
+    /// already cancelled.
+    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+        self.ctl.cancel(id.0)
     }
 }
 

@@ -24,7 +24,7 @@ pub mod topology;
 
 pub use calibration::Calibration;
 pub use firewall::{Direction, Firewall, HostMatch, ProtoMatch, Rule};
-pub use host::{Host, HostAgent, HostCounters, HostCtx, HostId};
+pub use host::{Host, HostAgent, HostCounters, HostCtx, HostId, TimerId};
 pub use impair::{ImpairmentCounters, LinkImpairment};
 pub use link::{Link, LinkOutcome, LinkParams, LinkState};
 pub use nat::{Endpoint, NatBox, NatType};

@@ -37,8 +37,17 @@ pub enum NetEvent {
     /// Call a host agent's `on_start` (scheduled once per host by
     /// [`NetworkSim::start`]).
     Start(HostId),
-    /// Fire a timer armed via [`HostCtx::set_timer`].
-    Timer(HostId, TimerToken),
+    /// Fire a timer armed via [`HostCtx::set_timer`]. It reaches the agent only
+    /// while `epoch` is still the host's agent epoch, i.e. the agent that armed
+    /// it has not been replaced since.
+    Timer {
+        /// The host whose agent armed the timer.
+        host: HostId,
+        /// The label handed back to [`HostAgent::on_timer`].
+        token: TimerToken,
+        /// The host's agent epoch when the timer was armed.
+        epoch: u32,
+    },
     /// A packet finishes its final link and arrives at the destination NIC;
     /// receive-side kernel processing then queues on the host CPU.
     ///
@@ -68,7 +77,11 @@ impl Event<Network> for NetEvent {
     fn fire(self, net: &mut Network, ctl: &mut Control<'_>) {
         match self {
             NetEvent::Start(host) => Network::dispatch_start(net, ctl, host),
-            NetEvent::Timer(host, token) => Network::dispatch_timer(net, ctl, host, token),
+            NetEvent::Timer { host, token, epoch } => {
+                if net.hosts[host.0].agent_epoch == epoch {
+                    Network::dispatch_timer(net, ctl, host, token);
+                }
+            }
             NetEvent::Arrival { dst, pkt } => {
                 // Receive-side kernel processing queues on the destination CPU.
                 let kernel_cost = net.calibration.kernel_stack_cost;
@@ -214,9 +227,12 @@ impl Network {
         id
     }
 
-    /// Install the agent for a host (replacing any existing one).
+    /// Install the agent for a host, replacing any existing one. Timers the
+    /// replaced agent left pending are dropped when they come due.
     pub fn set_agent(&mut self, host: HostId, agent: Box<dyn HostAgent>) {
-        self.hosts[host.0].agent = Some(agent);
+        let host = &mut self.hosts[host.0];
+        host.agent = Some(agent);
+        host.agent_epoch += 1;
     }
 
     // ----------------------------------------------------------------- accessors
@@ -768,6 +784,7 @@ impl NetworkSim {
 mod tests {
     use super::*;
     use crate::firewall::Firewall;
+    use crate::host::TimerId;
     use crate::link::LinkParams;
     use crate::nat::{NatBox, NatType};
     use crate::site::{Prefix, SiteSpec};
@@ -905,6 +922,82 @@ mod tests {
             sim.agent_as::<EchoAgent>(a).unwrap().timers,
             vec![TimerToken(42)]
         );
+    }
+
+    /// Arms timers 1 (at 1 s), 2 (at 2 s) and 3 (at 3 s) at start; cancels 3
+    /// at once and, when 1 fires, both 1 (too late) and 2 — each twice,
+    /// recording what every call returned.
+    #[derive(Default)]
+    struct CancelAgent {
+        armed: Vec<TimerId>,
+        fired: Vec<TimerToken>,
+        cancels: Vec<bool>,
+    }
+
+    impl HostAgent for CancelAgent {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+            for n in 1..=3 {
+                let id = ctx.set_timer(Duration::from_secs(n), TimerToken(n));
+                self.armed.push(id);
+            }
+            // A timer can be cancelled in the very call that armed it.
+            let doomed = self.armed.pop().unwrap();
+            self.cancels.push(ctx.cancel_timer(doomed));
+            self.cancels.push(ctx.cancel_timer(doomed));
+        }
+        fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Ipv4Packet) {}
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: TimerToken) {
+            self.fired.push(token);
+            for id in std::mem::take(&mut self.armed) {
+                self.cancels.push(ctx.cancel_timer(id));
+                self.cancels.push(ctx.cancel_timer(id));
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn lone_host(seed: u64, agent: Box<dyn HostAgent>) -> (NetworkSim, HostId) {
+        let mut net = Network::new(seed);
+        let s = net.add_site(SiteSpec::open("X"));
+        let a = net.add_host("A", s, ip(10, 0, 0, 1));
+        net.set_agent(a, agent);
+        (NetworkSim::new(net), a)
+    }
+
+    #[test]
+    fn cancelled_timers_never_fire_and_only_a_pending_timer_can_be_cancelled() {
+        let (mut sim, a) = lone_host(30, Box::new(CancelAgent::default()));
+        sim.run_for(Duration::from_secs(10));
+        let agent = sim.agent_as::<CancelAgent>(a).unwrap();
+        assert_eq!(agent.fired, vec![TimerToken(1)], "2 and 3 were cancelled");
+        assert_eq!(
+            agent.cancels,
+            vec![
+                true, false, // 3: pending, then already cancelled
+                false, false, // 1: already fired
+                true, false, // 2: pending, then already cancelled
+            ]
+        );
+        assert_eq!(sim.pending(), 0);
+    }
+
+    #[test]
+    fn timer_of_a_replaced_agent_is_dropped_silently() {
+        // EchoAgent arms a 5 s timer at start. The host "crashes" at 1 s: its
+        // agent is replaced, and the successor must never see that timer.
+        let (mut sim, a) = lone_host(32, Box::new(EchoAgent::new(None)));
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(sim.pending(), 1, "the 5 s timer is pending");
+        sim.net_mut().set_agent(a, Box::new(EchoAgent::new(None)));
+        sim.run_for(Duration::from_secs(10));
+        assert_eq!(sim.pending(), 0, "the orphaned timer came due");
+        // The successor was never started, so any timer it saw was not its own.
+        assert!(sim.agent_as::<EchoAgent>(a).unwrap().timers.is_empty());
     }
 
     #[test]

@@ -330,6 +330,8 @@ pub struct OverlayStats {
     pub stream_closed: u64,
     /// Stream frames for streams this node no longer (or never) tracked.
     pub stream_orphan_frames: u64,
+    /// Stream ACKs rejected for acknowledging bytes never sent.
+    pub stream_bad_acks: u64,
 }
 
 /// A topic this node subscribes to: the soft-state TTL it asked for and when
@@ -679,6 +681,7 @@ impl OverlayNode {
         s.stream_failed = vs.failed;
         s.stream_closed = vs.closed;
         s.stream_orphan_frames = vs.orphan_frames;
+        s.stream_bad_acks = vs.bad_acks;
         s
     }
 

@@ -94,6 +94,9 @@ pub struct StreamStats {
     pub closed: u64,
     /// Frames for streams this node no longer (or never) tracked.
     pub orphan_frames: u64,
+    /// ACKs rejected for acknowledging bytes that were never sent
+    /// (`ack > snd_nxt`): corrupted or forged frames.
+    pub bad_acks: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -296,7 +299,7 @@ impl VStreams {
             return false;
         };
         if s.fin_queued || data.is_empty() {
-            return !data.is_empty();
+            return false;
         }
         s.send_buf.push_back(data);
         self.push_data(now, key);
@@ -484,6 +487,12 @@ impl VStreams {
             self.stats.orphan_frames += 1;
             return;
         };
+        if ack > s.snd_nxt {
+            // Acknowledges bytes never sent. Trusting it would move `snd_una`
+            // past `snd_nxt`; nothing in the frame is believed, window included.
+            self.stats.bad_acks += 1;
+            return;
+        }
         s.peer_window = window;
         if ack <= s.snd_una {
             return; // stale or duplicate ACK
