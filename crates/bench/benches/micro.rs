@@ -1,5 +1,7 @@
 //! Criterion micro-benchmarks for the hot per-packet code paths: SHA-1 address
-//! mapping, packet serialization, checksums and overlay routing-table lookups.
+//! mapping, packet serialization, checksums and overlay routing-table lookups —
+//! and for the one per-node path that runs when no packet does, the overlay
+//! maintenance tick.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::net::Ipv4Addr;
@@ -8,12 +10,12 @@ use ipop_overlay::packets::{
     ConnectionKind, DeliveryMode, LinkMessage, RoutedPacket, RoutedPayload,
 };
 use ipop_overlay::table::{Connection, ConnectionState, ConnectionTable};
-use ipop_overlay::Address;
+use ipop_overlay::{Address, OverlayConfig, OverlayNode};
 use ipop_packet::icmp::IcmpPacket;
 use ipop_packet::ipv4::{Ipv4Packet, Ipv4Payload};
 use ipop_packet::sha1::Sha1;
 use ipop_packet::tcp::TcpSegment;
-use ipop_simcore::SimTime;
+use ipop_simcore::{SimTime, StreamRng};
 
 fn bench_sha1(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha1");
@@ -107,12 +109,66 @@ fn bench_connection_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// The local home of the benchmark ledger's `overlay.node.on_tick_ns`: one
+/// maintenance tick of a converged node. Its near set is full (two `Near`
+/// edges per side, adjacent to it on the ring), its shortcut budget is spent
+/// (four `Far` edges), two `Leaf` edges remain from joining, and the gossip
+/// backlog holds 64 candidates — the ten peers plus 54 strangers, none nearer
+/// than a ring neighbour, so no tick consumes one. `now` stands still: the
+/// peers are neither heard from nor timed out, and what is timed is ring
+/// repair's candidate scan, the near-edge reclassification, the idle
+/// keep-alive / link-monitor / DHT / pub-sub / stream sweeps and one
+/// `Neighbors` gossip message per established peer.
+fn bench_overlay_tick(c: &mut Criterion) {
+    let now = SimTime::ZERO;
+    let at = |top: u8, low: u8| {
+        let mut b = [if top == 0x7F { 0xFF } else { 0 }; 20];
+        b[0] = top;
+        b[19] = low;
+        Address(b)
+    };
+    let me = at(0x80, 0);
+    let cfg = OverlayConfig::new(me, (Ipv4Addr::new(10, 0, 0, 1), 4001));
+    let mut node = OverlayNode::new(cfg, StreamRng::new(1, "micro"));
+    let edges = [
+        (at(0x80, 1), ConnectionKind::Near),
+        (at(0x80, 2), ConnectionKind::Near),
+        (at(0x7F, 0xFF), ConnectionKind::Near),
+        (at(0x7F, 0xFE), ConnectionKind::Near),
+        (at(0x10, 0), ConnectionKind::Far),
+        (at(0x40, 0), ConnectionKind::Far),
+        (at(0xB0, 0), ConnectionKind::Far),
+        (at(0xE0, 0), ConnectionKind::Far),
+        (at(0x20, 0), ConnectionKind::Leaf),
+        (at(0xD0, 0), ConnectionKind::Leaf),
+    ];
+    for (i, (peer, kind)) in edges.into_iter().enumerate() {
+        node.seed_connection(now, peer, (Ipv4Addr::new(10, 0, 1, i as u8), 4001), kind);
+    }
+    for i in 0..54u8 {
+        let stranger = Address::from_key(format!("candidate-{i}").as_bytes());
+        node.add_candidate(stranger, (Ipv4Addr::new(10, 0, 2, i), 4001));
+    }
+    c.bench_function("overlay/on_tick_steady_state", |b| {
+        b.iter(|| {
+            node.on_tick(now);
+            node.take_outbox()
+        })
+    });
+    assert_eq!(
+        node.connections().len(),
+        10,
+        "the bench must not erode its own state"
+    );
+}
+
 criterion_group!(
     benches,
     bench_sha1,
     bench_ip_to_overlay_address,
     bench_packet_codec,
     bench_encapsulation,
-    bench_connection_table
+    bench_connection_table,
+    bench_overlay_tick
 );
 criterion_main!(benches);

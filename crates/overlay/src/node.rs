@@ -332,6 +332,8 @@ pub struct OverlayStats {
     pub stream_orphan_frames: u64,
     /// Stream ACKs rejected for acknowledging bytes never sent.
     pub stream_bad_acks: u64,
+    /// Stream DATA segments dropped for an impossible sequence range.
+    pub stream_bad_seqs: u64,
 }
 
 /// A topic this node subscribes to: the soft-state TTL it asked for and when
@@ -682,6 +684,7 @@ impl OverlayNode {
         s.stream_closed = vs.closed;
         s.stream_orphan_frames = vs.orphan_frames;
         s.stream_bad_acks = vs.bad_acks;
+        s.stream_bad_seqs = vs.bad_seqs;
         s
     }
 
@@ -1351,10 +1354,7 @@ impl OverlayNode {
         }
         self.stats.link_rx += 1;
         if let Some(peer) = msg.sender() {
-            if let Some(conn) = self.table.get_mut(&peer) {
-                conn.last_heard = now;
-                conn.endpoint = from;
-            }
+            self.table.note_heard(&peer, now, from);
         }
         match msg {
             LinkMessage::Hello {
@@ -1486,7 +1486,7 @@ impl OverlayNode {
         // 3. Shortcuts.
         if self.cfg.shortcuts_enabled
             && self.table.count_kind(ConnectionKind::Far) < self.cfg.max_shortcuts
-            && self.table.established().count() >= 2
+            && self.table.established_addrs().len() >= 2
         {
             self.request_shortcut(now);
         }
@@ -1522,13 +1522,17 @@ impl OverlayNode {
     /// neighbours on both sides plus up to two random other peers.
     fn gossip_neighbors(&mut self) {
         let me = self.cfg.address;
-        let mut sample: Vec<(Address, Endpoint)> = Vec::new();
-        for c in self.table.right_neighbors(&me, self.cfg.near_per_side) {
-            sample.push((c.peer, c.endpoint));
-        }
-        for c in self.table.left_neighbors(&me, self.cfg.near_per_side) {
-            sample.push((c.peer, c.endpoint));
-        }
+        // The near view is taken here, not handed down from the top of the
+        // tick: keep-alive expiry and the link monitor drop edges in between.
+        let mut sample: Vec<(Address, Endpoint)> =
+            Vec::with_capacity(2 * self.cfg.near_per_side + 2);
+        sample.extend(
+            self.table
+                .near_view(&me, self.cfg.near_per_side)
+                .map(|c| (c.peer, c.endpoint)),
+        );
+        // The shuffle draws once per element, so it sees every other peer
+        // even though only two survive.
         let mut others: Vec<(Address, Endpoint)> = self
             .table
             .established()
@@ -1538,28 +1542,23 @@ impl OverlayNode {
         self.rng.shuffle(&mut others);
         sample.extend(others.into_iter().take(2));
         sample.sort_by_key(|(a, _)| *a);
-        sample.dedup_by_key(|(a, _)| *a);
         if sample.is_empty() {
             return;
         }
-        let recipients: Vec<(Address, Endpoint)> = self
-            .table
-            .established()
-            .map(|c| (c.peer, c.endpoint))
-            .collect();
-        for (peer, ep) in recipients {
-            let neighbors: Vec<(Address, Endpoint)> =
-                sample.iter().copied().filter(|(a, _)| *a != peer).collect();
+        self.outbox.reserve(self.table.established_addrs().len());
+        for c in self.table.established() {
+            let mut neighbors = Vec::with_capacity(sample.len());
+            neighbors.extend(sample.iter().copied().filter(|(a, _)| *a != c.peer));
             if neighbors.is_empty() {
                 continue;
             }
-            self.push_out(
-                ep,
-                LinkMessage::Neighbors {
-                    from: me,
-                    neighbors,
-                },
-            );
+            // `push_out`, spelled out: the table is borrowed by the loop.
+            self.stats.link_tx += 1;
+            let msg = LinkMessage::Neighbors {
+                from: me,
+                neighbors,
+            };
+            self.outbox.push((c.endpoint, msg));
         }
     }
 
@@ -2071,74 +2070,20 @@ impl OverlayNode {
             self.stats.originated += 1;
             // Send it through a random established edge so it is not delivered
             // straight back to ourselves.
-            let peers: Vec<(Endpoint, Address)> = self
-                .table
-                .established()
-                .map(|c| (c.endpoint, c.peer))
-                .collect();
-            if !peers.is_empty() {
-                let (ep, _) = peers[self.rng.index(peers.len())];
+            let pick = self.rng.index(self.table.established_addrs().len());
+            if let Some(ep) = self.table.nth_established(pick).map(|c| c.endpoint) {
                 let mut pkt = pkt;
                 pkt.hops += 1;
                 self.push_out(ep, LinkMessage::Routed(pkt));
             }
         }
         // (b) Link towards gossip candidates that would improve the neighbour set.
-        let me = self.cfg.address;
-        let current_right: Vec<Address> = self
-            .table
-            .right_neighbors(&me, self.cfg.near_per_side)
-            .iter()
-            .map(|c| c.peer)
-            .collect();
-        let current_left: Vec<Address> = self
-            .table
-            .left_neighbors(&me, self.cfg.near_per_side)
-            .iter()
-            .map(|c| c.peer)
-            .collect();
-        let worst_right = current_right.last().map(|a| me.clockwise_distance(a));
-        let worst_left = current_left.last().map(|a| a.clockwise_distance(&me));
-        // Peers already linked as Near are settled; an existing Far or Leaf
-        // edge stays eligible — when a true ring neighbour first joined us
-        // via a shortcut or bootstrap handshake, re-helloing it as Near
-        // promotes the edge on both ends (freeing the shortcut budget slot
-        // it may have been occupying).
-        let mut candidates: Vec<(Address, Endpoint)> = self
-            .candidates
-            .iter()
-            .filter(|(a, _)| {
-                **a != me
-                    && self
-                        .table
-                        .get(a)
-                        .is_none_or(|c| c.kind != ConnectionKind::Near)
-            })
-            .map(|(a, e)| (*a, *e))
-            .collect();
-        // Of the improving candidates, link only towards the best
-        // `near_per_side` per side. While the near set is underfull every
-        // candidate "improves", and helloing the whole gossip backlog at once
-        // permanently meshed small rings (and at scale would flood a joining
-        // node); the nearest candidates are the only ones that can end up in
-        // the converged near set anyway.
-        candidates.sort_by_key(|(a, _)| me.clockwise_distance(a));
-        let mut picked: Vec<(Address, Endpoint)> = Vec::new();
-        for &(addr, ep) in candidates.iter().take(self.cfg.near_per_side) {
-            let improves = current_right.len() < self.cfg.near_per_side
-                || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w);
-            if improves {
-                picked.push((addr, ep));
-            }
-        }
-        candidates.sort_by_key(|(a, _)| a.clockwise_distance(&me));
-        for &(addr, ep) in candidates.iter().take(self.cfg.near_per_side) {
-            let improves = current_left.len() < self.cfg.near_per_side
-                || worst_left.is_some_and(|w| addr.clockwise_distance(&me) < w);
-            if improves && !picked.contains(&(addr, ep)) {
-                picked.push((addr, ep));
-            }
-        }
+        let picked = near_hello_targets(
+            &self.table,
+            &self.candidates,
+            &self.cfg.address,
+            self.cfg.near_per_side,
+        );
         for (addr, ep) in picked {
             self.send_hello(now, ep, ConnectionKind::Near);
             // Consume the candidate: if the hello lands, the edge appears in
@@ -2155,17 +2100,13 @@ impl OverlayNode {
     /// old behaviour of trusting whatever kind the last handshake carried.
     fn reclassify_near_edges(&mut self) {
         let me = self.cfg.address;
-        let near_set: Vec<Address> = self
-            .table
-            .right_neighbors(&me, self.cfg.near_per_side)
-            .iter()
-            .chain(
-                self.table
-                    .left_neighbors(&me, self.cfg.near_per_side)
-                    .iter(),
-            )
-            .map(|c| c.peer)
-            .collect();
+        let near_view = || self.table.near_view(&me, self.cfg.near_per_side);
+        let near_in_view = near_view()
+            .filter(|c| c.kind == ConnectionKind::Near)
+            .count();
+        if near_in_view == self.table.count_kind(ConnectionKind::Near) {
+            return; // every Near edge is a ring neighbour: the steady state
+        }
         // Outside the near set, a Near label is a leftover from an
         // unconverged handshake: demote to Far. The reverse (a true ring
         // neighbour labelled Far) heals through the handshake path — the
@@ -2174,7 +2115,7 @@ impl OverlayNode {
         let demote: Vec<Connection> = self
             .table
             .established()
-            .filter(|c| c.kind == ConnectionKind::Near && !near_set.contains(&c.peer))
+            .filter(|c| c.kind == ConnectionKind::Near && !near_view().any(|n| n.peer == c.peer))
             .cloned()
             .collect();
         for mut conn in demote {
@@ -2305,7 +2246,6 @@ impl OverlayNode {
         let me = self.cfg.address;
         let mut to_ping = Vec::new();
         let mut to_drop = Vec::new();
-        let mut gossip: Vec<(Address, Endpoint)> = Vec::new();
         for conn in self.table.iter() {
             if now.saturating_since(conn.last_heard) > timeout {
                 to_drop.push(conn.peer);
@@ -2314,8 +2254,11 @@ impl OverlayNode {
             {
                 to_ping.push((conn.peer, conn.endpoint));
             }
+            // Record every established peer (one about to be dropped
+            // included) as a candidate we can gossip to others — seen by the
+            // next tick's candidate scan, which has already run in this one.
             if conn.state == ConnectionState::Established {
-                gossip.push((conn.peer, conn.endpoint));
+                self.candidates.insert(conn.peer, conn.endpoint);
             }
         }
         for peer in to_drop {
@@ -2324,14 +2267,7 @@ impl OverlayNode {
         for (peer, ep) in to_ping {
             let nonce = self.rng.next_u64();
             self.push_out(ep, LinkMessage::Ping { from: me, nonce });
-            if let Some(c) = self.table.get_mut(&peer) {
-                c.last_ping_sent = now;
-            }
-        }
-        // Record every established peer as a candidate we can gossip to others —
-        // and opportunistically learn candidates from the table itself.
-        for (addr, ep) in gossip {
-            self.candidates.insert(addr, ep);
+            self.table.note_ping_sent(&peer, now);
         }
     }
 
@@ -2415,12 +2351,8 @@ impl OverlayNode {
         self.last_monitor_run = now;
         let mut to_probe: Vec<(Address, Endpoint)> = Vec::new();
         let mut to_drop: Vec<(Address, Endpoint)> = Vec::new();
-        let peers: Vec<(Address, Endpoint, SimTime)> = self
-            .table
-            .established()
-            .map(|c| (c.peer, c.endpoint, c.last_heard))
-            .collect();
-        for (peer, endpoint, last_heard) in peers {
+        for c in self.table.established() {
+            let (peer, endpoint, last_heard) = (c.peer, c.endpoint, c.last_heard);
             let health = self.edge_health.entry(peer).or_default();
             if let Some((nonce, sent, deadline)) = health.outstanding {
                 // The probe runs to its deadline even if other traffic from
@@ -3149,9 +3081,12 @@ impl OverlayNode {
         // only when the established-peer set actually changed. Ownership and
         // replica targets are pure functions of that set, and fresh stores /
         // refresh puts already replicate on the delivery path.
-        let peers: Vec<Address> = self.table.established().map(|c| c.peer).collect();
-        if peers != self.last_replica_peers {
-            self.last_replica_peers = peers;
+        if !self
+            .table
+            .established_addrs()
+            .eq(self.last_replica_peers.iter())
+        {
+            self.last_replica_peers = self.table.peers();
             for key in self.dht.keys() {
                 self.replicate_key(now, key);
             }
@@ -3439,6 +3374,60 @@ impl OverlayNode {
         self.next_token += 1;
         self.next_token
     }
+}
+
+/// The gossip candidates ring repair says hello to this tick: right-side
+/// picks first, then left-side picks not already picked.
+///
+/// Peers already linked as Near are settled; an existing Far or Leaf edge
+/// stays eligible — when a true ring neighbour first joined us via a shortcut
+/// or bootstrap handshake, re-helloing it as Near promotes the edge on both
+/// ends (freeing the shortcut budget slot it may have been occupying).
+///
+/// Of the eligible candidates only the nearest `per_side` on each side are
+/// considered, and of those only the ones that improve that side of the near
+/// set. While the near set is underfull every candidate "improves", and
+/// helloing the whole gossip backlog at once permanently meshed small rings
+/// (and at scale would flood a joining node); the nearest candidates are the
+/// only ones that can end up in the converged near set anyway. `candidates`
+/// is keyed by address, i.e. already in ring order, so "nearest" is a walk
+/// from `me` in each direction — two range probes per side, no sort.
+fn near_hello_targets(
+    table: &ConnectionTable,
+    candidates: &BTreeMap<Address, Endpoint>,
+    me: &Address,
+    per_side: usize,
+) -> Vec<(Address, Endpoint)> {
+    /// How many established neighbours a side has, and its farthest one.
+    fn side<'a>(nearest: impl Iterator<Item = &'a Connection>) -> (usize, Option<Address>) {
+        nearest.fold((0, None), |(n, _), c| (n + 1, Some(c.peer)))
+    }
+    let (right_len, right_last) = side(table.right_of(me).take(per_side));
+    let (left_len, left_last) = side(table.left_of(me).take(per_side));
+    let worst_right = right_last.map(|a| me.clockwise_distance(&a));
+    let worst_left = left_last.map(|a| a.clockwise_distance(me));
+    let eligible = |(a, _): &(&Address, &Endpoint)| {
+        *a != me && table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near)
+    };
+    let mut picked: Vec<(Address, Endpoint)> = Vec::new();
+    let clockwise = candidates.range(*me..).chain(candidates.range(..*me));
+    for (&addr, &ep) in clockwise.filter(eligible).take(per_side) {
+        if right_len < per_side || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w) {
+            picked.push((addr, ep));
+        }
+    }
+    let counter_clockwise = candidates
+        .range(..*me)
+        .rev()
+        .chain(candidates.range(*me..).rev());
+    for (&addr, &ep) in counter_clockwise.filter(eligible).take(per_side) {
+        let improves =
+            left_len < per_side || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
+        if improves && !picked.contains(&(addr, ep)) {
+            picked.push((addr, ep));
+        }
+    }
+    picked
 }
 
 #[cfg(test)]
@@ -5113,5 +5102,160 @@ mod tests {
         );
         assert!(h.nodes[publisher].stats().pubsub_publish_retries >= 1);
         assert_eq!(h.nodes[publisher].stats().pubsub_publish_failures, 0);
+    }
+
+    // ------------------------------------------------ near-hello selection
+
+    /// Reference model for `near_hello_targets`: the same selection by brute
+    /// force — copy every eligible candidate, sort the copy by clockwise
+    /// distance for the right side and again by counter-clockwise distance
+    /// for the left.
+    fn near_hello_targets_by_sort(
+        table: &ConnectionTable,
+        candidates: &BTreeMap<Address, Endpoint>,
+        me: &Address,
+        per_side: usize,
+    ) -> Vec<(Address, Endpoint)> {
+        let peers = |side: Vec<&Connection>| side.iter().map(|c| c.peer).collect::<Vec<_>>();
+        let current_right = peers(table.right_neighbors(me, per_side));
+        let current_left = peers(table.left_neighbors(me, per_side));
+        let worst_right = current_right.last().map(|a| me.clockwise_distance(a));
+        let worst_left = current_left.last().map(|a| a.clockwise_distance(me));
+        let mut candidates: Vec<(Address, Endpoint)> = candidates
+            .iter()
+            .filter(|(a, _)| {
+                *a != me && table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near)
+            })
+            .map(|(a, e)| (*a, *e))
+            .collect();
+        candidates.sort_by_key(|(a, _)| me.clockwise_distance(a));
+        let mut picked: Vec<(Address, Endpoint)> = Vec::new();
+        for &(addr, ep) in candidates.iter().take(per_side) {
+            let improves = current_right.len() < per_side
+                || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w);
+            if improves {
+                picked.push((addr, ep));
+            }
+        }
+        candidates.sort_by_key(|(a, _)| a.clockwise_distance(me));
+        for &(addr, ep) in candidates.iter().take(per_side) {
+            let improves = current_left.len() < per_side
+                || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
+            if improves && !picked.contains(&(addr, ep)) {
+                picked.push((addr, ep));
+            }
+        }
+        picked
+    }
+
+    /// One of 64 ring positions — 16 coarse steps from `0x00…` to `0xF0…`,
+    /// four adjacent addresses at each — so generated candidates, edges and
+    /// `me` collide with each other often.
+    fn ring_pos(sel: u8) -> Address {
+        let mut b = [0u8; 20];
+        b[0] = sel & 0xF0;
+        b[19] = sel & 0x03;
+        Address(b)
+    }
+
+    /// Build a table (mixing kinds and states, with re-upserts and removals)
+    /// and a candidate map of up to 80 draws from `addr_of`, then require the
+    /// range-probe selection to return the reference's list — content and
+    /// order — for every `near_per_side` in use.
+    fn assert_selection_matches_reference(
+        me: Address,
+        edges: &[u16],
+        candidates: &[u16],
+        addr_of: impl Fn(u16) -> Address,
+    ) {
+        let mut table = ConnectionTable::new();
+        for &w in edges {
+            let peer = addr_of(w);
+            table.upsert(Connection {
+                peer,
+                endpoint: ep(usize::from(w >> 8)),
+                kind: [
+                    ConnectionKind::Near,
+                    ConnectionKind::Far,
+                    ConnectionKind::Leaf,
+                ][usize::from(w >> 8) % 3],
+                state: if w & 0x0800 == 0 {
+                    ConnectionState::Established
+                } else {
+                    ConnectionState::Connecting
+                },
+                last_heard: SimTime::ZERO,
+                last_ping_sent: SimTime::ZERO,
+            });
+            if w & 0xF000 == 0 {
+                table.remove(&peer);
+            }
+        }
+        let candidates: BTreeMap<Address, Endpoint> = candidates
+            .iter()
+            .map(|&w| (addr_of(w), ep(usize::from(w >> 8))))
+            .collect();
+        for per_side in 1..=3 {
+            assert_eq!(
+                near_hello_targets(&table, &candidates, &me, per_side),
+                near_hello_targets_by_sort(&table, &candidates, &me, per_side),
+                "me {me:?} per_side {per_side}"
+            );
+        }
+    }
+
+    mod near_hello_selection {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        // Four properties of 64 cases each (the offline proptest's fixed case
+        // count): `me` at the bottom of the ring, at the top, anywhere on the
+        // colliding 64-position ring, and on a sparse ring of random
+        // addresses.
+        proptest! {
+            #[test]
+            fn me_at_the_bottom_of_the_ring_wraps_counter_clockwise(
+                me_sel in 0u8..4,
+                edges in vec(any::<u16>(), 0..24),
+                candidates in vec(any::<u16>(), 0..81),
+            ) {
+                let me = ring_pos(me_sel);
+                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
+            }
+
+            #[test]
+            fn me_at_the_top_of_the_ring_wraps_clockwise(
+                me_sel in 0u8..5,
+                edges in vec(any::<u16>(), 0..24),
+                candidates in vec(any::<u16>(), 0..81),
+            ) {
+                // The four highest positions, or the very last address.
+                let me = if me_sel == 4 { Address([0xFF; 20]) } else { ring_pos(0xF0 | me_sel) };
+                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
+            }
+
+            #[test]
+            fn me_anywhere_among_colliding_positions(
+                me_sel: u8,
+                edges in vec(any::<u16>(), 0..24),
+                candidates in vec(any::<u16>(), 0..81),
+            ) {
+                let me = ring_pos(me_sel);
+                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
+            }
+
+            #[test]
+            fn sparse_ring_of_hashed_addresses(
+                me_key: u16,
+                edges in vec(any::<u16>(), 0..24),
+                candidates in vec(any::<u16>(), 0..81),
+            ) {
+                // Only the low byte picks the address, so the high byte still
+                // varies kind / state / removal for one peer.
+                let hashed = |w: u16| Address::from_key(&[w as u8]);
+                assert_selection_matches_reference(hashed(me_key), &edges, &candidates, hashed);
+            }
+        }
     }
 }

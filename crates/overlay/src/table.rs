@@ -57,6 +57,9 @@ pub struct ConnectionTable {
     /// Addresses of connections in `Established` state, in ring order.
     /// Maintained by `upsert`/`remove`; state never changes in place.
     established: BTreeSet<Address>,
+    /// Established edges per [`ConnectionKind`] (indexed by `kind as usize`),
+    /// maintained by `upsert`/`remove`; kind never changes in place either.
+    kind_counts: [usize; 3],
 }
 
 impl ConnectionTable {
@@ -79,18 +82,31 @@ impl ConnectionTable {
     pub fn upsert(&mut self, conn: Connection) {
         let peer = conn.peer;
         let established = conn.state == ConnectionState::Established;
-        self.connections.insert(peer, conn);
         if established {
             self.established.insert(peer);
+            self.kind_counts[conn.kind as usize] += 1;
         } else {
             self.established.remove(&peer);
+        }
+        if let Some(old) = self.connections.insert(peer, conn) {
+            self.uncount(&old);
         }
     }
 
     /// Remove an edge.
     pub fn remove(&mut self, peer: &Address) -> Option<Connection> {
         self.established.remove(peer);
-        self.connections.remove(peer)
+        let old = self.connections.remove(peer)?;
+        self.uncount(&old);
+        Some(old)
+    }
+
+    /// Take an edge that left the table (or was replaced) out of the per-kind
+    /// established counts.
+    fn uncount(&mut self, old: &Connection) {
+        if old.state == ConnectionState::Established {
+            self.kind_counts[old.kind as usize] -= 1;
+        }
     }
 
     /// Borrow an edge.
@@ -98,12 +114,22 @@ impl ConnectionTable {
         self.connections.get(peer)
     }
 
-    /// Borrow an edge mutably — for liveness bookkeeping (`last_heard`,
-    /// `last_ping_sent`, `endpoint`) only. `peer` and `state` must not change
-    /// through this handle or the established index desynchronises; state
-    /// transitions go through [`ConnectionTable::upsert`].
-    pub fn get_mut(&mut self, peer: &Address) -> Option<&mut Connection> {
-        self.connections.get_mut(peer)
+    /// Liveness bookkeeping: `peer` was heard from `endpoint` at `now`. No-op
+    /// without an edge to `peer`. (There is no `get_mut`: `peer`, `state` and
+    /// `kind` feed the established index and the per-kind counts, so they
+    /// only change through [`ConnectionTable::upsert`].)
+    pub fn note_heard(&mut self, peer: &Address, now: SimTime, endpoint: Endpoint) {
+        if let Some(conn) = self.connections.get_mut(peer) {
+            conn.last_heard = now;
+            conn.endpoint = endpoint;
+        }
+    }
+
+    /// Liveness bookkeeping: a keep-alive ping went out to `peer` at `now`.
+    pub fn note_ping_sent(&mut self, peer: &Address, now: SimTime) {
+        if let Some(conn) = self.connections.get_mut(peer) {
+            conn.last_ping_sent = now;
+        }
     }
 
     /// Does an edge to `peer` exist (in any state)?
@@ -121,9 +147,19 @@ impl ConnectionTable {
         self.established.iter().map(|a| &self.connections[a])
     }
 
-    /// Number of established edges of a given kind.
+    /// Addresses of the established edges, ascending; `.len()` is O(1).
+    pub fn established_addrs(&self) -> impl ExactSizeIterator<Item = &Address> {
+        self.established.iter()
+    }
+
+    /// The `n`-th established edge in ascending address order.
+    pub fn nth_established(&self, n: usize) -> Option<&Connection> {
+        self.established.iter().nth(n).map(|a| &self.connections[a])
+    }
+
+    /// Number of established edges of a given kind. O(1).
     pub fn count_kind(&self, kind: ConnectionKind) -> usize {
-        self.established().filter(|c| c.kind == kind).count()
+        self.kind_counts[kind as usize]
     }
 
     /// The established connection whose address is closest (ring distance) to
@@ -181,20 +217,19 @@ impl ConnectionTable {
             .map_or(Distance::MAX, |c| c.peer.ring_distance(target))
     }
 
-    /// The `count` established peers nearest to `me` in the clockwise (right)
-    /// direction, closest first: ascending addresses from `me`, wrapping.
-    pub fn right_neighbors(&self, me: &Address, count: usize) -> Vec<&Connection> {
+    /// Every established peer in the clockwise (right) direction from `me`,
+    /// closest first: ascending addresses from `me`, wrapping. Two range
+    /// probes, no allocation; callers `take` what they need.
+    pub fn right_of<'a>(&'a self, me: &Address) -> impl Iterator<Item = &'a Connection> + 'a {
         self.established
             .range(*me..)
             .chain(self.established.range(..*me))
-            .take(count)
             .map(|a| &self.connections[a])
-            .collect()
     }
 
-    /// The `count` established peers nearest to `me` in the counter-clockwise
-    /// (left) direction, closest first: descending addresses from `me`, wrapping.
-    pub fn left_neighbors(&self, me: &Address, count: usize) -> Vec<&Connection> {
+    /// Every established peer in the counter-clockwise (left) direction from
+    /// `me`, closest first: descending addresses from `me`, wrapping.
+    pub fn left_of<'a>(&'a self, me: &Address) -> impl Iterator<Item = &'a Connection> + 'a {
         self.established
             .get(me)
             .into_iter()
@@ -204,9 +239,30 @@ impl ConnectionTable {
                     .range((Bound::Excluded(*me), Bound::Unbounded))
                     .rev(),
             )
-            .take(count)
             .map(|a| &self.connections[a])
-            .collect()
+    }
+
+    /// The near view of `me`: its `count` nearest established peers on the
+    /// right, then those of its `count` nearest on the left that the right
+    /// side did not already yield (the sides overlap on a small table).
+    pub fn near_view<'a>(
+        &'a self,
+        me: &'a Address,
+        count: usize,
+    ) -> impl Iterator<Item = &'a Connection> + 'a {
+        let right = move || self.right_of(me).take(count);
+        let left = self.left_of(me).take(count);
+        right().chain(left.filter(move |c| right().all(|r| r.peer != c.peer)))
+    }
+
+    /// The first `count` of [`ConnectionTable::right_of`], collected.
+    pub fn right_neighbors(&self, me: &Address, count: usize) -> Vec<&Connection> {
+        self.right_of(me).take(count).collect()
+    }
+
+    /// The first `count` of [`ConnectionTable::left_of`], collected.
+    pub fn left_neighbors(&self, me: &Address, count: usize) -> Vec<&Connection> {
+        self.left_of(me).take(count).collect()
     }
 
     /// All established peer addresses.

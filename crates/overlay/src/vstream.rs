@@ -97,6 +97,11 @@ pub struct StreamStats {
     /// ACKs rejected for acknowledging bytes that were never sent
     /// (`ack > snd_nxt`): corrupted or forged frames.
     pub bad_acks: u64,
+    /// DATA segments dropped for a sequence range no conforming sender
+    /// produces: `seq + len` overflows, ends beyond the receive window, starts
+    /// inside delivered bytes without being a duplicate, or would grow the
+    /// reorder buffer past the window.
+    pub bad_seqs: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -450,6 +455,25 @@ impl VStreams {
             self.stats.orphan_frames += 1;
             return;
         };
+        // `seq` is the peer's word. A conforming sender keeps at most the
+        // advertised window (never above `DEFAULT_WINDOW`) in flight beyond
+        // what we acknowledged and never re-splits a segment, so a segment
+        // is either a duplicate (entirely old, or already buffered) or new:
+        // starting at or after `rcv_nxt`, ending inside the window, and
+        // leaving the reorder buffer within one window. Anything else —
+        // including an end that does not fit in a `u64` — is corrupted or
+        // forged, and parking it would let one peer pin memory without
+        // bound: nothing in the frame is believed, window included.
+        let window_end = s.rcv_nxt.saturating_add(u64::from(DEFAULT_WINDOW));
+        let end = seq
+            .checked_add(payload.len() as u64)
+            .filter(|&end| end <= window_end);
+        let duplicate = end.is_some_and(|end| end <= s.rcv_nxt) || s.reorder.contains_key(&seq);
+        let fits = seq >= s.rcv_nxt && s.reorder_bytes + payload.len() <= DEFAULT_WINDOW as usize;
+        if end.is_none() || !(duplicate || fits) {
+            self.stats.bad_seqs += 1;
+            return;
+        }
         s.peer_window = window;
         if s.state == State::SynSent {
             // Our SYN-ACK never existed — we are the connector and the peer's
@@ -462,8 +486,7 @@ impl VStreams {
                 stream_id,
             });
         }
-        let len = payload.len() as u64;
-        if seq + len <= s.rcv_nxt || s.reorder.contains_key(&seq) {
+        if duplicate {
             // Entirely old (or already buffered): the ACK was lost. Re-ack.
             self.stats.duplicates += 1;
         } else {
@@ -539,7 +562,9 @@ impl VStreams {
                 src,
                 RoutedPayload::StreamAck {
                     stream_id,
-                    ack: seq + 1,
+                    // `seq` is the peer's word: a forged `u64::MAX` must
+                    // not overflow the reply.
+                    ack: seq.saturating_add(1),
                     window: 0,
                 },
             ));
@@ -698,7 +723,7 @@ impl VStreams {
                     remote,
                     RoutedPayload::StreamAck {
                         stream_id,
-                        ack: fin + 1,
+                        ack: fin.saturating_add(1),
                         window: 0,
                     },
                 ));

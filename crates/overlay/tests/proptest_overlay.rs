@@ -329,10 +329,28 @@ proptest! {
 use ipop_overlay::packets::ConnectionKind;
 use ipop_overlay::table::{Connection, ConnectionState, ConnectionTable};
 
+const KINDS: [ConnectionKind; 3] = [
+    ConnectionKind::Near,
+    ConnectionKind::Far,
+    ConnectionKind::Leaf,
+];
+
+/// The cached per-kind counts against a full recount of the established edges.
+fn assert_kind_counts_match_recount(table: &ConnectionTable) {
+    for kind in KINDS {
+        assert_eq!(
+            table.count_kind(kind),
+            table.established().filter(|c| c.kind == kind).count(),
+            "{kind:?}"
+        );
+    }
+}
+
 /// Build a table from generated words: each word yields a peer address (low
 /// byte stretched over the top bytes so distance ties across the ring are
-/// common), a state and a kind. Returns the table plus the established
-/// connections for the linear reference scan.
+/// common), a state and a kind — a repeated address is an in-place kind or
+/// state change. The per-kind counts are checked after every step. Returns
+/// the table plus the established connections for the linear reference scan.
 fn build_table(words: &[u64]) -> (ConnectionTable, Vec<(Address, ConnectionKind)>) {
     let mut table = ConnectionTable::new();
     let mut reference = Vec::new();
@@ -347,11 +365,7 @@ fn build_table(words: &[u64]) -> (ConnectionTable, Vec<(Address, ConnectionKind)
         } else {
             ConnectionState::Connecting
         };
-        let kind = match (w >> 5) & 0x3 {
-            0 => ConnectionKind::Near,
-            1 => ConnectionKind::Far,
-            _ => ConnectionKind::Leaf,
-        };
+        let kind = KINDS[(((w >> 5) & 0x3) as usize).min(2)];
         table.upsert(Connection {
             peer,
             endpoint: (std::net::Ipv4Addr::new(10, 0, 0, 1), 4001),
@@ -360,6 +374,7 @@ fn build_table(words: &[u64]) -> (ConnectionTable, Vec<(Address, ConnectionKind)
             last_heard: SimTime::ZERO,
             last_ping_sent: SimTime::ZERO,
         });
+        assert_kind_counts_match_recount(&table);
         reference.retain(|(p, _)| *p != peer);
         if state == ConnectionState::Established {
             reference.push((peer, kind));
@@ -367,11 +382,17 @@ fn build_table(words: &[u64]) -> (ConnectionTable, Vec<(Address, ConnectionKind)
         if w & 0x100 != 0 {
             // Occasionally delete, so the index sees removals too.
             table.remove(&peer);
+            assert_kind_counts_match_recount(&table);
             reference.retain(|(p, _)| *p != peer);
         }
     }
     reference.sort_by_key(|(p, _)| *p);
     (table, reference)
+}
+
+/// The peers a table walk yields, in order.
+fn peers_of<'a>(walk: impl IntoIterator<Item = &'a Connection>) -> Vec<Address> {
+    walk.into_iter().map(|c| c.peer).collect()
 }
 
 fn target_addr(sel: u8) -> Address {
@@ -407,29 +428,41 @@ proptest! {
         for count in [1usize, 3, reference.len() + 1] {
             let mut right: Vec<Address> = reference.iter().map(|(p, _)| *p).collect();
             right.sort_by_key(|p| target.clockwise_distance(p));
-            let got_right: Vec<Address> = table
-                .right_neighbors(&target, count)
-                .iter()
-                .map(|c| c.peer)
-                .collect();
+            let got_right = peers_of(table.right_neighbors(&target, count));
             prop_assert_eq!(&got_right[..], &right[..count.min(right.len())]);
 
             let mut left: Vec<Address> = reference.iter().map(|(p, _)| *p).collect();
             left.sort_by_key(|p| p.clockwise_distance(&target));
-            let got_left: Vec<Address> = table
-                .left_neighbors(&target, count)
-                .iter()
-                .map(|c| c.peer)
-                .collect();
+            let got_left = peers_of(table.left_neighbors(&target, count));
             prop_assert_eq!(&got_left[..], &left[..count.min(left.len())]);
+
+            // The non-allocating walks yield what the Vec forms collect, and
+            // the near view is right-then-left with the overlap dropped.
+            prop_assert_eq!(&peers_of(table.right_of(&target).take(count)), &got_right);
+            prop_assert_eq!(&peers_of(table.left_of(&target).take(count)), &got_left);
+            let mut view = got_right;
+            for p in got_left {
+                if !view.contains(&p) {
+                    view.push(p);
+                }
+            }
+            prop_assert_eq!(peers_of(table.near_view(&target, count)), view);
         }
 
         // Established iteration, peers() and kind counts agree with the
         // reference set.
         let got_peers: Vec<Address> = table.peers();
         let expect_peers: Vec<Address> = reference.iter().map(|(p, _)| *p).collect();
-        prop_assert_eq!(got_peers, expect_peers);
-        for kind in [ConnectionKind::Near, ConnectionKind::Far, ConnectionKind::Leaf] {
+        prop_assert_eq!(&got_peers, &expect_peers);
+        prop_assert_eq!(table.established_addrs().len(), expect_peers.len());
+        prop_assert!(table.established_addrs().eq(expect_peers.iter()));
+        for n in 0..=expect_peers.len() {
+            prop_assert_eq!(
+                table.nth_established(n).map(|c| c.peer),
+                expect_peers.get(n).copied()
+            );
+        }
+        for kind in KINDS {
             prop_assert_eq!(
                 table.count_kind(kind),
                 reference.iter().filter(|(_, k)| *k == kind).count()
