@@ -1,8 +1,8 @@
 //! Heavy-traffic pub/sub fan-out workload: many publishers, one hot topic,
 //! thousands of subscribers.
 //!
-//! Runs on the same interned substrate and sharded simulator as the
-//! [`crate::scale`] harness: the ring is warm-started, then a block of
+//! A workload on the [`crate::scale`] ring driver (warm ring, staggered
+//! maintenance, sharded simulator — none of it lives here): a block of
 //! subscriber nodes subscribes to one topic (staggered, soft-state records
 //! converging at the topic root), and after a settle window a block of
 //! publisher nodes publishes one message each (staggered). Every publish
@@ -11,21 +11,18 @@
 //! (publish instant → delivery instant per subscriber), the delivery rate
 //! against the `publishers × subscribers` ideal, and simulator throughput.
 //!
-//! Because simulator events carry [`LinkMessage`] structs rather than
+//! Because simulator events carry `LinkMessage` structs rather than
 //! encoded datagrams, the published body is one shared `Bytes` region across
 //! every copy at every relay depth — the zero-copy fan-out path the wire
 //! codec's cached-image tests pin down, exercised at workload scale.
 
 use ipop_overlay::address::Address;
 use ipop_overlay::node::OverlayNode;
-use ipop_overlay::packets::LinkMessage;
 use ipop_overlay::pubsub::topic_key;
 use ipop_packet::Bytes;
-use ipop_simcore::{
-    Duration, ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim, SimTime, StreamRng,
-};
+use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::scale::{build_warm_ring, ScaleConfig, WarmRing};
+use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
 
 /// Parameters of one fan-out run.
 #[derive(Clone, Debug)]
@@ -129,100 +126,43 @@ impl FanoutReport {
     }
 }
 
-/// Events driving the fan-out world.
-enum FanEv {
-    /// A link message from node `src` arriving at node `dst`.
-    Deliver {
-        src: u32,
-        dst: u32,
-        msg: LinkMessage,
-    },
-    /// Maintenance tick on `dst`; reschedules itself `remaining` more times.
-    Tick { dst: u32, remaining: u32 },
-    /// Node `dst` subscribes to the topic.
-    Subscribe { dst: u32 },
-    /// Node `src` publishes one message on the topic.
-    Publish { src: u32 },
+/// One operation of the fan-out workload.
+enum FanOp {
+    /// The node subscribes to the topic.
+    Subscribe,
+    /// The node publishes one message on the topic.
+    Publish,
 }
 
-/// One shard: a contiguous block of nodes plus local measurement state.
-struct FanoutShardWorld {
-    net: ipop_netsim::ScaleNet,
-    interval: Duration,
+/// The fan-out scenario's workload: subscribes and publishes on one topic,
+/// publish and arrival instants harvested per message id.
+struct Fan {
     topic: Address,
     /// The published body, one shared region for every publish and copy.
     payload: Bytes,
     sub_ttl: Duration,
-    lo: u32,
-    nodes: Vec<OverlayNode>,
     /// `(msg_id, publish instant)` of publishes originated in this shard.
     publishes: Vec<(u64, SimTime)>,
     /// `(msg_id, delivery instant)` of messages delivered in this shard.
     arrivals: Vec<(u64, SimTime)>,
 }
 
-impl FanoutShardWorld {
-    /// Flush node `idx`'s outbox into the event fabric and harvest delivered
-    /// topic messages. Identical latency handling to the scale harness: every
-    /// link message crosses the slice barrier with its full link latency.
-    fn pump(&mut self, idx: usize, now: SimTime, ctl: &mut ShardCtl<FanEv>) {
-        let src = self.lo + idx as u32;
-        let node = &mut self.nodes[idx];
-        for (ep, msg) in node.take_outbox() {
-            let Some(dst) = self.net.node_of(&ep) else {
-                continue;
-            };
-            let at = now + self.net.latency(src, dst);
-            ctl.send(
-                self.net.shard_of(dst) as usize,
-                at,
-                FanEv::Deliver { src, dst, msg },
-            );
-        }
-        for (_topic, msg_id, _payload) in node.take_pubsub_delivered() {
-            self.arrivals.push((msg_id, now));
+impl RingWorkload for Fan {
+    type Op = FanOp;
+
+    fn inject(&mut self, now: SimTime, node: &mut OverlayNode, op: FanOp) {
+        match op {
+            FanOp::Subscribe => node.pubsub_subscribe(now, self.topic, self.sub_ttl),
+            FanOp::Publish => {
+                let msg_id = node.pubsub_publish(now, self.topic, self.payload.clone());
+                self.publishes.push((msg_id, now));
+            }
         }
     }
-}
 
-impl ShardWorld for FanoutShardWorld {
-    type Ev = FanEv;
-
-    fn handle(&mut self, now: SimTime, ev: FanEv, ctl: &mut ShardCtl<FanEv>) {
-        match ev {
-            FanEv::Deliver { src, dst, msg } => {
-                let idx = (dst - self.lo) as usize;
-                let from = self.net.endpoint(src);
-                self.nodes[idx].on_message(now, from, msg);
-                self.pump(idx, now, ctl);
-            }
-            FanEv::Tick { dst, remaining } => {
-                let idx = (dst - self.lo) as usize;
-                self.nodes[idx].on_tick(now);
-                self.pump(idx, now, ctl);
-                if remaining > 0 {
-                    ctl.send_local(
-                        now + self.interval,
-                        FanEv::Tick {
-                            dst,
-                            remaining: remaining - 1,
-                        },
-                    );
-                }
-            }
-            FanEv::Subscribe { dst } => {
-                let idx = (dst - self.lo) as usize;
-                let (topic, ttl) = (self.topic, self.sub_ttl);
-                self.nodes[idx].pubsub_subscribe(now, topic, ttl);
-                self.pump(idx, now, ctl);
-            }
-            FanEv::Publish { src } => {
-                let idx = (src - self.lo) as usize;
-                let (topic, body) = (self.topic, self.payload.clone());
-                let msg_id = self.nodes[idx].pubsub_publish(now, topic, body);
-                self.publishes.push((msg_id, now));
-                self.pump(idx, now, ctl);
-            }
+    fn harvest(&mut self, now: SimTime, node: &mut OverlayNode) {
+        for (_topic, msg_id, _payload) in node.take_pubsub_delivered() {
+            self.arrivals.push((msg_id, now));
         }
     }
 }
@@ -234,12 +174,7 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         cfg.subscribers + cfg.publishers <= scfg.nodes,
         "subscriber and publisher blocks must fit the ring"
     );
-    let WarmRing {
-        net,
-        addrs: _addrs,
-        nodes,
-        slice,
-    } = build_warm_ring(scfg);
+    let ring = build_warm_ring(scfg);
     let topic = topic_key("bench");
     let mut body_rng = StreamRng::new(scfg.seed, "fanout-body");
     let payload = Bytes::from(
@@ -247,72 +182,46 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
             .map(|_| (body_rng.next_u64() & 0xFF) as u8)
             .collect::<Vec<u8>>(),
     );
-    let t0 = SimTime::ZERO;
 
-    // Partition into contiguous shards (ring neighbours share a shard).
-    let mut worlds = Vec::with_capacity(net.shards() as usize);
-    let mut nodes = nodes.into_iter();
-    for s in 0..net.shards() {
-        let count = (net.shard_end(s) - net.shard_start(s)) as usize;
-        worlds.push(FanoutShardWorld {
-            net,
-            interval: scfg.maintenance_interval,
+    // Subscribe phase after maintenance settles, staggered; publish phase
+    // after the settle window, staggered.
+    let sub_start = workload_start(scfg);
+    let pub_start = sub_start + cfg.subscribe_spacing * cfg.subscribers as u64 + cfg.settle;
+    let subscribes = (0..cfg.subscribers).map(|s| {
+        (
+            sub_start + cfg.subscribe_spacing * s as u64,
+            s,
+            FanOp::Subscribe,
+        )
+    });
+    let publishes = (0..cfg.publishers).map(|p| {
+        let src = cfg.subscribers + p;
+        (
+            pub_start + cfg.publish_spacing * p as u64,
+            src,
+            FanOp::Publish,
+        )
+    });
+    let run = run_ring(
+        scfg,
+        ring,
+        || Fan {
             topic,
             payload: payload.clone(),
             sub_ttl: cfg.sub_ttl,
-            lo: net.shard_start(s),
-            nodes: nodes.by_ref().take(count).collect(),
             publishes: Vec::new(),
             arrivals: Vec::new(),
-        });
-    }
-    let mut sim = ShardedSim::new(worlds, slice, scfg.parallel);
+        },
+        subscribes.chain(publishes),
+        pub_start + cfg.publish_spacing * cfg.publishers as u64,
+    );
 
-    // Maintenance ticks, staggered across one interval.
-    let interval_ns = scfg.maintenance_interval.as_nanos();
-    for i in 0..scfg.nodes {
-        let at = t0 + Duration::from_nanos(i as u64 * interval_ns / scfg.nodes as u64);
-        sim.schedule(
-            net.shard_of(i) as usize,
-            at,
-            FanEv::Tick {
-                dst: i,
-                remaining: scfg.maintenance_ticks,
-            },
-        );
-    }
-
-    // Subscribe phase after maintenance settles, staggered.
-    let sub_start = t0 + Duration::from_nanos(interval_ns * (scfg.maintenance_ticks as u64 + 2));
-    for s in 0..cfg.subscribers {
-        sim.schedule(
-            net.shard_of(s) as usize,
-            sub_start + cfg.subscribe_spacing * s as u64,
-            FanEv::Subscribe { dst: s },
-        );
-    }
-
-    // Publish phase after the settle window, staggered.
-    let pub_start = sub_start + cfg.subscribe_spacing * cfg.subscribers as u64 + cfg.settle;
-    for p in 0..cfg.publishers {
-        let src = cfg.subscribers + p;
-        sim.schedule(
-            net.shard_of(src) as usize,
-            pub_start + cfg.publish_spacing * p as u64,
-            FanEv::Publish { src },
-        );
-    }
-
-    // Generous drain limit: the publish window plus a minute of relay time.
-    let limit = pub_start + cfg.publish_spacing * cfg.publishers as u64 + Duration::from_secs(60);
-    let outcome = sim.run_until(limit);
-
-    // Harvest: publish instants by message id, then latency per arrival.
+    // Fold: publish instants by message id, then latency per arrival.
     let mut publish_at: std::collections::BTreeMap<u64, SimTime> =
         std::collections::BTreeMap::new();
     let mut publishes = 0u64;
-    for w in sim.worlds() {
-        for &(id, at) in &w.publishes {
+    for shard in run.shards() {
+        for &(id, at) in &shard.workload.publishes {
             publish_at.insert(id, at);
             publishes += 1;
         }
@@ -322,14 +231,14 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     let mut fanout_sent = 0u64;
     let mut relayed = 0u64;
     let mut salvaged = 0u64;
-    for w in sim.worlds() {
-        for &(id, at) in &w.arrivals {
+    for shard in run.shards() {
+        for &(id, at) in &shard.workload.arrivals {
             if let Some(&sent) = publish_at.get(&id) {
                 delivered += 1;
                 latencies_ms.push(at.saturating_since(sent).as_secs_f64() * 1e3);
             }
         }
-        for node in &w.nodes {
+        for node in &shard.nodes {
             let s = node.stats();
             fanout_sent += s.pubsub_fanout_sent;
             relayed += s.pubsub_relayed;
@@ -339,7 +248,7 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
 
     FanoutReport {
         nodes: scfg.nodes,
-        shards: net.shards(),
+        shards: run.shard_count,
         subscribers: cfg.subscribers,
         publishers: cfg.publishers,
         fanout: scfg.pubsub_fanout,
@@ -350,10 +259,10 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         fanout_sent,
         relayed,
         salvaged,
-        events: sim.executed(),
-        virtual_s: sim.now().saturating_since(SimTime::ZERO).as_secs_f64(),
-        trace_hash: sim.trace_hash(),
-        drained: outcome == ShardRunOutcome::Drained,
+        events: run.events,
+        virtual_s: run.virtual_s,
+        trace_hash: run.trace_hash,
+        drained: run.drained,
     }
 }
 

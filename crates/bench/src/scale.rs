@@ -18,6 +18,12 @@
 //!   node pairs exchange Exact-mode packets and the delivered hop counts
 //!   give the routing stretch against the `log₂N` Kleinberg ideal.
 //!
+//! The part of this that is not specific to probes — partition the warm ring
+//! into shards, tick every node, pump outboxes into the fabric — is the ring
+//! driver (`run_ring`); the probes here, the pub/sub fan-out
+//! ([`crate::fanout`]) and the stream-fairness run ([`crate::streams`]) are
+//! each a `RingWorkload` on it: one injected operation and one harvest.
+//!
 //! Identical seeds produce identical histories whether the shards run
 //! sequentially or fanned out over threads ([`ScaleReport::trace_hash`]
 //! proves it — `ring_10k --verify` and a tier-1 test compare the two).
@@ -152,8 +158,23 @@ impl ScaleReport {
     }
 }
 
-/// Events driving the scale world.
-enum ScaleEv {
+/// What a scenario adds to the ring driver: one kind of injected operation
+/// and one harvest. Each shard owns one instance, so measurement state needs
+/// no synchronisation; the scenario folds the instances after the run.
+pub(crate) trait RingWorkload: Send {
+    /// The scenario's operation, scheduled on one node at one instant.
+    type Op: Send;
+
+    /// Start `op` on `node`; the driver pumps the node afterwards.
+    fn inject(&mut self, now: SimTime, node: &mut OverlayNode, op: Self::Op);
+
+    /// Collect what `node` delivered to its application. Runs after every
+    /// event the node handles, so `now` is the delivery instant.
+    fn harvest(&mut self, now: SimTime, node: &mut OverlayNode);
+}
+
+/// Events driving a ring world.
+pub(crate) enum RingEv<Op> {
     /// A link message from node `src` arriving at node `dst`.
     Deliver {
         src: u32,
@@ -162,31 +183,28 @@ enum ScaleEv {
     },
     /// Maintenance tick on `dst`; reschedules itself `remaining` more times.
     Tick { dst: u32, remaining: u32 },
-    /// Node `src` originates an Exact-mode probe to node `target`'s address.
-    Probe { src: u32, target: u32 },
+    /// The workload's operation `op`, injected at node `at`.
+    Op { at: u32, op: Op },
 }
 
-/// One shard: a contiguous block of nodes plus local measurement state.
-struct ScaleShardWorld {
+/// One shard: a contiguous block of nodes plus the workload's local
+/// measurement state.
+pub(crate) struct RingShard<W> {
     net: ScaleNet,
     /// Maintenance tick cadence.
     interval: Duration,
     /// First node id of this shard.
     lo: u32,
-    nodes: Vec<OverlayNode>,
-    /// Global id → overlay address (shared, read-only).
-    addrs: Arc<Vec<Address>>,
-    hops: Vec<u32>,
-    probes_sent: u64,
-    probes_delivered: u64,
+    pub(crate) nodes: Vec<OverlayNode>,
+    pub(crate) workload: W,
 }
 
-impl ScaleShardWorld {
-    /// Flush node `idx`'s outbox into the event fabric and harvest delivered
-    /// probe packets. Every link message — same shard or not — crosses the
-    /// slice barrier with its full link latency, so shard layout never
-    /// affects delivery times.
-    fn pump(&mut self, idx: usize, now: SimTime, ctl: &mut ShardCtl<ScaleEv>) {
+impl<W: RingWorkload> RingShard<W> {
+    /// Flush node `idx`'s outbox into the event fabric, then let the workload
+    /// harvest. Every link message — same shard or not — crosses the slice
+    /// barrier with its full link latency, so shard layout never affects
+    /// delivery times.
+    fn pump(&mut self, idx: usize, now: SimTime, ctl: &mut ShardCtl<RingEv<W::Op>>) {
         let src = self.lo + idx as u32;
         let node = &mut self.nodes[idx];
         for (ep, msg) in node.take_outbox() {
@@ -197,48 +215,162 @@ impl ScaleShardWorld {
             ctl.send(
                 self.net.shard_of(dst) as usize,
                 at,
-                ScaleEv::Deliver { src, dst, msg },
+                RingEv::Deliver { src, dst, msg },
             );
         }
-        for pkt in node.take_delivered() {
-            self.probes_delivered += 1;
-            self.hops.push(pkt.hops as u32);
-        }
+        self.workload.harvest(now, node);
     }
 }
 
-impl ShardWorld for ScaleShardWorld {
-    type Ev = ScaleEv;
+impl<W: RingWorkload> ShardWorld for RingShard<W> {
+    type Ev = RingEv<W::Op>;
 
-    fn handle(&mut self, now: SimTime, ev: ScaleEv, ctl: &mut ShardCtl<ScaleEv>) {
+    fn handle(&mut self, now: SimTime, ev: Self::Ev, ctl: &mut ShardCtl<Self::Ev>) {
         match ev {
-            ScaleEv::Deliver { src, dst, msg } => {
+            RingEv::Deliver { src, dst, msg } => {
                 let idx = (dst - self.lo) as usize;
                 let from = self.net.endpoint(src);
                 self.nodes[idx].on_message(now, from, msg);
                 self.pump(idx, now, ctl);
             }
-            ScaleEv::Tick { dst, remaining } => {
+            RingEv::Tick { dst, remaining } => {
                 let idx = (dst - self.lo) as usize;
                 self.nodes[idx].on_tick(now);
                 self.pump(idx, now, ctl);
                 if remaining > 0 {
                     ctl.send_local(
                         now + self.interval,
-                        ScaleEv::Tick {
+                        RingEv::Tick {
                             dst,
                             remaining: remaining - 1,
                         },
                     );
                 }
             }
-            ScaleEv::Probe { src, target } => {
-                let idx = (src - self.lo) as usize;
-                let dst_addr = self.addrs[target as usize];
-                self.probes_sent += 1;
-                self.nodes[idx].send_ip(now, dst_addr, vec![0u8; 8]);
+            RingEv::Op { at, op } => {
+                let idx = (at - self.lo) as usize;
+                self.workload.inject(now, &mut self.nodes[idx], op);
                 self.pump(idx, now, ctl);
             }
+        }
+    }
+}
+
+/// A finished ring run: the shards (nodes and per-shard workload state) plus
+/// the figures every ring report carries.
+pub(crate) struct RingRun<W: RingWorkload> {
+    sim: ShardedSim<RingShard<W>>,
+    /// Shard count the ring was partitioned into.
+    pub(crate) shard_count: u32,
+    /// Simulator events executed.
+    pub(crate) events: u64,
+    /// Virtual seconds simulated.
+    pub(crate) virtual_s: f64,
+    /// FNV digest of the full `(time, seq)` execution history.
+    pub(crate) trace_hash: u64,
+    /// Whether the event queues drained before the time limit.
+    pub(crate) drained: bool,
+}
+
+impl<W: RingWorkload> RingRun<W> {
+    pub(crate) fn shards(&self) -> impl Iterator<Item = &RingShard<W>> {
+        self.sim.worlds()
+    }
+}
+
+/// The instant a workload may start: maintenance has run its rounds and two
+/// more intervals have let the last of its traffic settle.
+pub(crate) fn workload_start(cfg: &ScaleConfig) -> SimTime {
+    SimTime::ZERO + cfg.maintenance_interval * (cfg.maintenance_ticks as u64 + 2)
+}
+
+/// Drive a warm ring through maintenance and one workload.
+///
+/// Partitions `ring` into contiguous shards (ring neighbours share a shard)
+/// with one `make_workload()` each, staggers every node's maintenance ticks
+/// across one interval (so 100k nodes do not all tick in the same slice),
+/// schedules `ops` — `(when, node, op)` — in the order given, and runs to a
+/// minute past `last_op`; runs drain long before that (ticks are finite,
+/// workload traffic terminates or TTLs out).
+///
+/// The order here is part of every pinned history: `trace_hash` folds each
+/// event's push-order sequence number, so all ticks are scheduled before any
+/// operation.
+pub(crate) fn run_ring<W: RingWorkload>(
+    cfg: &ScaleConfig,
+    ring: WarmRing,
+    mut make_workload: impl FnMut() -> W,
+    ops: impl IntoIterator<Item = (SimTime, u32, W::Op)>,
+    last_op: SimTime,
+) -> RingRun<W> {
+    let WarmRing {
+        net, nodes, slice, ..
+    } = ring;
+    let mut nodes = nodes.into_iter();
+    let shards = (0..net.shards())
+        .map(|s| RingShard {
+            net,
+            interval: cfg.maintenance_interval,
+            lo: net.shard_start(s),
+            nodes: nodes
+                .by_ref()
+                .take((net.shard_end(s) - net.shard_start(s)) as usize)
+                .collect(),
+            workload: make_workload(),
+        })
+        .collect();
+    let mut sim = ShardedSim::new(shards, slice, cfg.parallel);
+
+    let interval_ns = cfg.maintenance_interval.as_nanos();
+    for i in 0..cfg.nodes {
+        let at = SimTime::ZERO + Duration::from_nanos(i as u64 * interval_ns / cfg.nodes as u64);
+        sim.schedule(
+            net.shard_of(i) as usize,
+            at,
+            RingEv::Tick {
+                dst: i,
+                remaining: cfg.maintenance_ticks,
+            },
+        );
+    }
+    for (when, at, op) in ops {
+        sim.schedule(net.shard_of(at) as usize, when, RingEv::Op { at, op });
+    }
+
+    let outcome = sim.run_until(last_op + Duration::from_secs(60));
+    RingRun {
+        shard_count: net.shards(),
+        events: sim.executed(),
+        virtual_s: sim.now().saturating_since(SimTime::ZERO).as_secs_f64(),
+        trace_hash: sim.trace_hash(),
+        drained: outcome == ShardRunOutcome::Drained,
+        sim,
+    }
+}
+
+/// The scale scenario's workload: Exact-mode probes to a target node's
+/// address, hop counts harvested where they arrive.
+struct Probes {
+    /// Global id → overlay address (shared, read-only).
+    addrs: Arc<Vec<Address>>,
+    hops: Vec<u32>,
+    sent: u64,
+    delivered: u64,
+}
+
+impl RingWorkload for Probes {
+    /// Target node id.
+    type Op = u32;
+
+    fn inject(&mut self, now: SimTime, node: &mut OverlayNode, target: u32) {
+        self.sent += 1;
+        node.send_ip(now, self.addrs[target as usize], vec![0u8; 8]);
+    }
+
+    fn harvest(&mut self, _now: SimTime, node: &mut OverlayNode) {
+        for pkt in node.take_delivered() {
+            self.delivered += 1;
+            self.hops.push(pkt.hops as u32);
         }
     }
 }
@@ -349,69 +481,33 @@ pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
 
 /// Run one scale experiment.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
-    let WarmRing {
-        net,
-        addrs,
-        nodes,
-        slice,
-    } = build_warm_ring(cfg);
+    let ring = build_warm_ring(cfg);
+    let addrs = Arc::clone(&ring.addrs);
     let n = cfg.nodes as usize;
-    let t0 = SimTime::ZERO;
-
-    // Partition into contiguous shards (ring neighbours share a shard).
-    let mut worlds = Vec::with_capacity(net.shards() as usize);
-    let mut nodes = nodes.into_iter();
-    for s in 0..net.shards() {
-        let count = (net.shard_end(s) - net.shard_start(s)) as usize;
-        worlds.push(ScaleShardWorld {
-            net,
-            interval: cfg.maintenance_interval,
-            lo: net.shard_start(s),
-            nodes: nodes.by_ref().take(count).collect(),
-            addrs: Arc::clone(&addrs),
-            hops: Vec::new(),
-            probes_sent: 0,
-            probes_delivered: 0,
-        });
-    }
-
-    let mut sim = ShardedSim::new(worlds, slice, cfg.parallel);
-
-    // Maintenance ticks, staggered across one interval so 100k nodes do not
-    // all tick in the same slice.
-    let interval_ns = cfg.maintenance_interval.as_nanos();
-    for i in 0..cfg.nodes {
-        let at = t0 + Duration::from_nanos(i as u64 * interval_ns / cfg.nodes as u64);
-        sim.schedule(
-            net.shard_of(i) as usize,
-            at,
-            ScaleEv::Tick {
-                dst: i,
-                remaining: cfg.maintenance_ticks,
-            },
-        );
-    }
 
     // Probe phase: random pairs, spaced 1 ms apart after maintenance settles.
-    let probe_start = t0 + Duration::from_nanos(interval_ns * (cfg.maintenance_ticks as u64 + 2));
+    let probe_start = workload_start(cfg);
     let mut probe_rng = StreamRng::new(cfg.seed, "scale-probes");
-    for p in 0..cfg.probes {
+    let probes = (0..cfg.probes).map(|p| {
         let src = probe_rng.index(n) as u32;
         let mut target = probe_rng.index(n) as u32;
         if target == src {
             target = (src + 1) % cfg.nodes;
         }
-        sim.schedule(
-            net.shard_of(src) as usize,
-            probe_start + Duration::from_millis(p as u64),
-            ScaleEv::Probe { src, target },
-        );
-    }
-
-    // Generous limit: probes plus a minute of routing time; the run drains
-    // long before it (ticks are finite, probes terminate or TTL out).
-    let limit = probe_start + Duration::from_millis(cfg.probes as u64) + Duration::from_secs(60);
-    let outcome = sim.run_until(limit);
+        (probe_start + Duration::from_millis(p as u64), src, target)
+    });
+    let run = run_ring(
+        cfg,
+        ring,
+        || Probes {
+            addrs: Arc::clone(&addrs),
+            hops: Vec::new(),
+            sent: 0,
+            delivered: 0,
+        },
+        probes,
+        probe_start + Duration::from_millis(cfg.probes as u64),
+    );
 
     let mut hops = Vec::new();
     let mut probes_sent = 0;
@@ -420,11 +516,11 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     let mut full_budget = 0u32;
     let mut dropped_no_target = 0;
     let mut dropped_ttl = 0;
-    for w in sim.worlds() {
-        hops.extend_from_slice(&w.hops);
-        probes_sent += w.probes_sent;
-        probes_delivered += w.probes_delivered;
-        for node in &w.nodes {
+    for shard in run.shards() {
+        hops.extend_from_slice(&shard.workload.hops);
+        probes_sent += shard.workload.sent;
+        probes_delivered += shard.workload.delivered;
+        for node in &shard.nodes {
             let far = node.connections().count_kind(ConnectionKind::Far);
             far_total += far;
             if far >= cfg.max_shortcuts {
@@ -438,9 +534,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 
     ScaleReport {
         nodes: cfg.nodes,
-        shards: net.shards(),
-        events: sim.executed(),
-        virtual_s: sim.now().saturating_since(SimTime::ZERO).as_secs_f64(),
+        shards: run.shard_count,
+        events: run.events,
+        virtual_s: run.virtual_s,
         probes_sent,
         probes_delivered,
         hops,
@@ -448,8 +544,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         full_budget_nodes: full_budget,
         dropped_no_target,
         dropped_ttl,
-        trace_hash: sim.trace_hash(),
-        drained: outcome == ShardRunOutcome::Drained,
+        trace_hash: run.trace_hash,
+        drained: run.drained,
     }
 }
 

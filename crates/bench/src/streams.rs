@@ -10,25 +10,25 @@
 //!   and window flow control on top of the same routed fabric, and the gate
 //!   is staying within 2× of that reference in either direction.
 //! * **stream fairness** — 1 000 concurrent streams between uniformly spaced
-//!   node pairs on the sharded deterministic simulator, all opened within a
-//!   few milliseconds. Every stream must complete, and per-stream goodput
+//!   node pairs, all opened within a few milliseconds: a workload on the
+//!   [`crate::scale`] ring driver (this module holds only the open-send-close
+//!   operation and the harvest). Every stream must complete, and per-stream goodput
 //!   must stay flat (max/min ≤ 3): with a uniform substrate (zero link
 //!   jitter) the only spread left is path length, so a skewed ratio means
 //!   the engine itself starves streams. The run is bit-deterministic
 //!   ([`FairnessReport::trace_hash`]), like every sharded workload.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ipop_overlay::address::Address;
 use ipop_overlay::node::{OverlayConfig, OverlayNode};
 use ipop_overlay::packets::{Endpoint, LinkMessage};
 use ipop_overlay::vstream::StreamEvent;
 use ipop_packet::Bytes;
-use ipop_simcore::{
-    Duration, ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim, SimTime, StreamRng,
-};
+use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::scale::{build_warm_ring, ScaleConfig, WarmRing};
+use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
 
 /// The paper's Table III IPOP-TCP WAN goodput (KB/s) — the raw-tunnel
 /// `wan_ttcp` reference the stream transfer is gated against.
@@ -316,31 +316,13 @@ impl FairnessReport {
     }
 }
 
-/// Events driving the fairness world.
-enum StreamEv {
-    /// A link message from node `src` arriving at node `dst`.
-    Deliver {
-        src: u32,
-        dst: u32,
-        msg: LinkMessage,
-    },
-    /// Maintenance tick on `dst`; reschedules itself `remaining` more times.
-    Tick { dst: u32, remaining: u32 },
-    /// Node `src` opens a stream to node `dst`, pushes the payload and
-    /// closes.
-    Open { src: u32, dst: u32 },
-}
-
-/// One shard: a contiguous block of nodes plus local measurement state.
-struct StreamShardWorld {
-    net: ipop_netsim::ScaleNet,
-    interval: Duration,
+/// The fairness scenario's workload: open a stream to a destination node,
+/// push the payload and close; completions harvested at the receivers.
+struct Fairness {
     /// The transferred body, shared across every stream.
     payload: Bytes,
-    /// Global node id → overlay address (for `Open` targets).
-    addrs: std::sync::Arc<Vec<Address>>,
-    lo: u32,
-    nodes: Vec<OverlayNode>,
+    /// Global node id → overlay address (for open targets).
+    addrs: Arc<Vec<Address>>,
     /// `(sender address, stream id, open instant)` of opens in this shard.
     opens: Vec<(Address, u64, SimTime)>,
     /// `(sender address, stream id, completion instant)` of streams fully
@@ -350,23 +332,19 @@ struct StreamShardWorld {
     bytes_received: u64,
 }
 
-impl StreamShardWorld {
-    /// Flush node `idx`'s outbox into the event fabric and harvest stream
-    /// deliveries/completions.
-    fn pump(&mut self, idx: usize, now: SimTime, ctl: &mut ShardCtl<StreamEv>) {
-        let src = self.lo + idx as u32;
-        let node = &mut self.nodes[idx];
-        for (ep, msg) in node.take_outbox() {
-            let Some(dst) = self.net.node_of(&ep) else {
-                continue;
-            };
-            let at = now + self.net.latency(src, dst);
-            ctl.send(
-                self.net.shard_of(dst) as usize,
-                at,
-                StreamEv::Deliver { src, dst, msg },
-            );
-        }
+impl RingWorkload for Fairness {
+    /// Destination node id.
+    type Op = u32;
+
+    fn inject(&mut self, now: SimTime, node: &mut OverlayNode, dst: u32) {
+        let remote = self.addrs[dst as usize];
+        let sid = node.stream_connect(now, remote);
+        assert!(node.stream_send(now, remote, sid, self.payload.clone()));
+        node.stream_close(now, remote, sid);
+        self.opens.push((node.address(), sid, now));
+    }
+
+    fn harvest(&mut self, now: SimTime, node: &mut OverlayNode) {
         for (_, _, chunk) in node.take_stream_data() {
             self.bytes_received += chunk.len() as u64;
         }
@@ -379,46 +357,6 @@ impl StreamShardWorld {
     }
 }
 
-impl ShardWorld for StreamShardWorld {
-    type Ev = StreamEv;
-
-    fn handle(&mut self, now: SimTime, ev: StreamEv, ctl: &mut ShardCtl<StreamEv>) {
-        match ev {
-            StreamEv::Deliver { src, dst, msg } => {
-                let idx = (dst - self.lo) as usize;
-                let from = self.net.endpoint(src);
-                self.nodes[idx].on_message(now, from, msg);
-                self.pump(idx, now, ctl);
-            }
-            StreamEv::Tick { dst, remaining } => {
-                let idx = (dst - self.lo) as usize;
-                self.nodes[idx].on_tick(now);
-                self.pump(idx, now, ctl);
-                if remaining > 0 {
-                    ctl.send_local(
-                        now + self.interval,
-                        StreamEv::Tick {
-                            dst,
-                            remaining: remaining - 1,
-                        },
-                    );
-                }
-            }
-            StreamEv::Open { src, dst } => {
-                let idx = (src - self.lo) as usize;
-                let remote = self.addrs[dst as usize];
-                let body = self.payload.clone();
-                let me = self.nodes[idx].address();
-                let sid = self.nodes[idx].stream_connect(now, remote);
-                assert!(self.nodes[idx].stream_send(now, remote, sid, body));
-                self.nodes[idx].stream_close(now, remote, sid);
-                self.opens.push((me, sid, now));
-                self.pump(idx, now, ctl);
-            }
-        }
-    }
-}
-
 /// Run the many-streams fairness experiment.
 pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
     let scfg = &cfg.scale;
@@ -426,74 +364,44 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
         cfg.transfer_bytes <= ipop_overlay::vstream::DEFAULT_WINDOW as usize,
         "one receive window must cover the transfer"
     );
-    let WarmRing {
-        net,
-        addrs,
-        nodes,
-        slice,
-    } = build_warm_ring(scfg);
+    let ring = build_warm_ring(scfg);
+    let addrs = Arc::clone(&ring.addrs);
     let mut body_rng = StreamRng::new(scfg.seed, "stream-body");
     let payload = Bytes::from(
         (0..cfg.transfer_bytes)
             .map(|_| (body_rng.next_u64() & 0xFF) as u8)
             .collect::<Vec<u8>>(),
     );
-    let t0 = SimTime::ZERO;
 
-    let mut worlds = Vec::with_capacity(net.shards() as usize);
-    let mut nodes = nodes.into_iter();
-    for s in 0..net.shards() {
-        let count = (net.shard_end(s) - net.shard_start(s)) as usize;
-        worlds.push(StreamShardWorld {
-            net,
-            interval: scfg.maintenance_interval,
-            payload: payload.clone(),
-            addrs: addrs.clone(),
-            lo: net.shard_start(s),
-            nodes: nodes.by_ref().take(count).collect(),
-            opens: Vec::new(),
-            completions: Vec::new(),
-            bytes_received: 0,
-        });
-    }
-    let mut sim = ShardedSim::new(worlds, slice, scfg.parallel);
-
-    // Maintenance ticks, staggered across one interval (drives RTO sweeps).
-    let interval_ns = scfg.maintenance_interval.as_nanos();
-    for i in 0..scfg.nodes {
-        let at = t0 + Duration::from_nanos(i as u64 * interval_ns / scfg.nodes as u64);
-        sim.schedule(
-            net.shard_of(i) as usize,
-            at,
-            StreamEv::Tick {
-                dst: i,
-                remaining: scfg.maintenance_ticks,
-            },
-        );
-    }
-
-    // Open every stream near-simultaneously after maintenance settles.
-    let open_start = t0 + Duration::from_nanos(interval_ns * (scfg.maintenance_ticks as u64 + 2));
-    for i in 0..cfg.streams {
+    // Open every stream near-simultaneously after maintenance settles (the
+    // maintenance ticks drive the RTO sweeps).
+    let open_start = workload_start(scfg);
+    let opens = (0..cfg.streams).map(|i| {
         let src = i % scfg.nodes;
         // Streams beyond one lap shift their target so repeat sources still
         // spread over distinct pairs.
         let dst = (src + cfg.stride + i / scfg.nodes) % scfg.nodes;
-        sim.schedule(
-            net.shard_of(src) as usize,
-            open_start + cfg.open_spacing * i as u64,
-            StreamEv::Open { src, dst },
-        );
-    }
+        (open_start + cfg.open_spacing * i as u64, src, dst)
+    });
+    let run = run_ring(
+        scfg,
+        ring,
+        || Fairness {
+            payload: payload.clone(),
+            addrs: Arc::clone(&addrs),
+            opens: Vec::new(),
+            completions: Vec::new(),
+            bytes_received: 0,
+        },
+        opens,
+        open_start + cfg.open_spacing * cfg.streams as u64,
+    );
 
-    let limit = open_start + cfg.open_spacing * cfg.streams as u64 + Duration::from_secs(60);
-    let outcome = sim.run_until(limit);
-
-    // Harvest: match completions (at receivers) back to opens (at senders)
-    // by (sender address, stream id).
+    // Fold: match completions (at receivers) back to opens (at senders) by
+    // (sender address, stream id).
     let mut opened_at: BTreeMap<(Address, u64), SimTime> = BTreeMap::new();
-    for w in sim.worlds() {
-        for &(src, sid, at) in &w.opens {
+    for shard in run.shards() {
+        for &(src, sid, at) in &shard.workload.opens {
             opened_at.insert((src, sid), at);
         }
     }
@@ -502,8 +410,8 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
     let mut bytes_received = 0u64;
     let mut retransmits = 0u64;
     let mut failed = 0u64;
-    for w in sim.worlds() {
-        for &(src, sid, at) in &w.completions {
+    for shard in run.shards() {
+        for &(src, sid, at) in &shard.workload.completions {
             if let Some(&open) = opened_at.get(&(src, sid)) {
                 completed += 1;
                 let secs = at.saturating_since(open).as_secs_f64();
@@ -512,8 +420,8 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
                 }
             }
         }
-        bytes_received += w.bytes_received;
-        for node in &w.nodes {
+        bytes_received += shard.workload.bytes_received;
+        for node in &shard.nodes {
             let s = node.stats();
             retransmits += s.stream_retransmits;
             failed += s.stream_failed;
@@ -522,17 +430,17 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
 
     FairnessReport {
         nodes: scfg.nodes,
-        shards: net.shards(),
+        shards: run.shard_count,
         streams: cfg.streams,
         completed,
         goodput_kbps,
         bytes_received,
         retransmits,
         failed,
-        events: sim.executed(),
-        virtual_s: sim.now().saturating_since(SimTime::ZERO).as_secs_f64(),
-        trace_hash: sim.trace_hash(),
-        drained: outcome == ShardRunOutcome::Drained,
+        events: run.events,
+        virtual_s: run.virtual_s,
+        trace_hash: run.trace_hash,
+        drained: run.drained,
     }
 }
 

@@ -221,6 +221,21 @@ pub fn sync_compare(
     }
 }
 
+/// Longest lifetime a peer can ask for, in milliseconds: one year. Above
+/// every TTL this tree sends (leases, name records, hour-long subscriptions)
+/// and far below the ~584 years a `u64` of nanoseconds holds, so an expiry
+/// computed from it cannot overflow.
+pub const MAX_WIRE_TTL_MS: u64 = 365 * 24 * 3600 * 1000;
+
+/// The expiry instant of a record or subscription received at `now` with a
+/// peer-supplied `ttl_ms`, saturated at [`MAX_WIRE_TTL_MS`]. `ttl_ms` is
+/// decoded unbounded, so this is the one place it may become time: done
+/// unchecked, `u64::MAX` overflows the millisecond-to-nanosecond multiply —
+/// a remote panic under overflow checks, a record born expired without them.
+pub fn wire_expiry(now: SimTime, ttl_ms: u64) -> SimTime {
+    now + Duration::from_millis(ttl_ms.min(MAX_WIRE_TTL_MS))
+}
+
 /// Apply an incoming record copy (a replicate, repair, or anti-entropy push)
 /// to `store` under the replica conflict rule: the existing record survives
 /// when it outranks the incoming copy by `(version, expiry, value)`
@@ -234,7 +249,7 @@ pub fn apply_record_copy(
     replica: bool,
     now: SimTime,
 ) -> bool {
-    let expires_at = now + Duration::from_millis(ttl_ms);
+    let expires_at = wire_expiry(now, ttl_ms);
     let keep_existing = store
         .get(&key)
         .filter(|rec| !rec.expired(now))

@@ -15,8 +15,8 @@ use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::address::{Address, Distance};
 use crate::dht::{
-    apply_record_copy, sync_compare, sync_digest_entry, sync_value_hash, DhtConfig, DhtRecord,
-    DhtStore, SoftStateStore, SyncAction, SyncDigestEntry,
+    apply_record_copy, sync_compare, sync_digest_entry, sync_value_hash, wire_expiry, DhtConfig,
+    DhtRecord, DhtStore, SoftStateStore, SyncAction, SyncDigestEntry,
 };
 use crate::packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
@@ -126,12 +126,6 @@ impl OverlayConfig {
     /// Builder: disable shortcut connections (used by the ablation experiment).
     pub fn without_shortcuts(mut self) -> Self {
         self.shortcuts_enabled = false;
-        self
-    }
-
-    /// Builder: set the DHT replication factor (total copies per record).
-    pub fn with_replication(mut self, replication: usize) -> Self {
-        self.dht.replication = replication.max(1);
         self
     }
 
@@ -1864,7 +1858,7 @@ impl OverlayNode {
                 if let Some(read) = self.pending_quorum_reads.get_mut(token) {
                     let copy = copy.as_ref().map(|(value, version, ttl_ms)| DhtRecord {
                         value: value.clone(),
-                        expires_at: now + Duration::from_millis(*ttl_ms),
+                        expires_at: wire_expiry(now, *ttl_ms),
                         version: *version,
                         replica: true,
                         replicated_to: Vec::new(),
@@ -1943,10 +1937,10 @@ impl OverlayNode {
                 // state already lapsed.
                 let (topic, subscriber, ttl_ms) = (*topic, *subscriber, *ttl_ms);
                 self.stats.pubsub_subscriptions += 1;
-                let now_ms = now.as_nanos() / 1_000_000;
+                let expires_ms = wire_expiry(now, ttl_ms).as_nanos() / 1_000_000;
                 let mut entries = self.pubsub_live_entries(now, &topic);
                 entries.retain(|(addr, _)| *addr != subscriber);
-                entries.push((subscriber, now_ms + ttl_ms));
+                entries.push((subscriber, expires_ms));
                 entries.sort_by_key(|(addr, _)| *addr);
                 self.pubsub_store_entries(now, topic, &entries);
             }
@@ -2448,7 +2442,7 @@ impl OverlayNode {
         replica: bool,
         version: u64,
     ) {
-        let expires_at = now + Duration::from_millis(ttl_ms);
+        let expires_at = wire_expiry(now, ttl_ms);
         self.dht.insert(
             key,
             DhtRecord {
@@ -2694,7 +2688,7 @@ impl OverlayNode {
             };
             rec.replica = false;
             let version = rec.version;
-            let extends_to = now + Duration::from_millis(ttl_ms);
+            let extends_to = wire_expiry(now, ttl_ms);
             self.commit_create(
                 now,
                 key,

@@ -11,9 +11,15 @@
 //!   ideal (measured stretch on this seed is ~0.9; the bound of 1.5 leaves
 //!   room for routing-irrelevant perturbations without letting a broken
 //!   shortcut layer — ring-walk stretch would be ~19 — slip through);
-//! * the sharded parallel tick replays the sequential history bit-for-bit.
+//! * the sharded parallel tick replays the sequential history bit-for-bit;
+//! * the three ring workloads (probes, pub/sub fan-out, stream fairness)
+//!   replay one pinned history each, so a change to the ring driver they
+//!   share cannot move an event unnoticed.
 
+use ipop_bench::fanout::{run_fanout, FanoutConfig};
 use ipop_bench::scale::{run_both_modes, run_scale, ScaleConfig};
+use ipop_bench::streams::{run_fairness, FairnessConfig};
+use ipop_simcore::Duration;
 
 fn thousand() -> ScaleConfig {
     ScaleConfig {
@@ -61,4 +67,53 @@ fn thousand_node_parallel_tick_matches_sequential() {
     assert_eq!(seq.events, par.events);
     assert_eq!(seq.hops, par.hops);
     assert_eq!(seq.probes_delivered, par.probes_delivered);
+}
+
+/// `ShardedSim::trace_hash` folds every executed `(time, seq)` and `seq` is
+/// assigned by push order, so these constants pin the driver's schedule
+/// (ticks first, then the workload's operations in order) as well as the
+/// overlay's behaviour. A change that moves one is a behaviour change: say so
+/// and re-pin on purpose, never to make a refactor pass.
+#[test]
+fn ring_workload_histories_are_pinned() {
+    let scale = run_scale(&ScaleConfig {
+        shards: 4,
+        maintenance_ticks: 4,
+        probes: 64,
+        ..ScaleConfig::ring(128)
+    });
+    assert_eq!(scale.events, 7726);
+    assert_eq!(scale.trace_hash, 0x31c2_5bee_55b9_f3ac);
+    assert_eq!(scale.hops.iter().sum::<u32>(), 217);
+
+    let small_ring = ScaleConfig {
+        shards: 4,
+        maintenance_ticks: 3,
+        probes: 0,
+        ..ScaleConfig::ring(96)
+    };
+    let fan = run_fanout(&FanoutConfig {
+        scale: small_ring.clone(),
+        subscribers: 48,
+        publishers: 8,
+        settle: Duration::from_secs(2),
+        ..FanoutConfig::full()
+    });
+    assert_eq!(fan.events, 5486);
+    assert_eq!(fan.trace_hash, 0xac0f_6e9a_b12a_4ea1);
+    assert_eq!(fan.delivered, 384);
+    assert_eq!(fan.fanout_sent, 376);
+
+    let fair = run_fairness(&FairnessConfig {
+        scale: ScaleConfig {
+            link_jitter: Duration::ZERO,
+            ..small_ring
+        },
+        streams: 64,
+        transfer_bytes: 4 * 1024,
+        ..FairnessConfig::full()
+    });
+    assert_eq!(fair.events, 5363);
+    assert_eq!(fair.trace_hash, 0x7dd6_46b0_46ee_6989);
+    assert_eq!(fair.bytes_received, 262_144);
 }
