@@ -416,9 +416,14 @@ fn int_value(t: &crate::lexer::Token) -> Option<u64> {
 }
 
 /// One counters struct for D5 and the crate whose sources must touch its
-/// fields.
+/// fields. A component's own counters are listed beside `OverlayStats`: the
+/// copy-out in `OverlayNode::stats()` (`s.stream_opened = vs.opened;`) is an
+/// assignment site for the flat field, so only the component struct's entry
+/// notices a counter nothing increments.
 const COUNTER_STRUCTS: &[(&str, &str)] = &[
     ("crates/overlay/", "OverlayStats"),
+    ("crates/overlay/", "StreamStats"),
+    ("crates/overlay/", "MonitorStats"),
     ("crates/netsim/", "NetCounters"),
     ("crates/netsim/", "ImpairmentCounters"),
 ];

@@ -164,6 +164,20 @@ fn d5_accepts_counters_with_increment_sites() {
 }
 
 #[test]
+fn d5_sees_through_a_component_counter_that_is_only_copied_out() {
+    // `OverlayNode::stats()` copies component counters into the flat struct;
+    // that assignment satisfies D5 for the flat field, so the component's
+    // own struct must be checked too.
+    let f = run(&[(
+        "crates/overlay/src/node.rs",
+        include_str!("fixtures/d5_component_flagged.rs"),
+    )]);
+    let d5 = of_rule(&f, "d5");
+    assert_eq!(d5.len(), 1, "{d5:#?}");
+    assert!(d5[0].message.contains("StreamStats.bad_acks"));
+}
+
+#[test]
 fn unjustified_or_unknown_allows_are_findings_and_do_not_suppress() {
     let f = run(&[(
         "crates/core/src/x.rs",

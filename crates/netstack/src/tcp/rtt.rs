@@ -2,11 +2,57 @@
 
 use ipop_simcore::Duration;
 
+/// The RFC 6298 §2 smoothing step — the one piece every RTT estimator in the
+/// workspace shares: [`RttEstimator`] below, the overlay's virtual streams
+/// and its link monitor. It holds `srtt` / `rttvar` and nothing else; turning
+/// them into a timeout (pre-sample default, clamps, backoff) is each user's
+/// own policy.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Smoothed {
+    srtt: Option<Duration>,
+    rttvar: Duration,
+}
+
+impl Smoothed {
+    /// Incorporate one RTT sample: the first sets `srtt = r`, `rttvar = r/2`;
+    /// later ones `rttvar = ¾·rttvar + ¼·|srtt − r|`, `srtt = ⅞·srtt + ⅛·r`.
+    pub fn sample(&mut self, rtt: Duration) {
+        let r = rtt.as_nanos();
+        match self.srtt {
+            None => {
+                self.srtt = Some(rtt);
+                self.rttvar = rtt / 2;
+            }
+            Some(srtt) => {
+                let s = srtt.as_nanos();
+                let err = s.abs_diff(r);
+                self.rttvar = Duration::from_nanos((3 * self.rttvar.as_nanos() + err) / 4);
+                self.srtt = Some(Duration::from_nanos((7 * s + r) / 8));
+            }
+        }
+    }
+
+    /// Smoothed RTT, `None` before the first sample.
+    pub fn srtt(&self) -> Option<Duration> {
+        self.srtt
+    }
+
+    /// RTT variance estimate (zero before the first sample).
+    pub fn rttvar(&self) -> Duration {
+        self.rttvar
+    }
+
+    /// The unclamped RFC 6298 timeout `srtt + 4·rttvar` (clock granularity
+    /// taken as zero), `None` before the first sample.
+    pub fn rto(&self) -> Option<Duration> {
+        self.srtt.map(|srtt| srtt + self.rttvar * 4)
+    }
+}
+
 /// Smoothed RTT estimator producing the retransmission timeout.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
-    srtt: Option<Duration>,
-    rttvar: Duration,
+    smoothed: Smoothed,
     rto: Duration,
     min_rto: Duration,
     max_rto: Duration,
@@ -23,8 +69,7 @@ impl RttEstimator {
     /// [200 ms, 60 s].
     pub fn new() -> Self {
         RttEstimator {
-            srtt: None,
-            rttvar: Duration::ZERO,
+            smoothed: Smoothed::default(),
             rto: Duration::from_secs(1),
             min_rto: Duration::from_millis(200),
             max_rto: Duration::from_secs(60),
@@ -38,28 +83,14 @@ impl RttEstimator {
 
     /// Smoothed RTT, if at least one sample has been taken.
     pub fn srtt(&self) -> Option<Duration> {
-        self.srtt
+        self.smoothed.srtt()
     }
 
     /// Incorporate a new RTT sample (from a segment that was not retransmitted).
     pub fn sample(&mut self, rtt: Duration) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(rtt);
-                self.rttvar = rtt / 2;
-            }
-            Some(srtt) => {
-                // RFC 6298: rttvar = 3/4 rttvar + 1/4 |srtt - rtt|; srtt = 7/8 srtt + 1/8 rtt
-                let diff = if srtt >= rtt { srtt - rtt } else { rtt - srtt };
-                self.rttvar =
-                    Duration::from_nanos((self.rttvar.as_nanos() * 3 + diff.as_nanos()) / 4);
-                self.srtt = Some(Duration::from_nanos(
-                    (srtt.as_nanos() * 7 + rtt.as_nanos()) / 8,
-                ));
-            }
-        }
-        let srtt = self.srtt.unwrap();
-        let var_term = self.rttvar * 4;
+        self.smoothed.sample(rtt);
+        let var_term = self.smoothed.rttvar() * 4;
+        let srtt = self.smoothed.srtt().unwrap_or(rtt);
         let candidate = srtt + var_term.max(Duration::from_millis(10));
         self.rto = candidate.max(self.min_rto).min(self.max_rto);
     }

@@ -14,6 +14,10 @@
 //!   join/leave, ring repair, shortcut formation, hole-punching link establishment
 //!   and the protocol half of the DHT (used by IPOP's Brunet-ARP mapper and the
 //!   self-configuration services in `ipop-services`).
+//! * [`monitor`] — the link monitor, the first sans-IO component moved out of
+//!   [`node`]: per-edge RTT estimate, probe deadlines and the phi-accrual /
+//!   fixed-limit dead-edge verdict, told what it needs and returning who to
+//!   probe and who is dead.
 //! * [`dht`] — replicated soft-state DHT storage: per-record TTL, replica
 //!   bookkeeping, and the narrow [`DhtStore`] trait the node drives.
 //! * [`transport`] — UDP and TCP adapters that carry overlay traffic over the
@@ -25,6 +29,7 @@
 
 pub mod address;
 pub mod dht;
+pub mod monitor;
 pub mod node;
 pub mod packets;
 pub mod pubsub;

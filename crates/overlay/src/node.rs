@@ -18,6 +18,7 @@ use crate::dht::{
     apply_record_copy, sync_compare, sync_digest_entry, sync_value_hash, wire_expiry, DhtConfig,
     DhtRecord, DhtStore, SoftStateStore, SyncAction, SyncDigestEntry,
 };
+use crate::monitor::{DeathRule, LinkMonitor};
 use crate::packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
 };
@@ -373,75 +374,6 @@ struct PendingLink {
     started: SimTime,
 }
 
-/// Link-monitor state of one established edge: an RTT estimator and the
-/// probe in flight. An edge accumulating [`OverlayConfig::probe_failure_limit`]
-/// consecutive probe misses is declared dead and dropped from the routing
-/// table, so packets stop being forwarded into a crashed hop within seconds
-/// instead of the 45 s connection timeout.
-#[derive(Default)]
-struct EdgeHealth {
-    /// Smoothed RTT in nanoseconds (RFC 6298-style), `None` before the first
-    /// sample.
-    srtt_ns: Option<u64>,
-    /// RTT variance estimate in nanoseconds.
-    rttvar_ns: u64,
-    /// Outstanding probe: `(nonce, sent_at, deadline)`.
-    outstanding: Option<(u64, SimTime, SimTime)>,
-    /// Consecutive probes that missed their deadline.
-    failures: u32,
-    /// Sliding window of recent probe outcomes, newest at bit 0 (1 = miss).
-    /// This is the per-edge loss history the phi estimator reads.
-    window: u64,
-    /// Number of valid bits in `window` (saturates at 64).
-    window_len: u32,
-    /// Suspicion added per consecutive miss, frozen when the current miss
-    /// episode started (`failures` 0 → 1). Freezing keeps the misses of a
-    /// genuine crash from inflating the loss estimate mid-episode and
-    /// stalling their own verdict.
-    phi_per_miss: f64,
-}
-
-impl EdgeHealth {
-    /// Record one probe outcome in the sliding loss window.
-    fn record_outcome(&mut self, missed: bool) {
-        self.window = (self.window << 1) | u64::from(missed);
-        self.window_len = (self.window_len + 1).min(64);
-    }
-
-    /// The edge's estimated probe-loss probability, clamped into
-    /// `[PHI_LOSS_FLOOR, PHI_LOSS_CAP]`. With no history yet, the floor —
-    /// i.e. assume a clean link until misses prove otherwise.
-    fn loss_estimate(&self) -> f64 {
-        if self.window_len == 0 {
-            return PHI_LOSS_FLOOR;
-        }
-        let p = f64::from(self.window.count_ones()) / f64::from(self.window_len);
-        p.clamp(PHI_LOSS_FLOOR, PHI_LOSS_CAP)
-    }
-
-    /// Current suspicion level: the probability that a *live* edge with this
-    /// loss rate misses `failures` consecutive probes is `p^failures`, and
-    /// φ = -log₁₀ of that — so φ = failures × -log₁₀(p).
-    fn phi(&self) -> f64 {
-        f64::from(self.failures) * self.phi_per_miss
-    }
-}
-
-/// Probe deadline bounds: the adaptive timeout (`srtt + 4·rttvar`, doubled
-/// per consecutive failure) is clamped into this range; before any RTT
-/// sample exists the initial timeout applies.
-const PROBE_TIMEOUT_MIN: Duration = Duration::from_millis(250);
-const PROBE_TIMEOUT_MAX: Duration = Duration::from_secs(3);
-const PROBE_TIMEOUT_INITIAL: Duration = Duration::from_secs(1);
-
-/// Bounds on the phi estimator's per-edge loss estimate. The floor makes a
-/// clean edge's suspicion grow at -log₁₀(0.01) = 2 per miss — with the
-/// default threshold of 6, exactly the historical 3-miss verdict. The cap
-/// keeps an extremely lossy edge (> 10% probe loss) from becoming
-/// effectively undroppable.
-const PHI_LOSS_FLOOR: f64 = 0.01;
-const PHI_LOSS_CAP: f64 = 0.1;
-
 /// Cap on digest entries per anti-entropy message; larger key sets are
 /// chunked across several digests.
 const SYNC_DIGEST_CHUNK: usize = 64;
@@ -563,9 +495,8 @@ pub struct OverlayNode {
     /// agent drains this and re-allocates.
     lost_leases: VecDeque<Address>,
     pending_links: BTreeMap<u64, PendingLink>,
-    /// Link-monitor state per established peer. `BTreeMap` because the probe
-    /// scan iterates it while emitting messages.
-    edge_health: BTreeMap<Address, EdgeHealth>,
+    /// Fast dead-edge detection (see [`crate::monitor`]).
+    monitor: LinkMonitor,
     /// Instant of the next anti-entropy sweep; `None` until the first tick
     /// draws a random initial offset (so a fleet started together does not
     /// sweep in lockstep).
@@ -576,11 +507,6 @@ pub struct OverlayNode {
     ever_connected: bool,
     /// When the bootstrap re-link heartbeat last fired.
     last_bootstrap_probe: SimTime,
-    /// When the link monitor last ran. A gap much larger than the
-    /// maintenance interval means this node itself stalled (CPU-saturated
-    /// host, paused pump): probe deadlines that expired inside the gap are
-    /// re-armed instead of counted as misses.
-    last_monitor_run: SimTime,
     /// Established-peer snapshot of the last re-replication scan; the scan
     /// only reruns when this set changes (new records and refresh puts
     /// replicate immediately on the store path instead).
@@ -632,11 +558,10 @@ impl OverlayNode {
             pending_quorum_reads: BTreeMap::new(),
             lost_leases: VecDeque::new(),
             pending_links: BTreeMap::new(),
-            edge_health: BTreeMap::new(),
+            monitor: LinkMonitor::default(),
             next_sweep: None,
             ever_connected: false,
             last_bootstrap_probe: SimTime::ZERO,
-            last_monitor_run: SimTime::ZERO,
             last_replica_peers: Vec::new(),
             candidates: BTreeMap::new(),
             pubsub_subs: BTreeMap::new(),
@@ -679,6 +604,11 @@ impl OverlayNode {
         s.stream_orphan_frames = vs.orphan_frames;
         s.stream_bad_acks = vs.bad_acks;
         s.stream_bad_seqs = vs.bad_seqs;
+        let ms = &self.monitor.stats;
+        s.link_probes_sent = ms.probes_sent;
+        s.link_probe_timeouts = ms.probe_timeouts;
+        s.dead_edges_detected = ms.dead_edges;
+        s.link_probe_deadline_clamps = ms.deadline_clamps;
         s
     }
 
@@ -770,20 +700,14 @@ impl OverlayNode {
             // existing replicas are harmless.
             let targets = self.replica_targets(&key, replication.saturating_sub(1).max(1));
             for peer in targets {
-                let pkt = RoutedPacket::new(
-                    self.cfg.address,
-                    peer,
-                    DeliveryMode::Exact,
-                    RoutedPayload::DhtReplicate {
-                        key,
-                        value: value.clone(),
-                        ttl_ms,
-                        version,
-                        token: 0,
-                    },
-                );
-                self.stats.originated += 1;
-                self.route(now, pkt);
+                let payload = RoutedPayload::DhtReplicate {
+                    key,
+                    value: value.clone(),
+                    ttl_ms,
+                    version,
+                    token: 0,
+                };
+                self.originate(now, peer, DeliveryMode::Exact, payload);
             }
             self.dht.remove(&key);
         }
@@ -842,14 +766,8 @@ impl OverlayNode {
         dst: Address,
         packet_bytes: impl Into<ipop_packet::Bytes>,
     ) {
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
-            dst,
-            DeliveryMode::Exact,
-            RoutedPayload::IpTunnel(packet_bytes.into()),
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+        let payload = RoutedPayload::IpTunnel(packet_bytes.into());
+        self.originate(now, dst, DeliveryMode::Exact, payload);
     }
 
     /// Store `value` at the node closest to `key` with the default TTL, and
@@ -915,19 +833,13 @@ impl OverlayNode {
             },
         );
         let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
+        let payload = RoutedPayload::DhtCreate {
             key,
-            DeliveryMode::Closest,
-            RoutedPayload::DhtCreate {
-                key,
-                value,
-                ttl_ms,
-                token,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+            value,
+            ttl_ms,
+            token,
+        };
+        self.originate(now, key, DeliveryMode::Closest, payload);
         token
     }
 
@@ -935,28 +847,16 @@ impl OverlayNode {
     /// [`OverlayNode::take_dht_replies`] with the returned token.
     pub fn dht_get(&mut self, now: SimTime, key: Address) -> u64 {
         let token = self.fresh_token();
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
-            key,
-            DeliveryMode::Closest,
-            RoutedPayload::DhtGet { key, token },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+        let payload = RoutedPayload::DhtGet { key, token };
+        self.originate(now, key, DeliveryMode::Closest, payload);
         token
     }
 
     /// Delete the record under `key` (lease release) and stop refreshing it.
     pub fn dht_remove(&mut self, now: SimTime, key: Address) {
         self.published.remove(&key);
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
-            key,
-            DeliveryMode::Closest,
-            RoutedPayload::DhtRemove { key },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+        let payload = RoutedPayload::DhtRemove { key };
+        self.originate(now, key, DeliveryMode::Closest, payload);
     }
 
     /// Stop refreshing the record under `key` without deleting it from the
@@ -975,19 +875,13 @@ impl OverlayNode {
 
     fn send_put(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration, version: u64) {
         let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
+        let payload = RoutedPayload::DhtPut {
             key,
-            DeliveryMode::Closest,
-            RoutedPayload::DhtPut {
-                key,
-                value,
-                ttl_ms,
-                version,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+            value,
+            ttl_ms,
+            version,
+        };
+        self.originate(now, key, DeliveryMode::Closest, payload);
     }
 
     // ------------------------------------------------------------------ pub/sub
@@ -1011,17 +905,11 @@ impl OverlayNode {
     /// the subscriber set immediately.
     pub fn pubsub_unsubscribe(&mut self, now: SimTime, topic: Address) {
         self.pubsub_subs.remove(&topic);
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
+        let payload = RoutedPayload::PubSubUnsubscribe {
             topic,
-            DeliveryMode::Closest,
-            RoutedPayload::PubSubUnsubscribe {
-                topic,
-                subscriber: self.cfg.address,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+            subscriber: self.cfg.address,
+        };
+        self.originate(now, topic, DeliveryMode::Closest, payload);
     }
 
     /// Publish `payload` to the topic: the message routes to the topic root,
@@ -1062,18 +950,12 @@ impl OverlayNode {
 
     /// Route one `PubSubPublish` frame towards the topic key's current owner.
     fn send_publish(&mut self, now: SimTime, topic: Address, msg_id: u64, payload: Bytes) {
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
+        let publish = RoutedPayload::PubSubPublish {
             topic,
-            DeliveryMode::Closest,
-            RoutedPayload::PubSubPublish {
-                topic,
-                msg_id,
-                payload,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+            msg_id,
+            payload,
+        };
+        self.originate(now, topic, DeliveryMode::Closest, publish);
     }
 
     /// A topic root nacked one of our publishes (it had no subscriber-set
@@ -1096,18 +978,12 @@ impl OverlayNode {
 
     fn send_subscribe(&mut self, now: SimTime, topic: Address, ttl: Duration) {
         let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
+        let payload = RoutedPayload::PubSubSubscribe {
             topic,
-            DeliveryMode::Closest,
-            RoutedPayload::PubSubSubscribe {
-                topic,
-                subscriber: self.cfg.address,
-                ttl_ms,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+            subscriber: self.cfg.address,
+            ttl_ms,
+        };
+        self.originate(now, topic, DeliveryMode::Closest, payload);
     }
 
     /// Root-side view of a topic record: the live (unexpired) subscriber
@@ -1135,14 +1011,8 @@ impl OverlayNode {
             self.pubsub_topics_seen.remove(&topic);
             if let Some(rec) = self.dht.remove(&topic) {
                 for peer in rec.replicated_to {
-                    let fwd = RoutedPacket::new(
-                        self.cfg.address,
-                        peer,
-                        DeliveryMode::Exact,
-                        RoutedPayload::DhtRemove { key: topic },
-                    );
-                    self.stats.originated += 1;
-                    self.route(now, fwd);
+                    let payload = RoutedPayload::DhtRemove { key: topic };
+                    self.originate(now, peer, DeliveryMode::Exact, payload);
                 }
             }
             return;
@@ -1194,20 +1064,14 @@ impl OverlayNode {
         recipients: &[Address],
     ) {
         for (head, relay_to) in plan_fanout(recipients, self.cfg.pubsub_fanout) {
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                head,
-                DeliveryMode::Exact,
-                RoutedPayload::PubSubDeliver {
-                    topic,
-                    msg_id,
-                    relay_to,
-                    payload: payload.clone(),
-                },
-            );
-            self.stats.originated += 1;
             self.stats.pubsub_fanout_sent += 1;
-            self.route(now, pkt);
+            let deliver = RoutedPayload::PubSubDeliver {
+                topic,
+                msg_id,
+                relay_to,
+                payload: payload.clone(),
+            };
+            self.originate(now, head, DeliveryMode::Exact, deliver);
         }
     }
 
@@ -1331,9 +1195,7 @@ impl OverlayNode {
     /// specific node, so they ride `Exact` delivery like tunnel traffic.
     fn flush_streams(&mut self, now: SimTime) {
         for (remote, payload) in self.vstreams.take_outgoing() {
-            let pkt = RoutedPacket::new(self.cfg.address, remote, DeliveryMode::Exact, payload);
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            self.originate(now, remote, DeliveryMode::Exact, payload);
         }
     }
 
@@ -1423,12 +1285,12 @@ impl OverlayNode {
                 let _ = peer;
             }
             LinkMessage::ProbeAck { from: peer, nonce } => {
-                self.on_probe_ack(now, peer, nonce);
+                self.monitor.on_ack(now, peer, nonce);
             }
             LinkMessage::Close { from: peer } => {
                 self.table.remove(&peer);
                 self.candidates.remove(&peer);
-                self.edge_health.remove(&peer);
+                self.monitor.forget(&peer);
             }
             LinkMessage::Routed(pkt) => {
                 self.route(now, pkt);
@@ -1558,6 +1420,31 @@ impl OverlayNode {
 
     // ----------------------------------------------------------------- routing
 
+    /// A packet this node originates, counted.
+    fn originated(
+        &mut self,
+        dst: Address,
+        mode: DeliveryMode,
+        payload: RoutedPayload,
+    ) -> RoutedPacket {
+        self.stats.originated += 1;
+        RoutedPacket::new(self.cfg.address, dst, mode, payload)
+    }
+
+    /// Originate `payload` towards `dst`: the one entry point through which
+    /// this node's own traffic — and every component's `(dst, payload)`
+    /// output — enters routing.
+    fn originate(
+        &mut self,
+        now: SimTime,
+        dst: Address,
+        mode: DeliveryMode,
+        payload: RoutedPayload,
+    ) {
+        let pkt = self.originated(dst, mode, payload);
+        self.route(now, pkt);
+    }
+
     fn route(&mut self, now: SimTime, mut pkt: RoutedPacket) {
         // Connect traffic advertises reachable endpoints: every node on the
         // routing path learns the initiator/responder as a neighbour candidate,
@@ -1663,20 +1550,14 @@ impl OverlayNode {
                 }
                 // Answer with a routed response carrying our endpoints, and
                 // simultaneously hole-punch towards the initiator's endpoints.
-                let response = RoutedPacket::new(
-                    self.cfg.address,
-                    *initiator,
-                    DeliveryMode::Exact,
-                    RoutedPayload::ConnectResponse {
-                        token: *token,
-                        responder: self.cfg.address,
-                        endpoints: self.advertised.clone(),
-                    },
-                );
                 let kind = *kind;
                 let eps = endpoints.clone();
-                self.stats.originated += 1;
-                self.route(now, response);
+                let payload = RoutedPayload::ConnectResponse {
+                    token: *token,
+                    responder: self.cfg.address,
+                    endpoints: self.advertised.clone(),
+                };
+                self.originate(now, *initiator, DeliveryMode::Exact, payload);
                 for ep in eps {
                     self.send_hello(now, ep, kind);
                 }
@@ -1792,17 +1673,11 @@ impl OverlayNode {
                         .get(key)
                         .filter(|rec| !rec.expired(now))
                         .is_some_and(|rec| rec.value == *value);
-                    let ack = RoutedPacket::new(
-                        self.cfg.address,
-                        pkt.src,
-                        DeliveryMode::Exact,
-                        RoutedPayload::DhtReplicateAck {
-                            token: *token,
-                            stored,
-                        },
-                    );
-                    self.stats.originated += 1;
-                    self.route(now, ack);
+                    let payload = RoutedPayload::DhtReplicateAck {
+                        token: *token,
+                        stored,
+                    };
+                    self.originate(now, pkt.src, DeliveryMode::Exact, payload);
                 }
             }
             RoutedPayload::DhtReplicateAck { token, stored } => {
@@ -1842,17 +1717,11 @@ impl OverlayNode {
                     .get(key)
                     .filter(|rec| !rec.expired(now))
                     .map(|rec| (rec.value.clone(), rec.version, rec.remaining_ttl_ms(now)));
-                let reply = RoutedPacket::new(
-                    self.cfg.address,
-                    pkt.src,
-                    DeliveryMode::Exact,
-                    RoutedPayload::DhtReplicaValue {
-                        token: *token,
-                        copy,
-                    },
-                );
-                self.stats.originated += 1;
-                self.route(now, reply);
+                let payload = RoutedPayload::DhtReplicaValue {
+                    token: *token,
+                    copy,
+                };
+                self.originate(now, pkt.src, DeliveryMode::Exact, payload);
             }
             RoutedPayload::DhtReplicaValue { token, copy } => {
                 if let Some(read) = self.pending_quorum_reads.get_mut(token) {
@@ -1884,14 +1753,8 @@ impl OverlayNode {
                 if let Some(rec) = self.dht.remove(key) {
                     // Propagate the removal to the replicas we pushed.
                     for peer in rec.replicated_to {
-                        let fwd = RoutedPacket::new(
-                            self.cfg.address,
-                            peer,
-                            DeliveryMode::Exact,
-                            RoutedPayload::DhtRemove { key: *key },
-                        );
-                        self.stats.originated += 1;
-                        self.route(now, fwd);
+                        let payload = RoutedPayload::DhtRemove { key: *key };
+                        self.originate(now, peer, DeliveryMode::Exact, payload);
                     }
                 }
             }
@@ -1976,14 +1839,8 @@ impl OverlayNode {
                     // the ring repairs and reaches whoever owns the key by
                     // then).
                     self.stats.pubsub_nacks_sent += 1;
-                    let nack = RoutedPacket::new(
-                        self.cfg.address,
-                        pkt.src,
-                        DeliveryMode::Exact,
-                        RoutedPayload::PubSubNack { topic, msg_id },
-                    );
-                    self.stats.originated += 1;
-                    self.route(now, nack);
+                    let payload = RoutedPayload::PubSubNack { topic, msg_id };
+                    self.originate(now, pkt.src, DeliveryMode::Exact, payload);
                     return;
                 }
                 self.stats.pubsub_publishes += 1;
@@ -2050,8 +1907,7 @@ impl OverlayNode {
                     started: now,
                 },
             );
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
+            let mut pkt = self.originated(
                 self.cfg.address,
                 DeliveryMode::Closest,
                 RoutedPayload::ConnectRequest {
@@ -2061,12 +1917,10 @@ impl OverlayNode {
                     endpoints: self.advertised.clone(),
                 },
             );
-            self.stats.originated += 1;
             // Send it through a random established edge so it is not delivered
             // straight back to ourselves.
             let pick = self.rng.index(self.table.established_addrs().len());
             if let Some(ep) = self.table.nth_established(pick).map(|c| c.endpoint) {
-                let mut pkt = pkt;
                 pkt.hops += 1;
                 self.push_out(ep, LinkMessage::Routed(pkt));
             }
@@ -2219,19 +2073,13 @@ impl OverlayNode {
                 started: now,
             },
         );
-        let pkt = RoutedPacket::new(
-            self.cfg.address,
-            target,
-            DeliveryMode::Closest,
-            RoutedPayload::ConnectRequest {
-                token,
-                initiator: self.cfg.address,
-                kind: ConnectionKind::Far,
-                endpoints: self.advertised.clone(),
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, pkt);
+        let payload = RoutedPayload::ConnectRequest {
+            token,
+            initiator: self.cfg.address,
+            kind: ConnectionKind::Far,
+            endpoints: self.advertised.clone(),
+        };
+        self.originate(now, target, DeliveryMode::Closest, payload);
     }
 
     fn run_keepalive(&mut self, now: SimTime) {
@@ -2267,145 +2115,32 @@ impl OverlayNode {
 
     // ------------------------------------------------------------- link monitor
 
-    /// The adaptive probe deadline for one edge: `srtt + 4·rttvar`, doubled
-    /// per consecutive miss, clamped to the probe-timeout bounds. The backoff
-    /// shift is capped at 2 so a lossy edge — which legitimately accumulates
-    /// more consecutive misses under phi-accrual before a verdict — still
-    /// detects a real crash within seconds rather than paying the 3 s
-    /// ceiling on every extra round.
-    fn probe_timeout(health: &EdgeHealth) -> Duration {
-        let base_ns = match health.srtt_ns {
-            Some(srtt) => srtt + 4 * health.rttvar_ns,
-            None => PROBE_TIMEOUT_INITIAL.as_nanos(),
-        };
-        let backed_off = base_ns.saturating_mul(1u64 << health.failures.min(2));
-        Duration::from_nanos(
-            backed_off.clamp(PROBE_TIMEOUT_MIN.as_nanos(), PROBE_TIMEOUT_MAX.as_nanos()),
-        )
-    }
-
-    /// Feed a probe ack into the edge's RTT estimator and clear the
-    /// outstanding probe.
-    fn on_probe_ack(&mut self, now: SimTime, peer: Address, nonce: u64) {
-        let Some(health) = self.edge_health.get_mut(&peer) else {
-            return;
-        };
-        let Some((expected, sent, _)) = health.outstanding else {
-            return;
-        };
-        if expected != nonce {
-            return; // an ack for an older, superseded probe
-        }
-        let sample = now.saturating_since(sent).as_nanos();
-        match health.srtt_ns {
-            // RFC 6298 smoothing (α = 1/8, β = 1/4).
-            Some(srtt) => {
-                let err = srtt.abs_diff(sample);
-                health.rttvar_ns = health.rttvar_ns - health.rttvar_ns / 4 + err / 4;
-                health.srtt_ns = Some(srtt - srtt / 8 + sample / 8);
-            }
-            None => {
-                health.srtt_ns = Some(sample);
-                health.rttvar_ns = sample / 2;
-            }
-        }
-        health.outstanding = None;
-        health.failures = 0;
-        health.record_outcome(false);
-    }
-
     /// Account inbound traffic that failed to decode as a link message (the
     /// transport already dropped it; this surfaces the count in the stats).
     pub fn note_malformed(&mut self, count: u64) {
         self.stats.malformed_dropped += count;
     }
 
-    /// Probe silent established edges and drop the ones that stopped
-    /// answering. Healthy edges hear gossip every tick, so in steady state
-    /// probes only flow to peers that actually went quiet — and a crashed
-    /// peer is detected after `probe_failure_limit` misses (a few seconds)
-    /// instead of the 45 s connection timeout.
+    /// Apply one [`LinkMonitor::run`] pass: drop the edges it declared dead,
+    /// probe the ones it found silent.
     fn run_link_monitor(&mut self, now: SimTime) {
-        // Drop monitor state for edges that left the table by other means.
-        let table = &self.table;
-        self.edge_health.retain(|peer, _| table.contains(peer));
-        let probe_interval = self.cfg.probe_interval;
-        let failure_limit = self.cfg.probe_failure_limit;
-        let phi_accrual = self.cfg.phi_accrual;
-        let phi_threshold = self.cfg.phi_threshold;
+        let rule = if self.cfg.phi_accrual {
+            DeathRule::Phi(self.cfg.phi_threshold)
+        } else {
+            DeathRule::Misses(self.cfg.probe_failure_limit)
+        };
+        let edges = self.table.established();
+        let verdicts = self.monitor.run(
+            now,
+            edges.map(|c| (c.peer, c.endpoint, c.last_heard)),
+            self.cfg.probe_interval,
+            self.cfg.maintenance_interval,
+            rule,
+        );
         let me = self.cfg.address;
-        // Did this node itself stall past the deadlines? The monitor runs
-        // every maintenance tick; a gap of more than two intervals means the
-        // pump was starved (CPU-saturated host), so deadlines that expired
-        // inside the gap say nothing about the peer.
-        let prev_run = self.last_monitor_run;
-        let stalled = prev_run != SimTime::ZERO
-            && now.saturating_since(prev_run)
-                > self.cfg.maintenance_interval + self.cfg.maintenance_interval;
-        self.last_monitor_run = now;
-        let mut to_probe: Vec<(Address, Endpoint)> = Vec::new();
-        let mut to_drop: Vec<(Address, Endpoint)> = Vec::new();
-        for c in self.table.established() {
-            let (peer, endpoint, last_heard) = (c.peer, c.endpoint, c.last_heard);
-            let health = self.edge_health.entry(peer).or_default();
-            if let Some((nonce, sent, deadline)) = health.outstanding {
-                // The probe runs to its deadline even if other traffic from
-                // the peer arrives meanwhile — the exchange is then a loss
-                // *measurement* (did the ack make it back?) feeding the phi
-                // window, not just a liveness check.
-                if now < deadline {
-                    continue;
-                }
-                if stalled && deadline > prev_run {
-                    // The deadline was still in the future the last time
-                    // this node got to run — it expired while *we* were
-                    // stalled, not while the peer was silent for its own
-                    // full timeout. Clamp the deadline forward to this
-                    // pump tick instead of charging the peer a miss.
-                    let extended = now + Self::probe_timeout(health);
-                    health.outstanding = Some((nonce, sent, extended));
-                    self.stats.link_probe_deadline_clamps += 1;
-                    continue;
-                }
-                health.outstanding = None;
-                if last_heard > sent {
-                    // The peer spoke since the probe went out (any message
-                    // proves liveness) but the ack itself never came back:
-                    // the link ate the exchange. A pure loss sample — the
-                    // window learns the edge's loss rate with no suspicion
-                    // attached.
-                    health.failures = 0;
-                    health.record_outcome(true);
-                    continue;
-                }
-                health.failures += 1;
-                if health.failures == 1 {
-                    // A new miss episode: freeze the per-miss suspicion
-                    // at the loss rate observed *before* this episode,
-                    // so a crash's own misses cannot dilute it.
-                    health.phi_per_miss = -health.loss_estimate().log10();
-                }
-                health.record_outcome(true);
-                self.stats.link_probe_timeouts += 1;
-                let dead = if phi_accrual {
-                    health.phi() >= phi_threshold
-                } else {
-                    health.failures >= failure_limit
-                };
-                if dead {
-                    to_drop.push((peer, endpoint));
-                } else {
-                    to_probe.push((peer, endpoint));
-                }
-            } else if now.saturating_since(last_heard) >= probe_interval {
-                to_probe.push((peer, endpoint));
-            }
-        }
-        for (peer, endpoint) in to_drop {
+        for (peer, endpoint) in verdicts.dead {
             self.table.remove(&peer);
             self.candidates.remove(&peer);
-            self.edge_health.remove(&peer);
-            self.stats.dead_edges_detected += 1;
             // Receipt-driven pub/sub cleanup: a dead peer stops receiving
             // fan-out immediately instead of aging out of topic records.
             self.pubsub_prune_subscriber(now, peer);
@@ -2417,12 +2152,9 @@ impl OverlayNode {
             // lost when the peer really is dead.
             self.push_out(endpoint, LinkMessage::Close { from: me });
         }
-        for (peer, endpoint) in to_probe {
+        for (peer, endpoint) in verdicts.probe {
             let nonce = self.rng.next_u64();
-            let health = self.edge_health.entry(peer).or_default();
-            let deadline = now + Self::probe_timeout(health);
-            health.outstanding = Some((nonce, now, deadline));
-            self.stats.link_probes_sent += 1;
+            self.monitor.arm(now, peer, nonce);
             self.push_out(endpoint, LinkMessage::Probe { from: me, nonce });
         }
     }
@@ -2487,27 +2219,15 @@ impl OverlayNode {
                 .get(&key)
                 .filter(|rec| !rec.expired(now))
                 .map(|rec| rec.value.clone());
-            let reply = RoutedPacket::new(
-                self.cfg.address,
-                origin,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReply { token, value },
-            );
-            self.stats.originated += 1;
-            self.route(now, reply);
+            let payload = RoutedPayload::DhtReply { token, value };
+            self.originate(now, origin, DeliveryMode::Exact, payload);
             return;
         }
         let op = self.fresh_token();
         let replies_needed = Self::quorum_of(targets.len() + 1) - 1;
         for peer in &targets {
-            let poll = RoutedPacket::new(
-                self.cfg.address,
-                *peer,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtGetReplica { key, token: op },
-            );
-            self.stats.originated += 1;
-            self.route(now, poll);
+            let payload = RoutedPayload::DhtGetReplica { key, token: op };
+            self.originate(now, *peer, DeliveryMode::Exact, payload);
         }
         self.pending_quorum_reads.insert(
             op,
@@ -2548,17 +2268,11 @@ impl OverlayNode {
                 best = copy.clone();
             }
         }
-        let reply = RoutedPacket::new(
-            self.cfg.address,
-            read.origin,
-            DeliveryMode::Exact,
-            RoutedPayload::DhtReply {
-                token: read.origin_token,
-                value: best.as_ref().map(|c| c.value.clone()),
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, reply);
+        let payload = RoutedPayload::DhtReply {
+            token: read.origin_token,
+            value: best.as_ref().map(|c| c.value.clone()),
+        };
+        self.originate(now, read.origin, DeliveryMode::Exact, payload);
         let Some(best) = best else {
             return; // nothing live anywhere: nothing to repair with
         };
@@ -2600,21 +2314,15 @@ impl OverlayNode {
             .collect();
         let ttl_ms = best.remaining_ttl_ms(now);
         for peer in stale_peers {
-            let repair = RoutedPacket::new(
-                self.cfg.address,
-                peer,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReplicate {
-                    key: read.key,
-                    value: best.value.clone(),
-                    ttl_ms,
-                    version: best.version,
-                    token: 0,
-                },
-            );
-            self.stats.originated += 1;
             self.stats.dht_read_repairs += 1;
-            self.route(now, repair);
+            let payload = RoutedPayload::DhtReplicate {
+                key: read.key,
+                value: best.value.clone(),
+                ttl_ms,
+                version: best.version,
+                token: 0,
+            };
+            self.originate(now, peer, DeliveryMode::Exact, payload);
         }
     }
 
@@ -2645,34 +2353,22 @@ impl OverlayNode {
             .values()
             .any(|qc| qc.key == key && qc.value != value)
         {
-            let reply = RoutedPacket::new(
-                self.cfg.address,
-                origin,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtCreateReply {
-                    token,
-                    created: false,
-                    existing: None,
-                },
-            );
-            self.stats.originated += 1;
-            self.route(now, reply);
+            let payload = RoutedPayload::DhtCreateReply {
+                token,
+                created: false,
+                existing: None,
+            };
+            self.originate(now, origin, DeliveryMode::Exact, payload);
             return;
         }
         if let Some(existing) = self.dht.get(&key).filter(|rec| !rec.expired(now)) {
             if existing.value != value {
-                let reply = RoutedPacket::new(
-                    self.cfg.address,
-                    origin,
-                    DeliveryMode::Exact,
-                    RoutedPayload::DhtCreateReply {
-                        token,
-                        created: false,
-                        existing: Some(existing.value.clone()),
-                    },
-                );
-                self.stats.originated += 1;
-                self.route(now, reply);
+                let payload = RoutedPayload::DhtCreateReply {
+                    token,
+                    created: false,
+                    existing: Some(existing.value.clone()),
+                };
+                self.originate(now, origin, DeliveryMode::Exact, payload);
                 return;
             }
             // The claimant's own lease being renewed: acknowledge — and
@@ -2723,18 +2419,12 @@ impl OverlayNode {
         if token == INTERNAL_QUORUM_TOKEN && origin == self.cfg.address {
             return;
         }
-        let reply = RoutedPacket::new(
-            self.cfg.address,
-            origin,
-            DeliveryMode::Exact,
-            RoutedPayload::DhtCreateReply {
-                token,
-                created,
-                existing,
-            },
-        );
-        self.stats.originated += 1;
-        self.route(now, reply);
+        let payload = RoutedPayload::DhtCreateReply {
+            token,
+            created,
+            existing,
+        };
+        self.originate(now, origin, DeliveryMode::Exact, payload);
     }
 
     /// Commit a stored claim or renewal: push the record to the key's replica
@@ -2800,20 +2490,14 @@ impl OverlayNode {
             rec.replicated_to = targets.clone();
         }
         for peer in &targets {
-            let push = RoutedPacket::new(
-                self.cfg.address,
-                *peer,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReplicate {
-                    key,
-                    value: value.clone(),
-                    ttl_ms,
-                    version,
-                    token: op,
-                },
-            );
-            self.stats.originated += 1;
-            self.route(now, push);
+            let payload = RoutedPayload::DhtReplicate {
+                key,
+                value: value.clone(),
+                ttl_ms,
+                version,
+                token: op,
+            };
+            self.originate(now, *peer, DeliveryMode::Exact, payload);
         }
         self.pending_quorum_creates.insert(
             op,
@@ -2853,18 +2537,12 @@ impl OverlayNode {
                 self.dht.remove(&qc.key);
             }
             for peer in &qc.targets {
-                let withdraw = RoutedPacket::new(
-                    self.cfg.address,
-                    *peer,
-                    DeliveryMode::Exact,
-                    RoutedPayload::DhtWithdraw {
-                        key: qc.key,
-                        value: qc.value.clone(),
-                        version: qc.version,
-                    },
-                );
-                self.stats.originated += 1;
-                self.route(now, withdraw);
+                let payload = RoutedPayload::DhtWithdraw {
+                    key: qc.key,
+                    value: qc.value.clone(),
+                    version: qc.version,
+                };
+                self.originate(now, *peer, DeliveryMode::Exact, payload);
             }
         }
         self.send_create_reply(now, qc.origin, qc.origin_token, false, None);
@@ -2956,20 +2634,14 @@ impl OverlayNode {
         let ttl_ms = rec.remaining_ttl_ms(now);
         let version = rec.version;
         for peer in missing {
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                peer,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReplicate {
-                    key,
-                    value: value.clone(),
-                    ttl_ms,
-                    version,
-                    token: 0,
-                },
-            );
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            let payload = RoutedPayload::DhtReplicate {
+                key,
+                value: value.clone(),
+                ttl_ms,
+                version,
+                token: 0,
+            };
+            self.originate(now, peer, DeliveryMode::Exact, payload);
         }
     }
 
@@ -3055,19 +2727,13 @@ impl OverlayNode {
                         p.renew_inflight = Some((token, now));
                     }
                     let ttl_ms = ttl.as_nanos() / 1_000_000;
-                    let pkt = RoutedPacket::new(
-                        self.cfg.address,
+                    let payload = RoutedPayload::DhtCreate {
                         key,
-                        DeliveryMode::Closest,
-                        RoutedPayload::DhtCreate {
-                            key,
-                            value,
-                            ttl_ms,
-                            token,
-                        },
-                    );
-                    self.stats.originated += 1;
-                    self.route(now, pkt);
+                        value,
+                        ttl_ms,
+                        token,
+                    };
+                    self.originate(now, key, DeliveryMode::Closest, payload);
                 }
             }
         }
@@ -3136,18 +2802,12 @@ impl OverlayNode {
         }
         for (peer, entries) in per_peer {
             for chunk in entries.chunks(SYNC_DIGEST_CHUNK) {
-                let pkt = RoutedPacket::new(
-                    self.cfg.address,
-                    peer,
-                    DeliveryMode::Exact,
-                    RoutedPayload::DhtSyncDigest {
-                        entries: chunk.to_vec(),
-                        from_owner: true,
-                    },
-                );
                 self.stats.dht_sync_digests += 1;
-                self.stats.originated += 1;
-                self.route(now, pkt);
+                let payload = RoutedPayload::DhtSyncDigest {
+                    entries: chunk.to_vec(),
+                    from_owner: true,
+                };
+                self.originate(now, peer, DeliveryMode::Exact, payload);
             }
         }
         // Publisher → owner: one digest per publication, routed to whichever
@@ -3172,18 +2832,12 @@ impl OverlayNode {
             })
             .collect();
         for (key, entry) in digests {
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                key,
-                DeliveryMode::Closest,
-                RoutedPayload::DhtSyncDigest {
-                    entries: vec![entry],
-                    from_owner: false,
-                },
-            );
             self.stats.dht_sync_digests += 1;
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            let payload = RoutedPayload::DhtSyncDigest {
+                entries: vec![entry],
+                from_owner: false,
+            };
+            self.originate(now, key, DeliveryMode::Closest, payload);
         }
     }
 
@@ -3226,31 +2880,19 @@ impl OverlayNode {
             };
             let (value, ttl_ms, version) =
                 (rec.value.clone(), rec.remaining_ttl_ms(now), rec.version);
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                src,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReplicate {
-                    key,
-                    value,
-                    ttl_ms,
-                    version,
-                    token: 0,
-                },
-            );
             self.stats.dht_sync_pushes += 1;
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            let payload = RoutedPayload::DhtReplicate {
+                key,
+                value,
+                ttl_ms,
+                version,
+                token: 0,
+            };
+            self.originate(now, src, DeliveryMode::Exact, payload);
         }
         if !pulls.is_empty() {
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                src,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtSyncPull { keys: pulls },
-            );
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            let payload = RoutedPayload::DhtSyncPull { keys: pulls };
+            self.originate(now, src, DeliveryMode::Exact, payload);
         }
     }
 
@@ -3273,19 +2915,13 @@ impl OverlayNode {
                             p.renew_inflight = Some((token, now));
                         }
                         let ttl_ms = ttl.as_nanos() / 1_000_000;
-                        let pkt = RoutedPacket::new(
-                            self.cfg.address,
+                        let payload = RoutedPayload::DhtCreate {
                             key,
-                            DeliveryMode::Closest,
-                            RoutedPayload::DhtCreate {
-                                key,
-                                value,
-                                ttl_ms,
-                                token,
-                            },
-                        );
-                        self.stats.originated += 1;
-                        self.route(now, pkt);
+                            value,
+                            ttl_ms,
+                            token,
+                        };
+                        self.originate(now, key, DeliveryMode::Closest, payload);
                     }
                 } else {
                     let (value, ttl, version) = (p.value.clone(), p.ttl, p.version);
@@ -3302,21 +2938,15 @@ impl OverlayNode {
             };
             let (value, ttl_ms, version) =
                 (rec.value.clone(), rec.remaining_ttl_ms(now), rec.version);
-            let pkt = RoutedPacket::new(
-                self.cfg.address,
-                src,
-                DeliveryMode::Exact,
-                RoutedPayload::DhtReplicate {
-                    key,
-                    value,
-                    ttl_ms,
-                    version,
-                    token: 0,
-                },
-            );
             self.stats.dht_sync_pulls += 1;
-            self.stats.originated += 1;
-            self.route(now, pkt);
+            let payload = RoutedPayload::DhtReplicate {
+                key,
+                value,
+                ttl_ms,
+                version,
+                token: 0,
+            };
+            self.originate(now, src, DeliveryMode::Exact, payload);
         }
     }
 
@@ -4428,39 +4058,6 @@ mod tests {
     }
 
     #[test]
-    fn phi_verdict_adapts_to_observed_loss() {
-        // A clean window sits on the loss floor: two phi units per miss, so
-        // three consecutive silent misses cross the default threshold of 6 —
-        // bit-identical to the old fixed limit.
-        let mut clean = EdgeHealth::default();
-        clean.phi_per_miss = -clean.loss_estimate().log10();
-        for _ in 0..3 {
-            clean.failures += 1;
-            clean.record_outcome(true);
-        }
-        assert!(clean.phi() >= 6.0, "clean edge: 3 misses suffice");
-
-        // A window that has watched one probe exchange in five vanish sits on
-        // the loss cap: one phi unit per miss, so the same three misses stay
-        // well under the threshold and only six reach it.
-        let mut lossy = EdgeHealth::default();
-        for i in 0..30 {
-            lossy.record_outcome(i % 5 == 0);
-        }
-        lossy.phi_per_miss = -lossy.loss_estimate().log10();
-        for _ in 0..3 {
-            lossy.failures += 1;
-            lossy.record_outcome(true);
-        }
-        assert!(lossy.phi() < 6.0, "lossy edge: 3 misses are not a verdict");
-        for _ in 0..3 {
-            lossy.failures += 1;
-            lossy.record_outcome(true);
-        }
-        assert!(lossy.phi() >= 6.0, "lossy edge: 6 misses are");
-    }
-
-    #[test]
     fn stalled_monitor_clamps_deadlines_instead_of_charging_misses() {
         let mut h = Harness::new(4);
         h.start_all();
@@ -4496,6 +4093,59 @@ mod tests {
             dead >= 1,
             "the crashed peer was still detected after the stall"
         );
+    }
+
+    #[test]
+    fn forged_probe_acks_reach_the_monitor_and_change_nothing() {
+        // CONTRACTS C6 through the real ingress: `from` and `nonce` of a
+        // `ProbeAck` are the wire's word (the node-free half of this audit
+        // is `monitor::tests::forged_probe_acks_leave_the_edge_health_untouched`).
+        let (mut node, me, peer) = node_with_peer();
+        let at = |ms: u64| SimTime::ZERO + Duration::from_millis(ms);
+        // Drain one tick's outbox down to the probe nonce, if one went out.
+        let probe_nonce = |node: &mut OverlayNode| {
+            node.take_outbox().iter().find_map(|(_, msg)| match msg {
+                LinkMessage::Probe { nonce, .. } => Some(*nonce),
+                _ => None,
+            })
+        };
+        let ack = |from: Address, nonce: u64| LinkMessage::ProbeAck { from, nonce };
+        node.on_tick(at(500));
+        assert_eq!(probe_nonce(&mut node), None, "the edge is not silent yet");
+        node.on_tick(at(1000));
+        let first = probe_nonce(&mut node).expect("the silent peer is probed");
+        let armed = node.monitor.health(&peer).cloned();
+        assert!(armed.is_some());
+
+        // The right nonce under the wrong name — a stranger (no edge) or
+        // this node itself — is not the ack of the probe in flight.
+        let stranger = Address::from_key(b"no-such-edge");
+        node.on_message(at(1100), ep(7), ack(stranger, first));
+        node.on_message(at(1100), ep(0), ack(me, first));
+        assert_eq!(node.monitor.health(&peer).cloned(), armed);
+        assert!(node.monitor.health(&stranger).is_none());
+        assert!(node.monitor.health(&me).is_none());
+
+        // The deadline (1 s before any RTT sample) is charged and the probe
+        // superseded: its own late ack is now a stale nonce and must not
+        // take the miss back, nor may guessed ones.
+        node.on_tick(at(2000));
+        let second = probe_nonce(&mut node).expect("re-probed after the miss");
+        assert_eq!(node.stats().link_probe_timeouts, 1);
+        let charged = node.monitor.health(&peer).cloned();
+        assert_ne!(charged, armed);
+        for forged in [first, second.wrapping_add(1), 0, u64::MAX] {
+            node.on_message(at(2100), ep(1), ack(peer, forged));
+        }
+        assert_eq!(node.monitor.health(&peer).cloned(), charged);
+        // The honest ack is the one that counts — once: replayed with no
+        // probe outstanding it changes nothing either.
+        node.on_message(at(2200), ep(1), ack(peer, second));
+        let acked = node.monitor.health(&peer).cloned();
+        assert_ne!(acked, charged);
+        node.on_message(at(2300), ep(1), ack(peer, second));
+        assert_eq!(node.monitor.health(&peer).cloned(), acked);
+        assert_eq!(node.stats().dead_edges_detected, 0);
     }
 
     #[test]

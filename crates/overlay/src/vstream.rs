@@ -34,6 +34,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use ipop_netstack::tcp::rtt::Smoothed;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
@@ -153,8 +154,7 @@ struct Stream {
     /// Sequence number of the peer's FIN, once seen.
     remote_fin: Option<u64>,
     // ---- timers (RFC 6298 estimator + one restart-on-progress timer)
-    srtt_ns: Option<u64>,
-    rttvar_ns: u64,
+    rtt: Smoothed,
     /// Consecutive RTO expiries on the current oldest outstanding frame.
     retries: u32,
     /// When the oldest outstanding frame was last (re)sent — the RTO
@@ -177,8 +177,7 @@ impl Stream {
             reorder: BTreeMap::new(),
             reorder_bytes: 0,
             remote_fin: None,
-            srtt_ns: None,
-            rttvar_ns: 0,
+            rtt: Smoothed::default(),
             retries: 0,
             timer_epoch: now,
         }
@@ -195,31 +194,15 @@ impl Stream {
         self.snd_nxt - self.snd_una
     }
 
-    /// Record one RTT sample (RFC 6298 §2).
-    fn sample_rtt(&mut self, sample: Duration) {
-        let r = sample.as_nanos();
-        match self.srtt_ns {
-            None => {
-                self.srtt_ns = Some(r);
-                self.rttvar_ns = r / 2;
-            }
-            Some(srtt) => {
-                let err = srtt.abs_diff(r);
-                self.rttvar_ns = (3 * self.rttvar_ns + err) / 4;
-                self.srtt_ns = Some((7 * srtt + r) / 8);
-            }
-        }
-    }
-
     /// Current retransmission timeout: `srtt + 4·rttvar` clamped into
     /// `[RTO_MIN, RTO_MAX]`, doubled per consecutive expiry (capped so the
     /// backoff cannot overflow), then clamped again.
     fn rto(&self) -> Duration {
-        let base = match self.srtt_ns {
-            Some(srtt) => Duration::from_nanos(srtt + 4 * self.rttvar_ns),
-            None => RTO_INITIAL,
-        };
-        let base = base.clamp(RTO_MIN, RTO_MAX);
+        let base = self
+            .rtt
+            .rto()
+            .unwrap_or(RTO_INITIAL)
+            .clamp(RTO_MIN, RTO_MAX);
         Duration::from_nanos(base.as_nanos() << self.retries.min(4)).min(RTO_MAX)
     }
 
@@ -533,7 +516,7 @@ impl VStreams {
             s.retx.remove(&seq);
         }
         if let Some(rtt) = sample {
-            s.sample_rtt(rtt);
+            s.rtt.sample(rtt);
         }
         s.snd_una = ack;
         s.retries = 0;
@@ -904,11 +887,11 @@ mod tests {
     fn rto_follows_the_rtt_estimate() {
         let mut s = Stream::new(State::Established, SimTime::ZERO, DEFAULT_WINDOW);
         assert_eq!(s.rto(), RTO_INITIAL);
-        s.sample_rtt(Duration::from_millis(100));
+        s.rtt.sample(Duration::from_millis(100));
         // First sample: srtt = 100ms, rttvar = 50ms → 300ms.
         assert_eq!(s.rto(), Duration::from_millis(300));
         for _ in 0..20 {
-            s.sample_rtt(Duration::from_millis(100));
+            s.rtt.sample(Duration::from_millis(100));
         }
         // Variance decays towards zero; the clamp floor takes over.
         assert_eq!(s.rto(), RTO_MIN);
