@@ -10,16 +10,21 @@
 //!   payload of paper Fig. 3.
 //! * [`table`] — the connection table with structured-near (ring neighbour) and
 //!   structured-far (Kleinberg shortcut) edges.
-//! * [`node`] — the protocol engine: greedy structured routing, decentralized
-//!   join/leave, ring repair, shortcut formation, hole-punching link establishment
-//!   and the protocol half of the DHT (used by IPOP's Brunet-ARP mapper and the
-//!   self-configuration services in `ipop-services`).
-//! * [`monitor`] — the link monitor, the first sans-IO component moved out of
-//!   [`node`]: per-edge RTT estimate, probe deadlines and the phi-accrual /
-//!   fixed-limit dead-edge verdict, told what it needs and returning who to
-//!   probe and who is dead.
-//! * [`dht`] — replicated soft-state DHT storage: per-record TTL, replica
-//!   bookkeeping, and the narrow [`DhtStore`] trait the node drives.
+//! * [`node`] — [`OverlayNode`], the dispatcher in front of the components
+//!   below, and the routing core they share: greedy structured routing,
+//!   decentralized join/leave, ring repair, shortcut formation and
+//!   hole-punching link establishment.
+//! * [`monitor`] — the link monitor: per-edge RTT estimate, probe deadlines and
+//!   the phi-accrual / fixed-limit dead-edge verdict, told what it needs and
+//!   returning who to probe and who is dead.
+//! * [`dht`] — the replicated soft-state DHT used by IPOP's Brunet-ARP mapper
+//!   and the self-configuration services in `ipop-services`: the store
+//!   (per-record TTL and version, the narrow [`DhtStore`] trait) and the
+//!   protocol over it — publisher renewals, quorum writes and reads,
+//!   replication, read repair, anti-entropy, hand-off on leave.
+//! * [`pubsub`] — topic-based publish/subscribe: the subscriber set of a topic
+//!   is a DHT record at the topic key's owner, which fans publishes out along a
+//!   bounded-degree relay tree.
 //! * [`transport`] — UDP and TCP adapters that carry overlay traffic over the
 //!   host's physical network stack, matching the two Brunet modes the paper
 //!   compares in Tables I–III.

@@ -1,28 +1,32 @@
 //! The Brunet-like overlay node: connection management, greedy structured routing,
-//! decentralized join/leave handling, NAT-traversing link establishment, Kleinberg
-//! shortcuts and a simple DHT.
+//! decentralized join/leave handling, NAT-traversing link establishment and
+//! Kleinberg shortcuts — and the dispatcher in front of the protocol components.
 //!
 //! The node is a pure state machine: the host agent that embeds it feeds it
 //! incoming link messages ([`OverlayNode::on_message`]) and periodic ticks
 //! ([`OverlayNode::on_tick`]), then drains [`OverlayNode::take_outbox`] for
 //! messages to hand to the physical transport and [`OverlayNode::take_delivered`]
 //! for payloads addressed to this node (IPOP picks up tunnelled IP packets there).
+//!
+//! Inside, [`OverlayNode`] owns a routing [`Core`] — connection table, ring
+//! maintenance, greedy routing, outbox, counters — beside one component per
+//! protocol: [`crate::monitor`], [`crate::dht`], [`crate::pubsub`],
+//! [`crate::vstream`]. A packet whose route ends here is handed to the
+//! component that owns its wire tag; a component sends by originating through
+//! the core it is lent for the call.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::address::{Address, Distance};
-use crate::dht::{
-    apply_record_copy, sync_compare, sync_digest_entry, sync_value_hash, wire_expiry, DhtConfig,
-    DhtRecord, DhtStore, SoftStateStore, SyncAction, SyncDigestEntry,
-};
+use crate::dht::{Dht, DhtConfig, DhtStore};
 use crate::monitor::{DeathRule, LinkMonitor};
 use crate::packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
 };
-use crate::pubsub::{decode_subscriber_set, encode_subscriber_set, plan_fanout};
+use crate::pubsub::PubSub;
 use crate::table::{Connection, ConnectionState, ConnectionTable};
 use crate::vstream::{StreamEvent, VStreams};
 
@@ -127,13 +131,6 @@ impl OverlayConfig {
     /// Builder: disable shortcut connections (used by the ablation experiment).
     pub fn without_shortcuts(mut self) -> Self {
         self.shortcuts_enabled = false;
-        self
-    }
-
-    /// Builder: fall back to single-node DHT reads and unacknowledged creates
-    /// (the pre-quorum behaviour; ablation switch).
-    pub fn without_dht_quorum(mut self) -> Self {
-        self.dht.quorum = false;
         self
     }
 
@@ -329,247 +326,69 @@ pub struct OverlayStats {
     pub stream_bad_acks: u64,
     /// Stream DATA segments dropped for an impossible sequence range.
     pub stream_bad_seqs: u64,
+    /// Quorum acks and replica answers dropped because they came from a peer
+    /// the operation never pushed to / polled, or from one that had already
+    /// answered.
+    pub dht_bad_acks: u64,
 }
-
-/// A topic this node subscribes to: the soft-state TTL it asked for and when
-/// the subscription was last (re-)announced. Renewed at TTL/2 like any other
-/// soft-state publication.
-struct PubSubSubscription {
-    ttl: Duration,
-    last_renew: SimTime,
-}
-
-/// A publish this node originated, retained until the retry budget would be
-/// pointless: a topic root caught mid-re-home answers a retryable
-/// [`RoutedPayload::PubSubNack`] instead of dropping the message, and the
-/// publisher re-routes it from here once the backoff elapses.
-struct PendingPublish {
-    topic: Address,
-    payload: Bytes,
-    /// Nack-triggered retries so far.
-    attempts: u32,
-    /// When the next retry fires; `None` while the publish is in flight.
-    retry_at: Option<SimTime>,
-}
-
-/// Bound on retained publishes: old entries beyond this are evicted oldest
-/// first (a fan-out is not acknowledged, so "still pending" only means "not
-/// yet nacked and not yet evicted").
-const MAX_PENDING_PUBLISHES: usize = 64;
-
-/// Nack-triggered retries before a publish is abandoned (counted in
-/// [`OverlayStats::pubsub_publish_failures`]).
-const MAX_PUBLISH_RETRIES: u32 = 8;
-
-/// Base backoff between publish retries, doubled per attempt (capped).
-const PUBLISH_RETRY_BACKOFF: Duration = Duration::from_millis(250);
-
-/// Token used by internally originated quorum creates (pub/sub topic-record
-/// rewrites): [`OverlayNode::send_create_reply`] suppresses the reply for it.
-/// Real create tokens come from `fresh_token`, which starts at 1.
-const INTERNAL_QUORUM_TOKEN: u64 = 0;
 
 struct PendingLink {
     kind: ConnectionKind,
     started: SimTime,
 }
 
-/// Cap on digest entries per anti-entropy message; larger key sets are
-/// chunked across several digests.
-const SYNC_DIGEST_CHUNK: usize = 64;
-
-/// A record this node publishes and keeps alive by renewing at TTL/2
-/// (DHCP-style lease renewal — paper Section III-E's soft-state mappings).
-///
-/// Two renewal modes exist. Plain publications (Brunet-ARP mappings, name
-/// records) re-put: last-writer-wins overwrite is exactly what VM migration
-/// needs. Claimed publications (successful `DhtCreate`s, i.e. address leases)
-/// renew with another `DhtCreate`: the owner extends a record matching our
-/// value and rejects a conflicting one, so a claim that lost a healed
-/// partition is *discovered* (and surfaced as a lost lease) instead of
-/// silently clobbering the winner.
-struct Publication {
-    value: Bytes,
-    ttl: Duration,
-    /// Version of the current value; bumped when a re-publish changes it.
-    version: u64,
-    last_refresh: SimTime,
-    /// Renew with create-if-absent-or-match instead of a blind put.
-    renew_with_create: bool,
-    /// Outstanding renewal create: `(token, issued)`. A renewal whose reply
-    /// does not arrive within [`DhtConfig::renewal_timeout`] is re-issued and
-    /// counted in [`OverlayStats::dht_renewal_timeouts`].
-    renew_inflight: Option<(u64, SimTime)>,
+/// What [`Core::route`] hands back when a packet's path ends at this node.
+pub(crate) enum Arrival {
+    /// Due here — addressed to this node, or `Closest` with no peer closer.
+    /// Whoever routed it hands it to the component that owns its wire tag.
+    Here(RoutedPacket),
+    /// `Exact`-addressed to a node that is not in the overlay; this one is
+    /// merely the closest left, and has already counted the packet as
+    /// dropped. Only pub/sub has a use for it (a delegated fan-out chunk is
+    /// salvaged).
+    Stray(RoutedPacket),
 }
 
-/// A quorum write this node is coordinating: the record is stored locally and
-/// pushed to the key's replica set with an ack token; the `DhtCreateReply` is
-/// sent only once a majority of the copy set (local copy included) holds it.
-struct QuorumCreate {
-    origin: Address,
-    origin_token: u64,
-    key: Address,
-    value: Bytes,
-    /// Version the record was stored and pushed with.
-    version: u64,
-    /// `None` for a first-time claim (the record was created by this
-    /// operation); `Some(expiry)` for a lease renewal, applied to the local
-    /// record only once the quorum acks. Only fresh claims are withdrawn on
-    /// quorum failure: a failed renewal keeps the coordinator's pre-renewal
-    /// expiry, while replicas that stored the extended push before their ack
-    /// was lost may keep the longer expiry — soft state that ages out, at
-    /// worst occupying the key one extra TTL if the claimant then crashes.
-    extends_to: Option<SimTime>,
-    /// The replicas the record was pushed to — on failure a fresh claim is
-    /// withdrawn from them too (an ack may have been lost after the store).
-    targets: Vec<Address>,
-    acks_needed: usize,
-    acks: usize,
-    issued: SimTime,
-}
-
-/// A quorum read this node is coordinating: the replica set has been polled
-/// and the freshest copy by `(version, expiry)` is returned to the origin once
-/// a majority of the copy set answered with at least one live copy in sight
-/// (or every poll answered, or the poll timed out). Stale and missing copies
-/// discovered along the way are repaired asynchronously. Replica answers are
-/// reconstructed as [`DhtRecord`]s so freshness and TTL rules stay the
-/// store's own.
-struct QuorumRead {
-    origin: Address,
-    origin_token: u64,
-    key: Address,
-    /// How many replicas were polled.
-    polled: usize,
-    replies_needed: usize,
-    /// Answers received so far: `(replica, its live copy)`.
-    responses: Vec<(Address, Option<DhtRecord>)>,
-    issued: SimTime,
-}
-
-/// An outstanding `DhtCreate`, remembered so a successful claim turns into a
-/// publication (the creator becomes the record's refreshing owner).
-struct PendingCreate {
-    key: Address,
-    value: Bytes,
-    ttl: Duration,
-    issued: SimTime,
-}
-
-/// How long an unanswered `DhtCreate` stays pending before it is forgotten.
-/// A reply arriving later is treated as stale and must not turn into a
-/// publication — the caller has long since given up on the claim (and, for
-/// the DHCP allocator, moved on to a different address).
-const PENDING_CREATE_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Expiry skew tolerated before a quorum read repairs a same-version,
-/// same-value copy. A replica's expiry is reconstructed from its remaining
-/// TTL at the coordinator, so it arrives inflated by the reply's transit
-/// time; genuine renewals differ by at least TTL/2, far above this.
-const READ_REPAIR_SLACK: Duration = Duration::from_secs(2);
-
-/// A Brunet-style structured-ring overlay node.
-pub struct OverlayNode {
-    cfg: OverlayConfig,
+/// The routing core: what is left of a node once the protocols are out —
+/// configuration, connection table and ring maintenance, greedy routing, the
+/// outbox, the rng and token counter, the flat counters. [`OverlayNode`] owns
+/// one beside its protocol components and lends it to them call by call;
+/// `connect` traffic, which only ever touches this state, is handled here.
+pub(crate) struct Core {
+    pub(crate) cfg: OverlayConfig,
     /// Endpoints we advertise: the local endpoint plus any NAT-translated endpoints
     /// peers have observed for us.
     advertised: Vec<Endpoint>,
-    table: ConnectionTable,
+    pub(crate) table: ConnectionTable,
     outbox: Vec<(Endpoint, LinkMessage)>,
-    delivered: VecDeque<RoutedPacket>,
-    dht: Box<dyn DhtStore + Send>,
-    dht_replies: VecDeque<(u64, Option<Bytes>)>,
-    dht_create_replies: VecDeque<(u64, bool, Option<Bytes>)>,
-    /// Records this node publishes, keyed by DHT key. `BTreeMap` so the
-    /// refresh scan emits messages in a deterministic order.
-    published: BTreeMap<Address, Publication>,
-    /// Outstanding creates: token → claim. Never iterated, only keyed.
-    pending_creates: BTreeMap<u64, PendingCreate>,
-    /// Quorum writes this node is coordinating, keyed by ack token. `BTreeMap`
-    /// because the timeout sweep iterates it while emitting failure replies.
-    pending_quorum_creates: BTreeMap<u64, QuorumCreate>,
-    /// Quorum reads this node is coordinating, keyed by poll token. `BTreeMap`
-    /// because the timeout sweep iterates it while emitting replies/repairs.
-    pending_quorum_reads: BTreeMap<u64, QuorumRead>,
-    /// Claimed leases whose renewal found a conflicting record; the embedding
-    /// agent drains this and re-allocates.
-    lost_leases: VecDeque<Address>,
     pending_links: BTreeMap<u64, PendingLink>,
-    /// Fast dead-edge detection (see [`crate::monitor`]).
-    monitor: LinkMonitor,
-    /// Instant of the next anti-entropy sweep; `None` until the first tick
-    /// draws a random initial offset (so a fleet started together does not
-    /// sweep in lockstep).
-    next_sweep: Option<SimTime>,
     /// True once this node ever held an established edge — an isolated node
     /// that *had* peers must not self-acknowledge quorum writes against a
-    /// copy set of one (see [`OverlayNode::commit_create`]).
-    ever_connected: bool,
+    /// copy set of one (see [`Dht::commit`]).
+    pub(crate) ever_connected: bool,
     /// When the bootstrap re-link heartbeat last fired.
     last_bootstrap_probe: SimTime,
-    /// Established-peer snapshot of the last re-replication scan; the scan
-    /// only reruns when this set changes (new records and refresh puts
-    /// replicate immediately on the store path instead).
-    last_replica_peers: Vec<Address>,
     /// Neighbour candidates learned from gossip: address → endpoint. Ordered so
     /// candidate scans (which emit hellos) are deterministic across runs.
     candidates: BTreeMap<Address, Endpoint>,
-    /// Topics this node subscribes to, keyed by topic key. `BTreeMap` so the
-    /// renewal scan emits subscribes in a deterministic order.
-    pubsub_subs: BTreeMap<Address, PubSubSubscription>,
-    /// Topic keys this node has served as root for (merged a subscribe or
-    /// rewrote the record). Scanned on dead-edge verdicts to prune the dead
-    /// peer out of owned subscriber sets; entries fall away once the record
-    /// is gone or owned elsewhere.
-    pubsub_topics_seen: BTreeSet<Address>,
-    /// Pub/sub messages delivered to this node: `(topic key, msg id, body)`.
-    pubsub_inbox: VecDeque<(Address, u64, Bytes)>,
-    /// Publishes awaiting root confirmation of fan-out, keyed by msg id; a
-    /// retryable nack from a re-homing root schedules a re-route here.
-    /// Bounded: the oldest entries are evicted past
-    /// [`MAX_PENDING_PUBLISHES`].
-    pending_publishes: BTreeMap<u64, PendingPublish>,
-    /// Insertion order of `pending_publishes` for bounded eviction.
-    publish_order: VecDeque<u64>,
-    /// The virtual-stream engine (see [`crate::vstream`]).
-    vstreams: VStreams,
     next_token: u64,
-    rng: StreamRng,
-    stats: OverlayStats,
+    pub(crate) rng: StreamRng,
+    pub(crate) stats: OverlayStats,
     started: bool,
 }
 
-impl OverlayNode {
-    /// Create a node (does not contact the network until [`OverlayNode::start`]).
-    pub fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
+impl Core {
+    pub(crate) fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
         let advertised = vec![cfg.local_endpoint];
-        OverlayNode {
+        Core {
             cfg,
             advertised,
             table: ConnectionTable::new(),
             outbox: Vec::new(),
-            delivered: VecDeque::new(),
-            dht: Box::new(SoftStateStore::new()),
-            dht_replies: VecDeque::new(),
-            dht_create_replies: VecDeque::new(),
-            published: BTreeMap::new(),
-            pending_creates: BTreeMap::new(),
-            pending_quorum_creates: BTreeMap::new(),
-            pending_quorum_reads: BTreeMap::new(),
-            lost_leases: VecDeque::new(),
             pending_links: BTreeMap::new(),
-            monitor: LinkMonitor::default(),
-            next_sweep: None,
             ever_connected: false,
             last_bootstrap_probe: SimTime::ZERO,
-            last_replica_peers: Vec::new(),
             candidates: BTreeMap::new(),
-            pubsub_subs: BTreeMap::new(),
-            pubsub_topics_seen: BTreeSet::new(),
-            pubsub_inbox: VecDeque::new(),
-            pending_publishes: BTreeMap::new(),
-            publish_order: VecDeque::new(),
-            vstreams: VStreams::new(),
             next_token: 1,
             rng,
             stats: OverlayStats::default(),
@@ -577,90 +396,12 @@ impl OverlayNode {
         }
     }
 
-    /// This node's overlay address.
-    pub fn address(&self) -> Address {
-        self.cfg.address
-    }
-
-    /// The endpoints this node advertises (local plus NAT-observed).
-    pub fn advertised_endpoints(&self) -> &[Endpoint] {
-        &self.advertised
-    }
-
-    /// Routing statistics (the DHT gauges are sampled at call time).
-    pub fn stats(&self) -> OverlayStats {
-        let mut s = self.stats;
-        s.dht_records = self.dht.len() as u64;
-        s.dht_bytes = self.dht.stored_bytes() as u64;
-        s.dht_replicas = self.dht.replicas_held() as u64;
-        let vs = &self.vstreams.stats;
-        s.stream_opened = vs.opened;
-        s.stream_accepted = vs.accepted;
-        s.stream_data_sent = vs.data_sent;
-        s.stream_data_received = vs.data_received;
-        s.stream_retransmits = vs.retransmits;
-        s.stream_failed = vs.failed;
-        s.stream_closed = vs.closed;
-        s.stream_orphan_frames = vs.orphan_frames;
-        s.stream_bad_acks = vs.bad_acks;
-        s.stream_bad_seqs = vs.bad_seqs;
-        let ms = &self.monitor.stats;
-        s.link_probes_sent = ms.probes_sent;
-        s.link_probe_timeouts = ms.probe_timeouts;
-        s.dead_edges_detected = ms.dead_edges;
-        s.link_probe_deadline_clamps = ms.deadline_clamps;
-        s
-    }
-
-    /// The node's configuration.
-    pub fn config(&self) -> &OverlayConfig {
-        &self.cfg
-    }
-
-    /// The connection table (read-only).
-    pub fn connections(&self) -> &ConnectionTable {
-        &self.table
-    }
-
-    /// True once at least one edge is established.
-    pub fn is_connected(&self) -> bool {
+    fn is_connected(&self) -> bool {
         self.table.established().next().is_some()
     }
 
-    /// Number of entries in the local DHT store.
-    pub fn dht_stored(&self) -> usize {
-        self.dht.len()
-    }
-
-    /// Borrow the local DHT store (read-only; for diagnostics and tests).
-    pub fn dht_store(&self) -> &dyn DhtStore {
-        self.dht.as_ref()
-    }
-
-    // ------------------------------------------------------------------ control
-
-    /// Begin joining the overlay: contact the bootstrap endpoints.
-    pub fn start(&mut self, now: SimTime) {
-        self.started = true;
-        for ep in self.cfg.bootstrap.clone() {
-            self.send_hello(now, ep, ConnectionKind::Leaf);
-        }
-    }
-
-    /// Install an already-established edge without a handshake, marking the
-    /// node started and connected. Scale harnesses use this to warm-start a
-    /// converged ring (seeding both directions of each Near edge) so 10k+
-    /// node runs skip the bootstrap phase; protocol-level convergence stays
-    /// covered by the smaller end-to-end tests.
-    pub fn seed_connection(
-        &mut self,
-        now: SimTime,
-        peer: Address,
-        endpoint: Endpoint,
-        kind: ConnectionKind,
-    ) {
-        debug_assert_ne!(peer, self.cfg.address, "cannot seed an edge to self");
-        self.started = true;
+    /// Record `peer` at `endpoint` as an established edge of `kind`.
+    fn link_up(&mut self, now: SimTime, peer: Address, endpoint: Endpoint, kind: ConnectionKind) {
         self.ever_connected = true;
         self.table.upsert(Connection {
             peer,
@@ -672,750 +413,32 @@ impl OverlayNode {
         });
     }
 
-    /// Gracefully leave: hand every stored DHT record off to the ring
-    /// neighbours closest to its key, then tell every peer the edges are going
-    /// away. Handoff runs before the Close messages so receivers still accept
-    /// the records while the edges exist.
-    pub fn leave(&mut self, now: SimTime) {
-        // Withdraw our subscriptions while the routes still exist, so topic
-        // roots stop fanning out to a node that is gone.
-        let topics: Vec<Address> = self.pubsub_subs.keys().copied().collect();
-        for topic in topics {
-            self.pubsub_unsubscribe(now, topic);
-        }
-        let replication = self.cfg.dht.replication;
-        for key in self.dht.keys() {
-            let Some(rec) = self.dht.get(&key) else {
-                continue;
-            };
-            if rec.expired(now) {
-                continue;
-            }
-            let value = rec.value.clone();
-            let ttl_ms = rec.remaining_ttl_ms(now);
-            let version = rec.version;
-            // Unconditionally push to the peers closest to the key (at least
-            // one even with replication disabled): the nearest of them becomes
-            // the key's owner once we are gone, and idempotent overwrites of
-            // existing replicas are harmless.
-            let targets = self.replica_targets(&key, replication.saturating_sub(1).max(1));
-            for peer in targets {
-                let payload = RoutedPayload::DhtReplicate {
-                    key,
-                    value: value.clone(),
-                    ttl_ms,
-                    version,
-                    token: 0,
-                };
-                self.originate(now, peer, DeliveryMode::Exact, payload);
-            }
-            self.dht.remove(&key);
-        }
-        let peers: Vec<(Endpoint, Address)> =
-            self.table.iter().map(|c| (c.endpoint, c.peer)).collect();
-        for (ep, _peer) in peers {
-            self.push_out(
-                ep,
-                LinkMessage::Close {
-                    from: self.cfg.address,
-                },
-            );
-        }
-        self.started = false;
-    }
-
     /// Messages queued for the physical transport: `(destination endpoint, message)`.
-    pub fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
+    pub(crate) fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Routed packets delivered to this node (IP tunnel payloads and the like).
-    pub fn take_delivered(&mut self) -> Vec<RoutedPacket> {
-        self.delivered.drain(..).collect()
-    }
-
-    /// Pub/sub messages delivered to this node: `(topic key, msg id, body)`.
-    pub fn take_pubsub_delivered(&mut self) -> Vec<(Address, u64, Bytes)> {
-        self.pubsub_inbox.drain(..).collect()
-    }
-
-    /// Completed DHT lookups: `(token, value)`.
-    pub fn take_dht_replies(&mut self) -> Vec<(u64, Option<Bytes>)> {
-        self.dht_replies.drain(..).collect()
-    }
-
-    /// Completed DHT creates: `(token, created, existing value on conflict)`.
-    pub fn take_dht_create_replies(&mut self) -> Vec<(u64, bool, Option<Bytes>)> {
-        self.dht_create_replies.drain(..).collect()
-    }
-
-    /// Keys of claimed leases this node lost: a TTL/2 renewal came back
-    /// `created == false`, meaning a conflicting record owns the key (typical
-    /// after a healed partition). The publication has already been dropped;
-    /// the embedding agent re-allocates.
-    pub fn take_lost_leases(&mut self) -> Vec<Address> {
-        self.lost_leases.drain(..).collect()
-    }
-
-    // ---------------------------------------------------------------- app sends
-
-    /// Tunnel a serialized virtual IP packet to the node owning `dst`.
-    pub fn send_ip(
-        &mut self,
-        now: SimTime,
-        dst: Address,
-        packet_bytes: impl Into<ipop_packet::Bytes>,
-    ) {
-        let payload = RoutedPayload::IpTunnel(packet_bytes.into());
-        self.originate(now, dst, DeliveryMode::Exact, payload);
-    }
-
-    /// Store `value` at the node closest to `key` with the default TTL, and
-    /// keep it alive: the record is registered locally and re-put at TTL/2
-    /// until [`OverlayNode::dht_unpublish`] or [`OverlayNode::dht_remove`].
-    pub fn dht_put(&mut self, now: SimTime, key: Address, value: impl Into<Bytes>) {
-        let ttl = self.cfg.dht.default_ttl;
-        self.dht_put_ttl(now, key, value, ttl);
-    }
-
-    /// [`OverlayNode::dht_put`] with an explicit soft-state TTL.
-    pub fn dht_put_ttl(
-        &mut self,
-        now: SimTime,
-        key: Address,
-        value: impl Into<Bytes>,
-        ttl: Duration,
-    ) {
-        let value = value.into();
-        // Re-publishing a different value under the same key (a Brunet-ARP
-        // mapping migrating to this host) bumps the version so the new value
-        // supersedes the old one's replicas everywhere.
-        let version = match self.published.get(&key) {
-            Some(p) if p.value == value => p.version,
-            Some(p) => (p.version + 1).max(Self::version_for(now)),
-            None => Self::version_for(now),
-        };
-        self.published.insert(
-            key,
-            Publication {
-                value: value.clone(),
-                ttl,
-                version,
-                last_refresh: now,
-                renew_with_create: false,
-                renew_inflight: None,
-            },
-        );
-        self.send_put(now, key, value, ttl, version);
-    }
-
-    /// Atomically create the record under `key` if no live record exists
-    /// (create-if-absent, the allocator's claim primitive). The outcome
-    /// arrives via [`OverlayNode::take_dht_create_replies`] with the returned
-    /// token; on success this node becomes the record's publisher and renews
-    /// it at TTL/2 like a put.
-    pub fn dht_create(
-        &mut self,
-        now: SimTime,
-        key: Address,
-        value: impl Into<Bytes>,
-        ttl: Duration,
-    ) -> u64 {
-        let value = value.into();
-        let token = self.fresh_token();
-        self.pending_creates.insert(
-            token,
-            PendingCreate {
-                key,
-                value: value.clone(),
-                ttl,
-                issued: now,
-            },
-        );
-        let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let payload = RoutedPayload::DhtCreate {
-            key,
-            value,
-            ttl_ms,
-            token,
-        };
-        self.originate(now, key, DeliveryMode::Closest, payload);
-        token
-    }
-
-    /// Request the value stored under `key`; the reply arrives via
-    /// [`OverlayNode::take_dht_replies`] with the returned token.
-    pub fn dht_get(&mut self, now: SimTime, key: Address) -> u64 {
-        let token = self.fresh_token();
-        let payload = RoutedPayload::DhtGet { key, token };
-        self.originate(now, key, DeliveryMode::Closest, payload);
-        token
-    }
-
-    /// Delete the record under `key` (lease release) and stop refreshing it.
-    pub fn dht_remove(&mut self, now: SimTime, key: Address) {
-        self.published.remove(&key);
-        let payload = RoutedPayload::DhtRemove { key };
-        self.originate(now, key, DeliveryMode::Closest, payload);
-    }
-
-    /// Stop refreshing the record under `key` without deleting it from the
-    /// DHT (it ages out one TTL later).
-    pub fn dht_unpublish(&mut self, key: &Address) {
-        self.published.remove(key);
-    }
-
-    /// Abandon an outstanding [`OverlayNode::dht_create`]: a reply that
-    /// arrives after this (e.g. delayed past the caller's claim timeout) is
-    /// still surfaced, but no longer turns the claim into a refreshed
-    /// publication this node would renew forever.
-    pub fn dht_cancel_create(&mut self, token: u64) {
-        self.pending_creates.remove(&token);
-    }
-
-    fn send_put(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration, version: u64) {
-        let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let payload = RoutedPayload::DhtPut {
-            key,
-            value,
-            ttl_ms,
-            version,
-        };
-        self.originate(now, key, DeliveryMode::Closest, payload);
-    }
-
-    // ------------------------------------------------------------------ pub/sub
-
-    /// Subscribe to the topic at `topic` (see [`crate::pubsub::topic_key`])
-    /// with soft-state lifetime `ttl`. The subscription is announced now and
-    /// renewed at TTL/2 until [`OverlayNode::pubsub_unsubscribe`]; delivered
-    /// messages arrive via [`OverlayNode::take_pubsub_delivered`].
-    pub fn pubsub_subscribe(&mut self, now: SimTime, topic: Address, ttl: Duration) {
-        self.pubsub_subs.insert(
-            topic,
-            PubSubSubscription {
-                ttl,
-                last_renew: now,
-            },
-        );
-        self.send_subscribe(now, topic, ttl);
-    }
-
-    /// Leave the topic: stop renewing and ask the root to drop this node from
-    /// the subscriber set immediately.
-    pub fn pubsub_unsubscribe(&mut self, now: SimTime, topic: Address) {
-        self.pubsub_subs.remove(&topic);
-        let payload = RoutedPayload::PubSubUnsubscribe {
-            topic,
-            subscriber: self.cfg.address,
-        };
-        self.originate(now, topic, DeliveryMode::Closest, payload);
-    }
-
-    /// Publish `payload` to the topic: the message routes to the topic root,
-    /// which fans it out to every live subscriber. Returns the message id
-    /// echoed in every delivery (latency bookkeeping for workloads).
-    pub fn pubsub_publish(
-        &mut self,
-        now: SimTime,
-        topic: Address,
-        payload: impl Into<Bytes>,
-    ) -> u64 {
-        let msg_id = self.rng.next_u64();
-        let payload = payload.into();
-        // Retain the message until the root either fans it out (no nack ever
-        // comes back; the entry ages out of the bounded table) or nacks it
-        // (re-home window: the retry re-routes to the key's current owner).
-        self.pending_publishes.insert(
-            msg_id,
-            PendingPublish {
-                topic,
-                payload: payload.clone(),
-                attempts: 0,
-                retry_at: None,
-            },
-        );
-        self.publish_order.push_back(msg_id);
-        while self.pending_publishes.len() > MAX_PENDING_PUBLISHES {
-            match self.publish_order.pop_front() {
-                Some(old) => {
-                    self.pending_publishes.remove(&old);
-                }
-                None => break,
-            }
-        }
-        self.send_publish(now, topic, msg_id, payload);
-        msg_id
-    }
-
-    /// Route one `PubSubPublish` frame towards the topic key's current owner.
-    fn send_publish(&mut self, now: SimTime, topic: Address, msg_id: u64, payload: Bytes) {
-        let publish = RoutedPayload::PubSubPublish {
-            topic,
-            msg_id,
-            payload,
-        };
-        self.originate(now, topic, DeliveryMode::Closest, publish);
-    }
-
-    /// A topic root nacked one of our publishes (it had no subscriber-set
-    /// record — typically mid-re-home). Schedule a backed-off retry; after
-    /// [`MAX_PUBLISH_RETRIES`] the publish is abandoned and counted.
-    fn on_pubsub_nack(&mut self, now: SimTime, msg_id: u64) {
-        let Some(p) = self.pending_publishes.get_mut(&msg_id) else {
-            return; // evicted, already failed, or not ours
-        };
-        self.stats.pubsub_nacks_received += 1;
-        if p.attempts >= MAX_PUBLISH_RETRIES {
-            self.pending_publishes.remove(&msg_id);
-            self.publish_order.retain(|id| *id != msg_id);
-            self.stats.pubsub_publish_failures += 1;
-            return;
-        }
-        let backoff = Duration::from_nanos(PUBLISH_RETRY_BACKOFF.as_nanos() << p.attempts.min(4));
-        p.retry_at = Some(now + backoff);
-    }
-
-    fn send_subscribe(&mut self, now: SimTime, topic: Address, ttl: Duration) {
-        let ttl_ms = ttl.as_nanos() / 1_000_000;
-        let payload = RoutedPayload::PubSubSubscribe {
-            topic,
-            subscriber: self.cfg.address,
-            ttl_ms,
-        };
-        self.originate(now, topic, DeliveryMode::Closest, payload);
-    }
-
-    /// Root-side view of a topic record: the live (unexpired) subscriber
-    /// entries, in ring order. Missing, expired or undecodable records read
-    /// as empty.
-    fn pubsub_live_entries(&self, now: SimTime, topic: &Address) -> Vec<(Address, u64)> {
-        let now_ms = now.as_nanos() / 1_000_000;
-        let Some(rec) = self.dht.get(topic).filter(|rec| !rec.expired(now)) else {
-            return Vec::new();
-        };
-        let Ok(mut entries) = decode_subscriber_set(&rec.value) else {
-            return Vec::new();
-        };
-        entries.retain(|(_, expires_ms)| *expires_ms > now_ms);
-        entries
-    }
-
-    /// Root-side rewrite of a topic record after a membership change. An
-    /// empty set deletes the record (propagating the removal to replicas,
-    /// like a `DhtRemove`); otherwise the record is re-stored strictly above
-    /// the previous version — so replicas accept the rewrite — with a TTL
-    /// covering the longest-lived entry, and re-replicated.
-    fn pubsub_store_entries(&mut self, now: SimTime, topic: Address, entries: &[(Address, u64)]) {
-        if entries.is_empty() {
-            self.pubsub_topics_seen.remove(&topic);
-            if let Some(rec) = self.dht.remove(&topic) {
-                for peer in rec.replicated_to {
-                    let payload = RoutedPayload::DhtRemove { key: topic };
-                    self.originate(now, peer, DeliveryMode::Exact, payload);
-                }
-            }
-            return;
-        }
-        let now_ms = now.as_nanos() / 1_000_000;
-        let ttl_ms = entries
-            .iter()
-            .map(|(_, expires_ms)| expires_ms.saturating_sub(now_ms))
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let version = match self.dht.get(&topic).filter(|rec| !rec.expired(now)) {
-            Some(rec) => (rec.version + 1).max(Self::version_for(now)),
-            None => Self::version_for(now),
-        };
-        self.pubsub_topics_seen.insert(topic);
-        let value = encode_subscriber_set(entries);
-        self.store_record(now, topic, value.clone(), ttl_ms, false, version);
-        // Push the rewrite through the quorum create path — the same conflict
-        // rules as DHCP lease claims — instead of fire-and-forget
-        // replication. During a root re-home the *old* root's replicas may
-        // hold the new root's fresher record; their `stored: false` acks
-        // starve the quorum and the stale rewrite is withdrawn (from this
-        // store and any replica that took it) rather than resurrected as a
-        // ghost subscriber set. The sentinel token suppresses the
-        // `DhtCreateReply` no caller is waiting for.
-        self.commit_create(
-            now,
-            topic,
-            value,
-            ttl_ms,
-            version,
-            INTERNAL_QUORUM_TOKEN,
-            self.cfg.address,
-            None,
-        );
-    }
-
-    /// Send one relay-tree level: split `recipients` into at most
-    /// `pubsub_fanout` chunks and deliver to each chunk head, delegating the
-    /// rest of its chunk. The body `Bytes` is shared across every copy — the
-    /// fan-out never re-encodes or re-copies the message itself.
-    fn pubsub_fan_out(
-        &mut self,
-        now: SimTime,
-        topic: Address,
-        msg_id: u64,
-        payload: &Bytes,
-        recipients: &[Address],
-    ) {
-        for (head, relay_to) in plan_fanout(recipients, self.cfg.pubsub_fanout) {
-            self.stats.pubsub_fanout_sent += 1;
-            let deliver = RoutedPayload::PubSubDeliver {
-                topic,
-                msg_id,
-                relay_to,
-                payload: payload.clone(),
-            };
-            self.originate(now, head, DeliveryMode::Exact, deliver);
-        }
-    }
-
-    /// Renew soft-state subscriptions at TTL/2 (run from the maintenance
-    /// tick). The re-sent subscribe also re-homes the subscription after a
-    /// root crash: it routes to whichever node owns the topic key *now*.
-    fn pubsub_tick(&mut self, now: SimTime) {
-        let due: Vec<(Address, Duration)> = self
-            .pubsub_subs
-            .iter()
-            .filter(|(_, s)| now.saturating_since(s.last_renew) >= s.ttl / 2)
-            .map(|(topic, s)| (*topic, s.ttl))
-            .collect();
-        for (topic, ttl) in due {
-            if let Some(s) = self.pubsub_subs.get_mut(&topic) {
-                s.last_renew = now;
-            }
-            self.send_subscribe(now, topic, ttl);
-        }
-        // Nacked publishes whose backoff elapsed re-route to whoever owns
-        // the topic key now.
-        let retries: Vec<(u64, Address, Bytes)> = self
-            .pending_publishes
-            .iter()
-            .filter(|(_, p)| p.retry_at.is_some_and(|t| t <= now))
-            .map(|(id, p)| (*id, p.topic, p.payload.clone()))
-            .collect();
-        for (msg_id, topic, payload) in retries {
-            if let Some(p) = self.pending_publishes.get_mut(&msg_id) {
-                p.attempts += 1;
-                p.retry_at = None;
-            }
-            self.stats.pubsub_publish_retries += 1;
-            self.send_publish(now, topic, msg_id, payload);
-        }
-    }
-
-    /// Receipt-driven cleanup: when the link monitor declares `peer` dead,
-    /// drop it from every owned topic record so subsequent publishes stop
-    /// fanning out to it — TTL expiry would take half a subscription lifetime
-    /// to do the same.
-    fn pubsub_prune_subscriber(&mut self, now: SimTime, peer: Address) {
-        let topics: Vec<Address> = self.pubsub_topics_seen.iter().copied().collect();
-        for topic in topics {
-            if self
-                .dht
-                .get(&topic)
-                .filter(|rec| !rec.expired(now))
-                .is_none()
-            {
-                // Record gone (last subscriber left, or aged out): stop
-                // scanning this topic on future verdicts.
-                self.pubsub_topics_seen.remove(&topic);
-                continue;
-            }
-            if !self.owns_key(&topic) {
-                continue;
-            }
-            let mut entries = self.pubsub_live_entries(now, &topic);
-            let before = entries.len();
-            entries.retain(|(addr, _)| *addr != peer);
-            if entries.len() != before {
-                self.stats.pubsub_pruned += 1;
-                self.pubsub_store_entries(now, topic, &entries);
-            }
-        }
-    }
-
-    // ---------------------------------------------------------- virtual streams
-
-    /// Open a virtual stream to `remote` and return its id. The stream id
-    /// carries an address-order parity bit so simultaneous opens in both
-    /// directions can never collide in the peer's `(remote, id)` table.
-    pub fn stream_connect(&mut self, now: SimTime, remote: Address) -> u64 {
-        let parity = u64::from(self.cfg.address > remote);
-        let stream_id = (self.fresh_token() << 1) | parity;
-        self.vstreams.connect(now, remote, stream_id);
-        self.flush_streams(now);
-        stream_id
-    }
-
-    /// Queue bytes for ordered, reliable delivery on an open stream. Returns
-    /// false if the stream is unknown or already closing.
-    pub fn stream_send(
-        &mut self,
-        now: SimTime,
-        remote: Address,
-        stream_id: u64,
-        data: impl Into<Bytes>,
-    ) -> bool {
-        let ok = self.vstreams.send(now, remote, stream_id, data.into());
-        self.flush_streams(now);
-        ok
-    }
-
-    /// Close a stream: buffered data still delivers, then a FIN tears the
-    /// stream down in both directions.
-    pub fn stream_close(&mut self, now: SimTime, remote: Address, stream_id: u64) {
-        self.vstreams.close(now, remote, stream_id);
-        self.flush_streams(now);
-    }
-
-    /// Streams accepted from remote SYNs since the last call:
-    /// `(remote, stream id)`.
-    pub fn take_stream_accepted(&mut self) -> Vec<(Address, u64)> {
-        self.vstreams.take_accepted()
-    }
-
-    /// In-order stream payload since the last call: `(remote, stream id,
-    /// chunk)`. Chunks are zero-copy views of the received wire frames.
-    pub fn take_stream_data(&mut self) -> Vec<(Address, u64, Bytes)> {
-        self.vstreams.take_recv()
-    }
-
-    /// Stream lifecycle events since the last call.
-    pub fn take_stream_events(&mut self) -> Vec<StreamEvent> {
-        self.vstreams.take_events()
-    }
-
-    /// Route every frame the stream engine queued. Stream frames address a
-    /// specific node, so they ride `Exact` delivery like tunnel traffic.
-    fn flush_streams(&mut self, now: SimTime) {
-        for (remote, payload) in self.vstreams.take_outgoing() {
-            self.originate(now, remote, DeliveryMode::Exact, payload);
-        }
-    }
-
-    // ------------------------------------------------------------------- intake
-
-    /// Process a link message received from physical endpoint `from`.
-    pub fn on_message(&mut self, now: SimTime, from: Endpoint, msg: LinkMessage) {
-        if !self.started {
-            // Not yet started, or gracefully departed: the node is not part of
-            // the overlay and must not answer handshakes or route traffic.
-            return;
-        }
-        self.stats.link_rx += 1;
-        if let Some(peer) = msg.sender() {
-            self.table.note_heard(&peer, now, from);
-        }
-        match msg {
-            LinkMessage::Hello {
-                from: peer,
-                kind,
-                observed,
-                token,
-            } => {
-                self.learn_observed(observed);
-                if peer != self.cfg.address {
-                    let merged = self.merged_kind(&peer, kind);
-                    self.table.upsert(Connection {
-                        peer,
-                        endpoint: from,
-                        kind: merged,
-                        state: ConnectionState::Established,
-                        last_heard: now,
-                        last_ping_sent: now,
-                    });
-                    self.ever_connected = true;
-                    let ack = LinkMessage::HelloAck {
-                        from: self.cfg.address,
-                        kind,
-                        observed: from,
-                        token,
-                    };
-                    self.push_out(from, ack);
-                }
-            }
-            LinkMessage::HelloAck {
-                from: peer,
-                kind,
-                observed,
-                token,
-            } => {
-                self.learn_observed(observed);
-                self.pending_links.remove(&token);
-                if peer != self.cfg.address {
-                    let merged = self.merged_kind(&peer, kind);
-                    self.table.upsert(Connection {
-                        peer,
-                        endpoint: from,
-                        kind: merged,
-                        state: ConnectionState::Established,
-                        last_heard: now,
-                        last_ping_sent: now,
-                    });
-                    self.ever_connected = true;
-                }
-            }
-            LinkMessage::Ping { from: peer, nonce } => {
-                self.push_out(
-                    from,
-                    LinkMessage::Pong {
-                        from: self.cfg.address,
-                        nonce,
-                    },
-                );
-                let _ = peer;
-            }
-            LinkMessage::Pong { .. } => {
-                // last_heard already updated above.
-            }
-            LinkMessage::Probe { from: peer, nonce } => {
-                self.push_out(
-                    from,
-                    LinkMessage::ProbeAck {
-                        from: self.cfg.address,
-                        nonce,
-                    },
-                );
-                let _ = peer;
-            }
-            LinkMessage::ProbeAck { from: peer, nonce } => {
-                self.monitor.on_ack(now, peer, nonce);
-            }
-            LinkMessage::Close { from: peer } => {
-                self.table.remove(&peer);
-                self.candidates.remove(&peer);
-                self.monitor.forget(&peer);
-            }
-            LinkMessage::Routed(pkt) => {
-                self.route(now, pkt);
-            }
-            LinkMessage::Neighbors { from: _, neighbors } => {
-                for (addr, ep) in neighbors {
-                    self.add_candidate(addr, ep);
-                }
-            }
-        }
-    }
-
-    /// Periodic maintenance: bootstrap retries, ring repair, shortcut formation,
-    /// keep-alives and dead-edge removal. The embedding agent should call this every
-    /// [`OverlayConfig::maintenance_interval`].
-    pub fn on_tick(&mut self, now: SimTime) {
-        if !self.started {
-            return;
-        }
-        // 1. Bootstrap (or re-bootstrap after losing every edge) — and the
-        //    re-link heartbeat: a node whose edges to every bootstrap
-        //    endpoint are gone re-hellos them periodically even while it has
-        //    other edges. A partitioned sub-ring scrubs all knowledge of the
-        //    other side in seconds (fast dead-edge detection), so this is
-        //    the path that re-merges the rings once the partition heals.
-        let relink_due = !self.cfg.bootstrap.is_empty()
-            && now.saturating_since(self.last_bootstrap_probe) >= self.cfg.bootstrap_retry_interval
-            && !self
-                .table
-                .established()
-                .any(|c| self.cfg.bootstrap.contains(&c.endpoint));
-        if self.table.is_empty() || relink_due {
-            self.last_bootstrap_probe = now;
-            for ep in self.cfg.bootstrap.clone() {
-                self.send_hello(now, ep, ConnectionKind::Leaf);
-            }
-        }
-        // 2. Ring repair: request a connection to the node nearest ourselves, and
-        //    link towards any gossip candidate that improves our neighbour set.
-        self.request_near_connections(now);
-        // 2b. Reclassify Near edges that fell outside the near set: connect
-        //     requests issued while the ring is still converging terminate at
-        //     whatever node is closest within a tiny connected component, so
-        //     early hubs accumulate dozens of symmetric "Near" edges to
-        //     distant peers. Those edges are, in truth, far links — counting
-        //     them against the shortcut budget (instead of leaving the near
-        //     count inflated forever) is what lets the far budget fill.
-        self.reclassify_near_edges();
-        // 3. Shortcuts.
-        if self.cfg.shortcuts_enabled
-            && self.table.count_kind(ConnectionKind::Far) < self.cfg.max_shortcuts
-            && self.table.established_addrs().len() >= 2
-        {
-            self.request_shortcut(now);
-        }
-        // 4. Keep-alive and expiry — plus fast dead-edge detection.
-        self.run_keepalive(now);
-        if self.cfg.link_monitor {
-            self.run_link_monitor(now);
-        }
-        // 5. Drop stale pending links.
-        let timeout = self.cfg.connection_timeout;
-        self.pending_links
-            .retain(|_, p| now.saturating_since(p.started) < timeout);
-        // 6. DHT soft-state maintenance: expiry, lease renewal, re-replication.
-        self.dht_tick(now);
-        // 6b. Pub/sub soft state: renew this node's subscriptions at TTL/2
-        //     (the renewal also re-homes them after a topic-root crash) and
-        //     re-route nacked publishes whose backoff elapsed.
-        self.pubsub_tick(now);
-        // 6c. Virtual streams: the RTO sweep rides the same maintenance
-        //     alarm as every other deterministic timer.
-        self.vstreams.tick(now);
-        self.flush_streams(now);
-        // 7. Gossip our neighbour view to every established peer: ring
-        //    neighbours on both sides plus a random sample, so knowledge of a
-        //    node spreads along the ring and the near sets can converge.
-        self.gossip_neighbors();
-        if self.candidates.len() > 64 {
-            self.candidates.clear();
-        }
-    }
-
-    /// Send each established peer a sample of our connection table: our near
-    /// neighbours on both sides plus up to two random other peers.
-    fn gossip_neighbors(&mut self) {
-        let me = self.cfg.address;
-        // The near view is taken here, not handed down from the top of the
-        // tick: keep-alive expiry and the link monitor drop edges in between.
-        let mut sample: Vec<(Address, Endpoint)> =
-            Vec::with_capacity(2 * self.cfg.near_per_side + 2);
-        sample.extend(
-            self.table
-                .near_view(&me, self.cfg.near_per_side)
-                .map(|c| (c.peer, c.endpoint)),
-        );
-        // The shuffle draws once per element, so it sees every other peer
-        // even though only two survive.
-        let mut others: Vec<(Address, Endpoint)> = self
+    /// The `count` established peers closest (ring distance) to `key`,
+    /// nearest first — the nodes that should hold this key's replicas.
+    pub(crate) fn replica_targets(&self, key: &Address, count: usize) -> Vec<Address> {
+        let mut peers: Vec<(Distance, Address)> = self
             .table
             .established()
-            .map(|c| (c.peer, c.endpoint))
-            .filter(|(a, _)| !sample.iter().any(|(s, _)| s == a))
+            .map(|c| (c.peer.ring_distance(key), c.peer))
             .collect();
-        self.rng.shuffle(&mut others);
-        sample.extend(others.into_iter().take(2));
-        sample.sort_by_key(|(a, _)| *a);
-        if sample.is_empty() {
-            return;
-        }
-        self.outbox.reserve(self.table.established_addrs().len());
-        for c in self.table.established() {
-            let mut neighbors = Vec::with_capacity(sample.len());
-            neighbors.extend(sample.iter().copied().filter(|(a, _)| *a != c.peer));
-            if neighbors.is_empty() {
-                continue;
-            }
-            // `push_out`, spelled out: the table is borrowed by the loop.
-            self.stats.link_tx += 1;
-            let msg = LinkMessage::Neighbors {
-                from: me,
-                neighbors,
-            };
-            self.outbox.push((c.endpoint, msg));
-        }
+        peers.sort();
+        peers.into_iter().take(count).map(|(_, a)| a).collect()
+    }
+
+    /// Is this node the ring owner of `key` (closer than every established
+    /// peer)? Mirrors the `Closest` delivery rule, so the node that greedy
+    /// routing delivers a DHT operation to also believes it owns the key.
+    pub(crate) fn owns_key(&self, key: &Address) -> bool {
+        let my_dist = self.cfg.address.ring_distance(key);
+        !self
+            .table
+            .established()
+            .any(|c| c.peer.ring_distance(key) < my_dist)
     }
 
     // ----------------------------------------------------------------- routing
@@ -1432,20 +455,25 @@ impl OverlayNode {
     }
 
     /// Originate `payload` towards `dst`: the one entry point through which
-    /// this node's own traffic — and every component's `(dst, payload)`
-    /// output — enters routing.
-    fn originate(
+    /// this node's own traffic — and every component's — enters routing. A
+    /// packet that is due at this very node comes straight back, and the
+    /// caller hands it on (a component to itself, for its own tags) before
+    /// doing anything else: routing is depth first.
+    #[must_use = "a packet due here must be handed to the component that owns its tag"]
+    pub(crate) fn originate(
         &mut self,
-        now: SimTime,
         dst: Address,
         mode: DeliveryMode,
         payload: RoutedPayload,
-    ) {
+    ) -> Option<Arrival> {
         let pkt = self.originated(dst, mode, payload);
-        self.route(now, pkt);
+        self.route(pkt)
     }
 
-    fn route(&mut self, now: SimTime, mut pkt: RoutedPacket) {
+    /// Forward `pkt` one hop along the ring, or — when no peer is closer to
+    /// its destination than this node — return it as arrived.
+    #[must_use = "a packet due here must be handed to the component that owns its tag"]
+    fn route(&mut self, mut pkt: RoutedPacket) -> Option<Arrival> {
         // Connect traffic advertises reachable endpoints: every node on the
         // routing path learns the initiator/responder as a neighbour candidate,
         // which is what lets the near sets converge without a separate gossip
@@ -1492,73 +520,69 @@ impl OverlayNode {
             Some((_, endpoint, dist)) if dist < my_dist => {
                 if pkt.hops >= pkt.ttl {
                     self.stats.dropped_ttl += 1;
-                    return;
+                    return None;
                 }
                 pkt.hops += 1;
                 self.push_out(endpoint, LinkMessage::Routed(pkt));
                 self.stats.forwarded += 1;
+                None
             }
-            _ => self.deliver_local(now, pkt),
+            _ => self.arrive(pkt),
         }
     }
 
-    fn deliver_local(&mut self, now: SimTime, pkt: RoutedPacket) {
-        match pkt.mode {
-            DeliveryMode::Exact if pkt.dst != self.cfg.address => {
-                // We are the closest node but not the intended target. For
-                // connect housekeeping this is routine (the response can race
-                // the edge it is about to create); for application payloads it
-                // means the destination is not in the overlay at all.
-                match &pkt.payload {
-                    RoutedPayload::ConnectRequest { .. }
-                    | RoutedPayload::ConnectResponse { .. } => {
-                        self.stats.dropped_maintenance += 1;
-                    }
-                    RoutedPayload::PubSubDeliver {
-                        topic,
-                        msg_id,
-                        relay_to,
-                        payload,
-                    } if !relay_to.is_empty() => {
-                        // The chunk head left the ring between fan-out
-                        // planning and delivery. This node — the closest
-                        // remaining one — salvages the delegation so the
-                        // rest of the chunk still gets the message; only
-                        // the departed head's own copy is lost.
-                        self.stats.dropped_no_target += 1;
-                        self.stats.pubsub_salvaged += 1;
-                        let (topic, msg_id, payload) = (*topic, *msg_id, payload.clone());
-                        let relay_to = relay_to.clone();
-                        self.pubsub_fan_out(now, topic, msg_id, &payload, &relay_to);
-                    }
-                    _ => self.stats.dropped_no_target += 1,
+    /// `pkt`'s path ends here: count it as delivered or dropped.
+    fn arrive(&mut self, pkt: RoutedPacket) -> Option<Arrival> {
+        if pkt.mode == DeliveryMode::Exact && pkt.dst != self.cfg.address {
+            // We are the closest node but not the intended target. For
+            // connect housekeeping this is routine (the response can race
+            // the edge it is about to create); for application payloads it
+            // means the destination is not in the overlay at all.
+            return match pkt.payload {
+                RoutedPayload::ConnectRequest { .. } | RoutedPayload::ConnectResponse { .. } => {
+                    self.stats.dropped_maintenance += 1;
+                    None
                 }
-                return;
-            }
-            _ => {}
+                _ => {
+                    self.stats.dropped_no_target += 1;
+                    Some(Arrival::Stray(pkt))
+                }
+            };
         }
         self.stats.delivered += 1;
-        match &pkt.payload {
+        Some(Arrival::Here(pkt))
+    }
+
+    /// Originate a connect payload; one that is due at this very node (a
+    /// shortcut request whose target nobody is closer to) is handled on the
+    /// spot.
+    fn send(&mut self, now: SimTime, dst: Address, mode: DeliveryMode, payload: RoutedPayload) {
+        if let Some(Arrival::Here(pkt)) = self.originate(dst, mode, payload) {
+            self.on_connect(now, pkt.payload);
+        }
+    }
+
+    /// Handle a `ConnectRequest` / `ConnectResponse` that is due at this node.
+    fn on_connect(&mut self, now: SimTime, payload: RoutedPayload) {
+        match payload {
             RoutedPayload::ConnectRequest {
                 token,
                 initiator,
                 kind,
                 endpoints,
             } => {
-                if *initiator == self.cfg.address {
+                if initiator == self.cfg.address {
                     return; // our own request came back around the ring
                 }
                 // Answer with a routed response carrying our endpoints, and
                 // simultaneously hole-punch towards the initiator's endpoints.
-                let kind = *kind;
-                let eps = endpoints.clone();
-                let payload = RoutedPayload::ConnectResponse {
-                    token: *token,
+                let response = RoutedPayload::ConnectResponse {
+                    token,
                     responder: self.cfg.address,
                     endpoints: self.advertised.clone(),
                 };
-                self.originate(now, *initiator, DeliveryMode::Exact, payload);
-                for ep in eps {
+                self.send(now, initiator, DeliveryMode::Exact, response);
+                for ep in endpoints {
                     self.send_hello(now, ep, kind);
                 }
             }
@@ -1567,7 +591,7 @@ impl OverlayNode {
                 responder,
                 endpoints,
             } => {
-                if *responder == self.cfg.address {
+                if responder == self.cfg.address {
                     return;
                 }
                 // Only act while the request is still pending. The responder
@@ -1577,320 +601,106 @@ impl OverlayNode {
                 // promoting the fresh Far edge on both ends — heavily-chosen
                 // responders snowballed into full Near meshes and their far
                 // budget could never fill.
-                let Some(kind) = self.pending_links.get(token).map(|p| p.kind) else {
+                let Some(kind) = self.pending_links.get(&token).map(|p| p.kind) else {
                     return;
                 };
-                for ep in endpoints.clone() {
+                for ep in endpoints {
                     self.send_hello(now, ep, kind);
                 }
             }
-            RoutedPayload::DhtPut {
-                key,
-                value,
-                ttl_ms,
-                version,
-            } => {
-                let key = *key;
-                // Put is publisher-authoritative (last-writer-wins): the
-                // stored version ends up at least the incoming one and
-                // strictly above any conflicting record being replaced, so
-                // the new value supersedes stale replicas everywhere.
-                let stored_version = match self.dht.get(&key).filter(|rec| !rec.expired(now)) {
-                    // No local copy does NOT mean no conflicting copy: ring
-                    // churn can make a fresh node the key's owner while old
-                    // replicas still hold higher-versioned records. Flooring
-                    // at the time-derived version keeps this write above any
-                    // copy written earlier.
-                    None => (*version).max(Self::version_for(now)),
-                    Some(e) if e.value == *value => e.version.max(*version),
-                    Some(e) if *version > e.version => *version,
-                    Some(e) => e.version + 1,
-                };
-                self.store_record(now, key, value.clone(), *ttl_ms, false, stored_version);
-                self.replicate_key(now, key);
-            }
-            RoutedPayload::DhtGet { key, token } => {
-                self.handle_dht_get(now, *key, *token, pkt.src);
-            }
-            RoutedPayload::DhtReply { token, value } => {
-                self.dht_replies.push_back((*token, value.clone()));
-            }
-            RoutedPayload::DhtCreate {
-                key,
-                value,
-                ttl_ms,
-                token,
-            } => {
-                self.handle_dht_create(now, *key, value.clone(), *ttl_ms, *token, pkt.src);
-            }
-            RoutedPayload::DhtCreateReply {
-                token,
-                created,
-                existing,
-            } => {
-                if self.on_renewal_reply(now, *token, *created, existing.as_ref()) {
-                    // Internal lease-renewal traffic; not surfaced to callers.
-                    return;
-                }
-                if let Some(claim) = self.pending_creates.remove(token) {
-                    if *created {
-                        // The claim succeeded: this node now owns the record
-                        // and keeps it alive like any other publication —
-                        // renewing with create so a conflicting winner (e.g.
-                        // after a healed partition) is detected, not clobbered.
-                        self.published.insert(
-                            claim.key,
-                            Publication {
-                                value: claim.value,
-                                ttl: claim.ttl,
-                                version: 1,
-                                last_refresh: now,
-                                renew_with_create: true,
-                                renew_inflight: None,
-                            },
-                        );
-                    }
-                }
-                self.dht_create_replies
-                    .push_back((*token, *created, existing.clone()));
-            }
-            RoutedPayload::DhtReplicate {
-                key,
-                value,
-                ttl_ms,
-                version,
-                token,
-            } => {
-                // Never let a stale copy clobber a fresher one: the existing
-                // record survives when it outranks the incoming push.
-                apply_record_copy(self.dht.as_mut(), *key, value, *ttl_ms, *version, true, now);
-                if *token != 0 {
-                    // `stored` only when this node now holds a live record
-                    // with the pushed value; keeping a fresher *conflicting*
-                    // record must not help a claim reach its write quorum.
-                    let stored = self
-                        .dht
-                        .get(key)
-                        .filter(|rec| !rec.expired(now))
-                        .is_some_and(|rec| rec.value == *value);
-                    let payload = RoutedPayload::DhtReplicateAck {
-                        token: *token,
-                        stored,
-                    };
-                    self.originate(now, pkt.src, DeliveryMode::Exact, payload);
-                }
-            }
-            RoutedPayload::DhtReplicateAck { token, stored } => {
-                if !*stored {
-                    // The replica kept a conflicting record; the claim can
-                    // only conclude via the quorum timeout (and fail).
-                    return;
-                }
-                let quorum_reached = match self.pending_quorum_creates.get_mut(token) {
-                    Some(qc) => {
-                        qc.acks += 1;
-                        qc.acks >= qc.acks_needed
-                    }
-                    None => false,
-                };
-                if quorum_reached {
-                    if let Some(qc) = self.pending_quorum_creates.remove(token) {
-                        // A renewal extends the local expiry only now that a
-                        // majority holds the extended record — a failed one
-                        // must leave the pre-renewal expiry in place.
-                        if let Some(t) = qc.extends_to {
-                            if let Some(rec) = self
-                                .dht
-                                .get_mut(&qc.key)
-                                .filter(|rec| rec.value == qc.value)
-                            {
-                                rec.expires_at = rec.expires_at.max(t);
-                            }
-                        }
-                        self.send_create_reply(now, qc.origin, qc.origin_token, true, None);
-                    }
-                }
-            }
-            RoutedPayload::DhtGetReplica { key, token } => {
-                let copy = self
-                    .dht
-                    .get(key)
-                    .filter(|rec| !rec.expired(now))
-                    .map(|rec| (rec.value.clone(), rec.version, rec.remaining_ttl_ms(now)));
-                let payload = RoutedPayload::DhtReplicaValue {
-                    token: *token,
-                    copy,
-                };
-                self.originate(now, pkt.src, DeliveryMode::Exact, payload);
-            }
-            RoutedPayload::DhtReplicaValue { token, copy } => {
-                if let Some(read) = self.pending_quorum_reads.get_mut(token) {
-                    let copy = copy.as_ref().map(|(value, version, ttl_ms)| DhtRecord {
-                        value: value.clone(),
-                        expires_at: wire_expiry(now, *ttl_ms),
-                        version: *version,
-                        replica: true,
-                        replicated_to: Vec::new(),
-                    });
-                    read.responses.push((pkt.src, copy));
-                    // Conclude on a majority only once a live copy is in sight
-                    // (ours or a reply's): a record-less replica answering
-                    // fastest must not turn a live record into a miss — that
-                    // would also skip the repair that fixes the gap. With no
-                    // live copy anywhere, wait for every poll (or the
-                    // timeout) before answering None.
-                    let key = read.key;
-                    let quorum = read.responses.len() >= read.replies_needed;
-                    let all_in = read.responses.len() >= read.polled;
-                    let any_live = read.responses.iter().any(|(_, c)| c.is_some());
-                    let own_live = self.dht.get(&key).is_some_and(|rec| !rec.expired(now));
-                    if all_in || (quorum && (any_live || own_live)) {
-                        self.conclude_quorum_read(now, *token);
-                    }
-                }
-            }
-            RoutedPayload::DhtRemove { key } => {
-                if let Some(rec) = self.dht.remove(key) {
-                    // Propagate the removal to the replicas we pushed.
-                    for peer in rec.replicated_to {
-                        let payload = RoutedPayload::DhtRemove { key: *key };
-                        self.originate(now, peer, DeliveryMode::Exact, payload);
-                    }
-                }
-            }
-            RoutedPayload::DhtWithdraw {
-                key,
-                value,
-                version,
-            } => {
-                // Conditional removal: drop our copy only when it still holds
-                // the withdrawn value at the withdrawn version — a fresher
-                // conflicting record stays, and so does the same claimant's
-                // *re-claimed* (newer) record when the withdraw was delayed
-                // past the retry.
-                if self
-                    .dht
-                    .get(key)
-                    .is_some_and(|rec| rec.value == *value && rec.version == *version)
-                {
-                    self.dht.remove(key);
-                }
-            }
-            RoutedPayload::DhtSyncDigest {
-                entries,
-                from_owner,
-            } => {
-                let entries = entries.clone();
-                self.handle_sync_digest(now, &entries, *from_owner, pkt.src);
-            }
-            RoutedPayload::DhtSyncPull { keys } => {
-                let keys = keys.clone();
-                self.handle_sync_pull(now, &keys, pkt.src);
-            }
-            RoutedPayload::IpTunnel(_) => {
-                self.delivered.push_back(pkt);
-            }
-            RoutedPayload::PubSubSubscribe {
-                topic,
-                subscriber,
-                ttl_ms,
-            } => {
-                // We own the topic key (Closest delivery): merge the
-                // subscriber into the record, pruning entries whose soft
-                // state already lapsed.
-                let (topic, subscriber, ttl_ms) = (*topic, *subscriber, *ttl_ms);
-                self.stats.pubsub_subscriptions += 1;
-                let expires_ms = wire_expiry(now, ttl_ms).as_nanos() / 1_000_000;
-                let mut entries = self.pubsub_live_entries(now, &topic);
-                entries.retain(|(addr, _)| *addr != subscriber);
-                entries.push((subscriber, expires_ms));
-                entries.sort_by_key(|(addr, _)| *addr);
-                self.pubsub_store_entries(now, topic, &entries);
-            }
-            RoutedPayload::PubSubUnsubscribe { topic, subscriber } => {
-                let (topic, subscriber) = (*topic, *subscriber);
-                let mut entries = self.pubsub_live_entries(now, &topic);
-                let before = entries.len();
-                entries.retain(|(addr, _)| *addr != subscriber);
-                if entries.len() != before || entries.is_empty() {
-                    self.pubsub_store_entries(now, topic, &entries);
-                }
-            }
-            RoutedPayload::PubSubPublish {
-                topic,
-                msg_id,
-                payload,
-            } => {
-                // Topic-root fan-out. The subscriber set is read in ring
-                // order; if this node subscribes too it takes its copy
-                // directly instead of sending itself a Deliver.
-                let (topic, msg_id, payload) = (*topic, *msg_id, payload.clone());
-                if self
-                    .dht
-                    .get(&topic)
-                    .filter(|rec| !rec.expired(now))
-                    .is_none()
-                {
-                    // No subscriber-set record here. Either the topic truly
-                    // has no subscribers, or this root is mid-re-home and the
-                    // record has not migrated yet. Dropping silently loses
-                    // the message in the second case — answer a retryable
-                    // nack so the publisher re-routes (the retry lands after
-                    // the ring repairs and reaches whoever owns the key by
-                    // then).
-                    self.stats.pubsub_nacks_sent += 1;
-                    let payload = RoutedPayload::PubSubNack { topic, msg_id };
-                    self.originate(now, pkt.src, DeliveryMode::Exact, payload);
-                    return;
-                }
-                self.stats.pubsub_publishes += 1;
-                let mut recipients: Vec<Address> = self
-                    .pubsub_live_entries(now, &topic)
-                    .into_iter()
-                    .map(|(addr, _)| addr)
-                    .collect();
-                if let Some(at) = recipients.iter().position(|a| *a == self.cfg.address) {
-                    recipients.remove(at);
-                    self.stats.pubsub_delivered += 1;
-                    self.pubsub_inbox
-                        .push_back((topic, msg_id, payload.clone()));
-                }
-                self.pubsub_fan_out(now, topic, msg_id, &payload, &recipients);
-            }
-            RoutedPayload::PubSubDeliver {
-                topic,
-                msg_id,
-                relay_to,
-                payload,
-            } => {
-                let (topic, msg_id, payload) = (*topic, *msg_id, payload.clone());
-                let relay_to = relay_to.clone();
-                self.stats.pubsub_delivered += 1;
-                self.pubsub_inbox
-                    .push_back((topic, msg_id, payload.clone()));
-                if !relay_to.is_empty() {
-                    // Delegated chunk: re-apply the bounded split one tree
-                    // level down, sharing the same body bytes.
-                    self.stats.pubsub_relayed += 1;
-                    self.pubsub_fan_out(now, topic, msg_id, &payload, &relay_to);
-                }
-            }
-            RoutedPayload::PubSubNack { msg_id, .. } => {
-                let msg_id = *msg_id;
-                self.on_pubsub_nack(now, msg_id);
-            }
-            RoutedPayload::StreamSyn { .. }
-            | RoutedPayload::StreamSynAck { .. }
-            | RoutedPayload::StreamData { .. }
-            | RoutedPayload::StreamAck { .. }
-            | RoutedPayload::StreamFin { .. } => {
-                self.vstreams.on_payload(now, pkt.src, &pkt.payload);
-                self.flush_streams(now);
-            }
+            // Not a connect tag: nobody hands one here.
+            _ => {}
         }
     }
 
     // -------------------------------------------------------------- maintenance
+
+    /// Ring maintenance, first half of a tick: bootstrap, ring repair,
+    /// shortcut formation and keep-alives.
+    fn maintain_ring(&mut self, now: SimTime) {
+        // 1. Bootstrap (or re-bootstrap after losing every edge) — and the
+        //    re-link heartbeat: a node whose edges to every bootstrap
+        //    endpoint are gone re-hellos them periodically even while it has
+        //    other edges. A partitioned sub-ring scrubs all knowledge of the
+        //    other side in seconds (fast dead-edge detection), so this is
+        //    the path that re-merges the rings once the partition heals.
+        let relink_due = !self.cfg.bootstrap.is_empty()
+            && now.saturating_since(self.last_bootstrap_probe) >= self.cfg.bootstrap_retry_interval
+            && !self
+                .table
+                .established()
+                .any(|c| self.cfg.bootstrap.contains(&c.endpoint));
+        if self.table.is_empty() || relink_due {
+            self.last_bootstrap_probe = now;
+            for ep in self.cfg.bootstrap.clone() {
+                self.send_hello(now, ep, ConnectionKind::Leaf);
+            }
+        }
+        // 2. Ring repair: request a connection to the node nearest ourselves, and
+        //    link towards any gossip candidate that improves our neighbour set.
+        self.request_near_connections(now);
+        // 2b. Reclassify Near edges that fell outside the near set: connect
+        //     requests issued while the ring is still converging terminate at
+        //     whatever node is closest within a tiny connected component, so
+        //     early hubs accumulate dozens of symmetric "Near" edges to
+        //     distant peers. Those edges are, in truth, far links — counting
+        //     them against the shortcut budget (instead of leaving the near
+        //     count inflated forever) is what lets the far budget fill.
+        self.reclassify_near_edges();
+        // 3. Shortcuts.
+        if self.cfg.shortcuts_enabled
+            && self.table.count_kind(ConnectionKind::Far) < self.cfg.max_shortcuts
+            && self.table.established_addrs().len() >= 2
+        {
+            self.request_shortcut(now);
+        }
+        // 4. Keep-alive and expiry.
+        self.run_keepalive(now);
+    }
+
+    /// Send each established peer a sample of our connection table: our near
+    /// neighbours on both sides plus up to two random other peers.
+    fn gossip_neighbors(&mut self) {
+        let me = self.cfg.address;
+        // The near view is taken here, not handed down from the top of the
+        // tick: keep-alive expiry and the link monitor drop edges in between.
+        let mut sample: Vec<(Address, Endpoint)> =
+            Vec::with_capacity(2 * self.cfg.near_per_side + 2);
+        sample.extend(
+            self.table
+                .near_view(&me, self.cfg.near_per_side)
+                .map(|c| (c.peer, c.endpoint)),
+        );
+        // The shuffle draws once per element, so it sees every other peer
+        // even though only two survive.
+        let mut others: Vec<(Address, Endpoint)> = self
+            .table
+            .established()
+            .map(|c| (c.peer, c.endpoint))
+            .filter(|(a, _)| !sample.iter().any(|(s, _)| s == a))
+            .collect();
+        self.rng.shuffle(&mut others);
+        sample.extend(others.into_iter().take(2));
+        sample.sort_by_key(|(a, _)| *a);
+        if sample.is_empty() {
+            return;
+        }
+        self.outbox.reserve(self.table.established_addrs().len());
+        for c in self.table.established() {
+            let mut neighbors = Vec::with_capacity(sample.len());
+            neighbors.extend(sample.iter().copied().filter(|(a, _)| *a != c.peer));
+            if neighbors.is_empty() {
+                continue;
+            }
+            // `push_out`, spelled out: the table is borrowed by the loop.
+            self.stats.link_tx += 1;
+            let msg = LinkMessage::Neighbors {
+                from: me,
+                neighbors,
+            };
+            self.outbox.push((c.endpoint, msg));
+        }
+    }
 
     fn request_near_connections(&mut self, now: SimTime) {
         // (a) Routed request addressed to our own address in Closest mode: the node
@@ -2079,7 +889,7 @@ impl OverlayNode {
             kind: ConnectionKind::Far,
             endpoints: self.advertised.clone(),
         };
-        self.originate(now, target, DeliveryMode::Closest, payload);
+        self.send(now, target, DeliveryMode::Closest, payload);
     }
 
     fn run_keepalive(&mut self, now: SimTime) {
@@ -2113,847 +923,8 @@ impl OverlayNode {
         }
     }
 
-    // ------------------------------------------------------------- link monitor
-
-    /// Account inbound traffic that failed to decode as a link message (the
-    /// transport already dropped it; this surfaces the count in the stats).
-    pub fn note_malformed(&mut self, count: u64) {
-        self.stats.malformed_dropped += count;
-    }
-
-    /// Apply one [`LinkMonitor::run`] pass: drop the edges it declared dead,
-    /// probe the ones it found silent.
-    fn run_link_monitor(&mut self, now: SimTime) {
-        let rule = if self.cfg.phi_accrual {
-            DeathRule::Phi(self.cfg.phi_threshold)
-        } else {
-            DeathRule::Misses(self.cfg.probe_failure_limit)
-        };
-        let edges = self.table.established();
-        let verdicts = self.monitor.run(
-            now,
-            edges.map(|c| (c.peer, c.endpoint, c.last_heard)),
-            self.cfg.probe_interval,
-            self.cfg.maintenance_interval,
-            rule,
-        );
-        let me = self.cfg.address;
-        for (peer, endpoint) in verdicts.dead {
-            self.table.remove(&peer);
-            self.candidates.remove(&peer);
-            // Receipt-driven pub/sub cleanup: a dead peer stops receiving
-            // fan-out immediately instead of aging out of topic records.
-            self.pubsub_prune_subscriber(now, peer);
-            // Tell the peer too: if the verdict was a false positive (probe
-            // acks lost on a live link), a silent removal would leave a
-            // half-open edge — this node answers the peer's probes forever
-            // while never routing to it, and the two sides disagree on
-            // ownership and replica sets indefinitely. The Close is simply
-            // lost when the peer really is dead.
-            self.push_out(endpoint, LinkMessage::Close { from: me });
-        }
-        for (peer, endpoint) in verdicts.probe {
-            let nonce = self.rng.next_u64();
-            self.monitor.arm(now, peer, nonce);
-            self.push_out(endpoint, LinkMessage::Probe { from: me, nonce });
-        }
-    }
-
-    // ------------------------------------------------------------ dht subsystem
-
-    /// Insert a record into the local store. The replica bookkeeping starts
-    /// empty, so an owner-path overwrite (a TTL/2 refresh put) re-pushes every
-    /// replica with the renewed expiry — replicas are soft state too and
-    /// would otherwise age out while the owner's copy stays fresh.
-    fn store_record(
-        &mut self,
-        now: SimTime,
-        key: Address,
-        value: Bytes,
-        ttl_ms: u64,
-        replica: bool,
-        version: u64,
-    ) {
-        let expires_at = wire_expiry(now, ttl_ms);
-        self.dht.insert(
-            key,
-            DhtRecord {
-                value,
-                expires_at,
-                version,
-                replica,
-                replicated_to: Vec::new(),
-            },
-        );
-    }
-
-    /// Majority size of a copy set with `copies` members (owner included):
-    /// the number of stored copies a quorum operation requires.
-    fn quorum_of(copies: usize) -> usize {
-        copies / 2 + 1
-    }
-
-    /// Version assigned to a newly stored record: the virtual time in whole
-    /// milliseconds (floored at 1). Time-derived versions stay globally
-    /// monotone across writes, so a write accepted by an owner that never saw
-    /// the key (ring churn handed it a record-less range) still orders above
-    /// stale copies lingering on replicas — a plain counter would restart at
-    /// 1 there and lose every quorum read to them.
-    fn version_for(now: SimTime) -> u64 {
-        (now.as_nanos() / 1_000_000).max(1)
-    }
-
-    /// Serve a `DhtGet` as the key's coordinator. With quorum reads enabled
-    /// and a replica set to poll, the answer waits for a majority of the copy
-    /// set; otherwise (single copy, no peers, quorum disabled) the local store
-    /// answers alone, as before.
-    fn handle_dht_get(&mut self, now: SimTime, key: Address, token: u64, origin: Address) {
-        let targets = if self.cfg.dht.quorum && self.cfg.dht.replication > 1 {
-            self.replica_targets(&key, self.cfg.dht.replication - 1)
-        } else {
-            Vec::new()
-        };
-        if targets.is_empty() {
-            let value = self
-                .dht
-                .get(&key)
-                .filter(|rec| !rec.expired(now))
-                .map(|rec| rec.value.clone());
-            let payload = RoutedPayload::DhtReply { token, value };
-            self.originate(now, origin, DeliveryMode::Exact, payload);
-            return;
-        }
-        let op = self.fresh_token();
-        let replies_needed = Self::quorum_of(targets.len() + 1) - 1;
-        for peer in &targets {
-            let payload = RoutedPayload::DhtGetReplica { key, token: op };
-            self.originate(now, *peer, DeliveryMode::Exact, payload);
-        }
-        self.pending_quorum_reads.insert(
-            op,
-            QuorumRead {
-                origin,
-                origin_token: token,
-                key,
-                polled: targets.len(),
-                replies_needed,
-                responses: Vec::new(),
-                issued: now,
-            },
-        );
-        self.stats.dht_quorum_reads += 1;
-    }
-
-    /// Conclude a quorum read: answer the origin with the freshest copy seen
-    /// (local store included) and repair every copy that turned out stale or
-    /// missing — on this node by storing and re-replicating the freshest
-    /// record, on polled replicas by pushing it to them directly.
-    fn conclude_quorum_read(&mut self, now: SimTime, op: u64) {
-        let Some(read) = self.pending_quorum_reads.remove(&op) else {
-            return;
-        };
-        let own: Option<DhtRecord> = self
-            .dht
-            .get(&read.key)
-            .filter(|rec| !rec.expired(now))
-            .cloned();
-        let mut best = own.clone();
-        for (_, copy) in &read.responses {
-            let fresher = match (&best, copy) {
-                (_, None) => false,
-                (None, Some(_)) => true,
-                (Some(b), Some(c)) => c.freshness() > b.freshness(),
-            };
-            if fresher {
-                best = copy.clone();
-            }
-        }
-        let payload = RoutedPayload::DhtReply {
-            token: read.origin_token,
-            value: best.as_ref().map(|c| c.value.clone()),
-        };
-        self.originate(now, read.origin, DeliveryMode::Exact, payload);
-        let Some(best) = best else {
-            return; // nothing live anywhere: nothing to repair with
-        };
-        // Repair decisions tolerate small expiry skew: a replica's expiry is
-        // reconstructed from its remaining TTL and so arrives inflated by the
-        // reply's transit time (plus rounding). Without slack every read of a
-        // perfectly healthy record would "repair" all its in-sync copies.
-        let materially_staler = |copy: &DhtRecord| {
-            best.version > copy.version
-                || best.value != copy.value
-                || best.expires_at > copy.expires_at + READ_REPAIR_SLACK
-        };
-        let own_stale =
-            own.is_none_or(|o| best.freshness() > o.freshness() && materially_staler(&o));
-        if own_stale {
-            // Adopt the freshest copy locally and push it back out through the
-            // normal replication path (replicas keep their own copy when it is
-            // already as fresh).
-            let ttl_ms = best.remaining_ttl_ms(now);
-            self.store_record(
-                now,
-                read.key,
-                best.value.clone(),
-                ttl_ms,
-                false,
-                best.version,
-            );
-            self.stats.dht_read_repairs += 1;
-            self.replicate_key(now, read.key);
-            return;
-        }
-        // Our copy was the freshest: push it to every polled replica that
-        // answered with a materially stale or missing copy.
-        let stale_peers: Vec<Address> = read
-            .responses
-            .iter()
-            .filter(|(_, copy)| copy.as_ref().is_none_or(&materially_staler))
-            .map(|(peer, _)| *peer)
-            .collect();
-        let ttl_ms = best.remaining_ttl_ms(now);
-        for peer in stale_peers {
-            self.stats.dht_read_repairs += 1;
-            let payload = RoutedPayload::DhtReplicate {
-                key: read.key,
-                value: best.value.clone(),
-                ttl_ms,
-                version: best.version,
-                token: 0,
-            };
-            self.originate(now, peer, DeliveryMode::Exact, payload);
-        }
-    }
-
-    /// Serve a `DhtCreate` as the key's coordinator.
-    ///
-    /// * A live record with the *same* value is the claimant's own lease being
-    ///   renewed: extend the expiry, refresh the replicas, answer `created`.
-    /// * A live record with a different value is a conflict: answer
-    ///   `!created` with the winner's value.
-    /// * Otherwise store the record — and, with quorum writes enabled,
-    ///   acknowledge only once a majority of the copy set holds it.
-    fn handle_dht_create(
-        &mut self,
-        now: SimTime,
-        key: Address,
-        value: Bytes,
-        ttl_ms: u64,
-        token: u64,
-        origin: Address,
-    ) {
-        // A claim still awaiting its write quorum is not committed: answer a
-        // concurrent claim for the same key as retryable (`existing: None`)
-        // rather than as a conflict — the pending claim may yet be withdrawn,
-        // and a conflict reply would make the other claimant permanently
-        // blacklist an address that ends up free.
-        if self
-            .pending_quorum_creates
-            .values()
-            .any(|qc| qc.key == key && qc.value != value)
-        {
-            let payload = RoutedPayload::DhtCreateReply {
-                token,
-                created: false,
-                existing: None,
-            };
-            self.originate(now, origin, DeliveryMode::Exact, payload);
-            return;
-        }
-        if let Some(existing) = self.dht.get(&key).filter(|rec| !rec.expired(now)) {
-            if existing.value != value {
-                let payload = RoutedPayload::DhtCreateReply {
-                    token,
-                    created: false,
-                    existing: Some(existing.value.clone()),
-                };
-                self.originate(now, origin, DeliveryMode::Exact, payload);
-                return;
-            }
-            // The claimant's own lease being renewed: acknowledge — and
-            // extend the local expiry — only through the same write quorum
-            // as a fresh claim. An owner partitioned from its replicas
-            // extending and confirming renewals alone would keep serving a
-            // lease whose every replica copy has expired.
-            // Re-borrow mutably: the `if let` above proves the record exists.
-            // If that invariant ever drifts, failing the renewal (claimant
-            // retries via its renewal timeout) beats panicking the node.
-            let Some(rec) = self.dht.get_mut(&key) else {
-                return;
-            };
-            rec.replica = false;
-            let version = rec.version;
-            let extends_to = wire_expiry(now, ttl_ms);
-            self.commit_create(
-                now,
-                key,
-                value,
-                ttl_ms,
-                version,
-                token,
-                origin,
-                Some(extends_to),
-            );
-            return;
-        }
-        let version = Self::version_for(now);
-        self.store_record(now, key, value.clone(), ttl_ms, false, version);
-        self.commit_create(now, key, value, ttl_ms, version, token, origin, None);
-    }
-
-    /// Send (or suppress) the `DhtCreateReply` concluding a create. Internal
-    /// quorum writes — pub/sub root rewrites pushed through the same conflict
-    /// rules as lease claims — carry [`INTERNAL_QUORUM_TOKEN`] with this
-    /// node's own address as origin; their outcome is visible in the store
-    /// itself, so no reply is emitted (and none could be matched: real
-    /// tokens start at 1).
-    fn send_create_reply(
-        &mut self,
-        now: SimTime,
-        origin: Address,
-        token: u64,
-        created: bool,
-        existing: Option<Bytes>,
-    ) {
-        if token == INTERNAL_QUORUM_TOKEN && origin == self.cfg.address {
-            return;
-        }
-        let payload = RoutedPayload::DhtCreateReply {
-            token,
-            created,
-            existing,
-        };
-        self.originate(now, origin, DeliveryMode::Exact, payload);
-    }
-
-    /// Commit a stored claim or renewal: push the record to the key's replica
-    /// set with an ack token and answer `created` once a majority of the copy
-    /// set holds it (immediately when the copy set is just this node).
-    #[allow(clippy::too_many_arguments)]
-    fn commit_create(
-        &mut self,
-        now: SimTime,
-        key: Address,
-        value: Bytes,
-        ttl_ms: u64,
-        version: u64,
-        token: u64,
-        origin: Address,
-        extends_to: Option<SimTime>,
-    ) {
-        let targets = if self.cfg.dht.quorum && self.cfg.dht.replication > 1 {
-            self.replica_targets(&key, self.cfg.dht.replication - 1)
-        } else {
-            Vec::new()
-        };
-        if targets.is_empty()
-            && self.cfg.dht.quorum
-            && self.cfg.dht.replication > 1
-            && self.ever_connected
-        {
-            // This node *had* peers but is cut off from all of them (the link
-            // monitor drops dead edges in seconds, so an isolated node's
-            // table empties fast). Its single copy cannot speak for a
-            // majority of the intended copy set: fail the write as retryable
-            // instead of self-acknowledging — otherwise a partitioned
-            // minority of one could confirm claims (and renewals) against
-            // itself. A fresh claim is withdrawn from the local store too.
-            if extends_to.is_none()
-                && self
-                    .dht
-                    .get(&key)
-                    .is_some_and(|rec| rec.value == value && rec.version == version)
-            {
-                self.dht.remove(&key);
-            }
-            self.stats.dht_quorum_writes += 1;
-            self.stats.dht_quorum_write_timeouts += 1;
-            self.send_create_reply(now, origin, token, false, None);
-            return;
-        }
-        if targets.is_empty() {
-            // Single-copy set (or quorum disabled): acknowledge immediately
-            // and replicate fire-and-forget as before.
-            if let Some(rec) = self.dht.get_mut(&key) {
-                rec.replicated_to.clear();
-                if let Some(t) = extends_to {
-                    rec.expires_at = rec.expires_at.max(t);
-                }
-            }
-            self.replicate_key(now, key);
-            self.send_create_reply(now, origin, token, true, None);
-            return;
-        }
-        let op = self.fresh_token();
-        if let Some(rec) = self.dht.get_mut(&key) {
-            rec.replicated_to = targets.clone();
-        }
-        for peer in &targets {
-            let payload = RoutedPayload::DhtReplicate {
-                key,
-                value: value.clone(),
-                ttl_ms,
-                version,
-                token: op,
-            };
-            self.originate(now, *peer, DeliveryMode::Exact, payload);
-        }
-        self.pending_quorum_creates.insert(
-            op,
-            QuorumCreate {
-                origin,
-                origin_token: token,
-                key,
-                value,
-                version,
-                extends_to,
-                acks_needed: Self::quorum_of(targets.len() + 1) - 1,
-                acks: 0,
-                targets,
-                issued: now,
-            },
-        );
-        self.stats.dht_quorum_writes += 1;
-    }
-
-    /// Fail a quorum create that never reached a majority and reject the
-    /// claim. A *fresh* claim is withdrawn — from the local store (so the key
-    /// is not half-claimed on this side of a partition) and from any replica
-    /// that stored it but whose ack was lost. A failed *renewal* leaves the
-    /// previously committed copies untouched; the record simply keeps its
-    /// pre-renewal expiries. `existing: None` on the reply distinguishes a
-    /// quorum failure (retry later) from a real conflict.
-    fn fail_quorum_create(&mut self, now: SimTime, op: u64) {
-        let Some(qc) = self.pending_quorum_creates.remove(&op) else {
-            return;
-        };
-        if qc.extends_to.is_none() {
-            let still_ours = self
-                .dht
-                .get(&qc.key)
-                .is_some_and(|rec| rec.value == qc.value && rec.version == qc.version);
-            if still_ours {
-                self.dht.remove(&qc.key);
-            }
-            for peer in &qc.targets {
-                let payload = RoutedPayload::DhtWithdraw {
-                    key: qc.key,
-                    value: qc.value.clone(),
-                    version: qc.version,
-                };
-                self.originate(now, *peer, DeliveryMode::Exact, payload);
-            }
-        }
-        self.send_create_reply(now, qc.origin, qc.origin_token, false, None);
-    }
-
-    /// Intercept a `DhtCreateReply` belonging to a lease renewal this node
-    /// issued from [`OverlayNode::dht_tick`]. Returns true when the token was
-    /// a renewal (the reply is internal and must not reach callers).
-    fn on_renewal_reply(
-        &mut self,
-        now: SimTime,
-        token: u64,
-        created: bool,
-        existing: Option<&Bytes>,
-    ) -> bool {
-        let Some(key) = self
-            .published
-            .iter()
-            .find(|(_, p)| p.renew_inflight.is_some_and(|(t, _)| t == token))
-            .map(|(k, _)| *k)
-        else {
-            return false;
-        };
-        if created {
-            // The find above proves the publication exists; re-borrow mutably.
-            if let Some(p) = self.published.get_mut(&key) {
-                p.renew_inflight = None;
-                p.last_refresh = now;
-                self.stats.dht_refreshes += 1;
-            }
-        } else if existing.is_some() {
-            // A conflicting record owns the key — this lease lost (typical
-            // after a healed partition). Stop renewing and tell the agent.
-            self.published.remove(&key);
-            self.lost_leases.push_back(key);
-            self.stats.dht_leases_lost += 1;
-        }
-        // created == false with no existing value is a quorum-write failure
-        // (the coordinator could not reach a majority), not a conflict: keep
-        // the publication and the in-flight marker — the renewal timeout
-        // re-issues (and alarms) until the partition heals.
-        true
-    }
-
-    /// The `count` established peers closest (ring distance) to `key`,
-    /// nearest first — the nodes that should hold this key's replicas.
-    fn replica_targets(&self, key: &Address, count: usize) -> Vec<Address> {
-        let mut peers: Vec<(Distance, Address)> = self
-            .table
-            .established()
-            .map(|c| (c.peer.ring_distance(key), c.peer))
-            .collect();
-        peers.sort();
-        peers.into_iter().take(count).map(|(_, a)| a).collect()
-    }
-
-    /// Is this node the ring owner of `key` (closer than every established
-    /// peer)? Mirrors the `Closest` delivery rule, so the node that greedy
-    /// routing delivers a DHT operation to also believes it owns the key.
-    fn owns_key(&self, key: &Address) -> bool {
-        let my_dist = self.cfg.address.ring_distance(key);
-        !self
-            .table
-            .established()
-            .any(|c| c.peer.ring_distance(key) < my_dist)
-    }
-
-    /// Push replicas of `key` to the ring neighbours that should hold copies
-    /// and do not yet (no-op unless this node owns the key).
-    fn replicate_key(&mut self, now: SimTime, key: Address) {
-        if self.cfg.dht.replication <= 1 || !self.owns_key(&key) {
-            return;
-        }
-        let targets = self.replica_targets(&key, self.cfg.dht.replication - 1);
-        let Some(rec) = self.dht.get_mut(&key) else {
-            return;
-        };
-        if rec.expired(now) {
-            return;
-        }
-        rec.replica = false; // we are the owner, whatever path stored it
-        let missing: Vec<Address> = targets
-            .iter()
-            .filter(|t| !rec.replicated_to.contains(t))
-            .copied()
-            .collect();
-        rec.replicated_to = targets;
-        let value = rec.value.clone();
-        let ttl_ms = rec.remaining_ttl_ms(now);
-        let version = rec.version;
-        for peer in missing {
-            let payload = RoutedPayload::DhtReplicate {
-                key,
-                value: value.clone(),
-                ttl_ms,
-                version,
-                token: 0,
-            };
-            self.originate(now, peer, DeliveryMode::Exact, payload);
-        }
-    }
-
-    /// Per-tick DHT maintenance: soft-state expiry, publisher lease renewal at
-    /// TTL/2, quorum-operation timeouts, and (re-)replication of owned records
-    /// when the neighbour set changed since the last pass.
-    fn dht_tick(&mut self, now: SimTime) {
-        self.stats.dht_expired += self.dht.expire(now) as u64;
-        // Forget creates whose reply never came; a stale reply must not
-        // resurrect an abandoned claim as a publication.
-        self.pending_creates
-            .retain(|_, p| now.saturating_since(p.issued) < PENDING_CREATE_TIMEOUT);
-        // Quorum writes that never reached a majority: reject the claim.
-        let failed_writes: Vec<u64> = self
-            .pending_quorum_creates
-            .iter()
-            .filter(|(_, qc)| now.saturating_since(qc.issued) >= self.cfg.dht.quorum_timeout)
-            .map(|(op, _)| *op)
-            .collect();
-        for op in failed_writes {
-            self.stats.dht_quorum_write_timeouts += 1;
-            self.fail_quorum_create(now, op);
-        }
-        // Quorum reads missing answers: conclude from the copies that arrived.
-        let stalled_reads: Vec<u64> = self
-            .pending_quorum_reads
-            .iter()
-            .filter(|(_, qr)| now.saturating_since(qr.issued) >= self.cfg.dht.quorum_timeout)
-            .map(|(op, _)| *op)
-            .collect();
-        for op in stalled_reads {
-            self.stats.dht_quorum_read_timeouts += 1;
-            self.conclude_quorum_read(now, op);
-        }
-        // Publisher refresh. Plain publications re-put (last-writer-wins);
-        // claimed publications renew with a create so a conflicting record is
-        // detected. A renewal whose reply never came is re-issued after the
-        // renewal timeout and alarmed — never silently dropped, which would
-        // let the lease expire while this node keeps using the address.
-        enum Renew {
-            Put(Bytes, Duration, u64),
-            Create(Bytes, Duration, bool),
-        }
-        let due: Vec<(Address, Renew)> = self
-            .published
-            .iter()
-            .filter_map(|(k, p)| {
-                if p.renew_with_create {
-                    match p.renew_inflight {
-                        Some((_, issued))
-                            if now.saturating_since(issued) >= self.cfg.dht.renewal_timeout =>
-                        {
-                            Some((*k, Renew::Create(p.value.clone(), p.ttl, true)))
-                        }
-                        Some(_) => None,
-                        None if now.saturating_since(p.last_refresh) >= p.ttl / 2 => {
-                            Some((*k, Renew::Create(p.value.clone(), p.ttl, false)))
-                        }
-                        None => None,
-                    }
-                } else if now.saturating_since(p.last_refresh) >= p.ttl / 2 {
-                    Some((*k, Renew::Put(p.value.clone(), p.ttl, p.version)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (key, renew) in due {
-            match renew {
-                Renew::Put(value, ttl, version) => {
-                    if let Some(p) = self.published.get_mut(&key) {
-                        p.last_refresh = now;
-                    }
-                    self.stats.dht_refreshes += 1;
-                    self.send_put(now, key, value, ttl, version);
-                }
-                Renew::Create(value, ttl, timed_out) => {
-                    if timed_out {
-                        self.stats.dht_renewal_timeouts += 1;
-                    }
-                    let token = self.fresh_token();
-                    if let Some(p) = self.published.get_mut(&key) {
-                        p.renew_inflight = Some((token, now));
-                    }
-                    let ttl_ms = ttl.as_nanos() / 1_000_000;
-                    let payload = RoutedPayload::DhtCreate {
-                        key,
-                        value,
-                        ttl_ms,
-                        token,
-                    };
-                    self.originate(now, key, DeliveryMode::Closest, payload);
-                }
-            }
-        }
-        // Re-replication: walk owned records and fill replication gaps — but
-        // only when the established-peer set actually changed. Ownership and
-        // replica targets are pure functions of that set, and fresh stores /
-        // refresh puts already replicate on the delivery path.
-        if !self
-            .table
-            .established_addrs()
-            .eq(self.last_replica_peers.iter())
-        {
-            self.last_replica_peers = self.table.peers();
-            for key in self.dht.keys() {
-                self.replicate_key(now, key);
-            }
-        }
-        // Anti-entropy: periodically exchange record digests so replica sets
-        // converge even when no read or renewal touches a key.
-        if self.cfg.dht.sweep {
-            self.anti_entropy_tick(now);
-        }
-    }
-
-    // ------------------------------------------------------------- anti-entropy
-
-    /// Run the anti-entropy sweep when due. The first sweep is offset by a
-    /// random fraction of the interval so a fleet started together does not
-    /// digest in lockstep.
-    fn anti_entropy_tick(&mut self, now: SimTime) {
-        match self.next_sweep {
-            None => {
-                let offset = self.cfg.dht.sweep_interval.mul_f64(self.rng.unit());
-                self.next_sweep = Some(now + offset);
-                return;
-            }
-            Some(t) if now < t => return,
-            Some(_) => {}
-        }
-        self.next_sweep = Some(now + self.cfg.dht.sweep_interval);
-        self.run_sweep(now);
-    }
-
-    /// One anti-entropy sweep: send each replica-set peer a digest of the
-    /// owned records it should hold, and route a digest of every publication
-    /// toward its key's owner. Receivers pull the records they are missing
-    /// (or hold stale) and push back fresher copies — see
-    /// [`OverlayNode::handle_sync_digest`].
-    fn run_sweep(&mut self, now: SimTime) {
-        // Owner → replica set: group digest entries per target peer.
-        let replication = self.cfg.dht.replication;
-        let mut per_peer: BTreeMap<Address, Vec<SyncDigestEntry>> = BTreeMap::new();
-        if replication > 1 {
-            for key in self.dht.keys() {
-                if !self.owns_key(&key) {
-                    continue;
-                }
-                let Some(rec) = self.dht.get(&key).filter(|rec| !rec.expired(now)) else {
-                    continue;
-                };
-                let entry = sync_digest_entry(key, rec, now);
-                for peer in self.replica_targets(&key, replication - 1) {
-                    per_peer.entry(peer).or_default().push(entry);
-                }
-            }
-        }
-        for (peer, entries) in per_peer {
-            for chunk in entries.chunks(SYNC_DIGEST_CHUNK) {
-                self.stats.dht_sync_digests += 1;
-                let payload = RoutedPayload::DhtSyncDigest {
-                    entries: chunk.to_vec(),
-                    from_owner: true,
-                };
-                self.originate(now, peer, DeliveryMode::Exact, payload);
-            }
-        }
-        // Publisher → owner: one digest per publication, routed to whichever
-        // node currently owns the key. This is what recovers a put that was
-        // lost in a crashed hop: the new owner sees a record it does not
-        // hold and pulls it, within one sweep instead of the TTL/2 refresh.
-        let digests: Vec<(Address, SyncDigestEntry)> = self
-            .published
-            .iter()
-            .map(|(key, p)| {
-                let expires_at = p.last_refresh + p.ttl;
-                let remaining_ms = expires_at.saturating_since(now).as_nanos() / 1_000_000;
-                (
-                    *key,
-                    SyncDigestEntry {
-                        key: *key,
-                        version: p.version,
-                        value_hash: sync_value_hash(&p.value),
-                        ttl_bucket: remaining_ms / crate::dht::SYNC_TTL_BUCKET_MS,
-                    },
-                )
-            })
-            .collect();
-        for (key, entry) in digests {
-            self.stats.dht_sync_digests += 1;
-            let payload = RoutedPayload::DhtSyncDigest {
-                entries: vec![entry],
-                from_owner: false,
-            };
-            self.originate(now, key, DeliveryMode::Closest, payload);
-        }
-    }
-
-    /// Compare a received digest against the local store. Records the sender
-    /// has fresher are pulled (a `DhtSyncPull` goes back); records *we* hold
-    /// fresher are pushed back directly — but only for owner→replica sweeps:
-    /// a publisher is not part of the key's copy set, and a conflicting
-    /// owner record is the renewal path's business to surface.
-    fn handle_sync_digest(
-        &mut self,
-        now: SimTime,
-        entries: &[SyncDigestEntry],
-        from_owner: bool,
-        src: Address,
-    ) {
-        let mut pulls: Vec<Address> = Vec::new();
-        let mut pushes: Vec<Address> = Vec::new();
-        for entry in entries {
-            match sync_compare(entry, self.dht.get(&entry.key), now) {
-                SyncAction::InSync => {}
-                SyncAction::Pull => pulls.push(entry.key),
-                SyncAction::Push => {
-                    if from_owner {
-                        pushes.push(entry.key);
-                    }
-                }
-                SyncAction::Exchange => {
-                    // Equal versions, different values: exchange full records
-                    // and let byte-level freshness pick one winner everywhere.
-                    pulls.push(entry.key);
-                    if from_owner {
-                        pushes.push(entry.key);
-                    }
-                }
-            }
-        }
-        for key in pushes {
-            let Some(rec) = self.dht.get(&key).filter(|rec| !rec.expired(now)) else {
-                continue;
-            };
-            let (value, ttl_ms, version) =
-                (rec.value.clone(), rec.remaining_ttl_ms(now), rec.version);
-            self.stats.dht_sync_pushes += 1;
-            let payload = RoutedPayload::DhtReplicate {
-                key,
-                value,
-                ttl_ms,
-                version,
-                token: 0,
-            };
-            self.originate(now, src, DeliveryMode::Exact, payload);
-        }
-        if !pulls.is_empty() {
-            let payload = RoutedPayload::DhtSyncPull { keys: pulls };
-            self.originate(now, src, DeliveryMode::Exact, payload);
-        }
-    }
-
-    /// Answer a pull: re-send each requested record — publications through
-    /// their refresh path (a put, or an early renewal create for claimed
-    /// leases so conflict detection is never bypassed), stored records as
-    /// plain replicates.
-    fn handle_sync_pull(&mut self, now: SimTime, keys: &[Address], src: Address) {
-        for &key in keys {
-            if let Some(p) = self.published.get(&key) {
-                self.stats.dht_sync_pulls += 1;
-                if p.renew_with_create {
-                    // Claimed lease: recover through an early renewal create
-                    // (unless one is already in flight) so a conflicting
-                    // winner is detected, not clobbered.
-                    if p.renew_inflight.is_none() {
-                        let (value, ttl) = (p.value.clone(), p.ttl);
-                        let token = self.fresh_token();
-                        if let Some(p) = self.published.get_mut(&key) {
-                            p.renew_inflight = Some((token, now));
-                        }
-                        let ttl_ms = ttl.as_nanos() / 1_000_000;
-                        let payload = RoutedPayload::DhtCreate {
-                            key,
-                            value,
-                            ttl_ms,
-                            token,
-                        };
-                        self.originate(now, key, DeliveryMode::Closest, payload);
-                    }
-                } else {
-                    let (value, ttl, version) = (p.value.clone(), p.ttl, p.version);
-                    if let Some(p) = self.published.get_mut(&key) {
-                        p.last_refresh = now;
-                    }
-                    self.stats.dht_refreshes += 1;
-                    self.send_put(now, key, value, ttl, version);
-                }
-                continue;
-            }
-            let Some(rec) = self.dht.get(&key).filter(|rec| !rec.expired(now)) else {
-                continue;
-            };
-            let (value, ttl_ms, version) =
-                (rec.value.clone(), rec.remaining_ttl_ms(now), rec.version);
-            self.stats.dht_sync_pulls += 1;
-            let payload = RoutedPayload::DhtReplicate {
-                key,
-                value,
-                ttl_ms,
-                version,
-                token: 0,
-            };
-            self.originate(now, src, DeliveryMode::Exact, payload);
-        }
-    }
-
-    /// Merge neighbour knowledge received out of band (the IPOP agent calls this
-    /// with candidates learned from peers' connection tables; tests use it to model
-    /// gossip without a full message exchange).
-    pub fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
+    /// Remember `addr` at `endpoint` as a neighbour candidate.
+    fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
         if addr != self.cfg.address {
             self.candidates.insert(addr, endpoint);
         }
@@ -2994,9 +965,573 @@ impl OverlayNode {
         self.outbox.push((ep, msg));
     }
 
-    fn fresh_token(&mut self) -> u64 {
+    pub(crate) fn fresh_token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token
+    }
+}
+
+/// A Brunet-style structured-ring overlay node.
+pub struct OverlayNode {
+    core: Core,
+    delivered: VecDeque<RoutedPacket>,
+    /// Fast dead-edge detection (see [`crate::monitor`]).
+    monitor: LinkMonitor,
+    /// The replicated soft-state DHT (see [`crate::dht`]).
+    dht: Dht,
+    /// Topic-based publish/subscribe (see [`crate::pubsub`]).
+    pubsub: PubSub,
+    /// The virtual-stream engine (see [`crate::vstream`]).
+    vstreams: VStreams,
+}
+
+impl OverlayNode {
+    /// Create a node (does not contact the network until [`OverlayNode::start`]).
+    pub fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
+        OverlayNode {
+            core: Core::new(cfg, rng),
+            delivered: VecDeque::new(),
+            monitor: LinkMonitor::default(),
+            dht: Dht::default(),
+            pubsub: PubSub::default(),
+            vstreams: VStreams::new(),
+        }
+    }
+
+    /// This node's overlay address.
+    pub fn address(&self) -> Address {
+        self.core.cfg.address
+    }
+
+    /// The endpoints this node advertises (local plus NAT-observed).
+    pub fn advertised_endpoints(&self) -> &[Endpoint] {
+        &self.core.advertised
+    }
+
+    /// Routing statistics (the DHT gauges are sampled at call time).
+    pub fn stats(&self) -> OverlayStats {
+        let mut s = self.core.stats;
+        let store = self.dht.store();
+        s.dht_records = store.len() as u64;
+        s.dht_bytes = store.stored_bytes() as u64;
+        s.dht_replicas = store.replicas_held() as u64;
+        let vs = &self.vstreams.stats;
+        s.stream_opened = vs.opened;
+        s.stream_accepted = vs.accepted;
+        s.stream_data_sent = vs.data_sent;
+        s.stream_data_received = vs.data_received;
+        s.stream_retransmits = vs.retransmits;
+        s.stream_failed = vs.failed;
+        s.stream_closed = vs.closed;
+        s.stream_orphan_frames = vs.orphan_frames;
+        s.stream_bad_acks = vs.bad_acks;
+        s.stream_bad_seqs = vs.bad_seqs;
+        let ms = &self.monitor.stats;
+        s.link_probes_sent = ms.probes_sent;
+        s.link_probe_timeouts = ms.probe_timeouts;
+        s.dead_edges_detected = ms.dead_edges;
+        s.link_probe_deadline_clamps = ms.deadline_clamps;
+        s
+    }
+
+    /// The node's configuration.
+    pub fn config(&self) -> &OverlayConfig {
+        &self.core.cfg
+    }
+
+    /// The connection table (read-only).
+    pub fn connections(&self) -> &ConnectionTable {
+        &self.core.table
+    }
+
+    /// True once at least one edge is established.
+    pub fn is_connected(&self) -> bool {
+        self.core.is_connected()
+    }
+
+    /// Number of entries in the local DHT store.
+    pub fn dht_stored(&self) -> usize {
+        self.dht.store().len()
+    }
+
+    /// Borrow the local DHT store (read-only; for diagnostics and tests).
+    pub fn dht_store(&self) -> &dyn DhtStore {
+        self.dht.store()
+    }
+
+    // ------------------------------------------------------------------ control
+
+    /// Begin joining the overlay: contact the bootstrap endpoints.
+    pub fn start(&mut self, now: SimTime) {
+        self.core.started = true;
+        for ep in self.core.cfg.bootstrap.clone() {
+            self.core.send_hello(now, ep, ConnectionKind::Leaf);
+        }
+    }
+
+    /// Install an already-established edge without a handshake, marking the
+    /// node started and connected. Scale harnesses use this to warm-start a
+    /// converged ring (seeding both directions of each Near edge) so 10k+
+    /// node runs skip the bootstrap phase; protocol-level convergence stays
+    /// covered by the smaller end-to-end tests.
+    pub fn seed_connection(
+        &mut self,
+        now: SimTime,
+        peer: Address,
+        endpoint: Endpoint,
+        kind: ConnectionKind,
+    ) {
+        debug_assert_ne!(peer, self.core.cfg.address, "cannot seed an edge to self");
+        self.core.started = true;
+        self.core.link_up(now, peer, endpoint, kind);
+    }
+
+    /// Gracefully leave: hand every stored DHT record off to the ring
+    /// neighbours closest to its key, then tell every peer the edges are going
+    /// away. Handoff runs before the Close messages so receivers still accept
+    /// the records while the edges exist.
+    pub fn leave(&mut self, now: SimTime) {
+        // Withdraw our subscriptions while the routes still exist, so topic
+        // roots stop fanning out to a node that is gone.
+        self.pubsub
+            .unsubscribe_all(&mut self.core, &mut self.dht, now);
+        self.dht.hand_off(&mut self.core, now);
+        let core = &mut self.core;
+        let peers: Vec<Endpoint> = core.table.iter().map(|c| c.endpoint).collect();
+        for ep in peers {
+            core.push_out(
+                ep,
+                LinkMessage::Close {
+                    from: core.cfg.address,
+                },
+            );
+        }
+        core.started = false;
+    }
+
+    /// Messages queued for the physical transport: `(destination endpoint, message)`.
+    pub fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
+        self.core.take_outbox()
+    }
+
+    /// Routed packets delivered to this node (IP tunnel payloads and the like).
+    pub fn take_delivered(&mut self) -> Vec<RoutedPacket> {
+        self.delivered.drain(..).collect()
+    }
+
+    /// Pub/sub messages delivered to this node: `(topic key, msg id, body)`.
+    pub fn take_pubsub_delivered(&mut self) -> Vec<(Address, u64, Bytes)> {
+        self.pubsub.inbox.drain(..).collect()
+    }
+
+    /// Completed DHT lookups: `(token, value)`.
+    pub fn take_dht_replies(&mut self) -> Vec<(u64, Option<Bytes>)> {
+        self.dht.replies.drain(..).collect()
+    }
+
+    /// Completed DHT creates: `(token, created, existing value on conflict)`.
+    pub fn take_dht_create_replies(&mut self) -> Vec<(u64, bool, Option<Bytes>)> {
+        self.dht.create_replies.drain(..).collect()
+    }
+
+    /// Keys of claimed leases this node lost: a TTL/2 renewal came back
+    /// `created == false`, meaning a conflicting record owns the key (typical
+    /// after a healed partition). The publication has already been dropped;
+    /// the embedding agent re-allocates.
+    pub fn take_lost_leases(&mut self) -> Vec<Address> {
+        self.dht.lost_leases.drain(..).collect()
+    }
+
+    // ---------------------------------------------------------------- app sends
+
+    /// Tunnel a serialized virtual IP packet to the node owning `dst`.
+    pub fn send_ip(
+        &mut self,
+        now: SimTime,
+        dst: Address,
+        packet_bytes: impl Into<ipop_packet::Bytes>,
+    ) {
+        let payload = RoutedPayload::IpTunnel(packet_bytes.into());
+        let arrived = self.core.originate(dst, DeliveryMode::Exact, payload);
+        self.dispatch(now, arrived);
+    }
+
+    /// Store `value` at the node closest to `key` with the default TTL, and
+    /// keep it alive: the record is registered locally and re-put at TTL/2
+    /// until [`OverlayNode::dht_unpublish`] or [`OverlayNode::dht_remove`].
+    pub fn dht_put(&mut self, now: SimTime, key: Address, value: impl Into<Bytes>) {
+        let ttl = self.core.cfg.dht.default_ttl;
+        self.dht_put_ttl(now, key, value, ttl);
+    }
+
+    /// [`OverlayNode::dht_put`] with an explicit soft-state TTL.
+    pub fn dht_put_ttl(
+        &mut self,
+        now: SimTime,
+        key: Address,
+        value: impl Into<Bytes>,
+        ttl: Duration,
+    ) {
+        self.dht.put(&mut self.core, now, key, value.into(), ttl);
+    }
+
+    /// Atomically create the record under `key` if no live record exists
+    /// (create-if-absent, the allocator's claim primitive). The outcome
+    /// arrives via [`OverlayNode::take_dht_create_replies`] with the returned
+    /// token; on success this node becomes the record's publisher and renews
+    /// it at TTL/2 like a put.
+    pub fn dht_create(
+        &mut self,
+        now: SimTime,
+        key: Address,
+        value: impl Into<Bytes>,
+        ttl: Duration,
+    ) -> u64 {
+        self.dht.create(&mut self.core, now, key, value.into(), ttl)
+    }
+
+    /// Request the value stored under `key`; the reply arrives via
+    /// [`OverlayNode::take_dht_replies`] with the returned token.
+    pub fn dht_get(&mut self, now: SimTime, key: Address) -> u64 {
+        self.dht.get(&mut self.core, now, key)
+    }
+
+    /// Delete the record under `key` (lease release) and stop refreshing it.
+    pub fn dht_remove(&mut self, now: SimTime, key: Address) {
+        self.dht.remove(&mut self.core, now, key);
+    }
+
+    /// Stop refreshing the record under `key` without deleting it from the
+    /// DHT (it ages out one TTL later).
+    pub fn dht_unpublish(&mut self, key: &Address) {
+        self.dht.unpublish(key);
+    }
+
+    /// Abandon an outstanding [`OverlayNode::dht_create`]: a reply that
+    /// arrives after this (e.g. delayed past the caller's claim timeout) is
+    /// still surfaced, but no longer turns the claim into a refreshed
+    /// publication this node would renew forever.
+    pub fn dht_cancel_create(&mut self, token: u64) {
+        self.dht.cancel_create(token);
+    }
+
+    // ------------------------------------------------------------------ pub/sub
+
+    /// Subscribe to the topic at `topic` (see [`crate::pubsub::topic_key`])
+    /// with soft-state lifetime `ttl`. The subscription is announced now and
+    /// renewed at TTL/2 until [`OverlayNode::pubsub_unsubscribe`]; delivered
+    /// messages arrive via [`OverlayNode::take_pubsub_delivered`].
+    pub fn pubsub_subscribe(&mut self, now: SimTime, topic: Address, ttl: Duration) {
+        self.pubsub
+            .subscribe(&mut self.core, &mut self.dht, now, topic, ttl);
+    }
+
+    /// Leave the topic: stop renewing and ask the root to drop this node from
+    /// the subscriber set immediately.
+    pub fn pubsub_unsubscribe(&mut self, now: SimTime, topic: Address) {
+        self.pubsub
+            .unsubscribe(&mut self.core, &mut self.dht, now, topic);
+    }
+
+    /// Publish `payload` to the topic: the message routes to the topic root,
+    /// which fans it out to every live subscriber. Returns the message id
+    /// echoed in every delivery (latency bookkeeping for workloads).
+    pub fn pubsub_publish(
+        &mut self,
+        now: SimTime,
+        topic: Address,
+        payload: impl Into<Bytes>,
+    ) -> u64 {
+        self.pubsub
+            .publish(&mut self.core, &mut self.dht, now, topic, payload.into())
+    }
+
+    // ---------------------------------------------------------- virtual streams
+
+    /// Open a virtual stream to `remote` and return its id. The stream id
+    /// carries an address-order parity bit so simultaneous opens in both
+    /// directions can never collide in the peer's `(remote, id)` table.
+    pub fn stream_connect(&mut self, now: SimTime, remote: Address) -> u64 {
+        let parity = u64::from(self.core.cfg.address > remote);
+        let stream_id = (self.core.fresh_token() << 1) | parity;
+        self.vstreams.connect(now, remote, stream_id);
+        self.flush_streams(now);
+        stream_id
+    }
+
+    /// Queue bytes for ordered, reliable delivery on an open stream. Returns
+    /// false if the stream is unknown or already closing.
+    pub fn stream_send(
+        &mut self,
+        now: SimTime,
+        remote: Address,
+        stream_id: u64,
+        data: impl Into<Bytes>,
+    ) -> bool {
+        let ok = self.vstreams.send(now, remote, stream_id, data.into());
+        self.flush_streams(now);
+        ok
+    }
+
+    /// Close a stream: buffered data still delivers, then a FIN tears the
+    /// stream down in both directions.
+    pub fn stream_close(&mut self, now: SimTime, remote: Address, stream_id: u64) {
+        self.vstreams.close(now, remote, stream_id);
+        self.flush_streams(now);
+    }
+
+    /// Streams accepted from remote SYNs since the last call:
+    /// `(remote, stream id)`.
+    pub fn take_stream_accepted(&mut self) -> Vec<(Address, u64)> {
+        self.vstreams.take_accepted()
+    }
+
+    /// In-order stream payload since the last call: `(remote, stream id,
+    /// chunk)`. Chunks are zero-copy views of the received wire frames.
+    pub fn take_stream_data(&mut self) -> Vec<(Address, u64, Bytes)> {
+        self.vstreams.take_recv()
+    }
+
+    /// Stream lifecycle events since the last call.
+    pub fn take_stream_events(&mut self) -> Vec<StreamEvent> {
+        self.vstreams.take_events()
+    }
+
+    /// Route every frame the stream engine queued. Stream frames address a
+    /// specific node, so they ride `Exact` delivery like tunnel traffic.
+    fn flush_streams(&mut self, now: SimTime) {
+        for (remote, payload) in self.vstreams.take_outgoing() {
+            let arrived = self.core.originate(remote, DeliveryMode::Exact, payload);
+            self.dispatch(now, arrived);
+        }
+    }
+
+    // ------------------------------------------------------------------- intake
+
+    /// Process a link message received from physical endpoint `from`.
+    pub fn on_message(&mut self, now: SimTime, from: Endpoint, msg: LinkMessage) {
+        let core = &mut self.core;
+        if !core.started {
+            // Not yet started, or gracefully departed: the node is not part of
+            // the overlay and must not answer handshakes or route traffic.
+            return;
+        }
+        core.stats.link_rx += 1;
+        if let Some(peer) = msg.sender() {
+            core.table.note_heard(&peer, now, from);
+        }
+        match msg {
+            LinkMessage::Hello {
+                from: peer,
+                kind,
+                observed,
+                token,
+            } => {
+                core.learn_observed(observed);
+                if peer != core.cfg.address {
+                    let merged = core.merged_kind(&peer, kind);
+                    core.link_up(now, peer, from, merged);
+                    let ack = LinkMessage::HelloAck {
+                        from: core.cfg.address,
+                        kind,
+                        observed: from,
+                        token,
+                    };
+                    core.push_out(from, ack);
+                }
+            }
+            LinkMessage::HelloAck {
+                from: peer,
+                kind,
+                observed,
+                token,
+            } => {
+                core.learn_observed(observed);
+                core.pending_links.remove(&token);
+                if peer != core.cfg.address {
+                    let merged = core.merged_kind(&peer, kind);
+                    core.link_up(now, peer, from, merged);
+                }
+            }
+            LinkMessage::Ping { nonce, .. } => {
+                let pong = LinkMessage::Pong {
+                    from: core.cfg.address,
+                    nonce,
+                };
+                core.push_out(from, pong);
+            }
+            LinkMessage::Pong { .. } => {
+                // last_heard already updated above.
+            }
+            LinkMessage::Probe { nonce, .. } => {
+                let ack = LinkMessage::ProbeAck {
+                    from: core.cfg.address,
+                    nonce,
+                };
+                core.push_out(from, ack);
+            }
+            LinkMessage::ProbeAck { from: peer, nonce } => {
+                self.monitor.on_ack(now, peer, nonce);
+            }
+            LinkMessage::Close { from: peer } => {
+                core.table.remove(&peer);
+                core.candidates.remove(&peer);
+                self.monitor.forget(&peer);
+            }
+            LinkMessage::Routed(pkt) => {
+                let arrived = core.route(pkt);
+                self.dispatch(now, arrived);
+            }
+            LinkMessage::Neighbors { from: _, neighbors } => {
+                for (addr, ep) in neighbors {
+                    core.add_candidate(addr, ep);
+                }
+            }
+        }
+    }
+
+    /// Periodic maintenance: bootstrap retries, ring repair, shortcut formation,
+    /// keep-alives and dead-edge removal. The embedding agent should call this every
+    /// [`OverlayConfig::maintenance_interval`].
+    pub fn on_tick(&mut self, now: SimTime) {
+        if !self.core.started {
+            return;
+        }
+        // 1–4. Bootstrap, ring repair, shortcuts, keep-alive and expiry.
+        self.core.maintain_ring(now);
+        // 4b. Fast dead-edge detection.
+        if self.core.cfg.link_monitor {
+            self.run_link_monitor(now);
+        }
+        // 5. Drop stale pending links.
+        let timeout = self.core.cfg.connection_timeout;
+        self.core
+            .pending_links
+            .retain(|_, p| now.saturating_since(p.started) < timeout);
+        // 6. DHT soft-state maintenance: expiry, lease renewal, re-replication.
+        self.dht.tick(&mut self.core, now);
+        // 6b. Pub/sub soft state: renew this node's subscriptions at TTL/2
+        //     (the renewal also re-homes them after a topic-root crash) and
+        //     re-route nacked publishes whose backoff elapsed.
+        self.pubsub.tick(&mut self.core, &mut self.dht, now);
+        // 6c. Virtual streams: the RTO sweep rides the same maintenance
+        //     alarm as every other deterministic timer.
+        self.vstreams.tick(now);
+        self.flush_streams(now);
+        // 7. Gossip our neighbour view to every established peer: ring
+        //    neighbours on both sides plus a random sample, so knowledge of a
+        //    node spreads along the ring and the near sets can converge.
+        self.core.gossip_neighbors();
+        if self.core.candidates.len() > 64 {
+            self.core.candidates.clear();
+        }
+    }
+
+    // ---------------------------------------------------------------- dispatch
+
+    /// Hand a packet that [`Core::route`] returned as arrived to the
+    /// component that owns its wire tag.
+    fn dispatch(&mut self, now: SimTime, arrived: Option<Arrival>) {
+        let pkt = match arrived {
+            None => return,
+            Some(Arrival::Here(pkt)) => pkt,
+            Some(Arrival::Stray(pkt)) => {
+                return self
+                    .pubsub
+                    .on_stray(&mut self.core, &mut self.dht, now, pkt.payload);
+            }
+        };
+        let src = pkt.src;
+        match pkt.payload {
+            RoutedPayload::IpTunnel(_) => self.delivered.push_back(pkt),
+            payload @ (RoutedPayload::ConnectRequest { .. }
+            | RoutedPayload::ConnectResponse { .. }) => self.core.on_connect(now, payload),
+            payload @ (RoutedPayload::DhtPut { .. }
+            | RoutedPayload::DhtGet { .. }
+            | RoutedPayload::DhtReply { .. }
+            | RoutedPayload::DhtCreate { .. }
+            | RoutedPayload::DhtCreateReply { .. }
+            | RoutedPayload::DhtReplicate { .. }
+            | RoutedPayload::DhtReplicateAck { .. }
+            | RoutedPayload::DhtGetReplica { .. }
+            | RoutedPayload::DhtReplicaValue { .. }
+            | RoutedPayload::DhtRemove { .. }
+            | RoutedPayload::DhtWithdraw { .. }
+            | RoutedPayload::DhtSyncDigest { .. }
+            | RoutedPayload::DhtSyncPull { .. }) => {
+                self.dht.on_payload(&mut self.core, now, src, payload);
+            }
+            payload @ (RoutedPayload::PubSubSubscribe { .. }
+            | RoutedPayload::PubSubUnsubscribe { .. }
+            | RoutedPayload::PubSubPublish { .. }
+            | RoutedPayload::PubSubDeliver { .. }
+            | RoutedPayload::PubSubNack { .. }) => {
+                self.pubsub
+                    .on_payload(&mut self.core, &mut self.dht, now, src, payload);
+            }
+            payload @ (RoutedPayload::StreamSyn { .. }
+            | RoutedPayload::StreamSynAck { .. }
+            | RoutedPayload::StreamData { .. }
+            | RoutedPayload::StreamAck { .. }
+            | RoutedPayload::StreamFin { .. }) => {
+                self.vstreams.on_payload(now, src, &payload);
+                self.flush_streams(now);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------- link monitor
+
+    /// Account inbound traffic that failed to decode as a link message (the
+    /// transport already dropped it; this surfaces the count in the stats).
+    pub fn note_malformed(&mut self, count: u64) {
+        self.core.stats.malformed_dropped += count;
+    }
+
+    /// Merge neighbour knowledge received out of band (the IPOP agent calls this
+    /// with candidates learned from peers' connection tables; tests use it to model
+    /// gossip without a full message exchange).
+    pub fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
+        self.core.add_candidate(addr, endpoint);
+    }
+
+    /// Apply one [`LinkMonitor::run`] pass: drop the edges it declared dead,
+    /// probe the ones it found silent.
+    fn run_link_monitor(&mut self, now: SimTime) {
+        let core = &mut self.core;
+        let rule = if core.cfg.phi_accrual {
+            DeathRule::Phi(core.cfg.phi_threshold)
+        } else {
+            DeathRule::Misses(core.cfg.probe_failure_limit)
+        };
+        let edges = core.table.established();
+        let verdicts = self.monitor.run(
+            now,
+            edges.map(|c| (c.peer, c.endpoint, c.last_heard)),
+            core.cfg.probe_interval,
+            core.cfg.maintenance_interval,
+            rule,
+        );
+        let me = core.cfg.address;
+        for (peer, endpoint) in verdicts.dead {
+            core.table.remove(&peer);
+            core.candidates.remove(&peer);
+            // Receipt-driven pub/sub cleanup: a dead peer stops receiving
+            // fan-out immediately instead of aging out of topic records.
+            self.pubsub.on_dead_peer(core, &mut self.dht, now, peer);
+            // Tell the peer too: if the verdict was a false positive (probe
+            // acks lost on a live link), a silent removal would leave a
+            // half-open edge — this node answers the peer's probes forever
+            // while never routing to it, and the two sides disagree on
+            // ownership and replica sets indefinitely. The Close is simply
+            // lost when the peer really is dead.
+            core.push_out(endpoint, LinkMessage::Close { from: me });
+        }
+        for (peer, endpoint) in verdicts.probe {
+            let nonce = core.rng.next_u64();
+            self.monitor.arm(now, peer, nonce);
+            core.push_out(endpoint, LinkMessage::Probe { from: me, nonce });
+        }
     }
 }
 
@@ -4349,37 +2884,6 @@ mod tests {
     }
 
     #[test]
-    fn quorum_disabled_falls_back_to_single_node_ops() {
-        // The ablation switch: with quorum off, the key's owner answers
-        // creates and gets alone from its local store (the pre-quorum
-        // behaviour), while fire-and-forget replication still runs.
-        let mut h = Harness::with_cfg(10, |c| c.without_dht_quorum());
-        h.start_all();
-        h.run(25);
-        let key = Address::from_key(b"ablation:172.16.9.50");
-        let now = h.now;
-        let t1 = h.nodes[2].dht_create(now, key, b"claim".to_vec(), Duration::from_secs(600));
-        h.pump();
-        assert_eq!(
-            h.nodes[2].take_dht_create_replies(),
-            vec![(t1, true, None)],
-            "owner acknowledges alone with quorum disabled"
-        );
-        assert_eq!(copies(&h, &key), 3, "replication still fans out");
-        let quorum_writes: u64 = h.nodes.iter().map(|n| n.stats().dht_quorum_writes).sum();
-        assert_eq!(quorum_writes, 0, "no quorum machinery engaged");
-        let now = h.now;
-        let t2 = h.nodes[7].dht_get(now, key);
-        h.pump();
-        assert_eq!(
-            h.nodes[7].take_dht_replies(),
-            vec![(t2, Some(ipop_packet::Bytes::from(b"claim".as_slice())))]
-        );
-        let quorum_reads: u64 = h.nodes.iter().map(|n| n.stats().dht_quorum_reads).sum();
-        assert_eq!(quorum_reads, 0, "gets answered from the local store alone");
-    }
-
-    #[test]
     fn observed_endpoint_learning() {
         // A node told about a different observed endpoint starts advertising it.
         let mut rng = StreamRng::new(1, "obs");
@@ -4524,7 +3028,8 @@ mod tests {
         h.crash(victim);
         h.run(25);
         let now = h.now;
-        let entries = h.nodes[root].pubsub_live_entries(now, &topic);
+        let record = h.nodes[root].dht_store().live(&topic, now);
+        let entries = crate::pubsub::decode_subscriber_set(&record.expect("record").value).unwrap();
         assert!(
             !entries.iter().any(|(a, _)| *a == victim_addr),
             "crashed subscriber still in the topic record"
@@ -4563,7 +3068,8 @@ mod tests {
             },
         );
         let now = h.now;
-        h.nodes[0].route(now, pkt);
+        let arrived = h.nodes[0].core.route(pkt);
+        h.nodes[0].dispatch(now, arrived);
         h.pump();
         assert_eq!(h.nodes[2].take_pubsub_delivered().len(), 1);
         assert_eq!(h.nodes[6].take_pubsub_delivered().len(), 1);
@@ -4698,20 +3204,14 @@ mod tests {
         let publisher = subscribers[0];
         let wrong = *subscribers
             .iter()
-            .find(|&&i| i != publisher && !h.nodes[i].owns_key(&topic))
+            .find(|&&i| i != publisher && !h.nodes[i].core.owns_key(&topic))
             .unwrap();
-        let msg_id = 0xDEAD_BEEF;
+        // The real frame is lost on its way out; what is left is a publish
+        // the publisher still remembers.
         let payload = Bytes::from(b"risky".as_slice());
-        h.nodes[publisher].pending_publishes.insert(
-            msg_id,
-            PendingPublish {
-                topic,
-                payload: payload.clone(),
-                attempts: 0,
-                retry_at: None,
-            },
-        );
-        h.nodes[publisher].publish_order.push_back(msg_id);
+        let now = h.now;
+        let msg_id = h.nodes[publisher].pubsub_publish(now, topic, payload.clone());
+        let _ = h.nodes[publisher].take_outbox();
         let now = h.now;
         let wrong_addr = h.nodes[wrong].address();
         let src = h.nodes[publisher].address();
@@ -4725,7 +3225,8 @@ mod tests {
                 payload,
             },
         );
-        h.nodes[publisher].route(now, pkt);
+        let arrived = h.nodes[publisher].core.route(pkt);
+        h.nodes[publisher].dispatch(now, arrived);
         h.pump(); // nack comes back
         assert_eq!(h.nodes[wrong].stats().pubsub_nacks_sent, 1);
         assert_eq!(h.nodes[publisher].stats().pubsub_nacks_received, 1);

@@ -1,4 +1,4 @@
-//! Topic-based publish/subscribe over the ring (pure helpers).
+//! Topic-based publish/subscribe over the ring.
 //!
 //! A topic lives at `SHA-1("topic:" + name)`: the ring owner of that key — the
 //! *topic root* — keeps the subscriber set as an ordinary replicated DHT
@@ -11,17 +11,23 @@
 //! carrying the rest of its chunk as `relay_to`, and re-applies the same split
 //! one level down. Every copy shares one wire image of the message body.
 //!
-//! This module holds the protocol's pure pieces — key derivation, the
-//! subscriber-set record codec, and the fan-out planner — so they can be
-//! tested without a ring. The stateful half lives in [`crate::node`].
+//! The protocol's pure pieces come first — key derivation, the
+//! subscriber-set record codec, and the fan-out planner — then [`PubSub`],
+//! one node's stateful half: subscriber, publisher and topic root.
 
 // This is a wire-decode module: decoders must return typed errors, never
 // panic (PR 7 contract, machine-checked by ipop-lint rule D3).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
 use ipop_packet::{Bytes, ParseError};
+use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
+use crate::dht::{version_for, wire_expiry, Dht, DhtStore};
+use crate::node::{Arrival, Core};
+use crate::packets::{DeliveryMode, RoutedPayload};
 
 /// Bytes of one encoded subscriber-set entry: address 20 + expiry ms 8.
 const SUB_ENTRY_BYTES: usize = 28;
@@ -100,6 +106,475 @@ pub fn plan_fanout(recipients: &[Address], fanout: usize) -> Vec<(Address, Vec<A
     }
     debug_assert_eq!(at, n);
     out
+}
+
+// ---------------------------------------------------------------- component
+
+/// A topic this node subscribes to: the soft-state TTL it asked for and when
+/// the subscription was last (re-)announced. Renewed at TTL/2 like any other
+/// soft-state publication.
+struct Subscription {
+    ttl: Duration,
+    last_renew: SimTime,
+}
+
+/// A publish this node originated, retained until the retry budget would be
+/// pointless: a topic root caught mid-re-home answers a retryable
+/// [`RoutedPayload::PubSubNack`] instead of dropping the message, and the
+/// publisher re-routes it from here once the backoff elapses.
+struct PendingPublish {
+    topic: Address,
+    payload: Bytes,
+    /// Nack-triggered retries so far.
+    attempts: u32,
+    /// When the next retry fires; `None` while the publish is in flight.
+    retry_at: Option<SimTime>,
+}
+
+/// Bound on retained publishes: old entries beyond this are evicted oldest
+/// first (a fan-out is not acknowledged, so "still pending" only means "not
+/// yet nacked and not yet evicted").
+const MAX_PENDING_PUBLISHES: usize = 64;
+
+/// Nack-triggered retries before a publish is abandoned (counted in
+/// `pubsub_publish_failures`).
+const MAX_PUBLISH_RETRIES: u32 = 8;
+
+/// Base backoff between publish retries, doubled per attempt (capped).
+const PUBLISH_RETRY_BACKOFF: Duration = Duration::from_millis(250);
+
+/// One node's pub/sub component: its own subscriptions and in-flight
+/// publishes, and — for the topics whose key it owns — the root side that
+/// keeps the subscriber set as a DHT record and fans publishes out. It owns
+/// every `PubSub*` wire tag; topic records are read and written through the
+/// [`Dht`] it is handed beside the routing [`Core`].
+#[derive(Default)]
+pub(crate) struct PubSub {
+    /// Topics this node subscribes to, keyed by topic key. `BTreeMap` so the
+    /// renewal scan emits subscribes in a deterministic order.
+    subs: BTreeMap<Address, Subscription>,
+    /// Topic keys this node has served as root for (merged a subscribe or
+    /// rewrote the record). Scanned on dead-edge verdicts to prune the dead
+    /// peer out of owned subscriber sets; entries fall away once the record
+    /// is gone or owned elsewhere.
+    topics_seen: BTreeSet<Address>,
+    /// Messages delivered to this node, for the embedding agent to drain:
+    /// `(topic key, msg id, body)`.
+    pub(crate) inbox: VecDeque<(Address, u64, Bytes)>,
+    /// Publishes awaiting root confirmation of fan-out, keyed by msg id; a
+    /// retryable nack from a re-homing root schedules a re-route here.
+    /// Bounded: the oldest entries are evicted past
+    /// [`MAX_PENDING_PUBLISHES`].
+    pending_publishes: BTreeMap<u64, PendingPublish>,
+    /// Insertion order of `pending_publishes` for bounded eviction.
+    publish_order: VecDeque<u64>,
+}
+
+/// Root-side view of a topic record: the live (unexpired) subscriber
+/// entries, in ring order. Missing, expired or undecodable records read
+/// as empty.
+fn live_entries(dht: &Dht, now: SimTime, topic: &Address) -> Vec<(Address, u64)> {
+    let now_ms = now.as_nanos() / 1_000_000;
+    let Some(rec) = dht.store().live(topic, now) else {
+        return Vec::new();
+    };
+    let Ok(mut entries) = decode_subscriber_set(&rec.value) else {
+        return Vec::new();
+    };
+    entries.retain(|(_, expires_ms)| *expires_ms > now_ms);
+    entries
+}
+
+impl PubSub {
+    /// Subscribe to `topic` with soft-state lifetime `ttl`: announced now,
+    /// renewed at TTL/2 until [`PubSub::unsubscribe`].
+    pub(crate) fn subscribe(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        topic: Address,
+        ttl: Duration,
+    ) {
+        self.subs.insert(
+            topic,
+            Subscription {
+                ttl,
+                last_renew: now,
+            },
+        );
+        self.announce(core, dht, now, topic);
+    }
+
+    /// Leave `topic`: stop renewing and ask the root to drop this node from
+    /// the subscriber set immediately.
+    pub(crate) fn unsubscribe(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        topic: Address,
+    ) {
+        self.subs.remove(&topic);
+        let payload = RoutedPayload::PubSubUnsubscribe {
+            topic,
+            subscriber: core.cfg.address,
+        };
+        self.send(core, dht, now, topic, DeliveryMode::Closest, payload);
+    }
+
+    /// Withdraw every subscription (graceful leave), so topic roots stop
+    /// fanning out to a node that is gone.
+    pub(crate) fn unsubscribe_all(&mut self, core: &mut Core, dht: &mut Dht, now: SimTime) {
+        let topics: Vec<Address> = self.subs.keys().copied().collect();
+        for topic in topics {
+            self.unsubscribe(core, dht, now, topic);
+        }
+    }
+
+    /// Publish `payload` to `topic`; returns the message id echoed in every
+    /// delivery.
+    pub(crate) fn publish(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        topic: Address,
+        payload: Bytes,
+    ) -> u64 {
+        let msg_id = core.rng.next_u64();
+        // Retain the message until the root either fans it out (no nack ever
+        // comes back; the entry ages out of the bounded table) or nacks it
+        // (re-home window: the retry re-routes to the key's current owner).
+        self.pending_publishes.insert(
+            msg_id,
+            PendingPublish {
+                topic,
+                payload,
+                attempts: 0,
+                retry_at: None,
+            },
+        );
+        self.publish_order.push_back(msg_id);
+        while self.pending_publishes.len() > MAX_PENDING_PUBLISHES {
+            let Some(oldest) = self.publish_order.pop_front() else {
+                break;
+            };
+            self.pending_publishes.remove(&oldest);
+        }
+        self.send_publish(core, dht, now, msg_id);
+        msg_id
+    }
+
+    /// Originate a `PubSub*` payload. As in [`Dht`], one that is due at this
+    /// very node (a root subscribed to its own topic) is handled on the spot,
+    /// and so is a delegation whose head turns out to be gone.
+    fn send(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        dst: Address,
+        mode: DeliveryMode,
+        payload: RoutedPayload,
+    ) {
+        match core.originate(dst, mode, payload) {
+            Some(Arrival::Here(pkt)) => self.on_payload(core, dht, now, pkt.src, pkt.payload),
+            Some(Arrival::Stray(pkt)) => self.on_stray(core, dht, now, pkt.payload),
+            None => {}
+        }
+    }
+
+    /// Route the pending publish `msg_id` towards its topic key's current
+    /// owner.
+    fn send_publish(&mut self, core: &mut Core, dht: &mut Dht, now: SimTime, msg_id: u64) {
+        let Some(p) = self.pending_publishes.get(&msg_id) else {
+            return;
+        };
+        let publish = RoutedPayload::PubSubPublish {
+            topic: p.topic,
+            msg_id,
+            payload: p.payload.clone(),
+        };
+        self.send(core, dht, now, p.topic, DeliveryMode::Closest, publish);
+    }
+
+    /// (Re-)announce this node's subscription to `topic` to the topic root.
+    fn announce(&mut self, core: &mut Core, dht: &mut Dht, now: SimTime, topic: Address) {
+        let Some(s) = self.subs.get_mut(&topic) else {
+            return;
+        };
+        s.last_renew = now;
+        let payload = RoutedPayload::PubSubSubscribe {
+            topic,
+            subscriber: core.cfg.address,
+            ttl_ms: s.ttl.as_nanos() / 1_000_000,
+        };
+        self.send(core, dht, now, topic, DeliveryMode::Closest, payload);
+    }
+
+    /// Handle a `PubSub*` payload from `src` that is due at this node.
+    pub(crate) fn on_payload(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        src: Address,
+        payload: RoutedPayload,
+    ) {
+        match payload {
+            RoutedPayload::PubSubSubscribe {
+                topic,
+                subscriber,
+                ttl_ms,
+            } => {
+                // We own the topic key (Closest delivery): merge the
+                // subscriber into the record, pruning entries whose soft
+                // state already lapsed.
+                core.stats.pubsub_subscriptions += 1;
+                let expires_ms = wire_expiry(now, ttl_ms).as_nanos() / 1_000_000;
+                let mut entries = live_entries(dht, now, &topic);
+                entries.retain(|(addr, _)| *addr != subscriber);
+                entries.push((subscriber, expires_ms));
+                entries.sort_by_key(|(addr, _)| *addr);
+                self.store_entries(core, dht, now, topic, &entries);
+            }
+            RoutedPayload::PubSubUnsubscribe { topic, subscriber } => {
+                let mut entries = live_entries(dht, now, &topic);
+                let before = entries.len();
+                entries.retain(|(addr, _)| *addr != subscriber);
+                if entries.len() != before || entries.is_empty() {
+                    self.store_entries(core, dht, now, topic, &entries);
+                }
+            }
+            RoutedPayload::PubSubPublish {
+                topic,
+                msg_id,
+                payload,
+            } => {
+                // Topic-root fan-out. The subscriber set is read in ring
+                // order; if this node subscribes too it takes its copy
+                // directly instead of sending itself a Deliver.
+                if dht.store().live(&topic, now).is_none() {
+                    // No subscriber-set record here. Either the topic truly
+                    // has no subscribers, or this root is mid-re-home and the
+                    // record has not migrated yet. Dropping silently loses
+                    // the message in the second case — answer a retryable
+                    // nack so the publisher re-routes (the retry lands after
+                    // the ring repairs and reaches whoever owns the key by
+                    // then).
+                    core.stats.pubsub_nacks_sent += 1;
+                    let nack = RoutedPayload::PubSubNack { topic, msg_id };
+                    self.send(core, dht, now, src, DeliveryMode::Exact, nack);
+                    return;
+                }
+                core.stats.pubsub_publishes += 1;
+                let mut recipients: Vec<Address> = live_entries(dht, now, &topic)
+                    .into_iter()
+                    .map(|(addr, _)| addr)
+                    .collect();
+                if let Some(at) = recipients.iter().position(|a| *a == core.cfg.address) {
+                    recipients.remove(at);
+                    core.stats.pubsub_delivered += 1;
+                    self.inbox.push_back((topic, msg_id, payload.clone()));
+                }
+                self.fan_out(core, dht, now, topic, msg_id, &payload, &recipients);
+            }
+            RoutedPayload::PubSubDeliver {
+                topic,
+                msg_id,
+                relay_to,
+                payload,
+            } => {
+                core.stats.pubsub_delivered += 1;
+                self.inbox.push_back((topic, msg_id, payload.clone()));
+                if !relay_to.is_empty() {
+                    // Delegated chunk: re-apply the bounded split one tree
+                    // level down, sharing the same body bytes.
+                    core.stats.pubsub_relayed += 1;
+                    self.fan_out(core, dht, now, topic, msg_id, &payload, &relay_to);
+                }
+            }
+            RoutedPayload::PubSubNack { msg_id, .. } => self.on_nack(core, now, msg_id),
+            // Not a `PubSub*` tag: nobody hands one here.
+            _ => {}
+        }
+    }
+
+    /// A packet `Exact`-addressed to a node that is not in the overlay ended
+    /// at this one, the closest remaining (and was counted as dropped). If it
+    /// is a delegated fan-out chunk, its head left the ring between planning
+    /// and delivery: salvage the delegation so the rest of the chunk still
+    /// gets the message — only the departed head's own copy is lost.
+    pub(crate) fn on_stray(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        payload: RoutedPayload,
+    ) {
+        if let RoutedPayload::PubSubDeliver {
+            topic,
+            msg_id,
+            relay_to,
+            payload,
+        } = payload
+        {
+            if !relay_to.is_empty() {
+                core.stats.pubsub_salvaged += 1;
+                self.fan_out(core, dht, now, topic, msg_id, &payload, &relay_to);
+            }
+        }
+    }
+
+    /// A topic root nacked one of our publishes (it had no subscriber-set
+    /// record — typically mid-re-home). Schedule a backed-off retry; after
+    /// [`MAX_PUBLISH_RETRIES`] the publish is abandoned and counted.
+    fn on_nack(&mut self, core: &mut Core, now: SimTime, msg_id: u64) {
+        let Some(p) = self.pending_publishes.get_mut(&msg_id) else {
+            return; // evicted, already failed, or not ours
+        };
+        core.stats.pubsub_nacks_received += 1;
+        if p.attempts >= MAX_PUBLISH_RETRIES {
+            self.pending_publishes.remove(&msg_id);
+            self.publish_order.retain(|id| *id != msg_id);
+            core.stats.pubsub_publish_failures += 1;
+            return;
+        }
+        let backoff = Duration::from_nanos(PUBLISH_RETRY_BACKOFF.as_nanos() << p.attempts.min(4));
+        p.retry_at = Some(now + backoff);
+    }
+
+    /// Root-side rewrite of a topic record after a membership change. An
+    /// empty set deletes the record (propagating the removal to replicas,
+    /// like a `DhtRemove`); otherwise the record is re-stored strictly above
+    /// the previous version — so replicas accept the rewrite — with a TTL
+    /// covering the longest-lived entry, and re-replicated.
+    fn store_entries(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        topic: Address,
+        entries: &[(Address, u64)],
+    ) {
+        if entries.is_empty() {
+            self.topics_seen.remove(&topic);
+            dht.remove_record(core, now, topic);
+            return;
+        }
+        let now_ms = now.as_nanos() / 1_000_000;
+        let ttl_ms = entries
+            .iter()
+            .map(|(_, expires_ms)| expires_ms.saturating_sub(now_ms))
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        let version = match dht.store().live(&topic, now) {
+            Some(rec) => (rec.version + 1).max(version_for(now)),
+            None => version_for(now),
+        };
+        self.topics_seen.insert(topic);
+        let value = encode_subscriber_set(entries);
+        // Push the rewrite through the quorum create path — the same conflict
+        // rules as DHCP lease claims — instead of fire-and-forget
+        // replication. During a root re-home the *old* root's replicas may
+        // hold the new root's fresher record; their `stored: false` acks
+        // starve the quorum and the stale rewrite is withdrawn (from this
+        // store and any replica that took it) rather than resurrected as a
+        // ghost subscriber set. Nobody waits for a `DhtCreateReply`.
+        dht.commit(core, now, topic, value, ttl_ms, version, None, None);
+    }
+
+    /// Send one relay-tree level: split `recipients` into at most
+    /// `pubsub_fanout` chunks and deliver to each chunk head, delegating the
+    /// rest of its chunk. The body `Bytes` is shared across every copy — the
+    /// fan-out never re-encodes or re-copies the message itself.
+    #[allow(clippy::too_many_arguments)]
+    fn fan_out(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        topic: Address,
+        msg_id: u64,
+        payload: &Bytes,
+        recipients: &[Address],
+    ) {
+        for (head, relay_to) in plan_fanout(recipients, core.cfg.pubsub_fanout) {
+            core.stats.pubsub_fanout_sent += 1;
+            let deliver = RoutedPayload::PubSubDeliver {
+                topic,
+                msg_id,
+                relay_to,
+                payload: payload.clone(),
+            };
+            self.send(core, dht, now, head, DeliveryMode::Exact, deliver);
+        }
+    }
+
+    /// Renew soft-state subscriptions at TTL/2 (run from the maintenance
+    /// tick). The re-sent subscribe also re-homes the subscription after a
+    /// root crash: it routes to whichever node owns the topic key *now*.
+    pub(crate) fn tick(&mut self, core: &mut Core, dht: &mut Dht, now: SimTime) {
+        let due: Vec<Address> = self
+            .subs
+            .iter()
+            .filter(|(_, s)| now.saturating_since(s.last_renew) >= s.ttl / 2)
+            .map(|(topic, _)| *topic)
+            .collect();
+        for topic in due {
+            self.announce(core, dht, now, topic);
+        }
+        // Nacked publishes whose backoff elapsed re-route to whoever owns
+        // the topic key now.
+        let retries: Vec<u64> = self
+            .pending_publishes
+            .iter()
+            .filter(|(_, p)| p.retry_at.is_some_and(|t| t <= now))
+            .map(|(id, _)| *id)
+            .collect();
+        for msg_id in retries {
+            if let Some(p) = self.pending_publishes.get_mut(&msg_id) {
+                p.attempts += 1;
+                p.retry_at = None;
+            }
+            core.stats.pubsub_publish_retries += 1;
+            self.send_publish(core, dht, now, msg_id);
+        }
+    }
+
+    /// Receipt-driven cleanup: when the link monitor declares `peer` dead,
+    /// drop it from every owned topic record so subsequent publishes stop
+    /// fanning out to it — TTL expiry would take half a subscription lifetime
+    /// to do the same.
+    pub(crate) fn on_dead_peer(
+        &mut self,
+        core: &mut Core,
+        dht: &mut Dht,
+        now: SimTime,
+        peer: Address,
+    ) {
+        let topics: Vec<Address> = self.topics_seen.iter().copied().collect();
+        for topic in topics {
+            if dht.store().live(&topic, now).is_none() {
+                // Record gone (last subscriber left, or aged out): stop
+                // scanning this topic on future verdicts.
+                self.topics_seen.remove(&topic);
+                continue;
+            }
+            if !core.owns_key(&topic) {
+                continue;
+            }
+            let mut entries = live_entries(dht, now, &topic);
+            let before = entries.len();
+            entries.retain(|(addr, _)| *addr != peer);
+            if entries.len() != before {
+                core.stats.pubsub_pruned += 1;
+                self.store_entries(core, dht, now, topic, &entries);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -184,5 +659,100 @@ mod tests {
         // the 256 a linear chain would give.
         assert!(depth(&recipients, 4) <= 6);
         assert_eq!(depth(&recipients[..1], 4), 1);
+    }
+
+    // ------------------------------------------------------------ component
+
+    use crate::node::OverlayConfig;
+    use crate::packets::{ConnectionKind, LinkMessage};
+    use crate::table::{Connection, ConnectionState};
+    use ipop_simcore::StreamRng;
+
+    /// A topic root without a node around it: a routing core whose table
+    /// holds `peers`, an empty DHT and the component. The root's address is
+    /// the topic key itself, so it owns it.
+    fn root(topic: Address, peers: &[Address]) -> (Core, Dht, PubSub) {
+        let cfg = OverlayConfig::new(topic, ([10, 0, 0, 1].into(), 4001));
+        let mut core = Core::new(cfg, StreamRng::new(7, "pubsub-root"));
+        for (i, peer) in peers.iter().enumerate() {
+            core.table.upsert(Connection {
+                peer: *peer,
+                endpoint: ([10, 0, 1, i as u8].into(), 4001),
+                kind: ConnectionKind::Near,
+                state: ConnectionState::Established,
+                last_heard: SimTime::ZERO,
+                last_ping_sent: SimTime::ZERO,
+            });
+        }
+        (core, Dht::default(), PubSub::default())
+    }
+
+    /// The subscribers in the topic record the root holds at `now`.
+    fn members(dht: &Dht, topic: &Address, now: SimTime) -> BTreeSet<Address> {
+        live_entries(dht, now, topic)
+            .into_iter()
+            .map(|(subscriber, _)| subscriber)
+            .collect()
+    }
+
+    #[test]
+    fn root_subscriber_set_follows_a_plain_set() {
+        let topic = topic_key("component");
+        let peers = [a(1), a(2)];
+        let (mut core, mut dht, mut pubsub) = root(topic, &peers);
+        let now = SimTime::ZERO + Duration::from_secs(10);
+        let mut expected = BTreeSet::new();
+        let subscribe = |subscriber| RoutedPayload::PubSubSubscribe {
+            topic,
+            subscriber,
+            ttl_ms: 60_000,
+        };
+        let unsubscribe = |subscriber| RoutedPayload::PubSubUnsubscribe { topic, subscriber };
+
+        // Subscribes — a renewal and an unknown leaver among them — merge.
+        for who in [a(1), a(7), a(2), a(7)] {
+            pubsub.on_payload(&mut core, &mut dht, now, who, subscribe(who));
+            expected.insert(who);
+            assert_eq!(members(&dht, &topic, now), expected);
+        }
+        pubsub.on_payload(&mut core, &mut dht, now, a(8), unsubscribe(a(8)));
+        assert_eq!(members(&dht, &topic, now), expected);
+        assert_eq!(core.stats.pubsub_subscriptions, 4);
+
+        // A dead-edge verdict prunes a subscriber, and only a subscriber.
+        pubsub.on_dead_peer(&mut core, &mut dht, now, a(2));
+        expected.remove(&a(2));
+        assert_eq!(members(&dht, &topic, now), expected);
+        pubsub.on_dead_peer(&mut core, &mut dht, now, a(9));
+        assert_eq!(members(&dht, &topic, now), expected);
+        assert_eq!(core.stats.pubsub_pruned, 1);
+
+        // Every rewrite went out to both replicas; the record names them.
+        let record = dht.store().live(&topic, now).expect("record held");
+        assert_eq!(record.replicated_to.len(), peers.len());
+        let _ = core.take_outbox();
+
+        // The last unsubscribe removes the record and tells its replicas.
+        pubsub.on_payload(&mut core, &mut dht, now, a(1), unsubscribe(a(1)));
+        assert!(core.take_outbox().iter().all(|(_, msg)| !matches!(
+            msg,
+            LinkMessage::Routed(pkt) if matches!(pkt.payload, RoutedPayload::DhtRemove { .. })
+        )));
+        pubsub.on_payload(&mut core, &mut dht, now, a(7), unsubscribe(a(7)));
+        assert!(dht.store().is_empty(), "no empty subscriber set is kept");
+        let removes: BTreeSet<Address> = core
+            .take_outbox()
+            .into_iter()
+            .filter_map(|(_, msg)| match msg {
+                LinkMessage::Routed(pkt)
+                    if pkt.payload == RoutedPayload::DhtRemove { key: topic } =>
+                {
+                    Some(pkt.dst)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(removes, peers.into_iter().collect());
+        assert!(pubsub.topics_seen.is_empty(), "and the topic is forgotten");
     }
 }
