@@ -20,7 +20,7 @@ use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
-/// Default bound on packets parked per unresolved destination. Traffic to an
+/// Bound on packets parked per unresolved destination. Traffic to an
 /// unresolvable IP must not grow memory without limit; beyond this the oldest
 /// parked packet is dropped (counted in [`BrunetArp::dropped`]).
 pub const DEFAULT_PARK_LIMIT: usize = 32;
@@ -48,9 +48,8 @@ pub struct BrunetArp {
     cache_ttl: Duration,
     cache: BTreeMap<Ipv4Addr, (Address, SimTime)>,
     /// Packets waiting for a resolution, per destination IP. Bounded to
-    /// `park_limit` per destination, drop-oldest.
+    /// [`DEFAULT_PARK_LIMIT`] per destination, drop-oldest.
     parked: BTreeMap<Ipv4Addr, VecDeque<Ipv4Packet>>,
-    park_limit: usize,
     /// Outstanding DHT query tokens → the IP they resolve and when the query
     /// was issued (queries older than [`QUERY_TIMEOUT`] no longer block a
     /// fresh query; their late replies are still accepted).
@@ -72,19 +71,12 @@ impl BrunetArp {
             cache_ttl,
             cache: BTreeMap::new(),
             parked: BTreeMap::new(),
-            park_limit: DEFAULT_PARK_LIMIT,
             outstanding: BTreeMap::new(),
             cache_hits: 0,
             cache_misses: 0,
             failed: 0,
             dropped: 0,
         }
-    }
-
-    /// Builder: override the per-destination parked-packet bound.
-    pub fn with_park_limit(mut self, limit: usize) -> Self {
-        self.park_limit = limit.max(1);
-        self
     }
 
     /// The DHT key under which the mapping for `ip` is stored: SHA-1 of the
@@ -155,7 +147,7 @@ impl BrunetArp {
     /// an unresolvable IP occupies bounded memory.
     pub fn park(&mut self, dst: Ipv4Addr, pkt: Ipv4Packet) {
         let queue = self.parked.entry(dst).or_default();
-        if queue.len() >= self.park_limit {
+        if queue.len() >= DEFAULT_PARK_LIMIT {
             queue.pop_front();
             self.dropped += 1;
         }
@@ -297,12 +289,14 @@ mod tests {
 
     #[test]
     fn parked_queue_is_bounded_per_destination_drop_oldest() {
-        let mut arp = BrunetArp::new(Duration::from_secs(10)).with_park_limit(3);
+        let mut arp = BrunetArp::new(Duration::from_secs(10));
         arp.query_issued(SimTime::ZERO, 1, DST);
         let other = Ipv4Addr::new(172, 16, 0, 99);
         arp.query_issued(SimTime::ZERO, 2, other);
-        // Five packets to one destination: only the newest three survive.
-        for i in 0..5u8 {
+        // Two packets more than the limit to one destination: only the
+        // newest `DEFAULT_PARK_LIMIT` survive.
+        let limit = DEFAULT_PARK_LIMIT as u8;
+        for i in 0..limit + 2 {
             arp.park(
                 DST,
                 Ipv4Packet::new(
@@ -314,14 +308,14 @@ mod tests {
         }
         // The bound is per destination: another IP's queue is unaffected.
         arp.park(other, pkt(other));
-        assert_eq!(arp.parked_packets(), 4);
+        assert_eq!(arp.parked_packets(), DEFAULT_PARK_LIMIT + 1);
         assert_eq!(arp.dropped, 2);
         let target = Address::from_key(b"n");
         let (_, _, released) = arp
             .on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)))
             .unwrap();
-        assert_eq!(released.len(), 3);
-        // Drop-oldest: the survivors are the three newest packets, in order.
+        assert_eq!(released.len(), DEFAULT_PARK_LIMIT);
+        // Drop-oldest: the survivors are the newest packets, in order.
         let tails: Vec<u8> = released
             .iter()
             .map(|p| match &p.payload {
@@ -329,7 +323,7 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(tails, vec![2, 3, 4]);
+        assert_eq!(tails, (2..limit + 2).collect::<Vec<u8>>());
     }
 
     #[test]

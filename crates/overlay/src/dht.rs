@@ -27,8 +27,8 @@ use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
-use crate::node::{Arrival, Core};
 use crate::packets::{DeliveryMode, RoutedPayload};
+use crate::router::{Arrival, Core};
 
 /// Configuration of the DHT subsystem of one overlay node.
 #[derive(Clone, Debug)]

@@ -10,10 +10,16 @@
 //!   payload of paper Fig. 3.
 //! * [`table`] — the connection table with structured-near (ring neighbour) and
 //!   structured-far (Kleinberg shortcut) edges.
-//! * [`node`] — [`OverlayNode`], the dispatcher in front of the components
-//!   below, and the routing core they share: greedy structured routing,
-//!   decentralized join/leave, ring repair, shortcut formation and
-//!   hole-punching link establishment.
+//! * [`node`] — [`OverlayNode`], its configuration and counters: the
+//!   dispatcher in front of the components below, lending each the routing
+//!   core for the length of a call.
+//! * [`router`] — the routing core they share: the connection table, greedy
+//!   structured routing over whatever edges it holds, the outbox, the rng and
+//!   the flat counters.
+//! * [`ring`] — what keeps that table filled: decentralized join through a
+//!   bootstrap node, connect-to-me requests routed over the overlay, the
+//!   hole-punching link handshake, ring repair, Kleinberg shortcut formation,
+//!   keep-alives and neighbour gossip.
 //! * [`monitor`] — the link monitor: per-edge RTT estimate, probe deadlines and
 //!   the phi-accrual / fixed-limit dead-edge verdict, told what it needs and
 //!   returning who to probe and who is dead.
@@ -38,6 +44,8 @@ pub mod monitor;
 pub mod node;
 pub mod packets;
 pub mod pubsub;
+pub mod ring;
+pub mod router;
 pub mod table;
 pub mod transport;
 pub mod vstream;

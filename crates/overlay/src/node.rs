@@ -1,6 +1,5 @@
-//! The Brunet-like overlay node: connection management, greedy structured routing,
-//! decentralized join/leave handling, NAT-traversing link establishment and
-//! Kleinberg shortcuts — and the dispatcher in front of the protocol components.
+//! The Brunet-like overlay node: its configuration, its counters, and the
+//! dispatcher in front of the protocol components.
 //!
 //! The node is a pure state machine: the host agent that embeds it feeds it
 //! incoming link messages ([`OverlayNode::on_message`]) and periodic ticks
@@ -8,26 +7,30 @@
 //! messages to hand to the physical transport and [`OverlayNode::take_delivered`]
 //! for payloads addressed to this node (IPOP picks up tunnelled IP packets there).
 //!
-//! Inside, [`OverlayNode`] owns a routing [`Core`] — connection table, ring
-//! maintenance, greedy routing, outbox, counters — beside one component per
-//! protocol: [`crate::monitor`], [`crate::dht`], [`crate::pubsub`],
-//! [`crate::vstream`]. A packet whose route ends here is handed to the
+//! Inside, [`OverlayNode`] owns the routing core ([`crate::router`]:
+//! connection table, greedy routing, outbox, counters) beside one component
+//! per protocol: [`crate::ring`] (join, linking, repair, shortcuts, gossip —
+//! what keeps the table filled), [`crate::monitor`], [`crate::dht`],
+//! [`crate::pubsub`], [`crate::vstream`]. A link message goes to the
+//! component that owns it; a packet whose route ends here is handed to the
 //! component that owns its wire tag; a component sends by originating through
 //! the core it is lent for the call.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::address::{Address, Distance};
+use crate::address::Address;
 use crate::dht::{Dht, DhtConfig, DhtStore};
 use crate::monitor::{DeathRule, LinkMonitor};
 use crate::packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
 };
 use crate::pubsub::PubSub;
-use crate::table::{Connection, ConnectionState, ConnectionTable};
+use crate::ring::Ring;
+use crate::router::{Arrival, Core};
+use crate::table::ConnectionTable;
 use crate::vstream::{StreamEvent, VStreams};
 
 /// Configuration of an overlay node.
@@ -330,650 +333,23 @@ pub struct OverlayStats {
     /// the operation never pushed to / polled, or from one that had already
     /// answered.
     pub dht_bad_acks: u64,
-}
-
-struct PendingLink {
-    kind: ConnectionKind,
-    started: SimTime,
-}
-
-/// What [`Core::route`] hands back when a packet's path ends at this node.
-pub(crate) enum Arrival {
-    /// Due here — addressed to this node, or `Closest` with no peer closer.
-    /// Whoever routed it hands it to the component that owns its wire tag.
-    Here(RoutedPacket),
-    /// `Exact`-addressed to a node that is not in the overlay; this one is
-    /// merely the closest left, and has already counted the packet as
-    /// dropped. Only pub/sub has a use for it (a delegated fan-out chunk is
-    /// salvaged).
-    Stray(RoutedPacket),
-}
-
-/// The routing core: what is left of a node once the protocols are out —
-/// configuration, connection table and ring maintenance, greedy routing, the
-/// outbox, the rng and token counter, the flat counters. [`OverlayNode`] owns
-/// one beside its protocol components and lends it to them call by call;
-/// `connect` traffic, which only ever touches this state, is handled here.
-pub(crate) struct Core {
-    pub(crate) cfg: OverlayConfig,
-    /// Endpoints we advertise: the local endpoint plus any NAT-translated endpoints
-    /// peers have observed for us.
-    advertised: Vec<Endpoint>,
-    pub(crate) table: ConnectionTable,
-    outbox: Vec<(Endpoint, LinkMessage)>,
-    pending_links: BTreeMap<u64, PendingLink>,
-    /// True once this node ever held an established edge — an isolated node
-    /// that *had* peers must not self-acknowledge quorum writes against a
-    /// copy set of one (see [`Dht::commit`]).
-    pub(crate) ever_connected: bool,
-    /// When the bootstrap re-link heartbeat last fired.
-    last_bootstrap_probe: SimTime,
-    /// Neighbour candidates learned from gossip: address → endpoint. Ordered so
-    /// candidate scans (which emit hellos) are deterministic across runs.
-    candidates: BTreeMap<Address, Endpoint>,
-    next_token: u64,
-    pub(crate) rng: StreamRng,
-    pub(crate) stats: OverlayStats,
-    started: bool,
-}
-
-impl Core {
-    pub(crate) fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
-        let advertised = vec![cfg.local_endpoint];
-        Core {
-            cfg,
-            advertised,
-            table: ConnectionTable::new(),
-            outbox: Vec::new(),
-            pending_links: BTreeMap::new(),
-            ever_connected: false,
-            last_bootstrap_probe: SimTime::ZERO,
-            candidates: BTreeMap::new(),
-            next_token: 1,
-            rng,
-            stats: OverlayStats::default(),
-            started: false,
-        }
-    }
-
-    fn is_connected(&self) -> bool {
-        self.table.established().next().is_some()
-    }
-
-    /// Record `peer` at `endpoint` as an established edge of `kind`.
-    fn link_up(&mut self, now: SimTime, peer: Address, endpoint: Endpoint, kind: ConnectionKind) {
-        self.ever_connected = true;
-        self.table.upsert(Connection {
-            peer,
-            endpoint,
-            kind,
-            state: ConnectionState::Established,
-            last_heard: now,
-            last_ping_sent: now,
-        });
-    }
-
-    /// Messages queued for the physical transport: `(destination endpoint, message)`.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// The `count` established peers closest (ring distance) to `key`,
-    /// nearest first — the nodes that should hold this key's replicas.
-    pub(crate) fn replica_targets(&self, key: &Address, count: usize) -> Vec<Address> {
-        let mut peers: Vec<(Distance, Address)> = self
-            .table
-            .established()
-            .map(|c| (c.peer.ring_distance(key), c.peer))
-            .collect();
-        peers.sort();
-        peers.into_iter().take(count).map(|(_, a)| a).collect()
-    }
-
-    /// Is this node the ring owner of `key` (closer than every established
-    /// peer)? Mirrors the `Closest` delivery rule, so the node that greedy
-    /// routing delivers a DHT operation to also believes it owns the key.
-    pub(crate) fn owns_key(&self, key: &Address) -> bool {
-        let my_dist = self.cfg.address.ring_distance(key);
-        !self
-            .table
-            .established()
-            .any(|c| c.peer.ring_distance(key) < my_dist)
-    }
-
-    // ----------------------------------------------------------------- routing
-
-    /// A packet this node originates, counted.
-    fn originated(
-        &mut self,
-        dst: Address,
-        mode: DeliveryMode,
-        payload: RoutedPayload,
-    ) -> RoutedPacket {
-        self.stats.originated += 1;
-        RoutedPacket::new(self.cfg.address, dst, mode, payload)
-    }
-
-    /// Originate `payload` towards `dst`: the one entry point through which
-    /// this node's own traffic — and every component's — enters routing. A
-    /// packet that is due at this very node comes straight back, and the
-    /// caller hands it on (a component to itself, for its own tags) before
-    /// doing anything else: routing is depth first.
-    #[must_use = "a packet due here must be handed to the component that owns its tag"]
-    pub(crate) fn originate(
-        &mut self,
-        dst: Address,
-        mode: DeliveryMode,
-        payload: RoutedPayload,
-    ) -> Option<Arrival> {
-        let pkt = self.originated(dst, mode, payload);
-        self.route(pkt)
-    }
-
-    /// Forward `pkt` one hop along the ring, or — when no peer is closer to
-    /// its destination than this node — return it as arrived.
-    #[must_use = "a packet due here must be handed to the component that owns its tag"]
-    fn route(&mut self, mut pkt: RoutedPacket) -> Option<Arrival> {
-        // Connect traffic advertises reachable endpoints: every node on the
-        // routing path learns the initiator/responder as a neighbour candidate,
-        // which is what lets the near sets converge without a separate gossip
-        // exchange. A connect request routed toward the initiator's own address
-        // must also never be handed back to the initiator itself — it has to
-        // terminate at the nearest *other* node.
-        // Prefer the *last* advertised endpoint: a node lists its local address
-        // first and NAT-observed translations after it, and only the translated
-        // address is reachable from outside the sender's site.
-        let exclude = match &pkt.payload {
-            RoutedPayload::ConnectRequest {
-                initiator,
-                endpoints,
-                ..
-            } => {
-                if let Some(ep) = endpoints.last() {
-                    self.add_candidate(*initiator, *ep);
-                }
-                Some(*initiator)
-            }
-            RoutedPayload::ConnectResponse {
-                responder,
-                endpoints,
-                ..
-            } => {
-                if let Some(ep) = endpoints.last() {
-                    self.add_candidate(*responder, *ep);
-                }
-                None
-            }
-            _ => None,
-        };
-        // Origination (a forwarded packet always arrives with `hops >= 1`):
-        // stamp this node's configured hop budget.
-        if pkt.hops == 0 {
-            pkt.ttl = self.cfg.packet_ttl;
-        }
-        let my_dist = self.cfg.address.ring_distance(&pkt.dst);
-        let next = self
-            .table
-            .closest_to_excluding(&pkt.dst, exclude.as_ref())
-            .map(|c| (c.peer, c.endpoint, c.peer.ring_distance(&pkt.dst)));
-        match next {
-            Some((_, endpoint, dist)) if dist < my_dist => {
-                if pkt.hops >= pkt.ttl {
-                    self.stats.dropped_ttl += 1;
-                    return None;
-                }
-                pkt.hops += 1;
-                self.push_out(endpoint, LinkMessage::Routed(pkt));
-                self.stats.forwarded += 1;
-                None
-            }
-            _ => self.arrive(pkt),
-        }
-    }
-
-    /// `pkt`'s path ends here: count it as delivered or dropped.
-    fn arrive(&mut self, pkt: RoutedPacket) -> Option<Arrival> {
-        if pkt.mode == DeliveryMode::Exact && pkt.dst != self.cfg.address {
-            // We are the closest node but not the intended target. For
-            // connect housekeeping this is routine (the response can race
-            // the edge it is about to create); for application payloads it
-            // means the destination is not in the overlay at all.
-            return match pkt.payload {
-                RoutedPayload::ConnectRequest { .. } | RoutedPayload::ConnectResponse { .. } => {
-                    self.stats.dropped_maintenance += 1;
-                    None
-                }
-                _ => {
-                    self.stats.dropped_no_target += 1;
-                    Some(Arrival::Stray(pkt))
-                }
-            };
-        }
-        self.stats.delivered += 1;
-        Some(Arrival::Here(pkt))
-    }
-
-    /// Originate a connect payload; one that is due at this very node (a
-    /// shortcut request whose target nobody is closer to) is handled on the
-    /// spot.
-    fn send(&mut self, now: SimTime, dst: Address, mode: DeliveryMode, payload: RoutedPayload) {
-        if let Some(Arrival::Here(pkt)) = self.originate(dst, mode, payload) {
-            self.on_connect(now, pkt.payload);
-        }
-    }
-
-    /// Handle a `ConnectRequest` / `ConnectResponse` that is due at this node.
-    fn on_connect(&mut self, now: SimTime, payload: RoutedPayload) {
-        match payload {
-            RoutedPayload::ConnectRequest {
-                token,
-                initiator,
-                kind,
-                endpoints,
-            } => {
-                if initiator == self.cfg.address {
-                    return; // our own request came back around the ring
-                }
-                // Answer with a routed response carrying our endpoints, and
-                // simultaneously hole-punch towards the initiator's endpoints.
-                let response = RoutedPayload::ConnectResponse {
-                    token,
-                    responder: self.cfg.address,
-                    endpoints: self.advertised.clone(),
-                };
-                self.send(now, initiator, DeliveryMode::Exact, response);
-                for ep in endpoints {
-                    self.send_hello(now, ep, kind);
-                }
-            }
-            RoutedPayload::ConnectResponse {
-                token,
-                responder,
-                endpoints,
-            } => {
-                if responder == self.cfg.address {
-                    return;
-                }
-                // Only act while the request is still pending. The responder
-                // hellos our endpoints directly as well, and those usually win
-                // the race: the HelloAck consumes the token. Falling back to
-                // `Near` here re-helloed every completed *shortcut* as Near,
-                // promoting the fresh Far edge on both ends — heavily-chosen
-                // responders snowballed into full Near meshes and their far
-                // budget could never fill.
-                let Some(kind) = self.pending_links.get(&token).map(|p| p.kind) else {
-                    return;
-                };
-                for ep in endpoints {
-                    self.send_hello(now, ep, kind);
-                }
-            }
-            // Not a connect tag: nobody hands one here.
-            _ => {}
-        }
-    }
-
-    // -------------------------------------------------------------- maintenance
-
-    /// Ring maintenance, first half of a tick: bootstrap, ring repair,
-    /// shortcut formation and keep-alives.
-    fn maintain_ring(&mut self, now: SimTime) {
-        // 1. Bootstrap (or re-bootstrap after losing every edge) — and the
-        //    re-link heartbeat: a node whose edges to every bootstrap
-        //    endpoint are gone re-hellos them periodically even while it has
-        //    other edges. A partitioned sub-ring scrubs all knowledge of the
-        //    other side in seconds (fast dead-edge detection), so this is
-        //    the path that re-merges the rings once the partition heals.
-        let relink_due = !self.cfg.bootstrap.is_empty()
-            && now.saturating_since(self.last_bootstrap_probe) >= self.cfg.bootstrap_retry_interval
-            && !self
-                .table
-                .established()
-                .any(|c| self.cfg.bootstrap.contains(&c.endpoint));
-        if self.table.is_empty() || relink_due {
-            self.last_bootstrap_probe = now;
-            for ep in self.cfg.bootstrap.clone() {
-                self.send_hello(now, ep, ConnectionKind::Leaf);
-            }
-        }
-        // 2. Ring repair: request a connection to the node nearest ourselves, and
-        //    link towards any gossip candidate that improves our neighbour set.
-        self.request_near_connections(now);
-        // 2b. Reclassify Near edges that fell outside the near set: connect
-        //     requests issued while the ring is still converging terminate at
-        //     whatever node is closest within a tiny connected component, so
-        //     early hubs accumulate dozens of symmetric "Near" edges to
-        //     distant peers. Those edges are, in truth, far links — counting
-        //     them against the shortcut budget (instead of leaving the near
-        //     count inflated forever) is what lets the far budget fill.
-        self.reclassify_near_edges();
-        // 3. Shortcuts.
-        if self.cfg.shortcuts_enabled
-            && self.table.count_kind(ConnectionKind::Far) < self.cfg.max_shortcuts
-            && self.table.established_addrs().len() >= 2
-        {
-            self.request_shortcut(now);
-        }
-        // 4. Keep-alive and expiry.
-        self.run_keepalive(now);
-    }
-
-    /// Send each established peer a sample of our connection table: our near
-    /// neighbours on both sides plus up to two random other peers.
-    fn gossip_neighbors(&mut self) {
-        let me = self.cfg.address;
-        // The near view is taken here, not handed down from the top of the
-        // tick: keep-alive expiry and the link monitor drop edges in between.
-        let mut sample: Vec<(Address, Endpoint)> =
-            Vec::with_capacity(2 * self.cfg.near_per_side + 2);
-        sample.extend(
-            self.table
-                .near_view(&me, self.cfg.near_per_side)
-                .map(|c| (c.peer, c.endpoint)),
-        );
-        // The shuffle draws once per element, so it sees every other peer
-        // even though only two survive.
-        let mut others: Vec<(Address, Endpoint)> = self
-            .table
-            .established()
-            .map(|c| (c.peer, c.endpoint))
-            .filter(|(a, _)| !sample.iter().any(|(s, _)| s == a))
-            .collect();
-        self.rng.shuffle(&mut others);
-        sample.extend(others.into_iter().take(2));
-        sample.sort_by_key(|(a, _)| *a);
-        if sample.is_empty() {
-            return;
-        }
-        self.outbox.reserve(self.table.established_addrs().len());
-        for c in self.table.established() {
-            let mut neighbors = Vec::with_capacity(sample.len());
-            neighbors.extend(sample.iter().copied().filter(|(a, _)| *a != c.peer));
-            if neighbors.is_empty() {
-                continue;
-            }
-            // `push_out`, spelled out: the table is borrowed by the loop.
-            self.stats.link_tx += 1;
-            let msg = LinkMessage::Neighbors {
-                from: me,
-                neighbors,
-            };
-            self.outbox.push((c.endpoint, msg));
-        }
-    }
-
-    fn request_near_connections(&mut self, now: SimTime) {
-        // (a) Routed request addressed to our own address in Closest mode: the node
-        //     nearest to us on the ring answers, giving us at least one true
-        //     neighbour; repeated requests plus gossip converge the near set.
-        if self.table.count_kind(ConnectionKind::Near) < 2 * self.cfg.near_per_side
-            && self.is_connected()
-        {
-            let token = self.fresh_token();
-            self.pending_links.insert(
-                token,
-                PendingLink {
-                    kind: ConnectionKind::Near,
-                    started: now,
-                },
-            );
-            let mut pkt = self.originated(
-                self.cfg.address,
-                DeliveryMode::Closest,
-                RoutedPayload::ConnectRequest {
-                    token,
-                    initiator: self.cfg.address,
-                    kind: ConnectionKind::Near,
-                    endpoints: self.advertised.clone(),
-                },
-            );
-            // Send it through a random established edge so it is not delivered
-            // straight back to ourselves.
-            let pick = self.rng.index(self.table.established_addrs().len());
-            if let Some(ep) = self.table.nth_established(pick).map(|c| c.endpoint) {
-                pkt.hops += 1;
-                self.push_out(ep, LinkMessage::Routed(pkt));
-            }
-        }
-        // (b) Link towards gossip candidates that would improve the neighbour set.
-        let picked = near_hello_targets(
-            &self.table,
-            &self.candidates,
-            &self.cfg.address,
-            self.cfg.near_per_side,
-        );
-        for (addr, ep) in picked {
-            self.send_hello(now, ep, ConnectionKind::Near);
-            // Consume the candidate: if the hello lands, the edge appears in
-            // the table; if the peer is gone, gossip will not resurrect it
-            // and we stop retrying a dead endpoint every tick.
-            self.candidates.remove(&addr);
-        }
-    }
-
-    /// Demote established `Near` edges that are not among the
-    /// `near_per_side` nearest established peers on either side: they are far
-    /// links in fact, and belong to the shortcut budget. Adjacency is decided
-    /// purely from local state, so the classification is stable — unlike the
-    /// old behaviour of trusting whatever kind the last handshake carried.
-    fn reclassify_near_edges(&mut self) {
-        let me = self.cfg.address;
-        let near_view = || self.table.near_view(&me, self.cfg.near_per_side);
-        let near_in_view = near_view()
-            .filter(|c| c.kind == ConnectionKind::Near)
-            .count();
-        if near_in_view == self.table.count_kind(ConnectionKind::Near) {
-            return; // every Near edge is a ring neighbour: the steady state
-        }
-        // Outside the near set, a Near label is a leftover from an
-        // unconverged handshake: demote to Far. The reverse (a true ring
-        // neighbour labelled Far) heals through the handshake path — the
-        // candidate scan re-hellos it as Near and `merged_kind` promotes —
-        // so ring repair keeps its "fewer Near edges than budget" trigger.
-        let demote: Vec<Connection> = self
-            .table
-            .established()
-            .filter(|c| c.kind == ConnectionKind::Near && !near_view().any(|n| n.peer == c.peer))
-            .cloned()
-            .collect();
-        for mut conn in demote {
-            conn.kind = ConnectionKind::Far;
-            self.table.upsert(conn);
-        }
-    }
-
-    /// Kind to record for an edge a handshake proposes as `proposed`: an
-    /// existing edge keeps its classification unless the proposal outranks it
-    /// (`Leaf < Far < Near`). Without this, a shortcut handshake landing on a
-    /// current Near neighbour silently demoted it to Far — the near count
-    /// dropped, ring repair re-requested the same neighbour, and both
-    /// budgets were miscounted under load.
-    fn merged_kind(&self, peer: &Address, proposed: ConnectionKind) -> ConnectionKind {
-        fn rank(k: ConnectionKind) -> u8 {
-            match k {
-                ConnectionKind::Leaf => 0,
-                ConnectionKind::Far => 1,
-                ConnectionKind::Near => 2,
-            }
-        }
-        match self.table.get(peer) {
-            Some(existing) if rank(existing.kind) >= rank(proposed) => existing.kind,
-            _ => proposed,
-        }
-    }
-
-    /// Draw one Kleinberg shortcut offset: `d = 2^bits` with `bits` uniform in
-    /// `[floor_bits, 160)` (log-uniform over ring distances) and an 8-bit
-    /// mantissa so targets fall between the powers of two rather than on them.
-    fn draw_shortcut_distance(&mut self, floor_bits: f64) -> Distance {
-        let bits = floor_bits + self.rng.unit() * (160.0 - floor_bits);
-        let exp = (bits as u32).min(159);
-        // d = m << (exp - 8) with a 9-bit mantissa m ∈ [256, 512).
-        let m = ((bits - exp as f64).exp2() * 256.0) as u64;
-        let mut out = [0u8; 20];
-        if exp < 8 {
-            out[19] = 1u8 << exp;
-        } else {
-            let shift = exp - 8;
-            let mut v = m << (shift % 8);
-            let mut byte = 19 - (shift / 8) as usize;
-            while v > 0 {
-                out[byte] = (v & 0xFF) as u8;
-                v >>= 8;
-                if byte == 0 {
-                    break;
-                }
-                byte -= 1;
-            }
-        }
-        Distance(out)
-    }
-
-    fn request_shortcut(&mut self, now: SimTime) {
-        // Kleinberg / Symphony harmonic distance: pick d = 2^(160·u) with u ∈ (0,1),
-        // i.e. uniform in log-space, and connect to the node closest to self + d.
-        //
-        // Two degenerate draw classes only show up at scale and silently burn
-        // the maintenance tick (pinning nodes below `max_shortcuts` for long
-        // stretches):
-        //  - d smaller than the gap to our nearest neighbour: the request
-        //    terminates at a node we are already connected to;
-        //  - d landing the target next to an existing Far peer: ditto.
-        // So the log-space draw is floored just above the nearest-neighbour
-        // gap, and draws whose locally-predicted responder is already a
-        // connected peer adjacent to the target are redrawn (bounded).
-        let me = self.cfg.address;
-        let nearest = self.table.best_distance_to(&me);
-        // Bit-length of the nearest-neighbour gap; draws below it are wasted.
-        let floor_bits = (161 - nearest.leading_zero_bits()).min(156) as f64;
-        let mut target = None;
-        for _ in 0..8 {
-            let d = self.draw_shortcut_distance(floor_bits);
-            let t = me.add_distance(&d);
-            let predicted = self
-                .table
-                .closest_to(&t)
-                .map(|c| (c.peer, c.peer.ring_distance(&t)));
-            match predicted {
-                // The draw most likely terminates at an already-connected
-                // peer (it sits within about one ring gap of the target):
-                // retry in a different octave.
-                Some((peer, pd)) if peer != me && pd <= nearest => {
-                    self.stats.shortcut_redraws += 1;
-                }
-                _ => {
-                    target = Some(t);
-                    break;
-                }
-            }
-        }
-        let Some(target) = target else {
-            // Every draw predicted an already-connected responder (the
-            // prediction is local, but eight straight hits mean the table
-            // already covers the draw range): skip the tick instead of
-            // burning a routed request and a pending link on a duplicate.
-            // Next tick redraws afresh.
-            return;
-        };
-        let token = self.fresh_token();
-        self.pending_links.insert(
-            token,
-            PendingLink {
-                kind: ConnectionKind::Far,
-                started: now,
-            },
-        );
-        let payload = RoutedPayload::ConnectRequest {
-            token,
-            initiator: self.cfg.address,
-            kind: ConnectionKind::Far,
-            endpoints: self.advertised.clone(),
-        };
-        self.send(now, target, DeliveryMode::Closest, payload);
-    }
-
-    fn run_keepalive(&mut self, now: SimTime) {
-        let ping_interval = self.cfg.ping_interval;
-        let timeout = self.cfg.connection_timeout;
-        let me = self.cfg.address;
-        let mut to_ping = Vec::new();
-        let mut to_drop = Vec::new();
-        for conn in self.table.iter() {
-            if now.saturating_since(conn.last_heard) > timeout {
-                to_drop.push(conn.peer);
-            } else if now.saturating_since(conn.last_heard) > ping_interval
-                && now.saturating_since(conn.last_ping_sent) > ping_interval
-            {
-                to_ping.push((conn.peer, conn.endpoint));
-            }
-            // Record every established peer (one about to be dropped
-            // included) as a candidate we can gossip to others — seen by the
-            // next tick's candidate scan, which has already run in this one.
-            if conn.state == ConnectionState::Established {
-                self.candidates.insert(conn.peer, conn.endpoint);
-            }
-        }
-        for peer in to_drop {
-            self.table.remove(&peer);
-        }
-        for (peer, ep) in to_ping {
-            let nonce = self.rng.next_u64();
-            self.push_out(ep, LinkMessage::Ping { from: me, nonce });
-            self.table.note_ping_sent(&peer, now);
-        }
-    }
-
-    /// Remember `addr` at `endpoint` as a neighbour candidate.
-    fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
-        if addr != self.cfg.address {
-            self.candidates.insert(addr, endpoint);
-        }
-    }
-
-    // ------------------------------------------------------------------ helpers
-
-    fn send_hello(&mut self, now: SimTime, ep: Endpoint, kind: ConnectionKind) {
-        if ep == self.cfg.local_endpoint {
-            return;
-        }
-        let token = self.fresh_token();
-        self.pending_links
-            .insert(token, PendingLink { kind, started: now });
-        let msg = LinkMessage::Hello {
-            from: self.cfg.address,
-            kind,
-            observed: ep,
-            token,
-        };
-        self.push_out(ep, msg);
-    }
-
-    fn learn_observed(&mut self, observed: Endpoint) {
-        // A peer told us it sees our traffic as coming from `observed`; if that is
-        // not an endpoint we already advertise, it is our NAT-translated address.
-        if !self.advertised.contains(&observed) {
-            self.advertised.push(observed);
-            // Keep the list small: local endpoint plus at most three observed ones.
-            if self.advertised.len() > 4 {
-                self.advertised.remove(1);
-            }
-        }
-    }
-
-    fn push_out(&mut self, ep: Endpoint, msg: LinkMessage) {
-        self.stats.link_tx += 1;
-        self.outbox.push((ep, msg));
-    }
-
-    pub(crate) fn fresh_token(&mut self) -> u64 {
-        self.next_token += 1;
-        self.next_token
-    }
+    /// Entries dropped from delegated pub/sub fan-out chunks because no
+    /// honest root plans them: an address named twice, or the very node the
+    /// chunk was delivered to.
+    pub pubsub_bad_chunk_entries: u64,
 }
 
 /// A Brunet-style structured-ring overlay node.
+// `repr(C)` keeps the fields in this order: what every link message touches —
+// the core's table, counters and flags, the ring's candidates — sits together.
+// Left to the compiler the ring landed behind `delivered`, away from the core,
+// and `ring_route` (3 000 nodes, one gossip message per event, so one node's
+// cache lines per event) read 5 % slower in nine of ten pairs.
+#[repr(C)]
 pub struct OverlayNode {
     core: Core,
+    /// Join, linking, ring repair, shortcuts and gossip (see [`crate::ring`]).
+    ring: Ring,
     delivered: VecDeque<RoutedPacket>,
     /// Fast dead-edge detection (see [`crate::monitor`]).
     monitor: LinkMonitor,
@@ -989,6 +365,7 @@ impl OverlayNode {
     /// Create a node (does not contact the network until [`OverlayNode::start`]).
     pub fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
         OverlayNode {
+            ring: Ring::new(cfg.local_endpoint),
             core: Core::new(cfg, rng),
             delivered: VecDeque::new(),
             monitor: LinkMonitor::default(),
@@ -1005,7 +382,7 @@ impl OverlayNode {
 
     /// The endpoints this node advertises (local plus NAT-observed).
     pub fn advertised_endpoints(&self) -> &[Endpoint] {
-        &self.core.advertised
+        self.ring.endpoints()
     }
 
     /// Routing statistics (the DHT gauges are sampled at call time).
@@ -1064,9 +441,7 @@ impl OverlayNode {
     /// Begin joining the overlay: contact the bootstrap endpoints.
     pub fn start(&mut self, now: SimTime) {
         self.core.started = true;
-        for ep in self.core.cfg.bootstrap.clone() {
-            self.core.send_hello(now, ep, ConnectionKind::Leaf);
-        }
+        self.ring.start(&mut self.core, now);
     }
 
     /// Install an already-established edge without a handshake, marking the
@@ -1096,17 +471,8 @@ impl OverlayNode {
         self.pubsub
             .unsubscribe_all(&mut self.core, &mut self.dht, now);
         self.dht.hand_off(&mut self.core, now);
-        let core = &mut self.core;
-        let peers: Vec<Endpoint> = core.table.iter().map(|c| c.endpoint).collect();
-        for ep in peers {
-            core.push_out(
-                ep,
-                LinkMessage::Close {
-                    from: core.cfg.address,
-                },
-            );
-        }
-        core.started = false;
+        Ring::close_all(&mut self.core);
+        self.core.started = false;
     }
 
     /// Messages queued for the physical transport: `(destination endpoint, message)`.
@@ -1321,72 +687,20 @@ impl OverlayNode {
             core.table.note_heard(&peer, now, from);
         }
         match msg {
-            LinkMessage::Hello {
-                from: peer,
-                kind,
-                observed,
-                token,
-            } => {
-                core.learn_observed(observed);
-                if peer != core.cfg.address {
-                    let merged = core.merged_kind(&peer, kind);
-                    core.link_up(now, peer, from, merged);
-                    let ack = LinkMessage::HelloAck {
-                        from: core.cfg.address,
-                        kind,
-                        observed: from,
-                        token,
-                    };
-                    core.push_out(from, ack);
-                }
-            }
-            LinkMessage::HelloAck {
-                from: peer,
-                kind,
-                observed,
-                token,
-            } => {
-                core.learn_observed(observed);
-                core.pending_links.remove(&token);
-                if peer != core.cfg.address {
-                    let merged = core.merged_kind(&peer, kind);
-                    core.link_up(now, peer, from, merged);
-                }
-            }
-            LinkMessage::Ping { nonce, .. } => {
-                let pong = LinkMessage::Pong {
-                    from: core.cfg.address,
-                    nonce,
-                };
-                core.push_out(from, pong);
-            }
-            LinkMessage::Pong { .. } => {
-                // last_heard already updated above.
-            }
-            LinkMessage::Probe { nonce, .. } => {
-                let ack = LinkMessage::ProbeAck {
-                    from: core.cfg.address,
-                    nonce,
-                };
-                core.push_out(from, ack);
+            LinkMessage::Routed(pkt) => {
+                self.ring.learn_from(core, &pkt.payload);
+                let arrived = core.route(pkt);
+                self.dispatch(now, arrived);
             }
             LinkMessage::ProbeAck { from: peer, nonce } => {
                 self.monitor.on_ack(now, peer, nonce);
             }
             LinkMessage::Close { from: peer } => {
                 core.table.remove(&peer);
-                core.candidates.remove(&peer);
+                self.ring.forget(&peer);
                 self.monitor.forget(&peer);
             }
-            LinkMessage::Routed(pkt) => {
-                let arrived = core.route(pkt);
-                self.dispatch(now, arrived);
-            }
-            LinkMessage::Neighbors { from: _, neighbors } => {
-                for (addr, ep) in neighbors {
-                    core.add_candidate(addr, ep);
-                }
-            }
+            link => self.ring.on_link(core, now, from, link),
         }
     }
 
@@ -1397,17 +711,12 @@ impl OverlayNode {
         if !self.core.started {
             return;
         }
-        // 1–4. Bootstrap, ring repair, shortcuts, keep-alive and expiry.
-        self.core.maintain_ring(now);
-        // 4b. Fast dead-edge detection.
+        // 1–5. Bootstrap, ring repair, shortcuts, keep-alive and expiry.
+        self.ring.tick(&mut self.core, now);
+        // 5b. Fast dead-edge detection.
         if self.core.cfg.link_monitor {
             self.run_link_monitor(now);
         }
-        // 5. Drop stale pending links.
-        let timeout = self.core.cfg.connection_timeout;
-        self.core
-            .pending_links
-            .retain(|_, p| now.saturating_since(p.started) < timeout);
         // 6. DHT soft-state maintenance: expiry, lease renewal, re-replication.
         self.dht.tick(&mut self.core, now);
         // 6b. Pub/sub soft state: renew this node's subscriptions at TTL/2
@@ -1418,13 +727,9 @@ impl OverlayNode {
         //     alarm as every other deterministic timer.
         self.vstreams.tick(now);
         self.flush_streams(now);
-        // 7. Gossip our neighbour view to every established peer: ring
-        //    neighbours on both sides plus a random sample, so knowledge of a
-        //    node spreads along the ring and the near sets can converge.
-        self.core.gossip_neighbors();
-        if self.core.candidates.len() > 64 {
-            self.core.candidates.clear();
-        }
+        // 7. Gossip our neighbour view to every established peer — last, so
+        //    the view is what the link monitor left of the table.
+        self.ring.gossip(&mut self.core);
     }
 
     // ---------------------------------------------------------------- dispatch
@@ -1445,7 +750,9 @@ impl OverlayNode {
         match pkt.payload {
             RoutedPayload::IpTunnel(_) => self.delivered.push_back(pkt),
             payload @ (RoutedPayload::ConnectRequest { .. }
-            | RoutedPayload::ConnectResponse { .. }) => self.core.on_connect(now, payload),
+            | RoutedPayload::ConnectResponse { .. }) => {
+                self.ring.on_payload(&mut self.core, now, payload);
+            }
             payload @ (RoutedPayload::DhtPut { .. }
             | RoutedPayload::DhtGet { .. }
             | RoutedPayload::DhtReply { .. }
@@ -1492,7 +799,7 @@ impl OverlayNode {
     /// with candidates learned from peers' connection tables; tests use it to model
     /// gossip without a full message exchange).
     pub fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
-        self.core.add_candidate(addr, endpoint);
+        self.ring.learn(&self.core, addr, endpoint);
     }
 
     /// Apply one [`LinkMonitor::run`] pass: drop the edges it declared dead,
@@ -1515,7 +822,7 @@ impl OverlayNode {
         let me = core.cfg.address;
         for (peer, endpoint) in verdicts.dead {
             core.table.remove(&peer);
-            core.candidates.remove(&peer);
+            self.ring.forget(&peer);
             // Receipt-driven pub/sub cleanup: a dead peer stops receiving
             // fan-out immediately instead of aging out of topic records.
             self.pubsub.on_dead_peer(core, &mut self.dht, now, peer);
@@ -1533,60 +840,6 @@ impl OverlayNode {
             core.push_out(endpoint, LinkMessage::Probe { from: me, nonce });
         }
     }
-}
-
-/// The gossip candidates ring repair says hello to this tick: right-side
-/// picks first, then left-side picks not already picked.
-///
-/// Peers already linked as Near are settled; an existing Far or Leaf edge
-/// stays eligible — when a true ring neighbour first joined us via a shortcut
-/// or bootstrap handshake, re-helloing it as Near promotes the edge on both
-/// ends (freeing the shortcut budget slot it may have been occupying).
-///
-/// Of the eligible candidates only the nearest `per_side` on each side are
-/// considered, and of those only the ones that improve that side of the near
-/// set. While the near set is underfull every candidate "improves", and
-/// helloing the whole gossip backlog at once permanently meshed small rings
-/// (and at scale would flood a joining node); the nearest candidates are the
-/// only ones that can end up in the converged near set anyway. `candidates`
-/// is keyed by address, i.e. already in ring order, so "nearest" is a walk
-/// from `me` in each direction — two range probes per side, no sort.
-fn near_hello_targets(
-    table: &ConnectionTable,
-    candidates: &BTreeMap<Address, Endpoint>,
-    me: &Address,
-    per_side: usize,
-) -> Vec<(Address, Endpoint)> {
-    /// How many established neighbours a side has, and its farthest one.
-    fn side<'a>(nearest: impl Iterator<Item = &'a Connection>) -> (usize, Option<Address>) {
-        nearest.fold((0, None), |(n, _), c| (n + 1, Some(c.peer)))
-    }
-    let (right_len, right_last) = side(table.right_of(me).take(per_side));
-    let (left_len, left_last) = side(table.left_of(me).take(per_side));
-    let worst_right = right_last.map(|a| me.clockwise_distance(&a));
-    let worst_left = left_last.map(|a| a.clockwise_distance(me));
-    let eligible = |(a, _): &(&Address, &Endpoint)| {
-        *a != me && table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near)
-    };
-    let mut picked: Vec<(Address, Endpoint)> = Vec::new();
-    let clockwise = candidates.range(*me..).chain(candidates.range(..*me));
-    for (&addr, &ep) in clockwise.filter(eligible).take(per_side) {
-        if right_len < per_side || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w) {
-            picked.push((addr, ep));
-        }
-    }
-    let counter_clockwise = candidates
-        .range(..*me)
-        .rev()
-        .chain(candidates.range(*me..).rev());
-    for (&addr, &ep) in counter_clockwise.filter(eligible).take(per_side) {
-        let improves =
-            left_len < per_side || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
-        if improves && !picked.contains(&(addr, ep)) {
-            picked.push((addr, ep));
-        }
-    }
-    picked
 }
 
 #[cfg(test)]
@@ -3247,160 +2500,5 @@ mod tests {
         );
         assert!(h.nodes[publisher].stats().pubsub_publish_retries >= 1);
         assert_eq!(h.nodes[publisher].stats().pubsub_publish_failures, 0);
-    }
-
-    // ------------------------------------------------ near-hello selection
-
-    /// Reference model for `near_hello_targets`: the same selection by brute
-    /// force — copy every eligible candidate, sort the copy by clockwise
-    /// distance for the right side and again by counter-clockwise distance
-    /// for the left.
-    fn near_hello_targets_by_sort(
-        table: &ConnectionTable,
-        candidates: &BTreeMap<Address, Endpoint>,
-        me: &Address,
-        per_side: usize,
-    ) -> Vec<(Address, Endpoint)> {
-        let peers = |side: Vec<&Connection>| side.iter().map(|c| c.peer).collect::<Vec<_>>();
-        let current_right = peers(table.right_neighbors(me, per_side));
-        let current_left = peers(table.left_neighbors(me, per_side));
-        let worst_right = current_right.last().map(|a| me.clockwise_distance(a));
-        let worst_left = current_left.last().map(|a| a.clockwise_distance(me));
-        let mut candidates: Vec<(Address, Endpoint)> = candidates
-            .iter()
-            .filter(|(a, _)| {
-                *a != me && table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near)
-            })
-            .map(|(a, e)| (*a, *e))
-            .collect();
-        candidates.sort_by_key(|(a, _)| me.clockwise_distance(a));
-        let mut picked: Vec<(Address, Endpoint)> = Vec::new();
-        for &(addr, ep) in candidates.iter().take(per_side) {
-            let improves = current_right.len() < per_side
-                || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w);
-            if improves {
-                picked.push((addr, ep));
-            }
-        }
-        candidates.sort_by_key(|(a, _)| a.clockwise_distance(me));
-        for &(addr, ep) in candidates.iter().take(per_side) {
-            let improves = current_left.len() < per_side
-                || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
-            if improves && !picked.contains(&(addr, ep)) {
-                picked.push((addr, ep));
-            }
-        }
-        picked
-    }
-
-    /// One of 64 ring positions — 16 coarse steps from `0x00…` to `0xF0…`,
-    /// four adjacent addresses at each — so generated candidates, edges and
-    /// `me` collide with each other often.
-    fn ring_pos(sel: u8) -> Address {
-        let mut b = [0u8; 20];
-        b[0] = sel & 0xF0;
-        b[19] = sel & 0x03;
-        Address(b)
-    }
-
-    /// Build a table (mixing kinds and states, with re-upserts and removals)
-    /// and a candidate map of up to 80 draws from `addr_of`, then require the
-    /// range-probe selection to return the reference's list — content and
-    /// order — for every `near_per_side` in use.
-    fn assert_selection_matches_reference(
-        me: Address,
-        edges: &[u16],
-        candidates: &[u16],
-        addr_of: impl Fn(u16) -> Address,
-    ) {
-        let mut table = ConnectionTable::new();
-        for &w in edges {
-            let peer = addr_of(w);
-            table.upsert(Connection {
-                peer,
-                endpoint: ep(usize::from(w >> 8)),
-                kind: [
-                    ConnectionKind::Near,
-                    ConnectionKind::Far,
-                    ConnectionKind::Leaf,
-                ][usize::from(w >> 8) % 3],
-                state: if w & 0x0800 == 0 {
-                    ConnectionState::Established
-                } else {
-                    ConnectionState::Connecting
-                },
-                last_heard: SimTime::ZERO,
-                last_ping_sent: SimTime::ZERO,
-            });
-            if w & 0xF000 == 0 {
-                table.remove(&peer);
-            }
-        }
-        let candidates: BTreeMap<Address, Endpoint> = candidates
-            .iter()
-            .map(|&w| (addr_of(w), ep(usize::from(w >> 8))))
-            .collect();
-        for per_side in 1..=3 {
-            assert_eq!(
-                near_hello_targets(&table, &candidates, &me, per_side),
-                near_hello_targets_by_sort(&table, &candidates, &me, per_side),
-                "me {me:?} per_side {per_side}"
-            );
-        }
-    }
-
-    mod near_hello_selection {
-        use super::*;
-        use proptest::collection::vec;
-        use proptest::prelude::*;
-
-        // Four properties of 64 cases each (the offline proptest's fixed case
-        // count): `me` at the bottom of the ring, at the top, anywhere on the
-        // colliding 64-position ring, and on a sparse ring of random
-        // addresses.
-        proptest! {
-            #[test]
-            fn me_at_the_bottom_of_the_ring_wraps_counter_clockwise(
-                me_sel in 0u8..4,
-                edges in vec(any::<u16>(), 0..24),
-                candidates in vec(any::<u16>(), 0..81),
-            ) {
-                let me = ring_pos(me_sel);
-                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
-            }
-
-            #[test]
-            fn me_at_the_top_of_the_ring_wraps_clockwise(
-                me_sel in 0u8..5,
-                edges in vec(any::<u16>(), 0..24),
-                candidates in vec(any::<u16>(), 0..81),
-            ) {
-                // The four highest positions, or the very last address.
-                let me = if me_sel == 4 { Address([0xFF; 20]) } else { ring_pos(0xF0 | me_sel) };
-                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
-            }
-
-            #[test]
-            fn me_anywhere_among_colliding_positions(
-                me_sel: u8,
-                edges in vec(any::<u16>(), 0..24),
-                candidates in vec(any::<u16>(), 0..81),
-            ) {
-                let me = ring_pos(me_sel);
-                assert_selection_matches_reference(me, &edges, &candidates, |w| ring_pos(w as u8));
-            }
-
-            #[test]
-            fn sparse_ring_of_hashed_addresses(
-                me_key: u16,
-                edges in vec(any::<u16>(), 0..24),
-                candidates in vec(any::<u16>(), 0..81),
-            ) {
-                // Only the low byte picks the address, so the high byte still
-                // varies kind / state / removal for one peer.
-                let hashed = |w: u16| Address::from_key(&[w as u8]);
-                assert_selection_matches_reference(hashed(me_key), &edges, &candidates, hashed);
-            }
-        }
     }
 }

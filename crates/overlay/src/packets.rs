@@ -36,8 +36,10 @@ pub enum DeliveryMode {
     Closest,
 }
 
-/// The kind of structured connection being requested.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+/// The kind of structured connection being requested. Ordered strongest
+/// first (`Near < Far < Leaf`): of two classifications proposed for one edge,
+/// the smaller is the one to keep.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum ConnectionKind {
     /// Ring neighbour (structured near) connection.
     Near,

@@ -26,8 +26,8 @@ use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
 use crate::dht::{version_for, wire_expiry, Dht, DhtStore};
-use crate::node::{Arrival, Core};
 use crate::packets::{DeliveryMode, RoutedPayload};
+use crate::router::{Arrival, Core};
 
 /// Bytes of one encoded subscriber-set entry: address 20 + expiry ms 8.
 const SUB_ENTRY_BYTES: usize = 28;
@@ -65,7 +65,7 @@ pub fn decode_subscriber_set(value: &Bytes) -> Result<Vec<(Address, u64)>, Parse
         .split_first_chunk::<4>()
         .ok_or(ParseError::Truncated("subscriber set"))?;
     let count = u32::from_be_bytes(*count_bytes) as usize;
-    if count * SUB_ENTRY_BYTES != body.len() {
+    if count.checked_mul(SUB_ENTRY_BYTES) != Some(body.len()) {
         return Err(ParseError::BadLength("subscriber set count"));
     }
     let mut out = Vec::with_capacity(count);
@@ -183,6 +183,27 @@ fn live_entries(dht: &Dht, now: SimTime, topic: &Address) -> Vec<(Address, u64)>
     };
     entries.retain(|(_, expires_ms)| *expires_ms > now_ms);
     entries
+}
+
+/// A delegated chunk, believed only as far as an honest root could have sent
+/// it. A root plans from a set in ring order, so a chunk is strictly
+/// ascending: one that is not is forged, and is re-planned from the set of
+/// addresses it names — a repeated address would otherwise be sent one copy
+/// per repetition. `receiver`, where given, has its copy already and is
+/// dropped too. Every entry dropped is counted.
+fn checked_chunk(
+    core: &mut Core,
+    mut relay_to: Vec<Address>,
+    receiver: Option<Address>,
+) -> Vec<Address> {
+    let claimed = relay_to.len();
+    if !relay_to.is_sorted_by(|a, b| a < b) {
+        relay_to.sort();
+        relay_to.dedup();
+    }
+    relay_to.retain(|addr| Some(*addr) != receiver);
+    core.stats.pubsub_bad_chunk_entries += (claimed - relay_to.len()) as u64;
+    relay_to
 }
 
 impl PubSub {
@@ -388,6 +409,9 @@ impl PubSub {
             } => {
                 core.stats.pubsub_delivered += 1;
                 self.inbox.push_back((topic, msg_id, payload.clone()));
+                // This node has its copy: a chunk that names it again is not
+                // one an honest root planned.
+                let relay_to = checked_chunk(core, relay_to, Some(core.cfg.address));
                 if !relay_to.is_empty() {
                     // Delegated chunk: re-apply the bounded split one tree
                     // level down, sharing the same body bytes.
@@ -420,6 +444,10 @@ impl PubSub {
             payload,
         } = payload
         {
+            // The salvaging node can honestly be a member of the chunk (a
+            // chunk is contiguous in ring order, so the node closest to a
+            // departed head is often its next member): it stays, once.
+            let relay_to = checked_chunk(core, relay_to, None);
             if !relay_to.is_empty() {
                 core.stats.pubsub_salvaged += 1;
                 self.fan_out(core, dht, now, topic, msg_id, &payload, &relay_to);

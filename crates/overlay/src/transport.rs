@@ -18,6 +18,13 @@ use crate::packets::{Endpoint, LinkMessage};
 /// Bytes of the optional end-of-message integrity tag.
 const TAG_BYTES: usize = 8;
 
+/// The longest message (integrity tag included) either transport carries:
+/// what fits one UDP datagram, 65 535 − 20 (IPv4) − 8 (UDP). The TCP framing
+/// holds its 32-bit length prefix to the same ceiling, so both transports
+/// accept the same message set and a forged prefix cannot make the receiver
+/// buffer a "frame" that never ends.
+const MAX_MESSAGE_BYTES: usize = 65_507;
+
 /// FNV-1a over the encoded message. Not cryptographic — it exists to stop
 /// corrupted-but-still-parseable packets (the kind an unlucky byte flip
 /// produces) from reaching the overlay and minting phantom peers, at a cost
@@ -220,6 +227,15 @@ impl TcpTransport {
         }
     }
 
+    /// The length prefix at the head of `rx`, once all four bytes are in.
+    fn frame_len(rx: &[u8]) -> Option<usize> {
+        let prefix = rx.first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*prefix) as usize)
+    }
+
+    /// Decode every complete frame at the head of `rx`. Stops at a length
+    /// prefix beyond [`MAX_MESSAGE_BYTES`] and leaves it there: `poll` drops
+    /// the peer that sent it.
     fn extract_frames(
         rx: &mut Vec<u8>,
         integrity_tag: bool,
@@ -227,12 +243,8 @@ impl TcpTransport {
         rejects: &mut u64,
     ) -> Vec<LinkMessage> {
         let mut out = Vec::new();
-        loop {
-            if rx.len() < 4 {
-                break;
-            }
-            let len = u32::from_be_bytes([rx[0], rx[1], rx[2], rx[3]]) as usize;
-            if rx.len() < 4 + len {
+        while let Some(len) = Self::frame_len(rx) {
+            if len > MAX_MESSAGE_BYTES || rx.len() < 4 + len {
                 break;
             }
             let body = Bytes::from(&rx[4..4 + len]);
@@ -309,7 +321,13 @@ impl OverlayTransport for TcpTransport {
             ) {
                 out.push((*ep, msg));
             }
-            if stack.tcp_is_closed(peer.handle) && peer.rx.is_empty() {
+            // A byte stream cannot be resynchronised after a bad length:
+            // the peer goes, the transport keeps serving the others.
+            let forged = Self::frame_len(&peer.rx).is_some_and(|len| len > MAX_MESSAGE_BYTES);
+            if forged {
+                self.parse_errors += 1;
+            }
+            if forged || (stack.tcp_is_closed(peer.handle) && peer.rx.is_empty()) {
                 dead.push(*ep);
             }
         }
@@ -438,6 +456,68 @@ mod tests {
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].1, ping_msg(3));
         assert_eq!(tb.peer_count(), 1);
+    }
+
+    #[test]
+    fn tcp_forged_length_prefix_drops_the_peer_not_the_transport() {
+        const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+        let mut stacks = [A, B, C].map(|ip| NetStack::new(StackConfig::new(ip)));
+        let mut now = SimTime::ZERO;
+        // Every stack's packets to whichever stack they address.
+        fn pump3(stacks: &mut [NetStack; 3], now: &mut SimTime) {
+            for _ in 0..10_000 {
+                let mut sent = Vec::new();
+                for s in stacks.iter_mut() {
+                    s.poll(*now);
+                    sent.extend(s.take_packets());
+                }
+                if sent.is_empty() {
+                    break;
+                }
+                *now += Duration::from_micros(100);
+                for p in sent {
+                    let to = [A, B, C].iter().position(|ip| *ip == p.dst());
+                    stacks[to.expect("a known stack")].handle_packet(*now, p);
+                }
+            }
+        }
+        // B is the victim, C an honest peer with a connection of its own.
+        let mut tb = TcpTransport::bind(&mut stacks[1], 4001);
+        let mut tc = TcpTransport::bind(&mut stacks[2], 4001);
+        let mut got = Vec::new();
+        tc.send(&mut stacks[2], now, (B, 4001), &ping_msg(1));
+        // A writes a length no message can have and keeps streaming.
+        let attacker = stacks[0].tcp_connect(B, 4001, now).unwrap();
+        let mut stream = 0xFFFF_FFFFu32.to_be_bytes().to_vec();
+        stream.resize(4 + 256 * 1024, 0xAB);
+        let (mut written, mut most_held) = (0, 0);
+        for _ in 0..200 {
+            pump3(&mut stacks, &mut now);
+            written += stacks[0]
+                .tcp_send(attacker, &stream[written..])
+                .unwrap_or(0);
+            got.extend(tb.poll(&mut stacks[1], now));
+            tc.poll(&mut stacks[2], now);
+            let held: usize = tb.peers.values().map(|p| p.rx.len()).sum();
+            most_held = most_held.max(held);
+            now += Duration::from_millis(1);
+        }
+        assert_eq!(written, stream.len(), "all of it was on its way");
+        assert!(most_held < MAX_MESSAGE_BYTES, "held {most_held} bytes");
+        assert!(tb.parse_errors >= 1);
+        assert_eq!(tb.peer_count(), 1, "only the honest peer is left");
+
+        // The honest peer never noticed.
+        tc.send(&mut stacks[2], now, (B, 4001), &ping_msg(2));
+        for _ in 0..50 {
+            pump3(&mut stacks, &mut now);
+            got.extend(tb.poll(&mut stacks[1], now));
+            tc.poll(&mut stacks[2], now);
+            now += Duration::from_millis(10);
+        }
+        let pings: Vec<LinkMessage> = got.into_iter().map(|(_, msg)| msg).collect();
+        assert_eq!(pings, vec![ping_msg(1), ping_msg(2)]);
+        assert_eq!(tc.peer_count(), 1, "over the connection it had all along");
     }
 
     #[test]
