@@ -117,8 +117,9 @@ fn bench_connection_table(c: &mut Criterion) {
 /// than a ring neighbour, so no tick consumes one. `now` stands still: the
 /// peers are neither heard from nor timed out, and what is timed is ring
 /// repair's candidate scan, the near-edge reclassification, the idle
-/// keep-alive / link-monitor / DHT / pub-sub / stream sweeps and one
-/// `Neighbors` gossip message per established peer.
+/// keep-alive / link-monitor / DHT / pub-sub / stream sweeps and gossip's
+/// "any news?" check — with one `Neighbors` message per established peer on
+/// every eighth tick, the refresh.
 fn bench_overlay_tick(c: &mut Criterion) {
     let now = SimTime::ZERO;
     let at = |top: u8, low: u8| {

@@ -1,12 +1,19 @@
-//! The link monitor: fast dead-edge detection, as a sans-IO component.
+//! The link monitor: the overlay's heartbeat and its fast dead-edge
+//! detection, as a sans-IO component.
 //!
-//! Brunet keeps IPOP's edges live (paper Section II-C); here that is one
-//! probe exchange per silent edge. The monitor owns the per-edge health —
-//! an RFC 6298 RTT estimate, the probe in flight, a 64-probe loss window and
-//! the phi-accrual suspicion derived from it — and decides two things on each
-//! maintenance pass: *who to probe* and *who is dead*. An edge that misses
-//! enough consecutive probe deadlines ([`DeathRule`]) is dead within seconds
-//! instead of the 45 s connection timeout.
+//! Brunet keeps IPOP's edges live with a ping on idle ones (paper Section
+//! II-C); here that is one probe exchange per silent edge. A converged ring
+//! does not gossip ([`crate::ring`]), so an edge that carries no traffic is
+//! silent and the monitor probes it every `probe_interval`: one `Probe` /
+//! `ProbeAck` pair refreshes both ends, about two messages per edge-second
+//! at the defaults. The monitor owns the per-edge health — an RFC 6298 RTT
+//! estimate, the probe in flight, a 64-probe loss window and the phi-accrual
+//! suspicion derived from it — and decides two things on each maintenance
+//! pass: *who to probe* and *who is dead*. An edge that misses enough
+//! consecutive probe deadlines ([`DeathRule`]) is dead within seconds
+//! instead of the 45 s connection timeout. (With the monitor switched off,
+//! the ring's 10 s `Ping` / `Pong` keep-alive and that timeout are all there
+//! is.)
 //!
 //! Like [`crate::vstream::VStreams`] it reads nothing but its arguments: the
 //! embedding [`crate::node::OverlayNode`] hands [`LinkMonitor::run`] the
@@ -34,10 +41,14 @@ const PROBE_TIMEOUT_INITIAL: Duration = Duration::from_secs(1);
 /// Bounds on the phi estimator's per-edge loss estimate. The floor makes a
 /// clean edge's suspicion grow at -log₁₀(0.01) = 2 per miss — with the
 /// default threshold of 6, exactly the historical 3-miss verdict. The cap
-/// keeps an extremely lossy edge (> 10% probe loss) from becoming
-/// effectively undroppable.
+/// keeps an extremely lossy edge (more than every second exchange lost) from
+/// becoming effectively undroppable: at the cap a verdict takes 20 misses.
+/// Below it a miss is priced at the loss the window *observed* — nothing
+/// but the probe exchange vouches for an idle edge, so a cap under a link's
+/// true rate (0.1 on a 20 %-loss link) turns its ordinary streaks into
+/// verdicts.
 const PHI_LOSS_FLOOR: f64 = 0.01;
-const PHI_LOSS_CAP: f64 = 0.1;
+const PHI_LOSS_CAP: f64 = 0.5;
 
 /// When consecutive probe misses add up to a dead edge.
 #[derive(Clone, Copy, Debug)]
@@ -151,10 +162,10 @@ pub struct LinkMonitor {
 
 impl LinkMonitor {
     /// One monitor pass over the established `edges` — `(peer, endpoint,
-    /// last heard)` each. Healthy edges hear gossip every `tick_interval`,
-    /// so in steady state only peers silent for `probe_interval` are probed,
-    /// and a crashed one is dead after a few adaptive deadlines. State of
-    /// edges not in `edges` any more is dropped.
+    /// last heard)` each. An edge nothing was heard on for `probe_interval`
+    /// is probed — every idle edge of a quiet ring, that often: the probe is
+    /// the heartbeat — and a crashed peer is dead after a few adaptive
+    /// deadlines. State of edges not in `edges` any more is dropped.
     pub fn run(
         &mut self,
         now: SimTime,
@@ -316,9 +327,10 @@ mod tests {
         }
         assert!(clean.phi() >= 6.0, "clean edge: 3 misses suffice");
 
-        // A window that has watched one probe exchange in five vanish sits on
-        // the loss cap: one phi unit per miss, so the same three misses stay
-        // well under the threshold and only six reach it.
+        // A window that has watched one probe exchange in five vanish prices
+        // a miss at -log₁₀(0.2) ≈ 0.7 phi units (under the cap, so at what it
+        // observed): the same three misses stay well under the threshold,
+        // eight still do, and the ninth reaches it.
         let mut lossy = EdgeHealth::default();
         for i in 0..30 {
             lossy.record_outcome(i % 5 == 0);
@@ -329,11 +341,14 @@ mod tests {
             lossy.record_outcome(true);
         }
         assert!(lossy.phi() < 6.0, "lossy edge: 3 misses are not a verdict");
-        for _ in 0..3 {
+        for _ in 0..5 {
             lossy.failures += 1;
             lossy.record_outcome(true);
         }
-        assert!(lossy.phi() >= 6.0, "lossy edge: 6 misses are");
+        assert!(lossy.phi() < 6.0, "lossy edge: nor are 8");
+        lossy.failures += 1;
+        lossy.record_outcome(true);
+        assert!(lossy.phi() >= 6.0, "lossy edge: 9 misses are");
     }
 
     #[test]

@@ -86,6 +86,15 @@ impl Core {
         });
     }
 
+    /// Tell every peer the edges are going away (graceful leave).
+    pub(crate) fn close_all(&mut self) {
+        let from = self.cfg.address;
+        let peers: Vec<Endpoint> = self.table.iter().map(|c| c.endpoint).collect();
+        for ep in peers {
+            self.push_out(ep, LinkMessage::Close { from });
+        }
+    }
+
     /// Messages queued for the physical transport: `(destination endpoint, message)`.
     pub(crate) fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
         std::mem::take(&mut self.outbox)

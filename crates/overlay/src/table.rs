@@ -137,6 +137,11 @@ impl ConnectionTable {
         self.connections.contains_key(peer)
     }
 
+    /// Is there an established edge to `peer`?
+    pub fn is_established(&self, peer: &Address) -> bool {
+        self.established.contains(peer)
+    }
+
     /// Iterate over all edges.
     pub fn iter(&self) -> impl Iterator<Item = &Connection> {
         self.connections.values()

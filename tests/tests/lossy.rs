@@ -134,3 +134,24 @@ fn ablation_fixed_miss_limit_drops_a_blackout_burst_but_phi_rides_it_out() {
         "phi-accrual declared {phi} edges dead across a transient blackout burst"
     );
 }
+
+/// The same contrast as a sweep: one seed can ride a blackout out by luck.
+/// With gossip change-driven, nothing but the probe exchange vouches for an
+/// idle edge, so this is the heartbeat standing on its own — on every one of
+/// twelve seeds phi-accrual declares no edge dead and the fixed limit does.
+#[test]
+fn blackout_burst_sweep_phi_never_drops_and_the_fixed_limit_always_does() {
+    for k in 0..12u64 {
+        let seed = 0xAB1A_7E57 + 7919 * k;
+        let phi = blackout_burst_run(seed, true);
+        assert_eq!(
+            phi, 0,
+            "seed {seed:#x}: phi-accrual declared {phi} edges dead"
+        );
+        let fixed = blackout_burst_run(seed, false);
+        assert!(
+            fixed >= 1,
+            "seed {seed:#x}: the fixed limit rode the blackout out"
+        );
+    }
+}

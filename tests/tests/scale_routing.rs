@@ -82,8 +82,8 @@ fn ring_workload_histories_are_pinned() {
         probes: 64,
         ..ScaleConfig::ring(128)
     });
-    assert_eq!(scale.events, 7726);
-    assert_eq!(scale.trace_hash, 0x31c2_5bee_55b9_f3ac);
+    assert_eq!(scale.events, 3534);
+    assert_eq!(scale.trace_hash, 0xcedb_3148_ea7e_88c0);
     assert_eq!(scale.hops.iter().sum::<u32>(), 217);
 
     let small_ring = ScaleConfig {
@@ -99,8 +99,8 @@ fn ring_workload_histories_are_pinned() {
         settle: Duration::from_secs(2),
         ..FanoutConfig::full()
     });
-    assert_eq!(fan.events, 5486);
-    assert_eq!(fan.trace_hash, 0xac0f_6e9a_b12a_4ea1);
+    assert_eq!(fan.events, 3199);
+    assert_eq!(fan.trace_hash, 0x504a_de85_27aa_ae0d);
     assert_eq!(fan.delivered, 384);
     assert_eq!(fan.fanout_sent, 376);
 
@@ -113,7 +113,7 @@ fn ring_workload_histories_are_pinned() {
         transfer_bytes: 4 * 1024,
         ..FairnessConfig::full()
     });
-    assert_eq!(fair.events, 5363);
-    assert_eq!(fair.trace_hash, 0x7dd6_46b0_46ee_6989);
+    assert_eq!(fair.events, 3080);
+    assert_eq!(fair.trace_hash, 0x3188_4de2_eb0a_6ce5);
     assert_eq!(fair.bytes_received, 262_144);
 }
