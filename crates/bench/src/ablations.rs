@@ -13,6 +13,7 @@ use ipop_netsim::{planetlab, Network, NetworkSim};
 use ipop_simcore::{Duration, SimTime};
 
 use crate::report::{f, Table};
+use crate::Outcome;
 
 // ------------------------------------------------------------------- shortcuts
 
@@ -127,6 +128,13 @@ pub fn render_shortcuts(rows: &[ShortcutResult], n: usize) -> Table {
         ]);
     }
     table
+}
+
+/// The `shortcuts` scenario: 64 nodes and 200 pings, 24 and 30 when `quick`.
+pub fn shortcuts_scenario(quick: bool) -> Outcome {
+    let (nodes, pings) = if quick { (24, 30) } else { (64, 200) };
+    render_shortcuts(&shortcuts(nodes, pings), nodes).print();
+    Outcome::printed()
 }
 
 // ------------------------------------------------------------------ Brunet-ARP
@@ -297,6 +305,12 @@ pub fn render_brunet_arp(result: &BrunetArpResult) -> Table {
         result.tunneled.to_string(),
     ]);
     table
+}
+
+/// The `brunet_arp` scenario; one size, `--quick` changes nothing.
+pub fn brunet_arp_scenario(_quick: bool) -> Outcome {
+    render_brunet_arp(&brunet_arp()).print();
+    Outcome::printed()
 }
 
 #[cfg(test)]

@@ -22,7 +22,10 @@ use ipop_overlay::pubsub::topic_key;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
+use crate::harness::{fmax, mean, quantile};
+use crate::json::Json;
 use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
+use crate::{ensure, mode, Outcome};
 
 /// Parameters of one fan-out run.
 #[derive(Clone, Debug)]
@@ -264,6 +267,82 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         trace_hash: run.trace_hash,
         drained: run.drained,
     }
+}
+
+/// The `fanout` scenario (`BENCH_fanout.json`): [`FanoutConfig::full`], or
+/// [`FanoutConfig::quick`]. Gate: the run drains and ≥ 99.9 % of the
+/// `publishes × subscribers` deliveries arrive.
+pub fn scenario(quick: bool) -> Outcome {
+    let cfg = if quick {
+        FanoutConfig::quick()
+    } else {
+        FanoutConfig::full()
+    };
+    eprintln!(
+        "fanout ({} mode): {} nodes / {} shards, {} publishers x {} subscribers, fan-out {}",
+        mode(quick),
+        cfg.scale.nodes,
+        cfg.scale.shards,
+        cfg.publishers,
+        cfg.subscribers,
+        cfg.scale.pubsub_fanout
+    );
+    let r = run_fanout(&cfg);
+    let latency = |q| Json::Fixed(quantile(&r.latencies_ms, q), 2);
+    let json = Json::obj([
+        ("bench", "fanout".into()),
+        ("mode", mode(quick).into()),
+        ("nodes", r.nodes.into()),
+        ("shards", r.shards.into()),
+        ("publishers", r.publishers.into()),
+        ("subscribers", r.subscribers.into()),
+        ("fanout", r.fanout.into()),
+        ("payload_bytes", cfg.payload_bytes.into()),
+        ("events", r.events.into()),
+        ("virtual_s", Json::Fixed(r.virtual_s, 1)),
+        (
+            "delivery",
+            Json::obj([
+                ("publishes", r.publishes.into()),
+                ("expected", r.expected.into()),
+                ("delivered", r.delivered.into()),
+                ("rate", Json::Fixed(r.delivery_rate(), 6)),
+            ]),
+        ),
+        (
+            "latency_ms",
+            Json::obj([
+                ("mean", Json::Fixed(mean(&r.latencies_ms), 2)),
+                ("p50", latency(0.5)),
+                ("p90", latency(0.9)),
+                ("p99", latency(0.99)),
+                ("max", Json::Fixed(fmax(&r.latencies_ms), 2)),
+            ]),
+        ),
+        (
+            "relay_tree",
+            Json::obj([
+                ("fanout_sent", r.fanout_sent.into()),
+                ("relayed", r.relayed.into()),
+                ("salvaged", r.salvaged.into()),
+            ]),
+        ),
+        (
+            "determinism",
+            Json::obj([
+                ("drained", r.drained.into()),
+                ("trace_hash", Json::hash(r.trace_hash)),
+            ]),
+        ),
+    ]);
+    let check = ensure(r.drained, "fan-out run failed to drain").and(ensure(
+        r.delivery_rate() >= 0.999,
+        format!(
+            "delivery rate {:.6} below the 99.9% floor",
+            r.delivery_rate()
+        ),
+    ));
+    Outcome::artefact(json, check)
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use ipop_simcore::Histogram;
 
 use crate::report::{f, Table};
 use crate::scenarios::{planetlab_ping, PlanetLabResult};
+use crate::Outcome;
 
 /// Parameters of the Fig. 5 experiment.
 #[derive(Clone, Debug)]
@@ -99,6 +100,23 @@ pub fn render_summary(out: &Fig5Output, params: &Fig5Params) -> Table {
         "2 hops between source and destination".into(),
     ]);
     table
+}
+
+/// The `fig5` scenario: the paper's 118-node overlay, or [`Fig5Params::quick`].
+pub fn scenario(quick: bool) -> Outcome {
+    let params = if quick {
+        Fig5Params::quick()
+    } else {
+        Fig5Params::default()
+    };
+    println!(
+        "Fig. 5: {} pings across a {}-node overlay at CPU load {}\n",
+        params.pings, params.nodes, params.load
+    );
+    let out = run(&params);
+    render_summary(&out, &params).print();
+    println!("RTT distribution (ms):\n{}", out.histogram.ascii_chart(60));
+    Outcome::printed()
 }
 
 #[cfg(test)]

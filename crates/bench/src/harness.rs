@@ -1,58 +1,5 @@
-//! Shared scaffolding for the scenario benchmark binaries.
-//!
-//! Every scenario bin (`selfconfig_churn`, `migration_churn`,
-//! `dht_durability`, `lossy_churn`, `fanout_bench`, …) repeats the same
-//! frame: parse `--quick`/`--out PATH`, run, summarise latency vectors, write
-//! a hand-rendered JSON artefact at the repo root. This module holds that
-//! frame once so the bins only contain their scenario.
-
-/// Parsed command line of a scenario benchmark binary.
-pub struct BenchCli {
-    /// `--quick` / `-q`: run the scaled-down CI-sized workload.
-    pub quick: bool,
-    /// Artefact path: `--out PATH`, defaulting to `<artifact>` at the repo
-    /// root.
-    pub out_path: String,
-    /// The raw arguments, for bins with extra flags.
-    pub args: Vec<String>,
-}
-
-impl BenchCli {
-    /// `"quick"` or `"full"`, as reported in the artefact.
-    pub fn mode(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "full"
-        }
-    }
-
-    /// Write the rendered JSON artefact and log the path.
-    pub fn write_artifact(&self, json: &str) {
-        std::fs::write(&self.out_path, json)
-            .unwrap_or_else(|e| panic!("write {}: {e}", self.out_path));
-        eprintln!("wrote {}", self.out_path);
-    }
-}
-
-/// Parse the standard scenario-bin command line. `artifact` is the default
-/// output file name, placed at the repo root (two levels above the bench
-/// crate).
-pub fn bench_cli(artifact: &str) -> BenchCli {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{}/../../{artifact}", env!("CARGO_MANIFEST_DIR")));
-    BenchCli {
-        quick,
-        out_path,
-        args,
-    }
-}
+//! Sample statistics shared by the scenario artefacts: the conventions
+//! (empty sample reads 0, no work counts as success) are stated once here.
 
 /// Mean of a sample; 0 when empty.
 pub fn mean(xs: &[f64]) -> f64 {

@@ -19,19 +19,21 @@
 //!    after healing, lost-lease detection (quorum renewals) must leave
 //!    **zero duplicate allocations** once the settle period elapses.
 //!
-//! Usage: `migration_churn [--quick] [--out PATH]`
+//! Run as `ipop-bench migration [--quick] [--out PATH]`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use ipop::prelude::*;
 use ipop_apps::ping::PingApp;
-use ipop_bench::harness::{bench_cli, fmax, mean};
 use ipop_netsim::{planetlab, HostId};
 use ipop_overlay::{Address, Distance};
 use ipop_packet::ipv4::Ipv4Payload;
 use ipop_simcore::SimTime;
+
+use crate::harness::{fmax, mean};
+use crate::json::Json;
+use crate::{mode, Outcome};
 
 struct Params {
     /// IPOP members deployed at time zero (index 0 is the static bootstrap).
@@ -46,34 +48,48 @@ struct Params {
     arp_cache_ttl: Duration,
 }
 
-struct Results {
-    nodes: usize,
-    guests: usize,
-    migrations: usize,
-    bound: usize,
-    dynamic_total: usize,
-    crashed: usize,
-    joined: usize,
-    blackouts_s: Vec<f64>,
-    unresolved_migrations: usize,
-    lost_packets: u64,
-    resolution_latencies_s: Vec<f64>,
-    duplicates_after_heal: usize,
-    leases_lost: u64,
-    renewal_timeouts: u64,
-    read_repairs: u64,
-    quorum_write_timeouts: u64,
-    partition_dropped: u64,
-    events: u64,
-    wall_s: f64,
+impl Params {
+    fn full() -> Self {
+        Params {
+            nodes: 48,
+            spares: 6,
+            guests: 6,
+            rounds: 6,
+            lease_ttl: Duration::from_secs(40),
+            arp_cache_ttl: Duration::from_secs(15),
+        }
+    }
+
+    fn quick() -> Self {
+        Params {
+            nodes: 24,
+            spares: 4,
+            guests: 3,
+            rounds: 3,
+            ..Self::full()
+        }
+    }
 }
 
 fn guest_ip(g: usize) -> Ipv4Addr {
     Ipv4Addr::new(172, 16, 9, 200 + g as u8)
 }
 
-fn run(p: &Params, seed: u64) -> Results {
-    let started = Instant::now();
+/// The `migration` scenario.
+pub fn scenario(quick: bool) -> Outcome {
+    let p = &if quick {
+        Params::quick()
+    } else {
+        Params::full()
+    };
+    let seed = 0x716_7a7e;
+    eprintln!(
+        "migration ({} mode): {} nodes, {} guests x {} rounds, partition + heal",
+        mode(quick),
+        p.nodes,
+        p.guests,
+        p.rounds
+    );
     let total_hosts = p.nodes + p.spares;
     let mut net = Network::new(seed);
     let plab = planetlab(&mut net, total_hosts, 1.0, seed);
@@ -118,7 +134,7 @@ fn run(p: &Params, seed: u64) -> Results {
 
     // Phase 1: join.
     sim.run_for(Duration::from_secs(120));
-    let bound = (1..p.nodes)
+    let bound_start = (1..p.nodes)
         .filter(|&i| {
             sim.agent_as::<IpopHostAgent>(plab.nodes[i])
                 .is_some_and(|a| a.has_address())
@@ -207,7 +223,7 @@ fn run(p: &Params, seed: u64) -> Results {
         // owner and replica holders of each guest mapping are spared: crashing
         // one black-holes that mapping's puts/gets until ring repair (the 45 s
         // connection timeout, longer than a round) — that fault class is
-        // measured separately by selfconfig_churn's orphaned-mapping
+        // measured separately by the selfconfig scenario's orphaned-mapping
         // resolution; here the blackout metric isolates migration pickup.
         if round % 2 == 1 {
             let protected: BTreeSet<usize> = (0..p.guests)
@@ -396,27 +412,77 @@ fn run(p: &Params, seed: u64) -> Results {
     }
     let duplicates_after_heal = ips.values().filter(|&&c| c > 1).count();
 
-    Results {
-        nodes: p.nodes,
-        guests: p.guests,
-        migrations,
-        bound: bound.max(bound_final),
-        dynamic_total: p.nodes - 1,
-        crashed: crashed.len(),
-        joined,
-        blackouts_s,
-        unresolved_migrations: unresolved,
-        lost_packets,
-        resolution_latencies_s,
-        duplicates_after_heal,
-        leases_lost,
-        renewal_timeouts,
-        read_repairs,
-        quorum_write_timeouts,
-        partition_dropped: sim.net().counters().partition_dropped,
-        events: sim.events_executed(),
-        wall_s: started.elapsed().as_secs_f64(),
+    if duplicates_after_heal > 0 {
+        eprintln!("  WARNING: duplicate allocations survived the heal");
     }
+    // The bound is the cache TTL (when the sender's stale entry ages out and
+    // re-resolves) plus slack for the resolution round trip and the first
+    // delivery — stated explicitly in the artifact, not implied.
+    let bound = blackout_bound_s(p);
+    if fmax(&blackouts_s) > bound {
+        eprintln!(
+            "  WARNING: blackout window exceeded the cache-TTL-plus-slack bound ({bound:.1} s)"
+        );
+    }
+    let json = Json::obj([
+        ("bench", "migration_churn".into()),
+        ("mode", mode(quick).into()),
+        ("nodes", p.nodes.into()),
+        ("guests", p.guests.into()),
+        (
+            "arp_cache_ttl_s",
+            Json::Fixed(p.arp_cache_ttl.as_secs_f64(), 1),
+        ),
+        ("lease_ttl_s", Json::Fixed(p.lease_ttl.as_secs_f64(), 1)),
+        (
+            "allocation",
+            Json::obj([
+                ("dynamic_nodes", (p.nodes - 1).into()),
+                ("bound", bound_start.max(bound_final).into()),
+                ("joined_mid_run", joined.into()),
+                ("crashed", crashed.len().into()),
+            ]),
+        ),
+        (
+            "migration",
+            Json::obj([
+                ("migrations", migrations.into()),
+                ("blackout_mean_s", Json::Fixed(mean(&blackouts_s), 3)),
+                ("blackout_max_s", Json::Fixed(fmax(&blackouts_s), 3)),
+                ("blackout_bound_s", Json::Fixed(bound, 1)),
+                (
+                    "blackout_within_bound",
+                    (unresolved == 0 && fmax(&blackouts_s) <= bound).into(),
+                ),
+                ("unresolved", unresolved.into()),
+                ("lost_packets", lost_packets.into()),
+                (
+                    "resolution_latency_mean_s",
+                    Json::Fixed(mean(&resolution_latencies_s), 3),
+                ),
+                (
+                    "resolution_latency_max_s",
+                    Json::Fixed(fmax(&resolution_latencies_s), 3),
+                ),
+            ]),
+        ),
+        (
+            "partition",
+            Json::obj([
+                (
+                    "partition_dropped",
+                    sim.net().counters().partition_dropped.into(),
+                ),
+                ("duplicates_after_heal", duplicates_after_heal.into()),
+                ("leases_lost", leases_lost.into()),
+                ("renewal_timeouts", renewal_timeouts.into()),
+                ("quorum_write_timeouts", quorum_write_timeouts.into()),
+                ("read_repairs", read_repairs.into()),
+            ]),
+        ),
+        ("events", sim.events_executed().into()),
+    ]);
+    Outcome::artefact(json, Ok(()))
 }
 
 /// Start a dynamic node on a spare host mid-run (churn joiner).
@@ -446,143 +512,4 @@ fn spawn_joiner(
 /// post-migration delivery.
 fn blackout_bound_s(p: &Params) -> f64 {
     p.arp_cache_ttl.as_secs_f64() + 5.0
-}
-
-fn render_json(mode: &str, p: &Params, r: &Results) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"migration_churn\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"nodes\": {nodes},\n",
-            "  \"guests\": {guests},\n",
-            "  \"arp_cache_ttl_s\": {arp_ttl:.1},\n",
-            "  \"lease_ttl_s\": {lease_ttl:.1},\n",
-            "  \"allocation\": {{\n",
-            "    \"dynamic_nodes\": {dynamic_total},\n",
-            "    \"bound\": {bound},\n",
-            "    \"joined_mid_run\": {joined},\n",
-            "    \"crashed\": {crashed}\n",
-            "  }},\n",
-            "  \"migration\": {{\n",
-            "    \"migrations\": {migrations},\n",
-            "    \"blackout_mean_s\": {bmean:.3},\n",
-            "    \"blackout_max_s\": {bmax:.3},\n",
-            "    \"blackout_bound_s\": {bbound:.1},\n",
-            "    \"blackout_within_bound\": {bok},\n",
-            "    \"unresolved\": {unresolved},\n",
-            "    \"lost_packets\": {lost},\n",
-            "    \"resolution_latency_mean_s\": {rmean:.3},\n",
-            "    \"resolution_latency_max_s\": {rmax:.3}\n",
-            "  }},\n",
-            "  \"partition\": {{\n",
-            "    \"partition_dropped\": {pdropped},\n",
-            "    \"duplicates_after_heal\": {dups},\n",
-            "    \"leases_lost\": {lost_leases},\n",
-            "    \"renewal_timeouts\": {rt},\n",
-            "    \"quorum_write_timeouts\": {qwt},\n",
-            "    \"read_repairs\": {repairs}\n",
-            "  }},\n",
-            "  \"events\": {events},\n",
-            "  \"wall_s\": {wall:.3}\n",
-            "}}\n",
-        ),
-        mode = mode,
-        nodes = r.nodes,
-        guests = r.guests,
-        arp_ttl = p.arp_cache_ttl.as_secs_f64(),
-        lease_ttl = p.lease_ttl.as_secs_f64(),
-        dynamic_total = r.dynamic_total,
-        bound = r.bound,
-        joined = r.joined,
-        crashed = r.crashed,
-        migrations = r.migrations,
-        bmean = mean(&r.blackouts_s),
-        bmax = fmax(&r.blackouts_s),
-        // The bound is the cache TTL (when the sender's stale entry ages out
-        // and re-resolves) plus slack for the resolution round trip and the
-        // first delivery — stated explicitly in the artifact, not implied.
-        bbound = blackout_bound_s(p),
-        bok = r.unresolved_migrations == 0 && fmax(&r.blackouts_s) <= blackout_bound_s(p),
-        unresolved = r.unresolved_migrations,
-        lost = r.lost_packets,
-        rmean = mean(&r.resolution_latencies_s),
-        rmax = fmax(&r.resolution_latencies_s),
-        pdropped = r.partition_dropped,
-        dups = r.duplicates_after_heal,
-        lost_leases = r.leases_lost,
-        rt = r.renewal_timeouts,
-        qwt = r.quorum_write_timeouts,
-        repairs = r.read_repairs,
-        events = r.events,
-        wall = r.wall_s,
-    )
-}
-
-fn main() {
-    let cli = bench_cli("BENCH_migration.json");
-    let mode = cli.mode();
-    let p = if cli.quick {
-        Params {
-            nodes: 24,
-            spares: 4,
-            guests: 3,
-            rounds: 3,
-            lease_ttl: Duration::from_secs(40),
-            arp_cache_ttl: Duration::from_secs(15),
-        }
-    } else {
-        Params {
-            nodes: 48,
-            spares: 6,
-            guests: 6,
-            rounds: 6,
-            lease_ttl: Duration::from_secs(40),
-            arp_cache_ttl: Duration::from_secs(15),
-        }
-    };
-
-    eprintln!(
-        "migration_churn ({mode} mode): {} nodes, {} guests x {} rounds, partition + heal",
-        p.nodes, p.guests, p.rounds
-    );
-    let r = run(&p, 0x716_7a7e);
-    eprintln!(
-        "  allocation: {}/{} bound, {} joined mid-run, {} crashed",
-        r.bound, r.dynamic_total, r.joined, r.crashed
-    );
-    eprintln!(
-        "  migration: {} migrations, blackout mean {:.2} s / max {:.2} s (cache ttl {:.0} s), {} lost packets, {} unresolved",
-        r.migrations,
-        mean(&r.blackouts_s),
-        fmax(&r.blackouts_s),
-        p.arp_cache_ttl.as_secs_f64(),
-        r.lost_packets,
-        r.unresolved_migrations,
-    );
-    eprintln!(
-        "  resolution latency: mean {:.3} s / max {:.3} s over {} probes",
-        mean(&r.resolution_latencies_s),
-        fmax(&r.resolution_latencies_s),
-        r.resolution_latencies_s.len(),
-    );
-    eprintln!(
-        "  partition: {} packets dropped, {} duplicates after heal, {} leases lost, {} renewal timeouts, {} read repairs",
-        r.partition_dropped, r.duplicates_after_heal, r.leases_lost, r.renewal_timeouts, r.read_repairs,
-    );
-    if r.duplicates_after_heal > 0 {
-        eprintln!("  WARNING: duplicate allocations survived the heal");
-    }
-    if r.unresolved_migrations > 0 {
-        eprintln!("  WARNING: migrated guests never delivered at their new host");
-    }
-    if fmax(&r.blackouts_s) > blackout_bound_s(&p) {
-        eprintln!(
-            "  WARNING: blackout window exceeded the cache-TTL-plus-slack bound ({:.1} s)",
-            blackout_bound_s(&p)
-        );
-    }
-
-    let json = render_json(mode, &p, &r);
-    cli.write_artifact(&json);
 }

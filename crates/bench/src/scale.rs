@@ -26,7 +26,7 @@
 //!
 //! Identical seeds produce identical histories whether the shards run
 //! sequentially or fanned out over threads ([`ScaleReport::trace_hash`]
-//! proves it — `ring_10k --verify` and a tier-1 test compare the two).
+//! proves it — `ipop-bench ring_10k --verify` and a tier-1 test compare the two).
 
 use std::sync::Arc;
 
@@ -37,6 +37,9 @@ use ipop_overlay::packets::{ConnectionKind, LinkMessage};
 use ipop_simcore::{
     Duration, ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim, SimTime, StreamRng,
 };
+
+use crate::json::Json;
+use crate::{mode, Outcome};
 
 /// Parameters of one scale run.
 #[derive(Clone, Debug)]
@@ -551,7 +554,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
 
 /// Run the same config sequentially and in parallel; return the two reports.
 /// Histories must match bit-for-bit (`trace_hash` and all measurements) —
-/// the `--verify` mode of the scale binaries and a tier-1 test assert it.
+/// [`verify_modes_agree`] and a tier-1 test assert it.
 pub fn run_both_modes(cfg: &ScaleConfig) -> (ScaleReport, ScaleReport) {
     let mut seq = cfg.clone();
     seq.parallel = false;
@@ -560,129 +563,97 @@ pub fn run_both_modes(cfg: &ScaleConfig) -> (ScaleReport, ScaleReport) {
     (run_scale(&seq), run_scale(&par))
 }
 
-/// Shared `main` for the `ring_10k`/`ring_100k` binaries.
-///
-/// Flags: `--quick` (fewer maintenance rounds and probes, CI-sized),
-/// `--out PATH` (default `BENCH_scale.json` at the repo root),
-/// `--verify` (additionally run a 1k-node config both sequentially and in
-/// parallel and fail unless the histories match bit-for-bit).
-pub fn scale_bin_main(scenario: &'static str, nodes: u32) {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let verify = args.iter().any(|a| a == "--verify");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| format!("{}/../../BENCH_scale.json", env!("CARGO_MANIFEST_DIR")));
-    let mode = if quick { "quick" } else { "full" };
+/// The `--verify` pass of the ring scenarios: run a 1k-node config both
+/// sequentially and shard-parallel and panic unless the histories match
+/// bit-for-bit.
+pub fn verify_modes_agree() {
+    eprintln!("verifying parallel == sequential on a 1k ring…");
+    let (seq, par) = run_both_modes(&ScaleConfig {
+        shards: 8,
+        maintenance_ticks: 4,
+        probes: 500,
+        ..ScaleConfig::ring(1000)
+    });
+    assert!(
+        seq.trace_hash == par.trace_hash && seq.hops == par.hops,
+        "determinism violation: sequential {:#x} vs parallel {:#x}",
+        seq.trace_hash,
+        par.trace_hash
+    );
+    eprintln!(
+        "  ok: trace {:#018x}, {} events",
+        par.trace_hash, par.events
+    );
+}
 
+/// The `ring_10k` / `ring_100k` scenarios: [`ScaleConfig::ring`] at `nodes`,
+/// with fewer maintenance rounds and probes when `quick` (CI-sized).
+/// `verified` says [`verify_modes_agree`] ran (and so passed) first.
+pub fn scenario(name: &str, nodes: u32, quick: bool, verified: bool) -> Outcome {
     let mut cfg = ScaleConfig::ring(nodes);
     if quick {
         cfg.maintenance_ticks = 6;
         cfg.probes = (nodes / 5).max(1000).min(nodes);
     }
-
-    let verified = if verify {
-        eprintln!("{scenario}: verifying parallel == sequential on a 1k ring…");
-        let (seq, par) = run_both_modes(&ScaleConfig {
-            shards: 8,
-            maintenance_ticks: 4,
-            probes: 500,
-            ..ScaleConfig::ring(1000)
-        });
-        let ok = seq.trace_hash == par.trace_hash && seq.hops == par.hops;
-        assert!(
-            ok,
-            "determinism violation: sequential {:#x} vs parallel {:#x}",
-            seq.trace_hash, par.trace_hash
-        );
-        eprintln!(
-            "  ok: trace {:#018x}, {} events",
-            par.trace_hash, par.events
-        );
-        Some(true)
-    } else {
-        None
-    };
-
     eprintln!(
-        "{scenario} ({mode} mode): {} nodes, {} shards, {} maintenance rounds, {} probes",
-        cfg.nodes, cfg.shards, cfg.maintenance_ticks, cfg.probes
+        "{name} ({} mode): {} nodes, {} shards, {} maintenance rounds, {} probes",
+        mode(quick),
+        cfg.nodes,
+        cfg.shards,
+        cfg.maintenance_ticks,
+        cfg.probes
     );
-    // lint:allow(d2): wall-clock here only measures real elapsed time for the
-    // ev/s report; it never feeds simulation state, which runs on SimTime.
-    let started = std::time::Instant::now();
     let r = run_scale(&cfg);
-    let wall_s = started.elapsed().as_secs_f64();
-    let ev_s = r.events as f64 / wall_s;
-
-    eprintln!(
-        "  {} events in {:.2}s wall / {:.1}s virtual -> {:.0} ev/s",
-        r.events, wall_s, r.virtual_s, ev_s
-    );
-    eprintln!(
-        "  probes: {}/{} delivered ({:.2}%), hops mean {:.2} p99 {} max {} | log2N {:.2} -> stretch {:.2}",
-        r.probes_delivered,
-        r.probes_sent,
-        100.0 * r.delivery_rate(),
-        r.mean_hops(),
-        r.hops_quantile(0.99),
-        r.hops_quantile(1.0),
-        r.log2n(),
-        r.stretch()
-    );
-    eprintln!(
-        "  shortcuts: mean Far {:.2}, {} / {} nodes at full budget; drops: no_target {}, ttl {}",
-        r.mean_far, r.full_budget_nodes, r.nodes, r.dropped_no_target, r.dropped_ttl
-    );
-
-    let verified_json = match verified {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"scale\",\n");
-    json.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-    json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    json.push_str(&format!("  \"nodes\": {},\n", r.nodes));
-    json.push_str(&format!("  \"shards\": {},\n", r.shards));
-    json.push_str(&format!("  \"events\": {},\n", r.events));
-    json.push_str(&format!("  \"wall_s\": {wall_s:.3},\n"));
-    json.push_str(&format!("  \"virtual_s\": {:.1},\n", r.virtual_s));
-    json.push_str(&format!("  \"events_per_sec\": {ev_s:.1},\n"));
-    json.push_str(&format!(
-        "  \"probes\": {{ \"sent\": {}, \"delivered\": {}, \"delivery_rate\": {:.4} }},\n",
-        r.probes_sent,
-        r.probes_delivered,
-        r.delivery_rate()
-    ));
-    json.push_str(&format!(
-        "  \"hops\": {{ \"mean\": {:.3}, \"p50\": {}, \"p99\": {}, \"max\": {} }},\n",
-        r.mean_hops(),
-        r.hops_quantile(0.5),
-        r.hops_quantile(0.99),
-        r.hops_quantile(1.0)
-    ));
-    json.push_str(&format!("  \"log2n\": {:.3},\n", r.log2n()));
-    json.push_str(&format!("  \"stretch\": {:.3},\n", r.stretch()));
-    json.push_str(&format!(
-        "  \"shortcuts\": {{ \"mean_far\": {:.3}, \"full_budget_nodes\": {} }},\n",
-        r.mean_far, r.full_budget_nodes
-    ));
-    json.push_str(&format!(
-        "  \"dropped\": {{ \"no_target\": {}, \"ttl\": {} }},\n",
-        r.dropped_no_target, r.dropped_ttl
-    ));
-    json.push_str(&format!(
-        "  \"determinism\": {{ \"verified\": {verified_json}, \"trace_hash\": \"{:#018x}\" }}\n",
-        r.trace_hash
-    ));
-    json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
-    eprintln!("wrote {out_path}");
+    let json = Json::obj([
+        ("bench", "scale".into()),
+        ("scenario", name.into()),
+        ("mode", mode(quick).into()),
+        ("nodes", r.nodes.into()),
+        ("shards", r.shards.into()),
+        ("events", r.events.into()),
+        ("virtual_s", Json::Fixed(r.virtual_s, 1)),
+        (
+            "probes",
+            Json::obj([
+                ("sent", r.probes_sent.into()),
+                ("delivered", r.probes_delivered.into()),
+                ("delivery_rate", Json::Fixed(r.delivery_rate(), 4)),
+            ]),
+        ),
+        (
+            "hops",
+            Json::obj([
+                ("mean", Json::Fixed(r.mean_hops(), 3)),
+                ("p50", r.hops_quantile(0.5).into()),
+                ("p99", r.hops_quantile(0.99).into()),
+                ("max", r.hops_quantile(1.0).into()),
+            ]),
+        ),
+        ("log2n", Json::Fixed(r.log2n(), 3)),
+        ("stretch", Json::Fixed(r.stretch(), 3)),
+        (
+            "shortcuts",
+            Json::obj([
+                ("mean_far", Json::Fixed(r.mean_far, 3)),
+                ("full_budget_nodes", r.full_budget_nodes.into()),
+            ]),
+        ),
+        (
+            "dropped",
+            Json::obj([
+                ("no_target", r.dropped_no_target.into()),
+                ("ttl", r.dropped_ttl.into()),
+            ]),
+        ),
+        (
+            "determinism",
+            Json::obj([
+                ("verified", if verified { true.into() } else { Json::Null }),
+                ("trace_hash", Json::hash(r.trace_hash)),
+            ]),
+        ),
+    ]);
+    Outcome::artefact(json, Ok(()))
 }
 
 #[cfg(test)]

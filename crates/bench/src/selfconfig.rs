@@ -14,44 +14,29 @@
 //!    address; the benchmark reports the resolution success rate, overall and
 //!    restricted to mappings whose DHT owner crashed.
 //!
-//! Usage: `selfconfig_churn [--quick] [--out PATH]`
+//! Run as `ipop-bench selfconfig [--quick] [--out PATH]`.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 use ipop::prelude::*;
-use ipop_bench::harness::{bench_cli, fmax, mean, rate};
 use ipop_netsim::planetlab;
 use ipop_overlay::Address;
 use ipop_simcore::SimTime;
 
-struct Results {
-    nodes: usize,
-    crashed: usize,
-    /// Virtual seconds until every dynamic node was bound.
-    all_bound_s: f64,
-    bound: usize,
-    dynamic_total: usize,
-    duplicates: usize,
-    collisions: u64,
-    latency_mean_s: f64,
-    latency_max_s: f64,
-    probes: usize,
-    resolved: usize,
-    orphan_probes: usize,
-    orphan_resolved: usize,
-    dht_records: u64,
-    dht_bytes: u64,
-    dht_replicas: u64,
-    dht_refreshes: u64,
-    dht_expired: u64,
-    events: u64,
-    wall_s: f64,
-}
+use crate::harness::{fmax, mean, rate};
+use crate::json::Json;
+use crate::{mode, Outcome};
 
-fn run(nodes: usize, churn: usize, seed: u64) -> Results {
-    let started = Instant::now();
+/// The `selfconfig` scenario: 64 nodes and up to 6 crashed owners, 32 and 4
+/// with `quick`.
+pub fn scenario(quick: bool) -> Outcome {
+    let (nodes, churn) = if quick { (32, 4) } else { (64, 6) };
+    let seed = 0x5e1f_c0f6;
+    eprintln!(
+        "selfconfig ({} mode): {nodes} nodes, crashing up to {churn} DHT owners",
+        mode(quick)
+    );
     let mut net = Network::new(seed);
     let plab = planetlab(&mut net, nodes, 1.0, seed);
     let mut members = vec![IpopMember::router(
@@ -101,8 +86,6 @@ fn run(nodes: usize, churn: usize, seed: u64) -> Results {
         *seen.entry(*ip).or_insert(0usize) += 1;
     }
     let duplicates = seen.values().filter(|&&c| c > 1).count();
-    let latency_mean_s = mean(&latencies);
-    let latency_max_s = fmax(&latencies);
 
     // Pre-churn mapping census: every bound node's address, overlay address,
     // and which node owns its mapping key on the ring (the node ring-closest
@@ -209,122 +192,51 @@ fn run(nodes: usize, churn: usize, seed: u64) -> Results {
         }
     }
 
-    Results {
-        nodes,
-        crashed: victims.len(),
-        all_bound_s,
-        bound,
-        dynamic_total: nodes - 1,
-        duplicates,
-        collisions,
-        latency_mean_s,
-        latency_max_s,
-        probes,
-        resolved,
-        orphan_probes,
-        orphan_resolved,
-        dht_records: dht.0,
-        dht_bytes: dht.1,
-        dht_replicas: dht.2,
-        dht_refreshes: dht.3,
-        dht_expired: dht.4,
-        events: sim.events_executed(),
-        wall_s: started.elapsed().as_secs_f64(),
-    }
-}
-
-fn render_json(mode: &str, r: &Results) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"selfconfig_churn\",\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"nodes\": {nodes},\n",
-            "  \"crashed_owners\": {crashed},\n",
-            "  \"allocation\": {{\n",
-            "    \"dynamic_nodes\": {dynamic_total},\n",
-            "    \"bound\": {bound},\n",
-            "    \"duplicates\": {duplicates},\n",
-            "    \"collisions\": {collisions},\n",
-            "    \"all_bound_virtual_s\": {all_bound:.1},\n",
-            "    \"latency_mean_s\": {lmean:.3},\n",
-            "    \"latency_max_s\": {lmax:.3}\n",
-            "  }},\n",
-            "  \"resolution\": {{\n",
-            "    \"probes\": {probes},\n",
-            "    \"resolved\": {resolved},\n",
-            "    \"success_rate\": {rate:.4},\n",
-            "    \"orphaned_probes\": {oprobes},\n",
-            "    \"orphaned_resolved\": {oresolved},\n",
-            "    \"orphaned_success_rate\": {orate:.4}\n",
-            "  }},\n",
-            "  \"dht\": {{\n",
-            "    \"records\": {records},\n",
-            "    \"bytes\": {bytes},\n",
-            "    \"replicas_held\": {replicas},\n",
-            "    \"refreshes_sent\": {refreshes},\n",
-            "    \"expired\": {expired}\n",
-            "  }},\n",
-            "  \"events\": {events},\n",
-            "  \"wall_s\": {wall:.3}\n",
-            "}}\n",
-        ),
-        mode = mode,
-        nodes = r.nodes,
-        crashed = r.crashed,
-        dynamic_total = r.dynamic_total,
-        bound = r.bound,
-        duplicates = r.duplicates,
-        collisions = r.collisions,
-        all_bound = r.all_bound_s,
-        lmean = r.latency_mean_s,
-        lmax = r.latency_max_s,
-        probes = r.probes,
-        resolved = r.resolved,
-        rate = rate(r.resolved, r.probes),
-        oprobes = r.orphan_probes,
-        oresolved = r.orphan_resolved,
-        orate = rate(r.orphan_resolved, r.orphan_probes),
-        records = r.dht_records,
-        bytes = r.dht_bytes,
-        replicas = r.dht_replicas,
-        refreshes = r.dht_refreshes,
-        expired = r.dht_expired,
-        events = r.events,
-        wall = r.wall_s,
-    )
-}
-
-fn main() {
-    let cli = bench_cli("BENCH_selfconfig.json");
-    let mode = cli.mode();
-    let (nodes, churn) = if cli.quick { (32, 4) } else { (64, 6) };
-
-    eprintln!("selfconfig_churn ({mode} mode): {nodes} nodes, crashing up to {churn} DHT owners");
-    let r = run(nodes, churn, 0x5e1f_c0f6);
-    eprintln!(
-        "  allocation: {}/{} bound in {:.0} virtual s, {} duplicates, {} collisions, latency mean {:.2} s / max {:.2} s",
-        r.bound, r.dynamic_total, r.all_bound_s, r.duplicates, r.collisions,
-        r.latency_mean_s, r.latency_max_s,
-    );
-    eprintln!(
-        "  churn: {} owners crashed; resolution {}/{} ({:.1}%), orphaned mappings {}/{}",
-        r.crashed,
-        r.resolved,
-        r.probes,
-        100.0 * r.resolved as f64 / r.probes.max(1) as f64,
-        r.orphan_resolved,
-        r.orphan_probes,
-    );
-    eprintln!(
-        "  dht: {} records / {} B, {} replicas held, {} refreshes, {} expired; {} events in {:.2} s wall",
-        r.dht_records, r.dht_bytes, r.dht_replicas, r.dht_refreshes, r.dht_expired,
-        r.events, r.wall_s,
-    );
-    if r.duplicates > 0 {
+    if duplicates > 0 {
         eprintln!("  WARNING: duplicate allocations detected");
     }
-
-    let json = render_json(mode, &r);
-    cli.write_artifact(&json);
+    let json = Json::obj([
+        ("bench", "selfconfig_churn".into()),
+        ("mode", mode(quick).into()),
+        ("nodes", nodes.into()),
+        ("crashed_owners", victims.len().into()),
+        (
+            "allocation",
+            Json::obj([
+                ("dynamic_nodes", (nodes - 1).into()),
+                ("bound", bound.into()),
+                ("duplicates", duplicates.into()),
+                ("collisions", collisions.into()),
+                ("all_bound_virtual_s", Json::Fixed(all_bound_s, 1)),
+                ("latency_mean_s", Json::Fixed(mean(&latencies), 3)),
+                ("latency_max_s", Json::Fixed(fmax(&latencies), 3)),
+            ]),
+        ),
+        (
+            "resolution",
+            Json::obj([
+                ("probes", probes.into()),
+                ("resolved", resolved.into()),
+                ("success_rate", Json::Fixed(rate(resolved, probes), 4)),
+                ("orphaned_probes", orphan_probes.into()),
+                ("orphaned_resolved", orphan_resolved.into()),
+                (
+                    "orphaned_success_rate",
+                    Json::Fixed(rate(orphan_resolved, orphan_probes), 4),
+                ),
+            ]),
+        ),
+        (
+            "dht",
+            Json::obj([
+                ("records", dht.0.into()),
+                ("bytes", dht.1.into()),
+                ("replicas_held", dht.2.into()),
+                ("refreshes_sent", dht.3.into()),
+                ("expired", dht.4.into()),
+            ]),
+        ),
+        ("events", sim.events_executed().into()),
+    ]);
+    Outcome::artefact(json, Ok(()))
 }

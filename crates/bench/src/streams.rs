@@ -28,7 +28,9 @@ use ipop_overlay::vstream::StreamEvent;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
+use crate::json::Json;
 use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
+use crate::{ensure, mode, Outcome};
 
 /// The paper's Table III IPOP-TCP WAN goodput (KB/s) — the raw-tunnel
 /// `wan_ttcp` reference the stream transfer is gated against.
@@ -442,6 +444,105 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
         trace_hash: run.trace_hash,
         drained: run.drained,
     }
+}
+
+/// The `streams` scenario (`BENCH_streams.json`): the ttcp-shaped transfer,
+/// then the fairness run, whose `events` / `virtual_s` / `trace_hash` the
+/// artefact reports. Gate: every byte and every stream arrives, ttcp goodput
+/// within 2× of [`REFERENCE_WAN_KBPS`] either way, max/min goodput ≤ 3.
+pub fn scenario(quick: bool) -> Outcome {
+    let (tcfg, fcfg) = if quick {
+        (TtcpStreamConfig::quick(), FairnessConfig::quick())
+    } else {
+        (TtcpStreamConfig::full(), FairnessConfig::full())
+    };
+    eprintln!(
+        "streams ({} mode): ttcp {} KiB over {} ms one-way, then {} streams x {} KiB on {} nodes / {} shards",
+        mode(quick),
+        tcfg.transfer_bytes / 1024,
+        tcfg.one_way.as_nanos() / 1_000_000,
+        fcfg.streams,
+        fcfg.transfer_bytes / 1024,
+        fcfg.scale.nodes,
+        fcfg.scale.shards
+    );
+    let t = run_ttcp_stream(&tcfg);
+    let f = run_fairness(&fcfg);
+    let json = Json::obj([
+        ("bench", "streams".into()),
+        ("mode", mode(quick).into()),
+        (
+            "ttcp",
+            Json::obj([
+                ("transfer_bytes", t.transfer_bytes.into()),
+                ("elapsed_s", Json::Fixed(t.elapsed_s, 3)),
+                ("kbps", Json::Fixed(t.kbps, 1)),
+                ("reference_kbps", Json::Fixed(REFERENCE_WAN_KBPS, 0)),
+                ("vs_reference", Json::Fixed(t.vs_reference(), 3)),
+                ("data_sent", t.data_sent.into()),
+                ("retransmits", t.retransmits.into()),
+            ]),
+        ),
+        (
+            "fairness",
+            Json::obj([
+                ("nodes", f.nodes.into()),
+                ("shards", f.shards.into()),
+                ("streams", f.streams.into()),
+                ("completed", f.completed.into()),
+                ("completion_rate", Json::Fixed(f.completion_rate(), 6)),
+                ("transfer_bytes", fcfg.transfer_bytes.into()),
+                (
+                    "goodput_kbps",
+                    Json::obj([
+                        ("min", Json::Fixed(f.min_kbps(), 1)),
+                        ("mean", Json::Fixed(f.mean_kbps(), 1)),
+                        ("max", Json::Fixed(f.max_kbps(), 1)),
+                        ("ratio", Json::Fixed(f.fairness_ratio(), 3)),
+                    ]),
+                ),
+                ("bytes_received", f.bytes_received.into()),
+                ("retransmits", f.retransmits.into()),
+                ("failed", f.failed.into()),
+            ]),
+        ),
+        ("events", f.events.into()),
+        ("virtual_s", Json::Fixed(f.virtual_s, 1)),
+        (
+            "determinism",
+            Json::obj([
+                ("drained", f.drained.into()),
+                ("trace_hash", Json::hash(f.trace_hash)),
+            ]),
+        ),
+    ]);
+    let check = (|| {
+        ensure(
+            t.bytes_received == t.transfer_bytes as u64,
+            "ttcp transfer must deliver every byte",
+        )?;
+        ensure(
+            t.vs_reference() >= 0.5 && t.vs_reference() <= 2.0,
+            format!(
+                "ttcp goodput {:.1} KB/s outside 2x of the wan_ttcp reference",
+                t.kbps
+            ),
+        )?;
+        ensure(f.drained, "fairness run failed to drain")?;
+        ensure(
+            f.completed == f.streams,
+            "every stream must complete on the lossless substrate",
+        )?;
+        ensure(f.failed == 0, "no stream may exhaust its retransmit budget")?;
+        ensure(
+            f.fairness_ratio() <= 3.0,
+            format!(
+                "max/min goodput ratio {:.2} exceeds the fairness gate",
+                f.fairness_ratio()
+            ),
+        )
+    })();
+    Outcome::artefact(json, check)
 }
 
 #[cfg(test)]

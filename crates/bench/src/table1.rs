@@ -5,6 +5,7 @@ use rayon::prelude::*;
 
 use crate::report::{f, Table};
 use crate::scenarios::{fig4_ping, Mode};
+use crate::Outcome;
 
 /// One row of Table I.
 #[derive(Clone, Debug)]
@@ -91,6 +92,16 @@ pub fn render(rows: &[LatencyRow]) -> Table {
         ]);
     }
     table
+}
+
+/// The `table1` scenario: 1000 pings per cell, 50 when `quick`.
+pub fn scenario(quick: bool) -> Outcome {
+    let count = if quick { 50 } else { 1000 };
+    println!(
+        "Table I: {count} pings per scenario (Fig. 4 testbed; LAN = F2<->F4, WAN = F4<->V1)\n"
+    );
+    render(&run(count)).print();
+    Outcome::printed()
 }
 
 #[cfg(test)]

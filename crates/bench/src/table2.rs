@@ -5,6 +5,7 @@ use rayon::prelude::*;
 
 use crate::report::{f, pct, Table};
 use crate::scenarios::{fig4_ttcp, Mode};
+use crate::Outcome;
 
 /// One measured configuration.
 #[derive(Clone, Debug)]
@@ -77,6 +78,17 @@ pub fn render(rows: &[ThroughputRow], bytes: u64) -> Table {
         ]);
     }
     table
+}
+
+/// The `table2` scenario: the paper's 92.97 MB transfer, 8 MB when `quick`.
+pub fn scenario(quick: bool) -> Outcome {
+    let bytes = if quick {
+        8_000_000
+    } else {
+        ipop_apps::ttcp::sizes::LARGE
+    };
+    render(&run(bytes), bytes).print();
+    Outcome::printed()
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use rayon::prelude::*;
 
 use crate::report::{f, pct, Table};
 use crate::scenarios::{fig4_ttcp, Mode};
+use crate::Outcome;
 
 /// One measured configuration at one transfer size.
 #[derive(Clone, Debug)]
@@ -89,6 +90,18 @@ pub fn render(rows: &[WanThroughputRow]) -> Table {
         ]);
     }
     table
+}
+
+/// The `table3` scenario: the paper's two transfer sizes, 2 MB and 6 MB
+/// when `quick`.
+pub fn scenario(quick: bool) -> Outcome {
+    let sizes = if quick {
+        [2_000_000, 6_000_000]
+    } else {
+        [ipop_apps::ttcp::sizes::SMALL, ipop_apps::ttcp::sizes::LARGE]
+    };
+    render(&run(sizes)).print();
+    Outcome::printed()
 }
 
 #[cfg(test)]

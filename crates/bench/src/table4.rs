@@ -6,6 +6,7 @@ use rayon::prelude::*;
 use ipop_apps::lss::LssParams;
 
 use crate::report::{f, Table};
+use crate::Outcome;
 
 /// One row (one node count).
 #[derive(Clone, Debug)]
@@ -88,6 +89,24 @@ pub fn render(rows: &[LssRow], params: &LssParams) -> Table {
         }
     }
     table
+}
+
+/// The `table4` scenario. `quick` scales the workload down (smaller
+/// databases, shorter per-record compute), which preserves the cold/warm and
+/// sequential/parallel structure while finishing in seconds.
+pub fn scenario(quick: bool) -> Outcome {
+    let params = if quick {
+        LssParams {
+            images: 6,
+            databases: 4,
+            database_size: 2 * 1024 * 1024,
+            compute_per_mb: ipop_simcore::Duration::from_secs(10),
+        }
+    } else {
+        LssParams::default()
+    };
+    render(&run(params.clone()), &params).print();
+    Outcome::printed()
 }
 
 #[cfg(test)]

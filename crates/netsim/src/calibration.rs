@@ -7,8 +7,9 @@
 //! reading and writing a character device. These constants are the simulator's
 //! stand-ins for those costs. They were chosen so that the *physical* baselines land
 //! in the ranges Table I/II report for the 2006-era testbed, and the IPOP overhead
-//! falls in the 6–10 ms band the paper highlights; EXPERIMENTS.md records the
-//! resulting paper-vs-measured comparison.
+//! falls in the 6–10 ms band the paper highlights; the paper's values are the
+//! `PAPER` constants in `crates/bench/src/table*.rs`, printed beside the measured
+//! ones by `ipop-bench table1` … `table4`.
 //!
 //! The user-level cost scales with the host's CPU load (Section IV-D attributes the
 //! 1.4 s Planet-Lab overhead to CPU loads in excess of 10), which is how the Fig. 5

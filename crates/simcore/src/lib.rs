@@ -16,16 +16,25 @@
 //! # Quick example
 //!
 //! ```
-//! use ipop_simcore::{Simulator, SimTime, Duration};
+//! use ipop_simcore::{Control, Duration, Event, SimTime, Simulator};
 //!
 //! struct World { ticks: u32 }
 //!
+//! /// Events are a type, dispatched by `match`: scheduling one allocates nothing.
+//! enum Tick { Again, Last }
+//!
+//! impl Event<World> for Tick {
+//!     fn fire(self, w: &mut World, ctl: &mut Control<'_, World, Tick>) {
+//!         w.ticks += 1;
+//!         // events may schedule further events
+//!         if let Tick::Again = self {
+//!             ctl.schedule_event_in(Duration::from_millis(5), Tick::Last);
+//!         }
+//!     }
+//! }
+//!
 //! let mut sim = Simulator::new(World { ticks: 0 });
-//! sim.schedule_in(Duration::from_millis(5), |w: &mut World, ctl| {
-//!     w.ticks += 1;
-//!     // events may schedule further events
-//!     ctl.schedule_in(Duration::from_millis(5), |w: &mut World, _| w.ticks += 1);
-//! });
+//! sim.schedule_event_in(Duration::from_millis(5), Tick::Again);
 //! sim.run();
 //! assert_eq!(sim.world().ticks, 2);
 //! assert_eq!(sim.now(), SimTime::ZERO + Duration::from_millis(10));
@@ -41,6 +50,6 @@ pub mod time;
 pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use rng::StreamRng;
 pub use shard::{ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim};
-pub use sim::{Control, Event, EventFn, RunOutcome, Simulator, TimerToken};
+pub use sim::{Control, Event, RunOutcome, Simulator, TimerToken};
 pub use stats::{Histogram, OnlineStats, Summary};
 pub use time::{Duration, SimTime};

@@ -4,14 +4,9 @@
 //! against it at future virtual instants. Events may schedule (and cancel) further
 //! events through the [`Control`] handle they receive.
 //!
-//! Two event representations are supported through the same machinery:
-//!
-//! * **Typed events** — the payload type `E` implements [`Event`] and is
-//!   dispatched by `match`, with no allocation per scheduled event. This is what
-//!   the network model in `ipop-netsim` uses for the packet hot path.
-//! * **Closure events** — `E` defaults to [`EventFn`], a boxed `FnOnce`, which
-//!   keeps one-off simulations and tests ergonomic at the cost of one heap
-//!   allocation per event.
+//! Events are typed: the payload type `E` implements [`Event`] and is dispatched
+//! by `match`, with no allocation per scheduled event (`ipop-netsim`'s
+//! `NetEvent` is the packet hot path's).
 
 use crate::event::{EventId, EventQueue};
 use crate::time::{Duration, SimTime};
@@ -19,33 +14,10 @@ use crate::time::{Duration, SimTime};
 /// A typed event payload executable against a world `W`.
 ///
 /// Implementations are usually enums dispatched with `match`; scheduling them
-/// costs no allocation, unlike the boxed-closure representation.
+/// costs no allocation.
 pub trait Event<W>: Sized {
     /// Execute the event. `ctl` schedules (and cancels) further events.
     fn fire(self, world: &mut W, ctl: &mut Control<'_, W, Self>);
-}
-
-/// The boxed action inside an [`EventFn`].
-type BoxedEventFn<W> = Box<dyn FnOnce(&mut W, &mut Control<'_, W, EventFn<W>>)>;
-
-/// The closure event representation: a boxed action receiving the world and a
-/// [`Control`] handle. The default payload type of [`Simulator`] and [`Control`].
-pub struct EventFn<W>(BoxedEventFn<W>);
-
-impl<W> EventFn<W> {
-    /// Box a closure as an event payload.
-    pub fn new<F>(f: F) -> Self
-    where
-        F: FnOnce(&mut W, &mut Control<'_, W>) + 'static,
-    {
-        EventFn(Box::new(f))
-    }
-}
-
-impl<W> Event<W> for EventFn<W> {
-    fn fire(self, world: &mut W, ctl: &mut Control<'_, W, Self>) {
-        (self.0)(world, ctl)
-    }
 }
 
 /// Opaque label attached by higher layers to timers they set on behalf of
@@ -54,7 +26,7 @@ impl<W> Event<W> for EventFn<W> {
 pub struct TimerToken(pub u64);
 
 /// Handle given to running events for scheduling further work.
-pub struct Control<'a, W, E: Event<W> = EventFn<W>> {
+pub struct Control<'a, W, E: Event<W>> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
     _world: std::marker::PhantomData<fn(&mut W)>,
@@ -84,25 +56,6 @@ impl<'a, W, E: Event<W>> Control<'a, W, E> {
     }
 }
 
-impl<'a, W> Control<'a, W, EventFn<W>> {
-    /// Schedule a closure at an absolute virtual time (clamped to now if in the
-    /// past).
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Control<'_, W>) + 'static,
-    {
-        self.schedule_event_at(at, EventFn::new(f))
-    }
-
-    /// Schedule a closure after a relative delay.
-    pub fn schedule_in<F>(&mut self, delay: Duration, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Control<'_, W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, f)
-    }
-}
-
 /// Outcome of a bounded run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RunOutcome {
@@ -115,10 +68,7 @@ pub enum RunOutcome {
 }
 
 /// A discrete-event simulator over a world `W` with event payload `E`.
-///
-/// `E` defaults to the boxed-closure representation; performance-sensitive
-/// worlds define an enum implementing [`Event`] instead.
-pub struct Simulator<W, E: Event<W> = EventFn<W>> {
+pub struct Simulator<W, E: Event<W>> {
     now: SimTime,
     queue: EventQueue<E>,
     world: W,
@@ -241,24 +191,6 @@ impl<W, E: Event<W>> Simulator<W, E> {
     }
 }
 
-impl<W> Simulator<W, EventFn<W>> {
-    /// Schedule a closure at an absolute time.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Control<'_, W>) + 'static,
-    {
-        self.schedule_event_at(at, EventFn::new(f))
-    }
-
-    /// Schedule a closure after a relative delay.
-    pub fn schedule_in<F>(&mut self, delay: Duration, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Control<'_, W>) + 'static,
-    {
-        self.schedule_at(self.now + delay, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,6 +200,38 @@ mod tests {
         log: Vec<(u64, &'static str)>,
     }
 
+    /// What the scheduling tests run against `W`.
+    enum Ev {
+        /// Log `(now in ms, label)`.
+        Stamp(&'static str),
+        /// Stamp, then schedule `Stamp(next)` after a delay.
+        StampThenIn(&'static str, Duration, &'static str),
+        /// Schedule `Stamp(next)` at an absolute time, then stamp.
+        StampThenAt(&'static str, SimTime, &'static str),
+        /// Cancel another event.
+        Cancel(EventId),
+    }
+
+    impl Event<W> for Ev {
+        fn fire(self, w: &mut W, c: &mut Control<'_, W, Ev>) {
+            let now_ms = c.now().as_nanos() / 1_000_000;
+            match self {
+                Ev::Stamp(label) => w.log.push((now_ms, label)),
+                Ev::StampThenIn(label, delay, next) => {
+                    w.log.push((now_ms, label));
+                    c.schedule_event_in(delay, Ev::Stamp(next));
+                }
+                Ev::StampThenAt(label, at, next) => {
+                    c.schedule_event_at(at, Ev::Stamp(next));
+                    w.log.push((now_ms, label));
+                }
+                Ev::Cancel(id) => {
+                    c.cancel(id);
+                }
+            }
+        }
+    }
+
     fn ms(x: u64) -> Duration {
         Duration::from_millis(x)
     }
@@ -275,12 +239,8 @@ mod tests {
     #[test]
     fn events_execute_in_order_and_clock_advances() {
         let mut sim = Simulator::new(W::default());
-        sim.schedule_in(ms(10), |w: &mut W, c| {
-            w.log.push((c.now().as_nanos() / 1_000_000, "b"))
-        });
-        sim.schedule_in(ms(1), |w: &mut W, c| {
-            w.log.push((c.now().as_nanos() / 1_000_000, "a"))
-        });
+        sim.schedule_event_in(ms(10), Ev::Stamp("b"));
+        sim.schedule_event_in(ms(1), Ev::Stamp("a"));
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(sim.world().log, vec![(1, "a"), (10, "b")]);
         assert_eq!(sim.now(), SimTime::ZERO + ms(10));
@@ -290,10 +250,7 @@ mod tests {
     #[test]
     fn events_can_chain() {
         let mut sim = Simulator::new(W::default());
-        sim.schedule_in(ms(1), |w: &mut W, c| {
-            w.log.push((1, "first"));
-            c.schedule_in(ms(2), |w: &mut W, _| w.log.push((3, "second")));
-        });
+        sim.schedule_event_in(ms(1), Ev::StampThenIn("first", ms(2), "second"));
         sim.run();
         assert_eq!(sim.world().log, vec![(1, "first"), (3, "second")]);
         assert_eq!(sim.now(), SimTime::ZERO + ms(3));
@@ -303,7 +260,7 @@ mod tests {
     fn run_until_stops_at_limit() {
         let mut sim = Simulator::new(W::default());
         for i in 1..=10u64 {
-            sim.schedule_in(ms(i), move |w: &mut W, _| w.log.push((i, "x")));
+            sim.schedule_event_in(ms(i), Ev::Stamp("x"));
         }
         let outcome = sim.run_until(SimTime::ZERO + ms(5));
         assert_eq!(outcome, RunOutcome::TimeLimit);
@@ -318,7 +275,7 @@ mod tests {
     fn run_events_bounds_work() {
         let mut sim = Simulator::new(W::default());
         for i in 1..=4u64 {
-            sim.schedule_in(ms(i), move |w: &mut W, _| w.log.push((i, "x")));
+            sim.schedule_event_in(ms(i), Ev::Stamp("x"));
         }
         assert_eq!(sim.run_events(2), RunOutcome::EventLimit);
         assert_eq!(sim.world().log.len(), 2);
@@ -328,8 +285,8 @@ mod tests {
     #[test]
     fn cancellation_prevents_execution() {
         let mut sim = Simulator::new(W::default());
-        let id = sim.schedule_in(ms(1), |w: &mut W, _| w.log.push((1, "nope")));
-        sim.schedule_in(ms(2), |w: &mut W, _| w.log.push((2, "yes")));
+        let id = sim.schedule_event_in(ms(1), Ev::Stamp("nope"));
+        sim.schedule_event_in(ms(2), Ev::Stamp("yes"));
         assert!(sim.cancel(id));
         sim.run();
         assert_eq!(sim.world().log, vec![(2, "yes")]);
@@ -338,10 +295,8 @@ mod tests {
     #[test]
     fn cancel_from_within_event() {
         let mut sim = Simulator::new(W::default());
-        let victim = sim.schedule_in(ms(5), |w: &mut W, _| w.log.push((5, "victim")));
-        sim.schedule_in(ms(1), move |_w: &mut W, c| {
-            c.cancel(victim);
-        });
+        let victim = sim.schedule_event_in(ms(5), Ev::Stamp("victim"));
+        sim.schedule_event_in(ms(1), Ev::Cancel(victim));
         sim.run();
         assert!(sim.world().log.is_empty());
     }
@@ -349,18 +304,13 @@ mod tests {
     #[test]
     fn scheduling_in_the_past_clamps_to_now() {
         let mut sim = Simulator::new(W::default());
-        sim.schedule_in(ms(10), |w: &mut W, c| {
-            // Absolute time before `now` gets clamped rather than panicking / time travel.
-            c.schedule_at(SimTime::ZERO, |w: &mut W, c| {
-                w.log.push((c.now().as_nanos() / 1_000_000, "late"));
-            });
-            w.log.push((10, "on-time"));
-        });
+        // Absolute time before `now` gets clamped rather than panicking / time travel.
+        sim.schedule_event_in(ms(10), Ev::StampThenAt("on-time", SimTime::ZERO, "late"));
         sim.run();
         assert_eq!(sim.world().log, vec![(10, "on-time"), (10, "late")]);
     }
 
-    // ------------------------------------------------------------ typed events
+    // ------------------------------------------------- events that reschedule
 
     #[derive(Default)]
     struct Counter {

@@ -2,7 +2,7 @@
 //! bit-identical event traces, regardless of how the run is sliced. Every
 //! benchmark number in the workspace rests on this property.
 
-use ipop_simcore::{Duration, SimTime, Simulator, StreamRng};
+use ipop_simcore::{Control, Duration, Event, SimTime, Simulator, StreamRng};
 
 /// A world that records a trace of (time, stream draw) pairs.
 struct World {
@@ -10,26 +10,48 @@ struct World {
     trace: Vec<(SimTime, u64)>,
 }
 
-/// A self-rescheduling stochastic workload: each event draws a value and
-/// schedules the next event after a random exponential delay.
+enum Ev {
+    /// Draw a value, record it, and schedule the next `Step` after a random
+    /// exponential delay while any `remaining`.
+    Step { remaining: u32 },
+    /// Record a fixed value.
+    Mark(u32),
+}
+
+impl Event<World> for Ev {
+    fn fire(self, w: &mut World, ctl: &mut Control<'_, World, Ev>) {
+        match self {
+            Ev::Step { remaining } => {
+                let value = w.rng.next_u64();
+                w.trace.push((ctl.now(), value));
+                if remaining > 0 {
+                    let delay = w.rng.exponential(Duration::from_millis(3));
+                    ctl.schedule_event_in(
+                        delay,
+                        Ev::Step {
+                            remaining: remaining - 1,
+                        },
+                    );
+                }
+            }
+            Ev::Mark(i) => w.trace.push((ctl.now(), u64::from(i))),
+        }
+    }
+}
+
+/// A self-rescheduling stochastic workload of `events` steps.
 fn run_scenario(seed: u64, events: u32) -> Vec<(SimTime, u64)> {
     let rng = StreamRng::new(seed, "determinism.scenario");
     let mut sim = Simulator::new(World {
         rng,
         trace: Vec::new(),
     });
-    fn step(w: &mut World, ctl: &mut ipop_simcore::Control<'_, World>, remaining: u32) {
-        let value = w.rng.next_u64();
-        w.trace.push((ctl.now(), value));
-        if remaining > 0 {
-            let delay = w.rng.exponential(Duration::from_millis(3));
-            ctl.schedule_in(delay, move |w: &mut World, ctl| step(w, ctl, remaining - 1));
-        }
-    }
-    let total = events;
-    sim.schedule_in(Duration::from_millis(1), move |w: &mut World, ctl| {
-        step(w, ctl, total - 1)
-    });
+    sim.schedule_event_in(
+        Duration::from_millis(1),
+        Ev::Step {
+            remaining: events - 1,
+        },
+    );
     sim.run();
     sim.into_world().trace
 }
@@ -60,9 +82,7 @@ fn fifo_tie_break_is_stable_for_simultaneous_events() {
         });
         let at = SimTime::ZERO + Duration::from_millis(5);
         for i in 0..32u32 {
-            sim.schedule_at(at, move |w: &mut World, ctl| {
-                w.trace.push((ctl.now(), u64::from(i)));
-            });
+            sim.schedule_event_at(at, Ev::Mark(i));
         }
         sim.run();
         sim.into_world()

@@ -11,7 +11,7 @@ use ipop_simcore::Duration;
 
 fn main() {
     // A scaled-down LSS workload (2 MB databases) so the example finishes quickly;
-    // the full Table IV run lives in `cargo run -p ipop-bench --bin table4_lss`.
+    // the full Table IV run lives in `cargo run --release -p ipop-bench -- table4`.
     // `--quick` shrinks it further for smoke tests.
     let params = if ipop_bench::quick_mode() {
         LssParams {
