@@ -29,9 +29,23 @@ fn bench_sha1(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_ip_to_overlay_address(c: &mut Criterion) {
+/// The SHA-1 mapping, and the two 160-bit kernels every greedy routing
+/// decision is made of (`connection_table/closest_to_*` below is both, under
+/// two `BTreeSet` range probes). The pair shares its first five bytes, so
+/// `cmp` is decided in the low word.
+fn bench_address(c: &mut Criterion) {
+    use std::hint::black_box;
     c.bench_function("address/from_ip", |b| {
-        b.iter(|| Address::from_ip(std::hint::black_box(Ipv4Addr::new(172, 16, 0, 2))))
+        b.iter(|| Address::from_ip(black_box(Ipv4Addr::new(172, 16, 0, 2))))
+    });
+    let x = Address::from_ip(Ipv4Addr::new(172, 16, 0, 2));
+    let mut y = Address::from_ip(Ipv4Addr::new(172, 16, 0, 18));
+    y.0[..5].copy_from_slice(&x.0[..5]);
+    c.bench_function("address/ring_distance", |b| {
+        b.iter(|| black_box(&x).ring_distance(black_box(&y)))
+    });
+    c.bench_function("address/cmp", |b| {
+        b.iter(|| black_box(&x).cmp(black_box(&y)))
     });
 }
 
@@ -166,7 +180,7 @@ fn bench_overlay_tick(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sha1,
-    bench_ip_to_overlay_address,
+    bench_address,
     bench_packet_codec,
     bench_encapsulation,
     bench_connection_table,

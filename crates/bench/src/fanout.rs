@@ -179,12 +179,9 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     );
     let ring = build_warm_ring(scfg);
     let topic = topic_key("bench");
-    let mut body_rng = StreamRng::new(scfg.seed, "fanout-body");
-    let payload = Bytes::from(
-        (0..cfg.payload_bytes)
-            .map(|_| (body_rng.next_u64() & 0xFF) as u8)
-            .collect::<Vec<u8>>(),
-    );
+    let mut payload = vec![0u8; cfg.payload_bytes];
+    StreamRng::new(scfg.seed, "fanout-body").fill_bytes(&mut payload);
+    let payload = Bytes::from(payload);
 
     // Subscribe phase after maintenance settles, staggered; publish phase
     // after the settle window, staggered.

@@ -176,13 +176,14 @@ pub(crate) trait RingWorkload: Send {
     fn harvest(&mut self, now: SimTime, node: &mut OverlayNode);
 }
 
-/// Events driving a ring world.
+/// Events driving a ring world. The queues sort and move entries by value, so
+/// the 152-byte link message is boxed (as `netsim::NetEvent` boxes its packet).
 pub(crate) enum RingEv<Op> {
     /// A link message from node `src` arriving at node `dst`.
     Deliver {
         src: u32,
         dst: u32,
-        msg: LinkMessage,
+        msg: Box<LinkMessage>,
     },
     /// Maintenance tick on `dst`; reschedules itself `remaining` more times.
     Tick { dst: u32, remaining: u32 },
@@ -215,6 +216,7 @@ impl<W: RingWorkload> RingShard<W> {
                 continue;
             };
             let at = now + self.net.latency(src, dst);
+            let msg = Box::new(msg);
             ctl.send(
                 self.net.shard_of(dst) as usize,
                 at,
@@ -233,7 +235,7 @@ impl<W: RingWorkload> ShardWorld for RingShard<W> {
             RingEv::Deliver { src, dst, msg } => {
                 let idx = (dst - self.lo) as usize;
                 let from = self.net.endpoint(src);
-                self.nodes[idx].on_message(now, from, msg);
+                self.nodes[idx].on_message(now, from, *msg);
                 self.pump(idx, now, ctl);
             }
             RingEv::Tick { dst, remaining } => {
@@ -659,6 +661,13 @@ pub fn scenario(name: &str, nodes: u32, quick: bool, verified: bool) -> Outcome 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A ratchet: queues and barrier move events by value, so fat ones cost.
+    #[test]
+    fn ring_events_stay_small() {
+        assert!(std::mem::size_of::<RingEv<u32>>() <= 48);
+        assert!(std::mem::size_of::<LinkMessage>() <= 152);
+    }
 
     fn small() -> ScaleConfig {
         ScaleConfig {

@@ -164,12 +164,8 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
 
     // Open, push the whole payload, close — the receiver's RemoteClosed
     // marks every byte delivered.
-    let payload: Vec<u8> = {
-        let mut body_rng = StreamRng::new(0x77C9, "ttcp-body");
-        (0..cfg.transfer_bytes)
-            .map(|_| (body_rng.next_u64() & 0xFF) as u8)
-            .collect()
-    };
+    let mut payload = vec![0u8; cfg.transfer_bytes];
+    StreamRng::new(0x77C9, "ttcp-body").fill_bytes(&mut payload);
     let dst_addr = nodes[0].address();
     let opened_at = now;
     let sid = nodes[1].stream_connect(now, dst_addr);
@@ -368,12 +364,9 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
     );
     let ring = build_warm_ring(scfg);
     let addrs = Arc::clone(&ring.addrs);
-    let mut body_rng = StreamRng::new(scfg.seed, "stream-body");
-    let payload = Bytes::from(
-        (0..cfg.transfer_bytes)
-            .map(|_| (body_rng.next_u64() & 0xFF) as u8)
-            .collect::<Vec<u8>>(),
-    );
+    let mut payload = vec![0u8; cfg.transfer_bytes];
+    StreamRng::new(scfg.seed, "stream-body").fill_bytes(&mut payload);
+    let payload = Bytes::from(payload);
 
     // Open every stream near-simultaneously after maintenance settles (the
     // maintenance ticks drive the RTO sweeps).

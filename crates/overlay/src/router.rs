@@ -96,6 +96,13 @@ impl Core {
     }
 
     /// Messages queued for the physical transport: `(destination endpoint, message)`.
+    ///
+    /// Hands the buffer over rather than draining it in place, on purpose: the
+    /// re-allocation in `push_out` is most of the ring workloads' allocation
+    /// traffic, but keeping the capacity (tried for this and for
+    /// `VStreams::out`, PR 22) saved no measurable time and raised peak RSS
+    /// 18 % on `ring_route` and 39 % on `streams` — every one of thousands of
+    /// nodes then retains its largest burst.
     pub(crate) fn take_outbox(&mut self) -> Vec<(Endpoint, LinkMessage)> {
         std::mem::take(&mut self.outbox)
     }

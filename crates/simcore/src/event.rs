@@ -1,12 +1,20 @@
 //! The event queue.
 //!
-//! A binary min-heap keyed by `(time, sequence)` where the sequence number is a
-//! monotonically increasing counter assigned at insertion. Ties in virtual time are
-//! therefore broken in insertion order, which keeps the whole simulation
-//! deterministic regardless of heap internals.
+//! A timing wheel over a 4-ary overflow min-heap ([`EventQueue`] wraps the
+//! `Wheel` below), keyed by `(time, sequence)` where the sequence number is a
+//! monotonically increasing counter assigned at insertion. Ties in virtual time
+//! are therefore broken in insertion order, which keeps the whole simulation
+//! deterministic regardless of wheel or heap internals.
 //!
-//! Cancellation is tombstone-based: the heap is never restructured. A cancelled
-//! entry stays in the heap and is discarded when it reaches the top. To make
+//! Entries hold their payload inline and are sorted and moved *by value*: the
+//! wheel sorts a slot's entries before draining it, the overflow heap swaps
+//! them while sifting, and `ShardedSim`'s barrier moves each cross-shard event
+//! between buffers. Keep payloads small — box anything large, as
+//! `netsim`'s `NetEvent::Arrival { pkt: Box<Ipv4Packet> }` and the ring
+//! driver's `RingEv::Deliver { msg: Box<LinkMessage> }` (`crates/bench`) do.
+//!
+//! Cancellation is tombstone-based: the queue is never restructured. A cancelled
+//! entry stays queued and is discarded when it reaches the front. To make
 //! cancelling an already-fired event an exact no-op (it must neither corrupt
 //! the live count nor leave a tombstone behind), the queue tracks which
 //! identifiers are still *pending* — but the packet hot path schedules and

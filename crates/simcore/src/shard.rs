@@ -92,7 +92,7 @@ impl<E> ShardCtl<'_, E> {
         self.cross.push(CrossMsg {
             at: at.max(self.slice_end),
             dst,
-            ev,
+            ev: Some(ev),
         });
     }
 }
@@ -100,7 +100,8 @@ impl<E> ShardCtl<'_, E> {
 struct CrossMsg<E> {
     at: SimTime,
     dst: usize,
-    ev: E,
+    /// `None` once the barrier has moved the event to `dst`'s queue.
+    ev: Option<E>,
 }
 
 /// 64-bit FNV-1a fold, the workspace's standard cheap deterministic hash.
@@ -159,6 +160,9 @@ pub struct ShardedSim<W: ShardWorld> {
     /// Start of the next unexecuted slice (aligned to the slice grid).
     now: SimTime,
     parallel: bool,
+    /// The barrier's `(at, source shard, emission index)` sort keys, reused
+    /// across slices.
+    merge_keys: Vec<(u64, u32, u32)>,
 }
 
 /// Why [`ShardedSim::run_until`] returned.
@@ -196,6 +200,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             slice,
             now: SimTime::ZERO,
             parallel,
+            merge_keys: Vec::new(),
         }
     }
 
@@ -266,46 +271,43 @@ impl<W: ShardWorld> ShardedSim<W> {
     fn run_slice(&mut self) {
         let slice_end = self.now + self.slice;
         let nshards = self.shards.len();
-        let shards = std::mem::take(&mut self.shards);
-        let mut shards: Vec<Shard<W>> = if self.parallel && nshards > 1 {
-            shards
+        if self.parallel && nshards > 1 {
+            self.shards = std::mem::take(&mut self.shards)
                 .into_par_iter()
                 .map(|mut s| {
                     s.run_slice(nshards, slice_end);
                     s
                 })
-                .collect()
+                .collect();
         } else {
-            shards
-                .into_iter()
-                .map(|mut s| {
-                    s.run_slice(nshards, slice_end);
-                    s
-                })
-                .collect()
-        };
+            for s in self.shards.iter_mut() {
+                s.run_slice(nshards, slice_end);
+            }
+        }
 
         // Barrier: merge cross-shard emissions in (time, src shard, emission
         // index) order — unique keys, hence a total order independent of
         // thread scheduling — then push sequentially so destination sequence
-        // numbers are assigned deterministically.
-        let mut merged: Vec<(u64, usize, usize, usize, W::Ev)> = Vec::new();
-        for (src, shard) in shards.iter_mut().enumerate() {
-            for (idx, msg) in shard.cross_buf.drain(..).enumerate() {
-                merged.push((msg.at.as_nanos(), src, idx, msg.dst, msg.ev));
+        // numbers are assigned deterministically. Only the 16-byte keys are
+        // sorted; each event moves once, from its source's buffer to its
+        // destination's queue.
+        self.merge_keys.clear();
+        for (src, shard) in self.shards.iter().enumerate() {
+            for (idx, msg) in shard.cross_buf.iter().enumerate() {
+                self.merge_keys
+                    .push((msg.at.as_nanos(), src as u32, idx as u32));
             }
         }
-        merged.sort_unstable_by_key(|(at, src, idx, _, _)| (*at, *src, *idx));
-        #[cfg(debug_assertions)]
-        for pair in merged.windows(2) {
-            let a = (&pair[0].0, &pair[0].1, &pair[0].2);
-            let b = (&pair[1].0, &pair[1].1, &pair[1].2);
-            debug_assert!(a < b, "barrier merge keys must be strictly increasing");
+        self.merge_keys.sort_unstable();
+        for &(at, src, idx) in &self.merge_keys {
+            let msg = &mut self.shards[src as usize].cross_buf[idx as usize];
+            let ev = msg.ev.take().expect("one key per buffered event");
+            let dst = msg.dst;
+            self.shards[dst].queue.push(SimTime::from_nanos(at), ev);
         }
-        for (at, _, _, dst, ev) in merged {
-            shards[dst].queue.push(SimTime::from_nanos(at), ev);
+        for shard in self.shards.iter_mut() {
+            shard.cross_buf.clear();
         }
-        self.shards = shards;
         self.now = slice_end;
     }
 
@@ -417,6 +419,63 @@ mod tests {
         let b = run(true);
         assert_eq!(a.1, b.1);
         assert_eq!(a.2, b.2);
+    }
+
+    /// Barrier-order world: every event fans out to three shards, all at the
+    /// same slice-aligned instant, so each barrier merges events whose `at`
+    /// collides across sources and within one source. Where an event goes and
+    /// when depends on everything its shard handled before it, so handing two
+    /// colliding events to a queue in the other order changes the rest of the
+    /// run — `trace_hash` alone would not see a swap of equal-time events.
+    struct Burst {
+        id: u64,
+        /// Order-sensitive fold of every value handled.
+        acc: u64,
+    }
+
+    impl ShardWorld for Burst {
+        type Ev = (u32, u64);
+
+        fn handle(&mut self, now: SimTime, (ttl, value): Self::Ev, ctl: &mut ShardCtl<Self::Ev>) {
+            self.acc = (self.acc.rotate_left(5) ^ value).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            if ttl == 0 {
+                return;
+            }
+            let slice = Duration::from_millis(1).as_nanos();
+            let mix = self.acc.wrapping_add(self.id);
+            let at = SimTime::from_nanos((now.as_nanos() / slice + 1 + mix % 3) * slice);
+            for k in 0..3u64 {
+                // Two emissions in three are leaves, so the run stays small.
+                let next_ttl = if (mix >> (4 + k)) % 3 == 0 {
+                    ttl - 1
+                } else {
+                    0
+                };
+                let dst = ((mix >> (8 * (k + 1))) % ctl.shards() as u64) as usize;
+                ctl.send(dst, at, (next_ttl, mix ^ k));
+            }
+        }
+    }
+
+    fn run_bursts(parallel: bool) -> (u64, u64, u64) {
+        let worlds = (0..4).map(|id| Burst { id, acc: 0 }).collect();
+        let mut sim = ShardedSim::new(worlds, Duration::from_millis(1), parallel);
+        for i in 0..8u64 {
+            sim.schedule((i % 4) as usize, SimTime::ZERO, (8, i));
+        }
+        let outcome = sim.run_until(SimTime::ZERO + Duration::from_secs(1));
+        assert_eq!(outcome, ShardRunOutcome::Drained);
+        let acc = sim.worlds().fold(0, |h, w| fnv_fold(h, w.acc));
+        (sim.executed(), sim.trace_hash(), acc)
+    }
+
+    #[test]
+    fn barrier_order_on_colliding_times_is_pinned() {
+        // Recorded at the commit before the barrier sorted keys instead of
+        // whole events; `(time, source shard, emission index)` is the contract.
+        const PINNED: (u64, u64, u64) = (440, 0x6FF0_7779_EDE2_4B53, 0x0AFD_DE7C_6126_78DE);
+        assert_eq!(run_bursts(false), PINNED, "sequential");
+        assert_eq!(run_bursts(true), PINNED, "threaded");
     }
 
     #[test]
