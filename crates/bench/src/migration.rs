@@ -119,12 +119,12 @@ pub fn scenario(quick: bool) -> Outcome {
     }
     let options = DeployOptions {
         brunet_arp: true,
+        dynamic_subnet: (Ipv4Addr::new(172, 16, 9, 0), 24),
+        lease_ttl: p.lease_ttl,
+        arp_cache_ttl: Some(p.arp_cache_ttl),
+        reserved_ips: reserved.clone(),
         ..DeployOptions::udp()
-    }
-    .with_dynamic_subnet(Ipv4Addr::new(172, 16, 9, 0), 24)
-    .with_lease_ttl(p.lease_ttl)
-    .with_arp_cache_ttl(p.arp_cache_ttl)
-    .with_reserved_ips(reserved.clone());
+    };
     deploy_ipop(&mut net, members, options);
     let mut sim = NetworkSim::new(net);
 
@@ -494,12 +494,12 @@ fn spawn_joiner(
     reserved: &[Ipv4Addr],
     index: usize,
 ) {
-    let cfg = IpopConfig::dynamic((Ipv4Addr::new(172, 16, 9, 0), 24))
+    let mut cfg = IpopConfig::dynamic((Ipv4Addr::new(172, 16, 9, 0), 24))
         .with_bootstrap(vec![(*bootstrap_addr, 4001)])
         .with_lease_ttl(p.lease_ttl)
-        .with_brunet_arp_cache_ttl(p.arp_cache_ttl)
-        .with_reserved_ips(reserved.to_vec())
         .with_hostname(&format!("joiner-{index}"));
+    cfg.brunet_arp_cache_ttl = p.arp_cache_ttl;
+    cfg.reserved_ips = reserved.to_vec();
     let phys = sim.net().host(host).addr;
     let agent = IpopHostAgent::new(cfg, phys, Box::new(NullApp));
     sim.net_mut().set_agent(host, Box::new(agent));

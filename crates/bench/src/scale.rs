@@ -432,14 +432,14 @@ pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
 
     let mut nodes: Vec<OverlayNode> = (0..n)
         .map(|i| {
-            let oc = OverlayConfig::new(addrs[i], net.endpoint(i as u32))
+            let mut oc = OverlayConfig::new(addrs[i], net.endpoint(i as u32))
                 .without_link_monitor()
-                .without_anti_entropy()
-                .with_near_per_side(cfg.near_per_side)
-                .with_max_shortcuts(cfg.max_shortcuts)
-                .with_maintenance_interval(cfg.maintenance_interval)
-                .with_packet_ttl(packet_ttl)
-                .with_pubsub_fanout(cfg.pubsub_fanout);
+                .without_anti_entropy();
+            oc.near_per_side = cfg.near_per_side;
+            oc.max_shortcuts = cfg.max_shortcuts;
+            oc.maintenance_interval = cfg.maintenance_interval;
+            oc.packet_ttl = packet_ttl;
+            oc.pubsub_fanout = cfg.pubsub_fanout;
             OverlayNode::new(oc, StreamRng::new(cfg.seed, &format!("scale-node-{i}")))
         })
         .collect();

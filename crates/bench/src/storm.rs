@@ -84,13 +84,14 @@ impl Params {
     }
 
     /// What both scenarios deploy with; `adversarial` adds the integrity tag.
-    fn options(&self) -> DeployOptions {
+    fn options(&self, link_integrity_tag: bool) -> DeployOptions {
         DeployOptions {
             brunet_arp: true,
+            lease_ttl: self.lease_ttl,
+            dht_sweep_interval: Some(self.sweep_interval),
+            link_integrity_tag,
             ..DeployOptions::udp()
         }
-        .with_lease_ttl(self.lease_ttl)
-        .with_dht_sweep_interval(self.sweep_interval)
     }
 }
 
@@ -319,7 +320,7 @@ pub fn durability(quick: bool) -> Outcome {
         p.owners_crashed,
         p.hops_crashed,
     );
-    let s = storm(&p, 0xD47A_B111, p.options(), |_, _| {});
+    let s = storm(&p, 0xD47A_B111, p.options(false), |_, _| {});
 
     let (mut probes, mut timeouts, mut dead) = (0, 0, 0);
     let (mut digests, mut pulls, mut pushes, mut repairs) = (0, 0, 0, 0);
@@ -446,7 +447,7 @@ pub fn adversarial(quick: bool) -> Outcome {
     // crash condemned a live-but-lossy peer: the false-positive count the phi
     // layer must hold at 0.
     let seed = 0xAD5E_7A1A;
-    let s = storm(&p, seed, p.options(), dirty);
+    let s = storm(&p, seed, p.options(false), dirty);
     let ghosts = s.dead_edges_at_convergence;
     let false_dead = s.dead_edges_at_crash.saturating_sub(ghosts);
     let dup_allocs = duplicate_allocations(&s);
@@ -460,7 +461,7 @@ pub fn adversarial(quick: bool) -> Outcome {
     // Second run, same seed, with the FNV-64 link integrity tag on: corrupted
     // datagrams die at ingress, so the ghost-edge count should collapse.
     eprintln!("  re-running with the link integrity tag enabled");
-    let tagged = storm(&p, seed, p.options().with_link_integrity_tag(), dirty);
+    let tagged = storm(&p, seed, p.options(true), dirty);
     let tagged_ghosts = tagged.dead_edges_at_convergence;
     if tagged_ghosts > ghosts {
         eprintln!("  WARNING: the integrity tag increased the ghost-edge count");

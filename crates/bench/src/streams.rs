@@ -97,9 +97,8 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     let mut rng = StreamRng::new(0x77C9, "ttcp-stream");
     let mut nodes: Vec<OverlayNode> = (0..2)
         .map(|i| {
-            let addr = Address::random(&mut rng);
-            let bootstrap = if i == 0 { vec![] } else { vec![eps[0]] };
-            let cfg = OverlayConfig::new(addr, eps[i]).with_bootstrap(bootstrap);
+            let mut cfg = OverlayConfig::new(Address::random(&mut rng), eps[i]);
+            cfg.bootstrap = if i == 0 { vec![] } else { vec![eps[0]] };
             OverlayNode::new(cfg, StreamRng::new(0x77C9, &format!("ttcp-node-{i}")))
         })
         .collect();

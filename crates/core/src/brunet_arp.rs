@@ -18,18 +18,14 @@ use std::net::Ipv4Addr;
 use ipop_overlay::Address;
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
+use ipop_services::lookup::Lookups;
+pub use ipop_services::lookup::QUERY_TIMEOUT;
 use ipop_simcore::{Duration, SimTime};
 
 /// Bound on packets parked per unresolved destination. Traffic to an
 /// unresolvable IP must not grow memory without limit; beyond this the oldest
 /// parked packet is dropped (counted in [`BrunetArp::dropped`]).
 pub const DEFAULT_PARK_LIMIT: usize = 32;
-
-/// How long an unanswered resolution query blocks re-querying. A `DhtGet`
-/// whose reply is lost (dead coordinator, routed into a crashed node) must
-/// not pin the destination in `Pending` forever — after this long the next
-/// packet issues a fresh query.
-pub const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Outcome of a resolution attempt.
 #[derive(Debug, PartialEq, Eq)]
@@ -45,15 +41,13 @@ pub enum Resolution {
 
 /// Sender-side Brunet-ARP resolver.
 pub struct BrunetArp {
-    cache_ttl: Duration,
-    cache: BTreeMap<Ipv4Addr, (Address, SimTime)>,
+    /// Cached mappings, and outstanding DHT queries: one older than
+    /// [`QUERY_TIMEOUT`] no longer blocks a fresh query for its destination
+    /// (a lost reply must not pin it in `Pending` forever).
+    lookups: Lookups<Ipv4Addr, Address>,
     /// Packets waiting for a resolution, per destination IP. Bounded to
     /// [`DEFAULT_PARK_LIMIT`] per destination, drop-oldest.
     parked: BTreeMap<Ipv4Addr, VecDeque<Ipv4Packet>>,
-    /// Outstanding DHT query tokens → the IP they resolve and when the query
-    /// was issued (queries older than [`QUERY_TIMEOUT`] no longer block a
-    /// fresh query; their late replies are still accepted).
-    outstanding: BTreeMap<u64, (Ipv4Addr, SimTime)>,
     /// Statistics.
     pub cache_hits: u64,
     /// Statistics.
@@ -68,10 +62,8 @@ impl BrunetArp {
     /// A resolver whose cache entries live for `cache_ttl`.
     pub fn new(cache_ttl: Duration) -> Self {
         BrunetArp {
-            cache_ttl,
-            cache: BTreeMap::new(),
+            lookups: Lookups::new(cache_ttl),
             parked: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
             cache_hits: 0,
             cache_misses: 0,
             failed: 0,
@@ -101,7 +93,7 @@ impl BrunetArp {
 
     /// Number of live cache entries.
     pub fn cached(&self) -> usize {
-        self.cache.len()
+        self.lookups.cached_len()
     }
 
     /// Number of parked packets across all destinations.
@@ -113,33 +105,21 @@ impl BrunetArp {
     /// needed. The caller parks `pkt` with [`BrunetArp::park`] when a query is
     /// required or pending.
     pub fn resolve(&mut self, now: SimTime, dst: Ipv4Addr) -> Resolution {
-        if let Some((addr, stored_at)) = self.cache.get(&dst) {
-            if now.saturating_since(*stored_at) < self.cache_ttl {
-                self.cache_hits += 1;
-                return Resolution::Resolved(*addr);
-            }
-            self.cache.remove(&dst);
+        if let Some(addr) = self.lookups.cached(now, &dst) {
+            self.cache_hits += 1;
+            return Resolution::Resolved(addr);
         }
         self.cache_misses += 1;
-        if self
-            .outstanding
-            .values()
-            .any(|(ip, issued)| *ip == dst && now.saturating_since(*issued) < QUERY_TIMEOUT)
-        {
+        if self.lookups.is_pending(now, &dst) {
             return Resolution::Pending;
         }
         Resolution::NeedsQuery(Self::key_for(dst))
     }
 
-    /// Record that DHT query `token` is resolving `dst`. Every timed-out
-    /// entry is pruned (not just this destination's) — without this, a lost
-    /// reply for a destination never queried again would leak its map entry
-    /// for the life of the node. Pruned tokens' late replies are dropped; a
-    /// fresh query answers instead.
+    /// Record that DHT query `token` is resolving `dst` (and prune every
+    /// timed-out query; see [`Lookups::issued`]).
     pub fn query_issued(&mut self, now: SimTime, token: u64, dst: Ipv4Addr) {
-        self.outstanding
-            .retain(|_, (_, issued)| now.saturating_since(*issued) < QUERY_TIMEOUT);
-        self.outstanding.insert(token, (dst, now));
+        self.lookups.issued(now, token, dst);
     }
 
     /// Park a packet until `dst` resolves. When the destination's queue is
@@ -162,13 +142,11 @@ impl BrunetArp {
         token: u64,
         value: Option<Bytes>,
     ) -> Option<(Ipv4Addr, Option<Address>, Vec<Ipv4Packet>)> {
-        let (dst, _) = self.outstanding.remove(&token)?;
+        let dst = self.lookups.answered(token)?;
         let addr = value.as_deref().and_then(Self::decode_mapping);
         let waiting: Vec<Ipv4Packet> = self.parked.remove(&dst).map(Vec::from).unwrap_or_default();
         match addr {
-            Some(a) => {
-                self.cache.insert(dst, (a, now));
-            }
+            Some(a) => self.lookups.store(now, dst, a),
             None => {
                 self.failed += 1;
             }
@@ -179,7 +157,7 @@ impl BrunetArp {
     /// Drop the cached mapping for `dst` (e.g. after repeated delivery failures, or
     /// when a migration is announced).
     pub fn invalidate(&mut self, dst: Ipv4Addr) {
-        self.cache.remove(&dst);
+        self.lookups.invalidate(&dst);
     }
 
     /// Drop every parked packet and outstanding query. Called when the node's
@@ -190,7 +168,7 @@ impl BrunetArp {
     pub fn reset_pending(&mut self) -> usize {
         let dropped = self.parked_packets();
         self.parked.clear();
-        self.outstanding.clear();
+        self.lookups.clear_outstanding();
         self.dropped += dropped as u64;
         dropped
     }

@@ -154,67 +154,6 @@ impl DeployOptions {
         self.dynamic_subnet = (net, prefix);
         self
     }
-
-    /// Builder: set the lease TTL for DHT registrations.
-    pub fn with_lease_ttl(mut self, ttl: Duration) -> Self {
-        self.lease_ttl = ttl;
-        self
-    }
-
-    /// Builder: set every member's Brunet-ARP cache TTL.
-    pub fn with_arp_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.arp_cache_ttl = Some(ttl);
-        self
-    }
-
-    /// Builder: reserve virtual addresses dynamic members must never claim.
-    pub fn with_reserved_ips(mut self, ips: Vec<Ipv4Addr>) -> Self {
-        self.reserved_ips = ips;
-        self
-    }
-
-    /// Builder: set every member's link-monitor probe interval.
-    pub fn with_link_probe_interval(mut self, interval: Duration) -> Self {
-        self.link_probe_interval = Some(interval);
-        self
-    }
-
-    /// Builder: set every member's DHT anti-entropy sweep interval.
-    pub fn with_dht_sweep_interval(mut self, interval: Duration) -> Self {
-        self.dht_sweep_interval = Some(interval);
-        self
-    }
-
-    /// Builder: restore the fixed consecutive-miss edge verdict on every
-    /// member (phi-accrual ablation).
-    pub fn without_phi_accrual(mut self) -> Self {
-        self.phi_accrual = false;
-        self
-    }
-
-    /// Builder: set every member's phi-accrual suspicion threshold.
-    pub fn with_phi_threshold(mut self, threshold: f64) -> Self {
-        self.phi_threshold = Some(threshold);
-        self
-    }
-
-    /// Builder: set every member's pub/sub relay-tree fan-out.
-    pub fn with_pubsub_fanout(mut self, fanout: usize) -> Self {
-        self.pubsub_fanout = Some(fanout);
-        self
-    }
-
-    /// Builder: set every member's topic subscription TTL.
-    pub fn with_pubsub_ttl(mut self, ttl: Duration) -> Self {
-        self.pubsub_ttl = Some(ttl);
-        self
-    }
-
-    /// Builder: enable the FNV-64 link integrity tag on every member.
-    pub fn with_link_integrity_tag(mut self) -> Self {
-        self.link_integrity_tag = true;
-        self
-    }
 }
 
 /// Install an [`IpopHostAgent`] on every member host. The first *publicly
@@ -239,54 +178,42 @@ pub fn deploy_ipop(
         .find(|&h| net.publicly_reachable(h))
         .unwrap_or(members[0].host);
     let bootstrap_addr = net.host(bootstrap_host).addr;
-    let overlay_port = 4001;
     let mut hosts = Vec::with_capacity(members.len());
     for member in members {
         let phys_addr = net.host(member.host).addr;
         let mut cfg = match member.virtual_ip {
             Some(ip) => IpopConfig::new(ip),
             None => IpopConfig::dynamic(options.dynamic_subnet),
-        }
-        .with_transport(options.transport)
-        .with_lease_ttl(options.lease_ttl);
+        };
+        cfg.transport = options.transport;
+        cfg.lease_ttl = options.lease_ttl;
+        cfg.hostname = member.hostname;
+        cfg.brunet_arp |= options.brunet_arp;
+        cfg.reserved_ips = options.reserved_ips.clone();
+        cfg.link_integrity_tag = options.link_integrity_tag;
+        cfg.overlay.shortcuts_enabled = options.shortcuts;
+        cfg.overlay.phi_accrual = options.phi_accrual;
+        // `None` keeps the default of the tier that owns the knob.
         if let Some(ttl) = options.arp_cache_ttl {
-            cfg = cfg.with_brunet_arp_cache_ttl(ttl);
-        }
-        if let Some(interval) = options.link_probe_interval {
-            cfg = cfg.with_link_probe_interval(interval);
-        }
-        if let Some(interval) = options.dht_sweep_interval {
-            cfg = cfg.with_dht_sweep_interval(interval);
-        }
-        if !options.phi_accrual {
-            cfg = cfg.without_phi_accrual();
-        }
-        if let Some(threshold) = options.phi_threshold {
-            cfg = cfg.with_phi_threshold(threshold);
-        }
-        if let Some(fanout) = options.pubsub_fanout {
-            cfg = cfg.with_pubsub_fanout(fanout);
+            cfg.brunet_arp_cache_ttl = ttl;
         }
         if let Some(ttl) = options.pubsub_ttl {
-            cfg = cfg.with_pubsub_ttl(ttl);
+            cfg.pubsub_ttl = ttl;
         }
-        if options.link_integrity_tag {
-            cfg = cfg.with_link_integrity_tag(true);
+        if let Some(interval) = options.link_probe_interval {
+            cfg.overlay.probe_interval = interval;
         }
-        if !options.reserved_ips.is_empty() {
-            cfg = cfg.with_reserved_ips(options.reserved_ips.clone());
+        if let Some(interval) = options.dht_sweep_interval {
+            cfg.overlay.dht.sweep_interval = interval;
         }
-        if let Some(name) = &member.hostname {
-            cfg = cfg.with_hostname(name);
+        if let Some(threshold) = options.phi_threshold {
+            cfg.overlay.phi_threshold = threshold;
         }
-        if options.brunet_arp {
-            cfg = cfg.with_brunet_arp();
-        }
-        if !options.shortcuts {
-            cfg = cfg.without_shortcuts();
+        if let Some(fanout) = options.pubsub_fanout {
+            cfg.overlay.pubsub_fanout = fanout;
         }
         if member.host != bootstrap_host {
-            cfg = cfg.with_bootstrap(vec![(bootstrap_addr, overlay_port)]);
+            cfg.overlay.bootstrap = vec![(bootstrap_addr, cfg.overlay.local_endpoint.1)];
         }
         let agent = IpopHostAgent::new(cfg, phys_addr, member.app);
         net.set_agent(member.host, Box::new(agent));

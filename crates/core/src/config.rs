@@ -4,6 +4,7 @@ use std::net::Ipv4Addr;
 
 use ipop_overlay::packets::Endpoint;
 use ipop_overlay::transport::TransportMode;
+use ipop_overlay::{Address, OverlayConfig};
 use ipop_simcore::Duration;
 
 /// Configuration of one IPOP node (paper Section III).
@@ -34,12 +35,14 @@ pub struct IpopConfig {
     /// MTU of the virtual interface. Kept below the physical MTU so an encapsulated
     /// virtual packet still fits in a single physical datagram.
     pub virtual_mtu: usize,
-    /// UDP/TCP port the overlay transport uses on the physical network.
-    pub overlay_port: u16,
     /// Whether Brunet runs over UDP or TCP (the two modes compared in Tables I-III).
     pub transport: TransportMode,
-    /// Physical endpoints of nodes already in the overlay.
-    pub bootstrap: Vec<Endpoint>,
+    /// The overlay node's own configuration, with the overlay's own defaults:
+    /// bootstrap endpoints, maintenance tick, shortcuts, link monitor, DHT
+    /// sweep, pub/sub fan-out. The port of `local_endpoint` (4001) is the
+    /// one the transport binds; its host and `address` are placeholders
+    /// [`crate::IpopHostAgent::new`] fills in — only it knows them.
+    pub overlay: OverlayConfig,
     /// Virtual addresses the dynamic allocator must never draw, *besides* the
     /// fabricated gateway (e.g. guest-VM IPs a workload assigns by hand).
     pub reserved_ips: Vec<Ipv4Addr>,
@@ -50,25 +53,6 @@ pub struct IpopConfig {
     pub brunet_arp: bool,
     /// Lifetime of Brunet-ARP cache entries at senders.
     pub brunet_arp_cache_ttl: Duration,
-    /// Interval of the overlay maintenance tick.
-    pub overlay_tick: Duration,
-    /// Disable shortcut connections (ablation switch, Section V.1 discussion).
-    pub shortcuts: bool,
-    /// Idle interval before the overlay link monitor probes an edge (fast
-    /// dead-edge detection; see `ipop_overlay::OverlayConfig`).
-    pub link_probe_interval: Duration,
-    /// Phi-accrual edge suspicion: weigh probe misses by the edge's observed
-    /// loss rate instead of a fixed consecutive-miss limit (see
-    /// `ipop_overlay::OverlayConfig::phi_accrual`).
-    pub phi_accrual: bool,
-    /// Suspicion threshold at which an edge is declared dead (φ units).
-    pub phi_threshold: f64,
-    /// Interval between DHT anti-entropy sweeps (replica-set digest
-    /// exchanges that converge diverged copies without waiting for a read).
-    pub dht_sweep_interval: Duration,
-    /// Maximum out-degree of the pub/sub relay tree at every node (see
-    /// `ipop_overlay::pubsub`).
-    pub pubsub_fanout: usize,
     /// Lifetime of this node's topic subscriptions; renewed at half this
     /// interval while subscribed, aged out one TTL after a crash.
     pub pubsub_ttl: Duration,
@@ -91,19 +75,11 @@ impl IpopConfig {
             virtual_prefix: (Ipv4Addr::new(172, 16, 0, 0), 16),
             gateway_ip: Ipv4Addr::new(172, 16, 255, 254),
             virtual_mtu: 1400,
-            overlay_port: 4001,
             transport: TransportMode::Udp,
-            bootstrap: Vec::new(),
+            overlay: OverlayConfig::new(Address::ZERO, (Ipv4Addr::UNSPECIFIED, 4001)),
             reserved_ips: Vec::new(),
             brunet_arp: false,
             brunet_arp_cache_ttl: Duration::from_secs(300),
-            overlay_tick: Duration::from_millis(500),
-            shortcuts: true,
-            link_probe_interval: Duration::from_secs(1),
-            phi_accrual: true,
-            phi_threshold: 6.0,
-            dht_sweep_interval: Duration::from_secs(10),
-            pubsub_fanout: 4,
             pubsub_ttl: Duration::from_secs(120),
             link_integrity_tag: false,
         }
@@ -142,7 +118,7 @@ impl IpopConfig {
 
     /// Builder: set bootstrap endpoints.
     pub fn with_bootstrap(mut self, bootstrap: Vec<Endpoint>) -> Self {
-        self.bootstrap = bootstrap;
+        self.overlay.bootstrap = bootstrap;
         self
     }
 
@@ -155,72 +131,6 @@ impl IpopConfig {
     /// Builder: enable the Brunet-ARP DHT mapper.
     pub fn with_brunet_arp(mut self) -> Self {
         self.brunet_arp = true;
-        self
-    }
-
-    /// Builder: set the sender-side Brunet-ARP cache TTL. This bounds how
-    /// long a migrated VM's packets chase the old host: a sender re-resolves
-    /// (and picks up the new mapping) at most one cache TTL after migration.
-    pub fn with_brunet_arp_cache_ttl(mut self, ttl: Duration) -> Self {
-        self.brunet_arp_cache_ttl = ttl;
-        self
-    }
-
-    /// Builder: virtual addresses the dynamic allocator must never draw
-    /// (besides the gateway).
-    pub fn with_reserved_ips(mut self, ips: Vec<Ipv4Addr>) -> Self {
-        self.reserved_ips = ips;
-        self
-    }
-
-    /// Builder: disable shortcut connections.
-    pub fn without_shortcuts(mut self) -> Self {
-        self.shortcuts = false;
-        self
-    }
-
-    /// Builder: set the idle interval before the link monitor probes an
-    /// overlay edge.
-    pub fn with_link_probe_interval(mut self, interval: Duration) -> Self {
-        self.link_probe_interval = interval;
-        self
-    }
-
-    /// Builder: fall back to the fixed consecutive-miss edge verdict
-    /// (pre-phi behaviour; ablation switch).
-    pub fn without_phi_accrual(mut self) -> Self {
-        self.phi_accrual = false;
-        self
-    }
-
-    /// Builder: set the phi-accrual suspicion threshold.
-    pub fn with_phi_threshold(mut self, threshold: f64) -> Self {
-        self.phi_threshold = threshold;
-        self
-    }
-
-    /// Builder: set the interval between DHT anti-entropy sweeps.
-    pub fn with_dht_sweep_interval(mut self, interval: Duration) -> Self {
-        self.dht_sweep_interval = interval;
-        self
-    }
-
-    /// Builder: set the maximum out-degree of the pub/sub relay tree.
-    pub fn with_pubsub_fanout(mut self, fanout: usize) -> Self {
-        self.pubsub_fanout = fanout.max(1);
-        self
-    }
-
-    /// Builder: set the topic subscription TTL.
-    pub fn with_pubsub_ttl(mut self, ttl: Duration) -> Self {
-        self.pubsub_ttl = ttl;
-        self
-    }
-
-    /// Builder: enable the FNV-64 link integrity tag. Both ends of every
-    /// link must enable it — tagged and untagged nodes cannot interoperate.
-    pub fn with_link_integrity_tag(mut self, on: bool) -> Self {
-        self.link_integrity_tag = on;
         self
     }
 
@@ -247,7 +157,16 @@ mod tests {
         assert!(!cfg.in_virtual_space(Ipv4Addr::new(10, 0, 0, 1)));
         assert!(cfg.virtual_mtu < 1500);
         assert!(!cfg.brunet_arp);
-        assert!(cfg.shortcuts);
+    }
+
+    /// The overlay's knobs are the overlay's: neither constructor restates
+    /// (or overrides) a default.
+    #[test]
+    fn overlay_defaults_are_the_overlays_own() {
+        let stat = IpopConfig::new(Ipv4Addr::new(172, 16, 0, 2)).overlay;
+        let dynamic = IpopConfig::dynamic((Ipv4Addr::new(172, 16, 9, 0), 24)).overlay;
+        assert_eq!(stat, OverlayConfig::new(stat.address, stat.local_endpoint));
+        assert_eq!(dynamic, stat);
     }
 
     #[test]
@@ -272,16 +191,10 @@ mod tests {
             .with_transport(TransportMode::Tcp)
             .with_bootstrap(vec![(Ipv4Addr::new(128, 227, 56, 83), 4001)])
             .with_brunet_arp()
-            .without_shortcuts()
-            .with_pubsub_fanout(0)
-            .with_pubsub_ttl(Duration::from_secs(30))
-            .with_link_integrity_tag(true);
+            .with_lease_ttl(Duration::from_secs(30));
         assert_eq!(cfg.transport, TransportMode::Tcp);
-        assert_eq!(cfg.bootstrap.len(), 1);
+        assert_eq!(cfg.overlay.bootstrap.len(), 1);
         assert!(cfg.brunet_arp);
-        assert!(!cfg.shortcuts);
-        assert_eq!(cfg.pubsub_fanout, 1, "fan-out is clamped to at least 1");
-        assert_eq!(cfg.pubsub_ttl, Duration::from_secs(30));
-        assert!(cfg.link_integrity_tag);
+        assert_eq!(cfg.lease_ttl, Duration::from_secs(30));
     }
 }

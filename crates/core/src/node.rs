@@ -31,10 +31,11 @@ use ipop_netstack::tap::TapDevice;
 use ipop_netstack::{NetStack, StackConfig};
 use ipop_overlay::packets::RoutedPayload;
 use ipop_overlay::transport::{OverlayTransport, TcpTransport, TransportMode, UdpTransport};
-use ipop_overlay::{Address, ConnectionKind, OverlayConfig, OverlayNode, OverlayStats};
+use ipop_overlay::{Address, ConnectionKind, OverlayNode, OverlayStats};
 use ipop_packet::ether::{EthernetFrame, FramePayload, MacAddr};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_services::dhcp::{DhcpAllocator, DhcpConfig, DhcpState};
+use ipop_services::lookup::Lookups;
 use ipop_services::name::NameService;
 use ipop_services::pubsub::{PubSub, TopicMessage};
 use ipop_services::vstream::{StreamFate, VirtualStream, VirtualStreams};
@@ -111,9 +112,10 @@ pub struct IpopHostAgent {
     stream_fates: Vec<(VirtualStream, StreamFate)>,
     name_results: Vec<(String, Option<Ipv4Addr>)>,
     reverse_results: Vec<(Ipv4Addr, Option<String>)>,
-    /// Outstanding Brunet-ARP probe tokens issued via
-    /// [`IpopHostAgent::resolve_ip`] (diagnostics and churn experiments).
-    probe_tokens: std::collections::BTreeSet<u64>,
+    /// Outstanding Brunet-ARP probes issued via
+    /// [`IpopHostAgent::resolve_ip`] (diagnostics and churn experiments);
+    /// nothing is cached, every probe asks the DHT.
+    probes: Lookups<Ipv4Addr, Address>,
     probe_results: Vec<(u64, Option<Address>)>,
     host_name: String,
     /// When the overlay started (readiness fallback for tiny deployments).
@@ -147,7 +149,7 @@ pub struct IpopHostAgent {
 impl IpopHostAgent {
     /// Build an IPOP node for a host whose physical interface address is
     /// `phys_addr`, running `app` on the virtual network.
-    pub fn new(cfg: IpopConfig, phys_addr: Ipv4Addr, app: Box<dyn VirtualApp>) -> Self {
+    pub fn new(mut cfg: IpopConfig, phys_addr: Ipv4Addr, app: Box<dyn VirtualApp>) -> Self {
         // Static nodes derive everything from the virtual IP; dynamic nodes
         // have none yet, so they seed from the (unique) physical address.
         let seed = if cfg.dynamic_subnet.is_some() {
@@ -156,14 +158,13 @@ impl IpopHostAgent {
             u64::from(u32::from(cfg.virtual_ip)) ^ 0x1b0b_5eed
         };
         let mut phys = NetStack::new(StackConfig::new(phys_addr));
+        let port = cfg.overlay.local_endpoint.1;
         let transport: Box<dyn OverlayTransport> = match cfg.transport {
             TransportMode::Udp => Box::new(
-                UdpTransport::bind(&mut phys, cfg.overlay_port)
-                    .with_integrity_tag(cfg.link_integrity_tag),
+                UdpTransport::bind(&mut phys, port).with_integrity_tag(cfg.link_integrity_tag),
             ),
             TransportMode::Tcp => Box::new(
-                TcpTransport::bind(&mut phys, cfg.overlay_port)
-                    .with_integrity_tag(cfg.link_integrity_tag),
+                TcpTransport::bind(&mut phys, port).with_integrity_tag(cfg.link_integrity_tag),
             ),
         };
         // A dynamic node cannot hash an IP it does not have: its overlay
@@ -174,20 +175,9 @@ impl IpopHostAgent {
         } else {
             Address::from_ip(cfg.virtual_ip)
         };
-        let mut overlay_cfg = OverlayConfig::new(overlay_addr, (phys_addr, cfg.overlay_port))
-            .with_bootstrap(cfg.bootstrap.clone())
-            .with_probe_interval(cfg.link_probe_interval)
-            .with_sweep_interval(cfg.dht_sweep_interval)
-            .with_pubsub_fanout(cfg.pubsub_fanout);
-        overlay_cfg.maintenance_interval = cfg.overlay_tick;
-        overlay_cfg = overlay_cfg.with_phi_threshold(cfg.phi_threshold);
-        if !cfg.phi_accrual {
-            overlay_cfg = overlay_cfg.without_phi_accrual();
-        }
-        if !cfg.shortcuts {
-            overlay_cfg = overlay_cfg.without_shortcuts();
-        }
-        let overlay = OverlayNode::new(overlay_cfg, StreamRng::new(seed, "ipop.overlay"));
+        cfg.overlay.address = overlay_addr;
+        cfg.overlay.local_endpoint = (phys_addr, port);
+        let overlay = OverlayNode::new(cfg.overlay.clone(), StreamRng::new(seed, "ipop.overlay"));
 
         let tap_mac = MacAddr::local(u64::from(u32::from(cfg.virtual_ip)));
         let gateway_mac =
@@ -243,7 +233,7 @@ impl IpopHostAgent {
             stream_fates: Vec::new(),
             name_results: Vec::new(),
             reverse_results: Vec::new(),
-            probe_tokens: std::collections::BTreeSet::new(),
+            probes: Lookups::new(Duration::ZERO),
             probe_results: Vec::new(),
             host_name: String::new(),
             overlay_started_at: SimTime::ZERO,
@@ -387,7 +377,7 @@ impl IpopHostAgent {
     /// Used by churn experiments to measure resolution success.
     pub fn resolve_ip(&mut self, now: SimTime, ip: Ipv4Addr) -> u64 {
         let token = self.overlay.dht_get(now, BrunetArp::key_for(ip));
-        self.probe_tokens.insert(token);
+        self.probes.issued(now, token, ip);
         token
     }
 
@@ -655,7 +645,7 @@ impl IpopHostAgent {
             // Overlay periodic maintenance.
             if now >= self.next_overlay_tick {
                 self.overlay.on_tick(now);
-                self.next_overlay_tick = now + self.cfg.overlay_tick;
+                self.next_overlay_tick = now + self.overlay.config().maintenance_interval;
                 progress = true;
             }
 
@@ -815,7 +805,7 @@ impl IpopHostAgent {
                         self.reverse_results.push(res);
                         continue;
                     }
-                    if self.probe_tokens.remove(&token) {
+                    if self.probes.answered(token).is_some() {
                         self.probe_results
                             .push((token, value.as_deref().and_then(BrunetArp::decode_mapping)));
                         continue;
@@ -894,7 +884,7 @@ impl IpopHostAgent {
             }
 
             // Charge CPU for routed packets we forwarded on behalf of other nodes.
-            let forwarded = self.overlay.stats().forwarded;
+            let forwarded = self.overlay.forwarded();
             if forwarded > self.last_forwarded {
                 let delta = forwarded - self.last_forwarded;
                 ctx.consume_cpu(cal.forward_cost_at_load(load) * delta);
@@ -1066,5 +1056,79 @@ impl HostAgent for IpopHostAgent {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::{deploy_ipop, DeployOptions, IpopMember};
+    use ipop_netsim::{lan_pair, Network};
+    use ipop_overlay::OverlayConfig;
+
+    /// Every field of `DeployOptions` reaches what `deploy_ipop` installs:
+    /// the overlay's knobs the overlay node's own configuration, the rest the
+    /// agent. Spelled without `..Default::default()` so a new option cannot
+    /// be added without being checked here.
+    #[test]
+    fn deploy_options_land_in_the_installed_agent() {
+        let mut net = Network::new(1);
+        let (a, b, a_addr, b_addr) = lan_pair(&mut net);
+        let secs = Duration::from_secs;
+        let subnet = (Ipv4Addr::new(172, 16, 9, 0), 24);
+        let static_ip = Ipv4Addr::new(172, 16, 9, 1);
+        let options = DeployOptions {
+            transport: TransportMode::Tcp,
+            brunet_arp: true,
+            shortcuts: false,
+            dynamic_subnet: subnet,
+            lease_ttl: secs(77),
+            arp_cache_ttl: Some(secs(11)),
+            reserved_ips: vec![static_ip],
+            link_probe_interval: Some(secs(3)),
+            dht_sweep_interval: Some(secs(7)),
+            phi_accrual: false,
+            phi_threshold: Some(9.5),
+            pubsub_fanout: Some(6),
+            pubsub_ttl: Some(secs(33)),
+            link_integrity_tag: true,
+        };
+        let members = vec![
+            IpopMember::router(a, static_ip),
+            IpopMember::dynamic_router(b).with_hostname("w1"),
+        ];
+        deploy_ipop(&mut net, members, options);
+
+        for (host, phys) in [(a, a_addr), (b, b_addr)] {
+            let agent = net.agent_as::<IpopHostAgent>(host).unwrap();
+            assert_eq!(agent.transport.mode(), TransportMode::Tcp);
+            assert!(agent.brunet_arp.is_some());
+            assert!(agent.cfg.link_integrity_tag);
+            assert_eq!(agent.cfg.lease_ttl, secs(77));
+            assert_eq!(agent.cfg.brunet_arp_cache_ttl, secs(11));
+            assert_eq!(agent.cfg.reserved_ips, [static_ip]);
+            assert_eq!(agent.cfg.pubsub_ttl, secs(33));
+            let oc = agent.overlay.config();
+            assert_eq!(oc.local_endpoint, (phys, 4001));
+            assert!(!oc.shortcuts_enabled);
+            assert!(!oc.phi_accrual);
+            assert_eq!(oc.phi_threshold, 9.5);
+            assert_eq!(oc.probe_interval, secs(3));
+            assert_eq!(oc.dht.sweep_interval, secs(7));
+            assert_eq!(oc.pubsub_fanout, 6);
+            // What no option names keeps the overlay's default.
+            let defaults = OverlayConfig::new(oc.address, oc.local_endpoint);
+            assert_eq!(oc.maintenance_interval, defaults.maintenance_interval);
+            assert_eq!(oc.link_monitor, defaults.link_monitor);
+        }
+        let first = net.agent_as::<IpopHostAgent>(a).unwrap();
+        assert_eq!(first.overlay.address(), Address::from_ip(static_ip));
+        assert!(first.overlay.config().bootstrap.is_empty());
+        assert!(first.allocator.is_none());
+        let second = net.agent_as::<IpopHostAgent>(b).unwrap();
+        assert_eq!(second.overlay.config().bootstrap, [(a_addr, 4001)]);
+        assert_eq!(second.cfg.dynamic_subnet, Some(subnet));
+        assert_eq!(second.cfg.hostname.as_deref(), Some("w1"));
+        assert!(second.allocator.is_some());
     }
 }

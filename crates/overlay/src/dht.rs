@@ -31,7 +31,7 @@ use crate::packets::{DeliveryMode, RoutedPayload};
 use crate::router::{Arrival, Core};
 
 /// Configuration of the DHT subsystem of one overlay node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DhtConfig {
     /// Total number of copies of each record (owner plus `replication - 1`
     /// ring neighbours). A `DhtCreate` is acknowledged only after a majority
@@ -39,8 +39,6 @@ pub struct DhtConfig {
     /// with the freshest copy by `(version, expiry)` and repairs stale or
     /// missing replicas. `1` disables replication: the owner answers alone.
     pub replication: usize,
-    /// TTL applied to records stored without an explicit TTL.
-    pub default_ttl: Duration,
     /// How long a quorum coordinator waits for replica acks/answers before
     /// concluding: an unacked create fails (the claimant retries elsewhere),
     /// an unanswered read is served from whatever copies did answer.
@@ -64,7 +62,6 @@ impl Default for DhtConfig {
     fn default() -> Self {
         DhtConfig {
             replication: 3,
-            default_ttl: Duration::from_secs(120),
             quorum_timeout: Duration::from_secs(4),
             renewal_timeout: Duration::from_secs(10),
             sweep: true,

@@ -33,8 +33,15 @@ use crate::router::{Arrival, Core};
 use crate::table::ConnectionTable;
 use crate::vstream::{StreamEvent, VStreams};
 
+/// TTL of records stored through [`OverlayNode::dht_put`], which names none.
+const DEFAULT_TTL: Duration = Duration::from_secs(120);
+
+/// Consecutive unanswered probes before an edge is declared dead (used
+/// when [`OverlayConfig::phi_accrual`] is off).
+const PROBE_FAILURE_LIMIT: u32 = 3;
+
 /// Configuration of an overlay node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OverlayConfig {
     /// This node's 160-bit address (for IPOP: SHA-1 of its virtual IP).
     pub address: Address,
@@ -50,8 +57,6 @@ pub struct OverlayConfig {
     pub shortcuts_enabled: bool,
     /// Interval between maintenance ticks (ring repair, shortcut formation).
     pub maintenance_interval: Duration,
-    /// Idle interval after which a keep-alive ping is sent on an edge.
-    pub ping_interval: Duration,
     /// Idle interval after which an edge is considered dead and removed
     /// (the slow backstop; the link monitor below detects crashed peers in
     /// seconds).
@@ -64,9 +69,6 @@ pub struct OverlayConfig {
     /// Idle interval after which the link monitor probes an edge — the heartbeat
     /// of every edge a converged ring leaves silent; one exchange refreshes both ends.
     pub probe_interval: Duration,
-    /// Consecutive unanswered probes before an edge is declared dead (used
-    /// when [`OverlayConfig::phi_accrual`] is off).
-    pub probe_failure_limit: u32,
     /// Phi-accrual suspicion: weigh consecutive probe misses by the edge's
     /// observed loss rate instead of counting them against a fixed limit. A
     /// clean edge still dies after 3 misses, but an edge that routinely
@@ -79,12 +81,6 @@ pub struct OverlayConfig {
     /// (6.0) reproduces the 3-miss behaviour exactly on clean edges (whose
     /// loss estimate is floored at 1%, worth φ = 2 per miss).
     pub phi_threshold: f64,
-    /// How often a node with no live edge to any bootstrap endpoint re-sends
-    /// hellos there. With fast dead-edge detection a long partition scrubs
-    /// each side's knowledge of the other within seconds; this heartbeat is
-    /// what re-merges the sub-rings after the partition heals (the hellos
-    /// are simply lost while it lasts).
-    pub bootstrap_retry_interval: Duration,
     /// Hop budget stamped on packets this node originates. The wire default
     /// (32) suits rings up to ~10k nodes; greedy tail paths at 100k need
     /// more, so scale deployments raise it to a few multiples of `log₂N`.
@@ -110,30 +106,15 @@ impl OverlayConfig {
             max_shortcuts: 4,
             shortcuts_enabled: true,
             maintenance_interval: Duration::from_millis(500),
-            ping_interval: Duration::from_secs(10),
             connection_timeout: Duration::from_secs(45),
             link_monitor: true,
             probe_interval: Duration::from_secs(1),
-            probe_failure_limit: 3,
             phi_accrual: true,
             phi_threshold: 6.0,
-            bootstrap_retry_interval: Duration::from_secs(30),
             packet_ttl: 32,
             pubsub_fanout: 4,
             dht: DhtConfig::default(),
         }
-    }
-
-    /// Builder: set bootstrap endpoints.
-    pub fn with_bootstrap(mut self, bootstrap: Vec<Endpoint>) -> Self {
-        self.bootstrap = bootstrap;
-        self
-    }
-
-    /// Builder: disable shortcut connections (used by the ablation experiment).
-    pub fn without_shortcuts(mut self) -> Self {
-        self.shortcuts_enabled = false;
-        self
     }
 
     /// Builder: disable fast dead-edge detection — crashed peers linger in
@@ -144,65 +125,10 @@ impl OverlayConfig {
         self
     }
 
-    /// Builder: set the idle interval before the link monitor probes an edge.
-    pub fn with_probe_interval(mut self, interval: Duration) -> Self {
-        self.probe_interval = interval;
-        self
-    }
-
-    /// Builder: fall back to the fixed consecutive-miss limit instead of
-    /// phi-accrual suspicion (the pre-phi behaviour; ablation switch).
-    pub fn without_phi_accrual(mut self) -> Self {
-        self.phi_accrual = false;
-        self
-    }
-
-    /// Builder: set the phi-accrual suspicion threshold.
-    pub fn with_phi_threshold(mut self, threshold: f64) -> Self {
-        self.phi_threshold = threshold;
-        self
-    }
-
     /// Builder: disable the anti-entropy sweep — replica sets reconcile only
     /// opportunistically on reads and renewals (ablation switch).
     pub fn without_anti_entropy(mut self) -> Self {
         self.dht.sweep = false;
-        self
-    }
-
-    /// Builder: set the interval between anti-entropy sweeps.
-    pub fn with_sweep_interval(mut self, interval: Duration) -> Self {
-        self.dht.sweep_interval = interval;
-        self
-    }
-
-    /// Builder: set the shortcut (Far connection) budget.
-    pub fn with_max_shortcuts(mut self, max_shortcuts: usize) -> Self {
-        self.max_shortcuts = max_shortcuts;
-        self
-    }
-
-    /// Builder: set the number of structured-near neighbours kept per side.
-    pub fn with_near_per_side(mut self, near_per_side: usize) -> Self {
-        self.near_per_side = near_per_side.max(1);
-        self
-    }
-
-    /// Builder: set the interval between maintenance ticks.
-    pub fn with_maintenance_interval(mut self, interval: Duration) -> Self {
-        self.maintenance_interval = interval;
-        self
-    }
-
-    /// Builder: set the hop budget for packets this node originates.
-    pub fn with_packet_ttl(mut self, ttl: u8) -> Self {
-        self.packet_ttl = ttl.max(1);
-        self
-    }
-
-    /// Builder: set the maximum out-degree of the pub/sub relay tree.
-    pub fn with_pubsub_fanout(mut self, fanout: usize) -> Self {
-        self.pubsub_fanout = fanout.max(1);
         self
     }
 }
@@ -412,6 +338,13 @@ impl OverlayNode {
         s
     }
 
+    /// Routed packets forwarded for other nodes so far — the one counter the
+    /// embedding agent reads on every pump pass (it charges CPU per forward),
+    /// without the snapshot [`OverlayNode::stats`] assembles.
+    pub fn forwarded(&self) -> u64 {
+        self.core.stats.forwarded
+    }
+
     /// The node's configuration.
     pub fn config(&self) -> &OverlayConfig {
         &self.core.cfg
@@ -527,7 +460,7 @@ impl OverlayNode {
     /// keep it alive: the record is registered locally and re-put at TTL/2
     /// until [`OverlayNode::dht_unpublish`] or [`OverlayNode::dht_remove`].
     pub fn dht_put(&mut self, now: SimTime, key: Address, value: impl Into<Bytes>) {
-        self.dht_put_ttl(now, key, value, self.core.cfg.dht.default_ttl);
+        self.dht_put_ttl(now, key, value, DEFAULT_TTL);
     }
 
     /// [`OverlayNode::dht_put`] with an explicit soft-state TTL.
@@ -809,7 +742,7 @@ impl OverlayNode {
         let rule = if core.cfg.phi_accrual {
             DeathRule::Phi(core.cfg.phi_threshold)
         } else {
-            DeathRule::Misses(core.cfg.probe_failure_limit)
+            DeathRule::Misses(PROBE_FAILURE_LIMIT)
         };
         let edges = core.table.established();
         let verdicts = self.monitor.run(
@@ -848,6 +781,22 @@ mod tests {
     use std::collections::BTreeMap as Map;
     use std::net::Ipv4Addr;
 
+    /// The three knobs that make no sense at zero are raised to one wherever
+    /// the configuration came from — fields are `pub`, so a builder's clamp
+    /// would be bypassed by plain assignment.
+    #[test]
+    fn knobs_assigned_zero_run_with_one() {
+        let cfg = OverlayConfig {
+            near_per_side: 0,
+            packet_ttl: 0,
+            pubsub_fanout: 0,
+            ..OverlayConfig::new(Address::ZERO, ep(0))
+        };
+        let node = OverlayNode::new(cfg, StreamRng::new(1, "clamp"));
+        let c = node.config();
+        assert_eq!((c.near_per_side, c.packet_ttl, c.pubsub_fanout), (1, 1, 1));
+    }
+
     /// A tiny in-memory "physical network": endpoints map straight to nodes, every
     /// message is delivered instantly. NAT/firewall behaviour is tested at the
     /// `ipop` level; here we validate the protocol logic itself.
@@ -883,7 +832,10 @@ mod tests {
                 let mut rng = StreamRng::new(42, &format!("overlay-test-{i}"));
                 let addr = Address::random(&mut rng);
                 let bootstrap = if i == 0 { vec![] } else { vec![ep(0)] };
-                let cfg = tweak(OverlayConfig::new(addr, ep(i)).with_bootstrap(bootstrap));
+                let cfg = tweak(OverlayConfig {
+                    bootstrap,
+                    ..OverlayConfig::new(addr, ep(i))
+                });
                 nodes.push(OverlayNode::new(cfg, rng));
                 by_endpoint.insert(ep(i), i);
             }

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use ipop_simcore::{SimTime, StreamRng};
+use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::address::{Address, Distance};
 use crate::packets::{ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPayload};
@@ -29,6 +29,16 @@ const MAX_CANDIDATES: usize = 64;
 /// Every this many rounds a node gossips to all its peers though it has no
 /// news — what repairs a lost `Neighbors` datagram or a wiped candidate map.
 const GOSSIP_REFRESH: u32 = 8;
+
+/// Idle interval after which a keep-alive ping is sent on an edge.
+const PING_INTERVAL: Duration = Duration::from_secs(10);
+
+/// How often a node with no live edge to any bootstrap endpoint re-sends
+/// hellos there. With fast dead-edge detection a long partition scrubs
+/// each side's knowledge of the other within seconds; this heartbeat is
+/// what re-merges the sub-rings after the partition heals (the hellos
+/// are simply lost while it lasts).
+const BOOTSTRAP_RETRY_INTERVAL: Duration = Duration::from_secs(30);
 
 struct PendingLink {
     kind: ConnectionKind,
@@ -270,13 +280,9 @@ impl Ring {
     /// shortcut formation, keep-alives and expiry.
     pub(crate) fn tick(&mut self, core: &mut Core, now: SimTime) {
         // 1. Bootstrap (or re-bootstrap after losing every edge) — and the
-        //    re-link heartbeat: a node whose edges to every bootstrap
-        //    endpoint are gone re-hellos them periodically even while it has
-        //    other edges. A partitioned sub-ring scrubs all knowledge of the
-        //    other side in seconds (fast dead-edge detection), so this is
-        //    the path that re-merges the rings once the partition heals.
+        //    re-link heartbeat, which fires even while there are other edges.
         let relink_due = !core.cfg.bootstrap.is_empty()
-            && now.saturating_since(self.last_bootstrap_probe) >= core.cfg.bootstrap_retry_interval
+            && now.saturating_since(self.last_bootstrap_probe) >= BOOTSTRAP_RETRY_INTERVAL
             && !core
                 .table
                 .established()
@@ -455,7 +461,6 @@ impl Ring {
     }
 
     fn run_keepalive(&mut self, core: &mut Core, now: SimTime) {
-        let ping_interval = core.cfg.ping_interval;
         let me = core.cfg.address;
         let mut to_ping = Vec::new();
         let mut to_drop = Vec::new();
@@ -463,7 +468,7 @@ impl Ring {
             let idle = now.saturating_since(conn.last_heard);
             if idle > core.cfg.connection_timeout {
                 to_drop.push(conn.peer);
-            } else if idle.min(now.saturating_since(conn.last_ping_sent)) > ping_interval {
+            } else if idle.min(now.saturating_since(conn.last_ping_sent)) > PING_INTERVAL {
                 to_ping.push((conn.peer, conn.endpoint));
             }
             // Record every established peer (one about to be dropped
@@ -626,7 +631,6 @@ mod tests {
     use crate::node::OverlayConfig;
     use crate::packets::RoutedPacket;
     use crate::router::Arrival;
-    use ipop_simcore::Duration;
     use std::collections::BTreeSet;
 
     /// The maintenance interval the fabric ticks at.
@@ -662,8 +666,11 @@ mod tests {
         fn new(addrs: &[Address], seed: u64) -> Self {
             let members = addrs.iter().enumerate().map(|(i, addr)| {
                 let bootstrap = if i == 0 { vec![] } else { vec![ep(0)] };
-                let mut cfg = OverlayConfig::new(*addr, ep(i)).with_bootstrap(bootstrap);
-                cfg.connection_timeout = CONNECTION_TIMEOUT;
+                let cfg = OverlayConfig {
+                    bootstrap,
+                    connection_timeout: CONNECTION_TIMEOUT,
+                    ..OverlayConfig::new(*addr, ep(i))
+                };
                 Member {
                     core: Core::new(cfg, StreamRng::new(seed, &format!("ring-{i}"))),
                     ring: Ring::new(ep(i)),
@@ -889,7 +896,10 @@ mod tests {
     /// A started member at `a(me)` / `ep(me)` with established `Near` edges to
     /// `a(p)` / `ep(p)` for each `p` in `peers`, bootstrapping through `ep(0)`.
     fn member_with_peers(me: u8, peers: &[u8]) -> Member {
-        let cfg = OverlayConfig::new(a(me), ep(me.into())).with_bootstrap(vec![ep(0)]);
+        let cfg = OverlayConfig {
+            bootstrap: vec![ep(0)],
+            ..OverlayConfig::new(a(me), ep(me.into()))
+        };
         let mut core = Core::new(cfg, StreamRng::new(7, "ring-unit"));
         core.started = true;
         for p in peers {
@@ -1039,7 +1049,7 @@ mod tests {
     fn bootstrap_heartbeat_fires_only_without_a_live_edge_to_a_bootstrap_endpoint() {
         // `ep(0)` is the bootstrap endpoint; peer 0 lives there.
         let Member { mut core, mut ring } = member_with_peers(5, &[0, 4, 6]);
-        let retry = core.cfg.bootstrap_retry_interval;
+        let retry = BOOTSTRAP_RETRY_INTERVAL;
         let bootstrap_hellos = |core: &mut Core| {
             hellos(&core.take_outbox())
                 .into_iter()

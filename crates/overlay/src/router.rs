@@ -50,7 +50,12 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(cfg: OverlayConfig, rng: StreamRng) -> Self {
+    /// Every configuration passes through here, so here is where the knobs
+    /// that make no sense at zero are raised to one.
+    pub(crate) fn new(mut cfg: OverlayConfig, rng: StreamRng) -> Self {
+        cfg.near_per_side = cfg.near_per_side.max(1);
+        cfg.packet_ttl = cfg.packet_ttl.max(1);
+        cfg.pubsub_fanout = cfg.pubsub_fanout.max(1);
         Core {
             cfg,
             table: ConnectionTable::new(),

@@ -12,6 +12,8 @@
 //!   retry on collision, confirm, then renew the claim as a lease. The claim
 //!   record *is* the Brunet-ARP mapping (`SHA-1(ip) → overlay address`), so
 //!   winning an address simultaneously makes it resolvable.
+//! * [`lookup`] — the answer cache and outstanding-query table every
+//!   resolver over the DHT keeps (the name service, Brunet-ARP).
 //! * [`name`] — an overlay name service mapping hostnames to virtual IPs, so
 //!   applications can address peers symbolically before any IP is known.
 //! * [`pubsub`] — a topic pub/sub client translating topic names to overlay
@@ -29,6 +31,7 @@ use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
 pub mod dhcp;
+pub mod lookup;
 pub mod name;
 pub mod pubsub;
 pub mod vstream;

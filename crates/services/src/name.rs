@@ -12,13 +12,13 @@
 //! accounting can turn an observed virtual IP back into a name
 //! ([`NameService::lookup_ip`]).
 
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ipop_overlay::Address;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
+use crate::lookup::Lookups;
 use crate::DhtClient;
 
 /// The DHT key of a hostname record.
@@ -80,15 +80,10 @@ pub enum ReverseResolution {
 
 /// Resolver-side (and registrar-side) name service state for one node.
 pub struct NameService {
-    cache_ttl: Duration,
-    cache: BTreeMap<String, (Ipv4Addr, SimTime)>,
-    /// Reverse cache: IP → (hostname, stored-at). `BTreeMap` for
-    /// deterministic iteration (Ipv4Addr orders by octets).
-    reverse_cache: BTreeMap<Ipv4Addr, (String, SimTime)>,
-    /// Outstanding lookups: token → hostname. Never iterated, only keyed.
-    pending: BTreeMap<u64, String>,
-    /// Outstanding reverse lookups: token → IP. Never iterated, only keyed.
-    pending_reverse: BTreeMap<u64, Ipv4Addr>,
+    /// Hostname → IP: cached answers and outstanding lookups.
+    forward: Lookups<String, Ipv4Addr>,
+    /// IP → hostname: cached answers and outstanding reverse lookups.
+    reverse: Lookups<Ipv4Addr, String>,
     /// Lookups answered from the DHT with a mapping.
     pub resolved: u64,
     /// Lookups that found no record.
@@ -99,11 +94,8 @@ impl NameService {
     /// A name service whose cache entries live for `cache_ttl`.
     pub fn new(cache_ttl: Duration) -> Self {
         NameService {
-            cache_ttl,
-            cache: BTreeMap::new(),
-            reverse_cache: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            pending_reverse: BTreeMap::new(),
+            forward: Lookups::new(cache_ttl),
+            reverse: Lookups::new(cache_ttl),
             resolved: 0,
             failed: 0,
         }
@@ -131,14 +123,11 @@ impl NameService {
 
     /// Resolve `name`, from cache when fresh, otherwise via a DHT read.
     pub fn resolve(&mut self, dht: &mut dyn DhtClient, now: SimTime, name: &str) -> Resolution {
-        if let Some((ip, stored_at)) = self.cache.get(name) {
-            if now.saturating_since(*stored_at) < self.cache_ttl {
-                return Resolution::Cached(*ip);
-            }
-            self.cache.remove(name);
+        if let Some(ip) = self.forward.cached(now, name) {
+            return Resolution::Cached(ip);
         }
         let token = dht.get(now, name_key(name));
-        self.pending.insert(token, name.to_string());
+        self.forward.issued(now, token, name.to_string());
         Resolution::Pending(token)
     }
 
@@ -151,12 +140,12 @@ impl NameService {
         token: u64,
         value: Option<&[u8]>,
     ) -> Option<(String, Option<Ipv4Addr>)> {
-        let name = self.pending.remove(&token)?;
+        let name = self.forward.answered(token)?;
         let ip = value.and_then(decode_ip);
         match ip {
             Some(ip) => {
                 self.resolved += 1;
-                self.cache.insert(name.clone(), (ip, now));
+                self.forward.store(now, name.clone(), ip);
             }
             None => self.failed += 1,
         }
@@ -171,14 +160,11 @@ impl NameService {
         now: SimTime,
         ip: Ipv4Addr,
     ) -> ReverseResolution {
-        if let Some((name, stored_at)) = self.reverse_cache.get(&ip) {
-            if now.saturating_since(*stored_at) < self.cache_ttl {
-                return ReverseResolution::Cached(name.clone());
-            }
-            self.reverse_cache.remove(&ip);
+        if let Some(name) = self.reverse.cached(now, &ip) {
+            return ReverseResolution::Cached(name);
         }
         let token = dht.get(now, reverse_key(ip));
-        self.pending_reverse.insert(token, ip);
+        self.reverse.issued(now, token, ip);
         ReverseResolution::Pending(token)
     }
 
@@ -192,12 +178,12 @@ impl NameService {
         token: u64,
         value: Option<&[u8]>,
     ) -> Option<(Ipv4Addr, Option<String>)> {
-        let ip = self.pending_reverse.remove(&token)?;
+        let ip = self.reverse.answered(token)?;
         let name = value.and_then(decode_name);
         match &name {
             Some(name) => {
                 self.resolved += 1;
-                self.reverse_cache.insert(ip, (name.clone(), now));
+                self.reverse.store(now, ip, name.clone());
             }
             None => self.failed += 1,
         }
@@ -206,7 +192,7 @@ impl NameService {
 
     /// Number of live cache entries.
     pub fn cached(&self) -> usize {
-        self.cache.len()
+        self.forward.cached_len()
     }
 }
 
@@ -290,6 +276,29 @@ mod tests {
         assert_eq!(ns.cached(), 0);
         // Unknown tokens are not ours.
         assert_eq!(ns.on_reply(SimTime::ZERO, 999, None), None);
+    }
+
+    /// A `DhtGet` whose reply dies with its coordinator never answers: the
+    /// outstanding tables must not keep one entry per lost reply.
+    #[test]
+    fn lost_replies_leave_a_bounded_table() {
+        let mut ns = NameService::new(Duration::from_secs(60));
+        let mut dht = FakeDht::default();
+        let mut first = None;
+        for i in 0..1000u32 {
+            let now = SimTime::ZERO + Duration::from_millis(100) * u64::from(i);
+            let r = ns.resolve(&mut dht, now, &format!("ghost-{i}"));
+            let Resolution::Pending(token) = r else {
+                panic!("nothing ever answered, nothing is cached")
+            };
+            first.get_or_insert(token);
+            ns.lookup_ip(&mut dht, now, Ipv4Addr::from(0xAC10_0000 + i));
+        }
+        // Ten lookups a second, five seconds each: fifty at a time, not 1000.
+        assert_eq!(ns.forward.outstanding_len(), 50);
+        assert_eq!(ns.reverse.outstanding_len(), 50);
+        // A reply that outlived its query is nobody's.
+        assert_eq!(ns.on_reply(SimTime::MAX, first.unwrap(), None), None);
     }
 
     #[test]

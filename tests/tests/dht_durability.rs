@@ -35,11 +35,11 @@ fn put_through_crashed_hop_recovers_within_a_sweep_interval() {
         .collect();
     let options = DeployOptions {
         brunet_arp: true,
+        // A long lease keeps the TTL/2 refresh (300 s) out of the test window:
+        // only the anti-entropy sweep can recover the lost put in time.
+        lease_ttl: Duration::from_secs(600),
         ..DeployOptions::udp()
-    }
-    // A long lease keeps the TTL/2 refresh (300 s) out of the test window:
-    // only the anti-entropy sweep can recover the lost put in time.
-    .with_lease_ttl(Duration::from_secs(600));
+    };
     let hosts = ipop::deploy_ipop(&mut net, members, options);
     let sim = NetworkSim::new(net);
 
@@ -111,10 +111,10 @@ fn crash_partition_heal_join_scenario_keeps_addresses_consistent() {
     }
     let options = DeployOptions {
         brunet_arp: true,
+        lease_ttl: Duration::from_secs(40),
         ..DeployOptions::udp()
     }
-    .with_dynamic_subnet(Ipv4Addr::new(172, 16, 9, 0), 24)
-    .with_lease_ttl(Duration::from_secs(40));
+    .with_dynamic_subnet(Ipv4Addr::new(172, 16, 9, 0), 24);
     let hosts = ipop::deploy_ipop(&mut net, members, options);
 
     let spare = plab.nodes[N];

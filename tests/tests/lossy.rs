@@ -103,11 +103,10 @@ fn blackout_burst_run(seed: u64, phi: bool) -> u64 {
     }
     // Probe aggressively (every tick an edge is idle) so each edge's phi
     // window gathers plenty of loss samples during the two-minute warm-up.
-    let base = DeployOptions::udp().with_link_probe_interval(Duration::from_millis(500));
-    let options = if phi {
-        base
-    } else {
-        base.without_phi_accrual()
+    let options = DeployOptions {
+        link_probe_interval: Some(Duration::from_millis(500)),
+        phi_accrual: phi,
+        ..DeployOptions::udp()
     };
     let mut h = deploy(seed, N, options, scenario);
     h.run_until(SimTime::ZERO + Duration::from_secs(155));

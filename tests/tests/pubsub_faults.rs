@@ -29,11 +29,13 @@ fn topic_root_crash_loses_no_subscribers() {
         .enumerate()
         .map(|(i, &h)| IpopMember::router(h, vip(i)))
         .collect();
-    let options = DeployOptions::udp()
+    let options = DeployOptions {
         // Short subscription TTL: renewals fire every 10 s, so the re-homed
         // root re-learns its subscribers quickly after the crash.
-        .with_pubsub_ttl(Duration::from_secs(20))
-        .with_dht_sweep_interval(Duration::from_secs(10));
+        pubsub_ttl: Some(Duration::from_secs(20)),
+        dht_sweep_interval: Some(Duration::from_secs(10)),
+        ..DeployOptions::udp()
+    };
     let hosts = ipop::deploy_ipop(&mut net, members, options);
 
     // Static members: overlay addresses are the SHA-1 of their virtual IPs,
@@ -147,7 +149,10 @@ fn recordless_root_nacks_and_the_publisher_retries_until_delivered() {
         .enumerate()
         .map(|(i, &h)| IpopMember::router(h, vip(i)))
         .collect();
-    let options = DeployOptions::udp().with_pubsub_ttl(Duration::from_secs(60));
+    let options = DeployOptions {
+        pubsub_ttl: Some(Duration::from_secs(60)),
+        ..DeployOptions::udp()
+    };
     let hosts = ipop::deploy_ipop(&mut net, members, options);
 
     let key = topic_key(TOPIC);
@@ -238,9 +243,11 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
         .enumerate()
         .map(|(i, &h)| IpopMember::router(h, vip(i)))
         .collect();
-    let options = DeployOptions::udp()
-        .with_pubsub_ttl(Duration::from_secs(20))
-        .with_dht_sweep_interval(Duration::from_secs(10));
+    let options = DeployOptions {
+        pubsub_ttl: Some(Duration::from_secs(20)),
+        dht_sweep_interval: Some(Duration::from_secs(10)),
+        ..DeployOptions::udp()
+    };
     let hosts = ipop::deploy_ipop(&mut net, members, options);
 
     let key = topic_key(TOPIC);
