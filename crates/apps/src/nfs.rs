@@ -8,7 +8,7 @@
 //! behaviour: a block-oriented read protocol over TCP plus a whole-file client
 //! cache.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ipop_netstack::NetStack;
 
@@ -48,7 +48,7 @@ fn decode_read(data: &[u8]) -> Option<(u32, u32)> {
 /// The server side: a set of exported files (synthetic contents).
 #[derive(Debug, Default)]
 pub struct NfsServer {
-    files: HashMap<u32, u64>,
+    files: BTreeMap<u32, u64>,
     /// Blocks served (diagnostics / cold-vs-warm verification).
     pub blocks_served: u64,
 }
@@ -113,7 +113,7 @@ struct Fetch {
 /// The client side: whole-file reads with a local cache.
 #[derive(Debug, Default)]
 pub struct NfsClient {
-    cache: HashMap<u32, u64>,
+    cache: BTreeMap<u32, u64>,
     fetch: Option<Fetch>,
     /// Cache hits (whole-file).
     pub cache_hits: u64,

@@ -7,7 +7,7 @@
 //! every `interval`, match replies by sequence number, record the RTT.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ipop::app::{AppEnv, VirtualApp};
@@ -46,7 +46,7 @@ pub struct PingApp {
     socket: Option<SocketHandle>,
     next_seq: u32,
     next_send_at: SimTime,
-    in_flight: HashMap<u16, SimTime>,
+    in_flight: BTreeMap<u16, SimTime>,
     report: PingReport,
 }
 
@@ -63,7 +63,7 @@ impl PingApp {
             socket: None,
             next_seq: 0,
             next_send_at: SimTime::ZERO,
-            in_flight: HashMap::new(),
+            in_flight: BTreeMap::new(),
             report: PingReport::default(),
         }
     }

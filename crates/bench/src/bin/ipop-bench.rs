@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use ipop_bench::json::Json;
 use ipop_bench::{
@@ -118,7 +117,8 @@ fn main() -> ExitCode {
     if cli.verify {
         scale::verify_modes_agree();
     }
-    let started = Instant::now();
+    #[allow(clippy::disallowed_types, reason = "wall_s: reporting, not simulation")]
+    let started = std::time::Instant::now();
     let outcome = match run {
         Plain(scenario) => scenario(cli.quick),
         Ring(nodes) => scale::scenario(name, *nodes, cli.quick, cli.verify),

@@ -11,9 +11,12 @@
 //! The formats are byte-exact so the simulator accounts for realistic header
 //! overhead on every physical link.
 
-// This is a wire-decode module: decoders must return typed errors, never
-// panic (PR 7 contract, machine-checked by ipop-lint rule D3).
+// Every overlay wire decoder lives here, and decoders return typed errors,
+// never panic (CONTRACTS.md C2): no unwrap/expect, panicking macro or index
+// expression in this module's production code.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::net::Ipv4Addr;
 
@@ -642,6 +645,10 @@ impl RoutedPacket {
     /// payload fields, and a body that is the exact buffer region the image
     /// was decoded from). Covers the two payloads that get forwarded or
     /// fanned out verbatim: `IpTunnel` and `PubSubDeliver`.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "every offset read is below a length checked earlier in the function"
+    )]
     fn patched_wire(&self) -> Option<Bytes> {
         let wire = self.wire.as_ref()?;
         if wire.len() < ROUTED_TUNNEL_OFFSET
@@ -1336,6 +1343,49 @@ impl LinkMessage {
             LinkMessage::Routed(_) => None,
         }
     }
+}
+
+/// Bytes of one encoded subscriber-set entry: address 20 + expiry ms 8.
+const SUB_ENTRY_BYTES: usize = 28;
+
+/// Encode a subscriber set — `(address, absolute expiry in virtual ms)` pairs
+/// — as a DHT record value. Entries must already be in ring order (the
+/// `BTreeMap` iteration order of the caller), which keeps re-encodes
+/// byte-stable and fan-out plans deterministic.
+pub fn encode_subscriber_set(entries: &[(Address, u64)]) -> Bytes {
+    let mut buf = Vec::with_capacity(4 + entries.len() * SUB_ENTRY_BYTES);
+    buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    for (addr, expires_ms) in entries {
+        buf.extend_from_slice(&addr.0);
+        buf.extend_from_slice(&expires_ms.to_be_bytes());
+    }
+    Bytes::from(buf)
+}
+
+/// Decode a subscriber-set record value. Rejects inflated counts before
+/// allocating and trailing bytes after the last entry, consistent with the
+/// wire codec's hardening.
+pub fn decode_subscriber_set(value: &Bytes) -> Result<Vec<(Address, u64)>, ParseError> {
+    let data = value.as_slice();
+    let (count_bytes, body) = data
+        .split_first_chunk::<4>()
+        .ok_or(ParseError::Truncated("subscriber set"))?;
+    let count = u32::from_be_bytes(*count_bytes) as usize;
+    if count.checked_mul(SUB_ENTRY_BYTES) != Some(body.len()) {
+        return Err(ParseError::BadLength("subscriber set count"));
+    }
+    let mut out = Vec::with_capacity(count);
+    for entry in body.chunks_exact(SUB_ENTRY_BYTES) {
+        let (addr, ms) = entry.split_at(20);
+        let addr: [u8; 20] = addr
+            .try_into()
+            .map_err(|_| ParseError::BadLength("subscriber entry"))?;
+        let ms: [u8; 8] = ms
+            .try_into()
+            .map_err(|_| ParseError::BadLength("subscriber entry"))?;
+        out.push((Address(addr), u64::from_be_bytes(ms)));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -11,26 +11,21 @@
 //! carrying the rest of its chunk as `relay_to`, and re-applies the same split
 //! one level down. Every copy shares one wire image of the message body.
 //!
-//! The protocol's pure pieces come first — key derivation, the
-//! subscriber-set record codec, and the fan-out planner — then [`PubSub`],
-//! one node's stateful half: subscriber, publisher and topic root.
-
-// This is a wire-decode module: decoders must return typed errors, never
-// panic (PR 7 contract, machine-checked by ipop-lint rule D3).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+//! The protocol's pure pieces come first — key derivation and the fan-out
+//! planner; the subscriber-set record codec lives with the other wire
+//! formats in [`crate::packets`] — then [`PubSub`], one node's stateful half:
+//! subscriber, publisher and topic root.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use ipop_packet::{Bytes, ParseError};
+use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
 use crate::dht::{version_for, wire_expiry, Dht, DhtStore};
+pub use crate::packets::{decode_subscriber_set, encode_subscriber_set};
 use crate::packets::{DeliveryMode, RoutedPayload};
 use crate::router::{Arrival, Core};
-
-/// Bytes of one encoded subscriber-set entry: address 20 + expiry ms 8.
-const SUB_ENTRY_BYTES: usize = 28;
 
 /// The DHT key a topic name maps to: `SHA-1("topic:" + name)`. The prefix
 /// keeps topic keys from colliding with Brunet-ARP keys derived from raw
@@ -40,46 +35,6 @@ pub fn topic_key(name: &str) -> Address {
     keyed.extend_from_slice(b"topic:");
     keyed.extend_from_slice(name.as_bytes());
     Address::from_key(&keyed)
-}
-
-/// Encode a subscriber set — `(address, absolute expiry in virtual ms)` pairs
-/// — as a DHT record value. Entries must already be in ring order (the
-/// `BTreeMap` iteration order of the caller), which keeps re-encodes
-/// byte-stable and fan-out plans deterministic.
-pub fn encode_subscriber_set(entries: &[(Address, u64)]) -> Bytes {
-    let mut buf = Vec::with_capacity(4 + entries.len() * SUB_ENTRY_BYTES);
-    buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-    for (addr, expires_ms) in entries {
-        buf.extend_from_slice(&addr.0);
-        buf.extend_from_slice(&expires_ms.to_be_bytes());
-    }
-    Bytes::from(buf)
-}
-
-/// Decode a subscriber-set record value. Rejects inflated counts before
-/// allocating and trailing bytes after the last entry, consistent with the
-/// wire codec's hardening.
-pub fn decode_subscriber_set(value: &Bytes) -> Result<Vec<(Address, u64)>, ParseError> {
-    let data = value.as_slice();
-    let (count_bytes, body) = data
-        .split_first_chunk::<4>()
-        .ok_or(ParseError::Truncated("subscriber set"))?;
-    let count = u32::from_be_bytes(*count_bytes) as usize;
-    if count.checked_mul(SUB_ENTRY_BYTES) != Some(body.len()) {
-        return Err(ParseError::BadLength("subscriber set count"));
-    }
-    let mut out = Vec::with_capacity(count);
-    for entry in body.chunks_exact(SUB_ENTRY_BYTES) {
-        let (addr, ms) = entry.split_at(20);
-        let addr: [u8; 20] = addr
-            .try_into()
-            .map_err(|_| ParseError::BadLength("subscriber entry"))?;
-        let ms: [u8; 8] = ms
-            .try_into()
-            .map_err(|_| ParseError::BadLength("subscriber entry"))?;
-        out.push((Address(addr), u64::from_be_bytes(ms)));
-    }
-    Ok(out)
 }
 
 /// Split `recipients` into at most `fanout` contiguous chunks and return one
@@ -608,6 +563,7 @@ impl PubSub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipop_packet::ParseError;
 
     fn a(n: u8) -> Address {
         let mut b = [0u8; 20];

@@ -101,7 +101,8 @@ pub struct StreamStats {
     /// DATA segments dropped for a sequence range no conforming sender
     /// produces: `seq + len` overflows, ends beyond the receive window, starts
     /// inside delivered bytes without being a duplicate, or would grow the
-    /// reorder buffer past the window.
+    /// reorder buffer past the window — and FINs anywhere but at the
+    /// receive edge.
     pub bad_seqs: u64,
 }
 
@@ -151,8 +152,6 @@ struct Stream {
     /// Out-of-order segments waiting for the gap to fill.
     reorder: BTreeMap<u64, Bytes>,
     reorder_bytes: usize,
-    /// Sequence number of the peer's FIN, once seen.
-    remote_fin: Option<u64>,
     // ---- timers (RFC 6298 estimator + one restart-on-progress timer)
     rtt: Smoothed,
     /// Consecutive RTO expiries on the current oldest outstanding frame.
@@ -176,7 +175,6 @@ impl Stream {
             rcv_nxt: 0,
             reorder: BTreeMap::new(),
             reorder_bytes: 0,
-            remote_fin: None,
             rtt: Smoothed::default(),
             retries: 0,
             timer_epoch: now,
@@ -352,7 +350,7 @@ impl VStreams {
                 window,
                 payload,
             } => {
-                self.on_data(now, src, *stream_id, *seq, *window, payload.clone());
+                self.on_data(src, *stream_id, *seq, *window, payload.clone());
             }
             RoutedPayload::StreamAck {
                 stream_id,
@@ -362,7 +360,7 @@ impl VStreams {
                 self.on_ack(now, src, *stream_id, *ack, *window);
             }
             RoutedPayload::StreamFin { stream_id, seq } => {
-                self.on_fin(now, src, *stream_id, *seq);
+                self.on_fin(src, *stream_id, *seq);
             }
             _ => {}
         }
@@ -424,15 +422,7 @@ impl VStreams {
         self.maybe_send_fin(now, key);
     }
 
-    fn on_data(
-        &mut self,
-        now: SimTime,
-        src: Address,
-        stream_id: u64,
-        seq: u64,
-        window: u32,
-        payload: Bytes,
-    ) {
+    fn on_data(&mut self, src: Address, stream_id: u64, seq: u64, window: u32, payload: Bytes) {
         let key = (src, stream_id);
         let Some(s) = self.streams.get_mut(&key) else {
             self.stats.orphan_frames += 1;
@@ -484,7 +474,7 @@ impl VStreams {
                 self.recv.push_back((src, stream_id, chunk));
             }
         }
-        self.ack_and_maybe_finish(now, key);
+        self.send_ack(key);
     }
 
     fn on_ack(&mut self, now: SimTime, src: Address, stream_id: u64, ack: u64, window: u32) {
@@ -536,7 +526,7 @@ impl VStreams {
         self.maybe_send_fin(now, key);
     }
 
-    fn on_fin(&mut self, now: SimTime, src: Address, stream_id: u64, seq: u64) {
+    fn on_fin(&mut self, src: Address, stream_id: u64, seq: u64) {
         let key = (src, stream_id);
         let Some(s) = self.streams.get_mut(&key) else {
             // Our side is already gone (our own teardown completed); ack the
@@ -553,8 +543,30 @@ impl VStreams {
             ));
             return;
         };
-        s.remote_fin = Some(seq);
-        self.ack_and_maybe_finish(now, key);
+        // The peer sends its FIN only once we acknowledged every byte, so
+        // an honest one sits exactly at our receive edge. Below it, it would
+        // close over bytes already delivered; above it, close once data up
+        // to it arrived and drop the rest — forged or corrupted either way.
+        if seq != s.rcv_nxt {
+            self.stats.bad_seqs += 1;
+            return;
+        }
+        // Every byte before the FIN has been delivered. Ack past the FIN and
+        // tear down — whole-stream close, both directions.
+        self.out.push((
+            src,
+            RoutedPayload::StreamAck {
+                stream_id,
+                ack: seq.saturating_add(1),
+                window: 0,
+            },
+        ));
+        self.streams.remove(&key);
+        self.stats.closed += 1;
+        self.events.push_back(StreamEvent::RemoteClosed {
+            remote: src,
+            stream_id,
+        });
     }
 
     // -------------------------------------------------------------- timers
@@ -691,32 +703,12 @@ impl VStreams {
         ));
     }
 
-    /// Acknowledge the receive side's current edge; when the peer's FIN is
-    /// reached, complete the remote close and drop the stream.
-    fn ack_and_maybe_finish(&mut self, _now: SimTime, key: (Address, u64)) {
-        let Some(s) = self.streams.get_mut(&key) else {
+    /// Acknowledge the receive side's current edge.
+    fn send_ack(&mut self, key: (Address, u64)) {
+        let Some(s) = self.streams.get(&key) else {
             return;
         };
         let (remote, stream_id) = key;
-        if let Some(fin) = s.remote_fin {
-            if s.rcv_nxt >= fin {
-                // Every byte before the FIN has been delivered. Ack past the
-                // FIN and tear down — whole-stream close, both directions.
-                self.out.push((
-                    remote,
-                    RoutedPayload::StreamAck {
-                        stream_id,
-                        ack: fin.saturating_add(1),
-                        window: 0,
-                    },
-                ));
-                self.streams.remove(&key);
-                self.stats.closed += 1;
-                self.events
-                    .push_back(StreamEvent::RemoteClosed { remote, stream_id });
-                return;
-            }
-        }
         let (ack, window) = (s.rcv_nxt, s.recv_window());
         self.out.push((
             remote,
@@ -972,5 +964,270 @@ mod tests {
         assert_eq!(payloads.len(), 2);
         assert!(payloads[0].same_region(&body.slice(..MAX_SEGMENT)));
         assert!(payloads[1].same_region(&body.slice(MAX_SEGMENT..)));
+    }
+
+    // ------------------------------------------------------ reference model
+
+    /// Two engines — `a` streams to `b` — through an adversarial channel,
+    /// against a plain byte queue: what `a`'s application handed to `send`.
+    mod model {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        const ID: u64 = 2;
+        /// Most bytes one case sends: more than a window, so flow control
+        /// binds, and a bound the forged values below are chosen beyond.
+        const BUDGET: u64 = 3 * DEFAULT_WINDOW as u64 / 2;
+        /// Stream ids no engine ever opened start here; each forgery that
+        /// rewrites an id takes a fresh one, so no phantom stream a forged
+        /// SYN creates ever receives a second frame.
+        const PHANTOM: u64 = 1 << 40;
+
+        /// Byte `i` of the stream: a hash of the offset, so bytes delivered
+        /// at the wrong offset do not match the reference by accident.
+        fn byte(i: u64) -> u8 {
+            (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
+        }
+
+        /// A sequence number no conforming sender can have put in a frame
+        /// arriving at a receive edge of `edge`: below it, beyond everything
+        /// a case sends plus a window, or where `seq + len` overflows.
+        fn off_edge(edge: u64, raw: u64) -> u64 {
+            match raw % 3 {
+                0 if edge > 0 => edge - 1 - (raw >> 8) % edge,
+                1 => u64::MAX - (raw >> 8) % (1 << 16),
+                _ => BUDGET + u64::from(DEFAULT_WINDOW) + 2 + (raw >> 8) % (1 << 32),
+            }
+        }
+
+        struct World {
+            now: SimTime,
+            a: VStreams,
+            b: VStreams,
+            /// Frames in flight: `(bound for b, frame)`.
+            wire: VecDeque<(bool, RoutedPayload)>,
+            /// The reference: every byte `a.send` accepted, in order.
+            sent: Vec<u8>,
+            closed: bool,
+            /// What `b` delivered on its current incarnation of the stream
+            /// (a late duplicate SYN opens a new one), and the most any
+            /// incarnation delivered.
+            got: Vec<u8>,
+            max_got: u64,
+            /// `b` holds the stream / once closed it with every byte.
+            b_live: bool,
+            b_finished: bool,
+            phantoms: u64,
+        }
+
+        impl World {
+            fn new() -> Self {
+                let mut world = World {
+                    now: SimTime::ZERO,
+                    a: VStreams::new(),
+                    b: VStreams::new(),
+                    wire: VecDeque::new(),
+                    sent: Vec::new(),
+                    closed: false,
+                    got: Vec::new(),
+                    max_got: 0,
+                    b_live: false,
+                    b_finished: false,
+                    phantoms: 0,
+                };
+                world.a.connect(SimTime::ZERO, addr(2), ID);
+                world.drain();
+                world
+            }
+
+            fn deliver(&mut self, (to_b, frame): (bool, RoutedPayload)) {
+                if to_b {
+                    self.b.on_payload(self.now, addr(1), &frame);
+                } else {
+                    self.a.on_payload(self.now, addr(2), &frame);
+                }
+                self.drain();
+            }
+
+            /// Queue what the engines emitted and check every property.
+            fn drain(&mut self) {
+                let aa = addr(1);
+                let from_a = self.a.take_outgoing().into_iter().map(|(_, f)| (true, f));
+                self.wire.extend(from_a);
+                let from_b = self.b.take_outgoing().into_iter().map(|(_, f)| (false, f));
+                self.wire.extend(from_b);
+                if self.b.take_accepted().contains(&(aa, ID)) {
+                    self.got.clear();
+                    self.b_live = true;
+                }
+                for (remote, id, chunk) in self.b.take_recv() {
+                    assert_eq!((remote, id), (aa, ID), "bytes on a stream nobody sent on");
+                    self.got.extend_from_slice(&chunk);
+                    assert!(
+                        self.sent.starts_with(&self.got),
+                        "delivered bytes never sent"
+                    );
+                    self.max_got = self.max_got.max(self.got.len() as u64);
+                }
+                assert!(self.a.take_recv().is_empty(), "b sends no data");
+                for event in self.b.take_events() {
+                    assert_eq!(
+                        event,
+                        StreamEvent::RemoteClosed {
+                            remote: aa,
+                            stream_id: ID
+                        }
+                    );
+                    assert!(self.closed, "closed before the application closed");
+                    assert_eq!(self.got.len(), self.sent.len(), "closed with bytes dropped");
+                    (self.b_live, self.b_finished) = (false, true);
+                }
+                for event in self.a.take_events() {
+                    if let StreamEvent::Closed { .. } = event {
+                        assert!(self.b_finished, "Closed before the peer had every byte");
+                    }
+                }
+            }
+
+            /// Rewrite one peer-controlled field of `frame` to a value no
+            /// conforming peer sends at this moment.
+            fn forge(&mut self, frame: &mut RoutedPayload, raw: u64) {
+                let edge = self.got.len() as u64;
+                let (id, seq, ack, win) = match frame {
+                    RoutedPayload::StreamSyn { stream_id, window }
+                    | RoutedPayload::StreamSynAck { stream_id, window } => {
+                        (stream_id, None, None, Some(window))
+                    }
+                    RoutedPayload::StreamData {
+                        stream_id,
+                        seq,
+                        window,
+                        ..
+                    } => (stream_id, Some(seq), None, Some(window)),
+                    RoutedPayload::StreamAck {
+                        stream_id,
+                        ack,
+                        window,
+                    } => (stream_id, None, Some(ack), Some(window)),
+                    RoutedPayload::StreamFin { stream_id, seq } => {
+                        (stream_id, Some(seq), None, None)
+                    }
+                    _ => unreachable!("only stream frames are in flight"),
+                };
+                match (raw % 3, seq, ack, win) {
+                    (0, Some(seq), ..) => *seq = off_edge(edge, raw >> 2),
+                    // An ack of bytes `b` really delivered says nothing
+                    // false; one beyond anything sent is impossible.
+                    (0, _, Some(ack), _) => {
+                        *ack = match (raw >> 2) % 3 {
+                            0 => (raw >> 4) % (self.max_got + 1),
+                            1 => u64::MAX - (raw >> 4) % (1 << 16),
+                            _ => BUDGET + 2 + (raw >> 4) % (1 << 32),
+                        }
+                    }
+                    (1, _, _, Some(window)) => *window = (raw >> 2) as u32,
+                    _ => {
+                        self.phantoms += 1;
+                        *id = PHANTOM + self.phantoms;
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            /// Whatever the channel does — drop, duplicate and reorder
+            /// frames, rewrite their ack / seq / window / stream id to values
+            /// no conforming peer sends, inject FINs off the receive edge,
+            /// let time pass — and then with the channel honest again: the
+            /// engines never panic (the suite runs with overflow checks),
+            /// `b` delivers only a prefix of what `a` sent, and neither side
+            /// reports a close while a byte is missing. Out of scope, since
+            /// nothing in a frame can tell them from the truth: a forged
+            /// value a conforming peer could have sent (a seq inside the
+            /// window, an ack of bytes not yet delivered, the id of a live
+            /// stream, a FIN at the edge).
+            #[test]
+            fn streams_match_the_reference_model(steps in vec(any::<[u64; 3]>(), 1..200)) {
+                let mut w = World::new();
+                for [what, raw, forge] in steps {
+                    let at = |w: &World| (raw % w.wire.len().max(1) as u64) as usize;
+                    match what % 16 {
+                        0..=2 if !w.closed => {
+                            let len = 1 + raw % 6000;
+                            let start = w.sent.len() as u64;
+                            if start + len <= BUDGET {
+                                let chunk: Vec<u8> = (start..start + len).map(byte).collect();
+                                if w.a.send(w.now, addr(2), ID, Bytes::from(chunk.clone())) {
+                                    w.sent.extend(chunk);
+                                }
+                                w.drain();
+                            }
+                        }
+                        7 => {
+                            let i = at(&w);
+                            w.wire.remove(i);
+                        }
+                        8 => {
+                            if let Some(frame) = w.wire.get(at(&w)).cloned() {
+                                w.deliver(frame);
+                            }
+                        }
+                        9 => {
+                            if let Some(frame) = w.wire.remove(at(&w)) {
+                                w.deliver(frame);
+                            }
+                        }
+                        10 | 11 => {
+                            if let Some((to_b, mut frame)) = w.wire.remove(at(&w)) {
+                                w.forge(&mut frame, forge);
+                                w.deliver((to_b, frame));
+                            }
+                        }
+                        // A FIN to a stream `b` holds (to one it does not,
+                        // `b`'s stateless answer would ack the forged seq).
+                        12 if w.b_live => {
+                            let seq = off_edge(w.got.len() as u64, forge);
+                            w.deliver((true, RoutedPayload::StreamFin { stream_id: ID, seq }));
+                        }
+                        13 | 14 => {
+                            w.now += Duration::from_millis(raw % 3000);
+                            w.a.tick(w.now);
+                            w.b.tick(w.now);
+                            w.drain();
+                        }
+                        15 if !w.closed && raw % 4 == 0 => {
+                            w.closed = true;
+                            w.a.close(w.now, addr(2), ID);
+                            w.drain();
+                        }
+                        _ => {
+                            if let Some(frame) = w.wire.pop_front() {
+                                w.deliver(frame);
+                            }
+                        }
+                    }
+                }
+                // The channel turns honest: close, then deliver everything in
+                // order and let the timers run out.
+                if !w.closed {
+                    w.closed = true;
+                    w.a.close(w.now, addr(2), ID);
+                    w.drain();
+                }
+                for _ in 0..200 {
+                    while let Some(frame) = w.wire.pop_front() {
+                        w.deliver(frame);
+                    }
+                    if w.a.is_empty() {
+                        break;
+                    }
+                    w.now += Duration::from_secs(1);
+                    w.a.tick(w.now);
+                    w.b.tick(w.now);
+                    w.drain();
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use ipop_overlay::dht::SyncDigestEntry;
 use ipop_overlay::packets::{
     ConnectionKind, DeliveryMode, LinkMessage, RoutedPacket, RoutedPayload,
 };
-use ipop_packet::Bytes;
+use ipop_packet::{Bytes, ParseError};
 
 fn arb_addr() -> impl Strategy<Value = Address> {
     any::<[u8; 20]>().prop_map(Address)
@@ -187,6 +187,93 @@ fn corpus(a: Address, b: Address, token: u64, payload: Vec<u8>, entries: u8) -> 
             seq: token,
         }),
     ]
+}
+
+/// The tag byte of a link message and, for a routed one, of its payload (at
+/// offset 44, after tag 5, src, dst, mode, hops and ttl). No wildcard: a new
+/// variant does not compile until it gets its tag here.
+fn tags(msg: &LinkMessage) -> (u8, Option<u8>) {
+    use RoutedPayload as P;
+    let payload = match msg {
+        LinkMessage::Hello { .. } => return (0, None),
+        LinkMessage::HelloAck { .. } => return (1, None),
+        LinkMessage::Ping { .. } => return (2, None),
+        LinkMessage::Pong { .. } => return (3, None),
+        LinkMessage::Close { .. } => return (4, None),
+        LinkMessage::Neighbors { .. } => return (6, None),
+        LinkMessage::Probe { .. } => return (7, None),
+        LinkMessage::ProbeAck { .. } => return (8, None),
+        LinkMessage::Routed(pkt) => &pkt.payload,
+    };
+    let tag = match payload {
+        P::IpTunnel(_) => 0,
+        P::ConnectRequest { .. } => 1,
+        P::ConnectResponse { .. } => 2,
+        P::DhtPut { .. } => 3,
+        P::DhtGet { .. } => 4,
+        P::DhtReply { .. } => 5,
+        P::DhtCreate { .. } => 6,
+        P::DhtCreateReply { .. } => 7,
+        P::DhtReplicate { .. } => 8,
+        P::DhtRemove { .. } => 9,
+        P::DhtReplicateAck { .. } => 10,
+        P::DhtGetReplica { .. } => 11,
+        P::DhtReplicaValue { .. } => 12,
+        P::DhtWithdraw { .. } => 13,
+        P::DhtSyncDigest { .. } => 14,
+        P::DhtSyncPull { .. } => 15,
+        P::PubSubSubscribe { .. } => 16,
+        P::PubSubUnsubscribe { .. } => 17,
+        P::PubSubPublish { .. } => 18,
+        P::PubSubDeliver { .. } => 19,
+        P::PubSubNack { .. } => 20,
+        P::StreamSyn { .. } => 21,
+        P::StreamSynAck { .. } => 22,
+        P::StreamData { .. } => 23,
+        P::StreamAck { .. } => 24,
+        P::StreamFin { .. } => 25,
+    };
+    (5, Some(tag))
+}
+
+/// CONTRACTS.md C3: every corpus image decodes and round-trips, carries the
+/// tag [`tags`] gives its variant, and together they cover both tag spaces
+/// contiguously from zero — so every variant is in the corpus — while the
+/// next tag up is one the decoder does not know.
+#[test]
+fn the_corpus_covers_every_wire_tag() {
+    let (mut link, mut routed) = (Vec::new(), Vec::new());
+    let images = corpus(Address([1; 20]), Address([2; 20]), 7, vec![3; 5], 2);
+    for image in &images {
+        let msg = LinkMessage::from_bytes(image).expect("corpus image decodes");
+        assert_eq!(&msg.to_bytes(), image, "{msg:?} round-trips");
+        let (tag, payload_tag) = tags(&msg);
+        assert_eq!(image.first(), Some(&tag), "{msg:?}");
+        link.push(tag);
+        if let Some(payload_tag) = payload_tag {
+            assert_eq!(image.get(44), Some(&payload_tag), "{msg:?}");
+            routed.push(payload_tag);
+        }
+    }
+    for tags in [&mut link, &mut routed] {
+        tags.sort_unstable();
+        tags.dedup();
+    }
+    assert_eq!(link, (0..=8).collect::<Vec<u8>>(), "LinkMessage tags");
+    assert_eq!(routed, (0..=25).collect::<Vec<u8>>(), "RoutedPayload tags");
+
+    let unsupported = |image: &[u8]| LinkMessage::from_bytes(image).err();
+    assert_eq!(
+        unsupported(&[9]),
+        Some(ParseError::Unsupported("link message"))
+    );
+    let routed_image = images.iter().find(|image| image.first() == Some(&5));
+    let mut next = routed_image.expect("a routed image").clone();
+    next[44] = 26;
+    assert_eq!(
+        unsupported(&next),
+        Some(ParseError::Unsupported("routed payload"))
+    );
 }
 
 proptest! {

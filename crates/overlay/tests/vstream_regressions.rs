@@ -167,6 +167,40 @@ fn overlapping_segments_cannot_park_more_than_a_window() {
     assert_eq!(a.stats.duplicates, 0);
 }
 
+/// Found by `vstream::tests::model`: a peer sends its FIN only once every
+/// byte is acknowledged, so an honest FIN sits exactly at the receive edge.
+/// One below the edge used to close the stream at once, and one above it
+/// once data up to it arrived — both reporting `RemoteClosed` ("all of its
+/// data has been delivered") while the sender still had bytes in flight.
+#[test]
+fn fin_off_the_receive_edge_is_dropped_and_counted() {
+    let peer = addr(1);
+    let t = SimTime::ZERO;
+    let mut b = VStreams::new();
+    let syn = RoutedPayload::StreamSyn {
+        stream_id: STREAM,
+        window: DEFAULT_WINDOW,
+    };
+    b.on_payload(t, peer, &syn);
+    b.on_payload(t, peer, &data(0, 10));
+    let fin = |seq| RoutedPayload::StreamFin {
+        stream_id: STREAM,
+        seq,
+    };
+    b.on_payload(t, peer, &fin(5));
+    b.on_payload(t, peer, &fin(15));
+    b.on_payload(t, peer, &data(10, 10));
+    assert!(b.take_events().is_empty(), "no close before byte 20");
+    assert_eq!(b.stats.bad_seqs, 2);
+    assert_eq!(b.take_recv().len(), 2);
+    assert_eq!(last_acked_window(&mut b), Some((20, DEFAULT_WINDOW)));
+    // The FIN at the edge closes, acked past it.
+    b.on_payload(t, peer, &fin(20));
+    assert_eq!(last_acked_window(&mut b), Some((21, 0)));
+    assert_eq!(b.take_events().len(), 1);
+    assert!(b.is_empty());
+}
+
 #[test]
 fn forged_fin_for_an_unknown_stream_is_acked_without_overflow() {
     let peer = addr(2);

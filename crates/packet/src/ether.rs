@@ -163,9 +163,10 @@ impl EthernetFrame {
     }
 
     /// Parse from wire bytes.
-    // lint:allow(d3, fn): fixed-offset header reads, all below the up-front
-    // length check on the first line of the body — no read can go out of
-    // bounds, and the checksum verification walks the same span first.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "fixed-offset header reads, all below the up-front length check on the first line of the body"
+    )]
     pub fn from_bytes(data: &[u8]) -> Result<Self, ParseError> {
         if data.len() < ETHERNET_HEADER_LEN {
             return Err(ParseError::Truncated("ethernet header"));

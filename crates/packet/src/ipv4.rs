@@ -205,9 +205,10 @@ impl Ipv4Packet {
     }
 
     /// Parse from wire bytes, verifying the header checksum.
-    // lint:allow(d3, fn): fixed-offset header reads below the up-front length
-    // check, IHL/total-length validation, and header checksum verification —
-    // every slice is bounded by a validated length.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "fixed-offset header reads below the up-front length check, IHL/total-length validation and header checksum verification: every slice is bounded by a validated length"
+    )]
     pub fn from_bytes(data: &[u8]) -> Result<Self, ParseError> {
         if data.len() < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated("ipv4 header"));

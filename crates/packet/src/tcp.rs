@@ -223,8 +223,10 @@ impl TcpSegment {
     }
 
     /// Parse, verifying the checksum against the IPv4 pseudo-header.
-    // lint:allow(d3, fn): fixed-offset header reads below the up-front length
-    // check; the option walk re-validates every length byte before stepping.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "fixed-offset header reads below the up-front length check; the option walk re-validates every length byte before stepping"
+    )]
     pub fn from_bytes(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
         if data.len() < TCP_HEADER_LEN {
             return Err(ParseError::Truncated("tcp header"));

@@ -60,8 +60,10 @@ impl UdpDatagram {
     }
 
     /// Parse, verifying length and checksum against the IPv4 pseudo-header.
-    // lint:allow(d3, fn): fixed-offset header reads below the up-front length
-    // check and the validated UDP length field.
+    #[allow(
+        clippy::indexing_slicing,
+        reason = "fixed-offset header reads below the up-front length check and the validated UDP length field"
+    )]
     pub fn from_bytes(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<Self, ParseError> {
         if data.len() < UDP_HEADER_LEN {
             return Err(ParseError::Truncated("udp header"));

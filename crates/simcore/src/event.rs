@@ -24,9 +24,6 @@
 //! that stays pending while `WINDOW` newer ones are scheduled is moved to a
 //! hash-set overflow on eviction.
 
-// lint:allow(d1): membership-only overflow set behind the id bitmap — never
-// iterated, and the identity hasher below keeps it seed-free anyway.
-use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
@@ -55,9 +52,11 @@ impl Hasher for IdHasher {
     }
 }
 
-// lint:allow(d1): membership-only (insert/remove/contains); determinism does
-// not depend on iteration order because no code path iterates it.
-type IdSet = HashSet<EventId, BuildHasherDefault<IdHasher>>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "membership-only (insert/remove/contains): no code path iterates it, and the identity hasher keeps it seed-free"
+)]
+type IdSet = std::collections::HashSet<EventId, BuildHasherDefault<IdHasher>>;
 
 /// Number of recent event ids whose pending-ness is tracked in the bitmap.
 const WINDOW: u64 = 1 << 16;

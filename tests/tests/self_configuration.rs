@@ -4,7 +4,7 @@
 //! nodes join knowing only the subnet: they draw, claim and confirm their own
 //! addresses, register hostnames, and stay resolvable through owner crashes.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ipop::prelude::*;
@@ -99,7 +99,7 @@ fn concurrent_dynamic_joins_allocate_unique_addresses() {
         );
         ips.push(ip);
     }
-    let unique: HashSet<_> = ips.iter().collect();
+    let unique: BTreeSet<_> = ips.iter().collect();
     assert_eq!(unique.len(), ips.len(), "zero duplicate addresses: {ips:?}");
 
     // The claims double as Brunet-ARP mappings: a resolution probe from the
