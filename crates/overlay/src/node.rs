@@ -268,10 +268,10 @@ pub struct OverlayStats {
 
 /// A Brunet-style structured-ring overlay node.
 // `repr(C)` keeps the fields in this order: what every link message touches —
-// the core's table, counters and flags, the ring's candidates — sits together.
+// the core's counters, flags and edge vector, the ring's candidate vector —
+// sits together; the entries of each vector are one more contiguous slice.
 // Left to the compiler the ring landed behind `delivered`, away from the core,
-// and `ring_route` (3 000 nodes, one link message per event, so one node's
-// cache lines per event) read 5 % slower in nine of ten pairs.
+// and `ring_route` (3 000 nodes, one cold node per event) read 5 % slower.
 #[repr(C)]
 pub struct OverlayNode {
     core: Core,

@@ -12,14 +12,12 @@
 //! reaches the table, the outbox, the rng and the counters through the
 //! routing [`Core`] it is handed on each call.
 
-use std::collections::BTreeMap;
-
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::address::{Address, Distance};
 use crate::packets::{ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPayload};
 use crate::router::Core;
-use crate::table::{Connection, ConnectionState, ConnectionTable};
+use crate::table::{Candidates, Connection, ConnectionTable};
 
 /// Neighbour candidates kept from one tick to the next. A wiped map is
 /// refilled by whatever the peers gossip next: their news at once, their
@@ -53,12 +51,13 @@ pub(crate) struct Ring {
     /// Endpoints we advertise: the local endpoint plus any NAT-translated endpoints
     /// peers have observed for us.
     advertised: Vec<Endpoint>,
-    pending_links: BTreeMap<u64, PendingLink>,
+    /// Handshakes in flight, by ascending token: tokens come from
+    /// [`Core::fresh_token`], so appending keeps the order.
+    pending_links: Vec<(u64, PendingLink)>,
     /// When the bootstrap re-link heartbeat last fired.
     last_bootstrap_probe: SimTime,
-    /// Neighbour candidates learned from gossip: address → endpoint. Ordered so
-    /// candidate scans (which emit hellos) are deterministic across runs.
-    candidates: BTreeMap<Address, Endpoint>,
+    /// Neighbour candidates learned from gossip and connect traffic.
+    candidates: Candidates,
     /// The near view last gossiped, the peers it went to (ascending), and
     /// the gossip rounds since it last went to everybody.
     told_view: Vec<(Address, Endpoint)>,
@@ -88,9 +87,7 @@ impl Ring {
 
     /// Remember `addr` at `endpoint` as a neighbour candidate.
     pub(crate) fn learn(&mut self, core: &Core, addr: Address, endpoint: Endpoint) {
-        if addr != core.cfg.address {
-            self.candidates.insert(addr, endpoint);
-        }
+        self.candidates.learn(&core.cfg.address, addr, endpoint);
     }
 
     /// `peer` is gone (it said so, or was declared dead): stop offering it to
@@ -161,7 +158,9 @@ impl Ring {
                 observed,
                 token,
             } => {
-                self.pending_links.remove(&token);
+                if let Some(i) = self.pending(token) {
+                    self.pending_links.remove(i);
+                }
                 self.accept(core, now, peer, from, kind, observed);
             }
             LinkMessage::Ping { nonce, .. } => {
@@ -173,13 +172,11 @@ impl Ring {
             // Gossip only ever goes to established peers, so only theirs is
             // believed: a stranger's would plant candidates hugging our
             // address and aim every near hello at an endpoint it chose.
-            LinkMessage::Neighbors { from: peer, .. } if !core.table.is_established(&peer) => {
+            LinkMessage::Neighbors { from: peer, .. } if !core.table.contains(&peer) => {
                 core.stats.gossip_from_strangers += 1;
             }
             LinkMessage::Neighbors { neighbors, .. } => {
-                for (addr, ep) in neighbors {
-                    self.learn(core, addr, ep);
-                }
+                self.candidates.learn_gossip(&me, neighbors);
             }
             // A pong only had to be heard, and the node noted that. The rest
             // are not the ring's: nobody hands them here.
@@ -262,7 +259,7 @@ impl Ring {
                 // promoting the fresh Far edge on both ends — heavily-chosen
                 // responders snowballed into full Near meshes and their far
                 // budget could never fill.
-                let Some(kind) = self.pending_links.get(&token).map(|p| p.kind) else {
+                let Some(kind) = self.pending(token).map(|i| self.pending_links[i].1.kind) else {
                     return;
                 };
                 for ep in endpoints {
@@ -305,7 +302,7 @@ impl Ring {
         // 3. Shortcuts.
         if core.cfg.shortcuts_enabled
             && core.table.count_kind(ConnectionKind::Far) < core.cfg.max_shortcuts
-            && core.table.established_addrs().len() >= 2
+            && core.table.len() >= 2
         {
             self.request_shortcut(core, now);
         }
@@ -313,7 +310,7 @@ impl Ring {
         self.run_keepalive(core, now);
         // 5. Drop stale pending links.
         self.pending_links
-            .retain(|_, p| now.saturating_since(p.started) < core.cfg.connection_timeout);
+            .retain(|(_, p)| now.saturating_since(p.started) < core.cfg.connection_timeout);
     }
 
     /// Second half of a tick, after the other components ran: gossip when
@@ -342,8 +339,8 @@ impl Ring {
             self.quiet_rounds = 0;
         }
         // A peer whose edge went is forgotten: a new edge to it is news.
-        self.told.retain(|p| core.table.is_established(p));
-        if self.told.len() == core.table.established_addrs().len() {
+        self.told.retain(|p| core.table.contains(p));
+        if self.told.len() == core.table.len() {
             return;
         }
         // Drawn only when somebody is sent something; the shuffle draws once per
@@ -372,8 +369,15 @@ impl Ring {
     fn pend(&mut self, core: &mut Core, now: SimTime, kind: ConnectionKind) -> u64 {
         let token = core.fresh_token();
         self.pending_links
-            .insert(token, PendingLink { kind, started: now });
+            .push((token, PendingLink { kind, started: now }));
         token
+    }
+
+    /// Where the handshake with `token` is in `pending_links`, if in flight.
+    fn pending(&self, token: u64) -> Option<usize> {
+        self.pending_links
+            .binary_search_by_key(&token, |(t, _)| *t)
+            .ok()
     }
 
     /// A connect-to-me request for an edge of `kind`, pending from `now`.
@@ -402,7 +406,7 @@ impl Ring {
             let mut pkt = core.originated(core.cfg.address, DeliveryMode::Closest, request);
             // Send it through a random established edge so it is not delivered
             // straight back to ourselves.
-            let pick = core.rng.index(core.table.established_addrs().len());
+            let pick = core.rng.index(core.table.len());
             if let Some(ep) = core.table.nth_established(pick).map(|c| c.endpoint) {
                 pkt.hops += 1;
                 core.push_out(ep, LinkMessage::Routed(pkt));
@@ -464,20 +468,19 @@ impl Ring {
         let me = core.cfg.address;
         let mut to_ping = Vec::new();
         let mut to_drop = Vec::new();
-        for conn in core.table.iter() {
+        for conn in core.table.established() {
             let idle = now.saturating_since(conn.last_heard);
             if idle > core.cfg.connection_timeout {
                 to_drop.push(conn.peer);
             } else if idle.min(now.saturating_since(conn.last_ping_sent)) > PING_INTERVAL {
                 to_ping.push((conn.peer, conn.endpoint));
             }
-            // Record every established peer (one about to be dropped
-            // included) as a candidate we can gossip to others — seen by the
-            // next tick's candidate scan, which has already run in this one.
-            if conn.state == ConnectionState::Established {
-                self.candidates.insert(conn.peer, conn.endpoint);
-            }
         }
+        // Record every established peer (one about to be dropped included) as
+        // a candidate we can gossip to others — seen by the next tick's
+        // candidate scan, which has already run in this one.
+        let edges = core.table.established().map(|c| (c.peer, c.endpoint));
+        self.candidates.learn_all(&me, edges);
         for peer in to_drop {
             core.table.remove(&peer);
         }
@@ -574,11 +577,11 @@ fn draw_shortcut_distance(rng: &mut StreamRng, floor_bits: f64) -> Distance {
 /// helloing the whole gossip backlog at once permanently meshed small rings
 /// (and at scale would flood a joining node); the nearest candidates are the
 /// only ones that can end up in the converged near set anyway. `candidates`
-/// is keyed by address, i.e. already in ring order, so "nearest" is a walk
-/// from `me` in each direction — two range probes per side, no sort.
+/// is sorted by address, i.e. already in ring order, so "nearest" is a walk
+/// from `me` in each direction — one binary search per side, no sort.
 fn near_hello_targets(
     table: &ConnectionTable,
-    candidates: &BTreeMap<Address, Endpoint>,
+    candidates: &Candidates,
     me: &Address,
     per_side: usize,
 ) -> Vec<(Address, Endpoint)> {
@@ -590,21 +593,17 @@ fn near_hello_targets(
     let (left_len, left_last) = side(table.left_of(me).take(per_side));
     let worst_right = right_last.map(|a| me.clockwise_distance(&a));
     let worst_left = left_last.map(|a| a.clockwise_distance(me));
-    let eligible = |(a, _): &(&Address, &Endpoint)| {
-        *a != me && table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near)
-    };
+    let eligible =
+        |(a, _): &&(Address, Endpoint)| table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near);
     let mut picked: Vec<(Address, Endpoint)> = Vec::new();
-    let clockwise = candidates.range(*me..).chain(candidates.range(..*me));
-    for (&addr, &ep) in clockwise.filter(eligible).take(per_side) {
+    let clockwise = candidates.clockwise_from(me);
+    for &(addr, ep) in clockwise.filter(eligible).take(per_side) {
         if right_len < per_side || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w) {
             picked.push((addr, ep));
         }
     }
-    let counter_clockwise = candidates
-        .range(..*me)
-        .rev()
-        .chain(candidates.range(*me..).rev());
-    for (&addr, &ep) in counter_clockwise.filter(eligible).take(per_side) {
+    let counter_clockwise = candidates.counter_clockwise_from(me);
+    for &(addr, ep) in counter_clockwise.filter(eligible).take(per_side) {
         let improves =
             left_len < per_side || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
         if improves && !picked.contains(&(addr, ep)) {
@@ -631,7 +630,8 @@ mod tests {
     use crate::node::OverlayConfig;
     use crate::packets::RoutedPacket;
     use crate::router::Arrival;
-    use std::collections::BTreeSet;
+    use crate::table::ConnectionState;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// The maintenance interval the fabric ticks at.
     const TICK: Duration = Duration::from_millis(500);
@@ -1261,9 +1261,13 @@ mod tests {
             .iter()
             .map(|&w| (addr_of(w), ep(usize::from(w >> 8))))
             .collect();
+        let mut flat = Candidates::default();
+        for (a, e) in &candidates {
+            flat.learn(&me, *a, *e);
+        }
         for per_side in 1..=3 {
             assert_eq!(
-                near_hello_targets(&table, &candidates, &me, per_side),
+                near_hello_targets(&table, &flat, &me, per_side),
                 near_hello_targets_by_sort(&table, &candidates, &me, per_side),
                 "me {me:?} per_side {per_side}"
             );

@@ -69,7 +69,7 @@ impl Core {
     }
 
     pub(crate) fn is_connected(&self) -> bool {
-        self.table.established().next().is_some()
+        !self.table.is_empty()
     }
 
     /// Record `peer` at `endpoint` as an established edge of `kind`.
@@ -94,7 +94,7 @@ impl Core {
     /// Tell every peer the edges are going away (graceful leave).
     pub(crate) fn close_all(&mut self) {
         let from = self.cfg.address;
-        let peers: Vec<Endpoint> = self.table.iter().map(|c| c.endpoint).collect();
+        let peers: Vec<Endpoint> = self.table.established().map(|c| c.endpoint).collect();
         for ep in peers {
             self.push_out(ep, LinkMessage::Close { from });
         }
