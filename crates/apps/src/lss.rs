@@ -316,11 +316,6 @@ impl LssWorker {
         }
     }
 
-    /// NFS cache statistics `(hits, misses)` — the cold/warm evidence.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.nfs.cache_hits, self.nfs.cache_misses)
-    }
-
     fn start_next(&mut self, env: &mut AppEnv<'_>) {
         if let Some((image, db)) = self.queue.pop() {
             if self.nfs.begin_read(db, self.params.database_size) {

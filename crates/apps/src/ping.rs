@@ -34,12 +34,14 @@ impl PingReport {
     }
 }
 
+/// Echo payload size in bytes, `ping`'s default.
+const PAYLOAD_LEN: usize = 56;
+
 /// ICMP echo measurement application.
 pub struct PingApp {
     target: Ipv4Addr,
     count: u32,
     interval: Duration,
-    payload_len: usize,
     timeout: Duration,
 
     start_delay: Duration,
@@ -57,7 +59,6 @@ impl PingApp {
             target,
             count,
             interval,
-            payload_len: 56,
             timeout: Duration::from_secs(5),
             start_delay: Duration::ZERO,
             socket: None,
@@ -66,12 +67,6 @@ impl PingApp {
             in_flight: BTreeMap::new(),
             report: PingReport::default(),
         }
-    }
-
-    /// Builder: set the echo payload size (default 56 bytes, like `ping`).
-    pub fn with_payload(mut self, len: usize) -> Self {
-        self.payload_len = len;
-        self
     }
 
     /// Builder: set the per-request timeout.
@@ -134,7 +129,7 @@ impl VirtualApp for PingApp {
             let seq = self.next_seq as u16;
             if env
                 .stack
-                .ping_send(socket, self.target, seq, self.payload_len)
+                .ping_send(socket, self.target, seq, PAYLOAD_LEN)
                 .is_ok()
             {
                 self.in_flight.insert(seq, now);

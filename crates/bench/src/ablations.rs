@@ -24,8 +24,8 @@ pub struct ShortcutResult {
     pub shortcuts: bool,
     /// Mean ping RTT in milliseconds.
     pub mean_rtt_ms: f64,
-    /// Average overlay forwards per delivered tunnel packet (≈ hops − 1).
-    pub avg_forwards: f64,
+    /// Mean overlay hops of a delivered tunnel packet.
+    pub mean_hops: f64,
     /// Total established connections in the overlay.
     pub total_connections: usize,
 }
@@ -84,12 +84,10 @@ pub fn shortcuts(n: usize, pings: u32) -> Vec<ShortcutResult> {
                 .and_then(|a| a.app_as::<PingApp>())
                 .map(|p| p.report().clone())
                 .unwrap_or_default();
-            let mut forwards = 0u64;
-            let mut tunneled = 0u64;
-            let mut connections = 0usize;
+            let (mut hops, mut tunneled, mut connections) = (0u64, 0u64, 0usize);
             for &h in &plab.nodes {
                 if let Some(agent) = sim.net().agent_as::<IpopHostAgent>(h) {
-                    forwards += agent.overlay_stats().forwarded;
+                    hops += agent.metrics().tunneled_rx_hops;
                     tunneled += agent.metrics().tunneled_rx;
                     connections += agent.connection_count();
                 }
@@ -97,11 +95,7 @@ pub fn shortcuts(n: usize, pings: u32) -> Vec<ShortcutResult> {
             ShortcutResult {
                 shortcuts: enabled,
                 mean_rtt_ms: report.summary().mean,
-                avg_forwards: if tunneled == 0 {
-                    0.0
-                } else {
-                    forwards as f64 / tunneled as f64
-                },
+                mean_hops: hops as f64 / tunneled.max(1) as f64,
                 total_connections: connections,
             }
         })
@@ -115,7 +109,7 @@ pub fn render_shortcuts(rows: &[ShortcutResult], n: usize) -> Table {
         &[
             "shortcuts",
             "mean ping RTT (ms)",
-            "avg forwards/delivery",
+            "mean hops/delivery",
             "total connections",
         ],
     );
@@ -123,7 +117,7 @@ pub fn render_shortcuts(rows: &[ShortcutResult], n: usize) -> Table {
         table.row(&[
             if row.shortcuts { "enabled" } else { "disabled" }.to_string(),
             f(row.mean_rtt_ms, 1),
-            f(row.avg_forwards, 2),
+            f(row.mean_hops, 2),
             row.total_connections.to_string(),
         ]);
     }

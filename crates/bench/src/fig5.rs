@@ -95,8 +95,8 @@ pub fn render_summary(out: &Fig5Output, params: &Fig5Params) -> Table {
     ]);
     table.row(&["lost".into(), out.result.lost.to_string(), "-".into()]);
     table.row(&[
-        "avg overlay forwards per delivery".into(),
-        f(out.result.avg_forwards, 2),
+        "mean overlay hops per delivery".into(),
+        f(out.result.mean_hops, 2),
         "2 hops between source and destination".into(),
     ]);
     table

@@ -289,8 +289,8 @@ pub struct PlanetLabResult {
     pub rtts_ms: Vec<f64>,
     /// Requests lost.
     pub lost: u32,
-    /// Average number of overlay forwards per delivered tunnel packet (≈ hops − 1).
-    pub avg_forwards: f64,
+    /// Mean overlay hops of a delivered tunnel packet.
+    pub mean_hops: f64,
 }
 
 /// Ping across an overlay deployed on `nodes` Planet-Lab-like machines with CPU
@@ -337,23 +337,18 @@ pub fn planetlab_ping(nodes: usize, load: f64, count: u32, seed: u64) -> PlanetL
             .is_some_and(|p| p.finished())
     });
     let report = extract_ping(sim.net(), src_host, Mode::IpopTcp);
-    // Hop statistics: total forwards vs tunnel deliveries across the whole overlay.
-    let mut forwards = 0u64;
-    let mut tunneled = 0u64;
+    // Hops the delivered tunnel packets travelled, across the whole overlay.
+    let (mut hops, mut tunneled) = (0u64, 0u64);
     for host in plab.nodes.iter().copied() {
         if let Some(agent) = sim.net().agent_as::<IpopHostAgent>(host) {
-            forwards += agent.overlay_stats().forwarded;
+            hops += agent.metrics().tunneled_rx_hops;
             tunneled += agent.metrics().tunneled_rx;
         }
     }
     PlanetLabResult {
         rtts_ms: report.rtts_ms,
         lost: report.lost,
-        avg_forwards: if tunneled == 0 {
-            0.0
-        } else {
-            forwards as f64 / tunneled as f64
-        },
+        mean_hops: hops as f64 / tunneled.max(1) as f64,
     }
 }
 

@@ -49,6 +49,70 @@ pub trait VirtualApp: Any {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// An application and the stack it runs on — the part both host agents
+/// share: [`crate::plain::PlainHostAgent`] hosts one on the physical stack,
+/// the IPOP data plane one on the virtual stack behind the tap.
+pub(crate) struct AppHost {
+    /// The stack the application's sockets live on.
+    pub(crate) stack: NetStack,
+    app: Box<dyn VirtualApp>,
+    rng: StreamRng,
+    /// When the application last asked to be polled again.
+    next: Option<SimTime>,
+    /// The host's name as the application sees it.
+    pub(crate) label: String,
+}
+
+impl AppHost {
+    /// Unlabelled: the agent names the host when it starts.
+    pub(crate) fn new(stack: NetStack, app: Box<dyn VirtualApp>, rng: StreamRng) -> Self {
+        AppHost {
+            stack,
+            app,
+            rng,
+            next: None,
+            label: String::new(),
+        }
+    }
+
+    /// Start the application ([`VirtualApp::on_start`]).
+    pub(crate) fn start(&mut self, now: SimTime) {
+        self.with_app(now, |app, env| app.on_start(env));
+    }
+
+    /// Poll the application once ([`VirtualApp::poll`]).
+    pub(crate) fn poll(&mut self, now: SimTime) {
+        self.next = self.with_app(now, |app, env| app.poll(env));
+    }
+
+    fn with_app<R>(
+        &mut self,
+        now: SimTime,
+        f: impl FnOnce(&mut dyn VirtualApp, &mut AppEnv<'_>) -> R,
+    ) -> R {
+        let mut env = AppEnv {
+            stack: &mut self.stack,
+            now,
+            rng: &mut self.rng,
+            host_name: &self.label,
+        };
+        f(self.app.as_mut(), &mut env)
+    }
+
+    /// The earliest of the stack's timers and the application's own wake-up.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        [self.stack.next_timeout(), self.next]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Downcast the application.
+    pub(crate) fn app_as<T: 'static>(&self) -> Option<&T> {
+        self.app.as_any().downcast_ref::<T>()
+    }
+}
+
 /// An application that does nothing (for hosts that only route).
 #[derive(Default)]
 pub struct NullApp;

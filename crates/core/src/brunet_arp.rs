@@ -54,7 +54,8 @@ pub struct BrunetArp {
     pub cache_misses: u64,
     /// Statistics: resolutions that found no mapping in the DHT.
     pub failed: u64,
-    /// Statistics: parked packets dropped because a destination's queue was full.
+    /// Statistics: parked packets dropped because a destination's queue was
+    /// full or its resolution failed.
     pub dropped: u64,
 }
 
@@ -89,11 +90,6 @@ impl BrunetArp {
     /// Decode a DHT value back into an overlay address.
     pub fn decode_mapping(value: &[u8]) -> Option<Address> {
         ipop_services::dhcp::decode_owner(value)
-    }
-
-    /// Number of live cache entries.
-    pub fn cached(&self) -> usize {
-        self.lookups.cached_len()
     }
 
     /// Number of parked packets across all destinations.
@@ -134,30 +130,25 @@ impl BrunetArp {
         queue.push_back(pkt);
     }
 
-    /// Process a DHT reply. Returns the resolved destination, its overlay address
-    /// (if the mapping existed) and any packets that were waiting for it.
+    /// Process a DHT reply. A found mapping is cached and returned with the
+    /// packets that were waiting for it; a missing one drops them (counted in
+    /// [`BrunetArp::failed`] and [`BrunetArp::dropped`]) and returns `None`,
+    /// as does a token that is not ours.
     pub fn on_reply(
         &mut self,
         now: SimTime,
         token: u64,
         value: Option<Bytes>,
-    ) -> Option<(Ipv4Addr, Option<Address>, Vec<Ipv4Packet>)> {
+    ) -> Option<(Address, Vec<Ipv4Packet>)> {
         let dst = self.lookups.answered(token)?;
-        let addr = value.as_deref().and_then(Self::decode_mapping);
         let waiting: Vec<Ipv4Packet> = self.parked.remove(&dst).map(Vec::from).unwrap_or_default();
-        match addr {
-            Some(a) => self.lookups.store(now, dst, a),
-            None => {
-                self.failed += 1;
-            }
-        }
-        Some((dst, addr, waiting))
-    }
-
-    /// Drop the cached mapping for `dst` (e.g. after repeated delivery failures, or
-    /// when a migration is announced).
-    pub fn invalidate(&mut self, dst: Ipv4Addr) {
-        self.lookups.invalidate(&dst);
+        let Some(addr) = value.as_deref().and_then(Self::decode_mapping) else {
+            self.failed += 1;
+            self.dropped += waiting.len() as u64;
+            return None;
+        };
+        self.lookups.store(now, dst, addr);
+        Some((addr, waiting))
     }
 
     /// Drop every parked packet and outstanding query. Called when the node's
@@ -165,12 +156,10 @@ impl BrunetArp {
     /// packets were sourced from the old address, and a late reply releasing
     /// them would emit traffic from an address this node no longer holds.
     /// The resolution cache survives — it maps *other* hosts' addresses.
-    pub fn reset_pending(&mut self) -> usize {
-        let dropped = self.parked_packets();
+    pub fn reset_pending(&mut self) {
+        self.dropped += self.parked_packets() as u64;
         self.parked.clear();
         self.lookups.clear_outstanding();
-        self.dropped += dropped as u64;
-        dropped
     }
 }
 
@@ -215,13 +204,11 @@ mod tests {
         assert_eq!(arp.parked_packets(), 2);
         // Reply arrives: both packets released, mapping cached.
         let target = Address::from_key(b"host routing for DST");
-        let (ip, addr, released) = arp
+        let (addr, released) = arp
             .on_reply(now, 7, Some(BrunetArp::encode_mapping(&target)))
             .unwrap();
-        assert_eq!(ip, DST);
-        assert_eq!(addr, Some(target));
+        assert_eq!(addr, target);
         assert_eq!(released.len(), 2);
-        assert_eq!(arp.cached(), 1);
         // Third packet: cache hit.
         assert_eq!(arp.resolve(now, DST), Resolution::Resolved(target));
         assert_eq!(arp.cache_hits, 1);
@@ -246,15 +233,19 @@ mod tests {
     }
 
     #[test]
-    fn failed_lookup_counts_and_releases_packets() {
+    fn failed_lookup_counts_and_drops_packets() {
         let mut arp = BrunetArp::new(Duration::from_secs(10));
         arp.query_issued(SimTime::ZERO, 3, DST);
         arp.park(DST, pkt(DST));
-        let (_, addr, released) = arp.on_reply(SimTime::ZERO, 3, None).unwrap();
-        assert_eq!(addr, None);
-        assert_eq!(released.len(), 1);
+        arp.park(DST, pkt(DST));
+        assert_eq!(arp.on_reply(SimTime::ZERO, 3, None), None);
+        assert_eq!(arp.parked_packets(), 0);
         assert_eq!(arp.failed, 1);
-        assert_eq!(arp.cached(), 0);
+        assert_eq!(arp.dropped, 2, "a failed resolution drops what was parked");
+        assert!(
+            matches!(arp.resolve(SimTime::ZERO, DST), Resolution::NeedsQuery(_)),
+            "nothing cached"
+        );
     }
 
     #[test]
@@ -289,7 +280,7 @@ mod tests {
         assert_eq!(arp.parked_packets(), DEFAULT_PARK_LIMIT + 1);
         assert_eq!(arp.dropped, 2);
         let target = Address::from_key(b"n");
-        let (_, _, released) = arp
+        let (_, released) = arp
             .on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)))
             .unwrap();
         assert_eq!(released.len(), DEFAULT_PARK_LIMIT);
@@ -331,11 +322,10 @@ mod tests {
         );
         // The fresh token answers and releases parked packets.
         arp.park(DST, pkt(DST));
-        let (ip, addr, released) = arp
+        let (addr, released) = arp
             .on_reply(late, 2, Some(BrunetArp::encode_mapping(&target)))
             .unwrap();
-        assert_eq!(ip, DST);
-        assert_eq!(addr, Some(target));
+        assert_eq!(addr, target);
         assert_eq!(released.len(), 1);
     }
 
@@ -348,7 +338,7 @@ mod tests {
         let other = Ipv4Addr::new(172, 16, 0, 99);
         arp.query_issued(SimTime::ZERO, 2, other);
         arp.park(other, pkt(other));
-        assert_eq!(arp.reset_pending(), 1);
+        arp.reset_pending();
         assert_eq!(arp.parked_packets(), 0);
         assert_eq!(arp.dropped, 1);
         // A late reply for the cleared query releases nothing.
@@ -360,18 +350,5 @@ mod tests {
             arp.resolve(SimTime::ZERO, DST),
             Resolution::Resolved(target)
         );
-    }
-
-    #[test]
-    fn invalidate_forces_requery() {
-        let mut arp = BrunetArp::new(Duration::from_secs(1000));
-        let target = Address::from_key(b"n");
-        arp.query_issued(SimTime::ZERO, 1, DST);
-        arp.on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)));
-        arp.invalidate(DST);
-        assert!(matches!(
-            arp.resolve(SimTime::ZERO, DST),
-            Resolution::NeedsQuery(_)
-        ));
     }
 }

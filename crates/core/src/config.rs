@@ -5,6 +5,7 @@ use std::net::Ipv4Addr;
 use ipop_overlay::packets::Endpoint;
 use ipop_overlay::transport::TransportMode;
 use ipop_overlay::{Address, OverlayConfig};
+use ipop_services::Subnet;
 use ipop_simcore::Duration;
 
 /// Configuration of one IPOP node (paper Section III).
@@ -91,15 +92,11 @@ impl IpopConfig {
     /// fabricated gateway is the subnet's second-highest host address (the
     /// allocator never draws it).
     pub fn dynamic(subnet: (Ipv4Addr, u8)) -> Self {
-        let (net, len) = subnet;
-        assert!(len <= 30, "subnet too small for dynamic allocation");
-        let mask = u32::MAX << (32 - len);
-        let net = u32::from(net) & mask;
-        let gateway = Ipv4Addr::from(net | (!mask - 1));
+        let subnet = Subnet::new(subnet.0, subnet.1);
         let mut cfg = Self::new(Ipv4Addr::UNSPECIFIED);
-        cfg.dynamic_subnet = Some((Ipv4Addr::from(net), len));
-        cfg.virtual_prefix = (Ipv4Addr::from(net), len);
-        cfg.gateway_ip = gateway;
+        cfg.dynamic_subnet = Some((subnet.net, subnet.prefix));
+        cfg.virtual_prefix = (subnet.net, subnet.prefix);
+        cfg.gateway_ip = Ipv4Addr::from(u32::from(subnet.broadcast()) - 1);
         cfg.brunet_arp = true;
         cfg
     }

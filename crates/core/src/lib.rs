@@ -56,16 +56,19 @@ pub mod app;
 pub mod brunet_arp;
 pub mod builder;
 pub mod config;
+mod dataplane;
 pub mod node;
 pub mod plain;
+mod selfconfig;
 mod wakeup;
 
 pub use app::{AppEnv, NullApp, VirtualApp};
 pub use brunet_arp::{BrunetArp, Resolution};
 pub use builder::{deploy_ipop, deploy_plain, DeployOptions, IpopMember};
 pub use config::IpopConfig;
+pub use dataplane::IpopMetrics;
 pub use ipop_services::vstream::{StreamFate, VirtualStream};
-pub use node::{IpopHostAgent, IpopMetrics};
+pub use node::IpopHostAgent;
 pub use plain::PlainHostAgent;
 
 /// Convenient re-exports for examples and experiment harnesses.

@@ -13,57 +13,40 @@ use std::net::Ipv4Addr;
 use ipop_netsim::{HostAgent, HostCtx};
 use ipop_netstack::{NetStack, StackConfig};
 use ipop_packet::ipv4::Ipv4Packet;
-use ipop_simcore::{SimTime, StreamRng, TimerToken};
+use ipop_simcore::{StreamRng, TimerToken};
 
-use crate::app::{AppEnv, VirtualApp};
+use crate::app::{AppHost, VirtualApp};
 use crate::wakeup::Wakeup;
 
 /// A host agent running an application directly on the physical network.
 pub struct PlainHostAgent {
-    stack: NetStack,
-    app: Box<dyn VirtualApp>,
-    app_rng: StreamRng,
-    app_next: Option<SimTime>,
+    host: AppHost,
     wakeup: Wakeup,
-    label: String,
 }
 
 impl PlainHostAgent {
     /// Build a baseline agent for a host with physical address `addr`.
     pub fn new(addr: Ipv4Addr, app: Box<dyn VirtualApp>) -> Self {
         let seed = u64::from(u32::from(addr)) ^ 0x00ba_5e11;
+        let stack = NetStack::new(StackConfig::new(addr));
+        let rng = StreamRng::new(seed, "plain.app");
         PlainHostAgent {
-            stack: NetStack::new(StackConfig::new(addr)),
-            app,
-            app_rng: StreamRng::new(seed, "plain.app"),
-            app_next: None,
+            host: AppHost::new(stack, app, rng),
             wakeup: Wakeup::default(),
-            label: format!("plain-{addr}"),
         }
     }
 
     /// Downcast the embedded application.
     pub fn app_as<T: 'static>(&self) -> Option<&T> {
-        self.app.as_any().downcast_ref::<T>()
-    }
-
-    /// Mutable downcast of the embedded application.
-    pub fn app_as_mut<T: 'static>(&mut self) -> Option<&mut T> {
-        self.app.as_any_mut().downcast_mut::<T>()
+        self.host.app_as()
     }
 
     fn pump(&mut self, ctx: &mut HostCtx<'_, '_>) {
         let now = ctx.now();
         for _ in 0..32 {
-            let mut env = AppEnv {
-                stack: &mut self.stack,
-                now,
-                rng: &mut self.app_rng,
-                host_name: &self.label,
-            };
-            self.app_next = self.app.poll(&mut env);
-            self.stack.poll(now);
-            let out = self.stack.take_packets();
+            self.host.poll(now);
+            self.host.stack.poll(now);
+            let out = self.host.stack.take_packets();
             if out.is_empty() {
                 break;
             }
@@ -72,8 +55,7 @@ impl PlainHostAgent {
             }
         }
         // With no deadline at all the agent sleeps until the next packet.
-        let next = [self.stack.next_timeout(), self.app_next];
-        if let Some(next) = next.into_iter().flatten().min() {
+        if let Some(next) = self.host.next_deadline() {
             self.wakeup.arm(ctx, next);
         }
     }
@@ -81,20 +63,13 @@ impl PlainHostAgent {
 
 impl HostAgent for PlainHostAgent {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
-        let now = ctx.now();
-        self.label = format!("{}({})", ctx.name(), ctx.addr());
-        let mut env = AppEnv {
-            stack: &mut self.stack,
-            now,
-            rng: &mut self.app_rng,
-            host_name: &self.label,
-        };
-        self.app.on_start(&mut env);
+        self.host.label = format!("{}({})", ctx.name(), ctx.addr());
+        self.host.start(ctx.now());
         self.pump(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx<'_, '_>, pkt: Ipv4Packet) {
-        self.stack.handle_packet(ctx.now(), pkt);
+        self.host.stack.handle_packet(ctx.now(), pkt);
         self.pump(ctx);
     }
 

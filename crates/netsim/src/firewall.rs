@@ -102,17 +102,6 @@ impl Rule {
             allow: true,
         }
     }
-
-    /// Deny outbound traffic to `remote`.
-    pub fn deny_outbound(proto: ProtoMatch, remote: HostMatch) -> Self {
-        Rule {
-            direction: Direction::Outbound,
-            proto,
-            remote,
-            dst_port: None,
-            allow: false,
-        }
-    }
 }
 
 /// Identity of a flow for connection tracking: (internal endpoint, remote endpoint,

@@ -134,11 +134,6 @@ impl HostCtx<'_, '_> {
         self.ctl.now()
     }
 
-    /// This host's identifier.
-    pub fn host_id(&self) -> HostId {
-        self.host
-    }
-
     /// This host's physical address.
     pub fn addr(&self) -> Ipv4Addr {
         self.net.host(self.host).addr

@@ -54,12 +54,6 @@ impl LinkParams {
         self
     }
 
-    /// Builder: set the jitter standard deviation.
-    pub fn with_jitter(mut self, jitter: Duration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Time to serialize `bytes` onto this link.
     pub fn serialization(&self, bytes: usize) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps)

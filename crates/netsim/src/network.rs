@@ -277,11 +277,6 @@ impl Network {
         &self.sites[id.0]
     }
 
-    /// Borrow a site mutably.
-    pub fn site_mut(&mut self, id: SiteId) -> &mut Site {
-        &mut self.sites[id.0]
-    }
-
     /// Find a host by its physical address.
     pub fn host_by_addr(&self, addr: Ipv4Addr) -> Option<HostId> {
         self.addr_to_host.get(&addr).copied()

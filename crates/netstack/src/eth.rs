@@ -128,11 +128,6 @@ impl EthAdapter {
         &self.arp
     }
 
-    /// Add a static ARP entry.
-    pub fn add_static_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
-        self.arp.insert(ip, mac);
-    }
-
     fn next_hop(&self, dst: Ipv4Addr) -> Ipv4Addr {
         self.gateway.unwrap_or(dst)
     }

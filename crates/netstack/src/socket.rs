@@ -156,14 +156,6 @@ impl Socket {
             _ => None,
         }
     }
-
-    /// Mutable access to the TCP connection inside, if this is one.
-    pub fn as_tcp_mut(&mut self) -> Option<&mut TcpSocket> {
-        match self {
-            Socket::Tcp(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

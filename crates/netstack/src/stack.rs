@@ -25,7 +25,7 @@ use ipop_simcore::SimTime;
 use crate::socket::{
     EchoReply, PingSocket, Socket, SocketHandle, TcpListener, UdpMessage, UdpSocket,
 };
-use crate::tcp::{TcpConfig, TcpSocket, TcpState};
+use crate::tcp::{TcpConfig, TcpSocket};
 
 /// Errors returned by stack operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -266,14 +266,6 @@ impl NetStack {
         }
     }
 
-    /// Number of datagrams queued on a UDP socket.
-    pub fn udp_pending(&self, h: SocketHandle) -> Result<usize, StackError> {
-        match self.socket(h)? {
-            Socket::Udp(u) => Ok(u.pending()),
-            _ => Err(StackError::BadHandle),
-        }
-    }
-
     // ------------------------------------------------------------------ ping API
 
     /// Open an ICMP echo socket with a unique identifier.
@@ -354,15 +346,6 @@ impl NetStack {
         Ok(self.alloc(Socket::Tcp(Box::new(sock))))
     }
 
-    /// Current state of a TCP socket.
-    pub fn tcp_state(&self, h: SocketHandle) -> Result<TcpState, StackError> {
-        match self.socket(h)? {
-            Socket::Tcp(t) => Ok(t.state()),
-            Socket::Listener(_) => Ok(TcpState::Listen),
-            _ => Err(StackError::BadHandle),
-        }
-    }
-
     /// True once the connection is established (and not yet fully closed).
     pub fn tcp_is_established(&self, h: SocketHandle) -> bool {
         matches!(self.socket(h), Ok(Socket::Tcp(t)) if t.is_established())
@@ -389,14 +372,6 @@ impl NetStack {
         }
     }
 
-    /// Space currently available in a TCP socket's send buffer.
-    pub fn tcp_send_capacity(&self, h: SocketHandle) -> usize {
-        self.socket(h)
-            .ok()
-            .and_then(|s| s.as_tcp())
-            .map_or(0, |t| t.send_capacity())
-    }
-
     /// Bytes not yet acknowledged (still queued) on a TCP socket.
     pub fn tcp_unacked(&self, h: SocketHandle) -> usize {
         self.socket(h)
@@ -411,14 +386,6 @@ impl NetStack {
             Socket::Tcp(t) => Ok(t.recv(max)),
             _ => Err(StackError::BadHandle),
         }
-    }
-
-    /// Bytes available to read on a TCP socket.
-    pub fn tcp_recv_available(&self, h: SocketHandle) -> usize {
-        self.socket(h)
-            .ok()
-            .and_then(|s| s.as_tcp())
-            .map_or(0, |t| t.recv_available())
     }
 
     /// True when the peer has closed its sending direction and all data was read.
@@ -438,17 +405,6 @@ impl NetStack {
             }
             Socket::Listener(_) => {
                 *self.socket_mut(h)? = Socket::Vacant;
-                Ok(())
-            }
-            _ => Err(StackError::BadHandle),
-        }
-    }
-
-    /// Abort a TCP socket immediately.
-    pub fn tcp_abort(&mut self, h: SocketHandle) -> Result<(), StackError> {
-        match self.socket_mut(h)? {
-            Socket::Tcp(t) => {
-                t.abort();
                 Ok(())
             }
             _ => Err(StackError::BadHandle),
@@ -591,11 +547,6 @@ impl NetStack {
     /// Drain all packets queued for transmission on the attached device.
     pub fn take_packets(&mut self) -> Vec<Ipv4Packet> {
         self.outbox.drain(..).collect()
-    }
-
-    /// True if there are packets waiting in the outbox.
-    pub fn has_pending_tx(&self) -> bool {
-        !self.outbox.is_empty()
     }
 
     /// True if some socket could emit segments if polled right now.

@@ -322,14 +322,6 @@ impl TcpSocket {
         }
     }
 
-    /// Abort: drop all state immediately. The stack emits a RST for us if needed.
-    pub fn abort(&mut self) {
-        self.state = TcpState::Closed;
-        self.send_buf.clear();
-        self.recv_buf.clear();
-        self.ooo.clear();
-    }
-
     // ------------------------------------------------------------ segment intake
 
     /// Process an incoming segment addressed to this connection.

@@ -72,15 +72,6 @@ impl Subnet {
         (1u64 << (32 - self.prefix)) - 2
     }
 
-    /// Draw a uniformly random usable host address that is not in `reserved`.
-    ///
-    /// Panics when the whole usable range is reserved; callers that can hit
-    /// that case use [`Subnet::draw_avoiding`] and handle exhaustion.
-    pub fn draw(&self, rng: &mut StreamRng, reserved: &[Ipv4Addr]) -> Ipv4Addr {
-        self.draw_avoiding(rng, reserved, &BTreeSet::new())
-            .expect("subnet exhausted: every usable address is reserved")
-    }
-
     /// Draw a usable host address that is neither in `reserved` nor in
     /// `avoid`, or `None` when the two sets cover the whole usable range
     /// (address-space exhaustion — a /30 has just two usable addresses).
@@ -241,6 +232,8 @@ pub struct DhcpAllocator {
     /// until the next successful bind clears the set; when `reserved` and
     /// `tried` together cover the whole usable range the subnet is exhausted.
     tried: BTreeSet<Ipv4Addr>,
+    /// The stream candidate addresses are drawn from.
+    rng: StreamRng,
     /// Claims lost to an existing live lease.
     pub collisions: u64,
     /// Claims issued.
@@ -250,8 +243,9 @@ pub struct DhcpAllocator {
 }
 
 impl DhcpAllocator {
-    /// An allocator drawing from `subnet`, claiming on behalf of `owner`.
-    pub fn new(subnet: Subnet, owner: Address, cfg: DhcpConfig) -> Self {
+    /// An allocator drawing from `subnet` with `rng`, claiming on behalf of
+    /// `owner`.
+    pub fn new(subnet: Subnet, owner: Address, cfg: DhcpConfig, rng: StreamRng) -> Self {
         DhcpAllocator {
             subnet,
             cfg,
@@ -261,6 +255,7 @@ impl DhcpAllocator {
             started_at: None,
             bound_at: None,
             tried: BTreeSet::new(),
+            rng,
             collisions: 0,
             attempts: 0,
             leases_lost: 0,
@@ -285,11 +280,6 @@ impl DhcpAllocator {
             DhcpState::Bound { ip } => Some(ip),
             _ => None,
         }
-    }
-
-    /// True once an address is allocated and confirmed.
-    pub fn bound(&self) -> bool {
-        matches!(self.state, DhcpState::Bound { .. })
     }
 
     /// Time from the first poll to the confirmed allocation.
@@ -319,20 +309,14 @@ impl DhcpAllocator {
     /// Drive the state machine. `ready` signals that the overlay is converged
     /// enough to claim (the caller typically requires established ring
     /// neighbours on both sides). Safe to call every tick.
-    pub fn poll(
-        &mut self,
-        now: SimTime,
-        ready: bool,
-        rng: &mut StreamRng,
-        dht: &mut dyn DhtClient,
-    ) {
+    pub fn poll(&mut self, now: SimTime, ready: bool, dht: &mut dyn DhtClient) {
         if self.started_at.is_none() {
             self.started_at = Some(now);
         }
         match self.state {
             DhcpState::Idle => {
                 if ready {
-                    self.claim(now, rng, dht);
+                    self.claim(now, dht);
                 }
             }
             DhcpState::Claiming { token, since, .. } => {
@@ -341,7 +325,7 @@ impl DhcpAllocator {
                     // a late success cannot become a phantom publication, and
                     // draw a fresh candidate.
                     dht.cancel_create(token);
-                    self.claim(now, rng, dht);
+                    self.claim(now, dht);
                 }
             }
             DhcpState::Confirming {
@@ -398,7 +382,6 @@ impl DhcpAllocator {
         token: u64,
         created: bool,
         conflict: bool,
-        rng: &mut StreamRng,
         dht: &mut dyn DhtClient,
     ) -> bool {
         let DhcpState::Claiming {
@@ -421,7 +404,7 @@ impl DhcpAllocator {
             // A live lease already exists under this address: collision.
             self.collisions += 1;
             self.tried.insert(ip);
-            self.claim(now, rng, dht);
+            self.claim(now, dht);
         } else {
             // Quorum failure: re-claim the same address after a short wait,
             // without consuming the attempts budget — a partition can reject
@@ -444,7 +427,6 @@ impl DhcpAllocator {
         now: SimTime,
         token: u64,
         value: Option<&[u8]>,
-        rng: &mut StreamRng,
         dht: &mut dyn DhtClient,
     ) -> bool {
         let DhcpState::Confirming {
@@ -473,7 +455,7 @@ impl DhcpAllocator {
             self.collisions += 1;
             self.tried.insert(ip);
             dht.unpublish(&lease_key(ip));
-            self.claim(now, rng, dht);
+            self.claim(now, dht);
         }
         true
     }
@@ -482,17 +464,20 @@ impl DhcpAllocator {
     /// found a conflicting record owning the key (the other side of a healed
     /// partition won). The publication is already gone — re-allocate a fresh
     /// address; the caller re-binds when the new lease confirms.
-    pub fn on_lease_lost(&mut self, now: SimTime, rng: &mut StreamRng, dht: &mut dyn DhtClient) {
+    pub fn on_lease_lost(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
         let DhcpState::Bound { ip } = self.state else {
             return;
         };
         self.leases_lost += 1;
         self.tried.insert(ip);
-        self.claim(now, rng, dht);
+        self.claim(now, dht);
     }
 
-    fn claim(&mut self, now: SimTime, rng: &mut StreamRng, dht: &mut dyn DhtClient) {
-        let Some(ip) = self.subnet.draw_avoiding(rng, &self.reserved, &self.tried) else {
+    fn claim(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
+        let Some(ip) = self
+            .subnet
+            .draw_avoiding(&mut self.rng, &self.reserved, &self.tried)
+        else {
             // Every usable address is reserved or known taken: terminal,
             // instead of redrawing (and re-colliding) forever.
             self.state = DhcpState::AddressSpaceExhausted;
@@ -540,9 +525,13 @@ mod tests {
         Address::from_key(b"claimant")
     }
 
-    fn alloc() -> DhcpAllocator {
-        DhcpAllocator::new(subnet(), owner(), DhcpConfig::default())
+    fn alloc(seed: u64) -> DhcpAllocator {
+        DhcpAllocator::new(subnet(), owner(), DhcpConfig::default(), rng(seed))
             .with_reserved(vec![Ipv4Addr::new(172, 16, 9, 254)])
+    }
+
+    fn rng(seed: u64) -> StreamRng {
+        StreamRng::new(seed, "dhcp")
     }
 
     #[test]
@@ -561,7 +550,9 @@ mod tests {
         let mut rng = StreamRng::new(7, "draw");
         let reserved = [Ipv4Addr::new(172, 16, 9, 254)];
         for _ in 0..500 {
-            let ip = s.draw(&mut rng, &reserved);
+            let ip = s
+                .draw_avoiding(&mut rng, &reserved, &BTreeSet::new())
+                .unwrap();
             assert!(s.contains(ip));
             assert_ne!(ip, s.net, "network address never drawn");
             assert_ne!(ip, s.broadcast(), "broadcast never drawn");
@@ -578,15 +569,14 @@ mod tests {
 
     #[test]
     fn happy_path_claim_confirm_bind() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(1, "dhcp");
+        let mut a = alloc(1);
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
         // Not ready: nothing happens.
-        a.poll(t0, false, &mut rng, &mut dht);
+        a.poll(t0, false, &mut dht);
         assert!(dht.ops.is_empty());
         // Ready: a claim goes out.
-        a.poll(t0, true, &mut rng, &mut dht);
+        a.poll(t0, true, &mut dht);
         let Some(Op::Create(key, value, ttl)) = dht.ops.first().cloned() else {
             panic!("expected a create, got {:?}", dht.ops)
         };
@@ -597,18 +587,18 @@ mod tests {
         };
         assert_eq!(key, lease_key(ip));
         // Claim succeeds → confirming after the settle delay.
-        assert!(a.on_create_reply(t0, token, true, false, &mut rng, &mut dht));
-        assert!(!a.bound());
+        assert!(a.on_create_reply(t0, token, true, false, &mut dht));
+        assert_eq!(a.ip(), None);
         let t1 = t0 + Duration::from_secs(1);
-        a.poll(t1, true, &mut rng, &mut dht);
+        a.poll(t1, true, &mut dht);
         assert_eq!(dht.ops.len(), 1, "confirm read waits for the settle delay");
         let t2 = t0 + Duration::from_secs(3);
-        a.poll(t2, true, &mut rng, &mut dht);
+        a.poll(t2, true, &mut dht);
         assert!(matches!(dht.ops.last(), Some(Op::Get(k)) if *k == lease_key(ip)));
         let get_token = dht.last_token();
         // Confirmation reads back our own claim → bound.
         let v = encode_owner(&owner());
-        assert!(a.on_get_reply(t2, get_token, Some(v.as_slice()), &mut rng, &mut dht));
+        assert!(a.on_get_reply(t2, get_token, Some(v.as_slice()), &mut dht));
         assert_eq!(a.ip(), Some(ip));
         assert_eq!(a.allocation_latency(), Some(Duration::from_secs(3)));
         assert_eq!(a.collisions, 0);
@@ -616,16 +606,15 @@ mod tests {
 
     #[test]
     fn collision_draws_a_fresh_candidate() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(2, "dhcp");
+        let mut a = alloc(2);
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
-        a.poll(t0, true, &mut rng, &mut dht);
+        a.poll(t0, true, &mut dht);
         let DhcpState::Claiming { token, ip, .. } = a.state() else {
             panic!()
         };
         // Claim lost: a different candidate is claimed next.
-        assert!(a.on_create_reply(t0, token, false, true, &mut rng, &mut dht));
+        assert!(a.on_create_reply(t0, token, false, true, &mut dht));
         assert_eq!(a.collisions, 1);
         let DhcpState::Claiming { ip: ip2, .. } = a.state() else {
             panic!("retry expected, got {:?}", a.state())
@@ -636,22 +625,21 @@ mod tests {
 
     #[test]
     fn failed_confirmation_unpublishes_and_retries() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(3, "dhcp");
+        let mut a = alloc(3);
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
-        a.poll(t0, true, &mut rng, &mut dht);
+        a.poll(t0, true, &mut dht);
         let DhcpState::Claiming { token, ip, .. } = a.state() else {
             panic!()
         };
-        a.on_create_reply(t0, token, true, false, &mut rng, &mut dht);
+        a.on_create_reply(t0, token, true, false, &mut dht);
         let t1 = t0 + Duration::from_secs(3);
-        a.poll(t1, true, &mut rng, &mut dht);
+        a.poll(t1, true, &mut dht);
         let get_token = dht.last_token();
         // The read returns a different owner: split-brain loser backs off.
         let other = encode_owner(&Address::from_key(b"someone else"));
-        assert!(a.on_get_reply(t1, get_token, Some(other.as_slice()), &mut rng, &mut dht));
-        assert!(!a.bound());
+        assert!(a.on_get_reply(t1, get_token, Some(other.as_slice()), &mut dht));
+        assert_eq!(a.ip(), None);
         assert!(
             dht.ops.contains(&Op::Unpublish(lease_key(ip))),
             "the losing claim must stop refreshing"
@@ -661,20 +649,14 @@ mod tests {
 
     #[test]
     fn claim_timeout_reissues() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(4, "dhcp");
+        let mut a = alloc(4);
         let mut dht = FakeDht::default();
-        a.poll(SimTime::ZERO, true, &mut rng, &mut dht);
+        a.poll(SimTime::ZERO, true, &mut dht);
         assert_eq!(a.attempts, 1);
         let DhcpState::Claiming { token, .. } = a.state() else {
             panic!()
         };
-        a.poll(
-            SimTime::ZERO + Duration::from_secs(11),
-            true,
-            &mut rng,
-            &mut dht,
-        );
+        a.poll(SimTime::ZERO + Duration::from_secs(11), true, &mut dht);
         assert_eq!(a.attempts, 2, "lost claim re-issued after the timeout");
         assert!(
             dht.ops.contains(&Op::CancelCreate(token)),
@@ -684,29 +666,22 @@ mod tests {
 
     #[test]
     fn release_removes_the_lease() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(5, "dhcp");
+        let mut a = alloc(5);
         let mut dht = FakeDht::default();
-        a.poll(SimTime::ZERO, true, &mut rng, &mut dht);
+        a.poll(SimTime::ZERO, true, &mut dht);
         let DhcpState::Claiming { token, ip, .. } = a.state() else {
             panic!()
         };
-        a.on_create_reply(SimTime::ZERO, token, true, false, &mut rng, &mut dht);
-        a.poll(
-            SimTime::ZERO + Duration::from_secs(3),
-            true,
-            &mut rng,
-            &mut dht,
-        );
+        a.on_create_reply(SimTime::ZERO, token, true, false, &mut dht);
+        a.poll(SimTime::ZERO + Duration::from_secs(3), true, &mut dht);
         let v = encode_owner(&owner());
         a.on_get_reply(
             SimTime::ZERO + Duration::from_secs(3),
             dht.last_token(),
             Some(v.as_slice()),
-            &mut rng,
             &mut dht,
         );
-        assert!(a.bound());
+        assert!(a.ip().is_some());
         a.release(SimTime::ZERO + Duration::from_secs(10), &mut dht);
         assert_eq!(a.state(), DhcpState::Released);
         assert!(matches!(dht.ops.last(), Some(Op::Remove(k)) if *k == lease_key(ip)));
@@ -719,36 +694,35 @@ mod tests {
         // range once — not redraw (and re-collide) forever.
         let s = Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 30);
         assert_eq!(s.usable_hosts(), 2);
-        let mut a = DhcpAllocator::new(s, owner(), DhcpConfig::default());
-        let mut rng = StreamRng::new(9, "dhcp");
+        let mut a = DhcpAllocator::new(s, owner(), DhcpConfig::default(), rng(9));
         let mut dht = FakeDht::default();
         let mut now = SimTime::ZERO;
-        a.poll(now, true, &mut rng, &mut dht);
+        a.poll(now, true, &mut dht);
         for _ in 0..2 {
             let DhcpState::Claiming { token, .. } = a.state() else {
                 panic!("expected a claim, got {:?}", a.state())
             };
-            a.on_create_reply(now, token, false, true, &mut rng, &mut dht);
+            a.on_create_reply(now, token, false, true, &mut dht);
             now += Duration::from_secs(1);
         }
         assert_eq!(a.state(), DhcpState::AddressSpaceExhausted);
         assert_eq!(a.attempts, 2, "each usable address was tried exactly once");
         // Terminal: further polls issue nothing.
         let ops = dht.ops.len();
-        a.poll(now, true, &mut rng, &mut dht);
+        a.poll(now, true, &mut dht);
         assert_eq!(dht.ops.len(), ops);
     }
 
     #[test]
     fn fully_reserved_subnet_is_exhausted_without_any_claim() {
         let s = Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 30);
-        let mut a = DhcpAllocator::new(s, owner(), DhcpConfig::default()).with_reserved(vec![
-            Ipv4Addr::new(172, 16, 9, 1),
-            Ipv4Addr::new(172, 16, 9, 2),
-        ]);
-        let mut rng = StreamRng::new(10, "dhcp");
+        let mut a =
+            DhcpAllocator::new(s, owner(), DhcpConfig::default(), rng(10)).with_reserved(vec![
+                Ipv4Addr::new(172, 16, 9, 1),
+                Ipv4Addr::new(172, 16, 9, 2),
+            ]);
         let mut dht = FakeDht::default();
-        a.poll(SimTime::ZERO, true, &mut rng, &mut dht);
+        a.poll(SimTime::ZERO, true, &mut dht);
         assert_eq!(a.state(), DhcpState::AddressSpaceExhausted);
         assert!(
             dht.ops.is_empty(),
@@ -777,15 +751,14 @@ mod tests {
         // failure (partition minority): the address is NOT taken, so the
         // allocator re-claims it instead of blacklisting a free address
         // (which would walk it into a false AddressSpaceExhausted).
-        let mut a = alloc();
-        let mut rng = StreamRng::new(13, "dhcp");
+        let mut a = alloc(13);
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
-        a.poll(t0, true, &mut rng, &mut dht);
+        a.poll(t0, true, &mut dht);
         let DhcpState::Claiming { token, ip, .. } = a.state() else {
             panic!()
         };
-        assert!(a.on_create_reply(t0, token, false, false, &mut rng, &mut dht));
+        assert!(a.on_create_reply(t0, token, false, false, &mut dht));
         let DhcpState::RetryWait { ip: ip2, retry_at } = a.state() else {
             panic!("retry wait expected, got {:?}", a.state())
         };
@@ -794,10 +767,10 @@ mod tests {
         // No immediate re-claim (that would ping-pong against the rejecting
         // coordinator once per round trip)...
         let ops = dht.ops.len();
-        a.poll(t0 + Duration::from_secs(1), true, &mut rng, &mut dht);
+        a.poll(t0 + Duration::from_secs(1), true, &mut dht);
         assert_eq!(dht.ops.len(), ops, "no claim before the retry delay");
         // ...but after the delay the same address is claimed again.
-        a.poll(t0 + Duration::from_secs(3), true, &mut rng, &mut dht);
+        a.poll(t0 + Duration::from_secs(3), true, &mut dht);
         let DhcpState::Claiming { ip: ip3, .. } = a.state() else {
             panic!("re-claim expected, got {:?}", a.state())
         };
@@ -811,33 +784,31 @@ mod tests {
 
     #[test]
     fn lost_lease_reallocates_a_fresh_address() {
-        let mut a = alloc();
-        let mut rng = StreamRng::new(12, "dhcp");
+        let mut a = alloc(12);
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
-        a.poll(t0, true, &mut rng, &mut dht);
+        a.poll(t0, true, &mut dht);
         let DhcpState::Claiming { token, ip, .. } = a.state() else {
             panic!()
         };
-        a.on_create_reply(t0, token, true, false, &mut rng, &mut dht);
-        a.poll(t0 + Duration::from_secs(3), true, &mut rng, &mut dht);
+        a.on_create_reply(t0, token, true, false, &mut dht);
+        a.poll(t0 + Duration::from_secs(3), true, &mut dht);
         let v = encode_owner(&owner());
         a.on_get_reply(
             t0 + Duration::from_secs(3),
             dht.last_token(),
             Some(v.as_slice()),
-            &mut rng,
             &mut dht,
         );
-        assert!(a.bound());
+        assert!(a.ip().is_some());
         // The overlay reports the lease lost (healed-partition conflict).
-        a.on_lease_lost(t0 + Duration::from_secs(60), &mut rng, &mut dht);
+        a.on_lease_lost(t0 + Duration::from_secs(60), &mut dht);
         assert_eq!(a.leases_lost, 1);
         let DhcpState::Claiming { ip: ip2, .. } = a.state() else {
             panic!("re-claim expected, got {:?}", a.state())
         };
         assert_ne!(ip2, ip, "the conflicted address is never drawn again");
-        assert!(!a.bound());
+        assert_eq!(a.ip(), None);
     }
 
     #[test]
@@ -849,14 +820,14 @@ mod tests {
                 max_attempts: 3,
                 ..DhcpConfig::default()
             },
+            rng(6),
         );
-        let mut rng = StreamRng::new(6, "dhcp");
         let mut dht = FakeDht::default();
         let mut now = SimTime::ZERO;
-        a.poll(now, true, &mut rng, &mut dht);
+        a.poll(now, true, &mut dht);
         for _ in 0..3 {
             if let DhcpState::Claiming { token, .. } = a.state() {
-                a.on_create_reply(now, token, false, true, &mut rng, &mut dht);
+                a.on_create_reply(now, token, false, true, &mut dht);
             }
             now += Duration::from_secs(1);
         }

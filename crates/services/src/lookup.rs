@@ -75,19 +75,9 @@ impl<K: Ord, V: Clone> Lookups<K, V> {
         self.cache.insert(key, (value, now));
     }
 
-    /// Drop the cached answer for `key`.
-    pub fn invalidate(&mut self, key: &K) {
-        self.cache.remove(key);
-    }
-
     /// Forget every outstanding query; the cache survives.
     pub fn clear_outstanding(&mut self) {
         self.outstanding.clear();
-    }
-
-    /// Number of cache entries.
-    pub fn cached_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// Number of queries awaiting a reply.
@@ -114,6 +104,6 @@ mod tests {
         l.store(t0, 1, 99);
         assert_eq!(l.cached(t0 + Duration::from_secs(9), &1), Some(99));
         assert_eq!(l.cached(t0 + Duration::from_secs(10), &1), None);
-        assert_eq!(l.cached_len(), 0, "the stale entry was dropped");
+        assert!(l.cache.is_empty(), "the stale entry was dropped");
     }
 }

@@ -89,10 +89,6 @@ pub struct VirtualStreams {
     inboxes: BTreeMap<(Address, u64), VecDeque<Bytes>>,
     /// Remotely opened streams not yet claimed via [`VirtualStreams::accept`].
     pending_accept: VecDeque<VirtualStream>,
-    /// Streams whose `Established` event has arrived.
-    established: Vec<VirtualStream>,
-    /// Streams that reached a terminal state, with their fate.
-    finished: Vec<(VirtualStream, StreamFate)>,
     /// Streams opened from this node.
     pub opened: u64,
     /// Streams accepted from remote opens.
@@ -102,10 +98,6 @@ pub struct VirtualStreams {
 }
 
 impl VirtualStreams {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Open a stream to `remote` and return its handle. Data can be sent
     /// immediately; it flows once the handshake completes.
     pub fn connect(
@@ -165,9 +157,8 @@ impl VirtualStreams {
         let mut newly_finished = Vec::new();
         for ev in client.take_events() {
             match ev {
-                StreamEvent::Established { remote, stream_id } => {
-                    self.established.push(VirtualStream { remote, stream_id });
-                }
+                // Data queued before the handshake already flows.
+                StreamEvent::Established { .. } => {}
                 StreamEvent::Closed { remote, stream_id }
                 | StreamEvent::RemoteClosed { remote, stream_id } => {
                     let vs = VirtualStream { remote, stream_id };
@@ -179,30 +170,7 @@ impl VirtualStreams {
                 }
             }
         }
-        self.finished.extend(newly_finished.iter().copied());
         newly_finished
-    }
-
-    /// True once the stream's handshake completed (its `Established` event
-    /// has been polled).
-    pub fn is_established(&self, stream: VirtualStream) -> bool {
-        self.established.contains(&stream)
-    }
-
-    /// The stream's terminal fate, once it has one.
-    pub fn fate(&self, stream: VirtualStream) -> Option<StreamFate> {
-        self.finished
-            .iter()
-            .find(|(vs, _)| *vs == stream)
-            .map(|(_, f)| *f)
-    }
-
-    /// Pop the next in-order chunk received on `stream` (zero-copy view of
-    /// the wire frame).
-    pub fn recv(&mut self, stream: VirtualStream) -> Option<Bytes> {
-        self.inboxes
-            .get_mut(&(stream.remote, stream.stream_id))?
-            .pop_front()
     }
 
     /// Drain everything received on `stream` as one contiguous buffer.
@@ -215,14 +183,6 @@ impl VirtualStreams {
             out.extend_from_slice(&chunk);
         }
         out
-    }
-
-    /// Forget a finished stream's local bookkeeping (inbox included).
-    pub fn forget(&mut self, stream: VirtualStream) {
-        self.inboxes.remove(&(stream.remote, stream.stream_id));
-        self.established.retain(|vs| *vs != stream);
-        self.finished.retain(|(vs, _)| *vs != stream);
-        self.pending_accept.retain(|vs| *vs != stream);
     }
 }
 
@@ -284,7 +244,7 @@ mod tests {
 
     #[test]
     fn connect_send_close_round_trip() {
-        let mut svc = VirtualStreams::new();
+        let mut svc = VirtualStreams::default();
         let mut client = FakeStreams::default();
         let t0 = SimTime::ZERO;
         let peer = addr(7);
@@ -298,7 +258,6 @@ mod tests {
             stream_id: vs.stream_id,
         });
         assert!(svc.poll(&mut client).is_empty());
-        assert!(svc.is_established(vs));
 
         assert!(svc.send(&mut client, t0, vs, Bytes::from(&b"hello"[..])));
         svc.close(&mut client, t0, vs);
@@ -316,12 +275,11 @@ mod tests {
         });
         let done = svc.poll(&mut client);
         assert_eq!(done, vec![(vs, StreamFate::Closed)]);
-        assert_eq!(svc.fate(vs), Some(StreamFate::Closed));
     }
 
     #[test]
     fn accepted_streams_bucket_their_data() {
-        let mut svc = VirtualStreams::new();
+        let mut svc = VirtualStreams::default();
         let mut client = FakeStreams::default();
         let (p1, p2) = (addr(1), addr(2));
         client.accepts.push((p1, 10));
@@ -343,8 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn failed_stream_reports_fate_and_forget_clears_state() {
-        let mut svc = VirtualStreams::new();
+    fn failed_stream_reports_its_fate_once() {
+        let mut svc = VirtualStreams::default();
         let mut client = FakeStreams::default();
         let peer = addr(3);
         let vs = svc.connect(&mut client, SimTime::ZERO, peer);
@@ -354,8 +312,6 @@ mod tests {
         });
         let done = svc.poll(&mut client);
         assert_eq!(done, vec![(vs, StreamFate::Failed)]);
-        svc.forget(vs);
-        assert_eq!(svc.fate(vs), None);
-        assert!(svc.recv(vs).is_none());
+        assert!(svc.poll(&mut client).is_empty());
     }
 }

@@ -45,11 +45,6 @@ impl OnlineStats {
         }
     }
 
-    /// Add a duration sample, in milliseconds (the unit the paper's tables use).
-    pub fn add_duration_ms(&mut self, d: Duration) {
-        self.add(d.as_millis_f64());
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count

@@ -19,6 +19,7 @@ const COUNTERS: &[(&str, &str)] = &[
     ("crates/overlay", "MonitorStats"),
     ("crates/netsim", "NetCounters"),
     ("crates/netsim", "ImpairmentCounters"),
+    ("crates/core", "IpopMetrics"),
 ];
 
 fn sources(dir: &Path, out: &mut Vec<String>) {
