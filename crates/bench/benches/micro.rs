@@ -30,8 +30,9 @@ fn bench_sha1(c: &mut Criterion) {
 }
 
 /// The SHA-1 mapping, and the two 160-bit kernels every greedy routing
-/// decision is made of (`connection_table/closest_to_*` below is both, under
-/// two `BTreeSet` range probes). The pair shares its first five bytes, so
+/// decision is made of (`connection_table/closest_to_*` below is both, after
+/// one binary search of the address-sorted edge `Vec`). The pair shares its
+/// first five bytes, so
 /// `cmp` is decided in the low word.
 fn bench_address(c: &mut Criterion) {
     use std::hint::black_box;

@@ -177,7 +177,7 @@ pub(crate) trait RingWorkload: Send {
 }
 
 /// Events driving a ring world. The queues sort and move entries by value, so
-/// the 152-byte link message is boxed (as `netsim::NetEvent` boxes its packet).
+/// the 128-byte link message is boxed (as `netsim::NetEvent` boxes its packet).
 pub(crate) enum RingEv<Op> {
     /// A link message from node `src` arriving at node `dst`.
     Deliver {
@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn ring_events_stay_small() {
         assert!(std::mem::size_of::<RingEv<u32>>() <= 48);
-        assert!(std::mem::size_of::<LinkMessage>() <= 152);
+        assert!(std::mem::size_of::<LinkMessage>() <= 128);
     }
 
     fn small() -> ScaleConfig {

@@ -103,9 +103,9 @@ fn flip_vec(owned: &mut [u8], rng: &mut StreamRng) -> bool {
     true
 }
 
-/// Flip 1–3 bytes of a shared buffer, returning the corrupted copy. The
-/// original buffer may back cached wire images elsewhere, so corruption is
-/// copy-on-write.
+/// Flip 1–3 bytes of a shared buffer, returning the corrupted copy. Other
+/// views — the sender's, or a duplicate still in flight — may share the
+/// original buffer, so corruption is copy-on-write.
 fn flip_bytes(bytes: &Bytes, rng: &mut StreamRng) -> Option<Bytes> {
     if bytes.is_empty() {
         return None;

@@ -258,9 +258,8 @@ pub enum RoutedPayload {
     /// Besides delivering locally, the receiver is delegated `relay_to`: it
     /// re-partitions that list into at most `pubsub_fanout` chunks and sends
     /// each chunk onward — the tree's degree stays bounded while the whole
-    /// subscriber set is covered. The body is encoded *last* so a forwarding
-    /// hop can reuse the cached wire image (patching only hops/TTL) and the
-    /// body bytes are sliced, never copied, on decode.
+    /// subscriber set is covered. The body is encoded *last*, so decoding
+    /// slices it out of the received buffer instead of copying it.
     PubSubDeliver {
         /// The topic's DHT key.
         topic: Address,
@@ -300,9 +299,8 @@ pub enum RoutedPayload {
         window: u32,
     },
     /// One ordered segment of stream payload. The body is encoded *last* (as
-    /// in [`RoutedPayload::PubSubDeliver`]) so forwarding hops patch the
-    /// cached wire image instead of re-encoding, and receivers slice the body
-    /// out of the shared buffer.
+    /// in [`RoutedPayload::PubSubDeliver`]), so receivers slice it out of the
+    /// shared buffer.
     StreamData {
         /// Stream id (scoped to the sending node).
         stream_id: u64,
@@ -335,7 +333,7 @@ pub enum RoutedPayload {
 }
 
 /// A packet routed hop-by-hop across the overlay ring.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoutedPacket {
     /// Originating node.
     pub src: Address,
@@ -349,26 +347,6 @@ pub struct RoutedPacket {
     pub ttl: u8,
     /// Payload.
     pub payload: RoutedPayload,
-    /// Wire image this packet was decoded from, when it carries an IP tunnel,
-    /// a pub/sub delivery or a stream segment (the payloads forwarded
-    /// verbatim in bulk).
-    /// Forwarding nodes re-encode by patching the hop/TTL bytes of this image
-    /// instead of re-serializing the whole tunnelled payload; validity is
-    /// checked structurally in [`LinkMessage::to_wire`], so mutating header
-    /// fields (the forwarding path bumps `hops`) stays safe.
-    wire: Option<Bytes>,
-}
-
-impl PartialEq for RoutedPacket {
-    fn eq(&self, other: &Self) -> bool {
-        // The cached wire image is a transport detail, not identity.
-        self.src == other.src
-            && self.dst == other.dst
-            && self.mode == other.mode
-            && self.hops == other.hops
-            && self.ttl == other.ttl
-            && self.payload == other.payload
-    }
 }
 
 impl RoutedPacket {
@@ -381,7 +359,6 @@ impl RoutedPacket {
             hops: 0,
             ttl: 32,
             payload,
-            wire: None,
         }
     }
 }
@@ -463,22 +440,6 @@ pub enum LinkMessage {
         neighbors: Vec<(Address, Endpoint)>,
     },
 }
-
-/// Offset of the `hops` byte inside an encoded `LinkMessage::Routed` (tag 1 +
-/// src 20 + dst 20 + mode 1).
-const ROUTED_HOPS_OFFSET: usize = 42;
-/// Offset of the `ttl` byte (directly after `hops`).
-const ROUTED_TTL_OFFSET: usize = 43;
-/// Offset of the tunnelled payload bytes (header + payload tag 1 + length 4).
-const ROUTED_TUNNEL_OFFSET: usize = 49;
-/// Fixed bytes of an encoded `PubSubDeliver` besides the relay list and body:
-/// routed header 44 + payload tag 1 + topic 20 + msg_id 8 + relay count 2 +
-/// body length 4. The body starts at `PUBSUB_DELIVER_FIXED + 20 × relays`.
-const PUBSUB_DELIVER_FIXED: usize = 79;
-/// Fixed bytes of an encoded `StreamData` besides the body: routed header 44 +
-/// payload tag 1 + stream_id 8 + seq 8 + window 4 + body length 4. The body
-/// starts at `STREAM_DATA_FIXED`.
-const STREAM_DATA_FIXED: usize = 69;
 
 // --------------------------------------------------------------------- encoding
 
@@ -640,81 +601,6 @@ impl ConnectionKind {
 }
 
 impl RoutedPacket {
-    /// The cached wire image with `hops`/`ttl` patched in, if the cache is
-    /// still structurally valid for this packet (same src/dst/mode, the same
-    /// payload fields, and a body that is the exact buffer region the image
-    /// was decoded from). Covers the two payloads that get forwarded or
-    /// fanned out verbatim: `IpTunnel` and `PubSubDeliver`.
-    #[allow(
-        clippy::indexing_slicing,
-        reason = "every offset read is below a length checked earlier in the function"
-    )]
-    fn patched_wire(&self) -> Option<Bytes> {
-        let wire = self.wire.as_ref()?;
-        if wire.len() < ROUTED_TUNNEL_OFFSET
-            || wire[0] != 5
-            || wire[1..21] != self.src.0
-            || wire[21..41] != self.dst.0
-            || wire[41]
-                != match self.mode {
-                    DeliveryMode::Exact => 0,
-                    DeliveryMode::Closest => 1,
-                }
-        {
-            return None;
-        }
-        let body_matches = match &self.payload {
-            RoutedPayload::IpTunnel(payload) => {
-                wire.len() == ROUTED_TUNNEL_OFFSET + payload.len()
-                    && wire[44] == 0
-                    && payload.same_region(&wire.slice(ROUTED_TUNNEL_OFFSET..))
-            }
-            RoutedPayload::PubSubDeliver {
-                topic,
-                msg_id,
-                relay_to,
-                payload,
-            } => {
-                let body_at = PUBSUB_DELIVER_FIXED + 20 * relay_to.len();
-                wire.len() == body_at + payload.len()
-                    && wire[44] == 19
-                    && wire[45..65] == topic.0
-                    && wire[65..73] == msg_id.to_be_bytes()
-                    && wire[73..75] == (relay_to.len() as u16).to_be_bytes()
-                    && relay_to
-                        .iter()
-                        .enumerate()
-                        .all(|(i, addr)| wire[75 + 20 * i..95 + 20 * i] == addr.0)
-                    && payload.same_region(&wire.slice(body_at..))
-            }
-            RoutedPayload::StreamData {
-                stream_id,
-                seq,
-                window,
-                payload,
-            } => {
-                wire.len() == STREAM_DATA_FIXED + payload.len()
-                    && wire[44] == 23
-                    && wire[45..53] == stream_id.to_be_bytes()
-                    && wire[53..61] == seq.to_be_bytes()
-                    && wire[61..65] == window.to_be_bytes()
-                    && payload.same_region(&wire.slice(STREAM_DATA_FIXED..))
-            }
-            _ => return None,
-        };
-        if !body_matches {
-            return None;
-        }
-        if wire[ROUTED_HOPS_OFFSET] == self.hops && wire[ROUTED_TTL_OFFSET] == self.ttl {
-            // Nothing mutated: reuse the image as-is, zero copy.
-            return Some(wire.clone());
-        }
-        let mut out = wire.to_vec();
-        out[ROUTED_HOPS_OFFSET] = self.hops;
-        out[ROUTED_TTL_OFFSET] = self.ttl;
-        Some(Bytes::from(out))
-    }
-
     fn write(&self, w: &mut Writer) {
         w.addr(&self.src);
         w.addr(&self.dst);
@@ -910,8 +796,7 @@ impl RoutedPacket {
                 relay_to,
                 payload,
             } => {
-                // Body last, so a forwarding hop's patch path and the fan-out
-                // decode can share the buffer region (see PUBSUB_DELIVER_FIXED).
+                // Body last, so the fan-out decode can slice it.
                 w.u8(19);
                 w.addr(topic);
                 w.u64(*msg_id);
@@ -942,8 +827,7 @@ impl RoutedPacket {
                 window,
                 payload,
             } => {
-                // Body last, so a forwarding hop's patch path and the receive
-                // decode can share the buffer region (see STREAM_DATA_FIXED).
+                // Body last, so the receive decode can slice it.
                 w.u8(23);
                 w.u64(*stream_id);
                 w.u64(*seq);
@@ -1155,29 +1039,17 @@ impl RoutedPacket {
             hops,
             ttl,
             payload,
-            wire: None,
         })
     }
 }
 
 impl LinkMessage {
     /// Serialize to a shared wire buffer.
-    ///
-    /// For a routed IP-tunnel packet that was itself decoded from the wire,
-    /// the cached image is reused: only the mutated `hops`/`ttl` header bytes
-    /// are patched, and the tunnelled payload is **not** re-encoded. This is
-    /// the forwarding fast path — intermediate hops pay one buffer copy
-    /// instead of a field-by-field re-serialization.
     pub fn to_wire(&self) -> Bytes {
-        if let LinkMessage::Routed(pkt) = self {
-            if let Some(patched) = pkt.patched_wire() {
-                return patched;
-            }
-        }
         Bytes::from(self.to_bytes())
     }
 
-    /// Serialize to wire bytes (full encode, no cache).
+    /// Serialize to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         match self {
@@ -1246,25 +1118,14 @@ impl LinkMessage {
         w.buf
     }
 
-    /// Parse from a shared wire buffer. Tunnelled and pub/sub bodies are
-    /// sliced out of `data` (zero copy), and routed IP-tunnel / pub/sub
-    /// delivery packets remember the wire image so forwarding can patch
-    /// instead of re-encode.
+    /// Parse from a shared wire buffer. Every length-prefixed body (tunnelled
+    /// packets, pub/sub and stream payloads, DHT values) is sliced out of
+    /// `data` (zero copy).
     pub fn from_wire(data: &Bytes) -> Result<Self, ParseError> {
         let mut r = Reader::shared(data);
-        let mut msg = Self::read(&mut r)?;
+        let msg = Self::read(&mut r)?;
         if r.remaining() != 0 {
             return Err(ParseError::BadLength("overlay trailing bytes"));
-        }
-        if let LinkMessage::Routed(pkt) = &mut msg {
-            if matches!(
-                pkt.payload,
-                RoutedPayload::IpTunnel(_)
-                    | RoutedPayload::PubSubDeliver { .. }
-                    | RoutedPayload::StreamData { .. }
-            ) {
-                pkt.wire = Some(data.clone());
-            }
         }
         Ok(msg)
     }
@@ -1771,43 +1632,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pubsub_deliver_forwarding_patches_cached_wire() {
-        // A relay hop that bumps hops/ttl must produce exactly the bytes a
-        // full re-encode would, without touching the body region.
-        let pkt = RoutedPacket::new(
-            a(1),
-            a(2),
-            DeliveryMode::Exact,
-            RoutedPayload::PubSubDeliver {
-                topic: a(20),
-                msg_id: 99,
-                relay_to: vec![a(3), a(4)],
-                payload: vec![0x55; 900].into(),
-            },
-        );
-        let wire = LinkMessage::Routed(pkt).to_wire();
-        let LinkMessage::Routed(mut decoded) = LinkMessage::from_wire(&wire).unwrap() else {
+    /// The body of a routed packet decoded from `wire`, checked to be the
+    /// buffer's tail region (sliced, not copied).
+    fn decoded_body(wire: &Bytes) -> Bytes {
+        let LinkMessage::Routed(decoded) = LinkMessage::from_wire(wire).unwrap() else {
             panic!("expected routed")
         };
-        // Unmutated: the cached image is reused as-is, zero copy.
-        assert!(LinkMessage::Routed(decoded.clone())
-            .to_wire()
-            .same_region(&wire));
-        decoded.hops += 1;
-        decoded.ttl -= 1;
-        let patched = LinkMessage::Routed(decoded.clone()).to_wire();
-        assert_eq!(
-            patched.as_slice(),
-            LinkMessage::Routed(decoded).to_bytes().as_slice()
-        );
+        let (RoutedPayload::IpTunnel(body)
+        | RoutedPayload::PubSubDeliver { payload: body, .. }
+        | RoutedPayload::StreamData { payload: body, .. }) = decoded.payload
+        else {
+            panic!("expected a bulk payload")
+        };
+        assert!(body.same_region(&wire.slice(wire.len() - body.len()..)));
+        body
     }
 
     #[test]
     fn stream_data_forwarding_patches_cached_wire() {
-        // A forwarding hop that bumps hops/ttl on a stream segment must
-        // produce exactly the bytes a full re-encode would, without touching
-        // the body region.
+        // A forwarding hop that bumps hops/ttl on a stream segment decoded
+        // from the received buffer must send exactly the bytes of a fresh
+        // encode, and they must decode to the forwarded segment.
         let pkt = RoutedPacket::new(
             a(1),
             a(2),
@@ -1823,57 +1668,29 @@ mod tests {
         let LinkMessage::Routed(mut decoded) = LinkMessage::from_wire(&wire).unwrap() else {
             panic!("expected routed")
         };
-        // Unmutated: the cached image is reused as-is, zero copy.
-        assert!(LinkMessage::Routed(decoded.clone())
-            .to_wire()
-            .same_region(&wire));
-        // The body itself is a slice of the wire buffer, not a copy.
-        let RoutedPayload::StreamData { payload, .. } = &decoded.payload else {
-            panic!("expected stream data")
-        };
-        assert!(payload.same_region(&wire.slice(wire.len() - payload.len()..)));
         decoded.hops += 1;
         decoded.ttl -= 1;
-        let patched = LinkMessage::Routed(decoded.clone()).to_wire();
-        assert_eq!(
-            patched.as_slice(),
-            LinkMessage::Routed(decoded).to_bytes().as_slice()
-        );
-    }
-
-    #[test]
-    fn stream_data_patch_rejects_mutated_fields() {
-        // Any field change besides hops/ttl must fall back to a full
-        // re-encode (the cached image no longer matches structurally).
-        let pkt = RoutedPacket::new(
-            a(1),
-            a(2),
-            DeliveryMode::Exact,
-            RoutedPayload::StreamData {
-                stream_id: 7,
-                seq: 100,
-                window: 1_000,
-                payload: vec![0x11; 64].into(),
-            },
-        );
-        let wire = LinkMessage::Routed(pkt).to_wire();
-        let LinkMessage::Routed(decoded) = LinkMessage::from_wire(&wire).unwrap() else {
-            panic!("expected routed")
-        };
-        let mut mutated = decoded.clone();
-        let RoutedPayload::StreamData { seq, .. } = &mut mutated.payload else {
-            panic!("expected stream data")
-        };
-        *seq += 1;
-        let reencoded = LinkMessage::Routed(mutated.clone()).to_wire();
-        assert_eq!(
-            reencoded.as_slice(),
-            LinkMessage::Routed(mutated).to_bytes().as_slice()
-        );
+        let forwarded = LinkMessage::Routed(decoded);
+        let sent = forwarded.to_wire();
+        assert_eq!(sent.as_slice(), forwarded.to_bytes().as_slice());
+        assert_eq!(LinkMessage::from_wire(&sent).unwrap(), forwarded);
     }
 
     #[test]
     fn pubsub_fanout_copies_share_one_wire_body() {
+        // The three bulk payloads decode as slices of the received buffer.
+        for payload in [
+            RoutedPayload::IpTunnel(vec![0x5A; 1400].into()),
+            RoutedPayload::StreamData {
+                stream_id: 42,
+                seq: 9_000,
+                window: 65_536,
+                payload: vec![0x5B; 1200].into(),
+            },
+        ] {
+            let pkt = RoutedPacket::new(a(1), a(2), DeliveryMode::Exact, payload);
+            decoded_body(&LinkMessage::Routed(pkt).to_wire());
+        }
         // Decoding a deliver and re-addressing it to N subscribers must keep
         // every copy's body in the original wire buffer (no re-encode of the
         // message bytes per delivery).
@@ -1890,14 +1707,8 @@ mod tests {
             },
         );
         let wire = LinkMessage::Routed(pkt).to_wire();
-        let LinkMessage::Routed(decoded) = LinkMessage::from_wire(&wire).unwrap() else {
-            panic!("expected routed")
-        };
-        let RoutedPayload::PubSubDeliver { payload, .. } = &decoded.payload else {
-            panic!("expected deliver")
-        };
+        let payload = decoded_body(&wire);
         let body_at = wire.len() - payload.len();
-        assert!(payload.same_region(&wire.slice(body_at..)));
         for i in 0..8u8 {
             let copy = RoutedPacket::new(
                 a(1),

@@ -9,8 +9,7 @@
 //! * **Frames** — `StreamSyn`/`StreamSynAck` open, `StreamData`/`StreamAck`
 //!   carry, `StreamFin` closes (see [`crate::packets::RoutedPayload`]). DATA
 //!   payloads ride the same zero-copy [`Bytes`] path as the IP tunnel: app
-//!   chunks are sliced, never copied, and forwarders patch the cached wire
-//!   image instead of re-encoding.
+//!   chunks and received bodies are sliced, never copied.
 //! * **Reliability** — byte sequence numbers, cumulative ACKs, a bounded
 //!   retransmit queue, and an RFC 6298-style RTO (the same estimator shape as
 //!   the link monitor's probe deadline: `srtt + 4·rttvar`, doubled per

@@ -10,6 +10,36 @@ fn arb_addr() -> impl Strategy<Value = Address> {
     any::<[u8; 20]>().prop_map(Address)
 }
 
+/// A routed message with the given header counters, checked to decode back to
+/// itself from a plain slice and from a shared buffer alike.
+fn assert_round_trips(pkt: RoutedPacket, hops: u8, ttl: u8) {
+    let msg = LinkMessage::Routed(RoutedPacket { hops, ttl, ..pkt });
+    assert_eq!(LinkMessage::from_bytes(&msg.to_bytes()).unwrap(), msg);
+    assert_eq!(LinkMessage::from_wire(&msg.to_wire()).unwrap(), msg);
+}
+
+/// What a forwarding node does with a routed message it received: decode it
+/// (from the shared buffer or a plain slice — both must agree), bump hops,
+/// spend one ttl and send it on. The sent bytes must be a fresh encode of the
+/// forwarded message and decode back to it, although its body still points
+/// into the received buffer.
+fn assert_forwarding_reencodes(pkt: RoutedPacket, hops: u8, ttl: u8, extra_hops: u8) {
+    let origin_wire = LinkMessage::Routed(RoutedPacket { hops, ttl, ..pkt }).to_wire();
+    let via_shared = LinkMessage::from_wire(&origin_wire).unwrap();
+    let via_slice = LinkMessage::from_bytes(&origin_wire).unwrap();
+    assert_eq!(via_shared, via_slice);
+    for mut msg in [via_shared, via_slice] {
+        let LinkMessage::Routed(fwd) = &mut msg else {
+            panic!("routed")
+        };
+        fwd.hops = fwd.hops.saturating_add(extra_hops);
+        fwd.ttl = fwd.ttl.saturating_sub(1);
+        let sent = msg.to_wire();
+        assert_eq!(sent.as_slice(), msg.to_bytes().as_slice());
+        assert_eq!(LinkMessage::from_wire(&sent).unwrap(), msg);
+    }
+}
+
 proptest! {
     #[test]
     fn clockwise_distance_is_inverse_of_add(a in arb_addr(), b in arb_addr()) {
@@ -43,16 +73,13 @@ proptest! {
     fn ip_tunnel_messages_round_trip(src in arb_addr(), dst in arb_addr(),
                                      hops in 0u8..64, ttl in 0u8..64,
                                      payload in proptest::collection::vec(any::<u8>(), 0..2000)) {
-        let mut pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact, RoutedPayload::IpTunnel(payload.into()));
-        pkt.hops = hops;
-        pkt.ttl = ttl;
-        let msg = LinkMessage::Routed(pkt);
-        let parsed = LinkMessage::from_bytes(&msg.to_bytes()).unwrap();
-        prop_assert_eq!(parsed, msg);
+        let pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact, RoutedPayload::IpTunnel(payload.into()));
+        assert_round_trips(pkt, hops, ttl);
     }
 
     #[test]
     fn dht_messages_round_trip(src in arb_addr(), dst in arb_addr(), key in arb_addr(),
+                               hops: u8, ttl: u8,
                                token: u64, ttl_ms in 0u64..86_400_000, created: bool,
                                version: u64,
                                value in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..512))) {
@@ -100,48 +127,13 @@ proptest! {
             },
             RoutedPayload::DhtRemove { key },
         ] {
-            let msg = LinkMessage::Routed(RoutedPacket::new(src, dst, DeliveryMode::Closest, payload));
-            let parsed = LinkMessage::from_bytes(&msg.to_bytes()).unwrap();
-            prop_assert_eq!(parsed, msg);
-        }
-    }
-
-    #[test]
-    fn forwarding_patch_path_matches_full_reencode(
-        src in arb_addr(), dst in arb_addr(),
-        hops in 0u8..64, ttl in 1u8..64, extra_hops in 1u8..8,
-        payload in proptest::collection::vec(any::<u8>(), 0..2000),
-    ) {
-        // The forwarding fast path (patching hops/ttl into the cached wire
-        // image without re-encoding the tunnelled payload) must be
-        // byte-identical to a full re-serialization — for the shared-buffer
-        // decode path and the plain-slice decode path alike.
-        let mut pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
-            RoutedPayload::IpTunnel(payload.into()));
-        pkt.hops = hops;
-        pkt.ttl = ttl;
-        let origin_wire = LinkMessage::Routed(pkt).to_wire();
-
-        let via_shared = LinkMessage::from_wire(&origin_wire).unwrap();
-        let via_slice = LinkMessage::from_bytes(&origin_wire).unwrap();
-        prop_assert_eq!(&via_shared, &via_slice);
-
-        for mut msg in [via_shared, via_slice] {
-            let LinkMessage::Routed(fwd) = &mut msg else { panic!("routed") };
-            // What a forwarding node does before sending on the next hop.
-            fwd.hops = fwd.hops.saturating_add(extra_hops);
-            fwd.ttl = fwd.ttl.saturating_sub(1);
-            let fast = msg.to_wire();
-            let slow = msg.to_bytes();
-            prop_assert_eq!(fast.as_slice(), slow.as_slice());
-            // And the patched bytes still decode to the mutated message.
-            prop_assert_eq!(&LinkMessage::from_wire(&fast).unwrap(), &msg);
+            assert_round_trips(RoutedPacket::new(src, dst, DeliveryMode::Closest, payload), hops, ttl);
         }
     }
 
     #[test]
     fn pubsub_messages_round_trip(src in arb_addr(), dst in arb_addr(), topic in arb_addr(),
-                                  subscriber in arb_addr(), msg_id: u64,
+                                  subscriber in arb_addr(), msg_id: u64, hops: u8, ttl: u8,
                                   ttl_ms in 0u64..86_400_000,
                                   relay_to in proptest::collection::vec(arb_addr(), 0..24),
                                   body in proptest::collection::vec(any::<u8>(), 0..1024)) {
@@ -156,52 +148,14 @@ proptest! {
                 payload: body.clone().into(),
             },
         ] {
-            let msg = LinkMessage::Routed(RoutedPacket::new(src, dst, DeliveryMode::Closest, payload));
-            let parsed = LinkMessage::from_bytes(&msg.to_bytes()).unwrap();
-            prop_assert_eq!(parsed, msg);
-        }
-    }
-
-    #[test]
-    fn pubsub_deliver_patch_path_matches_full_reencode(
-        src in arb_addr(), dst in arb_addr(), topic in arb_addr(),
-        msg_id: u64, hops in 0u8..64, ttl in 1u8..64, extra_hops in 1u8..8,
-        relay_to in proptest::collection::vec(arb_addr(), 0..24),
-        body in proptest::collection::vec(any::<u8>(), 0..2000),
-    ) {
-        // Mirror of `forwarding_patch_path_matches_full_reencode` for the
-        // pub/sub fan-out payload: a relay hop patching hops/ttl into the
-        // cached wire image must be byte-identical to a full re-encode.
-        let mut pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
-            RoutedPayload::PubSubDeliver {
-                topic,
-                msg_id,
-                relay_to,
-                payload: body.into(),
-            });
-        pkt.hops = hops;
-        pkt.ttl = ttl;
-        let origin_wire = LinkMessage::Routed(pkt).to_wire();
-
-        let via_shared = LinkMessage::from_wire(&origin_wire).unwrap();
-        let via_slice = LinkMessage::from_bytes(&origin_wire).unwrap();
-        prop_assert_eq!(&via_shared, &via_slice);
-
-        for mut msg in [via_shared, via_slice] {
-            let LinkMessage::Routed(fwd) = &mut msg else { panic!("routed") };
-            fwd.hops = fwd.hops.saturating_add(extra_hops);
-            fwd.ttl = fwd.ttl.saturating_sub(1);
-            let fast = msg.to_wire();
-            let slow = msg.to_bytes();
-            prop_assert_eq!(fast.as_slice(), slow.as_slice());
-            prop_assert_eq!(&LinkMessage::from_wire(&fast).unwrap(), &msg);
+            assert_round_trips(RoutedPacket::new(src, dst, DeliveryMode::Closest, payload), hops, ttl);
         }
     }
 
     #[test]
     fn stream_messages_round_trip(src in arb_addr(), dst in arb_addr(), topic in arb_addr(),
                                   stream_id: u64, seq: u64, ack: u64, msg_id: u64,
-                                  window: u32,
+                                  window: u32, hops: u8, ttl: u8,
                                   body in proptest::collection::vec(any::<u8>(), 0..1400)) {
         for payload in [
             RoutedPayload::PubSubNack { topic, msg_id },
@@ -211,10 +165,31 @@ proptest! {
             RoutedPayload::StreamAck { stream_id, ack, window },
             RoutedPayload::StreamFin { stream_id, seq },
         ] {
-            let msg = LinkMessage::Routed(RoutedPacket::new(src, dst, DeliveryMode::Exact, payload));
-            let parsed = LinkMessage::from_bytes(&msg.to_bytes()).unwrap();
-            prop_assert_eq!(parsed, msg);
+            assert_round_trips(RoutedPacket::new(src, dst, DeliveryMode::Exact, payload), hops, ttl);
         }
+    }
+
+    #[test]
+    fn forwarding_patch_path_matches_full_reencode(
+        src in arb_addr(), dst in arb_addr(),
+        hops in 0u8..64, ttl in 1u8..64, extra_hops in 1u8..8,
+        payload in proptest::collection::vec(any::<u8>(), 0..2000),
+    ) {
+        let pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
+            RoutedPayload::IpTunnel(payload.into()));
+        assert_forwarding_reencodes(pkt, hops, ttl, extra_hops);
+    }
+
+    #[test]
+    fn pubsub_deliver_patch_path_matches_full_reencode(
+        src in arb_addr(), dst in arb_addr(), topic in arb_addr(),
+        msg_id: u64, hops in 0u8..64, ttl in 1u8..64, extra_hops in 1u8..8,
+        relay_to in proptest::collection::vec(arb_addr(), 0..24),
+        body in proptest::collection::vec(any::<u8>(), 0..2000),
+    ) {
+        let pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
+            RoutedPayload::PubSubDeliver { topic, msg_id, relay_to, payload: body.into() });
+        assert_forwarding_reencodes(pkt, hops, ttl, extra_hops);
     }
 
     #[test]
@@ -224,34 +199,9 @@ proptest! {
         hops in 0u8..64, ttl in 1u8..64, extra_hops in 1u8..8,
         body in proptest::collection::vec(any::<u8>(), 0..1400),
     ) {
-        // Mirror of `forwarding_patch_path_matches_full_reencode` for the
-        // virtual-stream data segment: an intermediate node forwarding a
-        // DATA frame patches hops/ttl into the cached wire image, and that
-        // must be byte-identical to a full re-encode.
-        let mut pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
-            RoutedPayload::StreamData {
-                stream_id,
-                seq,
-                window,
-                payload: body.into(),
-            });
-        pkt.hops = hops;
-        pkt.ttl = ttl;
-        let origin_wire = LinkMessage::Routed(pkt).to_wire();
-
-        let via_shared = LinkMessage::from_wire(&origin_wire).unwrap();
-        let via_slice = LinkMessage::from_bytes(&origin_wire).unwrap();
-        prop_assert_eq!(&via_shared, &via_slice);
-
-        for mut msg in [via_shared, via_slice] {
-            let LinkMessage::Routed(fwd) = &mut msg else { panic!("routed") };
-            fwd.hops = fwd.hops.saturating_add(extra_hops);
-            fwd.ttl = fwd.ttl.saturating_sub(1);
-            let fast = msg.to_wire();
-            let slow = msg.to_bytes();
-            prop_assert_eq!(fast.as_slice(), slow.as_slice());
-            prop_assert_eq!(&LinkMessage::from_wire(&fast).unwrap(), &msg);
-        }
+        let pkt = RoutedPacket::new(src, dst, DeliveryMode::Exact,
+            RoutedPayload::StreamData { stream_id, seq, window, payload: body.into() });
+        assert_forwarding_reencodes(pkt, hops, ttl, extra_hops);
     }
 
     #[test]

@@ -87,8 +87,8 @@ impl Bytes {
     }
 
     /// True when `other` is a view of the *same region of the same allocation*
-    /// (not merely equal contents). Used to validate cached wire images before
-    /// patching them instead of re-encoding.
+    /// (not merely equal contents). Tests use it to check that a decoded body
+    /// is a slice of the received buffer, not a copy.
     pub fn same_region(&self, other: &Bytes) -> bool {
         Arc::ptr_eq(&self.data, &other.data) && self.start == other.start && self.end == other.end
     }

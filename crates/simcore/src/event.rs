@@ -1,13 +1,12 @@
 //! The event queue.
 //!
-//! A timing wheel over a 4-ary overflow min-heap ([`EventQueue`] wraps the
-//! `Wheel` below), keyed by `(time, sequence)` where the sequence number is a
-//! monotonically increasing counter assigned at insertion. Ties in virtual time
-//! are therefore broken in insertion order, which keeps the whole simulation
-//! deterministic regardless of wheel or heap internals.
+//! A 4-ary min-heap ([`EventQueue`] wraps the `MinHeap` below), keyed by
+//! `(time, sequence)` where the sequence number is a monotonically increasing
+//! counter assigned at insertion. Ties in virtual time are therefore broken in
+//! insertion order, which keeps the whole simulation deterministic regardless
+//! of heap internals.
 //!
-//! Entries hold their payload inline and are sorted and moved *by value*: the
-//! wheel sorts a slot's entries before draining it, the overflow heap swaps
+//! Entries hold their payload inline and are moved *by value*: the heap swaps
 //! them while sifting, and `ShardedSim`'s barrier moves each cross-shard event
 //! between buffers. Keep payloads small — box anything large, as
 //! `netsim`'s `NetEvent::Arrival { pkt: Box<Ipv4Packet> }` and the ring
@@ -187,8 +186,8 @@ impl PendingSet {
 
     #[inline]
     fn bit(id: u64) -> (usize, u64) {
-        let slot = (id % WINDOW) as usize;
-        (slot / 64, 1u64 << (slot % 64))
+        let at = (id % WINDOW) as usize;
+        (at / 64, 1u64 << (at % 64))
     }
 
     /// Record `id` (== the previous `next_seq`) as pending, sliding the window
@@ -196,7 +195,7 @@ impl PendingSet {
     #[inline]
     fn insert_next(&mut self, id: u64) {
         let (word, mask) = Self::bit(id);
-        // The slot currently belongs to `id - WINDOW`; if that event is still
+        // The bit currently tracks `id - WINDOW`; if that event is still
         // pending, it moves to the overflow set.
         if self.window[word] & mask != 0 {
             self.overflow.insert(EventId(id - WINDOW));
@@ -226,204 +225,9 @@ impl PendingSet {
     }
 }
 
-/// log2 of the timing-wheel granularity in nanoseconds (65536 ns ≈ 66 µs).
-const GRAN_SHIFT: u32 = 16;
-/// Number of wheel slots; the wheel window covers `SLOTS << GRAN_SHIFT` ≈ 34 ms
-/// of virtual time — wide enough that both micro-timers and wide-area link
-/// arrivals (tens of milliseconds) stay out of the overflow heap.
-const SLOTS: usize = 512;
-const SLOT_WORDS: usize = SLOTS / 64;
-
-/// A timing wheel over a far-future overflow heap.
-///
-/// Discrete-event simulations schedule overwhelmingly into the near future
-/// (wakeups microseconds ahead); a binary heap pays a full sift-down per pop
-/// for those. The wheel buckets the next `SLOTS << GRAN_SHIFT` (≈ 34 ms) of
-/// virtual time into 66 µs slots: push is O(1), pop sorts one small slot at a
-/// time, and an occupancy bitmap skips empty slots in word-sized steps. Events beyond the window go
-/// to a 4-ary overflow heap and cascade into the wheel as it turns. The exact
-/// `(time, seq)` total order — the determinism contract — is preserved: slots
-/// partition the time axis, each slot is sorted before it is drained, and the
-/// overflow never holds a key below the current window end.
-struct Wheel<E> {
-    slots: Vec<Vec<HeapEntry<E>>>,
-    /// Bit set per non-empty slot.
-    bitmap: [u64; SLOT_WORDS],
-    /// Absolute slot index (time >> GRAN_SHIFT) of the cursor; the window
-    /// covers `[cur_abs, cur_abs + SLOTS)` absolute slots. Only `pop` moves
-    /// the cursor, so events may still be scheduled anywhere at or after the
-    /// last popped instant.
-    cur_abs: u64,
-    /// Absolute slot index whose bucket is currently sorted (descending, so
-    /// the minimum pops from the back), if any.
-    sorted_abs: Option<u64>,
-    /// Entries stored in the wheel (not counting the overflow heap).
-    in_wheel: usize,
-    overflow: MinHeap<E>,
-}
-
-impl<E> Wheel<E> {
-    fn new() -> Self {
-        Wheel {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            bitmap: [0; SLOT_WORDS],
-            cur_abs: 0,
-            sorted_abs: None,
-            in_wheel: 0,
-            overflow: MinHeap::new(),
-        }
-    }
-
-    #[inline]
-    fn ring(abs: u64) -> usize {
-        (abs as usize) % SLOTS
-    }
-
-    #[inline]
-    fn mark(&mut self, ring: usize) {
-        self.bitmap[ring / 64] |= 1 << (ring % 64);
-    }
-
-    #[inline]
-    fn unmark(&mut self, ring: usize) {
-        self.bitmap[ring / 64] &= !(1 << (ring % 64));
-    }
-
-    fn push(&mut self, entry: HeapEntry<E>) {
-        let abs = entry.at.as_nanos() >> GRAN_SHIFT;
-        debug_assert!(abs >= self.cur_abs, "scheduling behind the wheel cursor");
-        if abs - self.cur_abs < SLOTS as u64 {
-            let ring = Self::ring(abs);
-            self.slots[ring].push(entry);
-            self.mark(ring);
-            self.in_wheel += 1;
-            if self.sorted_abs == Some(abs) {
-                self.sorted_abs = None;
-            }
-        } else {
-            self.overflow.push(entry);
-        }
-    }
-
-    /// Move the cursor to the next non-empty slot (cascading overflow entries
-    /// into the window as it advances). Returns the absolute slot index, or
-    /// `None` if nothing is queued. Called only from `pop`.
-    fn advance(&mut self) -> Option<u64> {
-        loop {
-            if self.in_wheel > 0 {
-                let abs = self.next_occupied().expect("in_wheel > 0");
-                if abs != self.cur_abs {
-                    self.cur_abs = abs;
-                    self.drain_overflow();
-                }
-                return Some(abs);
-            }
-            let top = self.overflow.peek()?;
-            // Jump the window to the earliest overflow entry and pull in
-            // everything that now fits.
-            self.cur_abs = top.at.as_nanos() >> GRAN_SHIFT;
-            self.drain_overflow();
-        }
-    }
-
-    /// Pull overflow entries that fall inside the (new) window into slots.
-    fn drain_overflow(&mut self) {
-        while let Some(top) = self.overflow.peek() {
-            let abs = top.at.as_nanos() >> GRAN_SHIFT;
-            if abs - self.cur_abs >= SLOTS as u64 {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked entry");
-            let ring = Self::ring(abs);
-            self.slots[ring].push(entry);
-            self.mark(ring);
-            self.in_wheel += 1;
-            if self.sorted_abs == Some(abs) {
-                self.sorted_abs = None;
-            }
-        }
-    }
-
-    /// Absolute index of the first occupied slot at or after the cursor.
-    fn next_occupied(&self) -> Option<u64> {
-        let start = Self::ring(self.cur_abs);
-        // Search the ring in absolute order: [start..SLOTS), then [0..start).
-        let mut word = start / 64;
-        let mut mask = !0u64 << (start % 64);
-        let mut scanned = 0usize;
-        while scanned < SLOT_WORDS + 1 {
-            let bits = self.bitmap[word] & mask;
-            if bits != 0 {
-                let ring = word * 64 + bits.trailing_zeros() as usize;
-                let delta = (ring + SLOTS - start) % SLOTS;
-                return Some(self.cur_abs + delta as u64);
-            }
-            word = (word + 1) % SLOT_WORDS;
-            mask = !0;
-            scanned += 1;
-        }
-        None
-    }
-
-    /// Sort the bucket for absolute slot `abs` (descending) if needed, so its
-    /// minimum is at the back. Keys are unique, so the order is total and
-    /// deterministic.
-    fn sort_slot(&mut self, abs: u64) {
-        if self.sorted_abs != Some(abs) {
-            let ring = Self::ring(abs);
-            self.slots[ring].sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            self.sorted_abs = Some(abs);
-        }
-    }
-
-    /// The earliest queued entry. Does not move the cursor, so scheduling
-    /// behind the peeked slot (but at or after the last popped instant)
-    /// remains legal.
-    fn peek(&mut self) -> Option<&HeapEntry<E>> {
-        if self.in_wheel > 0 {
-            let abs = self.next_occupied().expect("in_wheel > 0");
-            self.sort_slot(abs);
-            self.slots[Self::ring(abs)].last()
-        } else {
-            self.overflow.peek()
-        }
-    }
-
-    /// Remove the entry [`Wheel::peek`] would return, **without** moving the
-    /// cursor. Used to collect cancelled tombstones: `next_time` must be able
-    /// to discard them while leaving every slot at or after the last popped
-    /// instant schedulable.
-    fn remove_peeked(&mut self) {
-        if self.in_wheel > 0 {
-            let abs = self.next_occupied().expect("in_wheel > 0");
-            self.sort_slot(abs);
-            let ring = Self::ring(abs);
-            self.slots[ring].pop().expect("occupied slot");
-            self.in_wheel -= 1;
-            if self.slots[ring].is_empty() {
-                self.unmark(ring);
-            }
-        } else {
-            self.overflow.pop();
-        }
-    }
-
-    fn pop(&mut self) -> Option<HeapEntry<E>> {
-        let abs = self.advance()?;
-        self.sort_slot(abs);
-        let ring = Self::ring(abs);
-        let entry = self.slots[ring].pop().expect("advance found entries");
-        self.in_wheel -= 1;
-        if self.slots[ring].is_empty() {
-            self.unmark(ring);
-        }
-        Some(entry)
-    }
-}
-
 /// A deterministic priority queue of future events.
 pub struct EventQueue<E> {
-    wheel: Wheel<E>,
+    heap: MinHeap<E>,
     next_seq: u64,
     /// Ids scheduled but not yet fired or cancelled.
     pending: PendingSet,
@@ -443,23 +247,11 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            wheel: Wheel::new(),
+            heap: MinHeap::new(),
             next_seq: 0,
             pending: PendingSet::new(),
             cancelled: IdSet::default(),
         }
-    }
-
-    /// Key of the earliest queued entry (cancelled tombstones included).
-    #[inline]
-    fn peek_entry(&mut self) -> Option<&HeapEntry<E>> {
-        self.wheel.peek()
-    }
-
-    /// Remove and return the earliest queued entry.
-    #[inline]
-    fn take_min(&mut self) -> Option<HeapEntry<E>> {
-        self.wheel.pop()
     }
 
     /// Number of live (not cancelled) events still queued.
@@ -482,7 +274,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.push(HeapEntry { at, seq, payload });
+        self.heap.push(HeapEntry { at, seq, payload });
         self.pending.insert_next(seq);
         EventId(seq)
     }
@@ -504,13 +296,13 @@ impl<E> EventQueue<E> {
     /// The virtual time of the next live event, if any.
     pub fn next_time(&mut self) -> Option<SimTime> {
         self.skip_cancelled();
-        self.peek_entry().map(|e| e.at)
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Pop the earliest live event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         self.skip_cancelled();
-        let entry = self.take_min()?;
+        let entry = self.heap.pop()?;
         self.pending.remove(entry.seq, self.next_seq);
         Some(ScheduledEvent {
             at: entry.at,
@@ -523,15 +315,11 @@ impl<E> EventQueue<E> {
         if self.cancelled.is_empty() {
             return;
         }
-        while let Some(seq) = self.peek_entry().map(|top| top.seq) {
-            if self.cancelled.remove(&EventId(seq)) {
-                // Discard without advancing the wheel cursor: `next_time` runs
-                // between events, when scheduling at any instant at or after
-                // the last *fired* event must remain legal.
-                self.wheel.remove_peeked();
-            } else {
+        while let Some(top) = self.heap.peek() {
+            if !self.cancelled.remove(&EventId(top.seq)) {
                 break;
             }
+            self.heap.pop();
         }
     }
 }
@@ -641,10 +429,9 @@ mod tests {
 
     #[test]
     fn next_time_over_cancelled_head_does_not_break_later_scheduling() {
-        // Regression: collecting a cancelled tombstone inside `next_time` used
-        // to advance the timing-wheel cursor to the cancelled slot, so a later
-        // (perfectly legal) push at an earlier instant landed behind the
-        // cursor and was misordered.
+        // Collecting a cancelled tombstone inside `next_time` must not
+        // disturb later scheduling: nothing has fired yet, so a push at an
+        // earlier instant than the collected one is legal and must pop first.
         let mut q = EventQueue::new();
         let victim = q.push(t(10), "victim");
         q.push(t(20), "late");

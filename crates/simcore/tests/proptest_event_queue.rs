@@ -1,12 +1,10 @@
-//! Property and stress tests for the hierarchical timing wheel.
+//! Property and stress tests for the event queue.
 //!
-//! The wheel has three regions — a 512-slot near window, an overflow heap for
-//! far-future events, and a pending-id bitmap — and until now it had only been
-//! exercised with a few dozen nodes' worth of timers. These tests drive it
-//! against a trivially-correct reference model (a `BTreeMap` keyed by
-//! `(time, seq)`) through arbitrary interleavings of push/pop/cancel, and
-//! through a 150k-event stress run whose far-future timers all land in the
-//! overflow heap and migrate through many wheel rotations.
+//! The queue is a 4-ary heap with cancellation tombstones and a pending-id
+//! bitmap whose stragglers spill into a hash set. These tests drive it against
+//! a trivially-correct reference model (a `BTreeMap` keyed by `(time, seq)`)
+//! through arbitrary interleavings of push/pop/cancel, and through a
+//! 150k-event stress run spanning microseconds to minutes of virtual time.
 
 use std::collections::BTreeMap;
 
@@ -17,10 +15,9 @@ use ipop_simcore::{EventQueue, SimTime};
 /// One scripted operation against the queue, decoded from a raw `u64`.
 #[derive(Clone, Debug)]
 enum Op {
-    /// Push at `last popped time + delta` (the wheel forbids scheduling into
-    /// the past). The delta classes target the wheel's regions: within the
-    /// current slot granule, inside the 512-slot near window, and far enough
-    /// out to land in the overflow heap.
+    /// Push at `last popped time + delta` (the simulator never schedules into
+    /// the past). The delta classes mix near ties (under 66 µs), link-latency
+    /// offsets (up to 33 ms) and far-future timers (up to about an hour).
     Push(u64),
     Pop,
     /// Cancel the k-th oldest still-pending id (no-op when none).
@@ -36,9 +33,9 @@ fn decode_op(word: u64) -> Op {
     let arg = word / 8;
     match kind {
         0..=3 => Op::Push(match arg % 3 {
-            0 => arg % 66_000,                         // same/adjacent slot
-            1 => 66_000 + arg % 32_934_000,            // 512-slot near window
-            _ => 33_000_000 + arg % 4_000_000_000_000, // overflow heap, ~an hour out
+            0 => arg % 66_000,                         // near ties
+            1 => 66_000 + arg % 32_934_000,            // link latencies
+            _ => 33_000_000 + arg % 4_000_000_000_000, // far timers, ~an hour out
         }),
         4 | 5 => Op::Pop,
         6 => Op::Cancel(arg as usize % 8),
@@ -108,9 +105,9 @@ proptest! {
     }
 }
 
-/// 150k pending events — most in the overflow heap, spanning thousands of
-/// wheel rotations — interleaved with partial drains, must come out in global
-/// `(time, seq)` order with nothing lost or duplicated.
+/// 150k pending events — most of them far-future timers — interleaved with
+/// partial drains, must come out in global `(time, seq)` order with nothing
+/// lost or duplicated.
 #[test]
 fn overflow_heap_at_150k_pending_events() {
     // Deterministic splitmix64 stream; no external RNG needed.
@@ -131,13 +128,12 @@ fn overflow_heap_at_150k_pending_events() {
     let mut popped = 0u64;
 
     // Rounds of bulk-push + partial-drain keep six figures pending while the
-    // wheel's current time sweeps forward through overflow migrations.
+    // last popped time sweeps forward.
     for round in 0..10 {
         let batch = if round == 0 { 150_000 } else { 30_000 };
         for _ in 0..batch {
             let r = rng();
-            // ~80% far future (overflow heap, up to ~100 s out), the rest
-            // inside the near window.
+            // ~80% far future (up to ~100 s out), the rest within 33 ms.
             let delta = if r % 10 < 8 {
                 33_000_000 + r % 100_000_000_000
             } else {
@@ -173,14 +169,14 @@ fn overflow_heap_at_150k_pending_events() {
     assert_eq!(popped, pushed as u64);
 }
 
-/// Cancelling deep inside the overflow heap (including the heap's current
-/// minimum) never corrupts the order of the survivors.
+/// Cancelling deep inside the heap (including its current minimum) never
+/// corrupts the order of the survivors.
 #[test]
 fn cancel_inside_overflow_heap() {
     let mut queue: EventQueue<u32> = EventQueue::new();
     let mut model: BTreeMap<(u64, u64), u32> = BTreeMap::new();
     let mut ids = Vec::new();
-    // All far-future: every event lands in the overflow heap.
+    // All far-future, spread over ~17 minutes.
     for i in 0..10_000u64 {
         let at = 50_000_000 + (i * 7919) % 1_000_000_000_000;
         ids.push((queue.push(SimTime::from_nanos(at), i as u32), (at, i)));
