@@ -50,6 +50,8 @@ pub struct IpopMetrics {
     pub guest_rx: u64,
     /// Brunet-ARP queries issued.
     pub arp_queries: u64,
+    /// Passes the agent's pump ran over its stages (one or more per wake-up).
+    pub pump_passes: u64,
 }
 
 /// What the user-level router charges the host for one tunnelled packet, as
@@ -243,25 +245,22 @@ impl DataPlane {
     }
 
     /// Overlay deliveries into the router's receive queue, each charged to
-    /// `cpu`. Returns whether there was any tunnel traffic.
+    /// `cpu`.
     pub(crate) fn receive(
         &mut self,
         overlay: &mut OverlayNode,
         now: SimTime,
         charge: (Duration, Duration),
         cpu: &mut impl FnMut(Duration) -> SimTime,
-    ) -> bool {
-        let mut progress = false;
+    ) {
         for routed in overlay.take_delivered() {
             if let RoutedPayload::IpTunnel(bytes) = routed.payload {
                 match Ipv4Packet::from_bytes(&bytes) {
                     Ok(vpkt) => self.rx.push(now, charge, cpu, (vpkt, routed.hops)),
                     Err(_) => self.metrics.decode_errors += 1,
                 }
-                progress = true;
             }
         }
-        progress
     }
 
     /// Release what the router has finished with by `now`, both directions:
@@ -351,6 +350,12 @@ impl DataPlane {
             progress = true;
         }
         progress
+    }
+
+    /// True while the tap holds a frame the virtual side wrote after this
+    /// pass's [`DataPlane::poll`] read the tap: the next pass must read it.
+    pub(crate) fn holds_frame(&self) -> bool {
+        self.tap.pending_user() > 0
     }
 
     /// The earliest instant the data plane needs a pass: a virtual-stack

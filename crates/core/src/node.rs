@@ -254,22 +254,10 @@ impl IpopHostAgent {
         self.pubsub.publish(&mut self.overlay, now, topic, payload)
     }
 
-    /// Messages delivered on subscribed topics since the last call — the
-    /// all-topics drain, in delivery order. For one topic's share use
-    /// [`IpopHostAgent::take_topic_messages_for`].
+    /// Messages delivered on subscribed topics since the last call, in
+    /// delivery order; each names its topic.
     pub fn take_topic_messages(&mut self) -> Vec<TopicMessage> {
         std::mem::take(&mut self.topic_messages)
-    }
-
-    /// Messages delivered on one named topic since the last call, in
-    /// delivery order; other topics' messages stay queued for their own
-    /// drain (clients no longer need to re-bucket the all-topics Vec).
-    pub fn take_topic_messages_for(&mut self, topic: &str) -> Vec<TopicMessage> {
-        let (taken, kept) = std::mem::take(&mut self.topic_messages)
-            .into_iter()
-            .partition(|msg| msg.topic == topic);
-        self.topic_messages = kept;
-        taken
     }
 
     /// Pub/sub client counters: `(published, received, unknown-topic drops)`.
@@ -331,92 +319,98 @@ impl IpopHostAgent {
         self.overlay.leave(now);
     }
 
-    /// The main processing loop, run after every packet or timer event.
+    /// The main processing loop, run after every packet or timer event: one
+    /// pass over the stages, repeated only while a stage has handed work to
+    /// one that ran before it in the pass. Debug builds then run one pass
+    /// more and check that it moves nothing — the feedback set is complete.
     fn pump(&mut self, ctx: &mut HostCtx<'_, '_>) {
-        let now = ctx.now();
-        let cal = ctx.calibration();
-        let load = ctx.load();
-        let charge = router_charge(&cal, load);
+        let charge = router_charge(&ctx.calibration(), ctx.load());
         for _ in 0..64 {
-            let mut progress = false;
-
-            // Overlay periodic maintenance.
-            if now >= self.next_overlay_tick {
-                self.overlay.on_tick(now);
-                self.next_overlay_tick = now + self.overlay.config().maintenance_interval;
-                progress = true;
-            }
-
-            // Physical stack → transport → overlay.
-            self.phys.poll(now);
-            for (ep, msg) in self.transport.poll(&mut self.phys, now) {
-                self.overlay.on_message(now, ep, msg);
-                progress = true;
-            }
-            // Malformed datagrams the transport dropped while decoding:
-            // surface the delta in the overlay's stats.
-            let parse_errors = self.transport.parse_errors();
-            if parse_errors > self.last_parse_errors {
-                self.overlay
-                    .note_malformed(parse_errors - self.last_parse_errors);
-                self.last_parse_errors = parse_errors;
-                progress = true;
-            }
-
-            // Overlay deliveries → the router's receive queue.
-            let cpu = &mut |work| ctx.consume_cpu(work);
-            progress |= self.dataplane.receive(&mut self.overlay, now, charge, cpu);
-
-            // Pub/sub deliveries and virtual-stream terminal fates → the
-            // application-facing queues.
-            let topic_msgs = self.pubsub.poll(&mut self.overlay);
-            let finished = self.vstreams.poll(&mut self.overlay);
-            progress |= !topic_msgs.is_empty() || !finished.is_empty();
-            self.topic_messages.extend(topic_msgs);
-            self.stream_fates.extend(finished);
-
-            // Self-configuration, then the DHT replies it left to Brunet-ARP.
-            let (changed, arp_replies) =
-                self.selfconfig
-                    .poll(&mut self.overlay, now, &mut self.dataplane);
-            progress |= changed;
-            self.dataplane
-                .on_arp_replies(&mut self.overlay, now, arp_replies);
-
-            // The tap, the virtual stack and the application.
-            let cpu = &mut |work| ctx.consume_cpu(work);
-            progress |= self.dataplane.poll(now, charge, cpu);
-
-            // Charge CPU for routed packets we forwarded on behalf of other nodes.
-            let forwarded = self.overlay.forwarded();
-            if forwarded > self.last_forwarded {
-                let delta = forwarded - self.last_forwarded;
-                ctx.consume_cpu(cal.forward_cost_at_load(load) * delta);
-                self.last_forwarded = forwarded;
-                progress = true;
-            }
-
-            // Overlay output → physical transport → physical network.
-            for (ep, msg) in self.overlay.take_outbox() {
-                self.transport.send(&mut self.phys, now, ep, &msg);
-                progress = true;
-            }
-            self.phys.poll(now);
-            for pkt in self.phys.take_packets() {
-                ctx.send(pkt);
-                progress = true;
-            }
-
-            if !progress {
+            self.dataplane.metrics.pump_passes += 1;
+            if !self.pass(ctx, charge).1 {
                 break;
             }
         }
+        debug_assert!(!self.pass(ctx, charge).0, "a pump pass left work behind");
         // One wake-up, for the earliest deadline of any component.
         let next = [self.phys.next_timeout(), self.dataplane.next_deadline()]
             .into_iter()
             .flatten()
             .fold(self.next_overlay_tick, SimTime::min);
         self.wakeup.arm(ctx, next);
+    }
+
+    /// One pass over every stage, in order. Returns whether anything moved,
+    /// and whether another pass is due: only three stages feed one before
+    /// them — the overlay's output for the agent (DHT operations and sends
+    /// of later stages can complete locally), a frame the virtual side
+    /// wrote to the tap, and self-configuration's state.
+    fn pass(&mut self, ctx: &mut HostCtx<'_, '_>, charge: (Duration, Duration)) -> (bool, bool) {
+        let now = ctx.now();
+        let mut moved = false;
+
+        // Overlay periodic maintenance.
+        if now >= self.next_overlay_tick {
+            self.overlay.on_tick(now);
+            self.next_overlay_tick = now + self.overlay.config().maintenance_interval;
+            moved = true;
+        }
+
+        // Physical stack → transport → overlay; malformed datagrams the
+        // transport dropped while decoding surface in the overlay's stats.
+        self.phys.poll(now);
+        for (ep, msg) in self.transport.poll(&mut self.phys, now) {
+            self.overlay.on_message(now, ep, msg);
+            moved = true;
+        }
+        let parse_errors = self.transport.parse_errors();
+        self.overlay
+            .note_malformed(parse_errors - self.last_parse_errors);
+        self.last_parse_errors = parse_errors;
+
+        // Overlay output for the agent: deliveries → the router's receive
+        // queue; pub/sub messages and stream fates → the application.
+        moved |= self.overlay.has_output();
+        let cpu = &mut |work| ctx.consume_cpu(work);
+        self.dataplane.receive(&mut self.overlay, now, charge, cpu);
+        self.topic_messages
+            .extend(self.pubsub.poll(&mut self.overlay));
+        self.stream_fates
+            .extend(self.vstreams.poll(&mut self.overlay));
+
+        // Self-configuration, then the DHT replies it left to Brunet-ARP.
+        let (changed, arp_replies) =
+            self.selfconfig
+                .poll(&mut self.overlay, now, &mut self.dataplane);
+        self.dataplane
+            .on_arp_replies(&mut self.overlay, now, arp_replies);
+
+        // The tap, the virtual stack and the application.
+        let cpu = &mut |work| ctx.consume_cpu(work);
+        moved |= self.dataplane.poll(now, charge, cpu);
+
+        // Charge CPU for routed packets we forwarded on behalf of other nodes.
+        let forwarded = self.overlay.forwarded();
+        if forwarded > self.last_forwarded {
+            let delta = forwarded - self.last_forwarded;
+            ctx.consume_cpu(ctx.calibration().forward_cost_at_load(ctx.load()) * delta);
+            self.last_forwarded = forwarded;
+            moved = true;
+        }
+
+        // Overlay output → physical transport → physical network.
+        for (ep, msg) in self.overlay.take_outbox() {
+            self.transport.send(&mut self.phys, now, ep, &msg);
+            moved = true;
+        }
+        self.phys.poll(now);
+        for pkt in self.phys.take_packets() {
+            ctx.send(pkt);
+            moved = true;
+        }
+
+        let again = changed || self.overlay.has_output() || self.dataplane.holds_frame();
+        (moved || changed, again)
     }
 }
 

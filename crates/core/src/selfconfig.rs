@@ -89,15 +89,16 @@ impl SelfConfig {
 
     /// One pass: drive the allocator, match lost leases, and route the
     /// DHT's create and get replies to the lookups that issued them. Returns
-    /// whether anything happened, and the get replies nothing here claimed
-    /// — Brunet-ARP's.
+    /// whether the allocator changed state or the address came or went —
+    /// what only the next pass acts on — and the get replies nothing here
+    /// claimed, Brunet-ARP's.
     pub(crate) fn poll(
         &mut self,
         overlay: &mut OverlayNode,
         now: SimTime,
         plane: &mut DataPlane,
     ) -> (bool, Vec<(u64, Option<Bytes>)>) {
-        let mut progress = false;
+        let before = self.state(plane);
         // Drive the DHCP-over-DHT state machine until the lease is
         // confirmed, then bring the virtual side up. Claiming waits for ring
         // neighbours on both sides so a half-converged ring cannot
@@ -108,15 +109,11 @@ impl SelfConfig {
             let ready = overlay.connections().count_kind(ConnectionKind::Near) >= 2
                 || (overlay.is_connected()
                     && now.saturating_since(self.started_at) >= CLAIM_FALLBACK);
-            let before = alloc.state();
             alloc.poll(now, ready, overlay);
-            let after = alloc.state();
-            progress |= after != before;
-            match after {
+            match alloc.state() {
                 DhcpState::Bound { ip } if ip != plane.ip() => {
                     plane.bind(now, ip);
                     self.register_name(overlay, now, ip);
-                    progress = true;
                 }
                 // Re-allocation after a lost lease can end terminally (budget
                 // spent, subnet exhausted). The old address belongs to the
@@ -124,7 +121,6 @@ impl SelfConfig {
                 // running as a zombie duplicate.
                 DhcpState::Failed | DhcpState::AddressSpaceExhausted if plane.is_live() => {
                     self.relinquish(overlay, now, plane);
-                    progress = true;
                 }
                 _ => {}
             }
@@ -133,7 +129,6 @@ impl SelfConfig {
         // address key (healed partition). The winner owns the address *now*
         // — tear the virtual side down at once and re-allocate.
         for key in overlay.take_lost_leases() {
-            progress = true;
             let Some(alloc) = self.allocator.as_mut() else {
                 continue;
             };
@@ -147,18 +142,24 @@ impl SelfConfig {
         // Allocation claims. `existing` tells a real collision (draw a fresh
         // candidate) from a quorum-write failure (retry the same address).
         for (token, created, existing) in overlay.take_dht_create_replies() {
-            progress = true;
             if let Some(alloc) = self.allocator.as_mut() {
                 alloc.on_create_reply(now, token, created, existing.is_some(), overlay);
             }
         }
-        let replies = overlay.take_dht_replies();
-        progress |= !replies.is_empty();
-        let unclaimed = replies
+        let unclaimed = overlay
+            .take_dht_replies()
             .into_iter()
             .filter(|(token, value)| !self.on_get_reply(overlay, now, *token, value.as_deref()))
             .collect();
-        (progress, unclaimed)
+        (self.state(plane) != before, unclaimed)
+    }
+
+    /// What a pass acts on next: the allocator's state and the address.
+    fn state(&self, plane: &DataPlane) -> (Option<DhcpState>, Ipv4Addr) {
+        (
+            self.allocator.as_ref().map(DhcpAllocator::state),
+            plane.ip(),
+        )
     }
 
     /// Hand a DHT get reply to the lookup that issued it — the allocator's

@@ -29,7 +29,7 @@ use crate::packets::{
 };
 use crate::pubsub::PubSub;
 use crate::ring::Ring;
-use crate::router::{Arrival, Core};
+use crate::router::{drain_all, Arrival, Core};
 use crate::table::ConnectionTable;
 use crate::vstream::{StreamEvent, VStreams};
 
@@ -307,11 +307,6 @@ impl OverlayNode {
         self.core.cfg.address
     }
 
-    /// The endpoints this node advertises (local plus NAT-observed).
-    pub fn advertised_endpoints(&self) -> &[Endpoint] {
-        self.ring.endpoints()
-    }
-
     /// Routing statistics (the DHT gauges are sampled at call time).
     pub fn stats(&self) -> OverlayStats {
         let mut s = self.core.stats;
@@ -358,11 +353,6 @@ impl OverlayNode {
     /// True once at least one edge is established.
     pub fn is_connected(&self) -> bool {
         self.core.is_connected()
-    }
-
-    /// Number of entries in the local DHT store.
-    pub fn dht_stored(&self) -> usize {
-        self.dht.store().len()
     }
 
     /// Borrow the local DHT store (read-only; for diagnostics and tests).
@@ -416,22 +406,22 @@ impl OverlayNode {
 
     /// Routed packets delivered to this node (IP tunnel payloads and the like).
     pub fn take_delivered(&mut self) -> Vec<RoutedPacket> {
-        self.delivered.drain(..).collect()
+        drain_all(&mut self.delivered)
     }
 
     /// Pub/sub messages delivered to this node: `(topic key, msg id, body)`.
     pub fn take_pubsub_delivered(&mut self) -> Vec<(Address, u64, Bytes)> {
-        self.pubsub.inbox.drain(..).collect()
+        drain_all(&mut self.pubsub.inbox)
     }
 
     /// Completed DHT lookups: `(token, value)`.
     pub fn take_dht_replies(&mut self) -> Vec<(u64, Option<Bytes>)> {
-        self.dht.replies.drain(..).collect()
+        drain_all(&mut self.dht.replies)
     }
 
     /// Completed DHT creates: `(token, created, existing value on conflict)`.
     pub fn take_dht_create_replies(&mut self) -> Vec<(u64, bool, Option<Bytes>)> {
-        self.dht.create_replies.drain(..).collect()
+        drain_all(&mut self.dht.create_replies)
     }
 
     /// Keys of claimed leases this node lost: a TTL/2 renewal came back
@@ -439,7 +429,17 @@ impl OverlayNode {
     /// after a healed partition). The publication has already been dropped;
     /// the embedding agent re-allocates.
     pub fn take_lost_leases(&mut self) -> Vec<Address> {
-        self.dht.lost_leases.drain(..).collect()
+        drain_all(&mut self.dht.lost_leases)
+    }
+
+    /// True while one of the agent-facing `take_*` drains has something.
+    pub fn has_output(&self) -> bool {
+        !(self.delivered.is_empty()
+            && self.pubsub.inbox.is_empty()
+            && self.dht.replies.is_empty()
+            && self.dht.create_replies.is_empty()
+            && self.dht.lost_leases.is_empty()
+            && !self.vstreams.has_output())
     }
 
     // ---------------------------------------------------------------- app sends
@@ -986,7 +986,7 @@ mod tests {
         let now = h.now;
         h.nodes[1].dht_put(now, key, b"mapping-value".to_vec());
         h.pump();
-        let stored: usize = h.nodes.iter().map(|n| n.dht_stored()).sum();
+        let stored: usize = h.nodes.iter().map(|n| n.dht_store().len()).sum();
         assert_eq!(
             stored, 3,
             "the owner stores the key and replicates it to R-1 = 2 neighbours"
@@ -1233,14 +1233,18 @@ mod tests {
         h.pump();
         h.run(2);
         let owner = h.owner_of(&keys[0]);
-        let owned_before = h.nodes[owner].dht_stored();
+        let owned_before = h.nodes[owner].dht_store().len();
         assert!(owned_before > 0, "the leaving node holds records");
         let now = h.now;
         h.nodes[owner].leave(now);
         h.pump();
         h.crashed[owner] = true; // departed: exclude from ownership queries
         h.by_endpoint.remove(&ep(owner));
-        assert_eq!(h.nodes[owner].dht_stored(), 0, "handoff cleared the store");
+        assert_eq!(
+            h.nodes[owner].dht_store().len(),
+            0,
+            "handoff cleared the store"
+        );
         h.run(5);
         // Every key still resolves from a node that was not involved.
         for key in &keys {
@@ -1607,6 +1611,29 @@ mod tests {
         );
         let _ = node.take_outbox();
         (node, addr, peer)
+    }
+
+    /// `has_output` answers for every agent-facing drain: work that completes
+    /// locally (a send to this node, a lookup it answers itself) shows up at
+    /// once, and draining it clears the flag.
+    #[test]
+    fn has_output_tracks_local_completions() {
+        let mut rng = StreamRng::new(78, "whitebox");
+        let addr = Address::random(&mut rng);
+        let mut node = OverlayNode::new(OverlayConfig::new(addr, ep(0)), rng);
+        node.start(SimTime::ZERO);
+        assert!(!node.has_output());
+
+        node.send_ip(SimTime::ZERO, addr, b"to myself".to_vec());
+        assert!(node.has_output());
+        assert_eq!(node.take_delivered().len(), 1);
+        assert!(!node.has_output());
+
+        let token = node.dht_get(SimTime::ZERO, Address::from_key(b"key"));
+        assert!(node.has_output(), "a lone node answers its own lookup");
+        assert_eq!(node.take_dht_replies(), vec![(token, None)]);
+        assert!(!node.has_output());
+        assert!(node.take_delivered().is_empty());
     }
 
     /// Tokens of `DhtCreate` payloads in a drained outbox.
@@ -2117,8 +2144,8 @@ mod tests {
                 token: 5,
             },
         );
-        assert!(node.advertised_endpoints().contains(&translated));
-        assert!(node.advertised_endpoints().contains(&ep(0)));
+        assert!(node.ring.advertised.contains(&translated));
+        assert!(node.ring.advertised.contains(&ep(0)));
     }
 
     #[test]

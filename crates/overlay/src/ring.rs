@@ -50,7 +50,7 @@ struct PendingLink {
 pub(crate) struct Ring {
     /// Endpoints we advertise: the local endpoint plus any NAT-translated endpoints
     /// peers have observed for us.
-    advertised: Vec<Endpoint>,
+    pub(crate) advertised: Vec<Endpoint>,
     /// Handshakes in flight, by ascending token: tokens come from
     /// [`Core::fresh_token`], so appending keeps the order.
     pending_links: Vec<(u64, PendingLink)>,
@@ -71,11 +71,6 @@ impl Ring {
             advertised: vec![local_endpoint],
             ..Ring::default()
         }
-    }
-
-    /// The endpoints this node advertises (local plus NAT-observed).
-    pub(crate) fn endpoints(&self) -> &[Endpoint] {
-        &self.advertised
     }
 
     /// Begin joining the overlay: contact the bootstrap endpoints.

@@ -9,6 +9,8 @@
 //! should hold is not decided here: a component that is lent the core fills
 //! it, and routing takes what it finds.
 
+use std::collections::VecDeque;
+
 use ipop_simcore::{SimTime, StreamRng};
 
 use crate::address::Address;
@@ -220,4 +222,15 @@ impl Core {
         self.next_token += 1;
         self.next_token
     }
+}
+
+/// Everything in `queue`, oldest first — the body of every agent-facing
+/// drain. The embedding agent polls each of them on every pump pass and most
+/// find nothing, so an empty queue costs neither an iteration nor a `Vec`;
+/// a non-empty one keeps its capacity for the next burst.
+pub(crate) fn drain_all<T>(queue: &mut VecDeque<T>) -> Vec<T> {
+    if queue.is_empty() {
+        return Vec::new();
+    }
+    queue.drain(..).collect()
 }

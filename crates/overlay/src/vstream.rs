@@ -39,6 +39,7 @@ use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
 use crate::packets::RoutedPayload;
+use crate::router::drain_all;
 
 /// Receive window advertised by a fresh stream, in bytes.
 pub const DEFAULT_WINDOW: u32 = 64 * 1024;
@@ -317,18 +318,23 @@ impl VStreams {
 
     /// Streams accepted from remote SYNs since the last call.
     pub fn take_accepted(&mut self) -> Vec<(Address, u64)> {
-        self.accepted.drain(..).collect()
+        drain_all(&mut self.accepted)
     }
 
     /// In-order stream data: `(remote, stream id, chunk)`. Chunks are views
     /// of the received wire payloads — no copy on the way up either.
     pub fn take_recv(&mut self) -> Vec<(Address, u64, Bytes)> {
-        self.recv.drain(..).collect()
+        drain_all(&mut self.recv)
     }
 
     /// Lifecycle events since the last call.
     pub fn take_events(&mut self) -> Vec<StreamEvent> {
-        self.events.drain(..).collect()
+        drain_all(&mut self.events)
+    }
+
+    /// True while one of the three drains above has something.
+    pub(crate) fn has_output(&self) -> bool {
+        !(self.accepted.is_empty() && self.recv.is_empty() && self.events.is_empty())
     }
 
     // ---------------------------------------------------------------- intake

@@ -137,16 +137,16 @@ impl PubSub {
         }
         out
     }
-
-    /// Names of the currently subscribed topics, in key order.
-    pub fn subscriptions(&self) -> Vec<&str> {
-        self.topics.values().map(String::as_str).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Names of the subscribed topics, in key order.
+    fn subscriptions(ps: &PubSub) -> Vec<&str> {
+        ps.topics.values().map(String::as_str).collect()
+    }
 
     /// One recorded pub/sub operation.
     #[derive(Clone, Debug, PartialEq)]
@@ -195,7 +195,7 @@ mod tests {
 
         ps.subscribe(&mut client, t0, "events");
         assert_eq!(client.ops, vec![Op::Subscribe(topic_key("events"), TTL)]);
-        assert_eq!(ps.subscriptions(), vec!["events"]);
+        assert_eq!(subscriptions(&ps), vec!["events"]);
 
         let id = ps.publish(&mut client, t0, "events", Bytes::from(&b"hi"[..]));
         assert_eq!(id, 1);
@@ -251,7 +251,7 @@ mod tests {
                 Op::Unsubscribe(topic_key("a")),
             ]
         );
-        assert_eq!(ps.subscriptions(), vec!["b"]);
+        assert_eq!(subscriptions(&ps), vec!["b"]);
         // A straggler delivery for the dropped topic is now unknown.
         client
             .inbox

@@ -82,19 +82,16 @@ pub enum StreamFate {
     Failed,
 }
 
-/// Host-side stream state for one node: per-stream inboxes and counters.
+/// Host-side stream state for one node: per-stream inboxes. (The overlay's
+/// `OverlayStats` counts opened and accepted streams and delivered segments.)
 #[derive(Default)]
 pub struct VirtualStreams {
-    /// Received data per stream, bucketed from the engine's flat drain.
-    inboxes: BTreeMap<(Address, u64), VecDeque<Bytes>>,
+    /// Received data per open stream, bucketed from the engine's flat drain,
+    /// and whether the stream's fate was reported: a finished stream's inbox
+    /// goes as soon as it holds nothing left to read.
+    inboxes: BTreeMap<(Address, u64), (VecDeque<Bytes>, bool)>,
     /// Remotely opened streams not yet claimed via [`VirtualStreams::accept`].
     pending_accept: VecDeque<VirtualStream>,
-    /// Streams opened from this node.
-    pub opened: u64,
-    /// Streams accepted from remote opens.
-    pub accepted: u64,
-    /// Bytes received across all streams.
-    pub bytes_received: u64,
 }
 
 impl VirtualStreams {
@@ -107,10 +104,8 @@ impl VirtualStreams {
         remote: Address,
     ) -> VirtualStream {
         let stream_id = client.connect(now, remote);
-        self.opened += 1;
-        let vs = VirtualStream { remote, stream_id };
         self.inboxes.entry((remote, stream_id)).or_default();
-        vs
+        VirtualStream { remote, stream_id }
     }
 
     /// Claim the next remotely opened stream, if any. Call [`Self::poll`]
@@ -139,48 +134,54 @@ impl VirtualStreams {
 
     /// Drain the overlay's flat queues into per-stream state. Returns the
     /// streams that reached a terminal state in this poll (their inboxes
-    /// remain readable until drained).
+    /// remain readable until drained once).
     pub fn poll(&mut self, client: &mut dyn StreamClient) -> Vec<(VirtualStream, StreamFate)> {
         for (remote, stream_id) in client.take_accepted() {
-            self.accepted += 1;
-            let vs = VirtualStream { remote, stream_id };
             self.inboxes.entry((remote, stream_id)).or_default();
-            self.pending_accept.push_back(vs);
+            self.pending_accept
+                .push_back(VirtualStream { remote, stream_id });
         }
+        // A chunk for a stream without an inbox (finished and drained) has
+        // nobody left to read it.
         for (remote, stream_id, chunk) in client.take_data() {
-            self.bytes_received += chunk.len() as u64;
-            self.inboxes
-                .entry((remote, stream_id))
-                .or_default()
-                .push_back(chunk);
+            if let Some((queue, _)) = self.inboxes.get_mut(&(remote, stream_id)) {
+                queue.push_back(chunk);
+            }
         }
         let mut newly_finished = Vec::new();
         for ev in client.take_events() {
-            match ev {
+            let (remote, stream_id, fate) = match ev {
                 // Data queued before the handshake already flows.
-                StreamEvent::Established { .. } => {}
+                StreamEvent::Established { .. } => continue,
                 StreamEvent::Closed { remote, stream_id }
                 | StreamEvent::RemoteClosed { remote, stream_id } => {
-                    let vs = VirtualStream { remote, stream_id };
-                    newly_finished.push((vs, StreamFate::Closed));
+                    (remote, stream_id, StreamFate::Closed)
                 }
                 StreamEvent::Failed { remote, stream_id } => {
-                    let vs = VirtualStream { remote, stream_id };
-                    newly_finished.push((vs, StreamFate::Failed));
+                    (remote, stream_id, StreamFate::Failed)
                 }
+            };
+            match self.inboxes.get_mut(&(remote, stream_id)) {
+                Some((queue, finished)) if !queue.is_empty() => *finished = true,
+                _ => _ = self.inboxes.remove(&(remote, stream_id)),
             }
+            newly_finished.push((VirtualStream { remote, stream_id }, fate));
         }
         newly_finished
     }
 
     /// Drain everything received on `stream` as one contiguous buffer.
     pub fn recv_all(&mut self, stream: VirtualStream) -> Vec<u8> {
-        let Some(q) = self.inboxes.get_mut(&(stream.remote, stream.stream_id)) else {
+        let key = (stream.remote, stream.stream_id);
+        let Some((queue, finished)) = self.inboxes.get_mut(&key) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for chunk in q.drain(..) {
+        for chunk in queue.drain(..) {
             out.extend_from_slice(&chunk);
+        }
+        if *finished {
+            self.inboxes.remove(&key);
         }
         out
     }
@@ -296,8 +297,6 @@ mod tests {
         assert_eq!((b.remote, b.stream_id), (p2, 12));
         assert_eq!(svc.recv_all(a), b"one-more");
         assert_eq!(svc.recv_all(b), b"two");
-        assert_eq!(svc.bytes_received, 11);
-        assert_eq!(svc.accepted, 2);
     }
 
     #[test]
@@ -313,5 +312,59 @@ mod tests {
         let done = svc.poll(&mut client);
         assert_eq!(done, vec![(vs, StreamFate::Failed)]);
         assert!(svc.poll(&mut client).is_empty());
+    }
+
+    /// A stream's inbox lives until its fate is reported and nothing is left
+    /// to read, whichever side opened it.
+    #[test]
+    fn finished_streams_leave_no_inbox_behind() {
+        let mut svc = VirtualStreams::default();
+        let mut client = FakeStreams::default();
+        let peer = addr(4);
+        for i in 0..1_000u64 {
+            let vs = if i % 2 == 0 {
+                svc.connect(&mut client, SimTime::ZERO, peer)
+            } else {
+                client.accepts.push((peer, 2 * i + 1));
+                svc.poll(&mut client);
+                svc.accept().unwrap()
+            };
+            svc.close(&mut client, SimTime::ZERO, vs);
+            client.events.push(StreamEvent::Closed {
+                remote: peer,
+                stream_id: vs.stream_id,
+            });
+            assert_eq!(svc.poll(&mut client), vec![(vs, StreamFate::Closed)]);
+        }
+        assert!(svc.inboxes.is_empty(), "{} inboxes left", svc.inboxes.len());
+    }
+
+    /// Data that arrives in the same poll as the stream's fate is read once;
+    /// after that the inbox is gone, and a straggler chunk does not bring it
+    /// back.
+    #[test]
+    fn data_beside_the_fate_is_read_once() {
+        let mut svc = VirtualStreams::default();
+        let mut client = FakeStreams::default();
+        let peer = addr(5);
+        let vs = svc.connect(&mut client, SimTime::ZERO, peer);
+        client
+            .data
+            .push((peer, vs.stream_id, Bytes::from(&b"last"[..])));
+        client.events.push(StreamEvent::RemoteClosed {
+            remote: peer,
+            stream_id: vs.stream_id,
+        });
+        assert_eq!(svc.poll(&mut client), vec![(vs, StreamFate::Closed)]);
+        assert_eq!(svc.recv_all(vs), b"last");
+        assert!(svc.inboxes.is_empty());
+        assert!(svc.recv_all(vs).is_empty());
+
+        client
+            .data
+            .push((peer, vs.stream_id, Bytes::from(&b"late"[..])));
+        svc.poll(&mut client);
+        assert!(svc.inboxes.is_empty(), "a late chunk recreated the inbox");
+        assert!(svc.recv_all(vs).is_empty());
     }
 }

@@ -291,7 +291,7 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages_for(TOPIC);
+            .take_topic_messages();
         assert_eq!(msgs.len(), 1, "subscriber {s} got the baseline: {msgs:?}");
     }
 
@@ -321,7 +321,7 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages_for(TOPIC);
+            .take_topic_messages();
         assert_eq!(
             msgs.len(),
             1,
@@ -336,7 +336,7 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
     let ghost_msgs = h
         .agent_mut(quitter)
         .expect("quitter alive")
-        .take_topic_messages_for(TOPIC);
+        .take_topic_messages();
     assert!(
         ghost_msgs.is_empty(),
         "ghost delivery to the unsubscribed node: {ghost_msgs:?}"
