@@ -12,123 +12,75 @@ use ipop_apps::ping::PingApp;
 use ipop_netsim::{planetlab, Network, NetworkSim};
 use ipop_simcore::{Duration, SimTime};
 
-use crate::report::{f, Table};
+use crate::paper::{self, Measured};
+use crate::scenarios::{app, mean_hops, History};
 use crate::Outcome;
 
 // ------------------------------------------------------------------- shortcuts
 
-/// Result of the shortcut ablation for one configuration.
-#[derive(Clone, Debug)]
-pub struct ShortcutResult {
-    /// Whether far (shortcut) connections were enabled.
-    pub shortcuts: bool,
-    /// Mean ping RTT in milliseconds.
-    pub mean_rtt_ms: f64,
-    /// Mean overlay hops of a delivered tunnel packet.
-    pub mean_hops: f64,
-    /// Total established connections in the overlay.
-    pub total_connections: usize,
-}
-
 /// Compare routing with and without Kleinberg shortcut connections on an
-/// `n`-node overlay (lightly loaded, so path length dominates the RTT).
-pub fn shortcuts(n: usize, pings: u32) -> Vec<ShortcutResult> {
-    [true, false]
-        .into_iter()
-        .map(|enabled| {
-            let mut net = Network::new(0xab1a71);
-            let plab = planetlab(&mut net, n, 1.0, 7);
-            let mut members = Vec::new();
-            let mut ping_target = Ipv4Addr::UNSPECIFIED;
-            let mut src_host = plab.nodes[0];
-            for (i, &h) in plab.nodes.iter().enumerate() {
-                let vip = Ipv4Addr::new(172, 16, 3 + (i / 200) as u8, (i % 200 + 1) as u8);
-                if i == n - 1 {
-                    ping_target = vip;
-                }
-                if i == 1 {
-                    src_host = h;
-                    members.push(IpopMember::new(
-                        h,
-                        vip,
-                        Box::new(PingApp::new(
-                            Ipv4Addr::UNSPECIFIED,
-                            0,
-                            Duration::from_millis(50),
-                        )),
-                    ));
-                } else {
-                    members.push(IpopMember::router(h, vip));
-                }
-            }
-            // Replace the placeholder ping app now that the target is known.
-            members[1] = IpopMember::new(
-                src_host,
-                Ipv4Addr::new(172, 16, 3, 2),
-                Box::new(
-                    PingApp::new(ping_target, pings, Duration::from_millis(50))
-                        .with_start_delay(Duration::from_secs(30))
-                        .with_timeout(Duration::from_secs(10)),
-                ),
-            );
-            let options = DeployOptions {
-                shortcuts: enabled,
-                ..DeployOptions::udp()
-            };
-            ipop::deploy_ipop(&mut net, members, options);
-            let mut sim = NetworkSim::new(net);
-            sim.run_for(Duration::from_secs(40) + Duration::from_millis(50) * u64::from(pings) * 4);
-            let report = sim
-                .net()
-                .agent_as::<IpopHostAgent>(src_host)
-                .and_then(|a| a.app_as::<PingApp>())
-                .map(|p| p.report().clone())
-                .unwrap_or_default();
-            let (mut hops, mut tunneled, mut connections) = (0u64, 0u64, 0usize);
-            for &h in &plab.nodes {
-                if let Some(agent) = sim.net().agent_as::<IpopHostAgent>(h) {
-                    hops += agent.metrics().tunneled_rx_hops;
-                    tunneled += agent.metrics().tunneled_rx;
-                    connections += agent.connection_count();
-                }
-            }
-            ShortcutResult {
-                shortcuts: enabled,
-                mean_rtt_ms: report.summary().mean,
-                mean_hops: hops as f64 / tunneled.max(1) as f64,
-                total_connections: connections,
-            }
-        })
-        .collect()
-}
-
-/// Render the shortcut ablation table.
-pub fn render_shortcuts(rows: &[ShortcutResult], n: usize) -> Table {
-    let mut table = Table::new(
-        &format!("Ablation - shortcut (structured-far) connections, {n}-node overlay"),
-        &[
-            "shortcuts",
-            "mean ping RTT (ms)",
-            "mean hops/delivery",
-            "total connections",
-        ],
-    );
-    for row in rows {
-        table.row(&[
-            if row.shortcuts { "enabled" } else { "disabled" }.to_string(),
-            f(row.mean_rtt_ms, 1),
-            f(row.mean_hops, 2),
-            row.total_connections.to_string(),
-        ]);
+/// `n`-node overlay (lightly loaded, so path length dominates the RTT): per
+/// row the mean ping RTT, the mean hops of a delivered tunnel packet and the
+/// overlay's established connections.
+pub fn shortcuts(n: usize, pings: u32) -> Vec<Measured> {
+    let mut cells = Vec::new();
+    for (row, enabled) in [("enabled", true), ("disabled", false)] {
+        let mut net = Network::new(0xab1a71);
+        let plab = planetlab(&mut net, n, 1.0, 7);
+        let vip = |i: usize| Ipv4Addr::new(172, 16, 3 + (i / 200) as u8, (i % 200 + 1) as u8);
+        let ping = PingApp::new(vip(n - 1), pings, Duration::from_millis(50))
+            .with_start_delay(Duration::from_secs(30))
+            .with_timeout(Duration::from_secs(10));
+        let mut ping = Some(Box::new(ping) as Box<dyn VirtualApp>);
+        let members = plab.nodes.iter().enumerate().map(|(i, &h)| match i {
+            1 => IpopMember::new(h, vip(i), ping.take().expect("one pinger")),
+            _ => IpopMember::router(h, vip(i)),
+        });
+        let options = DeployOptions {
+            shortcuts: enabled,
+            ..DeployOptions::udp()
+        };
+        ipop::deploy_ipop(&mut net, members.collect(), options);
+        let mut sim = NetworkSim::new(net);
+        sim.run_for(Duration::from_secs(40) + Duration::from_millis(50) * u64::from(pings) * 4);
+        let report = app::<PingApp>(sim.net(), plab.nodes[1]).map(|p| p.report().clone());
+        let agents = plab
+            .nodes
+            .iter()
+            .filter_map(|&h| sim.net().agent_as::<IpopHostAgent>(h));
+        let connections: usize = agents.map(|a| a.connection_count()).sum();
+        let history = History::of(&sim);
+        for (column, value) in [
+            ("mean RTT (ms)", report.unwrap_or_default().summary().mean),
+            ("hops", mean_hops(sim.net(), &plab.nodes)),
+            ("connections", connections as f64),
+        ] {
+            let key = ("§V.1 shortcuts", row, column);
+            cells.push(Measured {
+                key,
+                value,
+                history,
+            });
+        }
     }
-    table
+    cells
 }
 
-/// The `shortcuts` scenario: 64 nodes and 200 pings, 24 and 30 when `quick`.
+/// Overlay nodes and pings of the shortcut ablation: 64 and 200, 24 and 30
+/// when `quick`.
+pub(crate) fn shortcut_size(quick: bool) -> (usize, u32) {
+    if quick {
+        (24, 30)
+    } else {
+        (64, 200)
+    }
+}
+
+/// The `shortcuts` scenario at [`shortcut_size`].
 pub fn shortcuts_scenario(quick: bool) -> Outcome {
-    let (nodes, pings) = if quick { (24, 30) } else { (64, 200) };
-    render_shortcuts(&shortcuts(nodes, pings), nodes).print();
-    Outcome::printed()
+    let (nodes, pings) = shortcut_size(quick);
+    let title = format!("Ablation - shortcut (structured-far) connections, {nodes}-node overlay");
+    paper::print(&title, &shortcuts(nodes, pings))
 }
 
 // ------------------------------------------------------------------ Brunet-ARP
@@ -189,23 +141,11 @@ impl VirtualApp for UdpBlaster {
     }
 }
 
-/// Result of the Brunet-ARP ablation.
-#[derive(Clone, Debug)]
-pub struct BrunetArpResult {
-    /// Packets that reached the node hosting the guest IP before migration.
-    pub delivered_before: u64,
-    /// Packets that reached the new host after the guest IP migrated.
-    pub delivered_after: u64,
-    /// DHT queries issued by the sender.
-    pub queries: u64,
-    /// Packets the sender tunnelled in total.
-    pub tunneled: u64,
-}
-
 /// Exercise the Brunet-ARP mapper: a sender keeps transmitting to a guest virtual
 /// IP that is hosted by node B and later "migrates" to node C (Section III-E's VM
-/// migration scenario).
-pub fn brunet_arp() -> BrunetArpResult {
+/// migration scenario). Rows count packets delivered to each host, and the
+/// DHT queries and tunnelled packets of the sender.
+pub fn brunet_arp() -> Vec<Measured> {
     let mut net = Network::new(0xab1a72);
     let site = net.add_site(ipop_netsim::SiteSpec::open("LAN"));
     let a = net.add_host("sender", site, Ipv4Addr::new(10, 60, 0, 1));
@@ -268,43 +208,25 @@ pub fn brunet_arp() -> BrunetArpResult {
         .net()
         .agent_as::<IpopHostAgent>(a)
         .expect("sender agent");
-    BrunetArpResult {
-        delivered_before,
-        delivered_after,
-        queries: sender.metrics().arp_queries,
-        tunneled: sender.metrics().tunneled_tx,
-    }
-}
-
-/// Render the Brunet-ARP ablation table.
-pub fn render_brunet_arp(result: &BrunetArpResult) -> Table {
-    let mut table = Table::new(
-        "Ablation - Brunet-ARP DHT mapping with VM migration",
-        &["metric", "value"],
-    );
-    table.row(&[
-        "packets delivered to original host".into(),
-        result.delivered_before.to_string(),
-    ]);
-    table.row(&[
-        "packets delivered to migrated host".into(),
-        result.delivered_after.to_string(),
-    ]);
-    table.row(&[
-        "DHT queries issued by the sender".into(),
-        result.queries.to_string(),
-    ]);
-    table.row(&[
-        "packets tunnelled by the sender".into(),
-        result.tunneled.to_string(),
-    ]);
-    table
+    let history = History::of(&sim);
+    [
+        ("delivered to original host", delivered_before),
+        ("delivered to migrated host", delivered_after),
+        ("DHT queries by the sender", sender.metrics().arp_queries),
+        ("tunnelled by the sender", sender.metrics().tunneled_tx),
+    ]
+    .map(|(row, n)| Measured {
+        key: ("§III-E Brunet-ARP", row, "count"),
+        value: n as f64,
+        history,
+    })
+    .to_vec()
 }
 
 /// The `brunet_arp` scenario; one size, `--quick` changes nothing.
 pub fn brunet_arp_scenario(_quick: bool) -> Outcome {
-    render_brunet_arp(&brunet_arp()).print();
-    Outcome::printed()
+    let title = "Ablation - Brunet-ARP DHT mapping with VM migration";
+    paper::print(title, &brunet_arp())
 }
 
 #[cfg(test)]
@@ -313,14 +235,18 @@ mod tests {
 
     #[test]
     fn brunet_arp_resolves_and_follows_migration() {
-        let result = brunet_arp();
-        assert!(result.queries >= 1, "at least one DHT resolution");
+        let cells = brunet_arp();
+        let get = |row| paper::get(&cells, row, "count");
         assert!(
-            result.delivered_before > 0,
+            get("DHT queries by the sender") >= 1.0,
+            "at least one DHT resolution"
+        );
+        assert!(
+            get("delivered to original host") > 0.0,
             "guest packets reached the original host"
         );
         assert!(
-            result.delivered_after > 0,
+            get("delivered to migrated host") > 0.0,
             "after migration and cache expiry, packets reach the new host"
         );
     }

@@ -11,8 +11,8 @@ use std::process::ExitCode;
 
 use ipop_bench::json::Json;
 use ipop_bench::{
-    ablations, fanout, fig5, migration, scale, selfconfig, storm, streams, table1, table2, table3,
-    table4, Outcome,
+    ablations, fanout, fig5, migration, paper, scale, selfconfig, storm, streams, table1, table4,
+    ttcp, Outcome,
 };
 
 /// How a scenario is invoked.
@@ -29,12 +29,13 @@ type Scenario = (&'static str, Option<&'static str>, Run);
 
 const SCENARIOS: &[Scenario] = &[
     ("table1", None, Plain(table1::scenario)),
-    ("table2", None, Plain(table2::scenario)),
-    ("table3", None, Plain(table3::scenario)),
+    ("table2", None, Plain(ttcp::table2)),
+    ("table3", None, Plain(ttcp::table3)),
     ("table4", None, Plain(table4::scenario)),
     ("fig5", None, Plain(fig5::scenario)),
     ("shortcuts", None, Plain(ablations::shortcuts_scenario)),
     ("brunet_arp", None, Plain(ablations::brunet_arp_scenario)),
+    ("paper", Some("BENCH_paper.json"), Plain(paper::scenario)),
     (
         "selfconfig",
         Some("BENCH_selfconfig.json"),

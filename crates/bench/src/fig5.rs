@@ -3,7 +3,8 @@
 
 use ipop_simcore::Histogram;
 
-use crate::report::{f, Table};
+use crate::paper::{self, Measured};
+use crate::report::Table;
 use crate::scenarios::{planetlab_ping, PlanetLabResult};
 use crate::Outcome;
 
@@ -37,6 +38,15 @@ impl Fig5Params {
             pings: 300,
         }
     }
+
+    /// [`Fig5Params::quick`] when `quick`, else the paper's.
+    pub(crate) fn new(quick: bool) -> Self {
+        if quick {
+            Self::quick()
+        } else {
+            Self::default()
+        }
+    }
 }
 
 /// The experiment output: raw result plus the latency histogram of Fig. 5.
@@ -63,52 +73,39 @@ pub fn run(params: &Fig5Params) -> Fig5Output {
     Fig5Output { result, histogram }
 }
 
+/// The run as cells: the paper reports the mean, the replies (all of its
+/// 10,000 pings) and the hops.
+pub fn cells(out: &Fig5Output) -> Vec<Measured> {
+    let (r, h) = (&out.result, &out.histogram);
+    [
+        ("mean (ms)", h.mean()),
+        ("median (ms)", h.percentile(0.5)),
+        ("p95 (ms)", h.percentile(0.95)),
+        ("replies", r.rtts_ms.len() as f64),
+        ("lost", f64::from(r.lost)),
+        ("hops", r.mean_hops),
+    ]
+    .map(|(column, value)| Measured {
+        key: ("Fig. 5", "Planet-Lab", column),
+        value,
+        history: r.history,
+    })
+    .to_vec()
+}
+
 /// Render the summary statistics table (the figure itself is printed as an ASCII
 /// histogram by the binary).
 pub fn render_summary(out: &Fig5Output, params: &Fig5Params) -> Table {
-    let mut table = Table::new(
-        &format!(
-            "Fig. 5 - ping RTT over a {}-node Planet-Lab overlay (CPU load {})",
-            params.nodes, params.load
-        ),
-        &["metric", "measured", "paper"],
+    let title = format!(
+        "Fig. 5 - ping RTT over a {}-node Planet-Lab overlay (CPU load {}), hops per delivery",
+        params.nodes, params.load
     );
-    table.row(&[
-        "mean RTT (ms)".into(),
-        f(out.histogram.mean(), 1),
-        "~1600 (reported \"in excess of 1.6 s\")".into(),
-    ]);
-    table.row(&[
-        "median RTT (ms)".into(),
-        f(out.histogram.percentile(0.5), 1),
-        "-".into(),
-    ]);
-    table.row(&[
-        "95th percentile (ms)".into(),
-        f(out.histogram.percentile(0.95), 1),
-        "-".into(),
-    ]);
-    table.row(&[
-        "replies".into(),
-        out.result.rtts_ms.len().to_string(),
-        "10000".into(),
-    ]);
-    table.row(&["lost".into(), out.result.lost.to_string(), "-".into()]);
-    table.row(&[
-        "mean overlay hops per delivery".into(),
-        f(out.result.mean_hops, 2),
-        "2 hops between source and destination".into(),
-    ]);
-    table
+    paper::render(&title, &cells(out))
 }
 
 /// The `fig5` scenario: the paper's 118-node overlay, or [`Fig5Params::quick`].
 pub fn scenario(quick: bool) -> Outcome {
-    let params = if quick {
-        Fig5Params::quick()
-    } else {
-        Fig5Params::default()
-    };
+    let params = Fig5Params::new(quick);
     println!(
         "Fig. 5: {} pings across a {}-node overlay at CPU load {}\n",
         params.pings, params.nodes, params.load

@@ -12,10 +12,13 @@
 //!
 //! | scenario | function | artefact |
 //! |---|---|---|
-//! | `table1` … `table4` (paper Tables I–IV) | [`table1::scenario`] … [`table4::scenario`] | printed |
+//! | `table1` (paper Table I) | [`table1::scenario`] | printed |
+//! | `table2`, `table3` (Tables II, III) | [`ttcp::table2`], [`ttcp::table3`] | printed |
+//! | `table4` (Table IV) | [`table4::scenario`] | printed |
 //! | `fig5` (Fig. 5) | [`fig5::scenario`] | printed |
 //! | `shortcuts` (§V.1 shortcut discussion) | [`ablations::shortcuts_scenario`] | printed |
 //! | `brunet_arp` (§III-E Brunet-ARP) | [`ablations::brunet_arp_scenario`] | printed |
+//! | `paper` (all of the above against [`paper::PAPER`]) | [`paper::scenario`] | `BENCH_paper.json` |
 //! | `selfconfig` | [`selfconfig::scenario`] | `BENCH_selfconfig.json` |
 //! | `migration` | [`migration::scenario`] | `BENCH_migration.json` |
 //! | `durability`, `adversarial` | [`storm::durability`], [`storm::adversarial`] | `BENCH_durability.json`, `BENCH_adversarial.json` |
@@ -29,6 +32,7 @@ pub mod fig5;
 pub mod harness;
 pub mod json;
 pub mod migration;
+pub mod paper;
 pub mod report;
 pub mod scale;
 pub mod scenarios;
@@ -36,9 +40,8 @@ pub mod selfconfig;
 pub mod storm;
 pub mod streams;
 pub mod table1;
-pub mod table2;
-pub mod table3;
 pub mod table4;
+pub mod ttcp;
 
 /// What a scenario hands back to `ipop-bench`.
 pub struct Outcome {

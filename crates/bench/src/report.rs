@@ -63,20 +63,6 @@ impl Table {
     }
 }
 
-/// Format a float with the given number of decimals.
-pub fn f(value: f64, decimals: usize) -> String {
-    format!("{value:.decimals$}")
-}
-
-/// Format a ratio as a percentage string.
-pub fn pct(part: f64, whole: f64) -> String {
-    if whole <= 0.0 {
-        "-".to_string()
-    } else {
-        format!("{:.0}%", 100.0 * part / whole)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,19 +70,12 @@ mod tests {
     #[test]
     fn table_renders_aligned_columns() {
         let mut t = Table::new("Demo", &["scenario", "mean (ms)"]);
-        t.row(&["physical".to_string(), f(0.898, 3)]);
-        t.row(&["IPOP-UDP".to_string(), f(6.859, 3)]);
+        t.row(&["physical".to_string(), "0.898".to_string()]);
+        t.row(&["IPOP-UDP".to_string(), "6.859".to_string()]);
         let s = t.render();
         assert!(s.contains("== Demo =="));
         assert!(s.contains("physical"));
         assert!(s.contains("6.859"));
         assert_eq!(s.lines().count(), 5);
-    }
-
-    #[test]
-    fn percentage_helper() {
-        assert_eq!(pct(2389.0, 8255.0), "29%");
-        assert_eq!(pct(1.0, 0.0), "-");
-        assert_eq!(f(1.23456, 2), "1.23");
     }
 }

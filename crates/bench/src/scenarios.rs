@@ -56,14 +56,66 @@ pub fn fig4_virtual_ips() -> [(usize, Ipv4Addr); 6] {
 /// Time given to the overlay to self-configure before measurements start.
 pub const WARMUP: Duration = Duration::from_secs(20);
 
-fn run_until<F>(sim: &mut NetworkSim, limit: Duration, mut done: F)
+/// What a run leaves behind besides its report: the events it executed and a
+/// digest of its history — FNV-1a over the event count, the end time and the
+/// network's packet counters — so a ledger cell names the run it came from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct History {
+    /// Events the simulator executed.
+    pub events: u64,
+    /// The history digest.
+    pub trace_hash: u64,
+}
+
+impl History {
+    /// The history of `sim` so far.
+    pub(crate) fn of(sim: &NetworkSim) -> History {
+        let c = sim.net().counters();
+        let words = [
+            sim.events_executed(),
+            sim.now().as_nanos(),
+            c.delivered,
+            c.unroutable,
+            c.firewall_out_dropped,
+            c.firewall_in_dropped,
+            c.nat_filtered,
+            c.link_dropped,
+        ];
+        History {
+            events: words[0],
+            trace_hash: fnv(0xCBF2_9CE4_8422_2325, &words),
+        }
+    }
+
+    /// One history for a cell that two runs measured together.
+    pub(crate) fn and(self, other: History) -> History {
+        History {
+            events: self.events + other.events,
+            trace_hash: fnv(self.trace_hash, &[other.trace_hash]),
+        }
+    }
+}
+
+/// FNV-1a, continued from `hash` over the bytes of `words`.
+fn fnv(hash: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// Run until `done` holds, `limit` of virtual time passes, or the event queue
+/// drains, checking once per virtual second.
+fn run_until<F>(sim: &mut NetworkSim, limit: Duration, mut done: F) -> History
 where
     F: FnMut(&Network) -> bool,
 {
     let deadline = SimTime::ZERO + limit;
     loop {
         if done(sim.net()) || sim.now() >= deadline {
-            return;
+            return History::of(sim);
         }
         let step = Duration::from_secs(1).min(deadline - sim.now());
         let before_events = sim.events_executed();
@@ -72,160 +124,101 @@ where
         if sim.events_executed() == before_events && sim.now() == before_now {
             // The event queue drained without reaching the predicate: nothing more
             // will ever happen, so stop instead of spinning.
-            return;
+            return History::of(sim);
         }
     }
 }
 
-// --------------------------------------------------------------------------- ping
+/// The app of type `T` on `host`, whichever agent runs it.
+pub(crate) fn app<T: 'static>(net: &Network, host: HostId) -> Option<&T> {
+    match net.agent_as::<IpopHostAgent>(host) {
+        Some(agent) => agent.app_as(),
+        None => net.agent_as::<PlainHostAgent>(host)?.app_as(),
+    }
+}
 
-/// Run a ping measurement between two Fig. 4 hosts.
+// ----------------------------------------------------------------- ping + ttcp
+
+/// Stand up the Fig. 4 testbed with the `(sender, receiver)` pair that `apps`
+/// builds for a target address and a start delay on hosts `src` and `dst`:
+/// on the physical network, or on an IPOP overlay of all six machines whose
+/// sender waits out [`WARMUP`]. Run until the sender finishes or `limit`
+/// passes, and hand back what `report` reads off it.
 ///
 /// `src`/`dst` index the testbed hosts in the order F1, F2, F3, F4, V1, L1.
-pub fn fig4_ping(mode: Mode, src: usize, dst: usize, count: u32, seed: u64) -> PingReport {
+fn fig4_pair<A: VirtualApp + 'static, R: Default>(
+    mode: Mode,
+    (src, dst): (usize, usize),
+    seed: u64,
+    limit: Duration,
+    apps: impl Fn(Ipv4Addr, Duration) -> (A, Box<dyn VirtualApp>),
+    report: impl Fn(&A) -> R,
+) -> (R, History) {
     let mut net = Network::new(seed);
     let tb = fig4_testbed(&mut net);
     let hosts = tb.all();
+    if mode == Mode::Physical {
+        let (sender, receiver) = apps(tb.addrs[dst], Duration::ZERO);
+        ipop::deploy_plain(&mut net, hosts[src], Box::new(sender));
+        ipop::deploy_plain(&mut net, hosts[dst], receiver);
+    } else {
+        let vips = fig4_virtual_ips();
+        let (sender, receiver) = apps(vips[dst].1, WARMUP);
+        let mut members: Vec<IpopMember> = vips
+            .iter()
+            .map(|&(i, vip)| IpopMember::router(hosts[i], vip))
+            .collect();
+        members[src] = IpopMember::new(hosts[src], vips[src].1, Box::new(sender));
+        members[dst] = IpopMember::new(hosts[dst], vips[dst].1, receiver);
+        ipop::deploy_ipop(&mut net, members, mode.deploy_options());
+    }
+    let mut sim = NetworkSim::new(net);
+    let history = run_until(&mut sim, limit, |net| {
+        app::<A>(net, hosts[src]).is_some_and(|a| a.finished())
+    });
+    let report = app::<A>(sim.net(), hosts[src])
+        .map(report)
+        .unwrap_or_default();
+    (report, history)
+}
+
+/// Ping `dst` from `src`, `count` requests 20 ms apart.
+pub fn fig4_ping(
+    mode: Mode,
+    src: usize,
+    dst: usize,
+    count: u32,
+    seed: u64,
+) -> (PingReport, History) {
     let interval = Duration::from_millis(20);
-    match mode {
-        Mode::Physical => {
-            let target = tb.addrs[dst];
-            let app = PingApp::new(target, count, interval);
-            ipop::deploy_plain(&mut net, hosts[src], Box::new(app));
-            ipop::deploy_plain(&mut net, hosts[dst], Box::new(ipop::NullApp));
-        }
-        Mode::IpopUdp | Mode::IpopTcp => {
-            let vips = fig4_virtual_ips();
-            let target = vips[dst].1;
-            let members = vips
-                .iter()
-                .map(|&(i, vip)| {
-                    if i == src {
-                        IpopMember::new(
-                            hosts[i],
-                            vip,
-                            Box::new(
-                                PingApp::new(target, count, interval).with_start_delay(WARMUP),
-                            ),
-                        )
-                    } else {
-                        IpopMember::router(hosts[i], vip)
-                    }
-                })
-                .collect();
-            ipop::deploy_ipop(&mut net, members, mode.deploy_options());
-        }
-    }
-    let src_host = hosts[src];
-    let mut sim = NetworkSim::new(net);
     let limit = Duration::from_secs(120) + interval * u64::from(count);
-    run_until(&mut sim, limit, |net| ping_finished(net, src_host, mode));
-    extract_ping(sim.net(), src_host, mode)
+    let apps = |target, delay| {
+        let ping = PingApp::new(target, count, interval).with_start_delay(delay);
+        (ping, Box::new(ipop::NullApp) as Box<dyn VirtualApp>)
+    };
+    fig4_pair(mode, (src, dst), seed, limit, apps, |p| p.report().clone())
 }
 
-fn ping_finished(net: &Network, host: HostId, mode: Mode) -> bool {
-    match mode {
-        Mode::Physical => net
-            .agent_as::<PlainHostAgent>(host)
-            .and_then(|a| a.app_as::<PingApp>())
-            .is_some_and(|p| p.finished()),
-        _ => net
-            .agent_as::<IpopHostAgent>(host)
-            .and_then(|a| a.app_as::<PingApp>())
-            .is_some_and(|p| p.finished()),
-    }
-}
-
-fn extract_ping(net: &Network, host: HostId, mode: Mode) -> PingReport {
-    match mode {
-        Mode::Physical => net
-            .agent_as::<PlainHostAgent>(host)
-            .and_then(|a| a.app_as::<PingApp>())
-            .map(|p| p.report().clone())
-            .unwrap_or_default(),
-        _ => net
-            .agent_as::<IpopHostAgent>(host)
-            .and_then(|a| a.app_as::<PingApp>())
-            .map(|p| p.report().clone())
-            .unwrap_or_default(),
-    }
-}
-
-// --------------------------------------------------------------------------- ttcp
-
-/// Run a ttcp bulk transfer between two Fig. 4 hosts and return the sender report.
-pub fn fig4_ttcp(mode: Mode, src: usize, dst: usize, bytes: u64, seed: u64) -> TtcpReport {
-    let mut net = Network::new(seed);
-    let tb = fig4_testbed(&mut net);
-    let hosts = tb.all();
+/// A ttcp bulk transfer of `bytes` from `src` to `dst`; the sender's report.
+pub fn fig4_ttcp(
+    mode: Mode,
+    src: usize,
+    dst: usize,
+    bytes: u64,
+    seed: u64,
+) -> (TtcpReport, History) {
     const PORT: u16 = 5201;
-    match mode {
-        Mode::Physical => {
-            let target = tb.addrs[dst];
-            ipop::deploy_plain(
-                &mut net,
-                hosts[src],
-                Box::new(TtcpApp::sender(target, PORT, bytes)),
-            );
-            ipop::deploy_plain(&mut net, hosts[dst], Box::new(TtcpApp::receiver(PORT)));
-        }
-        Mode::IpopUdp | Mode::IpopTcp => {
-            let vips = fig4_virtual_ips();
-            let target = vips[dst].1;
-            let members = vips
-                .iter()
-                .map(|&(i, vip)| {
-                    if i == src {
-                        IpopMember::new(
-                            hosts[i],
-                            vip,
-                            Box::new(TtcpApp::sender(target, PORT, bytes).with_start_delay(WARMUP)),
-                        )
-                    } else if i == dst {
-                        IpopMember::new(hosts[i], vip, Box::new(TtcpApp::receiver(PORT)))
-                    } else {
-                        IpopMember::router(hosts[i], vip)
-                    }
-                })
-                .collect();
-            ipop::deploy_ipop(&mut net, members, mode.deploy_options());
-        }
-    }
-    let src_host = hosts[src];
-    let mut sim = NetworkSim::new(net);
     // Generous limit: the slowest configuration (IPOP-TCP over the WAN, 93 MB at a
     // few hundred KB/s) needs several hundred virtual seconds.
     let limit = Duration::from_secs(1200);
-    run_until(&mut sim, limit, |net| ttcp_finished(net, src_host, mode));
-    extract_ttcp(sim.net(), src_host, mode)
-}
-
-fn ttcp_finished(net: &Network, host: HostId, mode: Mode) -> bool {
-    match mode {
-        Mode::Physical => net
-            .agent_as::<PlainHostAgent>(host)
-            .and_then(|a| a.app_as::<TtcpApp>())
-            .is_some_and(|p| p.finished()),
-        _ => net
-            .agent_as::<IpopHostAgent>(host)
-            .and_then(|a| a.app_as::<TtcpApp>())
-            .is_some_and(|p| p.finished()),
-    }
-}
-
-fn extract_ttcp(net: &Network, host: HostId, mode: Mode) -> TtcpReport {
-    match mode {
-        Mode::Physical => net
-            .agent_as::<PlainHostAgent>(host)
-            .and_then(|a| a.app_as::<TtcpApp>())
-            .map(|p| p.report())
-            .unwrap_or_default(),
-        _ => net
-            .agent_as::<IpopHostAgent>(host)
-            .and_then(|a| a.app_as::<TtcpApp>())
-            .map(|p| p.report())
-            .unwrap_or_default(),
-    }
+    let apps = |target, delay| {
+        let sender = TtcpApp::sender(target, PORT, bytes).with_start_delay(delay);
+        (
+            sender,
+            Box::new(TtcpApp::receiver(PORT)) as Box<dyn VirtualApp>,
+        )
+    };
+    fig4_pair(mode, (src, dst), seed, limit, apps, TtcpApp::report)
 }
 
 // ---------------------------------------------------------------------------- LSS
@@ -235,7 +228,7 @@ fn extract_ttcp(net: &Network, host: HostId, mode: Mode) -> TtcpReport {
 /// The NFS file server runs on F4, the master on F3 and `workers` compute nodes on
 /// F1, F2, V1, L1 (in that order), matching the paper's "compute nodes across three
 /// firewalled domains with a central file server" setup.
-pub fn fig4_lss(workers: usize, params: LssParams, seed: u64) -> LssReport {
+pub fn fig4_lss(workers: usize, params: LssParams, seed: u64) -> (LssReport, History) {
     assert!(
         (1..=4).contains(&workers),
         "the testbed provides up to 4 compute nodes"
@@ -268,16 +261,11 @@ pub fn fig4_lss(workers: usize, params: LssParams, seed: u64) -> LssReport {
     ipop::deploy_ipop(&mut net, members, DeployOptions::udp());
     let master_host = tb.f3;
     let mut sim = NetworkSim::new(net);
-    run_until(&mut sim, Duration::from_secs(6_000), |net| {
-        net.agent_as::<IpopHostAgent>(master_host)
-            .and_then(|a| a.app_as::<LssMaster>())
-            .is_some_and(|m| m.finished())
+    let history = run_until(&mut sim, Duration::from_secs(6_000), |net| {
+        app::<LssMaster>(net, master_host).is_some_and(|m| m.finished())
     });
-    sim.net()
-        .agent_as::<IpopHostAgent>(master_host)
-        .and_then(|a| a.app_as::<LssMaster>())
-        .map(|m| m.report().clone())
-        .unwrap_or_default()
+    let report = app::<LssMaster>(sim.net(), master_host).map(|m| m.report().clone());
+    (report.unwrap_or_default(), history)
 }
 
 // ---------------------------------------------------------------- Planet-Lab ping
@@ -291,6 +279,8 @@ pub struct PlanetLabResult {
     pub lost: u32,
     /// Mean overlay hops of a delivered tunnel packet.
     pub mean_hops: f64,
+    /// The run's history.
+    pub history: History,
 }
 
 /// Ping across an overlay deployed on `nodes` Planet-Lab-like machines with CPU
@@ -331,25 +321,30 @@ pub fn planetlab_ping(nodes: usize, load: f64, count: u32, seed: u64) -> PlanetL
 
     let mut sim = NetworkSim::new(net);
     let limit = Duration::from_secs(120) + Duration::from_millis(100) * u64::from(count) * 4;
-    run_until(&mut sim, limit, |net| {
-        net.agent_as::<IpopHostAgent>(src_host)
-            .and_then(|a| a.app_as::<PingApp>())
-            .is_some_and(|p| p.finished())
+    let history = run_until(&mut sim, limit, |net| {
+        app::<PingApp>(net, src_host).is_some_and(|p| p.finished())
     });
-    let report = extract_ping(sim.net(), src_host, Mode::IpopTcp);
-    // Hops the delivered tunnel packets travelled, across the whole overlay.
-    let (mut hops, mut tunneled) = (0u64, 0u64);
-    for host in plab.nodes.iter().copied() {
-        if let Some(agent) = sim.net().agent_as::<IpopHostAgent>(host) {
-            hops += agent.metrics().tunneled_rx_hops;
-            tunneled += agent.metrics().tunneled_rx;
-        }
-    }
+    let report =
+        app::<PingApp>(sim.net(), src_host).map_or_else(Default::default, |p| p.report().clone());
     PlanetLabResult {
         rtts_ms: report.rtts_ms,
         lost: report.lost,
-        mean_hops: hops as f64 / tunneled.max(1) as f64,
+        mean_hops: mean_hops(sim.net(), &plab.nodes),
+        history,
     }
+}
+
+/// Mean overlay hops of the tunnel packets delivered to any of `hosts`.
+pub(crate) fn mean_hops(net: &Network, hosts: &[HostId]) -> f64 {
+    let (mut hops, mut tunneled) = (0u64, 0u64);
+    for agent in hosts
+        .iter()
+        .filter_map(|&h| net.agent_as::<IpopHostAgent>(h))
+    {
+        hops += agent.metrics().tunneled_rx_hops;
+        tunneled += agent.metrics().tunneled_rx;
+    }
+    hops as f64 / tunneled.max(1) as f64
 }
 
 #[cfg(test)]
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn fig4_physical_lan_ping_is_fast() {
-        let report = fig4_ping(Mode::Physical, 1, 3, 10, 1);
+        let (report, _) = fig4_ping(Mode::Physical, 1, 3, 10, 1);
         assert_eq!(report.rtts_ms.len(), 10);
         assert!(
             report.summary().mean < 2.5,
@@ -369,7 +364,7 @@ mod tests {
 
     #[test]
     fn fig4_ipop_udp_lan_ping_has_user_level_overhead() {
-        let report = fig4_ping(Mode::IpopUdp, 1, 3, 10, 2);
+        let (report, _) = fig4_ping(Mode::IpopUdp, 1, 3, 10, 2);
         assert!(
             report.rtts_ms.len() >= 8,
             "most pings answered, got {}",
