@@ -12,26 +12,16 @@ use std::net::Ipv4Addr;
 
 use ipop::app::{AppEnv, VirtualApp};
 use ipop_netstack::SocketHandle;
-use ipop_simcore::{Duration, OnlineStats, SimTime, Summary};
+use ipop_simcore::{Duration, SimTime};
 
 /// Results of a ping run.
 #[derive(Clone, Debug, Default)]
 pub struct PingReport {
-    /// Round-trip times, in the order replies arrived.
+    /// Round-trip times in milliseconds, in the order replies arrived; Table I
+    /// reports their `stats::{mean, std_dev}`.
     pub rtts_ms: Vec<f64>,
     /// Requests that never got a reply within the timeout.
     pub lost: u32,
-}
-
-impl PingReport {
-    /// Mean/std-dev summary in milliseconds (what Table I reports).
-    pub fn summary(&self) -> Summary {
-        let mut stats = OnlineStats::new();
-        for &ms in &self.rtts_ms {
-            stats.add(ms);
-        }
-        stats.summary()
-    }
 }
 
 /// Echo payload size in bytes, `ping`'s default.
@@ -166,6 +156,7 @@ mod tests {
     use ipop::plain::PlainHostAgent;
     use ipop::NullApp;
     use ipop_netsim::{lan_pair, Network, NetworkSim};
+    use ipop_simcore::stats;
 
     #[test]
     fn ping_over_physical_lan_measures_sub_millisecond_rtts() {
@@ -190,13 +181,9 @@ mod tests {
         let report = app.report();
         assert_eq!(report.rtts_ms.len(), 20);
         assert_eq!(report.lost, 0);
-        let summary = report.summary();
-        assert!(
-            summary.mean < 2.0,
-            "LAN physical RTT should be sub-2ms, got {}",
-            summary.mean
-        );
-        assert!(summary.mean > 0.0);
+        let mean = stats::mean(&report.rtts_ms);
+        assert!(mean < 2.0, "LAN physical RTT should be sub-2ms, got {mean}");
+        assert!(mean > 0.0);
     }
 
     #[test]

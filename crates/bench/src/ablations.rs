@@ -10,7 +10,7 @@ use ipop::prelude::*;
 use ipop::IpopHostAgent;
 use ipop_apps::ping::PingApp;
 use ipop_netsim::{planetlab, Network, NetworkSim};
-use ipop_simcore::{Duration, SimTime};
+use ipop_simcore::{stats, Duration, SimTime};
 
 use crate::paper::{self, Measured};
 use crate::scenarios::{app, mean_hops, History};
@@ -43,7 +43,8 @@ pub fn shortcuts(n: usize, pings: u32) -> Vec<Measured> {
         ipop::deploy_ipop(&mut net, members.collect(), options);
         let mut sim = NetworkSim::new(net);
         sim.run_for(Duration::from_secs(40) + Duration::from_millis(50) * u64::from(pings) * 4);
-        let report = app::<PingApp>(sim.net(), plab.nodes[1]).map(|p| p.report().clone());
+        let rtt =
+            app::<PingApp>(sim.net(), plab.nodes[1]).map(|p| stats::mean(&p.report().rtts_ms));
         let agents = plab
             .nodes
             .iter()
@@ -51,7 +52,7 @@ pub fn shortcuts(n: usize, pings: u32) -> Vec<Measured> {
         let connections: usize = agents.map(|a| a.connection_count()).sum();
         let history = History::of(&sim);
         for (column, value) in [
-            ("mean RTT (ms)", report.unwrap_or_default().summary().mean),
+            ("mean RTT (ms)", rtt.unwrap_or_default()),
             ("hops", mean_hops(sim.net(), &plab.nodes)),
             ("connections", connections as f64),
         ] {

@@ -20,9 +20,9 @@ use ipop_overlay::address::Address;
 use ipop_overlay::node::OverlayNode;
 use ipop_overlay::pubsub::topic_key;
 use ipop_packet::Bytes;
+use ipop_simcore::stats::{fmax, mean, quantile};
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::harness::{fmax, mean, quantile};
 use crate::json::Json;
 use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
 use crate::{ensure, mode, Outcome};

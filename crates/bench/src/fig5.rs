@@ -1,10 +1,9 @@
 //! Fig. 5 — distribution of ping round-trip times across a 118-node Planet-Lab
 //! overlay whose nodes are heavily CPU-loaded.
 
-use ipop_simcore::Histogram;
+use ipop_simcore::stats;
 
 use crate::paper::{self, Measured};
-use crate::report::Table;
 use crate::scenarios::{planetlab_ping, PlanetLabResult};
 use crate::Outcome;
 
@@ -19,68 +18,30 @@ pub struct Fig5Params {
     pub pings: u32,
 }
 
-impl Default for Fig5Params {
-    fn default() -> Self {
-        Fig5Params {
-            nodes: 118,
-            load: 10.0,
-            pings: 10_000,
-        }
-    }
-}
-
 impl Fig5Params {
-    /// A scaled-down variant for `--quick` runs and tests.
-    pub fn quick() -> Self {
-        Fig5Params {
-            nodes: 40,
-            load: 10.0,
-            pings: 300,
-        }
-    }
-
-    /// [`Fig5Params::quick`] when `quick`, else the paper's.
+    /// The paper's 118 nodes and 10,000 pings; 40 and 300 when `quick`.
     pub(crate) fn new(quick: bool) -> Self {
-        if quick {
-            Self::quick()
-        } else {
-            Self::default()
+        let (nodes, pings) = if quick { (40, 300) } else { (118, 10_000) };
+        Fig5Params {
+            nodes,
+            load: 10.0,
+            pings,
         }
     }
-}
-
-/// The experiment output: raw result plus the latency histogram of Fig. 5.
-pub struct Fig5Output {
-    /// Raw RTTs and hop statistics.
-    pub result: PlanetLabResult,
-    /// Histogram over RTT (milliseconds).
-    pub histogram: Histogram,
 }
 
 /// Run the Fig. 5 experiment.
-pub fn run(params: &Fig5Params) -> Fig5Output {
-    let result = planetlab_ping(params.nodes, params.load, params.pings, 0x7ab1e5);
-    let max_ms = result
-        .rtts_ms
-        .iter()
-        .copied()
-        .fold(0.0f64, f64::max)
-        .max(100.0);
-    let mut histogram = Histogram::new(0.0, max_ms * 1.05, 30);
-    for &rtt in &result.rtts_ms {
-        histogram.add(rtt);
-    }
-    Fig5Output { result, histogram }
+pub fn run(params: &Fig5Params) -> PlanetLabResult {
+    planetlab_ping(params.nodes, params.load, params.pings, 0x7ab1e5)
 }
 
 /// The run as cells: the paper reports the mean, the replies (all of its
 /// 10,000 pings) and the hops.
-pub fn cells(out: &Fig5Output) -> Vec<Measured> {
-    let (r, h) = (&out.result, &out.histogram);
+pub fn cells(r: &PlanetLabResult) -> Vec<Measured> {
     [
-        ("mean (ms)", h.mean()),
-        ("median (ms)", h.percentile(0.5)),
-        ("p95 (ms)", h.percentile(0.95)),
+        ("mean (ms)", stats::mean(&r.rtts_ms)),
+        ("median (ms)", stats::quantile(&r.rtts_ms, 0.5)),
+        ("p95 (ms)", stats::quantile(&r.rtts_ms, 0.95)),
         ("replies", r.rtts_ms.len() as f64),
         ("lost", f64::from(r.lost)),
         ("hops", r.mean_hops),
@@ -93,26 +54,43 @@ pub fn cells(out: &Fig5Output) -> Vec<Measured> {
     .to_vec()
 }
 
-/// Render the summary statistics table (the figure itself is printed as an ASCII
-/// histogram by the binary).
-pub fn render_summary(out: &Fig5Output, params: &Fig5Params) -> Table {
+/// The figure itself as one row: the RTT at p5, p25, p50, p75, p95, p99 and
+/// the maximum.
+pub fn distribution(rtts_ms: &[f64]) -> [(&'static str, f64); 7] {
+    [
+        ("p5", 0.05),
+        ("p25", 0.25),
+        ("p50", 0.5),
+        ("p75", 0.75),
+        ("p95", 0.95),
+        ("p99", 0.99),
+        ("max", 1.0),
+    ]
+    .map(|(label, q)| (label, stats::quantile(rtts_ms, q)))
+}
+
+/// Print the run's cells as one grid, then [`distribution`] as one row.
+pub fn print(r: &PlanetLabResult, params: &Fig5Params) {
     let title = format!(
         "Fig. 5 - ping RTT over a {}-node Planet-Lab overlay (CPU load {}), hops per delivery",
         params.nodes, params.load
     );
-    paper::render(&title, &cells(out))
+    paper::render(&title, &cells(r)).print();
+    let row: Vec<String> = distribution(&r.rtts_ms)
+        .iter()
+        .map(|(label, ms)| format!("{label} {ms:.3}"))
+        .collect();
+    println!("RTT distribution (ms): {}", row.join("  "));
 }
 
-/// The `fig5` scenario: the paper's 118-node overlay, or [`Fig5Params::quick`].
+/// The `fig5` scenario at [`Fig5Params::new`].
 pub fn scenario(quick: bool) -> Outcome {
     let params = Fig5Params::new(quick);
     println!(
         "Fig. 5: {} pings across a {}-node overlay at CPU load {}\n",
         params.pings, params.nodes, params.load
     );
-    let out = run(&params);
-    render_summary(&out, &params).print();
-    println!("RTT distribution (ms):\n{}", out.histogram.ascii_chart(60));
+    print(&run(&params), &params);
     Outcome::printed()
 }
 
@@ -127,39 +105,49 @@ mod tests {
             load: 10.0,
             pings: 40,
         };
-        let out = run(&params);
+        let r = run(&params);
         assert!(
-            out.result.rtts_ms.len() >= 20,
+            r.rtts_ms.len() >= 20,
             "most pings answered: {}",
-            out.result.rtts_ms.len()
+            r.rtts_ms.len()
         );
-        let mean = out.histogram.mean();
+        let mean = stats::mean(&r.rtts_ms);
         // Physical RTTs in this topology are well under 200 ms; the loaded
         // user-level routers must push the overlay RTT far beyond that.
         assert!(
             mean > 250.0,
             "loaded overlay mean RTT {mean} ms should be dominated by CPU load"
         );
-        assert!(out.histogram.count() as usize == out.result.rtts_ms.len());
     }
 
     #[test]
     fn lightly_loaded_overlay_is_much_faster() {
-        let loaded = run(&Fig5Params {
-            nodes: 24,
-            load: 10.0,
-            pings: 30,
-        });
-        let idle = run(&Fig5Params {
-            nodes: 24,
-            load: 1.0,
-            pings: 30,
-        });
+        let mean_rtt = |load| {
+            let r = run(&Fig5Params {
+                nodes: 24,
+                load,
+                pings: 30,
+            });
+            stats::mean(&r.rtts_ms)
+        };
+        let (loaded, idle) = (mean_rtt(10.0), mean_rtt(1.0));
         assert!(
-            idle.histogram.mean() * 2.0 < loaded.histogram.mean(),
-            "CPU load is the dominant cost: idle {} ms vs loaded {} ms",
-            idle.histogram.mean(),
-            loaded.histogram.mean()
+            idle * 2.0 < loaded,
+            "CPU load is the dominant cost: idle {idle} ms vs loaded {loaded} ms"
         );
+    }
+
+    #[test]
+    fn distribution_row_is_ordered_and_ends_at_the_largest_rtt() {
+        let r = run(&Fig5Params {
+            nodes: 16,
+            load: 10.0,
+            pings: 20,
+        });
+        assert!(!r.rtts_ms.is_empty());
+        let row = distribution(&r.rtts_ms);
+        assert!(row.windows(2).all(|w| w[0].1 <= w[1].1), "{row:?}");
+        let largest = r.rtts_ms.iter().copied().fold(f64::MIN, f64::max);
+        assert_eq!(row[6], ("max", largest));
     }
 }

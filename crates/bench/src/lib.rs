@@ -29,7 +29,6 @@
 pub mod ablations;
 pub mod fanout;
 pub mod fig5;
-pub mod harness;
 pub mod json;
 pub mod migration;
 pub mod paper;

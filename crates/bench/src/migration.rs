@@ -29,9 +29,9 @@ use ipop_apps::ping::PingApp;
 use ipop_netsim::{planetlab, HostId};
 use ipop_overlay::{Address, Distance};
 use ipop_packet::ipv4::Ipv4Payload;
+use ipop_simcore::stats::{fmax, mean};
 use ipop_simcore::SimTime;
 
-use crate::harness::{fmax, mean};
 use crate::json::Json;
 use crate::{mode, Outcome};
 

@@ -35,7 +35,7 @@ use ipop_overlay::address::Address;
 use ipop_overlay::node::{OverlayConfig, OverlayNode};
 use ipop_overlay::packets::{ConnectionKind, LinkMessage};
 use ipop_simcore::{
-    Duration, ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim, SimTime, StreamRng,
+    stats, Duration, ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim, SimTime, StreamRng,
 };
 
 use crate::json::Json;
@@ -127,21 +127,22 @@ pub struct ScaleReport {
 }
 
 impl ScaleReport {
+    /// Delivered probes' hop counts as a sample.
+    fn hop_sample(&self) -> Vec<f64> {
+        self.hops.iter().copied().map(f64::from).collect()
+    }
+
+    /// Mean hops of delivered probes; NaN when none was delivered.
     pub fn mean_hops(&self) -> f64 {
         if self.hops.is_empty() {
             return f64::NAN;
         }
-        self.hops.iter().map(|&h| h as f64).sum::<f64>() / self.hops.len() as f64
+        stats::mean(&self.hop_sample())
     }
 
-    /// Hop count at the `q` quantile (`0.0..=1.0`) of delivered probes.
+    /// Hop count at the `q` [`stats::quantile`] of delivered probes; 0 when none.
     pub fn hops_quantile(&self, q: f64) -> u32 {
-        if self.hops.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.hops.clone();
-        sorted.sort_unstable();
-        sorted[((sorted.len() - 1) as f64 * q) as usize]
+        stats::quantile(&self.hop_sample(), q) as u32
     }
 
     pub fn log2n(&self) -> f64 {

@@ -22,9 +22,9 @@ use std::net::Ipv4Addr;
 use ipop::prelude::*;
 use ipop_netsim::planetlab;
 use ipop_overlay::Address;
+use ipop_simcore::stats::{fmax, mean, rate};
 use ipop_simcore::SimTime;
 
-use crate::harness::{fmax, mean, rate};
 use crate::json::Json;
 use crate::{mode, Outcome};
 

@@ -40,9 +40,9 @@ use ipop::prelude::*;
 use ipop::IpopHostAgent;
 use ipop_netsim::{planetlab, HostId, LinkImpairment};
 use ipop_overlay::Address;
+use ipop_simcore::stats::{fmax, mean, rate};
 use ipop_simcore::SimTime;
 
-use crate::harness::{fmax, mean, rate};
 use crate::json::Json;
 use crate::{mode, Outcome};
 

@@ -26,7 +26,7 @@ use ipop_overlay::node::{OverlayConfig, OverlayNode};
 use ipop_overlay::packets::{Endpoint, LinkMessage};
 use ipop_overlay::vstream::StreamEvent;
 use ipop_packet::Bytes;
-use ipop_simcore::{Duration, SimTime, StreamRng};
+use ipop_simcore::{stats, Duration, SimTime, StreamRng};
 
 use crate::json::Json;
 use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
@@ -296,11 +296,11 @@ impl FairnessReport {
     }
 
     pub fn mean_kbps(&self) -> f64 {
-        crate::harness::mean(&self.goodput_kbps)
+        stats::mean(&self.goodput_kbps)
     }
 
     pub fn max_kbps(&self) -> f64 {
-        crate::harness::fmax(&self.goodput_kbps)
+        stats::fmax(&self.goodput_kbps)
     }
 
     /// Max/min per-stream goodput — the fairness gate (≤ 3).

@@ -1,6 +1,7 @@
 //! Table I — ping round-trip latency on LAN and WAN, physical vs IPOP-TCP vs
 //! IPOP-UDP.
 
+use ipop_simcore::stats;
 use rayon::prelude::*;
 
 use crate::paper::{self, Measured};
@@ -24,15 +25,14 @@ pub fn run(count: u32) -> Vec<Measured> {
         .into_par_iter()
         .map(|(row, mode, src, dst)| {
             let (report, history) = fig4_ping(mode, src, dst, count, 0x7ab1e1);
-            let summary = report.summary();
             let at = |column, value| Measured {
                 key: ("Table I", row, column),
                 value,
                 history,
             };
             [
-                at("mean (ms)", summary.mean),
-                at("std dev (ms)", summary.std_dev),
+                at("mean (ms)", stats::mean(&report.rtts_ms)),
+                at("std dev (ms)", stats::std_dev(&report.rtts_ms)),
                 at("replies", report.rtts_ms.len() as f64),
             ]
         })

@@ -3,11 +3,11 @@
 //!
 //! The engine is intentionally small and completely deterministic: a virtual clock
 //! ([`SimTime`]), a priority event queue with FIFO tie-breaking ([`EventQueue`]),
-//! seedable random-number streams ([`rng::StreamRng`]) and online statistics
-//! ([`stats`]). All protocol logic in the workspace (the physical network model,
-//! the host TCP/IP stacks, the Brunet-like overlay and the IPOP node itself) runs
-//! as events inside one single-threaded simulation, so a given seed always
-//! reproduces the exact same packet trace. Parallelism is applied *across*
+//! seedable random-number streams ([`rng::StreamRng`]) and sample statistics
+//! with one quantile rule ([`stats`]). All protocol logic in the workspace (the
+//! physical network model, the host TCP/IP stacks, the Brunet-like overlay and
+//! the IPOP node itself) runs as events inside one single-threaded simulation,
+//! so a given seed always reproduces the exact same packet trace. Parallelism is applied *across*
 //! independent simulations (parameter sweeps in the benchmark harness), and —
 //! for very large worlds — *inside* one run via the sharded simulator
 //! ([`shard::ShardedSim`]), which partitions the world and fans slices out to
@@ -51,5 +51,4 @@ pub use event::{EventId, EventQueue, ScheduledEvent};
 pub use rng::StreamRng;
 pub use shard::{ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim};
 pub use sim::{Control, Event, RunOutcome, Simulator, TimerToken};
-pub use stats::{Histogram, OnlineStats, Summary};
 pub use time::{Duration, SimTime};

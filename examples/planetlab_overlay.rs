@@ -25,7 +25,5 @@ fn main() {
         "deploying a {}-node overlay on CPU-loaded hosts and sending {} pings...",
         params.nodes, params.pings
     );
-    let out = fig5::run(&params);
-    fig5::render_summary(&out, &params).print();
-    println!("RTT distribution (ms):\n{}", out.histogram.ascii_chart(50));
+    fig5::print(&fig5::run(&params), &params);
 }

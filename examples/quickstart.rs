@@ -7,6 +7,7 @@ use std::net::Ipv4Addr;
 
 use ipop::prelude::*;
 use ipop_apps::ping::PingApp;
+use ipop_simcore::stats;
 
 fn main() {
     // 1. A physical network: two hosts at two sites connected over a wide-area core.
@@ -41,14 +42,13 @@ fn main() {
         .agent_as::<IpopHostAgent>(a)
         .expect("IPOP node on host A");
     let report = node.app_as::<PingApp>().expect("ping app").report();
-    let summary = report.summary();
     println!("IPOP node connected: {}", node.is_connected());
     println!(
         "ping {} over the virtual network: {} replies, mean RTT {:.3} ms (std dev {:.3} ms)",
         target,
         report.rtts_ms.len(),
-        summary.mean,
-        summary.std_dev
+        stats::mean(&report.rtts_ms),
+        stats::std_dev(&report.rtts_ms)
     );
     println!(
         "packets tunnelled through the overlay: {} sent / {} received",

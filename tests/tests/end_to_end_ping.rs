@@ -8,6 +8,7 @@ use ipop::prelude::*;
 use ipop::{IpopHostAgent, PlainHostAgent};
 use ipop_apps::ping::PingApp;
 use ipop_netsim::fig4_testbed;
+use ipop_simcore::stats;
 
 fn ipop_lan_ping(seed: u64) -> (f64, u64, u64) {
     let mut net = Network::new(seed);
@@ -35,7 +36,7 @@ fn ipop_lan_ping(seed: u64) -> (f64, u64, u64) {
     assert!(agent.is_connected(), "overlay self-configured");
     let report = agent.app_as::<PingApp>().unwrap().report().clone();
     (
-        report.summary().mean,
+        stats::mean(&report.rtts_ms),
         agent.metrics().tunneled_tx,
         agent.metrics().tunneled_rx,
     )
@@ -55,7 +56,7 @@ fn physical_lan_ping(seed: u64) -> f64 {
     sim.run_for(Duration::from_secs(10));
     sim.agent_as::<PlainHostAgent>(tb.f2)
         .and_then(|a| a.app_as::<PingApp>())
-        .map(|p| p.report().summary().mean)
+        .map(|p| stats::mean(&p.report().rtts_ms))
         .unwrap_or(f64::NAN)
 }
 
