@@ -728,13 +728,6 @@ impl OverlayNode {
         self.core.stats.malformed_dropped += count;
     }
 
-    /// Merge neighbour knowledge received out of band (the IPOP agent calls this
-    /// with candidates learned from peers' connection tables; tests use it to model
-    /// gossip without a full message exchange).
-    pub fn add_candidate(&mut self, addr: Address, endpoint: Endpoint) {
-        self.ring.learn(&self.core, addr, endpoint);
-    }
-
     /// Apply one [`LinkMonitor::run`] pass: drop the edges it declared dead,
     /// probe the ones it found silent.
     fn run_link_monitor(&mut self, now: SimTime) {

@@ -18,16 +18,6 @@ pub struct Duration {
 impl Duration {
     /// Zero-length span.
     pub const ZERO: Duration = Duration { nanos: 0 };
-    /// One nanosecond.
-    pub const NANOSECOND: Duration = Duration { nanos: 1 };
-    /// One microsecond.
-    pub const MICROSECOND: Duration = Duration { nanos: 1_000 };
-    /// One millisecond.
-    pub const MILLISECOND: Duration = Duration { nanos: 1_000_000 };
-    /// One second.
-    pub const SECOND: Duration = Duration {
-        nanos: 1_000_000_000,
-    };
 
     /// Construct from nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {

@@ -57,6 +57,34 @@ fn twelve_nodes_self_configure_and_route() {
     );
 }
 
+/// Joining is quick at a larger size too: 32 routers on a loaded planetlab
+/// overlay, all but at most one connected after 15 virtual seconds.
+#[test]
+fn thirty_two_nodes_connect_within_fifteen_seconds() {
+    const N: usize = 32;
+    let mut net = Network::new(99);
+    let plab = planetlab(&mut net, N, 1.0, 3);
+    let members = plab
+        .nodes
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| IpopMember::router(h, Ipv4Addr::new(172, 17, 0, (i + 1) as u8)))
+        .collect();
+    deploy_ipop(&mut net, members, DeployOptions::udp());
+    let mut sim = NetworkSim::new(net);
+    sim.run_for(Duration::from_secs(15));
+
+    let connected = plab
+        .nodes
+        .iter()
+        .filter(|&&h| {
+            sim.agent_as::<IpopHostAgent>(h)
+                .is_some_and(|a| a.is_connected())
+        })
+        .count();
+    assert!(connected >= N - 1, "{connected} of {N} nodes connected");
+}
+
 #[test]
 fn concurrent_dynamic_joins_allocate_unique_addresses() {
     const N: usize = 17;
