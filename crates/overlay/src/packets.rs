@@ -258,8 +258,7 @@ pub enum RoutedPayload {
     /// Besides delivering locally, the receiver is delegated `relay_to`: it
     /// re-partitions that list into at most `pubsub_fanout` chunks and sends
     /// each chunk onward — the tree's degree stays bounded while the whole
-    /// subscriber set is covered. The body is encoded *last*, so decoding
-    /// slices it out of the received buffer instead of copying it.
+    /// subscriber set is covered.
     PubSubDeliver {
         /// The topic's DHT key.
         topic: Address,
@@ -298,9 +297,7 @@ pub enum RoutedPayload {
         /// The acceptor's initial receive window, in bytes.
         window: u32,
     },
-    /// One ordered segment of stream payload. The body is encoded *last* (as
-    /// in [`RoutedPayload::PubSubDeliver`]), so receivers slice it out of the
-    /// shared buffer.
+    /// One ordered segment of stream payload.
     StreamData {
         /// Stream id (scoped to the sending node).
         stream_id: u64,
@@ -441,67 +438,28 @@ pub enum LinkMessage {
     },
 }
 
-// --------------------------------------------------------------------- encoding
+// --------------------------------------------------------------------- codec
 
-struct Writer {
-    buf: Vec<u8>,
+/// One field type's wire form, written once: `put` appends the encoding and
+/// `get` reads it back. `MIN` is a lower bound on the encoded size — exact
+/// for every type a counted list holds, so [`get_list`] can bound a count by
+/// the bytes present before it allocates; an enum claims only its tag byte.
+trait Wire: Sized {
+    const MIN: usize;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError>;
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer {
-            buf: Vec::with_capacity(64),
-        }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-    fn addr(&mut self, a: &Address) {
-        self.buf.extend_from_slice(&a.0);
-    }
-    fn endpoint(&mut self, e: &Endpoint) {
-        self.buf.extend_from_slice(&e.0.octets());
-        self.u16(e.1);
-    }
-    fn bytes32(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(&(b.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(b);
-    }
-}
-
+/// A decode cursor over a shared buffer. Length-prefixed bodies are sliced
+/// out of `src` (zero copy); `data` is `src`'s bytes, cached so that a
+/// fixed-size read does not go through the `Bytes` handle.
 struct Reader<'a> {
+    src: &'a Bytes,
     data: &'a [u8],
     pos: usize,
-    /// When decoding from a shared buffer, the buffer itself — so payload
-    /// fields can be sliced out of it instead of copied.
-    src: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader {
-            data,
-            pos: 0,
-            src: None,
-        }
-    }
-
-    fn shared(data: &'a Bytes) -> Self {
-        Reader {
-            data,
-            pos: 0,
-            src: Some(data),
-        }
-    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
         // `get` makes the bounds check and the slice one total operation: no
         // index expression below can panic, whatever the wire claims.
@@ -517,531 +475,265 @@ impl<'a> Reader<'a> {
             .try_into()
             .map_err(|_| ParseError::Truncated("overlay message"))
     }
-    fn u8(&mut self) -> Result<u8, ParseError> {
-        let [b] = self.array::<1>()?;
-        Ok(b)
-    }
-    fn u16(&mut self) -> Result<u16, ParseError> {
-        Ok(u16::from_be_bytes(self.array()?))
-    }
-    fn u32(&mut self) -> Result<u32, ParseError> {
-        Ok(u32::from_be_bytes(self.array()?))
-    }
-    fn u64(&mut self) -> Result<u64, ParseError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-    fn addr(&mut self) -> Result<Address, ParseError> {
-        Ok(Address(self.array()?))
-    }
-    fn endpoint(&mut self) -> Result<Endpoint, ParseError> {
-        let ip = Ipv4Addr::from(self.array::<4>()?);
-        let port = self.u16()?;
-        Ok((ip, port))
-    }
-    /// A 32-bit-length-prefixed byte field, shared with the source buffer when
-    /// decoding from one (zero copy) and copied otherwise.
-    fn bytes32(&mut self) -> Result<Bytes, ParseError> {
-        let len = self.u32()? as usize;
-        let start = self.pos;
-        let slice = self.take(len)?;
-        Ok(match self.src {
-            Some(src) => src.slice(start..start + len),
-            None => Bytes::from(slice),
-        })
-    }
     /// Bytes left to read.
     fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
-    /// Validate an element count read off the wire against the bytes actually
-    /// present (`per_elem` is each element's minimum encoded size). A mutated
-    /// count field otherwise turns into a huge `Vec::with_capacity` before the
-    /// element reads fail — this rejects it up front, allocation-free.
-    fn counted(&self, count: usize, per_elem: usize) -> Result<usize, ParseError> {
-        if count * per_elem > self.remaining() {
-            return Err(ParseError::BadLength("overlay element count"));
+}
+
+/// Big-endian integers.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+                Ok(Self::from_be_bytes(r.array()?))
+            }
         }
-        Ok(count)
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+/// One byte, 1 for true; any other value decodes as false.
+impl Wire for bool {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        Ok(u8::get(r)? == 1)
     }
 }
 
-fn write_endpoints(w: &mut Writer, eps: &[Endpoint]) {
-    w.u8(eps.len() as u8);
-    for e in eps {
-        w.endpoint(e);
+impl Wire for Address {
+    const MIN: usize = 20;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        Ok(Address(r.array()?))
     }
 }
 
-fn read_endpoints(r: &mut Reader<'_>) -> Result<Vec<Endpoint>, ParseError> {
-    let raw = r.u8()? as usize;
-    let n = r.counted(raw, 6)?;
+impl Wire for Ipv4Addr {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.octets());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        Ok(Ipv4Addr::from(r.array::<4>()?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A 32-bit length prefix, then the bytes; decoding slices them out of the
+/// shared buffer instead of copying.
+impl Wire for Bytes {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        let len = u32::get(r)? as usize;
+        let start = r.pos;
+        r.take(len)?;
+        Ok(r.src.slice(start..start + len))
+    }
+}
+
+/// A presence byte (1 for `Some`; any other value decodes as `None`), then
+/// the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Some(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+            None => buf.push(0),
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        Ok(if u8::get(r)? == 1 {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+}
+
+/// A replica's copy `(value, version, ttl_ms)`: the numbers first and the
+/// body last, so decoding slices it.
+impl Wire for (Bytes, u64, u64) {
+    const MIN: usize = 20;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.1.put(buf);
+        self.2.put(buf);
+        self.0.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+        let (version, ttl_ms) = (u64::get(r)?, u64::get(r)?);
+        Ok((Bytes::get(r)?, version, ttl_ms))
+    }
+}
+
+/// A list's count prefix, `u8` or `u16`.
+trait Count: Wire + Copy + Into<usize> + TryFrom<usize> {
+    const MAX: Self;
+}
+impl Count for u8 {
+    const MAX: Self = u8::MAX;
+}
+impl Count for u16 {
+    const MAX: Self = u16::MAX;
+}
+
+/// A count, then the items; a list longer than the count can say is cut to
+/// its first `N::MAX` items.
+fn put_list<N: Count, T: Wire>(items: &[T], buf: &mut Vec<u8>) {
+    let n = N::try_from(items.len()).unwrap_or(N::MAX);
+    n.put(buf);
+    for item in items.iter().take(n.into()) {
+        item.put(buf);
+    }
+}
+
+/// Read a list written by [`put_list`]. The count is checked against the
+/// bytes actually present (each item takes at least `T::MIN`) before the
+/// list is allocated: a mutated count field cannot turn into a huge
+/// `Vec::with_capacity`.
+fn get_list<N: Count, T: Wire>(r: &mut Reader<'_>) -> Result<Vec<T>, ParseError> {
+    let n: usize = N::get(r)?.into();
+    if n * T::MIN > r.remaining() {
+        return Err(ParseError::BadLength("overlay element count"));
+    }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(r.endpoint()?);
+        out.push(T::get(r)?);
     }
     Ok(out)
 }
 
-impl ConnectionKind {
-    fn code(self) -> u8 {
-        match self {
-            ConnectionKind::Near => 0,
-            ConnectionKind::Far => 1,
-            ConnectionKind::Leaf => 2,
+/// A struct's codec: its fields, with their types, in wire order.
+macro_rules! wire_struct {
+    ($ty:ident { $($f:ident: $t:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$t as Wire>::MIN)*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$f.put(buf);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+                Ok($ty { $($f: <$t as Wire>::get(r)?),* })
+            }
         }
-    }
-    fn from_code(c: u8) -> Result<Self, ParseError> {
-        match c {
-            0 => Ok(ConnectionKind::Near),
-            1 => Ok(ConnectionKind::Far),
-            2 => Ok(ConnectionKind::Leaf),
-            _ => Err(ParseError::Unsupported("connection kind")),
-        }
-    }
+    };
 }
 
-impl RoutedPacket {
-    fn write(&self, w: &mut Writer) {
-        w.addr(&self.src);
-        w.addr(&self.dst);
-        w.u8(match self.mode {
-            DeliveryMode::Exact => 0,
-            DeliveryMode::Closest => 1,
-        });
-        w.u8(self.hops);
-        w.u8(self.ttl);
-        match &self.payload {
-            RoutedPayload::IpTunnel(data) => {
-                w.u8(0);
-                w.bytes32(data);
-            }
-            RoutedPayload::ConnectRequest {
-                token,
-                initiator,
-                kind,
-                endpoints,
-            } => {
-                w.u8(1);
-                w.u64(*token);
-                w.addr(initiator);
-                w.u8(kind.code());
-                write_endpoints(w, endpoints);
-            }
-            RoutedPayload::ConnectResponse {
-                token,
-                responder,
-                endpoints,
-            } => {
-                w.u8(2);
-                w.u64(*token);
-                w.addr(responder);
-                write_endpoints(w, endpoints);
-            }
-            RoutedPayload::DhtPut {
-                key,
-                value,
-                ttl_ms,
-                version,
-            } => {
-                w.u8(3);
-                w.addr(key);
-                w.u64(*ttl_ms);
-                w.u64(*version);
-                w.bytes32(value);
-            }
-            RoutedPayload::DhtGet { key, token } => {
-                w.u8(4);
-                w.addr(key);
-                w.u64(*token);
-            }
-            RoutedPayload::DhtReply { token, value } => {
-                w.u8(5);
-                w.u64(*token);
-                match value {
-                    Some(v) => {
-                        w.u8(1);
-                        w.bytes32(v);
-                    }
-                    None => w.u8(0),
+/// An enum's codec: every variant once, with its tag byte and its fields in
+/// wire order. `put` and `get` are both generated from that one list, so
+/// they cannot disagree on a tag or on a field's place. `name as u8` (or
+/// `as u16`) marks a list field and the width of its count. An unknown tag
+/// decodes to `Unsupported($what)`.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal $v:ident $(($t:ident))? $({ $($f:ident $(as $n:ident)?),* })?,)*
+    }) => {
+        impl Wire for $ty {
+            const MIN: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $(($t))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($t.put(buf);)?
+                        $($(wire_field!(put buf, $f $(as $n)?);)*)?
+                    })*
                 }
             }
-            RoutedPayload::DhtCreate {
-                key,
-                value,
-                ttl_ms,
-                token,
-            } => {
-                w.u8(6);
-                w.addr(key);
-                w.u64(*ttl_ms);
-                w.u64(*token);
-                w.bytes32(value);
-            }
-            RoutedPayload::DhtCreateReply {
-                token,
-                created,
-                existing,
-            } => {
-                w.u8(7);
-                w.u64(*token);
-                w.u8(u8::from(*created));
-                match existing {
-                    Some(v) => {
-                        w.u8(1);
-                        w.bytes32(v);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            RoutedPayload::DhtReplicate {
-                key,
-                value,
-                ttl_ms,
-                version,
-                token,
-            } => {
-                w.u8(8);
-                w.addr(key);
-                w.u64(*ttl_ms);
-                w.u64(*version);
-                w.u64(*token);
-                w.bytes32(value);
-            }
-            RoutedPayload::DhtRemove { key } => {
-                w.u8(9);
-                w.addr(key);
-            }
-            RoutedPayload::DhtReplicateAck { token, stored } => {
-                w.u8(10);
-                w.u64(*token);
-                w.u8(u8::from(*stored));
-            }
-            RoutedPayload::DhtGetReplica { key, token } => {
-                w.u8(11);
-                w.addr(key);
-                w.u64(*token);
-            }
-            RoutedPayload::DhtReplicaValue { token, copy } => {
-                w.u8(12);
-                w.u64(*token);
-                match copy {
-                    Some((value, version, ttl_ms)) => {
-                        w.u8(1);
-                        w.u64(*version);
-                        w.u64(*ttl_ms);
-                        w.bytes32(value);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            RoutedPayload::DhtWithdraw {
-                key,
-                value,
-                version,
-            } => {
-                w.u8(13);
-                w.addr(key);
-                w.u64(*version);
-                w.bytes32(value);
-            }
-            RoutedPayload::DhtSyncDigest {
-                entries,
-                from_owner,
-            } => {
-                w.u8(14);
-                w.u8(u8::from(*from_owner));
-                w.u16(entries.len().min(u16::MAX as usize) as u16);
-                for e in entries.iter().take(u16::MAX as usize) {
-                    w.addr(&e.key);
-                    w.u64(e.version);
-                    w.u64(e.value_hash);
-                    w.u64(e.ttl_bucket);
-                }
-            }
-            RoutedPayload::DhtSyncPull { keys } => {
-                w.u8(15);
-                w.u16(keys.len().min(u16::MAX as usize) as u16);
-                for k in keys.iter().take(u16::MAX as usize) {
-                    w.addr(k);
-                }
-            }
-            RoutedPayload::PubSubSubscribe {
-                topic,
-                subscriber,
-                ttl_ms,
-            } => {
-                w.u8(16);
-                w.addr(topic);
-                w.addr(subscriber);
-                w.u64(*ttl_ms);
-            }
-            RoutedPayload::PubSubUnsubscribe { topic, subscriber } => {
-                w.u8(17);
-                w.addr(topic);
-                w.addr(subscriber);
-            }
-            RoutedPayload::PubSubPublish {
-                topic,
-                msg_id,
-                payload,
-            } => {
-                w.u8(18);
-                w.addr(topic);
-                w.u64(*msg_id);
-                w.bytes32(payload);
-            }
-            RoutedPayload::PubSubDeliver {
-                topic,
-                msg_id,
-                relay_to,
-                payload,
-            } => {
-                // Body last, so the fan-out decode can slice it.
-                w.u8(19);
-                w.addr(topic);
-                w.u64(*msg_id);
-                w.u16(relay_to.len().min(u16::MAX as usize) as u16);
-                for addr in relay_to.iter().take(u16::MAX as usize) {
-                    w.addr(addr);
-                }
-                w.bytes32(payload);
-            }
-            RoutedPayload::PubSubNack { topic, msg_id } => {
-                w.u8(20);
-                w.addr(topic);
-                w.u64(*msg_id);
-            }
-            RoutedPayload::StreamSyn { stream_id, window } => {
-                w.u8(21);
-                w.u64(*stream_id);
-                w.u32(*window);
-            }
-            RoutedPayload::StreamSynAck { stream_id, window } => {
-                w.u8(22);
-                w.u64(*stream_id);
-                w.u32(*window);
-            }
-            RoutedPayload::StreamData {
-                stream_id,
-                seq,
-                window,
-                payload,
-            } => {
-                // Body last, so the receive decode can slice it.
-                w.u8(23);
-                w.u64(*stream_id);
-                w.u64(*seq);
-                w.u32(*window);
-                w.bytes32(payload);
-            }
-            RoutedPayload::StreamAck {
-                stream_id,
-                ack,
-                window,
-            } => {
-                w.u8(24);
-                w.u64(*stream_id);
-                w.u64(*ack);
-                w.u32(*window);
-            }
-            RoutedPayload::StreamFin { stream_id, seq } => {
-                w.u8(25);
-                w.u64(*stream_id);
-                w.u64(*seq);
+            fn get(r: &mut Reader<'_>) -> Result<Self, ParseError> {
+                Ok(match u8::get(r)? {
+                    $($tag => $ty::$v
+                        $((wire_field!(get r, $t)))?
+                        $({ $($f: wire_field!(get r, $f $(as $n)?)),* })?,)*
+                    _ => return Err(ParseError::Unsupported($what)),
+                })
             }
         }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, ParseError> {
-        let src = r.addr()?;
-        let dst = r.addr()?;
-        let mode = match r.u8()? {
-            0 => DeliveryMode::Exact,
-            1 => DeliveryMode::Closest,
-            _ => return Err(ParseError::Unsupported("delivery mode")),
-        };
-        let hops = r.u8()?;
-        let ttl = r.u8()?;
-        let payload = match r.u8()? {
-            0 => RoutedPayload::IpTunnel(r.bytes32()?),
-            1 => RoutedPayload::ConnectRequest {
-                token: r.u64()?,
-                initiator: r.addr()?,
-                kind: ConnectionKind::from_code(r.u8()?)?,
-                endpoints: read_endpoints(r)?,
-            },
-            2 => RoutedPayload::ConnectResponse {
-                token: r.u64()?,
-                responder: r.addr()?,
-                endpoints: read_endpoints(r)?,
-            },
-            3 => RoutedPayload::DhtPut {
-                key: r.addr()?,
-                ttl_ms: r.u64()?,
-                version: r.u64()?,
-                value: r.bytes32()?,
-            },
-            4 => RoutedPayload::DhtGet {
-                key: r.addr()?,
-                token: r.u64()?,
-            },
-            5 => {
-                let token = r.u64()?;
-                let value = if r.u8()? == 1 {
-                    Some(r.bytes32()?)
-                } else {
-                    None
-                };
-                RoutedPayload::DhtReply { token, value }
-            }
-            6 => RoutedPayload::DhtCreate {
-                key: r.addr()?,
-                ttl_ms: r.u64()?,
-                token: r.u64()?,
-                value: r.bytes32()?,
-            },
-            7 => {
-                let token = r.u64()?;
-                let created = r.u8()? == 1;
-                let existing = if r.u8()? == 1 {
-                    Some(r.bytes32()?)
-                } else {
-                    None
-                };
-                RoutedPayload::DhtCreateReply {
-                    token,
-                    created,
-                    existing,
-                }
-            }
-            8 => RoutedPayload::DhtReplicate {
-                key: r.addr()?,
-                ttl_ms: r.u64()?,
-                version: r.u64()?,
-                token: r.u64()?,
-                value: r.bytes32()?,
-            },
-            9 => RoutedPayload::DhtRemove { key: r.addr()? },
-            10 => RoutedPayload::DhtReplicateAck {
-                token: r.u64()?,
-                stored: r.u8()? == 1,
-            },
-            11 => RoutedPayload::DhtGetReplica {
-                key: r.addr()?,
-                token: r.u64()?,
-            },
-            12 => {
-                let token = r.u64()?;
-                let copy = if r.u8()? == 1 {
-                    let version = r.u64()?;
-                    let ttl_ms = r.u64()?;
-                    Some((r.bytes32()?, version, ttl_ms))
-                } else {
-                    None
-                };
-                RoutedPayload::DhtReplicaValue { token, copy }
-            }
-            13 => RoutedPayload::DhtWithdraw {
-                key: r.addr()?,
-                version: r.u64()?,
-                value: r.bytes32()?,
-            },
-            14 => {
-                let from_owner = r.u8()? == 1;
-                let raw = r.u16()? as usize;
-                let count = r.counted(raw, 44)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(SyncDigestEntry {
-                        key: r.addr()?,
-                        version: r.u64()?,
-                        value_hash: r.u64()?,
-                        ttl_bucket: r.u64()?,
-                    });
-                }
-                RoutedPayload::DhtSyncDigest {
-                    entries,
-                    from_owner,
-                }
-            }
-            15 => {
-                let raw = r.u16()? as usize;
-                let count = r.counted(raw, 20)?;
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(r.addr()?);
-                }
-                RoutedPayload::DhtSyncPull { keys }
-            }
-            16 => RoutedPayload::PubSubSubscribe {
-                topic: r.addr()?,
-                subscriber: r.addr()?,
-                ttl_ms: r.u64()?,
-            },
-            17 => RoutedPayload::PubSubUnsubscribe {
-                topic: r.addr()?,
-                subscriber: r.addr()?,
-            },
-            18 => RoutedPayload::PubSubPublish {
-                topic: r.addr()?,
-                msg_id: r.u64()?,
-                payload: r.bytes32()?,
-            },
-            19 => {
-                let topic = r.addr()?;
-                let msg_id = r.u64()?;
-                let raw = r.u16()? as usize;
-                let count = r.counted(raw, 20)?;
-                let mut relay_to = Vec::with_capacity(count);
-                for _ in 0..count {
-                    relay_to.push(r.addr()?);
-                }
-                RoutedPayload::PubSubDeliver {
-                    topic,
-                    msg_id,
-                    relay_to,
-                    payload: r.bytes32()?,
-                }
-            }
-            20 => RoutedPayload::PubSubNack {
-                topic: r.addr()?,
-                msg_id: r.u64()?,
-            },
-            21 => RoutedPayload::StreamSyn {
-                stream_id: r.u64()?,
-                window: r.u32()?,
-            },
-            22 => RoutedPayload::StreamSynAck {
-                stream_id: r.u64()?,
-                window: r.u32()?,
-            },
-            23 => RoutedPayload::StreamData {
-                stream_id: r.u64()?,
-                seq: r.u64()?,
-                window: r.u32()?,
-                payload: r.bytes32()?,
-            },
-            24 => RoutedPayload::StreamAck {
-                stream_id: r.u64()?,
-                ack: r.u64()?,
-                window: r.u32()?,
-            },
-            25 => RoutedPayload::StreamFin {
-                stream_id: r.u64()?,
-                seq: r.u64()?,
-            },
-            _ => return Err(ParseError::Unsupported("routed payload")),
-        };
-        Ok(RoutedPacket {
-            src,
-            dst,
-            mode,
-            hops,
-            ttl,
-            payload,
-        })
-    }
+    };
 }
+
+/// One field of a `wire_enum!` arm: its `Wire` impl, or `put_list` / `get_list` for a list.
+#[rustfmt::skip]
+macro_rules! wire_field {
+    (put $buf:ident, $f:ident) => { $f.put($buf) };
+    (put $buf:ident, $f:ident as $n:ident) => { put_list::<$n, _>($f, $buf) };
+    (get $r:ident, $f:ident) => { Wire::get($r)? };
+    (get $r:ident, $f:ident as $n:ident) => { get_list::<$n, _>($r)? };
+}
+
+wire_enum!(DeliveryMode, "delivery mode" { 0 Exact, 1 Closest, });
+wire_enum!(ConnectionKind, "connection kind" { 0 Near, 1 Far, 2 Leaf, });
+wire_struct! { SyncDigestEntry { key: Address, version: u64, value_hash: u64, ttl_bucket: u64 } }
+wire_struct! {
+    RoutedPacket { src: Address, dst: Address, mode: DeliveryMode, hops: u8, ttl: u8, payload: RoutedPayload }
+}
+
+// Every body (`value`, `payload`, `data`) is encoded last, so decoding from a
+// shared buffer slices it instead of copying.
+wire_enum!(RoutedPayload, "routed payload" {
+    0 IpTunnel(data),
+    1 ConnectRequest { token, initiator, kind, endpoints as u8 },
+    2 ConnectResponse { token, responder, endpoints as u8 },
+    3 DhtPut { key, ttl_ms, version, value },
+    4 DhtGet { key, token },
+    5 DhtReply { token, value },
+    6 DhtCreate { key, ttl_ms, token, value },
+    7 DhtCreateReply { token, created, existing },
+    8 DhtReplicate { key, ttl_ms, version, token, value },
+    9 DhtRemove { key },
+    10 DhtReplicateAck { token, stored },
+    11 DhtGetReplica { key, token },
+    12 DhtReplicaValue { token, copy },
+    13 DhtWithdraw { key, version, value },
+    14 DhtSyncDigest { from_owner, entries as u16 },
+    15 DhtSyncPull { keys as u16 },
+    16 PubSubSubscribe { topic, subscriber, ttl_ms },
+    17 PubSubUnsubscribe { topic, subscriber },
+    18 PubSubPublish { topic, msg_id, payload },
+    19 PubSubDeliver { topic, msg_id, relay_to as u16, payload },
+    20 PubSubNack { topic, msg_id },
+    21 StreamSyn { stream_id, window },
+    22 StreamSynAck { stream_id, window },
+    23 StreamData { stream_id, seq, window, payload },
+    24 StreamAck { stream_id, ack, window },
+    25 StreamFin { stream_id, seq },
+});
+
+wire_enum!(LinkMessage, "link message" {
+    0 Hello { from, kind, observed, token },
+    1 HelloAck { from, kind, observed, token },
+    2 Ping { from, nonce },
+    3 Pong { from, nonce },
+    4 Close { from },
+    5 Routed(pkt),
+    6 Neighbors { from, neighbors as u8 },
+    7 Probe { from, nonce },
+    8 ProbeAck { from, nonce },
+});
 
 impl LinkMessage {
     /// Serialize to a shared wire buffer.
@@ -1051,143 +743,32 @@ impl LinkMessage {
 
     /// Serialize to wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            LinkMessage::Hello {
-                from,
-                kind,
-                observed,
-                token,
-            } => {
-                w.u8(0);
-                w.addr(from);
-                w.u8(kind.code());
-                w.endpoint(observed);
-                w.u64(*token);
-            }
-            LinkMessage::HelloAck {
-                from,
-                kind,
-                observed,
-                token,
-            } => {
-                w.u8(1);
-                w.addr(from);
-                w.u8(kind.code());
-                w.endpoint(observed);
-                w.u64(*token);
-            }
-            LinkMessage::Ping { from, nonce } => {
-                w.u8(2);
-                w.addr(from);
-                w.u64(*nonce);
-            }
-            LinkMessage::Pong { from, nonce } => {
-                w.u8(3);
-                w.addr(from);
-                w.u64(*nonce);
-            }
-            LinkMessage::Close { from } => {
-                w.u8(4);
-                w.addr(from);
-            }
-            LinkMessage::Probe { from, nonce } => {
-                w.u8(7);
-                w.addr(from);
-                w.u64(*nonce);
-            }
-            LinkMessage::ProbeAck { from, nonce } => {
-                w.u8(8);
-                w.addr(from);
-                w.u64(*nonce);
-            }
-            LinkMessage::Routed(pkt) => {
-                w.u8(5);
-                pkt.write(&mut w);
-            }
-            LinkMessage::Neighbors { from, neighbors } => {
-                w.u8(6);
-                w.addr(from);
-                w.u8(neighbors.len().min(255) as u8);
-                for (addr, ep) in neighbors.iter().take(255) {
-                    w.addr(addr);
-                    w.endpoint(ep);
-                }
-            }
-        }
-        w.buf
+        let mut buf = Vec::with_capacity(64);
+        self.put(&mut buf);
+        buf
     }
 
-    /// Parse from a shared wire buffer. Every length-prefixed body (tunnelled
-    /// packets, pub/sub and stream payloads, DHT values) is sliced out of
-    /// `data` (zero copy).
+    /// Parse from a shared wire buffer — the one decoder. Every
+    /// length-prefixed body (tunnelled packets, pub/sub and stream payloads,
+    /// DHT values) is sliced out of `data` (zero copy). A message followed by
+    /// garbage is not a valid wire image: strict rejection keeps a mutated
+    /// length field from silently shortening the decoded payload.
     pub fn from_wire(data: &Bytes) -> Result<Self, ParseError> {
-        let mut r = Reader::shared(data);
-        let msg = Self::read(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(ParseError::BadLength("overlay trailing bytes"));
-        }
-        Ok(msg)
-    }
-
-    /// Parse from wire bytes.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, ParseError> {
-        let mut r = Reader::new(data);
-        let msg = Self::read(&mut r)?;
-        if r.remaining() != 0 {
-            // A message followed by garbage is not a valid wire image; strict
-            // rejection keeps a mutated length field from silently shortening
-            // the decoded payload.
-            return Err(ParseError::BadLength("overlay trailing bytes"));
-        }
-        Ok(msg)
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, ParseError> {
-        let msg = match r.u8()? {
-            0 => LinkMessage::Hello {
-                from: r.addr()?,
-                kind: ConnectionKind::from_code(r.u8()?)?,
-                observed: r.endpoint()?,
-                token: r.u64()?,
-            },
-            1 => LinkMessage::HelloAck {
-                from: r.addr()?,
-                kind: ConnectionKind::from_code(r.u8()?)?,
-                observed: r.endpoint()?,
-                token: r.u64()?,
-            },
-            2 => LinkMessage::Ping {
-                from: r.addr()?,
-                nonce: r.u64()?,
-            },
-            3 => LinkMessage::Pong {
-                from: r.addr()?,
-                nonce: r.u64()?,
-            },
-            4 => LinkMessage::Close { from: r.addr()? },
-            5 => LinkMessage::Routed(RoutedPacket::read(r)?),
-            6 => {
-                let from = r.addr()?;
-                let raw = r.u8()? as usize;
-                let count = r.counted(raw, 26)?;
-                let mut neighbors = Vec::with_capacity(count);
-                for _ in 0..count {
-                    neighbors.push((r.addr()?, r.endpoint()?));
-                }
-                LinkMessage::Neighbors { from, neighbors }
-            }
-            7 => LinkMessage::Probe {
-                from: r.addr()?,
-                nonce: r.u64()?,
-            },
-            8 => LinkMessage::ProbeAck {
-                from: r.addr()?,
-                nonce: r.u64()?,
-            },
-            _ => return Err(ParseError::Unsupported("link message")),
+        let mut r = Reader {
+            src: data,
+            data: data.as_slice(),
+            pos: 0,
         };
+        let msg = Self::get(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(ParseError::BadLength("overlay trailing bytes"));
+        }
         Ok(msg)
+    }
+
+    /// Parse from wire bytes (copied into a shared buffer first).
+    pub fn from_bytes(data: &[u8]) -> Result<Self, ParseError> {
+        Self::from_wire(&Bytes::from(data))
     }
 
     /// The sender's overlay address, when the message carries one at link level.
@@ -1726,5 +1307,34 @@ mod tests {
             };
             assert!(p.same_region(&wire.slice(body_at..)));
         }
+    }
+}
+
+#[cfg(test)]
+mod wire_min {
+    use super::*;
+
+    /// `Wire::MIN` bounds a decoded count before the list is allocated (C2):
+    /// too high rejects valid lists, too low loosens the bound. For every
+    /// list element type it must be the encoded size.
+    #[test]
+    fn min_is_the_encoded_size_of_every_list_element() {
+        fn sizes<T: Wire>(v: T) -> (usize, usize) {
+            let mut buf = Vec::new();
+            v.put(&mut buf);
+            (T::MIN, buf.len())
+        }
+        let ep: Endpoint = (Ipv4Addr::new(10, 0, 0, 1), 4000);
+        let addr = Address([7; 20]);
+        let entry = SyncDigestEntry {
+            key: addr,
+            version: 1,
+            value_hash: 2,
+            ttl_bucket: 3,
+        };
+        assert_eq!(sizes(ep), (6, 6));
+        assert_eq!(sizes((addr, ep)), (26, 26));
+        assert_eq!(sizes(addr), (20, 20));
+        assert_eq!(sizes(entry), (44, 44));
     }
 }
