@@ -39,18 +39,19 @@ pub struct FanoutConfig {
     pub publishers: u32,
     /// Published body size.
     pub payload_bytes: usize,
-    /// Gap between consecutive subscribes (staggered so the root merges a
-    /// stream, not one burst).
-    pub subscribe_spacing: Duration,
-    /// Gap between consecutive publishes.
-    pub publish_spacing: Duration,
     /// Quiet window between the last subscribe and the first publish, for
     /// the subscriber record (and its replicas) to settle.
     pub settle: Duration,
-    /// Subscription TTL. Kept far above the run length so no renewals fire
-    /// mid-measurement.
-    pub sub_ttl: Duration,
 }
+
+/// Gap between consecutive subscribes (staggered so the root merges a
+/// stream, not one burst).
+const SUBSCRIBE_SPACING: Duration = Duration::from_millis(1);
+/// Gap between consecutive publishes.
+const PUBLISH_SPACING: Duration = Duration::from_millis(1);
+/// Subscription TTL. Kept far above the run length so no renewals fire
+/// mid-measurement.
+const SUB_TTL: Duration = Duration::from_secs(3600);
 
 impl FanoutConfig {
     /// The paper-scale workload: 1k publishers × 10k subscribers on a 12k
@@ -65,10 +66,7 @@ impl FanoutConfig {
             subscribers: 10_000,
             publishers: 1_000,
             payload_bytes: 64,
-            subscribe_spacing: Duration::from_millis(1),
-            publish_spacing: Duration::from_millis(1),
             settle: Duration::from_secs(5),
-            sub_ttl: Duration::from_secs(3600),
         }
     }
 
@@ -143,7 +141,6 @@ struct Fan {
     topic: Address,
     /// The published body, one shared region for every publish and copy.
     payload: Bytes,
-    sub_ttl: Duration,
     /// `(msg_id, publish instant)` of publishes originated in this shard.
     publishes: Vec<(u64, SimTime)>,
     /// `(msg_id, delivery instant)` of messages delivered in this shard.
@@ -155,7 +152,7 @@ impl RingWorkload for Fan {
 
     fn inject(&mut self, now: SimTime, node: &mut OverlayNode, op: FanOp) {
         match op {
-            FanOp::Subscribe => node.pubsub_subscribe(now, self.topic, self.sub_ttl),
+            FanOp::Subscribe => node.pubsub_subscribe(now, self.topic, SUB_TTL),
             FanOp::Publish => {
                 let msg_id = node.pubsub_publish(now, self.topic, self.payload.clone());
                 self.publishes.push((msg_id, now));
@@ -186,21 +183,17 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
     // Subscribe phase after maintenance settles, staggered; publish phase
     // after the settle window, staggered.
     let sub_start = workload_start(scfg);
-    let pub_start = sub_start + cfg.subscribe_spacing * cfg.subscribers as u64 + cfg.settle;
+    let pub_start = sub_start + SUBSCRIBE_SPACING * cfg.subscribers as u64 + cfg.settle;
     let subscribes = (0..cfg.subscribers).map(|s| {
         (
-            sub_start + cfg.subscribe_spacing * s as u64,
+            sub_start + SUBSCRIBE_SPACING * s as u64,
             s,
             FanOp::Subscribe,
         )
     });
     let publishes = (0..cfg.publishers).map(|p| {
         let src = cfg.subscribers + p;
-        (
-            pub_start + cfg.publish_spacing * p as u64,
-            src,
-            FanOp::Publish,
-        )
+        (pub_start + PUBLISH_SPACING * p as u64, src, FanOp::Publish)
     });
     let run = run_ring(
         scfg,
@@ -208,12 +201,11 @@ pub fn run_fanout(cfg: &FanoutConfig) -> FanoutReport {
         || Fan {
             topic,
             payload: payload.clone(),
-            sub_ttl: cfg.sub_ttl,
             publishes: Vec::new(),
             arrivals: Vec::new(),
         },
         subscribes.chain(publishes),
-        pub_start + cfg.publish_spacing * cfg.publishers as u64,
+        pub_start + PUBLISH_SPACING * cfg.publishers as u64,
     );
 
     // Fold: publish instants by message id, then latency per arrival.

@@ -43,16 +43,16 @@ pub const REFERENCE_WAN_KBPS: f64 = 673.0;
 pub struct TtcpStreamConfig {
     /// Bytes pushed through the stream.
     pub transfer_bytes: usize,
-    /// One-way link latency (25 ms ≈ the paper's WAN RTT of 50 ms).
-    pub one_way: Duration,
 }
+
+/// One-way link latency (25 ms ≈ the paper's WAN RTT of 50 ms).
+const ONE_WAY: Duration = Duration::from_millis(25);
 
 impl TtcpStreamConfig {
     /// Full run: 4 MiB, like a ttcp bulk test.
     pub fn full() -> Self {
         TtcpStreamConfig {
             transfer_bytes: 4 * 1024 * 1024,
-            one_way: Duration::from_millis(25),
         }
     }
 
@@ -60,7 +60,6 @@ impl TtcpStreamConfig {
     pub fn quick() -> Self {
         TtcpStreamConfig {
             transfer_bytes: 256 * 1024,
-            ..Self::full()
         }
     }
 }
@@ -110,11 +109,10 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     let flush = |nodes: &mut Vec<OverlayNode>,
                  queue: &mut BTreeMap<(SimTime, u64), (usize, LinkMessage)>,
                  fifo: &mut u64,
-                 now: SimTime,
-                 one_way: Duration| {
+                 now: SimTime| {
         for (i, node) in nodes.iter_mut().enumerate() {
             for (_ep, msg) in node.take_outbox() {
-                queue.insert((now + one_way, *fifo), (1 - i, msg));
+                queue.insert((now + ONE_WAY, *fifo), (1 - i, msg));
                 *fifo += 1;
             }
         }
@@ -123,7 +121,7 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     for n in nodes.iter_mut() {
         n.start(now);
     }
-    flush(&mut nodes, &mut queue, &mut fifo, now, cfg.one_way);
+    flush(&mut nodes, &mut queue, &mut fifo, now);
 
     let tick_interval = Duration::from_millis(500);
     let mut next_tick = now + tick_interval;
@@ -149,7 +147,7 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
                 }
             }
         }
-        flush(nodes, queue, fifo, *now, cfg.one_way);
+        flush(nodes, queue, fifo, *now);
     };
 
     // Let the two nodes link up.
@@ -170,7 +168,7 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     let sid = nodes[1].stream_connect(now, dst_addr);
     assert!(nodes[1].stream_send(now, dst_addr, sid, payload));
     nodes[1].stream_close(now, dst_addr, sid);
-    flush(&mut nodes, &mut queue, &mut fifo, now, cfg.one_way);
+    flush(&mut nodes, &mut queue, &mut fifo, now);
 
     let mut bytes_received = 0u64;
     let mut done_at = None;
@@ -207,19 +205,19 @@ pub struct FairnessConfig {
     /// Ring substrate. Zero `link_jitter` so every link costs exactly the
     /// base slice — fairness then measures the engine, not the dice.
     pub scale: ScaleConfig,
-    /// Concurrent streams; stream `i` runs node `i % nodes` → `+stride`.
+    /// Concurrent streams; stream `i` runs node `i % nodes` → `+STRIDE`.
     pub streams: u32,
-    /// Ring distance between each pair. Kept within the warm ring's near
-    /// set (`near_per_side`), so every pair has a direct edge and even a
-    /// trimmed edge falls back to the ±1 ring invariant: paths are 1–2 hops
-    /// by construction, and the fairness ratio measures the engine rather
-    /// than topology luck.
-    pub stride: u32,
     /// Bytes per stream (≤ the receive window, so one window covers it).
     pub transfer_bytes: usize,
-    /// Gap between consecutive opens (near-simultaneous).
-    pub open_spacing: Duration,
 }
+
+/// Ring distance between each pair. Kept within the warm ring's near set
+/// (`near_per_side`), so every pair has a direct edge and even a trimmed edge
+/// falls back to the ±1 ring invariant: paths are 1–2 hops by construction,
+/// and the fairness ratio measures the engine rather than topology luck.
+const STRIDE: u32 = 2;
+/// Gap between consecutive opens (near-simultaneous).
+const OPEN_SPACING: Duration = Duration::from_micros(10);
 
 impl FairnessConfig {
     /// Full run: 1k streams on a 2 048-node ring, 64 KiB each.
@@ -232,9 +230,7 @@ impl FairnessConfig {
                 ..ScaleConfig::ring(2_048)
             },
             streams: 1_000,
-            stride: 2,
             transfer_bytes: 64 * 1024,
-            open_spacing: Duration::from_micros(10),
         }
     }
 
@@ -374,8 +370,8 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
         let src = i % scfg.nodes;
         // Streams beyond one lap shift their target so repeat sources still
         // spread over distinct pairs.
-        let dst = (src + cfg.stride + i / scfg.nodes) % scfg.nodes;
-        (open_start + cfg.open_spacing * i as u64, src, dst)
+        let dst = (src + STRIDE + i / scfg.nodes) % scfg.nodes;
+        (open_start + OPEN_SPACING * i as u64, src, dst)
     });
     let run = run_ring(
         scfg,
@@ -388,7 +384,7 @@ pub fn run_fairness(cfg: &FairnessConfig) -> FairnessReport {
             bytes_received: 0,
         },
         opens,
-        open_start + cfg.open_spacing * cfg.streams as u64,
+        open_start + OPEN_SPACING * cfg.streams as u64,
     );
 
     // Fold: match completions (at receivers) back to opens (at senders) by
@@ -452,7 +448,7 @@ pub fn scenario(quick: bool) -> Outcome {
         "streams ({} mode): ttcp {} KiB over {} ms one-way, then {} streams x {} KiB on {} nodes / {} shards",
         mode(quick),
         tcfg.transfer_bytes / 1024,
-        tcfg.one_way.as_nanos() / 1_000_000,
+        ONE_WAY.as_nanos() / 1_000_000,
         fcfg.streams,
         fcfg.transfer_bytes / 1024,
         fcfg.scale.nodes,
@@ -564,7 +560,6 @@ mod tests {
             },
             streams: 64,
             transfer_bytes: 4 * 1024,
-            ..FairnessConfig::full()
         }
     }
 

@@ -28,14 +28,6 @@ pub struct IpopConfig {
     /// mappings, name records). Renewed at half this interval; after a crash
     /// the records age out one TTL later.
     pub lease_ttl: Duration,
-    /// The virtual address space (used only to sanity-check destinations).
-    pub virtual_prefix: (Ipv4Addr, u8),
-    /// The fabricated gateway IP for the static-ARP trick (must not collide with a
-    /// real virtual IP).
-    pub gateway_ip: Ipv4Addr,
-    /// MTU of the virtual interface. Kept below the physical MTU so an encapsulated
-    /// virtual packet still fits in a single physical datagram.
-    pub virtual_mtu: usize,
     /// Whether Brunet runs over UDP or TCP (the two modes compared in Tables I-III).
     pub transport: TransportMode,
     /// The overlay node's own configuration, with the overlay's own defaults:
@@ -73,9 +65,6 @@ impl IpopConfig {
             dynamic_subnet: None,
             hostname: None,
             lease_ttl: Duration::from_secs(120),
-            virtual_prefix: (Ipv4Addr::new(172, 16, 0, 0), 16),
-            gateway_ip: Ipv4Addr::new(172, 16, 255, 254),
-            virtual_mtu: 1400,
             transport: TransportMode::Udp,
             overlay: OverlayConfig::new(Address::ZERO, (Ipv4Addr::UNSPECIFIED, 4001)),
             reserved_ips: Vec::new(),
@@ -88,17 +77,28 @@ impl IpopConfig {
 
     /// A node that joins knowing only the virtual subnet: its address is drawn
     /// and claimed through the DHCP-over-DHT allocator, its overlay address is
-    /// random, and Brunet-ARP resolves IPs to overlay addresses. The
-    /// fabricated gateway is the subnet's second-highest host address (the
-    /// allocator never draws it).
+    /// random, and Brunet-ARP resolves IPs to overlay addresses.
     pub fn dynamic(subnet: (Ipv4Addr, u8)) -> Self {
         let subnet = Subnet::new(subnet.0, subnet.1);
         let mut cfg = Self::new(Ipv4Addr::UNSPECIFIED);
         cfg.dynamic_subnet = Some((subnet.net, subnet.prefix));
-        cfg.virtual_prefix = (subnet.net, subnet.prefix);
-        cfg.gateway_ip = Ipv4Addr::from(u32::from(subnet.broadcast()) - 1);
         cfg.brunet_arp = true;
         cfg
+    }
+
+    /// The virtual address space: the dynamic subnet, or else the paper's
+    /// 172.16.0.0/16.
+    pub fn virtual_prefix(&self) -> Subnet {
+        let (net, prefix) = self
+            .dynamic_subnet
+            .unwrap_or((Ipv4Addr::new(172, 16, 0, 0), 16));
+        Subnet::new(net, prefix)
+    }
+
+    /// The fabricated gateway IP of the static-ARP trick: the virtual
+    /// prefix's second-highest host address, which the allocator never draws.
+    pub fn gateway_ip(&self) -> Ipv4Addr {
+        Ipv4Addr::from(u32::from(self.virtual_prefix().broadcast()) - 1)
     }
 
     /// Builder: register `hostname` in the overlay name service.
@@ -133,12 +133,7 @@ impl IpopConfig {
 
     /// Is `ip` inside the virtual address space?
     pub fn in_virtual_space(&self, ip: Ipv4Addr) -> bool {
-        let (net, len) = self.virtual_prefix;
-        if len == 0 {
-            return true;
-        }
-        let mask = u32::MAX << (32 - len);
-        (u32::from(ip) & mask) == (u32::from(net) & mask)
+        self.virtual_prefix().contains(ip)
     }
 }
 
@@ -150,9 +145,13 @@ mod tests {
     fn defaults_are_sane() {
         let cfg = IpopConfig::new(Ipv4Addr::new(172, 16, 0, 2));
         assert!(cfg.in_virtual_space(cfg.virtual_ip));
-        assert!(cfg.in_virtual_space(cfg.gateway_ip));
+        assert_eq!(
+            cfg.virtual_prefix(),
+            Subnet::new(Ipv4Addr::new(172, 16, 0, 0), 16)
+        );
+        assert_eq!(cfg.gateway_ip(), Ipv4Addr::new(172, 16, 255, 254));
+        assert!(cfg.in_virtual_space(cfg.gateway_ip()));
         assert!(!cfg.in_virtual_space(Ipv4Addr::new(10, 0, 0, 1)));
-        assert!(cfg.virtual_mtu < 1500);
         assert!(!cfg.brunet_arp);
     }
 
@@ -175,7 +174,11 @@ mod tests {
             Some((Ipv4Addr::new(172, 16, 9, 0), 24)),
             "host bits are masked off"
         );
-        assert_eq!(cfg.gateway_ip, Ipv4Addr::new(172, 16, 9, 254));
+        assert_eq!(
+            cfg.virtual_prefix(),
+            Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 24)
+        );
+        assert_eq!(cfg.gateway_ip(), Ipv4Addr::new(172, 16, 9, 254));
         assert!(cfg.brunet_arp, "dynamic addressing requires Brunet-ARP");
         assert!(cfg.in_virtual_space(Ipv4Addr::new(172, 16, 9, 3)));
         assert!(!cfg.in_virtual_space(Ipv4Addr::new(172, 16, 10, 3)));

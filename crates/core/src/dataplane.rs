@@ -133,7 +133,7 @@ pub(crate) struct DataPlane {
 impl DataPlane {
     pub(crate) fn new(cfg: IpopConfig, app: Box<dyn VirtualApp>, rng: StreamRng) -> Self {
         let gateway_mac =
-            MacAddr::local(0xFFFF_FFFF_0000 | u64::from(u32::from(cfg.gateway_ip)) & 0xFFFF);
+            MacAddr::local(0xFFFF_FFFF_0000 | u64::from(u32::from(cfg.gateway_ip())) & 0xFFFF);
         let (tap, veth, stack) = virtual_side(&cfg, gateway_mac);
         DataPlane {
             brunet_arp: cfg
@@ -317,7 +317,7 @@ impl DataPlane {
                     if dst == self.cfg.virtual_ip {
                         // Local loopback on the virtual interface.
                         self.deliver(now, vpkt, 0);
-                    } else if !self.cfg.in_virtual_space(dst) || dst == self.cfg.gateway_ip {
+                    } else if !self.cfg.in_virtual_space(dst) || dst == self.cfg.gateway_ip() {
                         self.metrics.not_virtual_dropped += 1;
                     } else {
                         self.tx.push(now, charge, cpu, vpkt);
@@ -412,6 +412,10 @@ impl DataPlane {
     }
 }
 
+/// MTU of the virtual interface, kept below the physical 1500 so an
+/// encapsulated virtual packet still fits in one physical datagram.
+const VIRTUAL_MTU: usize = 1400;
+
 /// A fresh tap, static-gateway adapter and virtual stack for
 /// `cfg.virtual_ip` (the pre-bind placeholder when unspecified).
 fn virtual_side(cfg: &IpopConfig, gateway_mac: MacAddr) -> (TapDevice, EthAdapter, NetStack) {
@@ -419,8 +423,8 @@ fn virtual_side(cfg: &IpopConfig, gateway_mac: MacAddr) -> (TapDevice, EthAdapte
     let tap_mac = MacAddr::local(u64::from(u32::from(ip)));
     (
         TapDevice::new(tap_mac),
-        EthAdapter::with_static_gateway(tap_mac, ip, cfg.gateway_ip, gateway_mac),
-        NetStack::new(StackConfig::new(ip).with_mtu(cfg.virtual_mtu)),
+        EthAdapter::with_static_gateway(tap_mac, ip, cfg.gateway_ip(), gateway_mac),
+        NetStack::new(StackConfig::new(ip).with_mtu(VIRTUAL_MTU)),
     )
 }
 

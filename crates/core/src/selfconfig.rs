@@ -8,7 +8,7 @@ use std::net::Ipv4Addr;
 
 use ipop_overlay::{Address, ConnectionKind, OverlayNode};
 use ipop_packet::Bytes;
-use ipop_services::dhcp::{lease_key, DhcpAllocator, DhcpConfig, DhcpState};
+use ipop_services::dhcp::{lease_key, DhcpAllocator, DhcpState};
 use ipop_services::lookup::Lookups;
 use ipop_services::name::NameService;
 use ipop_services::Subnet;
@@ -47,14 +47,11 @@ impl SelfConfig {
     /// stream of `seed`.
     pub(crate) fn new(cfg: &IpopConfig, owner: Address, seed: u64) -> Self {
         let allocator = cfg.dynamic_subnet.map(|(net, len)| {
-            let mut reserved = vec![cfg.gateway_ip];
+            let mut reserved = vec![cfg.gateway_ip()];
             reserved.extend(cfg.reserved_ips.iter().copied());
-            let dhcp = DhcpConfig {
-                lease_ttl: cfg.lease_ttl,
-                ..DhcpConfig::default()
-            };
             let rng = StreamRng::new(seed, "ipop.dhcp");
-            DhcpAllocator::new(Subnet::new(net, len), owner, dhcp, rng).with_reserved(reserved)
+            DhcpAllocator::new(Subnet::new(net, len), owner, cfg.lease_ttl, rng)
+                .with_reserved(reserved)
         });
         SelfConfig {
             allocator,

@@ -23,4 +23,4 @@ pub use eth::{ArpTable, EthAdapter, EthCounters};
 pub use socket::{EchoReply, SocketHandle, UdpMessage};
 pub use stack::{NetStack, StackConfig, StackCounters, StackError};
 pub use tap::{TapCounters, TapDevice};
-pub use tcp::{TcpConfig, TcpState};
+pub use tcp::TcpState;

@@ -11,7 +11,7 @@ use std::net::Ipv4Addr;
 
 use ipop_packet::Bytes;
 
-use crate::tcp::{TcpConfig, TcpSocket};
+use crate::tcp::TcpSocket;
 
 /// Handle referring to a socket inside one stack.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -127,8 +127,6 @@ impl PingSocket {
 pub struct TcpListener {
     /// Listening port.
     pub port: u16,
-    /// Configuration inherited by accepted connections.
-    pub cfg: TcpConfig,
     /// Connection sockets not yet accepted by the application.
     pub backlog: VecDeque<SocketHandle>,
 }

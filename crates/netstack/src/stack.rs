@@ -25,7 +25,7 @@ use ipop_simcore::SimTime;
 use crate::socket::{
     EchoReply, PingSocket, Socket, SocketHandle, TcpListener, UdpMessage, UdpSocket,
 };
-use crate::tcp::{TcpConfig, TcpSocket};
+use crate::tcp::{TcpSocket, MSS_CEILING};
 
 /// Errors returned by stack operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,6 +50,9 @@ impl std::fmt::Display for StackError {
 
 impl std::error::Error for StackError {}
 
+/// Receive-queue capacity (datagrams) of a UDP socket.
+const UDP_RX_QUEUE: usize = 1024;
+
 /// Configuration of a stack instance.
 #[derive(Clone, Debug)]
 pub struct StackConfig {
@@ -57,33 +60,18 @@ pub struct StackConfig {
     pub addr: Ipv4Addr,
     /// Interface MTU in bytes (bounds the TCP MSS).
     pub mtu: usize,
-    /// Defaults applied to new TCP sockets.
-    pub tcp: TcpConfig,
-    /// Reply to ICMP echo requests automatically (like a kernel does).
-    pub icmp_echo_reply: bool,
-    /// Receive-queue capacity (datagrams) for UDP sockets.
-    pub udp_rx_queue: usize,
 }
 
 impl StackConfig {
-    /// A stack bound to `addr` with defaults suitable for the experiments.
+    /// A stack bound to `addr` with a 1500-byte MTU.
     pub fn new(addr: Ipv4Addr) -> Self {
-        StackConfig {
-            addr,
-            mtu: 1500,
-            tcp: TcpConfig::default(),
-            icmp_echo_reply: true,
-            udp_rx_queue: 1024,
-        }
+        StackConfig { addr, mtu: 1500 }
     }
 
     /// Same, but with a reduced MTU (used for the virtual tap interface so that an
     /// encapsulated virtual packet still fits in one physical datagram).
-    pub fn with_mtu(mut self, mtu: usize) -> Self {
-        self.mtu = mtu;
-        // Leave room for the IP and TCP headers within the MTU.
-        self.tcp.mss = self.tcp.mss.min(mtu.saturating_sub(40).max(536));
-        self
+    pub fn with_mtu(self, mtu: usize) -> Self {
+        StackConfig { mtu, ..self }
     }
 }
 
@@ -137,6 +125,13 @@ impl NetStack {
     /// The interface MTU.
     pub fn mtu(&self) -> usize {
         self.cfg.mtu
+    }
+
+    /// The MSS every TCP socket of this stack offers, active or passive: the
+    /// MTU less the IP and TCP headers, capped at the ceiling, never below
+    /// the 536 bytes every IPv4 host must accept.
+    fn mss(&self) -> usize {
+        MSS_CEILING.min(self.cfg.mtu.saturating_sub(40)).max(536)
     }
 
     /// Counter snapshot.
@@ -230,8 +225,7 @@ impl NetStack {
         if self.udp_port_in_use(port) {
             return Err(StackError::PortInUse(port));
         }
-        let capacity = self.cfg.udp_rx_queue;
-        Ok(self.alloc(Socket::Udp(UdpSocket::new(port, capacity))))
+        Ok(self.alloc(Socket::Udp(UdpSocket::new(port, UDP_RX_QUEUE))))
     }
 
     /// The local port a UDP socket is bound to.
@@ -315,10 +309,8 @@ impl NetStack {
         if self.tcp_port_in_use(port) {
             return Err(StackError::PortInUse(port));
         }
-        let cfg = self.cfg.tcp.clone();
         Ok(self.alloc(Socket::Listener(TcpListener {
             port,
-            cfg,
             backlog: VecDeque::new(),
         })))
     }
@@ -340,9 +332,8 @@ impl NetStack {
     ) -> Result<SocketHandle, StackError> {
         let local_port = self.ephemeral_port(true);
         let iss = self.next_iss();
-        let mut cfg = self.cfg.tcp.clone();
-        cfg.mss = cfg.mss.min(self.cfg.mtu.saturating_sub(40).max(536));
-        let sock = TcpSocket::connect(self.cfg.addr, local_port, dst, dst_port, iss, now, cfg);
+        let mss = self.mss();
+        let sock = TcpSocket::connect(self.cfg.addr, local_port, dst, dst_port, iss, now, mss);
         Ok(self.alloc(Socket::Tcp(Box::new(sock))))
     }
 
@@ -440,11 +431,9 @@ impl NetStack {
 
     fn handle_icmp(&mut self, src: Ipv4Addr, icmp: IcmpPacket) {
         if icmp.is_echo_request() {
-            if self.cfg.icmp_echo_reply {
-                let reply = IcmpPacket::echo_reply(&icmp);
-                self.counters.echo_replied += 1;
-                self.enqueue(src, Ipv4Payload::Icmp(reply));
-            }
+            let reply = IcmpPacket::echo_reply(&icmp);
+            self.counters.echo_replied += 1;
+            self.enqueue(src, Ipv4Payload::Icmp(reply));
             return;
         }
         if icmp.is_echo_reply() {
@@ -502,17 +491,8 @@ impl NetStack {
                 .position(|s| matches!(s, Socket::Listener(l) if l.port == seg.dst_port));
             if let Some(idx) = listener_idx {
                 let iss = self.next_iss();
-                let (child_cfg, child) = {
-                    let Socket::Listener(l) = &self.sockets[idx] else {
-                        unreachable!()
-                    };
-                    let template = TcpSocket::listen(self.cfg.addr, l.port, l.cfg.clone());
-                    (
-                        l.cfg.clone(),
-                        TcpSocket::accept(&template, src, &seg, iss, now),
-                    )
-                };
-                let _ = child_cfg;
+                let (addr, mss) = (self.cfg.addr, self.mss());
+                let child = TcpSocket::accept(addr, seg.dst_port, mss, src, &seg, iss, now);
                 let handle = self.alloc(Socket::Tcp(Box::new(child)));
                 if let Socket::Listener(l) = &mut self.sockets[idx] {
                     l.backlog.push_back(handle);
@@ -584,8 +564,10 @@ mod tests {
         )
     }
 
-    /// Move packets between the two stacks until both go quiet.
-    fn pump(a: &mut NetStack, b: &mut NetStack, now: &mut SimTime) {
+    /// Move packets between the two stacks until both go quiet; returns the
+    /// packets `b` sent.
+    fn pump(a: &mut NetStack, b: &mut NetStack, now: &mut SimTime) -> Vec<Ipv4Packet> {
+        let mut sent_by_b = Vec::new();
         for _ in 0..100_000 {
             a.poll(*now);
             b.poll(*now);
@@ -599,9 +581,11 @@ mod tests {
                 b.handle_packet(*now, p);
             }
             for p in from_b {
+                sent_by_b.push(p.clone());
                 a.handle_packet(*now, p);
             }
         }
+        sent_by_b
     }
 
     #[test]
@@ -652,19 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn echo_reply_disabled_stays_silent() {
-        let mut cfg = StackConfig::new(B);
-        cfg.icmp_echo_reply = false;
-        let mut b = NetStack::new(cfg);
-        let mut a = NetStack::new(StackConfig::new(A));
-        let ping = a.ping_open();
-        a.ping_send(ping, B, 1, 8).unwrap();
-        let mut now = SimTime::ZERO;
-        pump(&mut a, &mut b, &mut now);
-        assert!(a.ping_recv(ping).unwrap().is_none());
-    }
-
-    #[test]
     fn packets_for_other_hosts_are_dropped() {
         let (mut a, mut b) = pair();
         let sa = a.udp_bind(5000).unwrap();
@@ -712,6 +683,54 @@ mod tests {
         pump(&mut a, &mut b, &mut now);
         assert!(b.tcp_is_closed(server));
         assert!(a.tcp_is_closed(client));
+    }
+
+    /// A listener offers the MSS its own MTU allows, as a connecting socket
+    /// does, also when `mtu` is assigned without `with_mtu`.
+    #[test]
+    fn passive_open_mss_follows_the_listeners_mtu() {
+        let mut a = NetStack::new(StackConfig::new(A));
+        let mut b = NetStack::new(StackConfig {
+            mtu: 1400,
+            ..StackConfig::new(B)
+        });
+        let listener = b.tcp_listen(8080).unwrap();
+        let mut now = SimTime::ZERO;
+        let client = a.tcp_connect(B, 8080, now).unwrap();
+        let mut from_b = pump(&mut a, &mut b, &mut now);
+        let server = b.tcp_accept(listener).unwrap().expect("accepted");
+        assert_eq!(b.tcp_send(server, &[7; 10_000]), Ok(10_000));
+        from_b.extend(pump(&mut a, &mut b, &mut now));
+        assert_eq!(a.tcp_recv(client, usize::MAX).unwrap().len(), 10_000);
+
+        let segments: Vec<&TcpSegment> = from_b
+            .iter()
+            .filter_map(|p| match &p.payload {
+                Ipv4Payload::Tcp(seg) => Some(seg),
+                _ => None,
+            })
+            .collect();
+        let syn_ack = segments
+            .iter()
+            .find(|seg| seg.flags.syn && seg.flags.ack)
+            .expect("SYN-ACK");
+        assert_eq!(
+            syn_ack.mss,
+            Some(1360),
+            "1400-byte MTU less 40 header bytes"
+        );
+        let largest = segments.iter().map(|seg| seg.payload.len()).max();
+        assert_eq!(largest, Some(1360), "no segment exceeds the listener's MSS");
+    }
+
+    #[test]
+    fn listener_does_not_emit_segments() {
+        let (_, mut b) = pair();
+        b.tcp_listen(80).unwrap();
+        b.poll(SimTime::ZERO);
+        assert!(b.take_packets().is_empty());
+        assert!(!b.wants_poll());
+        assert!(b.next_timeout().is_none());
     }
 
     #[test]

@@ -26,8 +26,6 @@ use rtt::RttEstimator;
 pub enum TcpState {
     /// No connection.
     Closed,
-    /// Passive open; only used by listener sockets.
-    Listen,
     /// Active open sent a SYN.
     SynSent,
     /// Passive open received a SYN and replied SYN-ACK.
@@ -48,37 +46,24 @@ pub enum TcpState {
     TimeWait,
 }
 
-/// Tunable parameters for a TCP socket.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// Maximum segment size (payload bytes per segment).
-    pub mss: usize,
-    /// Receive buffer capacity in bytes (also the advertised window bound).
-    pub recv_buffer: usize,
-    /// Send buffer capacity in bytes.
-    pub send_buffer: usize,
-    /// How long to linger in TIME-WAIT.
-    pub time_wait: Duration,
-    /// Give up a connection attempt / retransmission after this many RTOs.
-    pub max_retries: u32,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1400,
-            recv_buffer: 65_535,
-            send_buffer: 262_144,
-            time_wait: Duration::from_secs(1),
-            max_retries: 12,
-        }
-    }
-}
+/// Largest segment payload a stack offers; a smaller interface MTU lowers it
+/// (`NetStack::mss`).
+pub(crate) const MSS_CEILING: usize = 1400;
+/// Receive buffer capacity in bytes (also the advertised window bound).
+const RECV_BUFFER: usize = 65_535;
+/// Send buffer capacity in bytes.
+const SEND_BUFFER: usize = 262_144;
+/// How long to linger in TIME-WAIT.
+const TIME_WAIT: Duration = Duration::from_secs(1);
+/// Give up a connection attempt / retransmission after this many RTOs.
+const MAX_RETRIES: u32 = 12;
 
 /// A single TCP connection endpoint.
 #[derive(Debug)]
 pub struct TcpSocket {
-    cfg: TcpConfig,
+    /// Maximum segment size (payload bytes per segment), lowered to the
+    /// peer's advertised MSS during the handshake.
+    mss: usize,
     state: TcpState,
     local_addr: Ipv4Addr,
     local_port: u16,
@@ -116,14 +101,6 @@ pub struct TcpSocket {
 }
 
 impl TcpSocket {
-    /// A passive listener on `local_port`. It never carries data itself; the stack
-    /// derives per-connection sockets from it with [`TcpSocket::accept`].
-    pub fn listen(local_addr: Ipv4Addr, local_port: u16, cfg: TcpConfig) -> Self {
-        let mut s = Self::raw(local_addr, local_port, Ipv4Addr::UNSPECIFIED, 0, 0, cfg);
-        s.state = TcpState::Listen;
-        s
-    }
-
     /// An active open towards `remote`, using `iss` as the initial sequence number.
     pub fn connect(
         local_addr: Ipv4Addr,
@@ -132,35 +109,28 @@ impl TcpSocket {
         remote_port: u16,
         iss: u32,
         now: SimTime,
-        cfg: TcpConfig,
+        mss: usize,
     ) -> Self {
-        let mut s = Self::raw(local_addr, local_port, remote_addr, remote_port, iss, cfg);
+        let mut s = Self::raw(local_addr, local_port, remote_addr, remote_port, iss, mss);
         s.state = TcpState::SynSent;
         s.syn_sent_at = Some(now);
         s
     }
 
-    /// A connection derived from a listener that has just received `syn`.
+    /// A passive open: the listener on `local_addr:local_port`, offering
+    /// `mss`, has just received `syn`.
     pub fn accept(
-        listener: &TcpSocket,
+        local_addr: Ipv4Addr,
+        local_port: u16,
+        mss: usize,
         peer_addr: Ipv4Addr,
         syn: &TcpSegment,
         iss: u32,
         now: SimTime,
     ) -> Self {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
-        let mut cfg = listener.cfg.clone();
-        if let Some(mss) = syn.mss {
-            cfg.mss = cfg.mss.min(mss as usize);
-        }
-        let mut s = Self::raw(
-            listener.local_addr,
-            listener.local_port,
-            peer_addr,
-            syn.src_port,
-            iss,
-            cfg,
-        );
+        let mss = syn.mss.map_or(mss, |peer| mss.min(peer as usize));
+        let mut s = Self::raw(local_addr, local_port, peer_addr, syn.src_port, iss, mss);
         s.state = TcpState::SynReceived;
         s.irs = syn.seq;
         s.rcv_nxt = syn.seq.wrapping_add(1);
@@ -176,7 +146,7 @@ impl TcpSocket {
         remote_addr: Ipv4Addr,
         remote_port: u16,
         iss: u32,
-        cfg: TcpConfig,
+        mss: usize,
     ) -> Self {
         TcpSocket {
             state: TcpState::Closed,
@@ -192,7 +162,7 @@ impl TcpSocket {
             fin_queued: false,
             fin_sent: false,
             fin_seq: 0,
-            cong: Congestion::new(cfg.mss),
+            cong: Congestion::new(mss),
             rtt: RttEstimator::new(),
             rtx_deadline: None,
             rtx_count: 0,
@@ -207,7 +177,7 @@ impl TcpSocket {
             pending_acks: 0,
             time_wait_until: None,
             reset_by_peer: false,
-            cfg,
+            mss,
         }
     }
 
@@ -223,7 +193,7 @@ impl TcpSocket {
         (self.local_addr, self.local_port)
     }
 
-    /// Remote (address, port); unspecified for listeners.
+    /// Remote (address, port).
     pub fn remote(&self) -> (Ipv4Addr, u16) {
         (self.remote_addr, self.remote_port)
     }
@@ -259,7 +229,7 @@ impl TcpSocket {
         if !self.can_send() {
             return 0;
         }
-        self.cfg.send_buffer.saturating_sub(self.send_buf.len())
+        SEND_BUFFER.saturating_sub(self.send_buf.len())
     }
 
     /// True while the application may still queue data for sending.
@@ -307,7 +277,7 @@ impl TcpSocket {
         // Reading may reopen a closed (or nearly closed) receive window; advertise
         // it so the peer does not stall waiting for a window update we never send
         // (we implement no persist timer on the sender side).
-        if before < self.cfg.mss && self.recv_window() >= self.cfg.mss && self.is_established() {
+        if before < self.mss && self.recv_window() >= self.mss && self.is_established() {
             self.pending_acks = self.pending_acks.max(1);
         }
         data
@@ -316,8 +286,7 @@ impl TcpSocket {
     /// Graceful close: a FIN is sent once all queued data has been transmitted.
     pub fn close(&mut self) {
         match self.state {
-            TcpState::Closed | TcpState::Listen => self.state = TcpState::Closed,
-            TcpState::SynSent => self.state = TcpState::Closed,
+            TcpState::Closed | TcpState::SynSent => self.state = TcpState::Closed,
             _ => self.fin_queued = true,
         }
     }
@@ -327,14 +296,14 @@ impl TcpSocket {
     /// Process an incoming segment addressed to this connection.
     pub fn on_segment(&mut self, now: SimTime, seg: &TcpSegment) {
         if seg.flags.rst {
-            if self.state != TcpState::Closed && self.state != TcpState::Listen {
+            if self.state != TcpState::Closed {
                 self.reset_by_peer = true;
                 self.state = TcpState::Closed;
             }
             return;
         }
         match self.state {
-            TcpState::Closed | TcpState::Listen => {}
+            TcpState::Closed => {}
             TcpState::SynSent => self.on_segment_syn_sent(now, seg),
             _ => self.on_segment_synchronized(now, seg),
         }
@@ -348,8 +317,8 @@ impl TcpSocket {
             return; // not acknowledging our SYN
         }
         if let Some(mss) = seg.mss {
-            self.cfg.mss = self.cfg.mss.min(mss as usize);
-            self.cong = Congestion::new(self.cfg.mss);
+            self.mss = self.mss.min(mss as usize);
+            self.cong = Congestion::new(self.mss);
         }
         self.irs = seg.seq;
         self.rcv_nxt = seg.seq.wrapping_add(1);
@@ -385,7 +354,7 @@ impl TcpSocket {
                     TcpState::Established => TcpState::CloseWait,
                     TcpState::FinWait1 => TcpState::Closing,
                     TcpState::FinWait2 => {
-                        self.time_wait_until = Some(now + self.cfg.time_wait);
+                        self.time_wait_until = Some(now + TIME_WAIT);
                         TcpState::TimeWait
                     }
                     other => other,
@@ -439,7 +408,7 @@ impl TcpSocket {
                 self.state = match self.state {
                     TcpState::FinWait1 => TcpState::FinWait2,
                     TcpState::Closing => {
-                        self.time_wait_until = Some(now + self.cfg.time_wait);
+                        self.time_wait_until = Some(now + TIME_WAIT);
                         TcpState::TimeWait
                     }
                     TcpState::LastAck => TcpState::Closed,
@@ -575,7 +544,7 @@ impl TcpSocket {
     pub fn next_timeout(&self) -> Option<SimTime> {
         // A finished socket has no future work: reporting a stale deadline here
         // would make the owning agent re-arm an immediate wakeup forever.
-        if matches!(self.state, TcpState::Closed | TcpState::Listen) {
+        if self.state == TcpState::Closed {
             return None;
         }
         let mut t = self.rtx_deadline;
@@ -622,7 +591,7 @@ impl TcpSocket {
     }
 
     fn recv_window(&self) -> usize {
-        self.cfg.recv_buffer.saturating_sub(self.recv_buf.len())
+        RECV_BUFFER.saturating_sub(self.recv_buf.len())
     }
 
     fn emit_data(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
@@ -637,7 +606,7 @@ impl TcpSocket {
             if available == 0 {
                 break;
             }
-            let len = available.min(self.cfg.mss).min(window - in_flight);
+            let len = available.min(self.mss).min(window - in_flight);
             if len == 0 {
                 break;
             }
@@ -710,7 +679,7 @@ impl TcpSocket {
                 TcpFlags::SYN
             },
             window: self.recv_window().min(u16::MAX as usize) as u16,
-            mss: Some(self.cfg.mss as u16),
+            mss: Some(self.mss as u16),
             payload: Vec::new(),
         }
     }
@@ -734,7 +703,7 @@ impl TcpSocket {
         match self.state {
             TcpState::SynSent | TcpState::SynReceived => {
                 self.rtx_count += 1;
-                if self.rtx_count > self.cfg.max_retries {
+                if self.rtx_count > MAX_RETRIES {
                     self.state = TcpState::Closed;
                     return;
                 }
@@ -750,7 +719,7 @@ impl TcpSocket {
                     return;
                 }
                 self.rtx_count += 1;
-                if self.rtx_count > self.cfg.max_retries {
+                if self.rtx_count > MAX_RETRIES {
                     self.state = TcpState::Closed;
                     return;
                 }
@@ -810,12 +779,11 @@ mod tests {
     }
 
     fn established_pair(now: &mut SimTime) -> (TcpSocket, TcpSocket) {
-        let listener = TcpSocket::listen(B, 80, TcpConfig::default());
-        let mut client = TcpSocket::connect(A, 40_000, B, 80, 1_000, *now, TcpConfig::default());
+        let mut client = TcpSocket::connect(A, 40_000, B, 80, 1_000, *now, MSS_CEILING);
         // Client emits SYN.
         let syn = client.poll(*now).pop().expect("syn");
         assert!(syn.flags.syn && !syn.flags.ack);
-        let mut server = TcpSocket::accept(&listener, A, &syn, 9_000, *now);
+        let mut server = TcpSocket::accept(B, 80, MSS_CEILING, A, &syn, 9_000, *now);
         pump(&mut client, &mut server, now, Duration::from_millis(1));
         assert_eq!(client.state(), TcpState::Established);
         assert_eq!(server.state(), TcpState::Established);
@@ -934,28 +902,20 @@ mod tests {
 
     #[test]
     fn connect_times_out_without_peer() {
-        let now0 = SimTime::ZERO;
-        let mut c = TcpSocket::connect(
-            A,
-            1,
-            B,
-            2,
-            55,
-            now0,
-            TcpConfig {
-                max_retries: 3,
-                ..TcpConfig::default()
-            },
-        );
-        let mut now = now0;
-        for _ in 0..200 {
-            now += Duration::from_secs(5);
+        let mut now = SimTime::ZERO;
+        let mut c = TcpSocket::connect(A, 1, B, 2, 55, now, MSS_CEILING);
+        // The first poll sends the SYN; each later RTO expiry resends it.
+        c.poll(now);
+        let mut expire_rto = |c: &mut TcpSocket| {
+            now = c.next_timeout().expect("retransmission timer armed");
             c.poll(now);
-            if c.is_closed() {
-                break;
-            }
+        };
+        for _ in 0..MAX_RETRIES {
+            expire_rto(&mut c);
         }
-        assert!(c.is_closed());
+        assert!(!c.is_closed(), "still trying after MAX_RETRIES expiries");
+        expire_rto(&mut c);
+        assert!(c.is_closed(), "gives up on the next one");
     }
 
     #[test]
@@ -964,18 +924,8 @@ mod tests {
         let (mut c, _s) = established_pair(&mut now);
         let huge = vec![0u8; 10_000_000];
         let accepted = c.send(&huge);
-        assert!(accepted <= TcpConfig::default().send_buffer);
-        assert_eq!(
-            c.send_capacity(),
-            TcpConfig::default().send_buffer - accepted
-        );
-    }
-
-    #[test]
-    fn listener_does_not_emit_segments() {
-        let mut l = TcpSocket::listen(B, 80, TcpConfig::default());
-        assert!(l.poll(SimTime::ZERO).is_empty());
-        assert_eq!(l.state(), TcpState::Listen);
+        assert!(accepted <= SEND_BUFFER);
+        assert_eq!(c.send_capacity(), SEND_BUFFER - accepted);
     }
 
     #[test]

@@ -39,13 +39,6 @@ pub struct DhtConfig {
     /// with the freshest copy by `(version, expiry)` and repairs stale or
     /// missing replicas. `1` disables replication: the owner answers alone.
     pub replication: usize,
-    /// How long a quorum coordinator waits for replica acks/answers before
-    /// concluding: an unacked create fails (the claimant retries elsewhere),
-    /// an unanswered read is served from whatever copies did answer.
-    pub quorum_timeout: Duration,
-    /// How long an unanswered lease-renewal `DhtCreate` stays outstanding
-    /// before it is re-issued (and counted as a renewal timeout alarm).
-    pub renewal_timeout: Duration,
     /// Anti-entropy: when true, every [`DhtConfig::sweep_interval`] each node
     /// exchanges compact record digests with the replica set of every key it
     /// owns (and with the owner of every key it publishes), pulling/pushing
@@ -62,8 +55,6 @@ impl Default for DhtConfig {
     fn default() -> Self {
         DhtConfig {
             replication: 3,
-            quorum_timeout: Duration::from_secs(4),
-            renewal_timeout: Duration::from_secs(10),
             sweep: true,
             sweep_interval: Duration::from_secs(10),
         }
@@ -417,6 +408,15 @@ const SYNC_DIGEST_CHUNK: usize = 64;
 /// the DHCP allocator, moved on to a different address).
 const PENDING_CREATE_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// How long a quorum coordinator waits for replica acks/answers before
+/// concluding: an unacked create fails (the claimant retries elsewhere), an
+/// unanswered read is served from whatever copies did answer.
+const QUORUM_TIMEOUT: Duration = Duration::from_secs(4);
+
+/// How long an unanswered lease-renewal `DhtCreate` stays outstanding before
+/// it is re-issued (and counted as a renewal timeout alarm).
+const RENEWAL_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// Expiry skew tolerated before a quorum read repairs a same-version,
 /// same-value copy. A replica's expiry is reconstructed from its remaining
 /// TTL at the coordinator, so it arrives inflated by the reply's transit
@@ -442,7 +442,7 @@ struct Publication {
     /// Renew with create-if-absent-or-match instead of a blind put.
     renew_with_create: bool,
     /// Outstanding renewal create: `(token, issued)`. A renewal whose reply
-    /// does not arrive within [`DhtConfig::renewal_timeout`] is re-issued and
+    /// does not arrive within [`RENEWAL_TIMEOUT`] is re-issued and
     /// counted in `dht_renewal_timeouts`.
     renew_inflight: Option<(u64, SimTime)>,
 }
@@ -1305,11 +1305,10 @@ impl Dht {
         self.pending_creates
             .retain(|_, p| now.saturating_since(p.issued) < PENDING_CREATE_TIMEOUT);
         // Quorum writes that never reached a majority: reject the claim.
-        let quorum_timeout = core.cfg.dht.quorum_timeout;
         let failed_writes: Vec<u64> = self
             .quorum_creates
             .iter()
-            .filter(|(_, qc)| now.saturating_since(qc.issued) >= quorum_timeout)
+            .filter(|(_, qc)| now.saturating_since(qc.issued) >= QUORUM_TIMEOUT)
             .map(|(op, _)| *op)
             .collect();
         for op in failed_writes {
@@ -1320,7 +1319,7 @@ impl Dht {
         let stalled_reads: Vec<u64> = self
             .quorum_reads
             .iter()
-            .filter(|(_, qr)| now.saturating_since(qr.issued) >= quorum_timeout)
+            .filter(|(_, qr)| now.saturating_since(qr.issued) >= QUORUM_TIMEOUT)
             .map(|(op, _)| *op)
             .collect();
         for op in stalled_reads {
@@ -1332,12 +1331,11 @@ impl Dht {
         // detected. A renewal whose reply never came is re-issued after the
         // renewal timeout and alarmed — never silently dropped, which would
         // let the lease expire while this node keeps using the address.
-        let renewal_timeout = core.cfg.dht.renewal_timeout;
         let due: Vec<Address> = self
             .published
             .iter()
             .filter(|(_, p)| match p.renew_inflight {
-                Some((_, issued)) => now.saturating_since(issued) >= renewal_timeout,
+                Some((_, issued)) => now.saturating_since(issued) >= RENEWAL_TIMEOUT,
                 None => now.saturating_since(p.last_refresh) >= p.ttl / 2,
             })
             .map(|(key, _)| *key)

@@ -139,34 +139,16 @@ pub fn decode_owner(value: &[u8]) -> Option<Address> {
     Some(Address(b))
 }
 
-/// Allocator tuning knobs.
-#[derive(Clone, Debug)]
-pub struct DhcpConfig {
-    /// Lease lifetime; the overlay renews the claim at half this.
-    pub lease_ttl: Duration,
-    /// Settle delay between a successful claim and the confirmation read.
-    pub confirm_delay: Duration,
-    /// Re-issue a claim or confirm whose reply never arrived after this long.
-    pub claim_timeout: Duration,
-    /// Wait between a write-quorum failure and re-claiming the same address
-    /// (the coordinator rejects for up to its quorum timeout; an immediate
-    /// retry would ping-pong one claim per round trip).
-    pub retry_delay: Duration,
-    /// Give up after this many claim attempts.
-    pub max_attempts: u32,
-}
-
-impl Default for DhcpConfig {
-    fn default() -> Self {
-        DhcpConfig {
-            lease_ttl: Duration::from_secs(120),
-            confirm_delay: Duration::from_secs(2),
-            claim_timeout: Duration::from_secs(10),
-            retry_delay: Duration::from_secs(3),
-            max_attempts: 128,
-        }
-    }
-}
+/// Settle delay between a successful claim and the confirmation read.
+const CONFIRM_DELAY: Duration = Duration::from_secs(2);
+/// Re-issue a claim or confirm whose reply never arrived after this long.
+const CLAIM_TIMEOUT: Duration = Duration::from_secs(10);
+/// Wait between a write-quorum failure and re-claiming the same address (the
+/// coordinator rejects for up to its quorum timeout; an immediate retry would
+/// ping-pong one claim per round trip).
+const RETRY_DELAY: Duration = Duration::from_secs(3);
+/// Give up after this many claim attempts.
+const MAX_ATTEMPTS: u32 = 128;
 
 /// Allocation progress.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -208,7 +190,7 @@ pub enum DhcpState {
     },
     /// The lease was released (graceful leave).
     Released,
-    /// Allocation gave up after `max_attempts` claims.
+    /// Allocation gave up after `MAX_ATTEMPTS` claims.
     Failed,
     /// Terminal: every usable address in the subnet is reserved or was seen
     /// taken — there is nothing left to draw (e.g. the third joiner on a /30
@@ -219,7 +201,8 @@ pub enum DhcpState {
 /// The DHCP-style allocator state machine for one node.
 pub struct DhcpAllocator {
     subnet: Subnet,
-    cfg: DhcpConfig,
+    /// Lease lifetime; the overlay renews the claim at half this.
+    lease_ttl: Duration,
     /// This node's overlay address — the value stored in its claims.
     owner: Address,
     /// Addresses never drawn (gateway and friends).
@@ -243,12 +226,12 @@ pub struct DhcpAllocator {
 }
 
 impl DhcpAllocator {
-    /// An allocator drawing from `subnet` with `rng`, claiming on behalf of
-    /// `owner`.
-    pub fn new(subnet: Subnet, owner: Address, cfg: DhcpConfig, rng: StreamRng) -> Self {
+    /// An allocator drawing from `subnet` with `rng`, claiming leases of
+    /// `lease_ttl` on behalf of `owner`.
+    pub fn new(subnet: Subnet, owner: Address, lease_ttl: Duration, rng: StreamRng) -> Self {
         DhcpAllocator {
             subnet,
-            cfg,
+            lease_ttl,
             owner,
             reserved: Vec::new(),
             state: DhcpState::Idle,
@@ -320,7 +303,7 @@ impl DhcpAllocator {
                 }
             }
             DhcpState::Claiming { token, since, .. } => {
-                if now.saturating_since(since) >= self.cfg.claim_timeout {
+                if now.saturating_since(since) >= CLAIM_TIMEOUT {
                     // The create or its reply was lost; abandon the claim so
                     // a late success cannot become a phantom publication, and
                     // draw a fresh candidate.
@@ -343,7 +326,7 @@ impl DhcpAllocator {
                         since: now,
                     };
                 }
-                Some(_) if now.saturating_since(since) >= self.cfg.claim_timeout => {
+                Some(_) if now.saturating_since(since) >= CLAIM_TIMEOUT => {
                     // Confirmation reply lost; read again.
                     let token = dht.get(now, lease_key(ip));
                     self.state = DhcpState::Confirming {
@@ -396,7 +379,7 @@ impl DhcpAllocator {
         if created {
             self.state = DhcpState::Confirming {
                 ip,
-                confirm_at: now + self.cfg.confirm_delay,
+                confirm_at: now + CONFIRM_DELAY,
                 token: None,
                 since: now,
             };
@@ -414,7 +397,7 @@ impl DhcpAllocator {
             // per round trip.
             self.state = DhcpState::RetryWait {
                 ip,
-                retry_at: now + self.cfg.retry_delay,
+                retry_at: now + RETRY_DELAY,
             };
         }
         true
@@ -488,7 +471,7 @@ impl DhcpAllocator {
 
     /// Issue a claim for a fresh candidate `ip` (consumes one attempt).
     fn issue_claim(&mut self, now: SimTime, ip: Ipv4Addr, dht: &mut dyn DhtClient) {
-        if self.attempts >= self.cfg.max_attempts {
+        if self.attempts >= MAX_ATTEMPTS {
             self.state = DhcpState::Failed;
             return;
         }
@@ -502,7 +485,7 @@ impl DhcpAllocator {
             now,
             lease_key(ip),
             encode_owner(&self.owner),
-            self.cfg.lease_ttl,
+            self.lease_ttl,
         );
         self.state = DhcpState::Claiming {
             token,
@@ -525,8 +508,10 @@ mod tests {
         Address::from_key(b"claimant")
     }
 
+    const TTL: Duration = Duration::from_secs(120);
+
     fn alloc(seed: u64) -> DhcpAllocator {
-        DhcpAllocator::new(subnet(), owner(), DhcpConfig::default(), rng(seed))
+        DhcpAllocator::new(subnet(), owner(), TTL, rng(seed))
             .with_reserved(vec![Ipv4Addr::new(172, 16, 9, 254)])
     }
 
@@ -694,7 +679,7 @@ mod tests {
         // range once — not redraw (and re-collide) forever.
         let s = Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 30);
         assert_eq!(s.usable_hosts(), 2);
-        let mut a = DhcpAllocator::new(s, owner(), DhcpConfig::default(), rng(9));
+        let mut a = DhcpAllocator::new(s, owner(), TTL, rng(9));
         let mut dht = FakeDht::default();
         let mut now = SimTime::ZERO;
         a.poll(now, true, &mut dht);
@@ -716,11 +701,10 @@ mod tests {
     #[test]
     fn fully_reserved_subnet_is_exhausted_without_any_claim() {
         let s = Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 30);
-        let mut a =
-            DhcpAllocator::new(s, owner(), DhcpConfig::default(), rng(10)).with_reserved(vec![
-                Ipv4Addr::new(172, 16, 9, 1),
-                Ipv4Addr::new(172, 16, 9, 2),
-            ]);
+        let mut a = DhcpAllocator::new(s, owner(), TTL, rng(10)).with_reserved(vec![
+            Ipv4Addr::new(172, 16, 9, 1),
+            Ipv4Addr::new(172, 16, 9, 2),
+        ]);
         let mut dht = FakeDht::default();
         a.poll(SimTime::ZERO, true, &mut dht);
         assert_eq!(a.state(), DhcpState::AddressSpaceExhausted);
@@ -813,24 +797,26 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_attempts() {
-        let mut a = DhcpAllocator::new(
-            subnet(),
-            owner(),
-            DhcpConfig {
-                max_attempts: 3,
-                ..DhcpConfig::default()
-            },
-            rng(6),
-        );
+        let mut a = alloc(6);
         let mut dht = FakeDht::default();
         let mut now = SimTime::ZERO;
         a.poll(now, true, &mut dht);
-        for _ in 0..3 {
-            if let DhcpState::Claiming { token, .. } = a.state() {
-                a.on_create_reply(now, token, false, true, &mut dht);
-            }
+        let mut collide = |a: &mut DhcpAllocator| {
+            let DhcpState::Claiming { token, .. } = a.state() else {
+                panic!("expected a claim, got {:?}", a.state())
+            };
+            a.on_create_reply(now, token, false, true, &mut dht);
             now += Duration::from_secs(1);
+        };
+        for _ in 1..MAX_ATTEMPTS {
+            collide(&mut a);
         }
+        assert!(
+            matches!(a.state(), DhcpState::Claiming { .. }),
+            "one collision short of MAX_ATTEMPTS still claims"
+        );
+        assert_eq!(a.attempts, MAX_ATTEMPTS);
+        collide(&mut a);
         assert_eq!(a.state(), DhcpState::Failed);
     }
 }

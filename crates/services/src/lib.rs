@@ -36,7 +36,7 @@ pub mod name;
 pub mod pubsub;
 pub mod vstream;
 
-pub use dhcp::{DhcpAllocator, DhcpConfig, DhcpState, Subnet};
+pub use dhcp::{DhcpAllocator, DhcpState, Subnet};
 pub use name::{NameService, Resolution, ReverseResolution};
 pub use pubsub::{PubSub, PubSubClient, TopicMessage};
 pub use vstream::{StreamClient, StreamFate, VirtualStream, VirtualStreams};

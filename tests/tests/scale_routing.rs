@@ -111,7 +111,6 @@ fn ring_workload_histories_are_pinned() {
         },
         streams: 64,
         transfer_bytes: 4 * 1024,
-        ..FairnessConfig::full()
     });
     assert_eq!(fair.events, 3080);
     assert_eq!(fair.trace_hash, 0x3188_4de2_eb0a_6ce5);
