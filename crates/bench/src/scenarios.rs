@@ -9,7 +9,7 @@ use ipop_apps::lss::{LssFileServer, LssMaster, LssParams, LssReport, LssWorker};
 use ipop_apps::ping::{PingApp, PingReport};
 use ipop_apps::ttcp::{TtcpApp, TtcpReport};
 use ipop_netsim::{fig4_testbed, planetlab, HostId, Network, NetworkSim};
-use ipop_simcore::{Duration, SimTime};
+use ipop_simcore::{fnv1a, Duration, SimTime, FNV_OFFSET};
 
 /// How the workload reaches the other endpoint.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -83,7 +83,9 @@ impl History {
         ];
         History {
             events: words[0],
-            trace_hash: fnv(0xCBF2_9CE4_8422_2325, &words),
+            trace_hash: words
+                .iter()
+                .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes())),
         }
     }
 
@@ -91,19 +93,9 @@ impl History {
     pub(crate) fn and(self, other: History) -> History {
         History {
             events: self.events + other.events,
-            trace_hash: fnv(self.trace_hash, &[other.trace_hash]),
+            trace_hash: fnv1a(self.trace_hash, &other.trace_hash.to_le_bytes()),
         }
     }
-}
-
-/// FNV-1a, continued from `hash` over the bytes of `words`.
-fn fnv(hash: u64, words: &[u64]) -> u64 {
-    words
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .fold(hash, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
 }
 
 /// Run until `done` holds, `limit` of virtual time passes, or the event queue

@@ -191,7 +191,9 @@ pub fn deploy_ipop(
         cfg.brunet_arp |= options.brunet_arp;
         cfg.reserved_ips = options.reserved_ips.clone();
         cfg.link_integrity_tag = options.link_integrity_tag;
-        cfg.overlay.shortcuts_enabled = options.shortcuts;
+        if !options.shortcuts {
+            cfg.overlay.max_shortcuts = 0;
+        }
         cfg.overlay.phi_accrual = options.phi_accrual;
         // `None` keeps the default of the tier that owns the knob.
         if let Some(ttl) = options.arp_cache_ttl {

@@ -25,7 +25,7 @@ use std::net::Ipv4Addr;
 
 use ipop_netsim::{HostAgent, HostCtx};
 use ipop_netstack::{NetStack, StackConfig};
-use ipop_overlay::transport::{OverlayTransport, TcpTransport, TransportMode, UdpTransport};
+use ipop_overlay::transport::Transport;
 use ipop_overlay::{Address, OverlayNode, OverlayStats};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_services::pubsub::{PubSub, TopicMessage};
@@ -42,7 +42,7 @@ use crate::wakeup::Wakeup;
 /// A host agent running a full IPOP node plus one application.
 pub struct IpopHostAgent {
     phys: NetStack,
-    transport: Box<dyn OverlayTransport>,
+    transport: Transport,
     overlay: OverlayNode,
     selfconfig: SelfConfig,
     dataplane: DataPlane,
@@ -57,9 +57,6 @@ pub struct IpopHostAgent {
     next_overlay_tick: SimTime,
     wakeup: Wakeup,
     last_forwarded: u64,
-    /// Transport parse-error count at the last pump pass; the delta per poll
-    /// is charged to the overlay's malformed-drop counter.
-    last_parse_errors: u64,
 }
 
 impl IpopHostAgent {
@@ -76,14 +73,7 @@ impl IpopHostAgent {
         };
         let mut phys = NetStack::new(StackConfig::new(phys_addr));
         let port = cfg.overlay.local_endpoint.1;
-        let transport: Box<dyn OverlayTransport> = match cfg.transport {
-            TransportMode::Udp => Box::new(
-                UdpTransport::bind(&mut phys, port).with_integrity_tag(cfg.link_integrity_tag),
-            ),
-            TransportMode::Tcp => Box::new(
-                TcpTransport::bind(&mut phys, port).with_integrity_tag(cfg.link_integrity_tag),
-            ),
-        };
+        let transport = Transport::bind(&mut phys, cfg.transport, port, cfg.link_integrity_tag);
         // A dynamic node cannot hash an IP it does not have: its overlay
         // address is random (deterministic per host), and Brunet-ARP carries
         // the IP → overlay-address mapping once an address is claimed.
@@ -106,7 +96,6 @@ impl IpopHostAgent {
             next_overlay_tick: SimTime::ZERO,
             wakeup: Wakeup::default(),
             last_forwarded: 0,
-            last_parse_errors: 0,
         }
     }
 
@@ -359,14 +348,12 @@ impl IpopHostAgent {
         // Physical stack → transport → overlay; malformed datagrams the
         // transport dropped while decoding surface in the overlay's stats.
         self.phys.poll(now);
-        for (ep, msg) in self.transport.poll(&mut self.phys, now) {
+        let (messages, malformed) = self.transport.poll(&mut self.phys);
+        for (ep, msg) in messages {
             self.overlay.on_message(now, ep, msg);
             moved = true;
         }
-        let parse_errors = self.transport.parse_errors();
-        self.overlay
-            .note_malformed(parse_errors - self.last_parse_errors);
-        self.last_parse_errors = parse_errors;
+        self.overlay.note_malformed(malformed);
 
         // Overlay output for the agent: deliveries → the router's receive
         // queue; pub/sub messages and stream fates → the application.
@@ -449,7 +436,7 @@ mod tests {
     use super::*;
     use crate::builder::{deploy_ipop, DeployOptions, IpopMember};
     use ipop_netsim::{lan_pair, Network};
-    use ipop_overlay::OverlayConfig;
+    use ipop_overlay::{OverlayConfig, TransportMode};
 
     /// Every field of `DeployOptions` reaches what `deploy_ipop` installs:
     /// the overlay's knobs the overlay node's own configuration, the rest the
@@ -495,7 +482,7 @@ mod tests {
             assert_eq!(agent.dataplane.cfg.pubsub_ttl, secs(33));
             let oc = agent.overlay.config();
             assert_eq!(oc.local_endpoint, (phys, 4001));
-            assert!(!oc.shortcuts_enabled);
+            assert_eq!(oc.max_shortcuts, 0);
             assert!(!oc.phi_accrual);
             assert_eq!(oc.phi_threshold, 9.5);
             assert_eq!(oc.probe_interval, secs(3));

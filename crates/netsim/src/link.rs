@@ -1,5 +1,6 @@
-//! Link model: propagation latency, serialization (bandwidth), jitter, loss and a
-//! drop-tail queue expressed as a "busy until" horizon.
+//! Link model: propagation latency, serialization (bandwidth), jitter and a
+//! drop-tail queue expressed as a "busy until" horizon. Random loss is not a
+//! link property: it is a [`crate::LinkImpairment`] between two hosts.
 //!
 //! Every physical path in the simulator is assembled from link segments (a LAN
 //! segment, site access links, a wide-area core segment). The transfer-time model
@@ -18,8 +19,6 @@ pub struct LinkParams {
     pub bandwidth_bps: f64,
     /// Standard deviation of per-packet jitter (normal, truncated at zero).
     pub jitter: Duration,
-    /// Independent per-packet loss probability in `[0, 1]`.
-    pub loss: f64,
     /// Maximum queueing backlog; packets that would have to wait longer than this
     /// for serialization are dropped (drop-tail).
     pub max_queue_delay: Duration,
@@ -32,7 +31,6 @@ impl LinkParams {
             latency: Duration::from_micros(80),
             bandwidth_bps: 100e6 / 8.0,
             jitter: Duration::from_micros(15),
-            loss: 0.0,
             max_queue_delay: Duration::from_millis(200),
         }
     }
@@ -43,15 +41,8 @@ impl LinkParams {
             latency,
             bandwidth_bps: bandwidth_mbps * 1e6 / 8.0,
             jitter: Duration::from_micros(200),
-            loss: 0.0,
             max_queue_delay: Duration::from_millis(500),
         }
-    }
-
-    /// Builder: set the loss probability.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss = loss;
-        self
     }
 
     /// Time to serialize `bytes` onto this link.
@@ -82,7 +73,7 @@ pub struct LinkState {
     pub tx_packets: u64,
     /// Bytes transmitted.
     pub tx_bytes: u64,
-    /// Packets dropped (loss or full queue).
+    /// Packets dropped (full queue).
     pub dropped: u64,
 }
 
@@ -91,7 +82,7 @@ pub struct LinkState {
 pub enum LinkOutcome {
     /// The packet will arrive at the far end of the segment at the given time.
     Delivered(SimTime),
-    /// The packet was dropped (random loss or queue overflow).
+    /// The packet was dropped (queue overflow).
     Dropped,
 }
 
@@ -129,10 +120,6 @@ impl Link {
         bytes: usize,
         rng: &mut StreamRng,
     ) -> LinkOutcome {
-        if self.params.loss > 0.0 && rng.chance(self.params.loss) {
-            self.state.dropped += 1;
-            return LinkOutcome::Dropped;
-        }
         self.state.reservations.retain(|&(_, end)| end > now);
         let ser = self.params.serialization(bytes);
         // Earliest gap-fit at or after `depart` — but never ahead of a
@@ -203,7 +190,6 @@ mod tests {
             latency: Duration::from_millis(5),
             bandwidth_bps: 1e6,
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_secs(1),
         });
         let out = link.transmit(SimTime::ZERO, SimTime::ZERO, 1_000, &mut rng());
@@ -220,7 +206,6 @@ mod tests {
             latency: Duration::from_millis(1),
             bandwidth_bps: 1e6,
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_secs(1),
         });
         let mut r = rng();
@@ -242,7 +227,6 @@ mod tests {
             latency: Duration::from_micros(10),
             bandwidth_bps: 1e6,
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_secs(60),
         });
         let mut r = rng();
@@ -267,7 +251,6 @@ mod tests {
             latency: Duration::from_micros(80),
             bandwidth_bps: 12.5e6,
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_millis(200),
         });
         let mut r = rng();
@@ -296,7 +279,6 @@ mod tests {
             latency: Duration::ZERO,
             bandwidth_bps: 1e6, // 1 ms per 1000 B
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_secs(1),
         });
         let mut r = rng();
@@ -325,7 +307,6 @@ mod tests {
             latency: Duration::ZERO,
             bandwidth_bps: 1e6,
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_secs(10),
         });
         let mut r = rng();
@@ -350,7 +331,6 @@ mod tests {
             latency: Duration::ZERO,
             bandwidth_bps: 1e3, // 1 kB/s: 1 packet of 1 kB = 1 s serialization
             jitter: Duration::ZERO,
-            loss: 0.0,
             max_queue_delay: Duration::from_millis(1500),
         });
         let mut r = rng();
@@ -368,18 +348,5 @@ mod tests {
             LinkOutcome::Dropped
         );
         assert_eq!(link.state.dropped, 1);
-    }
-
-    #[test]
-    fn lossy_link_drops_roughly_the_configured_fraction() {
-        let mut link = Link::new(LinkParams::lan_100mbit().with_loss(0.3));
-        let mut r = rng();
-        let mut dropped = 0;
-        for _ in 0..10_000 {
-            if link.transmit(SimTime::ZERO, SimTime::ZERO, 100, &mut r) == LinkOutcome::Dropped {
-                dropped += 1;
-            }
-        }
-        assert!((2_500..3_500).contains(&dropped), "dropped {dropped}");
     }
 }

@@ -76,10 +76,12 @@ pub type Control<'a> = GenericControl<'a, Network, NetEvent>;
 impl Event<Network> for NetEvent {
     fn fire(self, net: &mut Network, ctl: &mut Control<'_>) {
         match self {
-            NetEvent::Start(host) => Network::dispatch_start(net, ctl, host),
+            NetEvent::Start(host) => {
+                Network::dispatch(net, ctl, host, |agent, ctx| agent.on_start(ctx));
+            }
             NetEvent::Timer { host, token, epoch } => {
                 if net.hosts[host.0].agent_epoch == epoch {
-                    Network::dispatch_timer(net, ctl, host, token);
+                    Network::dispatch(net, ctl, host, |agent, ctx| agent.on_timer(ctx, token));
                 }
             }
             NetEvent::Arrival { dst, pkt } => {
@@ -88,7 +90,13 @@ impl Event<Network> for NetEvent {
                 let deliver_at = net.hosts[dst.0].occupy_cpu(ctl.now(), kernel_cost);
                 ctl.schedule_event_at(deliver_at, NetEvent::Deliver { dst, pkt });
             }
-            NetEvent::Deliver { dst, pkt } => Network::dispatch_packet(net, ctl, dst, *pkt),
+            NetEvent::Deliver { dst, pkt } => Network::dispatch(net, ctl, dst, |agent, ctx| {
+                ctx.net.counters.delivered += 1;
+                let counters = &mut ctx.net.hosts[dst.0].counters;
+                counters.rx_packets += 1;
+                counters.rx_bytes += pkt.wire_len() as u64;
+                agent.on_packet(ctx, *pkt);
+            }),
         }
     }
 }
@@ -106,7 +114,7 @@ pub struct NetCounters {
     pub firewall_in_dropped: u64,
     /// Packets filtered by a NAT (no mapping or disallowed sender).
     pub nat_filtered: u64,
-    /// Packets dropped by a link (loss or queue overflow).
+    /// Packets dropped by a link (queue overflow).
     pub link_dropped: u64,
     /// Packets dropped because source and destination host are currently in
     /// different partition groups (see [`Network::set_partition_group`]).
@@ -163,7 +171,7 @@ pub struct Network {
     /// Impairment applied to every pair without a specific entry.
     default_impairment: Option<(LinkImpairment, ImpairmentCounters)>,
     /// Dedicated stream for impairment draws: seeded separately from the link
-    /// stream so enabling an impairment never perturbs link-level jitter/loss
+    /// stream so enabling an impairment never perturbs the link-level jitter
     /// draws of unimpaired runs.
     impair_rng: StreamRng,
 }
@@ -633,56 +641,19 @@ impl Network {
         );
     }
 
-    /// Deliver a packet to a host's agent (internal dispatch).
-    pub(crate) fn dispatch_packet(
+    /// Take `host`'s agent out, hand it a [`HostCtx`] through `call`, and put
+    /// it back unless the call installed a replacement. A host without an
+    /// agent ignores the event.
+    fn dispatch(
         net: &mut Network,
         ctl: &mut Control<'_>,
         host: HostId,
-        pkt: Ipv4Packet,
+        call: impl FnOnce(&mut dyn HostAgent, &mut HostCtx<'_, '_>),
     ) {
         let Some(mut agent) = net.hosts[host.0].agent.take() else {
             return;
         };
-        net.counters.delivered += 1;
-        net.hosts[host.0].counters.rx_packets += 1;
-        net.hosts[host.0].counters.rx_bytes += pkt.wire_len() as u64;
-        {
-            let mut ctx = HostCtx { net, ctl, host };
-            agent.on_packet(&mut ctx, pkt);
-        }
-        if net.hosts[host.0].agent.is_none() {
-            net.hosts[host.0].agent = Some(agent);
-        }
-    }
-
-    /// Deliver a timer to a host's agent (internal dispatch).
-    pub(crate) fn dispatch_timer(
-        net: &mut Network,
-        ctl: &mut Control<'_>,
-        host: HostId,
-        token: TimerToken,
-    ) {
-        let Some(mut agent) = net.hosts[host.0].agent.take() else {
-            return;
-        };
-        {
-            let mut ctx = HostCtx { net, ctl, host };
-            agent.on_timer(&mut ctx, token);
-        }
-        if net.hosts[host.0].agent.is_none() {
-            net.hosts[host.0].agent = Some(agent);
-        }
-    }
-
-    /// Call every agent's `on_start` (internal dispatch used by [`NetworkSim`]).
-    pub(crate) fn dispatch_start(net: &mut Network, ctl: &mut Control<'_>, host: HostId) {
-        let Some(mut agent) = net.hosts[host.0].agent.take() else {
-            return;
-        };
-        {
-            let mut ctx = HostCtx { net, ctl, host };
-            agent.on_start(&mut ctx);
-        }
+        call(agent.as_mut(), &mut HostCtx { net, ctl, host });
         if net.hosts[host.0].agent.is_none() {
             net.hosts[host.0].agent = Some(agent);
         }
@@ -1211,6 +1182,43 @@ mod tests {
         assert_eq!(per_pair.dropped, 1);
         // The per-pair key is symmetric.
         assert_eq!(sim.net().impairment_counters(b, a), Some(per_pair));
+    }
+
+    /// Sends `count` datagrams to `to` at start and ignores what comes back.
+    struct Burst {
+        to: Ipv4Addr,
+        count: u32,
+    }
+
+    impl HostAgent for Burst {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+            for _ in 0..self.count {
+                let udp = UdpDatagram::new(4000, 9000, b"data".to_vec());
+                ctx.send(Ipv4Packet::new(ctx.addr(), self.to, Ipv4Payload::Udp(udp)));
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Ipv4Packet) {}
+        fn on_timer(&mut self, _ctx: &mut HostCtx<'_, '_>, _token: TimerToken) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn lossy_link_drops_roughly_the_configured_fraction() {
+        let (mut net, a, b) = ping_pair(29);
+        let to = ip(10, 0, 0, 2);
+        net.set_agent(a, Box::new(Burst { to, count: 10_000 }));
+        net.set_link_impairment(a, b, LinkImpairment::none().with_loss(0.3));
+        let mut sim = NetworkSim::new(net);
+        sim.run_for(Duration::from_secs(10));
+        let dropped = sim.net().impairment_counters(a, b).unwrap().dropped;
+        assert!((2_500..3_500).contains(&dropped), "dropped {dropped}");
+        let delivered = sim.agent_as::<EchoAgent>(b).unwrap().received.len();
+        assert_eq!(delivered as u64 + dropped, 10_000);
     }
 
     #[test]

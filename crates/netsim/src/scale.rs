@@ -20,7 +20,7 @@
 
 use std::net::Ipv4Addr;
 
-use ipop_simcore::Duration;
+use ipop_simcore::{fnv1a, Duration, FNV_OFFSET};
 
 use crate::nat::Endpoint;
 
@@ -40,18 +40,6 @@ pub struct ScaleNet {
 
 /// Port every scale node listens on.
 pub const SCALE_PORT: u16 = 4001;
-
-/// FNV-1a over a few words; the workspace's standard cheap deterministic hash.
-fn fnv(words: &[u64]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
 
 impl ScaleNet {
     /// A network of `nodes` nodes split into `shards` contiguous blocks.
@@ -134,7 +122,10 @@ impl ScaleNet {
         if j == 0 {
             return self.base;
         }
-        Duration::from_nanos(self.base.as_nanos() + fnv(&[self.seed, src as u64, dst as u64]) % j)
+        let hash = [self.seed, u64::from(src), u64::from(dst)]
+            .iter()
+            .fold(FNV_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
+        Duration::from_nanos(self.base.as_nanos() + hash % j)
     }
 }
 

@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ipop_packet::Bytes;
-use ipop_simcore::{Duration, SimTime};
+use ipop_simcore::{fnv1a, Duration, SimTime, FNV_OFFSET};
 
 use crate::address::Address;
 use crate::packets::{DeliveryMode, RoutedPayload};
@@ -159,12 +159,7 @@ pub struct SyncDigestEntry {
 /// used to *detect* divergence — the records themselves are exchanged and
 /// resolved under the byte-level freshness rules.
 pub fn sync_value_hash(value: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in value {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, value)
 }
 
 /// Build the digest entry for a live record at `now`.

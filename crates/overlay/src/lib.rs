@@ -31,9 +31,9 @@
 //! * [`pubsub`] — topic-based publish/subscribe: the subscriber set of a topic
 //!   is a DHT record at the topic key's owner, which fans publishes out along a
 //!   bounded-degree relay tree.
-//! * [`transport`] — UDP and TCP adapters that carry overlay traffic over the
-//!   host's physical network stack, matching the two Brunet modes the paper
-//!   compares in Tables I–III.
+//! * [`transport`] — the one transport that carries overlay traffic over the
+//!   host's physical network stack, in UDP or TCP framing: the two Brunet
+//!   modes the paper compares in Tables I–III.
 //! * [`vstream`] — connection-oriented, ordered, reliable virtual streams
 //!   between overlay addresses, multiplexed over routed frames on the same
 //!   zero-copy path as the IP tunnel.
@@ -57,5 +57,5 @@ pub use packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
 };
 pub use table::{Connection, ConnectionState, ConnectionTable};
-pub use transport::{OverlayTransport, TcpTransport, TransportMode, UdpTransport};
+pub use transport::{Transport, TransportMode};
 pub use vstream::{StreamEvent, StreamStats, VStreams, DEFAULT_WINDOW, MAX_SEGMENT};

@@ -51,10 +51,9 @@ pub struct OverlayConfig {
     pub bootstrap: Vec<Endpoint>,
     /// Desired number of structured-near connections per ring side.
     pub near_per_side: usize,
-    /// Maximum number of Kleinberg shortcut connections.
+    /// Maximum number of Kleinberg shortcut connections (0 turns shortcuts
+    /// off: the ablation switch).
     pub max_shortcuts: usize,
-    /// Whether to build shortcut connections at all (ablation switch).
-    pub shortcuts_enabled: bool,
     /// Interval between maintenance ticks (ring repair, shortcut formation).
     pub maintenance_interval: Duration,
     /// Idle interval after which an edge is considered dead and removed
@@ -104,7 +103,6 @@ impl OverlayConfig {
             bootstrap: Vec::new(),
             near_per_side: 2,
             max_shortcuts: 4,
-            shortcuts_enabled: true,
             maintenance_interval: Duration::from_millis(500),
             connection_timeout: Duration::from_secs(45),
             link_monitor: true,

@@ -295,8 +295,7 @@ impl Ring {
         //     count inflated forever) is what lets the far budget fill.
         reclassify_near_edges(core);
         // 3. Shortcuts.
-        if core.cfg.shortcuts_enabled
-            && core.table.count_kind(ConnectionKind::Far) < core.cfg.max_shortcuts
+        if core.table.count_kind(ConnectionKind::Far) < core.cfg.max_shortcuts
             && core.table.len() >= 2
         {
             self.request_shortcut(core, now);

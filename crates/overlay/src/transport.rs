@@ -1,53 +1,30 @@
-//! Physical transports for overlay traffic.
+//! Physical transport for overlay traffic.
 //!
 //! Brunet can run its edges over UDP or TCP (paper Section II-C); Tables I–III
-//! compare IPOP in both modes. The adapters here map the overlay's
-//! "send this [`LinkMessage`] to that endpoint" interface onto UDP datagrams or
+//! compare IPOP in both modes. [`Transport`] maps the overlay's "send this
+//! [`LinkMessage`] to that endpoint" interface onto UDP datagrams or
 //! length-prefixed TCP streams carried by the host's *physical* [`NetStack`] — so
 //! overlay traffic experiences exactly the same kernel stack, NAT and firewall
-//! behaviour as any other traffic in the simulation.
+//! behaviour as any other traffic in the simulation. Both framings carry the
+//! same sealed message; they differ only in how it is framed.
 
 use std::collections::BTreeMap;
 
 use ipop_netstack::{NetStack, SocketHandle};
 use ipop_packet::Bytes;
-use ipop_simcore::SimTime;
+use ipop_simcore::{fnv1a, SimTime, FNV_OFFSET};
 
 use crate::packets::{Endpoint, LinkMessage};
 
 /// Bytes of the optional end-of-message integrity tag.
 const TAG_BYTES: usize = 8;
 
-/// The longest message (integrity tag included) either transport carries:
+/// The longest message (integrity tag included) either framing carries:
 /// what fits one UDP datagram, 65 535 − 20 (IPv4) − 8 (UDP). The TCP framing
-/// holds its 32-bit length prefix to the same ceiling, so both transports
+/// holds its 32-bit length prefix to the same ceiling, so both framings
 /// accept the same message set and a forged prefix cannot make the receiver
 /// buffer a "frame" that never ends.
 const MAX_MESSAGE_BYTES: usize = 65_507;
-
-/// FNV-1a over the encoded message. Not cryptographic — it exists to stop
-/// corrupted-but-still-parseable packets (the kind an unlucky byte flip
-/// produces) from reaching the overlay and minting phantom peers, at a cost
-/// of one multiply per byte.
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Verify and strip a trailing integrity tag. Returns the body without the
-/// tag (a zero-copy sub-slice) or `None` on a short or mismatched tag.
-fn check_tag(data: &Bytes) -> Option<Bytes> {
-    let len = data.len().checked_sub(TAG_BYTES)?;
-    let want = u64::from_be_bytes(data.as_slice()[len..].try_into().ok()?);
-    if fnv64(&data.as_slice()[..len]) != want {
-        return None;
-    }
-    Some(data.slice(..len))
-}
 
 /// Which physical transport carries overlay traffic.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -58,104 +35,72 @@ pub enum TransportMode {
     Tcp,
 }
 
-/// A transport adapter between an overlay node and the physical stack.
-pub trait OverlayTransport {
-    /// The mode this adapter implements.
-    fn mode(&self) -> TransportMode;
-    /// Queue a message for `dst`.
-    fn send(&mut self, stack: &mut NetStack, now: SimTime, dst: Endpoint, msg: &LinkMessage);
-    /// Collect received messages as `(source endpoint, message)` pairs.
-    fn poll(&mut self, stack: &mut NetStack, now: SimTime) -> Vec<(Endpoint, LinkMessage)>;
-    /// Running count of datagrams/frames that arrived but failed to decode as
-    /// a [`LinkMessage`]. The host agent diffs this across polls to account
-    /// malformed traffic in overlay stats.
-    fn parse_errors(&self) -> u64;
-    /// Running count of messages dropped for a missing or mismatched
-    /// integrity tag (a subset of [`Self::parse_errors`]). Zero for adapters
-    /// without tag support or with the tag disabled.
-    fn tag_rejects(&self) -> u64 {
-        0
+/// The overlay's transport over the host's physical stack.
+pub struct Transport {
+    framing: Framing,
+    codec: Codec,
+}
+
+enum Framing {
+    /// One datagram per message.
+    Udp(SocketHandle),
+    /// One persistent connection per peer, each message behind a 32-bit
+    /// big-endian length prefix.
+    Tcp {
+        listener: SocketHandle,
+        /// Ordered map: `poll` iterates the peers, and the order in which
+        /// their messages surface must be deterministic for same-seed replays.
+        peers: BTreeMap<Endpoint, TcpPeer>,
+    },
+}
+
+/// The half both framings share: the message codec and the optional FNV-1a
+/// integrity tag. The tag is not cryptographic — it stops
+/// corrupted-but-still-parseable messages (the kind an unlucky byte flip
+/// produces) from reaching the overlay and minting phantom peers, at a cost
+/// of one multiply per byte.
+struct Codec {
+    /// Append and require the tag on every message (inside the frame body in
+    /// TCP mode, so the length prefix covers it). Both ends of every link
+    /// must agree: a tagged message does not decode untagged and vice versa.
+    tag: bool,
+    /// Messages dropped for a missing or mismatched tag.
+    rejects: u64,
+}
+
+impl Codec {
+    fn new(tag: bool) -> Self {
+        Codec { tag, rejects: 0 }
     }
-}
 
-/// UDP transport: one datagram per message.
-pub struct UdpTransport {
-    socket: SocketHandle,
-    /// Append and require the FNV-64 integrity tag on every datagram.
-    integrity_tag: bool,
-    /// Messages that failed to parse (diagnostics).
-    pub parse_errors: u64,
-    /// Messages dropped for a bad integrity tag (diagnostics).
-    pub tag_rejects: u64,
-}
-
-impl UdpTransport {
-    /// Bind the overlay UDP port on the given stack.
-    pub fn bind(stack: &mut NetStack, port: u16) -> Self {
-        let socket = stack.udp_bind(port).expect("overlay UDP port available");
-        UdpTransport {
-            socket,
-            integrity_tag: false,
-            parse_errors: 0,
-            tag_rejects: 0,
+    /// Encode `msg`, then append the tag if it is on.
+    fn seal(&self, msg: &LinkMessage) -> Vec<u8> {
+        let mut wire = msg.to_bytes();
+        if self.tag {
+            let tag = fnv1a(FNV_OFFSET, &wire);
+            wire.extend_from_slice(&tag.to_be_bytes());
         }
+        wire
     }
 
-    /// Enable or disable the per-datagram integrity tag. Both ends of every
-    /// link must agree: a tagged datagram does not decode untagged and vice
-    /// versa.
-    pub fn with_integrity_tag(mut self, on: bool) -> Self {
-        self.integrity_tag = on;
-        self
-    }
-}
-
-impl OverlayTransport for UdpTransport {
-    fn mode(&self) -> TransportMode {
-        TransportMode::Udp
-    }
-
-    fn send(&mut self, stack: &mut NetStack, _now: SimTime, dst: Endpoint, msg: &LinkMessage) {
-        if self.integrity_tag {
-            let body = msg.to_wire();
-            let mut tagged = Vec::with_capacity(body.len() + TAG_BYTES);
-            tagged.extend_from_slice(&body);
-            tagged.extend_from_slice(&fnv64(&body).to_be_bytes());
-            let _ = stack.udp_send(self.socket, dst.0, dst.1, tagged);
-        } else {
-            let _ = stack.udp_send(self.socket, dst.0, dst.1, msg.to_wire());
-        }
-    }
-
-    fn poll(&mut self, stack: &mut NetStack, _now: SimTime) -> Vec<(Endpoint, LinkMessage)> {
-        let mut out = Vec::new();
-        while let Ok(Some(msg)) = stack.udp_recv(self.socket) {
-            let body = if self.integrity_tag {
-                match check_tag(&msg.data) {
-                    Some(body) => body,
-                    None => {
-                        self.tag_rejects += 1;
-                        self.parse_errors += 1;
-                        continue;
-                    }
-                }
-            } else {
-                msg.data
+    /// Check and strip the tag if it is on, then decode. A message that
+    /// fails either step is counted in `malformed` and yields `None`.
+    fn open(&mut self, mut data: Bytes, malformed: &mut u64) -> Option<LinkMessage> {
+        if self.tag {
+            let body = data.len().checked_sub(TAG_BYTES).filter(|&len| {
+                let (body, tag) = data.as_slice().split_at(len);
+                *tag == fnv1a(FNV_OFFSET, body).to_be_bytes()
+            });
+            let Some(len) = body else {
+                self.rejects += 1;
+                *malformed += 1;
+                return None;
             };
-            match LinkMessage::from_wire(&body) {
-                Ok(parsed) => out.push(((msg.src, msg.src_port), parsed)),
-                Err(_) => self.parse_errors += 1,
-            }
+            data = data.slice(..len);
         }
-        out
-    }
-
-    fn parse_errors(&self) -> u64 {
-        self.parse_errors
-    }
-
-    fn tag_rejects(&self) -> u64 {
-        self.tag_rejects
+        let msg = LinkMessage::from_wire(&data).ok();
+        *malformed += u64::from(msg.is_none());
+        msg
     }
 }
 
@@ -165,186 +110,152 @@ struct TcpPeer {
     tx_backlog: Vec<u8>,
 }
 
-/// TCP transport: one persistent connection per peer, messages framed with a
-/// 32-bit big-endian length prefix.
-pub struct TcpTransport {
-    listener: SocketHandle,
-    /// Ordered map: `poll` iterates the peers, and the order in which their
-    /// messages surface must be deterministic for same-seed replays.
-    peers: BTreeMap<Endpoint, TcpPeer>,
-    /// Append and require the FNV-64 integrity tag inside every frame.
-    integrity_tag: bool,
-    /// Messages that failed to parse (diagnostics).
-    pub parse_errors: u64,
-    /// Messages dropped for a bad integrity tag (diagnostics).
-    pub tag_rejects: u64,
-}
-
-impl TcpTransport {
-    /// Listen on the overlay TCP port on the given stack.
-    pub fn bind(stack: &mut NetStack, port: u16) -> Self {
-        let listener = stack.tcp_listen(port).expect("overlay TCP port available");
-        TcpTransport {
-            listener,
-            peers: BTreeMap::new(),
-            integrity_tag: false,
-            parse_errors: 0,
-            tag_rejects: 0,
+impl TcpPeer {
+    fn new(handle: SocketHandle) -> Self {
+        TcpPeer {
+            handle,
+            rx: Vec::new(),
+            tx_backlog: Vec::new(),
         }
     }
 
-    /// Enable or disable the per-frame integrity tag. Both ends of every
-    /// connection must agree; the tag lives inside the frame body so the
-    /// length prefix covers it.
-    pub fn with_integrity_tag(mut self, on: bool) -> Self {
-        self.integrity_tag = on;
-        self
-    }
-
-    /// Number of live peer connections.
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
-    fn frame(msg: &LinkMessage, integrity_tag: bool) -> Vec<u8> {
-        let body = msg.to_wire();
-        let tag_len = if integrity_tag { TAG_BYTES } else { 0 };
-        let mut out = Vec::with_capacity(body.len() + 4 + tag_len);
-        out.extend_from_slice(&((body.len() + tag_len) as u32).to_be_bytes());
-        out.extend_from_slice(&body);
-        if integrity_tag {
-            out.extend_from_slice(&fnv64(&body).to_be_bytes());
-        }
-        out
-    }
-
-    fn flush_peer(stack: &mut NetStack, peer: &mut TcpPeer) {
-        if peer.tx_backlog.is_empty() {
+    fn flush(&mut self, stack: &mut NetStack) {
+        if self.tx_backlog.is_empty() {
             return;
         }
-        if let Ok(sent) = stack.tcp_send(peer.handle, &peer.tx_backlog) {
-            peer.tx_backlog.drain(..sent);
+        if let Ok(sent) = stack.tcp_send(self.handle, &self.tx_backlog) {
+            self.tx_backlog.drain(..sent);
         }
-    }
-
-    /// The length prefix at the head of `rx`, once all four bytes are in.
-    fn frame_len(rx: &[u8]) -> Option<usize> {
-        let prefix = rx.first_chunk::<4>()?;
-        Some(u32::from_be_bytes(*prefix) as usize)
-    }
-
-    /// Decode every complete frame at the head of `rx`. Stops at a length
-    /// prefix beyond [`MAX_MESSAGE_BYTES`] and leaves it there: `poll` drops
-    /// the peer that sent it.
-    fn extract_frames(
-        rx: &mut Vec<u8>,
-        integrity_tag: bool,
-        errors: &mut u64,
-        rejects: &mut u64,
-    ) -> Vec<LinkMessage> {
-        let mut out = Vec::new();
-        while let Some(len) = Self::frame_len(rx) {
-            if len > MAX_MESSAGE_BYTES || rx.len() < 4 + len {
-                break;
-            }
-            let body = Bytes::from(&rx[4..4 + len]);
-            rx.drain(..4 + len);
-            let body = if integrity_tag {
-                match check_tag(&body) {
-                    Some(body) => body,
-                    None => {
-                        *rejects += 1;
-                        *errors += 1;
-                        continue;
-                    }
-                }
-            } else {
-                body
-            };
-            match LinkMessage::from_wire(&body) {
-                Ok(msg) => out.push(msg),
-                Err(_) => *errors += 1,
-            }
-        }
-        out
     }
 }
 
-impl OverlayTransport for TcpTransport {
-    fn mode(&self) -> TransportMode {
-        TransportMode::Tcp
-    }
+/// Append `sealed` to a TCP byte stream behind its 32-bit big-endian length.
+fn push_frame(stream: &mut Vec<u8>, sealed: &[u8]) {
+    stream.extend_from_slice(&(sealed.len() as u32).to_be_bytes());
+    stream.extend_from_slice(sealed);
+}
 
-    fn send(&mut self, stack: &mut NetStack, now: SimTime, dst: Endpoint, msg: &LinkMessage) {
-        let framed = Self::frame(msg, self.integrity_tag);
-        let peer = self.peers.entry(dst).or_insert_with(|| {
-            let handle = stack
-                .tcp_connect(dst.0, dst.1, now)
-                .expect("tcp connect allocates a socket");
-            TcpPeer {
-                handle,
-                rx: Vec::new(),
-                tx_backlog: Vec::new(),
+/// The length prefix at the head of `rx`, once all four bytes are in.
+fn frame_len(rx: &[u8]) -> Option<usize> {
+    let prefix = rx.first_chunk::<4>()?;
+    Some(u32::from_be_bytes(*prefix) as usize)
+}
+
+/// Pop the complete frame at the head of `rx`, if there is one. Stops at a
+/// length prefix beyond [`MAX_MESSAGE_BYTES`] and leaves it there: `poll`
+/// drops the peer that sent it.
+fn next_frame(rx: &mut Vec<u8>) -> Option<Bytes> {
+    let len = frame_len(rx).filter(|&len| len <= MAX_MESSAGE_BYTES && rx.len() >= 4 + len)?;
+    let body = Bytes::from(&rx[4..4 + len]);
+    rx.drain(..4 + len);
+    Some(body)
+}
+
+impl Transport {
+    /// Bind the overlay `port` on `stack` in `mode`, with the integrity tag
+    /// on or off.
+    pub fn bind(stack: &mut NetStack, mode: TransportMode, port: u16, integrity_tag: bool) -> Self {
+        let framing = match mode {
+            TransportMode::Udp => {
+                Framing::Udp(stack.udp_bind(port).expect("overlay UDP port available"))
             }
-        });
-        peer.tx_backlog.extend_from_slice(&framed);
-        Self::flush_peer(stack, peer);
+            TransportMode::Tcp => Framing::Tcp {
+                listener: stack.tcp_listen(port).expect("overlay TCP port available"),
+                peers: BTreeMap::new(),
+            },
+        };
+        Transport {
+            framing,
+            codec: Codec::new(integrity_tag),
+        }
     }
 
-    fn poll(&mut self, stack: &mut NetStack, _now: SimTime) -> Vec<(Endpoint, LinkMessage)> {
-        let mut out = Vec::new();
-        // Accept new inbound connections; key them by the peer's actual endpoint.
-        while let Ok(Some(handle)) = stack.tcp_accept(self.listener) {
-            if let Some(sock_remote) = stack.tcp_remote(handle) {
-                self.peers.entry(sock_remote).or_insert(TcpPeer {
-                    handle,
-                    rx: Vec::new(),
-                    tx_backlog: Vec::new(),
+    /// The mode this transport was bound in.
+    pub fn mode(&self) -> TransportMode {
+        match self.framing {
+            Framing::Udp(_) => TransportMode::Udp,
+            Framing::Tcp { .. } => TransportMode::Tcp,
+        }
+    }
+
+    /// Running count of messages dropped for a missing or mismatched
+    /// integrity tag (always 0 with the tag off); each is also one of the
+    /// malformed messages [`Self::poll`] reports.
+    pub fn tag_rejects(&self) -> u64 {
+        self.codec.rejects
+    }
+
+    /// Queue a message for `dst`; in TCP mode the first one opens the
+    /// connection.
+    pub fn send(&mut self, stack: &mut NetStack, now: SimTime, dst: Endpoint, msg: &LinkMessage) {
+        let sealed = self.codec.seal(msg);
+        match &mut self.framing {
+            Framing::Udp(socket) => {
+                let _ = stack.udp_send(*socket, dst.0, dst.1, sealed);
+            }
+            Framing::Tcp { peers, .. } => {
+                let peer = peers.entry(dst).or_insert_with(|| {
+                    let handle = stack
+                        .tcp_connect(dst.0, dst.1, now)
+                        .expect("tcp connect allocates a socket");
+                    TcpPeer::new(handle)
+                });
+                push_frame(&mut peer.tx_backlog, &sealed);
+                peer.flush(stack);
+            }
+        }
+    }
+
+    /// Collect the received messages as `(source endpoint, message)` pairs,
+    /// with the number of datagrams or frames that arrived malformed in this
+    /// poll: a bad tag, an undecodable body, or a forged length prefix.
+    pub fn poll(&mut self, stack: &mut NetStack) -> (Vec<(Endpoint, LinkMessage)>, u64) {
+        let (mut out, mut malformed) = (Vec::new(), 0);
+        let codec = &mut self.codec;
+        match &mut self.framing {
+            Framing::Udp(socket) => {
+                while let Ok(Some(d)) = stack.udp_recv(*socket) {
+                    if let Some(msg) = codec.open(d.data, &mut malformed) {
+                        out.push(((d.src, d.src_port), msg));
+                    }
+                }
+            }
+            Framing::Tcp { listener, peers } => {
+                // Accept new inbound connections; key them by the peer's
+                // actual endpoint.
+                while let Ok(Some(handle)) = stack.tcp_accept(*listener) {
+                    if let Some(remote) = stack.tcp_remote(handle) {
+                        peers.entry(remote).or_insert_with(|| TcpPeer::new(handle));
+                    }
+                }
+                peers.retain(|ep, peer| {
+                    peer.flush(stack);
+                    loop {
+                        let chunk = stack.tcp_recv(peer.handle, 64 * 1024).unwrap_or_default();
+                        if chunk.is_empty() {
+                            break;
+                        }
+                        peer.rx.extend_from_slice(&chunk);
+                    }
+                    while let Some(body) = next_frame(&mut peer.rx) {
+                        if let Some(msg) = codec.open(body, &mut malformed) {
+                            out.push((*ep, msg));
+                        }
+                    }
+                    // A byte stream cannot be resynchronised after a bad
+                    // length: the peer goes, the transport keeps serving the
+                    // others.
+                    let forged = frame_len(&peer.rx).is_some_and(|len| len > MAX_MESSAGE_BYTES);
+                    malformed += u64::from(forged);
+                    let dead = forged || (stack.tcp_is_closed(peer.handle) && peer.rx.is_empty());
+                    if dead {
+                        stack.release(peer.handle);
+                    }
+                    !dead
                 });
             }
         }
-        let mut dead = Vec::new();
-        for (ep, peer) in self.peers.iter_mut() {
-            Self::flush_peer(stack, peer);
-            loop {
-                let chunk = stack.tcp_recv(peer.handle, 64 * 1024).unwrap_or_default();
-                if chunk.is_empty() {
-                    break;
-                }
-                peer.rx.extend_from_slice(&chunk);
-            }
-            for msg in Self::extract_frames(
-                &mut peer.rx,
-                self.integrity_tag,
-                &mut self.parse_errors,
-                &mut self.tag_rejects,
-            ) {
-                out.push((*ep, msg));
-            }
-            // A byte stream cannot be resynchronised after a bad length:
-            // the peer goes, the transport keeps serving the others.
-            let forged = Self::frame_len(&peer.rx).is_some_and(|len| len > MAX_MESSAGE_BYTES);
-            if forged {
-                self.parse_errors += 1;
-            }
-            if forged || (stack.tcp_is_closed(peer.handle) && peer.rx.is_empty()) {
-                dead.push(*ep);
-            }
-        }
-        for ep in dead {
-            if let Some(p) = self.peers.remove(&ep) {
-                stack.release(p.handle);
-            }
-        }
-        out
-    }
-
-    fn parse_errors(&self) -> u64 {
-        self.parse_errors
-    }
-
-    fn tag_rejects(&self) -> u64 {
-        self.tag_rejects
+        (out, malformed)
     }
 }
 
@@ -378,6 +289,14 @@ mod tests {
         }
     }
 
+    /// The live TCP connections of `t`.
+    fn peers(t: &Transport) -> &BTreeMap<Endpoint, TcpPeer> {
+        let Framing::Tcp { peers, .. } = &t.framing else {
+            panic!("a TCP transport");
+        };
+        peers
+    }
+
     fn ping_msg(n: u64) -> LinkMessage {
         LinkMessage::Ping {
             from: Address::from_key(b"t"),
@@ -389,12 +308,12 @@ mod tests {
     fn udp_transport_round_trip() {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
-        let mut ta = UdpTransport::bind(&mut sa, 4001);
-        let mut tb = UdpTransport::bind(&mut sb, 4001);
+        let mut ta = Transport::bind(&mut sa, TransportMode::Udp, 4001, false);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Udp, 4001, false);
         let mut now = SimTime::ZERO;
         ta.send(&mut sa, now, (B, 4001), &ping_msg(7));
         pump(&mut sa, &mut sb, &mut now);
-        let got = tb.poll(&mut sb, now);
+        let (got, _) = tb.poll(&mut sb);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, ping_msg(7));
         assert_eq!(got[0].0 .0, A);
@@ -406,20 +325,21 @@ mod tests {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
         let sock = sa.udp_bind(9999).unwrap();
-        let mut tb = UdpTransport::bind(&mut sb, 4001);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Udp, 4001, false);
         sa.udp_send(sock, B, 4001, vec![0xFF, 0xFE]).unwrap();
         let mut now = SimTime::ZERO;
         pump(&mut sa, &mut sb, &mut now);
-        assert!(tb.poll(&mut sb, now).is_empty());
-        assert_eq!(tb.parse_errors, 1);
+        let (got, malformed) = tb.poll(&mut sb);
+        assert!(got.is_empty());
+        assert_eq!(malformed, 1);
     }
 
     #[test]
     fn tcp_transport_round_trip_and_reuse() {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
-        let mut ta = TcpTransport::bind(&mut sa, 4001);
-        let mut tb = TcpTransport::bind(&mut sb, 4001);
+        let mut ta = Transport::bind(&mut sa, TransportMode::Tcp, 4001, false);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Tcp, 4001, false);
         let mut now = SimTime::ZERO;
         ta.send(&mut sa, now, (B, 4001), &ping_msg(1));
         ta.send(&mut sa, now, (B, 4001), &ping_msg(2));
@@ -427,8 +347,8 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..50 {
             pump(&mut sa, &mut sb, &mut now);
-            got.extend(tb.poll(&mut sb, now));
-            ta.poll(&mut sa, now);
+            got.extend(tb.poll(&mut sb).0);
+            ta.poll(&mut sa);
             if got.len() >= 2 {
                 break;
             }
@@ -437,7 +357,7 @@ mod tests {
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].1, ping_msg(1));
         assert_eq!(got[1].1, ping_msg(2));
-        assert_eq!(ta.peer_count(), 1, "a single TCP connection is reused");
+        assert_eq!(peers(&ta).len(), 1, "a single TCP connection is reused");
         assert_eq!(ta.mode(), TransportMode::Tcp);
 
         // The receiver can answer over the same (accepted) connection.
@@ -446,8 +366,8 @@ mod tests {
         let mut back = Vec::new();
         for _ in 0..50 {
             pump(&mut sa, &mut sb, &mut now);
-            back.extend(ta.poll(&mut sa, now));
-            tb.poll(&mut sb, now);
+            back.extend(ta.poll(&mut sa).0);
+            tb.poll(&mut sb);
             if !back.is_empty() {
                 break;
             }
@@ -455,7 +375,7 @@ mod tests {
         }
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].1, ping_msg(3));
-        assert_eq!(tb.peer_count(), 1);
+        assert_eq!(peers(&tb).len(), 1);
     }
 
     #[test]
@@ -482,9 +402,9 @@ mod tests {
             }
         }
         // B is the victim, C an honest peer with a connection of its own.
-        let mut tb = TcpTransport::bind(&mut stacks[1], 4001);
-        let mut tc = TcpTransport::bind(&mut stacks[2], 4001);
-        let mut got = Vec::new();
+        let mut tb = Transport::bind(&mut stacks[1], TransportMode::Tcp, 4001, false);
+        let mut tc = Transport::bind(&mut stacks[2], TransportMode::Tcp, 4001, false);
+        let (mut got, mut malformed) = (Vec::new(), 0);
         tc.send(&mut stacks[2], now, (B, 4001), &ping_msg(1));
         // A writes a length no message can have and keeps streaming.
         let attacker = stacks[0].tcp_connect(B, 4001, now).unwrap();
@@ -496,42 +416,44 @@ mod tests {
             written += stacks[0]
                 .tcp_send(attacker, &stream[written..])
                 .unwrap_or(0);
-            got.extend(tb.poll(&mut stacks[1], now));
-            tc.poll(&mut stacks[2], now);
-            let held: usize = tb.peers.values().map(|p| p.rx.len()).sum();
+            let (msgs, bad) = tb.poll(&mut stacks[1]);
+            got.extend(msgs);
+            malformed += bad;
+            tc.poll(&mut stacks[2]);
+            let held: usize = peers(&tb).values().map(|p| p.rx.len()).sum();
             most_held = most_held.max(held);
             now += Duration::from_millis(1);
         }
         assert_eq!(written, stream.len(), "all of it was on its way");
         assert!(most_held < MAX_MESSAGE_BYTES, "held {most_held} bytes");
-        assert!(tb.parse_errors >= 1);
-        assert_eq!(tb.peer_count(), 1, "only the honest peer is left");
+        assert!(malformed >= 1);
+        assert_eq!(peers(&tb).len(), 1, "only the honest peer is left");
 
         // The honest peer never noticed.
         tc.send(&mut stacks[2], now, (B, 4001), &ping_msg(2));
         for _ in 0..50 {
             pump3(&mut stacks, &mut now);
-            got.extend(tb.poll(&mut stacks[1], now));
-            tc.poll(&mut stacks[2], now);
+            got.extend(tb.poll(&mut stacks[1]).0);
+            tc.poll(&mut stacks[2]);
             now += Duration::from_millis(10);
         }
         let pings: Vec<LinkMessage> = got.into_iter().map(|(_, msg)| msg).collect();
         assert_eq!(pings, vec![ping_msg(1), ping_msg(2)]);
-        assert_eq!(tc.peer_count(), 1, "over the connection it had all along");
+        assert_eq!(peers(&tc).len(), 1, "over the connection it had all along");
     }
 
     #[test]
     fn udp_integrity_tag_round_trips_and_rejects_corruption() {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
-        let mut ta = UdpTransport::bind(&mut sa, 4001).with_integrity_tag(true);
-        let mut tb = UdpTransport::bind(&mut sb, 4001).with_integrity_tag(true);
+        let mut ta = Transport::bind(&mut sa, TransportMode::Udp, 4001, true);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Udp, 4001, true);
         let mut now = SimTime::ZERO;
 
         // Clean round trip with the tag on.
         ta.send(&mut sa, now, (B, 4001), &ping_msg(7));
         pump(&mut sa, &mut sb, &mut now);
-        let got = tb.poll(&mut sb, now);
+        let (got, _) = tb.poll(&mut sb);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, ping_msg(7));
         assert_eq!(tb.tag_rejects(), 0);
@@ -540,7 +462,7 @@ mod tests {
         // recompute nothing. Without the tag this would decode as a valid
         // message from a phantom address; with it, the receiver drops it.
         let mut wire = ping_msg(7).to_wire().to_vec();
-        let tag = fnv64(&wire).to_be_bytes();
+        let tag = fnv1a(FNV_OFFSET, &wire).to_be_bytes();
         wire[5] ^= 0x40;
         wire.extend_from_slice(&tag);
         assert!(
@@ -550,14 +472,13 @@ mod tests {
         let raw = sa.udp_bind(9998).unwrap();
         sa.udp_send(raw, B, 4001, wire).unwrap();
         pump(&mut sa, &mut sb, &mut now);
-        assert!(tb.poll(&mut sb, now).is_empty());
+        assert_eq!(tb.poll(&mut sb), (vec![], 1));
         assert_eq!(tb.tag_rejects(), 1);
-        assert_eq!(tb.parse_errors, 1);
 
         // Too short to even hold a tag.
         sa.udp_send(raw, B, 4001, vec![1, 2, 3]).unwrap();
         pump(&mut sa, &mut sb, &mut now);
-        assert!(tb.poll(&mut sb, now).is_empty());
+        assert_eq!(tb.poll(&mut sb), (vec![], 1));
         assert_eq!(tb.tag_rejects(), 2);
     }
 
@@ -565,15 +486,15 @@ mod tests {
     fn tcp_integrity_tag_round_trips_and_rejects_corruption() {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
-        let mut ta = TcpTransport::bind(&mut sa, 4001).with_integrity_tag(true);
-        let mut tb = TcpTransport::bind(&mut sb, 4001).with_integrity_tag(true);
+        let mut ta = Transport::bind(&mut sa, TransportMode::Tcp, 4001, true);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Tcp, 4001, true);
         let mut now = SimTime::ZERO;
         ta.send(&mut sa, now, (B, 4001), &ping_msg(9));
         let mut got = Vec::new();
         for _ in 0..50 {
             pump(&mut sa, &mut sb, &mut now);
-            got.extend(tb.poll(&mut sb, now));
-            ta.poll(&mut sa, now);
+            got.extend(tb.poll(&mut sb).0);
+            ta.poll(&mut sa);
             if !got.is_empty() {
                 break;
             }
@@ -586,25 +507,29 @@ mod tests {
         // Corrupt one body byte inside an otherwise well-formed frame; the
         // stream resynchronises on the next frame because the length prefix
         // is intact.
-        let mut frame = TcpTransport::frame(&ping_msg(9), true);
-        frame[6] ^= 0x04;
-        frame.extend_from_slice(&TcpTransport::frame(&ping_msg(10), true));
-        let mut rx = frame;
-        let (mut errors, mut rejects) = (0, 0);
-        let out = TcpTransport::extract_frames(&mut rx, true, &mut errors, &mut rejects);
+        let mut rx = Vec::new();
+        push_frame(&mut rx, &tb.codec.seal(&ping_msg(9)));
+        rx[6] ^= 0x04;
+        push_frame(&mut rx, &tb.codec.seal(&ping_msg(10)));
+        let (mut out, mut malformed) = (Vec::new(), 0);
+        while let Some(body) = next_frame(&mut rx) {
+            out.extend(tb.codec.open(body, &mut malformed));
+        }
         assert_eq!(out, vec![ping_msg(10)]);
-        assert_eq!((errors, rejects), (1, 1));
+        assert_eq!((malformed, tb.tag_rejects()), (1, 1));
     }
 
     #[test]
     fn integrity_tag_off_keeps_the_wire_format_unchanged() {
-        // Tag-off peers speak the seed wire format byte for byte.
-        assert_eq!(
-            TcpTransport::frame(&ping_msg(1), false).len(),
-            TcpTransport::frame(&ping_msg(1), true).len() - TAG_BYTES
-        );
+        // Tag-off peers speak the seed wire format byte for byte: a datagram
+        // is the encoded message, a frame its length and then the message.
+        let (off, on) = (Codec::new(false), Codec::new(true));
         let body = ping_msg(1).to_wire();
-        let framed = TcpTransport::frame(&ping_msg(1), false);
+        assert_eq!(off.seal(&ping_msg(1)), body.as_slice());
+        assert_eq!(on.seal(&ping_msg(1)).len(), body.len() + TAG_BYTES);
+        let mut framed = Vec::new();
+        push_frame(&mut framed, &off.seal(&ping_msg(1)));
+        assert_eq!(framed[..4], (body.len() as u32).to_be_bytes());
         assert_eq!(&framed[4..], body.as_slice());
     }
 
@@ -612,8 +537,8 @@ mod tests {
     fn tcp_transport_handles_large_messages_across_segments() {
         let mut sa = NetStack::new(StackConfig::new(A));
         let mut sb = NetStack::new(StackConfig::new(B));
-        let mut ta = TcpTransport::bind(&mut sa, 4001);
-        let mut tb = TcpTransport::bind(&mut sb, 4001);
+        let mut ta = Transport::bind(&mut sa, TransportMode::Tcp, 4001, false);
+        let mut tb = Transport::bind(&mut sb, TransportMode::Tcp, 4001, false);
         let mut now = SimTime::ZERO;
         let big = LinkMessage::Routed(crate::packets::RoutedPacket::new(
             Address::from_key(b"a"),
@@ -625,8 +550,8 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..200 {
             pump(&mut sa, &mut sb, &mut now);
-            ta.poll(&mut sa, now);
-            got.extend(tb.poll(&mut sb, now));
+            ta.poll(&mut sa);
+            got.extend(tb.poll(&mut sb).0);
             if !got.is_empty() {
                 break;
             }

@@ -48,7 +48,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::{EventId, EventQueue, ScheduledEvent};
-pub use rng::StreamRng;
+pub use rng::{fnv1a, StreamRng, FNV_OFFSET};
 pub use shard::{ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim};
 pub use sim::{Control, Event, RunOutcome, Simulator, TimerToken};
 pub use time::{Duration, SimTime};

@@ -29,21 +29,24 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hash a stream label into a 64-bit value (FNV-1a).
-fn label_hash(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The FNV-1a 64 offset basis: the `hash` a fresh [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64, continued from `hash` over `bytes` — the workspace's one cheap
+/// deterministic hash (stream labels, execution traces, DHT digests, the link
+/// integrity tag). A `u64` folds in as its little-endian bytes.
+#[inline]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 impl StreamRng {
     /// Derive a stream from an experiment seed and a stable label such as
     /// `"link.jitter"` or `"overlay.shortcuts"`.
     pub fn new(seed: u64, label: &str) -> Self {
-        let mixed = splitmix64(seed ^ label_hash(label));
+        let mixed = splitmix64(seed ^ fnv1a(FNV_OFFSET, label.as_bytes()));
         let mut key = [0u8; 32];
         let mut x = mixed;
         for chunk in key.chunks_mut(8) {

@@ -30,6 +30,7 @@
 use rayon::prelude::*;
 
 use crate::event::EventQueue;
+use crate::rng::{fnv1a, FNV_OFFSET};
 use crate::time::{Duration, SimTime};
 
 /// Per-shard world state driven by [`ShardedSim`].
@@ -104,17 +105,6 @@ struct CrossMsg<E> {
     ev: Option<E>,
 }
 
-/// 64-bit FNV-1a fold, the workspace's standard cheap deterministic hash.
-fn fnv_fold(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 struct Shard<W: ShardWorld> {
     id: usize,
     world: W,
@@ -136,7 +126,8 @@ impl<W: ShardWorld> Shard<W> {
             }
             let ev = self.queue.pop().expect("next_time was Some");
             self.executed += 1;
-            self.trace = fnv_fold(fnv_fold(self.trace, ev.at.as_nanos()), ev.id.0);
+            let trace = fnv1a(self.trace, &ev.at.as_nanos().to_le_bytes());
+            self.trace = fnv1a(trace, &ev.id.0.to_le_bytes());
             let mut ctl = ShardCtl {
                 now: ev.at,
                 slice_end,
@@ -249,7 +240,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     pub fn trace_hash(&self) -> u64 {
         self.shards
             .iter()
-            .fold(FNV_OFFSET, |h, s| fnv_fold(h, s.trace))
+            .fold(FNV_OFFSET, |h, s| fnv1a(h, &s.trace.to_le_bytes()))
     }
 
     /// The earliest pending event time across all shards.
@@ -465,7 +456,7 @@ mod tests {
         }
         let outcome = sim.run_until(SimTime::ZERO + Duration::from_secs(1));
         assert_eq!(outcome, ShardRunOutcome::Drained);
-        let acc = sim.worlds().fold(0, |h, w| fnv_fold(h, w.acc));
+        let acc = sim.worlds().fold(0, |h, w| fnv1a(h, &w.acc.to_le_bytes()));
         (sim.executed(), sim.trace_hash(), acc)
     }
 
