@@ -26,7 +26,7 @@ use ipop_overlay::node::{OverlayConfig, OverlayNode};
 use ipop_overlay::packets::{Endpoint, LinkMessage};
 use ipop_overlay::vstream::StreamEvent;
 use ipop_packet::Bytes;
-use ipop_simcore::{stats, Duration, SimTime, StreamRng};
+use ipop_simcore::{stats, Duration, EventQueue, SimTime, StreamRng};
 
 use crate::json::Json;
 use crate::scale::{build_warm_ring, run_ring, workload_start, RingWorkload, ScaleConfig};
@@ -103,17 +103,14 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
         .collect();
 
     // The WAN link: a latency-ordered in-flight queue, FIFO per instant.
-    let mut queue: BTreeMap<(SimTime, u64), (usize, LinkMessage)> = BTreeMap::new();
-    let mut fifo = 0u64;
+    let mut queue: EventQueue<(usize, LinkMessage)> = EventQueue::new();
     let mut now = SimTime::ZERO;
     let flush = |nodes: &mut Vec<OverlayNode>,
-                 queue: &mut BTreeMap<(SimTime, u64), (usize, LinkMessage)>,
-                 fifo: &mut u64,
+                 queue: &mut EventQueue<(usize, LinkMessage)>,
                  now: SimTime| {
         for (i, node) in nodes.iter_mut().enumerate() {
             for (_ep, msg) in node.take_outbox() {
-                queue.insert((now + ONE_WAY, *fifo), (1 - i, msg));
-                *fifo += 1;
+                queue.push(now + ONE_WAY, (1 - i, msg));
             }
         }
     };
@@ -121,23 +118,20 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     for n in nodes.iter_mut() {
         n.start(now);
     }
-    flush(&mut nodes, &mut queue, &mut fifo, now);
+    flush(&mut nodes, &mut queue, now);
 
     let tick_interval = Duration::from_millis(500);
     let mut next_tick = now + tick_interval;
     let step = |nodes: &mut Vec<OverlayNode>,
-                queue: &mut BTreeMap<(SimTime, u64), (usize, LinkMessage)>,
-                fifo: &mut u64,
+                queue: &mut EventQueue<(usize, LinkMessage)>,
                 now: &mut SimTime,
                 next_tick: &mut SimTime| {
-        let due = queue.keys().next().map(|&(at, _)| at);
-        match due {
+        match queue.next_time() {
             Some(at) if at <= *next_tick => {
-                *now = at;
-                let (key, (dst, msg)) = queue.pop_first().expect("non-empty");
-                debug_assert_eq!(key.0, at);
-                let from = eps[1 - dst];
-                nodes[dst].on_message(*now, from, msg);
+                let ev = queue.pop().expect("next_time saw a message");
+                *now = ev.at;
+                let (dst, msg) = ev.payload;
+                nodes[dst].on_message(*now, eps[1 - dst], msg);
             }
             _ => {
                 *now = *next_tick;
@@ -147,12 +141,12 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
                 }
             }
         }
-        flush(nodes, queue, fifo, *now);
+        flush(nodes, queue, *now);
     };
 
     // Let the two nodes link up.
     for _ in 0..64 {
-        step(&mut nodes, &mut queue, &mut fifo, &mut now, &mut next_tick);
+        step(&mut nodes, &mut queue, &mut now, &mut next_tick);
         if nodes[0].is_connected() && nodes[1].is_connected() && queue.is_empty() {
             break;
         }
@@ -168,13 +162,13 @@ pub fn run_ttcp_stream(cfg: &TtcpStreamConfig) -> TtcpStreamReport {
     let sid = nodes[1].stream_connect(now, dst_addr);
     assert!(nodes[1].stream_send(now, dst_addr, sid, payload));
     nodes[1].stream_close(now, dst_addr, sid);
-    flush(&mut nodes, &mut queue, &mut fifo, now);
+    flush(&mut nodes, &mut queue, now);
 
     let mut bytes_received = 0u64;
     let mut done_at = None;
     let limit = now + Duration::from_secs(600);
     while done_at.is_none() && now < limit {
-        step(&mut nodes, &mut queue, &mut fifo, &mut now, &mut next_tick);
+        step(&mut nodes, &mut queue, &mut now, &mut next_tick);
         for (_, _, chunk) in nodes[0].take_stream_data() {
             bytes_received += chunk.len() as u64;
         }

@@ -184,9 +184,10 @@ impl HostCtx<'_, '_> {
     pub fn set_timer(&mut self, delay: Duration, token: TimerToken) -> TimerId {
         let host = self.host;
         let epoch = self.net.host(host).agent_epoch;
+        let at = self.ctl.now() + delay;
         TimerId(
             self.ctl
-                .schedule_event_in(delay, NetEvent::Timer { host, token, epoch }),
+                .schedule_at(at, NetEvent::Timer { host, token, epoch }),
         )
     }
 

@@ -28,7 +28,7 @@ pub use host::{Host, HostAgent, HostCounters, HostCtx, HostId, TimerId};
 pub use impair::{ImpairmentCounters, LinkImpairment};
 pub use link::{Link, LinkOutcome, LinkParams, LinkState};
 pub use nat::{Endpoint, NatBox, NatType};
-pub use network::{Control, CoreParams, NetCounters, NetEvent, Network, NetworkSim, SiteId};
+pub use network::{CoreParams, NetCounters, NetEvent, Network, NetworkSim, SiteId};
 pub use scale::ScaleNet;
 pub use site::{Prefix, Site, SiteSpec};
 pub use topology::{fig4_testbed, lan_pair, planetlab, wan_pair, Fig4Testbed, PlanetLab};

@@ -7,15 +7,15 @@
 //! firewall processing at the destination site, destination-host CPU queueing and
 //! finally agent dispatch.
 //!
-//! [`NetworkSim`] wraps a `Network` in a [`Simulator`] and provides the run loop
-//! used by the examples, tests and the experiment harness.
+//! [`NetworkSim`] owns a `Network`, the one [`EventQueue`] of [`NetEvent`]s and
+//! the virtual clock, and runs the event loop used by the examples, tests and
+//! the experiment harness.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use ipop_packet::ipv4::{Ipv4Packet, Ipv4Payload};
-use ipop_simcore::sim::{Control as GenericControl, Event};
-use ipop_simcore::{Duration, SimTime, Simulator, StreamRng, TimerToken};
+use ipop_simcore::{Duration, EventId, EventQueue, SimTime, StreamRng, TimerToken};
 
 use crate::calibration::Calibration;
 use crate::firewall::Direction;
@@ -69,11 +69,31 @@ pub enum NetEvent {
     },
 }
 
-/// The scheduling handle network events receive ([`GenericControl`] specialised
-/// to the typed [`NetEvent`] payload).
-pub type Control<'a> = GenericControl<'a, Network, NetEvent>;
+/// The scheduling handle a running event lends to the data path and, through
+/// [`HostCtx`], to agents: the current instant and the network's event queue.
+pub(crate) struct Control<'q> {
+    now: SimTime,
+    queue: &'q mut EventQueue<NetEvent>,
+}
 
-impl Event<Network> for NetEvent {
+impl Control<'_> {
+    /// Current virtual time.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Schedule `event` at `at`, clamped to now: nothing lands in the past.
+    pub(crate) fn schedule_at(&mut self, at: SimTime, event: NetEvent) -> EventId {
+        self.queue.push(at.max(self.now), event)
+    }
+
+    /// Cancel a pending event; false if it already fired or was cancelled.
+    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
+        self.queue.cancel(id)
+    }
+}
+
+impl NetEvent {
     fn fire(self, net: &mut Network, ctl: &mut Control<'_>) {
         match self {
             NetEvent::Start(host) => {
@@ -88,7 +108,7 @@ impl Event<Network> for NetEvent {
                 // Receive-side kernel processing queues on the destination CPU.
                 let kernel_cost = net.calibration.kernel_stack_cost;
                 let deliver_at = net.hosts[dst.0].occupy_cpu(ctl.now(), kernel_cost);
-                ctl.schedule_event_at(deliver_at, NetEvent::Deliver { dst, pkt });
+                ctl.schedule_at(deliver_at, NetEvent::Deliver { dst, pkt });
             }
             NetEvent::Deliver { dst, pkt } => Network::dispatch(net, ctl, dst, |agent, ctx| {
                 ctx.net.counters.delivered += 1;
@@ -592,7 +612,7 @@ impl Network {
             None => self.default_impairment.as_mut(),
         };
         let Some((imp, counters)) = slot else {
-            ctl.schedule_event_at(
+            ctl.schedule_at(
                 arrival,
                 NetEvent::Arrival {
                     dst,
@@ -617,7 +637,7 @@ impl Network {
             counters.duplicated += 1;
             self.counters.impair_duplicated += 1;
             let copy_at = arrival + Duration::from_nanos(rng.range_u64(1, window_ns + 1));
-            ctl.schedule_event_at(
+            ctl.schedule_at(
                 copy_at,
                 NetEvent::Arrival {
                     dst,
@@ -632,7 +652,7 @@ impl Network {
             // Hold the packet back so later traffic can overtake it.
             arrival += Duration::from_nanos(rng.range_u64(1, window_ns + 1));
         }
-        ctl.schedule_event_at(
+        ctl.schedule_at(
             arrival,
             NetEvent::Arrival {
                 dst,
@@ -660,34 +680,40 @@ impl Network {
     }
 }
 
-/// A network bound to a discrete-event simulator.
+/// A network with its event queue and virtual clock: the packet simulation.
 pub struct NetworkSim {
-    sim: Simulator<Network, NetEvent>,
+    net: Network,
+    queue: EventQueue<NetEvent>,
+    now: SimTime,
+    executed: u64,
     started: bool,
 }
 
 impl NetworkSim {
-    /// Wrap a network in a simulator.
+    /// Wrap a network, with the clock at zero and nothing scheduled.
     pub fn new(net: Network) -> Self {
         NetworkSim {
-            sim: Simulator::new(net),
+            net,
+            queue: EventQueue::new(),
+            now: SimTime::ZERO,
+            executed: 0,
             started: false,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.now
     }
 
     /// Borrow the network.
     pub fn net(&self) -> &Network {
-        self.sim.world()
+        &self.net
     }
 
     /// Borrow the network mutably.
     pub fn net_mut(&mut self) -> &mut Network {
-        self.sim.world_mut()
+        &mut self.net
     }
 
     /// Schedule every host's `on_start` at the current time (idempotent).
@@ -696,10 +722,8 @@ impl NetworkSim {
             return;
         }
         self.started = true;
-        let host_count = self.sim.world().host_count();
-        for i in 0..host_count {
-            self.sim
-                .schedule_event_in(Duration::ZERO, NetEvent::Start(HostId(i)));
+        for i in 0..self.net.host_count() {
+            self.queue.push(self.now, NetEvent::Start(HostId(i)));
         }
     }
 
@@ -708,41 +732,54 @@ impl NetworkSim {
     /// started — mid-run joiners in churn workloads; [`NetworkSim::start`]
     /// only reaches agents present at time zero.
     pub fn start_host(&mut self, host: HostId) {
-        self.sim
-            .schedule_event_in(Duration::ZERO, NetEvent::Start(host));
+        self.queue.push(self.now, NetEvent::Start(host));
     }
 
     /// Run until the event queue drains (all agents idle).
     pub fn run(&mut self) {
-        self.start();
-        self.sim.run();
+        self.run_until(SimTime::MAX);
     }
 
     /// Run for a span of virtual time.
     pub fn run_for(&mut self, span: Duration) {
-        self.start();
-        self.sim.run_for(span);
+        self.run_until(self.now + span);
     }
 
-    /// Run until an absolute virtual time.
+    /// Run every event due at or before `t`, in `(time, scheduling order)`.
+    /// The clock then stands at `t` if events remain past it, or at the last
+    /// event run if the queue drained. A `t` before [`NetworkSim::now`] runs
+    /// nothing: the clock never runs backwards.
     pub fn run_until(&mut self, t: SimTime) {
         self.start();
-        self.sim.run_until(t);
+        while let Some(at) = self.queue.next_time() {
+            if at > t {
+                self.now = self.now.max(t);
+                return;
+            }
+            let ev = self.queue.pop().expect("next_time saw a pending event");
+            self.now = ev.at;
+            self.executed += 1;
+            let mut ctl = Control {
+                now: self.now,
+                queue: &mut self.queue,
+            };
+            ev.payload.fire(&mut self.net, &mut ctl);
+        }
     }
 
     /// Number of events executed so far.
     pub fn events_executed(&self) -> u64 {
-        self.sim.executed()
+        self.executed
     }
 
     /// Number of events still pending in the queue.
     pub fn pending(&self) -> usize {
-        self.sim.pending()
+        self.queue.len()
     }
 
     /// Downcast a host's agent.
     pub fn agent_as<T: 'static>(&self, host: HostId) -> Option<&T> {
-        self.net().agent_as::<T>(host)
+        self.net.agent_as::<T>(host)
     }
 }
 
@@ -964,6 +1001,94 @@ mod tests {
         assert_eq!(sim.pending(), 0, "the orphaned timer came due");
         // The successor was never started, so any timer it saw was not its own.
         assert!(sim.agent_as::<EchoAgent>(a).unwrap().timers.is_empty());
+    }
+
+    /// Arms timers 1..=4 at 1..=4 s on start and records when each fires.
+    #[derive(Default)]
+    struct Ticker {
+        fired: Vec<(SimTime, TimerToken)>,
+    }
+
+    impl HostAgent for Ticker {
+        fn on_start(&mut self, ctx: &mut HostCtx<'_, '_>) {
+            for n in 1..=4 {
+                ctx.set_timer(Duration::from_secs(n), TimerToken(n));
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut HostCtx<'_, '_>, _pkt: Ipv4Packet) {}
+        fn on_timer(&mut self, ctx: &mut HostCtx<'_, '_>, token: TimerToken) {
+            self.fired.push((ctx.now(), token));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + Duration::from_secs(s)
+    }
+
+    fn tokens(sim: &NetworkSim, host: HostId) -> Vec<u64> {
+        let agent = sim.agent_as::<Ticker>(host).unwrap();
+        agent.fired.iter().map(|&(_, t)| t.0).collect()
+    }
+
+    #[test]
+    fn run_until_runs_events_due_at_the_limit_and_resumes_from_it() {
+        let (mut sim, a) = lone_host(33, Box::new(Ticker::default()));
+        sim.run_until(secs(2));
+        assert_eq!(tokens(&sim, a), [1, 2], "the timer due exactly at 2 s ran");
+        assert_eq!(sim.now(), secs(2));
+        assert_eq!(sim.pending(), 2);
+        // 2.5 s: nothing due, so the clock stops at the limit itself.
+        sim.run_until(secs(2) + Duration::from_millis(500));
+        assert_eq!(sim.now(), secs(2) + Duration::from_millis(500));
+        assert_eq!(sim.pending(), 2);
+        sim.run_for(Duration::from_secs(1));
+        assert_eq!(tokens(&sim, a), [1, 2, 3]);
+        assert_eq!(sim.now(), secs(3) + Duration::from_millis(500));
+        // Drained: the clock stays at the last event, not at the limit.
+        sim.run_for(Duration::from_secs(10));
+        assert_eq!(tokens(&sim, a), [1, 2, 3, 4]);
+        assert_eq!(sim.now(), secs(4));
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(sim.events_executed(), 5, "one start, four timers");
+    }
+
+    #[test]
+    fn run_until_an_earlier_time_never_rewinds_the_clock() {
+        let (mut sim, a) = lone_host(34, Box::new(Ticker::default()));
+        sim.run_for(Duration::from_secs(2));
+        sim.run_until(secs(1));
+        assert_eq!(sim.now(), secs(2), "the clock never runs backwards");
+        assert_eq!(sim.pending(), 2);
+        assert_eq!(tokens(&sim, a), [1, 2]);
+        // A host started now arms its timers from now, after what already ran.
+        sim.net_mut().set_agent(a, Box::new(Ticker::default()));
+        sim.start_host(a);
+        sim.run_for(Duration::from_secs(1));
+        let fired = &sim.agent_as::<Ticker>(a).unwrap().fired;
+        assert_eq!(fired, &[(secs(3), TimerToken(1))]);
+    }
+
+    #[test]
+    fn scheduling_in_the_past_clamps_to_now() {
+        let mut queue = EventQueue::new();
+        let mut ctl = Control {
+            now: secs(2),
+            queue: &mut queue,
+        };
+        ctl.schedule_at(secs(1), NetEvent::Start(HostId(0)));
+        ctl.schedule_at(secs(3), NetEvent::Start(HostId(1)));
+        assert_eq!(
+            queue.next_time(),
+            Some(secs(2)),
+            "no event lands in the past"
+        );
+        assert_eq!(queue.len(), 2);
     }
 
     #[test]

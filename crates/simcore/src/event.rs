@@ -6,11 +6,9 @@
 //! insertion order, which keeps the whole simulation deterministic regardless
 //! of heap internals.
 //!
-//! Entries hold their payload inline and are moved *by value*: the heap swaps
-//! them while sifting, and `ShardedSim`'s barrier moves each cross-shard event
-//! between buffers. Keep payloads small — box anything large, as
-//! `netsim`'s `NetEvent::Arrival { pkt: Box<Ipv4Packet> }` and the ring
-//! driver's `RingEv::Deliver { msg: Box<LinkMessage> }` (`crates/bench`) do.
+//! Entries hold their payload inline and are moved *by value* (sifts, and
+//! `ShardedSim`'s barrier), so keep payloads small: `netsim`'s `NetEvent` and
+//! the ring driver's `RingEv` (`crates/bench`) box their packets.
 //!
 //! Cancellation is tombstone-based: the queue is never restructured. A cancelled
 //! entry stays queued and is discarded when it reaches the front. To make
@@ -27,6 +25,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::time::SimTime;
 
+/// Opaque label higher layers attach to the timers they arm on behalf of
+/// components (e.g. "TCP retransmission timer for socket 3").
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+pub struct TimerToken(pub u64);
+
 /// Identifier of a scheduled event, usable for cancellation.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct EventId(pub(crate) u64);
@@ -40,11 +43,9 @@ impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+    // Only u64 keys are ever hashed; this path is unused but kept total.
     fn write(&mut self, bytes: &[u8]) {
-        // Only u64 keys are ever hashed; this path is unused but kept total.
-        for &b in bytes {
-            self.0 = (self.0 << 8) | u64::from(b);
-        }
+        self.0 = bytes.iter().fold(self.0, |h, &b| (h << 8) | u64::from(b));
     }
     fn write_u64(&mut self, v: u64) {
         self.0 = v;
@@ -112,10 +113,7 @@ impl<E> MinHeap<E> {
     }
 
     fn pop(&mut self) -> Option<HeapEntry<E>> {
-        if self.items.is_empty() {
-            return None;
-        }
-        let last = self.items.len() - 1;
+        let last = self.items.len().checked_sub(1)?;
         self.items.swap(0, last);
         let entry = self.items.pop();
         if !self.items.is_empty() {

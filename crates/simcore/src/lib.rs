@@ -15,40 +15,40 @@
 //!
 //! # Quick example
 //!
-//! ```
-//! use ipop_simcore::{Control, Duration, Event, SimTime, Simulator};
+//! A simulation is a loop over one [`EventQueue`]: pop the earliest event, set
+//! the clock to its instant, run it. Events due at the same instant pop in the
+//! order they were pushed.
 //!
-//! struct World { ticks: u32 }
+//! ```
+//! use ipop_simcore::{Duration, EventQueue, SimTime};
 //!
 //! /// Events are a type, dispatched by `match`: scheduling one allocates nothing.
-//! enum Tick { Again, Last }
+//! enum Tick { Again, Last(&'static str) }
 //!
-//! impl Event<World> for Tick {
-//!     fn fire(self, w: &mut World, ctl: &mut Control<'_, World, Tick>) {
-//!         w.ticks += 1;
-//!         // events may schedule further events
-//!         if let Tick::Again = self {
-//!             ctl.schedule_event_in(Duration::from_millis(5), Tick::Last);
+//! let ms = |n| SimTime::ZERO + Duration::from_millis(n);
+//! let mut queue = EventQueue::new();
+//! queue.push(ms(5), Tick::Again);
+//! let mut log = Vec::new();
+//! while let Some(ev) = queue.pop() {
+//!     match ev.payload {
+//!         // events may schedule further events; these two share an instant
+//!         Tick::Again => {
+//!             queue.push(ev.at + Duration::from_millis(5), Tick::Last("first"));
+//!             queue.push(ms(10), Tick::Last("second"));
 //!         }
+//!         Tick::Last(label) => log.push((ev.at, label)),
 //!     }
 //! }
-//!
-//! let mut sim = Simulator::new(World { ticks: 0 });
-//! sim.schedule_event_in(Duration::from_millis(5), Tick::Again);
-//! sim.run();
-//! assert_eq!(sim.world().ticks, 2);
-//! assert_eq!(sim.now(), SimTime::ZERO + Duration::from_millis(10));
+//! assert_eq!(log, [(ms(10), "first"), (ms(10), "second")]);
 //! ```
 
 pub mod event;
 pub mod rng;
 pub mod shard;
-pub mod sim;
 pub mod stats;
 pub mod time;
 
-pub use event::{EventId, EventQueue, ScheduledEvent};
+pub use event::{EventId, EventQueue, ScheduledEvent, TimerToken};
 pub use rng::{fnv1a, StreamRng, FNV_OFFSET};
 pub use shard::{ShardCtl, ShardRunOutcome, ShardWorld, ShardedSim};
-pub use sim::{Control, Event, RunOutcome, Simulator, TimerToken};
 pub use time::{Duration, SimTime};

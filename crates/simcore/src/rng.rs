@@ -58,13 +58,6 @@ impl StreamRng {
         }
     }
 
-    /// Derive a child stream (e.g. per-host) from this stream's label space.
-    pub fn fork(&self, label: &str) -> Self {
-        let mut clone = self.inner.clone();
-        let seed = clone.next_u64();
-        StreamRng::new(seed, label)
-    }
-
     /// Uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
         self.inner.gen::<f64>()
@@ -105,14 +98,6 @@ impl StreamRng {
         let u2: f64 = self.unit();
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         Duration::from_secs_f64(mean.as_secs_f64() + z * std_dev.as_secs_f64())
-    }
-
-    /// Pareto-distributed duration with the given scale (minimum) and shape
-    /// parameter `alpha`; heavy-tailed for small `alpha`. Used to model contended
-    /// Planet-Lab scheduling delays.
-    pub fn pareto(&mut self, scale: Duration, alpha: f64) -> Duration {
-        let u: f64 = 1.0 - self.unit(); // in (0, 1]
-        Duration::from_secs_f64(scale.as_secs_f64() / u.powf(1.0 / alpha))
     }
 
     /// A random 64-bit value.
@@ -202,15 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_scale() {
-        let mut r = StreamRng::new(5, "par");
-        let scale = Duration::from_millis(2);
-        for _ in 0..1000 {
-            assert!(r.pareto(scale, 1.5) >= scale);
-        }
-    }
-
-    #[test]
     fn shuffle_is_permutation() {
         let mut r = StreamRng::new(6, "sh");
         let mut v: Vec<u32> = (0..100).collect();
@@ -218,16 +194,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_deterministic_stream() {
-        let parent1 = StreamRng::new(9, "p");
-        let parent2 = StreamRng::new(9, "p");
-        let mut a = parent1.fork("child");
-        let mut b = parent2.fork("child");
-        for _ in 0..8 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 }

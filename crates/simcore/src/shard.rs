@@ -1,10 +1,10 @@
 //! Sharded deterministic simulation: parallelism *inside* one run.
 //!
-//! [`Simulator`](crate::Simulator) executes a single global `(time, seq)`
-//! order — perfect determinism, zero parallelism. At 100k nodes that clock
-//! wall-time poorly, so [`ShardedSim`] partitions the world into shards, each
-//! with its own [`EventQueue`] and state, and executes whole *time slices* in
-//! parallel:
+//! One [`EventQueue`] loop (`ipop-netsim`'s `NetworkSim`) runs one global
+//! `(time, seq)` order — perfect determinism, zero parallelism. At 100k nodes
+//! that clocks wall-time poorly, so [`ShardedSim`] partitions the world into
+//! shards, each with its own [`EventQueue`] and state, and executes whole
+//! *time slices* in parallel:
 //!
 //! 1. Virtual time is cut into fixed slices aligned to an absolute grid
 //!    (`[k·slice, (k+1)·slice)`), so results do not depend on how callers

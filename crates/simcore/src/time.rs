@@ -58,11 +58,6 @@ impl Duration {
         Duration::from_secs_f64(ms / 1e3)
     }
 
-    /// Construct from fractional microseconds. Negative inputs clamp to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Duration::from_secs_f64(us / 1e6)
-    }
-
     /// The span in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.nanos
@@ -304,7 +299,6 @@ mod tests {
         assert_eq!(Duration::from_secs(1), Duration::from_millis(1_000));
         assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
         assert_eq!(Duration::from_millis_f64(1.5), Duration::from_micros(1_500));
-        assert_eq!(Duration::from_micros_f64(2.5), Duration::from_nanos(2_500));
     }
 
     #[test]
