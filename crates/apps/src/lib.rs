@@ -9,8 +9,6 @@
 //!   virtual file system of the LSS experiment).
 //! * [`lss`] — the Light Scattering Spectroscopy master/worker application
 //!   (Table IV).
-//! * [`ssh`] — SSH-like session establishment (needed to start the LAM daemons in
-//!   the paper's case study).
 //!
 //! Every application implements [`ipop::VirtualApp`] and is therefore oblivious to
 //! whether it runs on a physical network (baseline) or on an IPOP virtual network.
@@ -19,12 +17,10 @@ pub mod lss;
 pub mod mpi;
 pub mod nfs;
 pub mod ping;
-pub mod ssh;
 pub mod ttcp;
 
 pub use lss::{LssFileServer, LssMaster, LssParams, LssReport, LssWorker};
 pub use mpi::{Channel, Message};
 pub use nfs::{NfsClient, NfsServer};
 pub use ping::{PingApp, PingReport};
-pub use ssh::{SshClient, SshServer};
 pub use ttcp::{TtcpApp, TtcpReport};

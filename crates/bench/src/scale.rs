@@ -51,8 +51,6 @@ pub struct ScaleConfig {
     pub shards: u32,
     /// Root seed: addresses, latencies, probe pairs, node RNG streams.
     pub seed: u64,
-    /// Structured-near connections per ring side.
-    pub near_per_side: usize,
     /// Far (shortcut) connection budget per node.
     pub max_shortcuts: usize,
     /// Shortcuts seeded directly at start; the rest form through live
@@ -77,15 +75,14 @@ pub struct ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// Defaults for an `nodes`-node ring: 8 shards, 2+2 near edges, 4-slot
-    /// shortcut budget half-seeded, 10 maintenance rounds at 500 ms, one
-    /// probe per node.
+    /// Defaults for an `nodes`-node ring: 8 shards, 4-slot shortcut budget
+    /// half-seeded, 10 maintenance rounds at 500 ms, one probe per node (near
+    /// edges per side are the overlay's own default).
     pub fn ring(nodes: u32) -> Self {
         ScaleConfig {
             nodes,
             shards: 8,
             seed: 0x5CA1E,
-            near_per_side: 2,
             max_shortcuts: 4,
             seeded_shortcuts: 2,
             maintenance_interval: Duration::from_millis(500),
@@ -408,18 +405,18 @@ pub struct WarmRing {
     pub net: ScaleNet,
     /// Global node id → overlay address, in ascending ring order.
     pub addrs: Arc<Vec<Address>>,
-    /// One warm-started node per id: near edges to `near_per_side` ring
-    /// neighbours each side, `seeded_shortcuts` harmonically-drawn Far edges.
+    /// One warm-started node per id: near edges to `OverlayConfig::near_per_side`
+    /// ring neighbours each side, `seeded_shortcuts` harmonically-drawn Far edges.
     pub nodes: Vec<OverlayNode>,
     /// The event-slice width the substrate was built with.
     pub slice: Duration,
 }
 
-/// Build the substrate and warm-start the ring: near edges to the
-/// `near_per_side` ring neighbours on each side, plus `seeded_shortcuts`
-/// harmonically-drawn Far edges (both directions, like a completed
-/// handshake). The remaining shortcut budget is left for live maintenance
-/// to fill.
+/// Build the substrate and warm-start the ring: near edges to the nodes'
+/// `OverlayConfig::near_per_side` ring neighbours on each side, plus
+/// `seeded_shortcuts` harmonically-drawn Far edges (both directions, like a
+/// completed handshake). The remaining shortcut budget is left for live
+/// maintenance to fill.
 pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
     assert!(cfg.nodes >= 8, "ring too small to be interesting");
     assert!(cfg.seeded_shortcuts <= cfg.max_shortcuts);
@@ -436,7 +433,6 @@ pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
             let mut oc = OverlayConfig::new(addrs[i], net.endpoint(i as u32))
                 .without_link_monitor()
                 .without_anti_entropy();
-            oc.near_per_side = cfg.near_per_side;
             oc.max_shortcuts = cfg.max_shortcuts;
             oc.maintenance_interval = cfg.maintenance_interval;
             oc.packet_ttl = packet_ttl;
@@ -447,7 +443,7 @@ pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
 
     let t0 = SimTime::ZERO;
     for (i, node) in nodes.iter_mut().enumerate() {
-        for d in 1..=cfg.near_per_side.min(n / 2) {
+        for d in 1..=node.config().near_per_side.min(n / 2) {
             for j in [(i + d) % n, (i + n - d) % n] {
                 if j != i {
                     node.seed_connection(

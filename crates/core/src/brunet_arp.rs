@@ -18,6 +18,7 @@ use std::net::Ipv4Addr;
 use ipop_overlay::Address;
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
+use ipop_services::dhcp::{decode_owner, lease_key};
 use ipop_services::lookup::Lookups;
 pub use ipop_services::lookup::QUERY_TIMEOUT;
 use ipop_simcore::{Duration, SimTime};
@@ -72,26 +73,6 @@ impl BrunetArp {
         }
     }
 
-    /// The DHT key under which the mapping for `ip` is stored: SHA-1 of the
-    /// address, i.e. the same point on the ring the base design would send to
-    /// (and the same key the DHCP-over-DHT allocator claims).
-    pub fn key_for(ip: Ipv4Addr) -> Address {
-        ipop_services::dhcp::lease_key(ip)
-    }
-
-    /// Encode an overlay address as a DHT value (shared buffer; storing and
-    /// replicating it never copy). Delegates to the allocator's lease codec:
-    /// a DHCP-over-DHT claim *is* a Brunet-ARP mapping, so the two must stay
-    /// byte-compatible by construction, not by convention.
-    pub fn encode_mapping(addr: &Address) -> Bytes {
-        ipop_services::dhcp::encode_owner(addr)
-    }
-
-    /// Decode a DHT value back into an overlay address.
-    pub fn decode_mapping(value: &[u8]) -> Option<Address> {
-        ipop_services::dhcp::decode_owner(value)
-    }
-
     /// Number of parked packets across all destinations.
     pub fn parked_packets(&self) -> usize {
         self.parked.values().map(VecDeque::len).sum()
@@ -109,7 +90,7 @@ impl BrunetArp {
         if self.lookups.is_pending(now, &dst) {
             return Resolution::Pending;
         }
-        Resolution::NeedsQuery(Self::key_for(dst))
+        Resolution::NeedsQuery(lease_key(dst))
     }
 
     /// Record that DHT query `token` is resolving `dst` (and prune every
@@ -142,7 +123,7 @@ impl BrunetArp {
     ) -> Option<(Address, Vec<Ipv4Packet>)> {
         let dst = self.lookups.answered(token)?;
         let waiting: Vec<Ipv4Packet> = self.parked.remove(&dst).map(Vec::from).unwrap_or_default();
-        let Some(addr) = value.as_deref().and_then(Self::decode_mapping) else {
+        let Some(addr) = value.as_deref().and_then(decode_owner) else {
             self.failed += 1;
             self.dropped += waiting.len() as u64;
             return None;
@@ -167,6 +148,7 @@ impl BrunetArp {
 mod tests {
     use super::*;
     use ipop_packet::ipv4::Ipv4Payload;
+    use ipop_services::dhcp::encode_owner;
 
     fn pkt(dst: Ipv4Addr) -> Ipv4Packet {
         Ipv4Packet::new(
@@ -181,9 +163,9 @@ mod tests {
     #[test]
     fn mapping_encoding_round_trips() {
         let addr = Address::from_key(b"some node");
-        let encoded = BrunetArp::encode_mapping(&addr);
-        assert_eq!(BrunetArp::decode_mapping(&encoded), Some(addr));
-        assert_eq!(BrunetArp::decode_mapping(&[1, 2, 3]), None);
+        let encoded = encode_owner(&addr);
+        assert_eq!(decode_owner(&encoded), Some(addr));
+        assert_eq!(decode_owner(&[1, 2, 3]), None);
     }
 
     #[test]
@@ -204,9 +186,7 @@ mod tests {
         assert_eq!(arp.parked_packets(), 2);
         // Reply arrives: both packets released, mapping cached.
         let target = Address::from_key(b"host routing for DST");
-        let (addr, released) = arp
-            .on_reply(now, 7, Some(BrunetArp::encode_mapping(&target)))
-            .unwrap();
+        let (addr, released) = arp.on_reply(now, 7, Some(encode_owner(&target))).unwrap();
         assert_eq!(addr, target);
         assert_eq!(released.len(), 2);
         // Third packet: cache hit.
@@ -220,7 +200,7 @@ mod tests {
         let mut arp = BrunetArp::new(Duration::from_secs(10));
         let target = Address::from_key(b"n");
         arp.query_issued(SimTime::ZERO, 1, DST);
-        arp.on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)));
+        arp.on_reply(SimTime::ZERO, 1, Some(encode_owner(&target)));
         assert!(matches!(
             arp.resolve(SimTime::ZERO + Duration::from_secs(5), DST),
             Resolution::Resolved(_)
@@ -281,7 +261,7 @@ mod tests {
         assert_eq!(arp.dropped, 2);
         let target = Address::from_key(b"n");
         let (_, released) = arp
-            .on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)))
+            .on_reply(SimTime::ZERO, 1, Some(encode_owner(&target)))
             .unwrap();
         assert_eq!(released.len(), DEFAULT_PARK_LIMIT);
         // Drop-oldest: the survivors are the newest packets, in order.
@@ -316,15 +296,12 @@ mod tests {
         arp.query_issued(late, 2, DST);
         let target = Address::from_key(b"n");
         assert!(
-            arp.on_reply(late, 1, Some(BrunetArp::encode_mapping(&target)))
-                .is_none(),
+            arp.on_reply(late, 1, Some(encode_owner(&target))).is_none(),
             "the pruned token's late reply is dropped"
         );
         // The fresh token answers and releases parked packets.
         arp.park(DST, pkt(DST));
-        let (addr, released) = arp
-            .on_reply(late, 2, Some(BrunetArp::encode_mapping(&target)))
-            .unwrap();
+        let (addr, released) = arp.on_reply(late, 2, Some(encode_owner(&target))).unwrap();
         assert_eq!(addr, target);
         assert_eq!(released.len(), 1);
     }
@@ -334,7 +311,7 @@ mod tests {
         let mut arp = BrunetArp::new(Duration::from_secs(60));
         let target = Address::from_key(b"n");
         arp.query_issued(SimTime::ZERO, 1, DST);
-        arp.on_reply(SimTime::ZERO, 1, Some(BrunetArp::encode_mapping(&target)));
+        arp.on_reply(SimTime::ZERO, 1, Some(encode_owner(&target)));
         let other = Ipv4Addr::new(172, 16, 0, 99);
         arp.query_issued(SimTime::ZERO, 2, other);
         arp.park(other, pkt(other));
@@ -343,7 +320,7 @@ mod tests {
         assert_eq!(arp.dropped, 1);
         // A late reply for the cleared query releases nothing.
         assert!(arp
-            .on_reply(SimTime::ZERO, 2, Some(BrunetArp::encode_mapping(&target)))
+            .on_reply(SimTime::ZERO, 2, Some(encode_owner(&target)))
             .is_none());
         // The destination cache survives: it maps other hosts' addresses.
         assert_eq!(

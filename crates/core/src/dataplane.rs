@@ -16,6 +16,7 @@ use ipop_overlay::{Address, OverlayNode};
 use ipop_packet::ether::{EthernetFrame, FramePayload, MacAddr};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
+use ipop_services::dhcp::{encode_owner, lease_key};
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::app::{AppHost, VirtualApp};
@@ -209,8 +210,8 @@ impl DataPlane {
     /// half the lease TTL (a no-op without Brunet-ARP).
     pub(crate) fn publish_mapping(&self, overlay: &mut OverlayNode, now: SimTime, ip: Ipv4Addr) {
         if self.brunet_arp.is_some() {
-            let value = BrunetArp::encode_mapping(&overlay.address());
-            overlay.dht_put_ttl(now, BrunetArp::key_for(ip), value, self.cfg.lease_ttl);
+            let value = encode_owner(&overlay.address());
+            overlay.dht_put_ttl(now, lease_key(ip), value, self.cfg.lease_ttl);
         }
     }
 
@@ -224,7 +225,7 @@ impl DataPlane {
     pub(crate) fn unroute_for(&mut self, overlay: &mut OverlayNode, ip: Ipv4Addr) {
         self.guest_ips.retain(|&x| x != ip);
         if self.brunet_arp.is_some() {
-            overlay.dht_unpublish(&BrunetArp::key_for(ip));
+            overlay.dht_unpublish(&lease_key(ip));
         }
     }
 
@@ -237,10 +238,10 @@ impl DataPlane {
             return;
         }
         if self.is_live() && self.cfg.dynamic_subnet.is_none() {
-            overlay.dht_remove(now, BrunetArp::key_for(self.cfg.virtual_ip));
+            overlay.dht_remove(now, lease_key(self.cfg.virtual_ip));
         }
         for &ip in &self.guest_ips {
-            overlay.dht_remove(now, BrunetArp::key_for(ip));
+            overlay.dht_remove(now, lease_key(ip));
         }
     }
 

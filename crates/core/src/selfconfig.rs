@@ -8,13 +8,12 @@ use std::net::Ipv4Addr;
 
 use ipop_overlay::{Address, ConnectionKind, OverlayNode};
 use ipop_packet::Bytes;
-use ipop_services::dhcp::{lease_key, DhcpAllocator, DhcpState};
+use ipop_services::dhcp::{decode_owner, lease_key, DhcpAllocator, DhcpState};
 use ipop_services::lookup::Lookups;
 use ipop_services::name::NameService;
 use ipop_services::Subnet;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::brunet_arp::BrunetArp;
 use crate::config::IpopConfig;
 use crate::dataplane::DataPlane;
 
@@ -178,7 +177,7 @@ impl SelfConfig {
         } else if let Some(res) = self.names.on_reverse_reply(now, token, value) {
             self.reverse_results.push(res);
         } else if self.probes.answered(token).is_some() {
-            let mapped = value.and_then(BrunetArp::decode_mapping);
+            let mapped = value.and_then(decode_owner);
             self.probe_results.push((token, mapped));
         } else {
             return false;
@@ -208,7 +207,7 @@ impl SelfConfig {
     /// Issue a Brunet-ARP resolution probe for `ip`; the answer lands in
     /// `probe_results` under the returned token.
     pub(crate) fn probe(&mut self, overlay: &mut OverlayNode, now: SimTime, ip: Ipv4Addr) -> u64 {
-        let token = overlay.dht_get(now, BrunetArp::key_for(ip));
+        let token = overlay.dht_get(now, lease_key(ip));
         self.probes.issued(now, token, ip);
         token
     }

@@ -8,8 +8,8 @@
 //! stand-ins for those costs. They were chosen so that the *physical* baselines land
 //! in the ranges Table I/II report for the 2006-era testbed, and the IPOP overhead
 //! falls in the 6–10 ms band the paper highlights; the paper's values are the
-//! `PAPER` constants in `crates/bench/src/table*.rs`, printed beside the measured
-//! ones by `ipop-bench table1` … `table4`.
+//! `PAPER` table in `crates/bench/src/paper.rs`, which `ipop-bench paper` checks
+//! the measured ones against (writing `BENCH_paper.json`).
 //!
 //! The user-level cost scales with the host's CPU load (Section IV-D attributes the
 //! 1.4 s Planet-Lab overhead to CPU loads in excess of 10), which is how the Fig. 5

@@ -68,11 +68,6 @@ impl LinkImpairment {
         self.reorder_window = window.max(Duration::from_micros(1));
         self
     }
-
-    /// True when every probability is zero (the impairment does nothing).
-    pub fn is_noop(&self) -> bool {
-        self.loss <= 0.0 && self.duplicate <= 0.0 && self.corrupt <= 0.0 && self.reorder <= 0.0
-    }
 }
 
 /// What an impairment has done so far, per impaired pair (and aggregated in
@@ -157,8 +152,6 @@ mod tests {
         assert_eq!(imp.corrupt, 0.03);
         assert_eq!(imp.reorder, 0.04);
         assert_eq!(imp.reorder_window, Duration::from_millis(5));
-        assert!(!imp.is_noop());
-        assert!(LinkImpairment::none().is_noop());
     }
 
     #[test]

@@ -165,18 +165,6 @@ impl Address {
         )
     }
 
-    /// Is `self` within the clockwise arc from `from` (exclusive) to `to`
-    /// (inclusive)? Used to decide ring ownership for DHT keys and ring repair.
-    pub fn in_arc(&self, from: &Address, to: &Address) -> bool {
-        if from == to {
-            // Degenerate arc covering the whole ring.
-            return true;
-        }
-        let arc = from.clockwise_distance(to);
-        let offset = from.clockwise_distance(self);
-        offset > Distance::ZERO && offset <= arc
-    }
-
     /// Short hexadecimal prefix for logs and debugging.
     pub fn short(&self) -> String {
         self.0[..4].iter().map(|b| format!("{b:02x}")).collect()
@@ -247,24 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_membership() {
-        let a = addr(0x10);
-        let b = addr(0x80);
-        let c = addr(0x40);
-        let d = addr(0x90);
-        assert!(c.in_arc(&a, &b));
-        assert!(!d.in_arc(&a, &b));
-        assert!(b.in_arc(&a, &b), "arc end is inclusive");
-        assert!(!a.in_arc(&a, &b), "arc start is exclusive");
-        // Wrapping arc.
-        let hi = addr(0xF0);
-        let lo = addr(0x08);
-        assert!(addr(0xFF).in_arc(&hi, &lo));
-        assert!(addr(0x01).in_arc(&hi, &lo));
-        assert!(!addr(0x80).in_arc(&hi, &lo));
-    }
-
-    #[test]
     fn distance_helpers() {
         assert_eq!(Distance::ZERO.as_f64(), 0.0);
         assert!(Distance::MAX.as_f64() > 1e48);
@@ -323,15 +293,6 @@ mod tests {
             Address(out)
         }
 
-        pub fn in_arc(x: &Address, from: &Address, to: &Address) -> bool {
-            if from == to {
-                return true;
-            }
-            let arc = clockwise_distance(from, to);
-            let offset = clockwise_distance(from, x);
-            offset.0 > [0u8; 20] && offset.0 <= arc.0
-        }
-
         pub fn leading_zero_bits(d: &Distance) -> u32 {
             let mut bits = 0;
             for &b in &d.0 {
@@ -362,11 +323,6 @@ mod tests {
         assert_eq!(a.add_distance(&cw), reference::add_distance(&a, &cw));
         let cw_c = a.clockwise_distance(&c);
         assert_eq!(cw.cmp(&cw_c), cw.0.cmp(&cw_c.0), "Distance order");
-        assert_eq!(
-            c.in_arc(&a, &b),
-            reference::in_arc(&c, &a, &b),
-            "{c} in ({a}, {b}]"
-        );
         assert_eq!(cw.leading_zero_bits(), reference::leading_zero_bits(&cw));
         // The reference rounds once per byte past the 53rd bit, the words twice.
         let (f, r) = (cw.as_f64(), reference::as_f64(&cw));

@@ -30,11 +30,6 @@ impl MacAddr {
     pub fn is_broadcast(&self) -> bool {
         *self == MacAddr::BROADCAST
     }
-
-    /// True for any multicast (group) address.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl std::fmt::Debug for MacAddr {
@@ -201,10 +196,7 @@ mod tests {
         let m = MacAddr([0x02, 0x00, 0x00, 0x00, 0x00, 0x2a]);
         assert_eq!(m.to_string(), "02:00:00:00:00:2a");
         assert!(!m.is_broadcast());
-        assert!(!m.is_multicast());
         assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
     }
 
     #[test]

@@ -69,16 +69,6 @@ impl IcmpPacket {
         }
     }
 
-    /// A time-exceeded error (TTL expired in transit).
-    pub fn time_exceeded(original: Vec<u8>) -> Self {
-        IcmpPacket {
-            icmp_type: IcmpType::TimeExceeded(0),
-            identifier: 0,
-            sequence: 0,
-            payload: original,
-        }
-    }
-
     /// A destination-unreachable error with the given code (0 = net, 1 = host, 3 = port).
     pub fn unreachable(code: u8, original: Vec<u8>) -> Self {
         IcmpPacket {
@@ -176,7 +166,12 @@ mod tests {
 
     #[test]
     fn error_messages_round_trip() {
-        let te = IcmpPacket::time_exceeded(vec![0x45, 0, 0, 20]);
+        let te = IcmpPacket {
+            icmp_type: IcmpType::TimeExceeded(0),
+            identifier: 0,
+            sequence: 0,
+            payload: vec![0x45, 0, 0, 20],
+        };
         assert_eq!(IcmpPacket::from_bytes(&te.to_bytes()).unwrap(), te);
         let un = IcmpPacket::unreachable(3, vec![0x45, 0, 0, 20]);
         let parsed = IcmpPacket::from_bytes(&un.to_bytes()).unwrap();

@@ -154,17 +154,6 @@ impl Ipv4Packet {
         IPV4_HEADER_LEN + self.payload.wire_len()
     }
 
-    /// Decrement TTL; returns `false` (and leaves TTL at zero) when it expires.
-    pub fn decrement_ttl(&mut self) -> bool {
-        if self.header.ttl <= 1 {
-            self.header.ttl = 0;
-            false
-        } else {
-            self.header.ttl -= 1;
-            true
-        }
-    }
-
     /// The source/destination transport ports, if the payload is UDP or TCP.
     pub fn ports(&self) -> Option<(u16, u16)> {
         match &self.payload {
@@ -296,21 +285,6 @@ mod tests {
         );
         let parsed = Ipv4Packet::from_bytes(&pkt.to_bytes()).unwrap();
         assert_eq!(parsed, pkt);
-    }
-
-    #[test]
-    fn ttl_decrement() {
-        let mut pkt = Ipv4Packet::new(
-            ip(1, 1, 1, 1),
-            ip(2, 2, 2, 2),
-            Ipv4Payload::Raw(0, vec![].into()),
-        );
-        pkt.header.ttl = 2;
-        assert!(pkt.decrement_ttl());
-        assert_eq!(pkt.header.ttl, 1);
-        assert!(!pkt.decrement_ttl());
-        assert_eq!(pkt.header.ttl, 0);
-        assert!(!pkt.decrement_ttl());
     }
 
     #[test]

@@ -124,7 +124,9 @@ pub fn lease_key(ip: Ipv4Addr) -> Address {
     Address::from_ip(ip)
 }
 
-/// Encode the claimant's overlay address as the lease value.
+/// Encode the claimant's overlay address as the lease value (a shared buffer;
+/// storing and replicating it never copy). A DHCP-over-DHT claim *is* a
+/// Brunet-ARP mapping, so resolvers read it with [`decode_owner`] too.
 pub fn encode_owner(addr: &Address) -> Bytes {
     Bytes::copy_from_slice(&addr.0)
 }

@@ -49,7 +49,6 @@ pub trait ShardWorld: Send {
 pub struct ShardCtl<'a, E> {
     now: SimTime,
     slice_end: SimTime,
-    shard: usize,
     shards: usize,
     /// `(at, ev)` destined for this shard's own queue (same slice allowed).
     local: &'a mut Vec<(SimTime, E)>,
@@ -61,16 +60,6 @@ impl<E> ShardCtl<'_, E> {
     /// Virtual time of the event being handled.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Index of the shard this handler runs on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Total number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Schedule a follow-up event on this shard. Any `at >= now` is legal,
@@ -106,7 +95,6 @@ struct CrossMsg<E> {
 }
 
 struct Shard<W: ShardWorld> {
-    id: usize,
     world: W,
     queue: EventQueue<W::Ev>,
     executed: u64,
@@ -131,7 +119,6 @@ impl<W: ShardWorld> Shard<W> {
             let mut ctl = ShardCtl {
                 now: ev.at,
                 slice_end,
-                shard: self.id,
                 shards,
                 local: &mut self.local_buf,
                 cross: &mut self.cross_buf,
@@ -177,9 +164,7 @@ impl<W: ShardWorld> ShardedSim<W> {
         ShardedSim {
             shards: worlds
                 .into_iter()
-                .enumerate()
-                .map(|(id, world)| Shard {
-                    id,
+                .map(|world| Shard {
                     world,
                     queue: EventQueue::new(),
                     executed: 0,
@@ -195,25 +180,9 @@ impl<W: ShardWorld> ShardedSim<W> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Current virtual time (start of the next unexecuted slice).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Borrow shard `i`'s world.
-    pub fn world(&self, i: usize) -> &W {
-        &self.shards[i].world
-    }
-
-    /// Mutably borrow shard `i`'s world (between runs, e.g. to harvest
-    /// metrics or inject state).
-    pub fn world_mut(&mut self, i: usize) -> &mut W {
-        &mut self.shards[i].world
     }
 
     /// Iterate over all shard worlds.
@@ -318,16 +287,13 @@ impl<W: ShardWorld> ShardedSim<W> {
             self.run_slice();
         }
     }
-
-    /// Run for `dur` of virtual time from the current slice start.
-    pub fn run_for(&mut self, dur: Duration) -> ShardRunOutcome {
-        self.run_until(self.now + dur)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const SHARDS: usize = 4;
 
     /// Token-passing world: each event carries a counter; the handler forwards
     /// it to a pseudo-random shard after a latency of one-or-more slices, and
@@ -355,13 +321,13 @@ mod tests {
                 .value
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(self.id as u64);
-            let dst = (mix % ctl.shards() as u64) as usize;
+            let dst = (mix % SHARDS as u64) as usize;
             let latency = Duration::from_millis(1 + (mix >> 8) % 5);
             let next = Token {
                 hops_left: ev.hops_left - 1,
                 value: mix,
             };
-            if dst == ctl.shard() && (mix >> 16) % 2 == 0 {
+            if dst == self.id && (mix >> 16) % 2 == 0 {
                 // Same-shard fast path: stays inside the slice.
                 ctl.send_local(now + Duration::from_micros(10), next);
             } else {
@@ -371,7 +337,7 @@ mod tests {
     }
 
     fn run(parallel: bool) -> (u64, u64, Vec<Vec<(u64, u64)>>) {
-        let worlds = (0..4)
+        let worlds = (0..SHARDS)
             .map(|id| PassWorld {
                 id,
                 seen: Vec::new(),
@@ -380,7 +346,7 @@ mod tests {
         let mut sim = ShardedSim::new(worlds, Duration::from_millis(1), parallel);
         for i in 0..16u64 {
             sim.schedule(
-                (i % 4) as usize,
+                i as usize % SHARDS,
                 SimTime::ZERO + Duration::from_micros(i * 37),
                 Token {
                     hops_left: 40,
@@ -442,17 +408,17 @@ mod tests {
                 } else {
                     0
                 };
-                let dst = ((mix >> (8 * (k + 1))) % ctl.shards() as u64) as usize;
+                let dst = ((mix >> (8 * (k + 1))) % SHARDS as u64) as usize;
                 ctl.send(dst, at, (next_ttl, mix ^ k));
             }
         }
     }
 
     fn run_bursts(parallel: bool) -> (u64, u64, u64) {
-        let worlds = (0..4).map(|id| Burst { id, acc: 0 }).collect();
+        let worlds = (0..SHARDS as u64).map(|id| Burst { id, acc: 0 }).collect();
         let mut sim = ShardedSim::new(worlds, Duration::from_millis(1), parallel);
         for i in 0..8u64 {
-            sim.schedule((i % 4) as usize, SimTime::ZERO, (8, i));
+            sim.schedule(i as usize % SHARDS, SimTime::ZERO, (8, i));
         }
         let outcome = sim.run_until(SimTime::ZERO + Duration::from_secs(1));
         assert_eq!(outcome, ShardRunOutcome::Drained);
@@ -502,6 +468,6 @@ mod tests {
         let outcome = sim.run_until(SimTime::ZERO + Duration::from_millis(100));
         assert_eq!(outcome, ShardRunOutcome::TimeLimit);
         // Events at 0, 10, …, 90 ms run; the one at 100 ms does not.
-        assert_eq!(sim.world(0).0, 10);
+        assert_eq!(sim.worlds().next().map(|w| w.0), Some(10));
     }
 }

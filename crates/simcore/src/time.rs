@@ -7,7 +7,7 @@
 
 use std::fmt;
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// A span of virtual time (non-negative).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -73,11 +73,6 @@ impl Duration {
         self.nanos as f64 / 1e6
     }
 
-    /// The span in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.nanos as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: Duration) -> Duration {
         Duration {
@@ -95,24 +90,6 @@ impl Duration {
     pub fn is_zero(self) -> bool {
         self.nanos == 0
     }
-
-    /// The larger of two spans.
-    pub fn max(self, other: Duration) -> Duration {
-        if self.nanos >= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two spans.
-    pub fn min(self, other: Duration) -> Duration {
-        if self.nanos <= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl fmt::Debug for Duration {
@@ -128,7 +105,7 @@ impl fmt::Display for Duration {
         } else if self.nanos >= 1_000_000 {
             write!(f, "{:.3}ms", self.as_millis_f64())
         } else if self.nanos >= 1_000 {
-            write!(f, "{:.3}us", self.as_micros_f64())
+            write!(f, "{:.3}us", self.nanos as f64 / 1e3)
         } else {
             write!(f, "{}ns", self.nanos)
         }
@@ -156,12 +133,6 @@ impl Sub for Duration {
         Duration {
             nanos: self.nanos - rhs.nanos,
         }
-    }
-}
-
-impl SubAssign for Duration {
-    fn sub_assign(&mut self, rhs: Duration) {
-        self.nanos -= rhs.nanos;
     }
 }
 
@@ -224,24 +195,6 @@ impl SimTime {
     /// Elapsed time since `earlier`; zero if `earlier` is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration::from_nanos(self.nanos.saturating_sub(earlier.nanos))
-    }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.nanos >= other.nanos {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.nanos <= other.nanos {
-            self
-        } else {
-            other
-        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! The paper's headline case study (Section IV-C): an unmodified MPI application
-//! (LSS) using SSH, message passing and NFS-mounted volumes across three
-//! firewalled wide-area domains, aggregated into one virtual cluster by IPOP.
+//! (LSS) using message passing and NFS-mounted volumes across three firewalled
+//! wide-area domains, aggregated into one virtual cluster by IPOP. (The paper
+//! also starts the LAM daemons over SSH; that session setup is not modelled.)
 //!
 //! Run with `cargo run -p ipop-examples --bin grid_mpi_cluster --release`.
 
