@@ -1053,12 +1053,14 @@ impl Dht {
         // rather than as a conflict — the pending claim may yet be withdrawn,
         // and a conflict reply would make the other claimant permanently
         // blacklist an address that ends up free.
-        if self
-            .quorum_creates
-            .values()
-            .any(|qc| qc.key == key && qc.value != value)
-        {
-            self.send_create_reply(core, now, reply_to, false, None);
+        // The same value is no exception: a second round on the pending
+        // record's version would be withdrawn with it if the first round
+        // fails, after confirming the claim. A duplicate of the request
+        // being served is dropped; the pending round answers it.
+        if let Some(qc) = self.quorum_creates.values().find(|qc| qc.key == key) {
+            if qc.reply_to != reply_to {
+                self.send_create_reply(core, now, reply_to, false, None);
+            }
             return;
         }
         if let Some(existing) = self.store.live(&key, now) {

@@ -76,16 +76,20 @@ fn create_replies(sent: &[(Address, RoutedPayload)]) -> Vec<(Address, bool)> {
         .collect()
 }
 
-/// Have the client claim the coordinator's key; returns the ack token the
-/// record was pushed with.
-fn start_quorum_write(node: &mut OverlayNode, peers: &[Address]) -> u64 {
-    let create = RoutedPayload::DhtCreate {
+/// The client's claim on the coordinator's key.
+fn claim() -> RoutedPayload {
+    RoutedPayload::DhtCreate {
         key: me(),
         value: Bytes::from(b"claim".to_vec()),
         ttl_ms: 60_000,
         token: 77,
-    };
-    deliver(node, peers[4], DeliveryMode::Closest, create);
+    }
+}
+
+/// Have the client claim the coordinator's key; returns the ack token the
+/// record was pushed with.
+fn start_quorum_write(node: &mut OverlayNode, peers: &[Address]) -> u64 {
+    deliver(node, peers[4], DeliveryMode::Closest, claim());
     let pushes: Vec<(Address, u64)> = sent(node)
         .into_iter()
         .filter_map(|(dst, p)| match p {
@@ -233,4 +237,58 @@ fn answers_from_peers_that_were_never_polled_do_not_reach_the_reader() {
         b"good",
         "nothing forged was repaired in"
     );
+}
+
+/// A duplicated `DhtCreate` reached the coordinator while the first copy's
+/// write was pending. The copy opened a second round on the same record, as
+/// a renewal; its acks confirmed the claim, and then the first round timed
+/// out and withdrew that record from every copy, the coordinator's own
+/// included. Found by `dht_replica_model` (`PROPTEST_SEED=0`, 2,048 cases).
+#[test]
+fn a_duplicated_create_cannot_withdraw_the_claim_it_confirmed() {
+    let (mut node, peers) = coordinator();
+    let op = start_quorum_write(&mut node, &peers);
+    deliver(&mut node, peers[4], DeliveryMode::Closest, claim());
+    assert_eq!(sent(&mut node), vec![], "the pending round answers it");
+    deliver(&mut node, peers[0], DeliveryMode::Exact, ack(op));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, ack(op));
+    assert_eq!(create_replies(&sent(&mut node)), vec![(peers[4], true)]);
+    node.on_tick(now() + Duration::from_secs(5));
+    let later = sent(&mut node);
+    assert!(
+        !later
+            .iter()
+            .any(|(_, p)| matches!(p, RoutedPayload::DhtWithdraw { .. })),
+        "{later:?}"
+    );
+    assert!(node.dht_store().get(&me()).is_some(), "the claim is held");
+}
+
+/// A second claimant of the same value, while the first claim's write is
+/// pending, is told to retry, as one of a different value is: no second
+/// round on the pending record.
+#[test]
+fn a_second_claimant_of_the_pending_value_is_told_to_retry() {
+    let (mut node, peers) = coordinator();
+    let op = start_quorum_write(&mut node, &peers);
+    let other = peers[3];
+    let RoutedPayload::DhtCreate {
+        key, value, ttl_ms, ..
+    } = claim()
+    else {
+        unreachable!()
+    };
+    let again = RoutedPayload::DhtCreate {
+        key,
+        value,
+        ttl_ms,
+        token: 5,
+    };
+    deliver(&mut node, other, DeliveryMode::Closest, again);
+    let answered = sent(&mut node);
+    assert_eq!(create_replies(&answered), vec![(other, false)]);
+    assert_eq!(answered.len(), 1, "no second push: {answered:?}");
+    deliver(&mut node, peers[0], DeliveryMode::Exact, ack(op));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, ack(op));
+    assert_eq!(create_replies(&sent(&mut node)), vec![(peers[4], true)]);
 }
