@@ -206,7 +206,7 @@ pub fn deploy_ipop(
             cfg.overlay.probe_interval = interval;
         }
         if let Some(interval) = options.dht_sweep_interval {
-            cfg.overlay.dht.sweep_interval = interval;
+            cfg.overlay.dht.sweep_interval = Some(interval);
         }
         if let Some(threshold) = options.phi_threshold {
             cfg.overlay.phi_threshold = threshold;

@@ -486,7 +486,7 @@ mod tests {
             assert!(!oc.phi_accrual);
             assert_eq!(oc.phi_threshold, 9.5);
             assert_eq!(oc.probe_interval, secs(3));
-            assert_eq!(oc.dht.sweep_interval, secs(7));
+            assert_eq!(oc.dht.sweep_interval, Some(secs(7)));
             assert_eq!(oc.pubsub_fanout, 6);
             // What no option names keeps the overlay's default.
             let defaults = OverlayConfig::new(oc.address, oc.local_endpoint);

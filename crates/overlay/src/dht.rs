@@ -8,13 +8,13 @@
 //! re-putting them at half the TTL (DHCP-style lease renewal); a record whose
 //! publisher crashed simply disappears one TTL later.
 //!
-//! Two halves live here. The *storage* half is [`DhtRecord`], the narrow
-//! [`DhtStore`] trait with its one implementation [`SoftStateStore`], and the
-//! pure rules every copy is judged by ([`wire_expiry`], [`wire_version`],
-//! [`apply_record_copy`], [`sync_compare`]). Stores must iterate keys in a
-//! deterministic order — key scans feed directly into replication-message
-//! emission order, and the simulator's byte-identical-replay contract extends
-//! to DHT maintenance traffic. The *protocol* half is [`Dht`], one node's
+//! Two halves live here. The *storage* half is [`DhtRecord`], the store
+//! [`SoftStateStore`], and the pure rules every copy is judged by
+//! ([`wire_expiry`], [`wire_version`], [`apply_record_copy`],
+//! [`sync_compare`]). The store iterates keys in address order — key scans
+//! feed directly into replication-message emission order, and the
+//! simulator's byte-identical-replay contract extends to DHT maintenance
+//! traffic. The *protocol* half is [`Dht`], one node's
 //! DHT component: publisher (renewals, lost leases), coordinator of the keys
 //! it owns (quorum writes and reads, replication, read repair, graceful
 //! hand-off) and replica (acks, withdraws, anti-entropy). It owns all of that
@@ -39,24 +39,22 @@ pub struct DhtConfig {
     /// with the freshest copy by `(version, expiry)` and repairs stale or
     /// missing replicas. `1` disables replication: the owner answers alone.
     pub replication: usize,
-    /// Anti-entropy: when true, every [`DhtConfig::sweep_interval`] each node
-    /// exchanges compact record digests with the replica set of every key it
-    /// owns (and with the owner of every key it publishes), pulling/pushing
-    /// only the differing records — so replica sets converge even when no
-    /// read ever touches a key, and a put lost in a crashed hop is recovered
-    /// within one sweep instead of waiting out the publisher's TTL/2 refresh.
-    pub sweep: bool,
-    /// Interval between anti-entropy sweeps. Each node offsets its first
-    /// sweep by a random fraction of this so the fleet does not synchronize.
-    pub sweep_interval: Duration,
+    /// Anti-entropy, `None` when off: every interval each node exchanges
+    /// compact record digests with the replica set of every key it owns (and
+    /// with the owner of every key it publishes), pulling/pushing only the
+    /// differing records — so replica sets converge even when no read ever
+    /// touches a key, and a put lost in a crashed hop is recovered within one
+    /// sweep instead of waiting out the publisher's TTL/2 refresh. Each node
+    /// offsets its first sweep by a random fraction of the interval so the
+    /// fleet does not synchronize.
+    pub sweep_interval: Option<Duration>,
 }
 
 impl Default for DhtConfig {
     fn default() -> Self {
         DhtConfig {
             replication: 3,
-            sweep: true,
-            sweep_interval: Duration::from_secs(10),
+            sweep_interval: Some(Duration::from_secs(10)),
         }
     }
 }
@@ -266,7 +264,7 @@ pub fn wire_version(now: SimTime, version: u64) -> u64 {
 /// when it outranks the incoming copy by `(version, expiry, value)`
 /// freshness. Returns true when the incoming copy was stored.
 pub fn apply_record_copy(
-    store: &mut dyn DhtStore,
+    store: &mut SoftStateStore,
     key: Address,
     value: &Bytes,
     ttl_ms: u64,
@@ -285,44 +283,9 @@ pub fn apply_record_copy(
     true
 }
 
-/// The narrow storage interface [`Dht`] drives.
-///
-/// `keys()` must return keys in a deterministic (implementation-stable) order:
-/// replication traffic is emitted while scanning it.
-pub trait DhtStore {
-    /// Insert or overwrite the record under `key`.
-    fn insert(&mut self, key: Address, record: DhtRecord);
-    /// Borrow the record under `key`, if present (expired records may still be
-    /// returned until the next [`DhtStore::expire`] sweep — callers that care
-    /// check [`DhtRecord::expired`]).
-    fn get(&self, key: &Address) -> Option<&DhtRecord>;
-    /// The record under `key` if it is still live at `now` — what every
-    /// protocol decision reads; an expired record is as good as absent.
-    fn live(&self, key: &Address, now: SimTime) -> Option<&DhtRecord> {
-        self.get(key).filter(|rec| !rec.expired(now))
-    }
-    /// Mutably borrow the record under `key`.
-    fn get_mut(&mut self, key: &Address) -> Option<&mut DhtRecord>;
-    /// Remove and return the record under `key`.
-    fn remove(&mut self, key: &Address) -> Option<DhtRecord>;
-    /// Drop every expired record; returns how many were dropped.
-    fn expire(&mut self, now: SimTime) -> usize;
-    /// All stored keys, in deterministic order.
-    fn keys(&self) -> Vec<Address>;
-    /// Number of stored records.
-    fn len(&self) -> usize;
-    /// True when nothing is stored.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Total stored value bytes.
-    fn stored_bytes(&self) -> usize;
-    /// Number of records held as replicas (not owned).
-    fn replicas_held(&self) -> usize;
-}
-
-/// The default in-memory soft-state store: a `BTreeMap`, so key iteration is
-/// address-ordered and byte-identical across same-seed runs.
+/// The in-memory soft-state store: a `BTreeMap`, so key iteration is
+/// address-ordered and byte-identical across same-seed runs — replication
+/// traffic is emitted while scanning it.
 #[derive(Debug, Default)]
 pub struct SoftStateStore {
     records: BTreeMap<Address, DhtRecord>,
@@ -334,25 +297,35 @@ impl SoftStateStore {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl DhtStore for SoftStateStore {
-    fn insert(&mut self, key: Address, record: DhtRecord) {
+    /// Insert or overwrite the record under `key`.
+    pub fn insert(&mut self, key: Address, record: DhtRecord) {
         self.bytes += record.value.len();
         if let Some(old) = self.records.insert(key, record) {
             self.bytes -= old.value.len();
         }
     }
 
-    fn get(&self, key: &Address) -> Option<&DhtRecord> {
+    /// Borrow the record under `key`, if present (expired records may still be
+    /// returned until the next [`SoftStateStore::expire`] sweep — callers that
+    /// care check [`DhtRecord::expired`]).
+    pub fn get(&self, key: &Address) -> Option<&DhtRecord> {
         self.records.get(key)
     }
 
-    fn get_mut(&mut self, key: &Address) -> Option<&mut DhtRecord> {
+    /// The record under `key` if it is still live at `now` — what every
+    /// protocol decision reads; an expired record is as good as absent.
+    pub fn live(&self, key: &Address, now: SimTime) -> Option<&DhtRecord> {
+        self.get(key).filter(|rec| !rec.expired(now))
+    }
+
+    /// Mutably borrow the record under `key`.
+    pub fn get_mut(&mut self, key: &Address) -> Option<&mut DhtRecord> {
         self.records.get_mut(key)
     }
 
-    fn remove(&mut self, key: &Address) -> Option<DhtRecord> {
+    /// Remove and return the record under `key`.
+    pub fn remove(&mut self, key: &Address) -> Option<DhtRecord> {
         let removed = self.records.remove(key);
         if let Some(rec) = &removed {
             self.bytes -= rec.value.len();
@@ -360,7 +333,8 @@ impl DhtStore for SoftStateStore {
         removed
     }
 
-    fn expire(&mut self, now: SimTime) -> usize {
+    /// Drop every expired record; returns how many were dropped.
+    pub fn expire(&mut self, now: SimTime) -> usize {
         let before = self.records.len();
         let bytes = &mut self.bytes;
         self.records.retain(|_, rec| {
@@ -374,19 +348,28 @@ impl DhtStore for SoftStateStore {
         before - self.records.len()
     }
 
-    fn keys(&self) -> Vec<Address> {
+    /// All stored keys, in address order.
+    pub fn keys(&self) -> Vec<Address> {
         self.records.keys().copied().collect()
     }
 
-    fn len(&self) -> usize {
+    /// Number of stored records.
+    pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    fn stored_bytes(&self) -> usize {
+    /// True when nothing is stored.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// Total stored value bytes.
+    pub fn stored_bytes(&self) -> usize {
         self.bytes
     }
 
-    fn replicas_held(&self) -> usize {
+    /// Number of records held as replicas (not owned).
+    pub fn replicas_held(&self) -> usize {
         self.records.values().filter(|r| r.replica).count()
     }
 }
@@ -442,51 +425,53 @@ struct Publication {
     renew_inflight: Option<(u64, SimTime)>,
 }
 
-/// A quorum write this node is coordinating: the record is stored locally and
-/// pushed to the key's replica set with an ack token; the `DhtCreateReply` is
-/// sent only once a majority of the copy set (local copy included) holds it.
-struct QuorumCreate {
+/// A quorum round this node coordinates on `key`: the record was pushed to
+/// (a write) or polled from (a read) `targets`, and the round concludes once
+/// a majority of the copy set — this node's own copy counts as one — has
+/// answered, or at [`QUORUM_TIMEOUT`].
+struct Quorum {
+    key: Address,
+    /// The replicas pushed to or polled: the only peers whose answer counts.
+    targets: Vec<Address>,
+    /// Counted answers, one per target: `(replica, its live copy)` — always
+    /// `None` for a write's acks, reconstructed as a [`DhtRecord`] for a
+    /// read's, so freshness and TTL rules stay the store's own.
+    answers: Vec<(Address, Option<DhtRecord>)>,
+    issued: SimTime,
+    round: Round,
+}
+
+enum Round {
+    Write(Write),
+    /// A read answers `reply_to` with the freshest copy by `(version,
+    /// expiry)` — once a majority answered with a live copy in sight, every
+    /// poll answered, or the poll timed out — and repairs the stale and
+    /// missing copies it found.
+    Read {
+        reply_to: (Address, u64),
+    },
+}
+
+/// A write this node coordinates: the record is stored locally and pushed to
+/// the key's replica set with an ack token; `reply_to` hears `created` only
+/// once a majority of the copy set holds it.
+pub(crate) struct Write {
     /// Who gets the `DhtCreateReply`, and the token it echoes. `None` for a
     /// write nobody waits on (a pub/sub root rewriting its topic record): the
     /// outcome is visible in the store itself.
-    reply_to: Option<(Address, u64)>,
-    key: Address,
-    value: Bytes,
-    /// Version the record was stored and pushed with.
-    version: u64,
-    /// `None` for a first-time claim (the record was created by this
-    /// operation); `Some(expiry)` for a lease renewal, applied to the local
-    /// record only once the quorum acks. Only fresh claims are withdrawn on
-    /// quorum failure: a failed renewal keeps the coordinator's pre-renewal
-    /// expiry, while replicas that stored the extended push before their ack
-    /// was lost may keep the longer expiry — soft state that ages out, at
-    /// worst occupying the key one extra TTL if the claimant then crashes.
-    extends_to: Option<SimTime>,
-    /// The replicas the record was pushed to: the only peers whose ack
-    /// counts, and — on failure — the ones a fresh claim is withdrawn from
-    /// (an ack may have been lost after the store).
-    targets: Vec<Address>,
-    /// Targets whose ack has been counted; a second one counts nothing.
-    acked: Vec<Address>,
-    issued: SimTime,
-}
-
-/// A quorum read this node is coordinating: the replica set has been polled
-/// and the freshest copy by `(version, expiry)` is returned to the origin once
-/// a majority of the copy set answered with at least one live copy in sight
-/// (or every poll answered, or the poll timed out). Stale and missing copies
-/// discovered along the way are repaired asynchronously. Replica answers are
-/// reconstructed as [`DhtRecord`]s so freshness and TTL rules stay the
-/// store's own.
-struct QuorumRead {
-    /// Who asked, and the token the `DhtReply` echoes.
-    reply_to: (Address, u64),
-    key: Address,
-    /// The replicas that were polled: the only peers whose answer counts.
-    targets: Vec<Address>,
-    /// Answers received so far, one per target: `(replica, its live copy)`.
-    responses: Vec<(Address, Option<DhtRecord>)>,
-    issued: SimTime,
+    pub(crate) reply_to: Option<(Address, u64)>,
+    pub(crate) value: Bytes,
+    pub(crate) ttl_ms: u64,
+    /// Version the record is stored and pushed with.
+    pub(crate) version: u64,
+    /// `None` for a first-time claim (the record is created by this write);
+    /// `Some(expiry)` for a lease renewal, applied to the local record only
+    /// once the quorum acks. Only fresh claims are withdrawn on quorum
+    /// failure: a failed renewal keeps the coordinator's pre-renewal expiry,
+    /// while replicas that stored the extended push before their ack was lost
+    /// may keep the longer expiry — soft state that ages out, at worst
+    /// occupying the key one extra TTL if the claimant then crashes.
+    pub(crate) extends_to: Option<SimTime>,
 }
 
 /// An outstanding `DhtCreate`, remembered so a successful claim turns into a
@@ -532,12 +517,10 @@ pub(crate) struct Dht {
     published: BTreeMap<Address, Publication>,
     /// Outstanding creates: token → claim. Never iterated, only keyed.
     pending_creates: BTreeMap<u64, PendingCreate>,
-    /// Quorum writes this node is coordinating, keyed by ack token. `BTreeMap`
-    /// because the timeout sweep iterates it while emitting failure replies.
-    quorum_creates: BTreeMap<u64, QuorumCreate>,
-    /// Quorum reads this node is coordinating, keyed by poll token. `BTreeMap`
-    /// because the timeout sweep iterates it while emitting replies/repairs.
-    quorum_reads: BTreeMap<u64, QuorumRead>,
+    /// Quorum rounds this node is coordinating, keyed by ack / poll token.
+    /// `BTreeMap` because the timeout sweep iterates it while emitting
+    /// replies and repairs.
+    quorums: BTreeMap<u64, Quorum>,
     /// Claimed leases whose renewal found a conflicting record; the embedding
     /// agent drains this and re-allocates.
     pub(crate) lost_leases: VecDeque<Address>,
@@ -823,40 +806,12 @@ impl Dht {
                 }
             }
             RoutedPayload::DhtReplicateAck { token, stored } => {
-                // Nothing pending is routine: the rest of the copy set
-                // answers after the majority already concluded the write.
-                let Some(qc) = self.quorum_creates.get_mut(&token) else {
-                    return;
-                };
-                // Tokens are a guessable counter: an ack counts only from a
-                // replica the record was pushed to, and only once.
-                if !qc.targets.contains(&src) || qc.acked.contains(&src) {
-                    core.stats.dht_bad_acks += 1;
-                    return;
-                }
-                if !stored {
-                    // The replica kept a conflicting record; the claim can
-                    // only conclude via the quorum timeout (and fail).
-                    return;
-                }
-                qc.acked.push(src);
-                if qc.acked.len() < peer_majority(&qc.targets) {
-                    return;
-                }
-                if let Some(qc) = self.quorum_creates.remove(&token) {
-                    // A renewal extends the local expiry only now that a
-                    // majority holds the extended record — a failed one
-                    // must leave the pre-renewal expiry in place.
-                    if let Some(t) = qc.extends_to {
-                        if let Some(rec) = self
-                            .store
-                            .get_mut(&qc.key)
-                            .filter(|rec| rec.value == qc.value)
-                        {
-                            rec.expires_at = rec.expires_at.max(t);
-                        }
-                    }
-                    self.send_create_reply(core, now, qc.reply_to, true, None);
+                // `stored: false` is admitted but not counted: the replica
+                // kept a conflicting record, so the claim can only conclude
+                // via the quorum timeout (and fail).
+                let admitted = self.admit(core, token, src, false);
+                if admitted && stored {
+                    self.count(core, now, token, src, None);
                 }
             }
             RoutedPayload::DhtGetReplica { key, token } => {
@@ -868,32 +823,11 @@ impl Dht {
                 self.send(core, now, src, DeliveryMode::Exact, payload);
             }
             RoutedPayload::DhtReplicaValue { token, copy } => {
-                let Some(read) = self.quorum_reads.get_mut(&token) else {
-                    return;
-                };
-                // As for acks: one answer per polled replica, none from
-                // anyone else — the freshest answer is returned to the
-                // reader *and* written back by read repair.
-                if !read.targets.contains(&src) || read.responses.iter().any(|(p, _)| *p == src) {
-                    core.stats.dht_bad_acks += 1;
-                    return;
-                }
                 let copy = copy.map(|(value, version, ttl_ms)| {
                     DhtRecord::received(now, value, ttl_ms, wire_version(now, version), true)
                 });
-                read.responses.push((src, copy));
-                // Conclude on a majority only once a live copy is in sight
-                // (ours or a reply's): a record-less replica answering
-                // fastest must not turn a live record into a miss — that
-                // would also skip the repair that fixes the gap. With no
-                // live copy anywhere, wait for every poll (or the
-                // timeout) before answering None.
-                let quorum = read.responses.len() >= peer_majority(&read.targets);
-                let all_in = read.responses.len() >= read.targets.len();
-                let any_live = read.responses.iter().any(|(_, c)| c.is_some());
-                let own_live = self.store.live(&read.key, now).is_some();
-                if all_in || (quorum && (any_live || own_live)) {
-                    self.conclude_quorum_read(core, now, token);
+                if self.admit(core, token, src, true) {
+                    self.count(core, now, token, src, copy);
                 }
             }
             RoutedPayload::DhtRemove { key } => self.remove_record(core, now, key),
@@ -952,82 +886,23 @@ impl Dht {
     /// the answer waits for a majority of the copy set; otherwise (single
     /// copy, no peers) the local store answers alone.
     fn handle_get(&mut self, core: &mut Core, now: SimTime, key: Address, asker: (Address, u64)) {
-        let targets = self.replica_set(core, &key);
-        if targets.is_empty() {
-            let (origin, token) = asker;
-            let value = self.store.live(&key, now).map(|rec| rec.value.clone());
-            let payload = RoutedPayload::DhtReply { token, value };
-            self.send(core, now, origin, DeliveryMode::Exact, payload);
-            return;
+        let q = Quorum {
+            key,
+            targets: self.replica_set(core, &key),
+            answers: Vec::new(),
+            issued: now,
+            round: Round::Read { reply_to: asker },
+        };
+        if q.targets.is_empty() {
+            return self.finish(core, now, q, true);
         }
         let op = core.fresh_token();
-        for peer in &targets {
+        for peer in &q.targets {
             let payload = RoutedPayload::DhtGetReplica { key, token: op };
             self.send(core, now, *peer, DeliveryMode::Exact, payload);
         }
-        self.quorum_reads.insert(
-            op,
-            QuorumRead {
-                reply_to: asker,
-                key,
-                targets,
-                responses: Vec::new(),
-                issued: now,
-            },
-        );
+        self.quorums.insert(op, q);
         core.stats.dht_quorum_reads += 1;
-    }
-
-    /// Conclude a quorum read: answer the origin with the freshest copy seen
-    /// (local store included) and repair every copy that turned out stale or
-    /// missing — on this node by storing and re-replicating the freshest
-    /// record, on polled replicas by pushing it to them directly.
-    fn conclude_quorum_read(&mut self, core: &mut Core, now: SimTime, op: u64) {
-        let Some(read) = self.quorum_reads.remove(&op) else {
-            return;
-        };
-        let own: Option<DhtRecord> = self.store.live(&read.key, now).cloned();
-        let answers = read.responses.iter().filter_map(|(_, copy)| copy.as_ref());
-        let best = own.iter().chain(answers).max_by_key(|c| c.freshness());
-        let best = best.cloned();
-        let (origin, token) = read.reply_to;
-        let value = best.as_ref().map(|c| c.value.clone());
-        let payload = RoutedPayload::DhtReply { token, value };
-        self.send(core, now, origin, DeliveryMode::Exact, payload);
-        let Some(best) = best else {
-            return; // nothing live anywhere: nothing to repair with
-        };
-        // Repair decisions tolerate small expiry skew: a replica's expiry is
-        // reconstructed from its remaining TTL and so arrives inflated by the
-        // reply's transit time (plus rounding). Without slack every read of a
-        // perfectly healthy record would "repair" all its in-sync copies.
-        let materially_staler = |copy: &DhtRecord| {
-            best.version > copy.version
-                || best.value != copy.value
-                || best.expires_at > copy.expires_at + READ_REPAIR_SLACK
-        };
-        let own_stale =
-            own.is_none_or(|o| best.freshness() > o.freshness() && materially_staler(&o));
-        if own_stale {
-            // Adopt the freshest copy locally and push it back out through the
-            // normal replication path (replicas keep their own copy when it is
-            // already as fresh).
-            let ttl_ms = best.remaining_ttl_ms(now);
-            let rec = DhtRecord::received(now, best.value.clone(), ttl_ms, best.version, false);
-            self.store.insert(read.key, rec);
-            core.stats.dht_read_repairs += 1;
-            self.replicate_key(core, now, read.key);
-            return;
-        }
-        // Our copy was the freshest: push it to every polled replica that
-        // answered with a materially stale or missing copy.
-        let push = replicate(read.key, &best, now);
-        for (peer, copy) in &read.responses {
-            if copy.as_ref().is_none_or(&materially_staler) {
-                core.stats.dht_read_repairs += 1;
-                self.send(core, now, *peer, DeliveryMode::Exact, push.clone());
-            }
-        }
     }
 
     /// Serve a `DhtCreate` as the key's coordinator.
@@ -1048,54 +923,48 @@ impl Dht {
         claimant: (Address, u64),
     ) {
         let reply_to = Some(claimant);
-        // A claim still awaiting its write quorum is not committed: answer a
-        // concurrent claim for the same key as retryable (`existing: None`)
-        // rather than as a conflict — the pending claim may yet be withdrawn,
-        // and a conflict reply would make the other claimant permanently
-        // blacklist an address that ends up free.
-        // The same value is no exception: a second round on the pending
-        // record's version would be withdrawn with it if the first round
-        // fails, after confirming the claim. A duplicate of the request
-        // being served is dropped; the pending round answers it.
-        if let Some(qc) = self.quorum_creates.values().find(|qc| qc.key == key) {
-            if qc.reply_to != reply_to {
+        // A claim still awaiting its write quorum is not committed: answer
+        // any other claim for the same key as retryable (`existing: None`).
+        // Not as a conflict — the pending claim may yet be withdrawn, and a
+        // conflict reply would make the other claimant permanently blacklist
+        // an address that ends up free. Nor as a renewal, even of the same
+        // value: a second round on the pending record would be withdrawn with
+        // it if the first failed, after confirming its claim. A duplicate of
+        // the request being served is dropped; the pending round answers it.
+        let pending = self.quorums.values().find_map(|q| match &q.round {
+            Round::Write(w) if q.key == key => Some(w.reply_to),
+            _ => None,
+        });
+        if let Some(pending) = pending {
+            if pending != reply_to {
                 self.send_create_reply(core, now, reply_to, false, None);
             }
             return;
         }
-        if let Some(existing) = self.store.live(&key, now) {
-            if existing.value != value {
-                let winner = Some(existing.value.clone());
+        let write = |version, extends_to| Write {
+            reply_to,
+            value: value.clone(),
+            ttl_ms,
+            version,
+            extends_to,
+        };
+        match self.store.get_mut(&key).filter(|rec| !rec.expired(now)) {
+            Some(rec) if rec.value != value => {
+                let winner = Some(rec.value.clone());
                 self.send_create_reply(core, now, reply_to, false, winner);
-                return;
             }
             // The claimant's own lease being renewed: acknowledge — and
             // extend the local expiry — only through the same write quorum
             // as a fresh claim. An owner partitioned from its replicas
             // extending and confirming renewals alone would keep serving a
             // lease whose every replica copy has expired.
-            // Re-borrow mutably: the `if let` above proves the record exists.
-            // If that invariant ever drifts, failing the renewal (claimant
-            // retries via its renewal timeout) beats panicking the node.
-            let Some(rec) = self.store.get_mut(&key) else {
-                return;
-            };
-            rec.replica = false;
-            let version = rec.version;
-            let extends_to = Some(wire_expiry(now, ttl_ms));
-            self.commit(core, now, key, value, ttl_ms, version, reply_to, extends_to);
-            return;
+            Some(rec) => {
+                rec.replica = false;
+                let renewal = write(rec.version, Some(wire_expiry(now, ttl_ms)));
+                self.commit(core, now, key, renewal);
+            }
+            None => self.commit(core, now, key, write(version_for(now), None)),
         }
-        self.commit(
-            core,
-            now,
-            key,
-            value,
-            ttl_ms,
-            version_for(now),
-            reply_to,
-            None,
-        );
     }
 
     /// Send the `DhtCreateReply` concluding a create — unless nobody waits
@@ -1126,56 +995,39 @@ impl Dht {
     /// the copy set is just this node). Pub/sub roots push their topic-record
     /// rewrites through here too — the same conflict rules as lease claims —
     /// with no one to answer.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn commit(
-        &mut self,
-        core: &mut Core,
-        now: SimTime,
-        key: Address,
-        value: Bytes,
-        ttl_ms: u64,
-        version: u64,
-        reply_to: Option<(Address, u64)>,
-        extends_to: Option<SimTime>,
-    ) {
-        if extends_to.is_none() {
-            let rec = DhtRecord::received(now, value.clone(), ttl_ms, version, false);
+    pub(crate) fn commit(&mut self, core: &mut Core, now: SimTime, key: Address, w: Write) {
+        if w.extends_to.is_none() {
+            let rec = DhtRecord::received(now, w.value.clone(), w.ttl_ms, w.version, false);
             self.store.insert(key, rec);
         }
         let targets = self.replica_set(core, &key);
-        if targets.is_empty() && core.cfg.dht.replication > 1 && core.ever_connected {
-            // This node *had* peers but is cut off from all of them (the link
-            // monitor drops dead edges in seconds, so an isolated node's
-            // table empties fast). Its single copy cannot speak for a
-            // majority of the intended copy set: fail the write as retryable
-            // instead of self-acknowledging — otherwise a partitioned
-            // minority of one could confirm claims (and renewals) against
-            // itself. A fresh claim is withdrawn from the local store too.
-            if extends_to.is_none() {
-                self.withdraw(&key, &value, version);
-            }
+        // This node *had* peers but is cut off from all of them (the link
+        // monitor drops dead edges in seconds, so an isolated node's table
+        // empties fast). Its single copy cannot speak for a majority of the
+        // intended copy set: fail the write as retryable instead of
+        // self-acknowledging — otherwise a partitioned minority of one could
+        // confirm claims (and renewals) against itself.
+        let isolated = targets.is_empty() && core.cfg.dht.replication > 1 && core.ever_connected;
+        if isolated {
             core.stats.dht_quorum_writes += 1;
             core.stats.dht_quorum_write_timeouts += 1;
-            self.send_create_reply(core, now, reply_to, false, None);
-            return;
-        }
-        if targets.is_empty() {
-            // Single-copy set: acknowledge immediately.
-            if let Some(rec) = self.store.get_mut(&key) {
-                rec.replicated_to.clear();
-                if let Some(t) = extends_to {
-                    rec.expires_at = rec.expires_at.max(t);
-                }
-            }
-            self.replicate_key(core, now, key);
-            self.send_create_reply(core, now, reply_to, true, None);
-            return;
-        }
-        let op = core.fresh_token();
-        if let Some(rec) = self.store.get_mut(&key) {
+        } else if let Some(rec) = self.store.get_mut(&key) {
             rec.replicated_to = targets.clone();
         }
-        for peer in &targets {
+        let (value, ttl_ms, version) = (w.value.clone(), w.ttl_ms, w.version);
+        let q = Quorum {
+            key,
+            targets,
+            answers: Vec::new(),
+            issued: now,
+            round: Round::Write(w),
+        };
+        if q.targets.is_empty() {
+            // A single-copy set acknowledges at once.
+            return self.finish(core, now, q, !isolated);
+        }
+        let op = core.fresh_token();
+        for peer in &q.targets {
             // Not `replicate()`: a renewal pushes the TTL it asks for, while
             // the local record keeps its old expiry until the quorum acks.
             let payload = RoutedPayload::DhtReplicate {
@@ -1187,45 +1039,151 @@ impl Dht {
             };
             self.send(core, now, *peer, DeliveryMode::Exact, payload);
         }
-        self.quorum_creates.insert(
-            op,
-            QuorumCreate {
-                reply_to,
-                key,
-                value,
-                version,
-                extends_to,
-                acked: Vec::new(),
-                targets,
-                issued: now,
-            },
-        );
+        self.quorums.insert(op, q);
         core.stats.dht_quorum_writes += 1;
     }
 
-    /// Fail a quorum create that never reached a majority and reject the
-    /// claim. A *fresh* claim is withdrawn — from the local store (so the key
-    /// is not half-claimed on this side of a partition) and from any replica
-    /// that stored it but whose ack was lost. A failed *renewal* leaves the
-    /// previously committed copies untouched; the record simply keeps its
-    /// pre-renewal expiries. `existing: None` on the reply distinguishes a
-    /// quorum failure (retry later) from a real conflict.
-    fn fail_quorum_create(&mut self, core: &mut Core, now: SimTime, op: u64) {
-        let Some(qc) = self.quorum_creates.remove(&op) else {
+    /// May `src`'s answer to the round `token` names count? Nothing pending
+    /// is routine — the rest of the copy set answers after a majority
+    /// already concluded — and so is a token of the other kind (`read` says
+    /// which kind answered): both are ignored. Tokens are a guessable
+    /// counter, so an answer counts only from a target of the round, and only
+    /// once; anything else is dropped and counted in `dht_bad_acks`.
+    fn admit(&self, core: &mut Core, token: u64, src: Address, read: bool) -> bool {
+        let Some(q) = self.quorums.get(&token) else {
+            return false;
+        };
+        if matches!(q.round, Round::Read { .. }) != read {
+            return false;
+        }
+        let counts = q.targets.contains(&src) && !q.answers.iter().any(|(p, _)| *p == src);
+        if !counts {
+            core.stats.dht_bad_acks += 1;
+        }
+        counts
+    }
+
+    /// Count `src`'s admitted answer to the round `token` names, and finish
+    /// the round once it holds enough: a write once a majority of the copy
+    /// set stored the record; a read once a majority answered with a live
+    /// copy in sight (ours or a reply's), or every target answered. A
+    /// record-less replica answering fastest must not turn a live record
+    /// into a miss — that would also skip the repair that fixes the gap.
+    fn count(
+        &mut self,
+        core: &mut Core,
+        now: SimTime,
+        token: u64,
+        src: Address,
+        copy: Option<DhtRecord>,
+    ) {
+        let Some(q) = self.quorums.get_mut(&token) else {
             return;
         };
-        if qc.extends_to.is_none() {
-            self.withdraw(&qc.key, &qc.value, qc.version);
-            for peer in &qc.targets {
+        q.answers.push((src, copy));
+        let majority = q.answers.len() >= peer_majority(&q.targets);
+        let done = match q.round {
+            Round::Write(_) => majority,
+            Round::Read { .. } => {
+                let live_in_sight = q.answers.iter().any(|(_, c)| c.is_some())
+                    || self.store.live(&q.key, now).is_some();
+                q.answers.len() >= q.targets.len() || (majority && live_in_sight)
+            }
+        };
+        if done {
+            if let Some(q) = self.quorums.remove(&token) {
+                self.finish(core, now, q, true);
+            }
+        }
+    }
+
+    /// Conclude a quorum round; `met` says whether a write reached its
+    /// majority (a read is served from whatever answered either way).
+    ///
+    /// * A write that met its quorum answers `created`; a renewal extends the
+    ///   local expiry only now that a majority holds the extended record.
+    /// * A write that did not rejects the claim with `existing: None`, which
+    ///   tells a quorum failure (retry later) from a real conflict. A *fresh*
+    ///   claim is withdrawn — from the local store (so the key is not
+    ///   half-claimed on this side of a partition) and from every target,
+    ///   which may have stored it and lost its ack. A failed *renewal* leaves
+    ///   the committed copies at their pre-renewal expiries.
+    /// * A read answers its origin with the freshest copy seen (local store
+    ///   included) and repairs every copy that turned out stale or missing —
+    ///   on this node by storing and re-replicating the freshest record, on
+    ///   polled replicas by pushing it to them directly.
+    fn finish(&mut self, core: &mut Core, now: SimTime, q: Quorum, met: bool) {
+        let key = q.key;
+        let w = match q.round {
+            Round::Write(w) => w,
+            Round::Read {
+                reply_to: (origin, token),
+            } => {
+                let own: Option<DhtRecord> = self.store.live(&key, now).cloned();
+                let answers = q.answers.iter().filter_map(|(_, copy)| copy.as_ref());
+                let best = own.iter().chain(answers).max_by_key(|c| c.freshness());
+                let best = best.cloned();
+                let value = best.as_ref().map(|c| c.value.clone());
+                let payload = RoutedPayload::DhtReply { token, value };
+                self.send(core, now, origin, DeliveryMode::Exact, payload);
+                let Some(best) = best else {
+                    return; // nothing live anywhere: nothing to repair with
+                };
+                // Repair decisions tolerate small expiry skew: a replica's
+                // expiry is reconstructed from its remaining TTL and so
+                // arrives inflated by the reply's transit time (plus
+                // rounding). Without slack every read of a perfectly healthy
+                // record would "repair" all its in-sync copies.
+                let materially_staler = |copy: &DhtRecord| {
+                    best.version > copy.version
+                        || best.value != copy.value
+                        || best.expires_at > copy.expires_at + READ_REPAIR_SLACK
+                };
+                let own_stale =
+                    own.is_none_or(|o| best.freshness() > o.freshness() && materially_staler(&o));
+                if own_stale {
+                    // Adopt the freshest copy locally and push it back out
+                    // through the normal replication path (replicas keep
+                    // their own copy when it is already as fresh).
+                    let ttl_ms = best.remaining_ttl_ms(now);
+                    let rec =
+                        DhtRecord::received(now, best.value.clone(), ttl_ms, best.version, false);
+                    self.store.insert(key, rec);
+                    core.stats.dht_read_repairs += 1;
+                    self.replicate_key(core, now, key);
+                    return;
+                }
+                // Our copy was the freshest: push it to every polled replica
+                // that answered with a materially stale or missing copy.
+                let push = replicate(key, &best, now);
+                for (peer, copy) in &q.answers {
+                    if copy.as_ref().is_none_or(&materially_staler) {
+                        core.stats.dht_read_repairs += 1;
+                        self.send(core, now, *peer, DeliveryMode::Exact, push.clone());
+                    }
+                }
+                return;
+            }
+        };
+        if met {
+            if let Some(t) = w.extends_to {
+                let rec = self.store.get_mut(&key).filter(|rec| rec.value == w.value);
+                if let Some(rec) = rec {
+                    rec.expires_at = rec.expires_at.max(t);
+                }
+            }
+        } else if w.extends_to.is_none() {
+            self.withdraw(&key, &w.value, w.version);
+            for peer in &q.targets {
                 let payload = RoutedPayload::DhtWithdraw {
-                    key: qc.key,
-                    value: qc.value.clone(),
-                    version: qc.version,
+                    key,
+                    value: w.value.clone(),
+                    version: w.version,
                 };
                 self.send(core, now, *peer, DeliveryMode::Exact, payload);
             }
         }
-        self.send_create_reply(core, now, qc.reply_to, false, None);
+        self.send_create_reply(core, now, w.reply_to, met, None);
     }
 
     /// Intercept a `DhtCreateReply` belonging to a lease renewal this node
@@ -1301,27 +1259,23 @@ impl Dht {
         // resurrect an abandoned claim as a publication.
         self.pending_creates
             .retain(|_, p| now.saturating_since(p.issued) < PENDING_CREATE_TIMEOUT);
-        // Quorum writes that never reached a majority: reject the claim.
-        let failed_writes: Vec<u64> = self
-            .quorum_creates
+        // Quorum rounds out of time: a write that never reached a majority
+        // rejects the claim, a read is served from the copies that arrived.
+        let late: Vec<u64> = self
+            .quorums
             .iter()
-            .filter(|(_, qc)| now.saturating_since(qc.issued) >= QUORUM_TIMEOUT)
+            .filter(|(_, q)| now.saturating_since(q.issued) >= QUORUM_TIMEOUT)
             .map(|(op, _)| *op)
             .collect();
-        for op in failed_writes {
-            core.stats.dht_quorum_write_timeouts += 1;
-            self.fail_quorum_create(core, now, op);
-        }
-        // Quorum reads missing answers: conclude from the copies that arrived.
-        let stalled_reads: Vec<u64> = self
-            .quorum_reads
-            .iter()
-            .filter(|(_, qr)| now.saturating_since(qr.issued) >= QUORUM_TIMEOUT)
-            .map(|(op, _)| *op)
-            .collect();
-        for op in stalled_reads {
-            core.stats.dht_quorum_read_timeouts += 1;
-            self.conclude_quorum_read(core, now, op);
+        for op in late {
+            let Some(q) = self.quorums.remove(&op) else {
+                continue;
+            };
+            match q.round {
+                Round::Write(_) => core.stats.dht_quorum_write_timeouts += 1,
+                Round::Read { .. } => core.stats.dht_quorum_read_timeouts += 1,
+            }
+            self.finish(core, now, q, false);
         }
         // Publisher refresh. Plain publications re-put (last-writer-wins);
         // claimed publications renew with a create so a conflicting record is
@@ -1356,8 +1310,8 @@ impl Dht {
         }
         // Anti-entropy: periodically exchange record digests so replica sets
         // converge even when no read or renewal touches a key.
-        if core.cfg.dht.sweep {
-            self.anti_entropy_tick(core, now);
+        if let Some(interval) = core.cfg.dht.sweep_interval {
+            self.anti_entropy_tick(core, now, interval);
         }
     }
 
@@ -1366,17 +1320,17 @@ impl Dht {
     /// Run the anti-entropy sweep when due. The first sweep is offset by a
     /// random fraction of the interval so a fleet started together does not
     /// digest in lockstep.
-    fn anti_entropy_tick(&mut self, core: &mut Core, now: SimTime) {
+    fn anti_entropy_tick(&mut self, core: &mut Core, now: SimTime, interval: Duration) {
         match self.next_sweep {
             None => {
-                let offset = core.cfg.dht.sweep_interval.mul_f64(core.rng.unit());
+                let offset = interval.mul_f64(core.rng.unit());
                 self.next_sweep = Some(now + offset);
                 return;
             }
             Some(t) if now < t => return,
             Some(_) => {}
         }
-        self.next_sweep = Some(now + core.cfg.dht.sweep_interval);
+        self.next_sweep = Some(now + interval);
         self.run_sweep(core, now);
     }
 

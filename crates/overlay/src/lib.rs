@@ -25,7 +25,7 @@
 //!   returning who to probe and who is dead.
 //! * [`dht`] — the replicated soft-state DHT used by IPOP's Brunet-ARP mapper
 //!   and the self-configuration services in `ipop-services`: the store
-//!   (per-record TTL and version, the narrow [`DhtStore`] trait) and the
+//!   (records with a TTL and a version, in address order) and the
 //!   protocol over it — publisher renewals, quorum writes and reads,
 //!   replication, read repair, anti-entropy, hand-off on leave.
 //! * [`pubsub`] — topic-based publish/subscribe: the subscriber set of a topic
@@ -51,7 +51,9 @@ pub mod transport;
 pub mod vstream;
 
 pub use address::{Address, Distance};
-pub use dht::{DhtConfig, DhtRecord, DhtStore, SoftStateStore, SyncAction, SyncDigestEntry};
+/// The store's name while it was a trait, kept for `benchmark/`'s import.
+pub use dht::SoftStateStore as DhtStore;
+pub use dht::{DhtConfig, DhtRecord, SoftStateStore, SyncAction, SyncDigestEntry};
 pub use node::{OverlayConfig, OverlayNode, OverlayStats};
 pub use packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,

@@ -22,7 +22,7 @@ use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::address::Address;
-use crate::dht::{Dht, DhtConfig, DhtStore};
+use crate::dht::{Dht, DhtConfig, SoftStateStore};
 use crate::monitor::{DeathRule, LinkMonitor};
 use crate::packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
@@ -126,7 +126,7 @@ impl OverlayConfig {
     /// Builder: disable the anti-entropy sweep — replica sets reconcile only
     /// opportunistically on reads and renewals (ablation switch).
     pub fn without_anti_entropy(mut self) -> Self {
-        self.dht.sweep = false;
+        self.dht.sweep_interval = None;
         self
     }
 }
@@ -354,7 +354,7 @@ impl OverlayNode {
     }
 
     /// Borrow the local DHT store (read-only; for diagnostics and tests).
-    pub fn dht_store(&self) -> &dyn DhtStore {
+    pub fn dht_store(&self) -> &SoftStateStore {
         self.dht.store()
     }
 

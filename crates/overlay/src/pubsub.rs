@@ -22,7 +22,7 @@ use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
 use crate::address::Address;
-use crate::dht::{version_for, wire_expiry, Dht, DhtStore};
+use crate::dht::{version_for, wire_expiry, Dht, Write};
 pub use crate::packets::{decode_subscriber_set, encode_subscriber_set};
 use crate::packets::{DeliveryMode, RoutedPayload};
 use crate::router::{Arrival, Core};
@@ -466,7 +466,14 @@ impl PubSub {
         // starve the quorum and the stale rewrite is withdrawn (from this
         // store and any replica that took it) rather than resurrected as a
         // ghost subscriber set. Nobody waits for a `DhtCreateReply`.
-        dht.commit(core, now, topic, value, ttl_ms, version, None, None);
+        let write = Write {
+            reply_to: None,
+            value,
+            ttl_ms,
+            version,
+            extends_to: None,
+        };
+        dht.commit(core, now, topic, write);
     }
 
     /// Send one relay-tree level: split `recipients` into at most

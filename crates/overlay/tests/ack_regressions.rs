@@ -292,3 +292,48 @@ fn a_second_claimant_of_the_pending_value_is_told_to_retry() {
     deliver(&mut node, peers[1], DeliveryMode::Exact, ack(op));
     assert_eq!(create_replies(&sent(&mut node)), vec![(peers[4], true)]);
 }
+
+/// Writes and reads share one token space and one table of pending rounds,
+/// so a token names a round of either kind. An ack carrying a pending read's
+/// token, or a replica value carrying a pending write's, is neither counted
+/// nor a bad ack — even from a genuine target — and both rounds then
+/// conclude on genuine answers, the same target's included.
+#[test]
+fn an_answer_of_the_other_kind_counts_for_neither_round() {
+    let (mut node, peers) = coordinator();
+    let write = start_quorum_write(&mut node, &peers);
+    let version = node.dht_store().get(&me()).expect("stored").version;
+    let get = RoutedPayload::DhtGet {
+        key: me(),
+        token: 5,
+    };
+    deliver(&mut node, peers[4], DeliveryMode::Closest, get);
+    let read = sent(&mut node)
+        .into_iter()
+        .find_map(|(_, p)| match p {
+            RoutedPayload::DhtGetReplica { token, .. } => Some(token),
+            _ => None,
+        })
+        .expect("the replicas are polled");
+    let value = |token: u64| RoutedPayload::DhtReplicaValue {
+        token,
+        copy: Some((Bytes::from(b"claim".to_vec()), version, 60_000)),
+    };
+    deliver(&mut node, peers[0], DeliveryMode::Exact, ack(read));
+    deliver(&mut node, peers[0], DeliveryMode::Exact, value(write));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, ack(read));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, value(write));
+    assert_eq!(sent(&mut node), vec![], "nothing concluded");
+    assert_eq!(node.stats().dht_bad_acks, 0);
+    deliver(&mut node, peers[0], DeliveryMode::Exact, ack(write));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, ack(write));
+    assert_eq!(create_replies(&sent(&mut node)), vec![(peers[4], true)]);
+    deliver(&mut node, peers[0], DeliveryMode::Exact, value(read));
+    deliver(&mut node, peers[1], DeliveryMode::Exact, value(read));
+    let reply = RoutedPayload::DhtReply {
+        token: 5,
+        value: Some(Bytes::from(b"claim".to_vec())),
+    };
+    assert_eq!(sent(&mut node), vec![(peers[4], reply)]);
+    assert_eq!(node.stats().dht_bad_acks, 0);
+}

@@ -426,8 +426,8 @@ proptest! {
 use std::collections::BTreeMap;
 
 use ipop_overlay::dht::{
-    apply_record_copy, sync_compare, sync_digest_entry, DhtRecord, DhtStore, SoftStateStore,
-    SyncAction, SyncDigestEntry, SYNC_TTL_BUCKET_MS,
+    apply_record_copy, sync_compare, sync_digest_entry, DhtRecord, SoftStateStore, SyncAction,
+    SyncDigestEntry, SYNC_TTL_BUCKET_MS,
 };
 use ipop_simcore::{Duration, SimTime};
 
