@@ -51,7 +51,8 @@ pub mod transport;
 pub mod vstream;
 
 pub use address::{Address, Distance};
-/// The store's name while it was a trait, kept for `benchmark/`'s import.
+/// A second name for the store, kept only because `benchmark/src/kernels.rs`
+/// imports it; ROADMAP item 9(xii) deletes both together.
 pub use dht::SoftStateStore as DhtStore;
 pub use dht::{DhtConfig, DhtRecord, SoftStateStore, SyncAction, SyncDigestEntry};
 pub use node::{OverlayConfig, OverlayNode, OverlayStats};
