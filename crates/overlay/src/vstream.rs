@@ -1023,6 +1023,8 @@ mod tests {
             /// `b` holds the stream / once closed it with every byte.
             b_live: bool,
             b_finished: bool,
+            /// `a` reported the stream failed.
+            a_failed: bool,
             phantoms: u64,
         }
 
@@ -1039,6 +1041,7 @@ mod tests {
                     max_got: 0,
                     b_live: false,
                     b_finished: false,
+                    a_failed: false,
                     phantoms: 0,
                 };
                 world.a.connect(SimTime::ZERO, addr(2), ID);
@@ -1089,8 +1092,12 @@ mod tests {
                     (self.b_live, self.b_finished) = (false, true);
                 }
                 for event in self.a.take_events() {
-                    if let StreamEvent::Closed { .. } = event {
-                        assert!(self.b_finished, "Closed before the peer had every byte");
+                    match event {
+                        StreamEvent::Closed { .. } => {
+                            assert!(self.b_finished, "Closed before the peer had every byte");
+                        }
+                        StreamEvent::Failed { .. } => self.a_failed = true,
+                        _ => {}
                     }
                 }
             }
@@ -1138,6 +1145,101 @@ mod tests {
                     }
                 }
             }
+
+            /// One step of the adversarial channel, chosen by `what`.
+            fn step(&mut self, [what, raw, forge]: [u64; 3]) {
+                let at = |w: &World| (raw % w.wire.len().max(1) as u64) as usize;
+                match what % 16 {
+                    0..=2 if !self.closed => {
+                        let len = 1 + raw % 6000;
+                        let start = self.sent.len() as u64;
+                        if start + len <= BUDGET {
+                            let chunk: Vec<u8> = (start..start + len).map(byte).collect();
+                            if self
+                                .a
+                                .send(self.now, addr(2), ID, Bytes::from(chunk.clone()))
+                            {
+                                self.sent.extend(chunk);
+                            }
+                            self.drain();
+                        }
+                    }
+                    7 => {
+                        let i = at(self);
+                        self.wire.remove(i);
+                    }
+                    8 => {
+                        if let Some(frame) = self.wire.get(at(self)).cloned() {
+                            self.deliver(frame);
+                        }
+                    }
+                    9 => {
+                        if let Some(frame) = self.wire.remove(at(self)) {
+                            self.deliver(frame);
+                        }
+                    }
+                    10 | 11 => {
+                        if let Some((to_b, mut frame)) = self.wire.remove(at(self)) {
+                            self.forge(&mut frame, forge);
+                            self.deliver((to_b, frame));
+                        }
+                    }
+                    // A FIN to a stream `b` holds (to one it does not, `b`'s
+                    // stateless answer would ack the forged seq).
+                    12 if self.b_live => {
+                        let seq = off_edge(self.got.len() as u64, forge);
+                        self.deliver((true, RoutedPayload::StreamFin { stream_id: ID, seq }));
+                    }
+                    13 | 14 => self.tick(Duration::from_millis(raw % 3000)),
+                    15 if !self.closed && raw % 4 == 0 => self.close(),
+                    _ => {
+                        if let Some(frame) = self.wire.pop_front() {
+                            self.deliver(frame);
+                        }
+                    }
+                }
+            }
+
+            fn tick(&mut self, by: Duration) {
+                self.now += by;
+                self.a.tick(self.now);
+                self.b.tick(self.now);
+                self.drain();
+            }
+
+            fn close(&mut self) {
+                self.closed = true;
+                self.a.close(self.now, addr(2), ID);
+                self.drain();
+            }
+
+            /// The channel turns honest: close, then deliver everything in
+            /// order and let `by` pass, for at most `rounds` rounds. Returns
+            /// whether `a` let go of the stream.
+            fn quiet(&mut self, rounds: usize, by: Duration) -> bool {
+                if !self.closed {
+                    self.close();
+                }
+                for _ in 0..rounds {
+                    while let Some(frame) = self.wire.pop_front() {
+                        self.deliver(frame);
+                    }
+                    if self.a.is_empty() {
+                        return true;
+                    }
+                    self.tick(by);
+                }
+                self.a.is_empty()
+            }
+        }
+
+        /// The adversarial phase: `steps` through the channel.
+        fn adversary(steps: Vec<[u64; 3]>) -> World {
+            let mut w = World::new();
+            for step in steps {
+                w.step(step);
+            }
+            w
         }
 
         proptest! {
@@ -1154,84 +1256,30 @@ mod tests {
             /// stream, a FIN at the edge).
             #[test]
             fn streams_match_the_reference_model(steps in vec(any::<[u64; 3]>(), 1..200)) {
-                let mut w = World::new();
-                for [what, raw, forge] in steps {
-                    let at = |w: &World| (raw % w.wire.len().max(1) as u64) as usize;
-                    match what % 16 {
-                        0..=2 if !w.closed => {
-                            let len = 1 + raw % 6000;
-                            let start = w.sent.len() as u64;
-                            if start + len <= BUDGET {
-                                let chunk: Vec<u8> = (start..start + len).map(byte).collect();
-                                if w.a.send(w.now, addr(2), ID, Bytes::from(chunk.clone())) {
-                                    w.sent.extend(chunk);
-                                }
-                                w.drain();
-                            }
-                        }
-                        7 => {
-                            let i = at(&w);
-                            w.wire.remove(i);
-                        }
-                        8 => {
-                            if let Some(frame) = w.wire.get(at(&w)).cloned() {
-                                w.deliver(frame);
-                            }
-                        }
-                        9 => {
-                            if let Some(frame) = w.wire.remove(at(&w)) {
-                                w.deliver(frame);
-                            }
-                        }
-                        10 | 11 => {
-                            if let Some((to_b, mut frame)) = w.wire.remove(at(&w)) {
-                                w.forge(&mut frame, forge);
-                                w.deliver((to_b, frame));
-                            }
-                        }
-                        // A FIN to a stream `b` holds (to one it does not,
-                        // `b`'s stateless answer would ack the forged seq).
-                        12 if w.b_live => {
-                            let seq = off_edge(w.got.len() as u64, forge);
-                            w.deliver((true, RoutedPayload::StreamFin { stream_id: ID, seq }));
-                        }
-                        13 | 14 => {
-                            w.now += Duration::from_millis(raw % 3000);
-                            w.a.tick(w.now);
-                            w.b.tick(w.now);
-                            w.drain();
-                        }
-                        15 if !w.closed && raw % 4 == 0 => {
-                            w.closed = true;
-                            w.a.close(w.now, addr(2), ID);
-                            w.drain();
-                        }
-                        _ => {
-                            if let Some(frame) = w.wire.pop_front() {
-                                w.deliver(frame);
-                            }
-                        }
-                    }
-                }
-                // The channel turns honest: close, then deliver everything in
-                // order and let the timers run out.
-                if !w.closed {
-                    w.closed = true;
-                    w.a.close(w.now, addr(2), ID);
-                    w.drain();
-                }
-                for _ in 0..200 {
-                    while let Some(frame) = w.wire.pop_front() {
-                        w.deliver(frame);
-                    }
-                    if w.a.is_empty() {
-                        break;
-                    }
-                    w.now += Duration::from_secs(1);
-                    w.a.tick(w.now);
-                    w.b.tick(w.now);
-                    w.drain();
-                }
+                adversary(steps).quiet(200, Duration::from_secs(1));
+            }
+
+            /// Liveness: once the adversary is quiet, the stream finishes
+            /// within one worst-case RTO per unacknowledged segment, plus
+            /// four (a SYN, a zero-window probe, the FIN and its ack): `b`
+            /// holds every byte `a` accepted, and `a` saw its FIN
+            /// acknowledged. A forged window of 0 must not wedge it. The one
+            /// other way out is the retransmit budget, and only when the
+            /// adversary had already spent it.
+            #[test]
+            fn quiet_streams_finish_like_the_reference_model(
+                steps in vec(any::<[u64; 3]>(), 1..200)
+            ) {
+                let mut w = adversary(steps);
+                let stream = w.a.streams.get(&(addr(2), ID));
+                let spent = stream.is_none_or(|s| s.retries >= MAX_RETRIES);
+                let rounds = 4 + stream.map_or(0, |s| s.retx.len());
+                prop_assert!(
+                    w.quiet(rounds, RTO_MAX),
+                    "wedged: {} of {} bytes delivered", w.got.len(), w.sent.len()
+                );
+                prop_assert!(!w.a_failed || spent, "failed on an honest channel");
+                prop_assert!(w.a_failed || w.b_finished || w.sent.is_empty(), "closed short");
             }
         }
     }
