@@ -18,7 +18,9 @@
 //! * **Flow control** — every DATA/ACK advertises the sender's receive
 //!   window; a sender keeps at most that many unacknowledged bytes in
 //!   flight. The advertised window shrinks by whatever sits in the reorder
-//!   buffer, so a lossy path cannot balloon receiver memory.
+//!   buffer, so a lossy path cannot balloon receiver memory. A zero window
+//!   is probed with one byte on the RTO (RFC 9293 §3.8.6.1), so a window
+//!   update that never arrives cannot wedge the stream.
 //! * **Determinism** — no wall clock, no randomness: state lives in
 //!   `BTreeMap`s, timers derive from [`SimTime`], and stream ids come from
 //!   the embedding node's token counter. Identical inputs replay identical
@@ -204,9 +206,13 @@ impl Stream {
         Duration::from_nanos(base.as_nanos() << self.retries.min(4)).min(RTO_MAX)
     }
 
-    /// Does any frame await an ACK (SYN, DATA or FIN)?
+    /// Does any frame await an ACK (SYN, DATA or FIN)? A zero window with
+    /// data queued counts too: nothing else would ever reopen it.
     fn outstanding(&self) -> bool {
-        self.state == State::SynSent || !self.retx.is_empty() || self.fin_unacked()
+        self.state == State::SynSent
+            || !self.retx.is_empty()
+            || self.fin_unacked()
+            || (self.peer_window == 0 && !self.send_buf.is_empty())
     }
 
     fn fin_unacked(&self) -> bool {
@@ -288,7 +294,7 @@ impl VStreams {
             return false;
         }
         s.send_buf.push_back(data);
-        self.push_data(now, key);
+        self.push_data(now, key, false);
         true
     }
 
@@ -423,7 +429,7 @@ impl VStreams {
             stream_id,
         });
         // Data queued while connecting flows now.
-        self.push_data(now, key);
+        self.push_data(now, key, false);
         self.maybe_send_fin(now, key);
     }
 
@@ -527,7 +533,7 @@ impl VStreams {
             return;
         }
         // The window opened (or moved): keep the pipe full.
-        self.push_data(now, key);
+        self.push_data(now, key, false);
         self.maybe_send_fin(now, key);
     }
 
@@ -604,6 +610,12 @@ impl VStreams {
             }
             s.retries += 1;
             s.timer_epoch = now;
+            if s.state != State::SynSent && s.retx.is_empty() && !s.fin_unacked() {
+                // outstanding() for a zero window alone: probe it with one
+                // new byte (RFC 9293 §3.8.6.1), retransmitted like any other.
+                self.push_data(now, key, true);
+                continue;
+            }
             self.stats.retransmits += 1;
             let (remote, stream_id) = key;
             let window = s.recv_window();
@@ -635,16 +647,18 @@ impl VStreams {
 
     // ------------------------------------------------------------ send path
 
-    /// Carve segments from the send buffer while the peer's window has room.
-    fn push_data(&mut self, now: SimTime, key: (Address, u64)) {
+    /// Carve segments from the send buffer while the peer's window has room;
+    /// a zero-window `probe` carves one byte whatever the window says.
+    fn push_data(&mut self, now: SimTime, key: (Address, u64), probe: bool) {
         let Some(s) = self.streams.get_mut(&key) else {
             return;
         };
         if s.state == State::SynSent {
             return; // queued until the SYN-ACK brings the peer's window
         }
-        while !s.send_buf.is_empty() && s.in_flight() < u64::from(s.peer_window) {
-            let room = (u64::from(s.peer_window) - s.in_flight()) as usize;
+        let window = u64::from(s.peer_window).max(u64::from(probe));
+        while !s.send_buf.is_empty() && s.in_flight() < window {
+            let room = (window - s.in_flight()) as usize;
             let chunk = s.send_buf.front().cloned().unwrap_or_default();
             let take = chunk.len().min(MAX_SEGMENT).min(room);
             let payload = chunk.slice(..take);
