@@ -67,7 +67,6 @@ pub use brunet_arp::{BrunetArp, Resolution};
 pub use builder::{deploy_ipop, deploy_plain, DeployOptions, IpopMember};
 pub use config::IpopConfig;
 pub use dataplane::IpopMetrics;
-pub use ipop_services::vstream::{StreamFate, VirtualStream};
 pub use node::IpopHostAgent;
 pub use plain::PlainHostAgent;
 

@@ -26,10 +26,10 @@ use std::net::Ipv4Addr;
 use ipop_netsim::{HostAgent, HostCtx};
 use ipop_netstack::{NetStack, StackConfig};
 use ipop_overlay::transport::Transport;
-use ipop_overlay::{Address, OverlayNode, OverlayStats};
+use ipop_overlay::{Address, OverlayNode, OverlayStats, StreamEvent};
 use ipop_packet::ipv4::Ipv4Packet;
+use ipop_packet::Bytes;
 use ipop_services::pubsub::{PubSub, TopicMessage};
-use ipop_services::vstream::{StreamFate, VirtualStream, VirtualStreams};
 use ipop_services::{Resolution, ReverseResolution};
 use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
 
@@ -50,10 +50,6 @@ pub struct IpopHostAgent {
     /// topics until the application drains them.
     pubsub: PubSub,
     topic_messages: Vec<TopicMessage>,
-    /// Virtual-stream client state, and the streams that reached a terminal
-    /// state until the application drains them.
-    vstreams: VirtualStreams,
-    stream_fates: Vec<(VirtualStream, StreamFate)>,
     next_overlay_tick: SimTime,
     wakeup: Wakeup,
     last_forwarded: u64,
@@ -91,8 +87,6 @@ impl IpopHostAgent {
             pubsub: PubSub::new(cfg.pubsub_ttl),
             dataplane: DataPlane::new(cfg, app, StreamRng::new(seed, "ipop.app")),
             topic_messages: Vec::new(),
-            vstreams: VirtualStreams::default(),
-            stream_fates: Vec::new(),
             next_overlay_tick: SimTime::ZERO,
             wakeup: Wakeup::default(),
             last_forwarded: 0,
@@ -256,18 +250,10 @@ impl IpopHostAgent {
     }
 
     /// Open a virtual stream — ordered, reliable bytes over routed overlay
-    /// frames — to the node whose overlay address is `remote`. The handle
-    /// arrives immediately; data queued on it flows once the handshake
-    /// completes. Remote opens surface via [`IpopHostAgent::stream_accept`],
-    /// data via [`IpopHostAgent::take_stream_data`], and lifecycle changes
-    /// via [`IpopHostAgent::take_stream_fates`].
-    pub fn stream_connect(&mut self, now: SimTime, remote: Address) -> VirtualStream {
-        self.vstreams.connect(&mut self.overlay, now, remote)
-    }
-
-    /// Claim the next stream a remote node opened to this one, if any.
-    pub fn stream_accept(&mut self) -> Option<VirtualStream> {
-        self.vstreams.accept()
+    /// frames — to the node whose overlay address is `remote`, and return
+    /// its id. Data queued on it flows once the handshake completes.
+    pub fn stream_connect(&mut self, now: SimTime, remote: Address) -> u64 {
+        self.overlay.stream_connect(now, remote)
     }
 
     /// Queue bytes on an open stream. Returns false when the stream is
@@ -275,26 +261,33 @@ impl IpopHostAgent {
     pub fn stream_send(
         &mut self,
         now: SimTime,
-        stream: VirtualStream,
-        data: impl Into<ipop_packet::Bytes>,
+        remote: Address,
+        stream_id: u64,
+        data: impl Into<Bytes>,
     ) -> bool {
-        self.vstreams.send(&mut self.overlay, now, stream, data)
-    }
-
-    /// Drain everything received on `stream` as one contiguous buffer.
-    pub fn take_stream_data(&mut self, stream: VirtualStream) -> Vec<u8> {
-        self.vstreams.recv_all(stream)
+        self.overlay.stream_send(now, remote, stream_id, data)
     }
 
     /// Close a stream; buffered data still delivers, then the FIN tears it
     /// down in both directions.
-    pub fn stream_close(&mut self, now: SimTime, stream: VirtualStream) {
-        self.vstreams.close(&mut self.overlay, now, stream);
+    pub fn stream_close(&mut self, now: SimTime, remote: Address, stream_id: u64) {
+        self.overlay.stream_close(now, remote, stream_id);
     }
 
-    /// Streams that reached a terminal state since the last call.
-    pub fn take_stream_fates(&mut self) -> Vec<(VirtualStream, StreamFate)> {
-        std::mem::take(&mut self.stream_fates)
+    /// Streams remote nodes opened to this one since the last call:
+    /// `(remote, stream id)`.
+    pub fn take_stream_accepted(&mut self) -> Vec<(Address, u64)> {
+        self.overlay.take_stream_accepted()
+    }
+
+    /// In-order stream data since the last call: `(remote, stream id, chunk)`.
+    pub fn take_stream_data(&mut self) -> Vec<(Address, u64, Bytes)> {
+        self.overlay.take_stream_data()
+    }
+
+    /// Stream lifecycle events since the last call.
+    pub fn take_stream_events(&mut self) -> Vec<StreamEvent> {
+        self.overlay.take_stream_events()
     }
 
     /// Gracefully leave the virtual network: release the dynamic lease and
@@ -356,14 +349,13 @@ impl IpopHostAgent {
         self.overlay.note_malformed(malformed);
 
         // Overlay output for the agent: deliveries → the router's receive
-        // queue; pub/sub messages and stream fates → the application.
+        // queue; pub/sub messages → the application. Stream output stays in
+        // the overlay until the application drains it.
         moved |= self.overlay.has_output();
         let cpu = &mut |work| ctx.consume_cpu(work);
         self.dataplane.receive(&mut self.overlay, now, charge, cpu);
         self.topic_messages
             .extend(self.pubsub.poll(&mut self.overlay));
-        self.stream_fates
-            .extend(self.vstreams.poll(&mut self.overlay));
 
         // Self-configuration, then the DHT replies it left to Brunet-ARP.
         let (changed, arp_replies) =

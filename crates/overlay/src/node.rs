@@ -430,14 +430,14 @@ impl OverlayNode {
         drain_all(&mut self.dht.lost_leases)
     }
 
-    /// True while one of the agent-facing `take_*` drains has something.
+    /// True while one of the agent-facing `take_*` drains has something. The
+    /// stream drains are not among them: they wait for the application.
     pub fn has_output(&self) -> bool {
         !(self.delivered.is_empty()
             && self.pubsub.inbox.is_empty()
             && self.dht.replies.is_empty()
             && self.dht.create_replies.is_empty()
-            && self.dht.lost_leases.is_empty()
-            && !self.vstreams.has_output())
+            && self.dht.lost_leases.is_empty())
     }
 
     // ---------------------------------------------------------------- app sends

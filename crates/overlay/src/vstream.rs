@@ -338,11 +338,6 @@ impl VStreams {
         drain_all(&mut self.events)
     }
 
-    /// True while one of the three drains above has something.
-    pub(crate) fn has_output(&self) -> bool {
-        !(self.accepted.is_empty() && self.recv.is_empty() && self.events.is_empty())
-    }
-
     // ---------------------------------------------------------------- intake
 
     /// Handle one delivered stream frame from `src`. Non-stream payloads are

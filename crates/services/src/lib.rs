@@ -18,9 +18,6 @@
 //!   applications can address peers symbolically before any IP is known.
 //! * [`pubsub`] — a topic pub/sub client translating topic names to overlay
 //!   keys and deliveries back to names.
-//! * [`vstream`] — a virtual-stream client handing out per-connection
-//!   [`vstream::VirtualStream`] handles over the overlay's reliable stream
-//!   engine.
 //!
 //! The services drive the overlay through narrow traits ([`DhtClient`],
 //! [`pubsub::PubSubClient`]) which [`ipop_overlay::OverlayNode`] implements;
@@ -34,12 +31,10 @@ pub mod dhcp;
 pub mod lookup;
 pub mod name;
 pub mod pubsub;
-pub mod vstream;
 
 pub use dhcp::{DhcpAllocator, DhcpState, Subnet};
 pub use name::{NameService, Resolution, ReverseResolution};
 pub use pubsub::{PubSub, PubSubClient, TopicMessage};
-pub use vstream::{StreamClient, StreamFate, VirtualStream, VirtualStreams};
 
 /// The DHT operations the self-configuration services need — a narrow façade
 /// over the overlay node so services can be unit-tested against a fake.

@@ -648,22 +648,22 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
 
     // Static members: the stream targets' overlay addresses are the SHA-1 of
     // their virtual IPs.
-    use ipop_overlay::Address;
+    use ipop_overlay::{Address, StreamEvent};
     let pairs = [(1usize, 9usize), (4usize, 12usize)];
     let now = sim.now();
     sim.net_mut()
         .agent_as_mut::<IpopHostAgent>(plab.nodes[2])
         .unwrap()
         .subscribe(now, "mixed");
-    let mut handles = Vec::new();
+    let mut opened = Vec::new();
     for &(src, dst) in &pairs {
         let now = sim.now();
         let agent = sim
             .net_mut()
             .agent_as_mut::<IpopHostAgent>(plab.nodes[src])
             .unwrap();
-        let stream = agent.stream_connect(now, Address::from_ip(vip_of(dst)));
-        handles.push(stream);
+        let remote = Address::from_ip(vip_of(dst));
+        opened.push((remote, agent.stream_connect(now, remote)));
     }
 
     // Three interleaved rounds: a chunk on each stream plus a publish.
@@ -675,7 +675,8 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
                 .net_mut()
                 .agent_as_mut::<IpopHostAgent>(plab.nodes[src])
                 .unwrap();
-            assert!(agent.stream_send(now, handles[k], chunk));
+            let (remote, id) = opened[k];
+            assert!(agent.stream_send(now, remote, id, chunk));
         }
         let now = sim.now();
         sim.net_mut()
@@ -686,40 +687,44 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
     }
     for (k, &(src, _)) in pairs.iter().enumerate() {
         let now = sim.now();
+        let (remote, id) = opened[k];
         sim.net_mut()
             .agent_as_mut::<IpopHostAgent>(plab.nodes[src])
             .unwrap()
-            .stream_close(now, handles[k]);
+            .stream_close(now, remote, id);
     }
     sim.run_for(Duration::from_secs(15));
 
     // Harvest: received bytes and fates at the receivers, fates at the
-    // senders, counters everywhere.
+    // senders, counters everywhere. The receivers' data waited undrained in
+    // the overlay since the first round.
     let mut received = Vec::new();
     let mut fates = Vec::new();
-    for &(src, dst) in &pairs {
+    // A terminal event is a fate: true for a clean close.
+    let fate = |event: StreamEvent| match event {
+        StreamEvent::Established { .. } => None,
+        StreamEvent::Closed { .. } | StreamEvent::RemoteClosed { .. } => Some(true),
+        StreamEvent::Failed { .. } => Some(false),
+    };
+    for (&(src, dst), &(_, id)) in pairs.iter().zip(&opened) {
+        let from = Address::from_ip(vip_of(src));
         let receiver = sim
             .net_mut()
             .agent_as_mut::<IpopHostAgent>(plab.nodes[dst])
             .unwrap();
-        let accepted = receiver.stream_accept().expect("stream accepted");
-        received.push(receiver.take_stream_data(accepted));
-        fates.extend(
-            receiver
-                .take_stream_fates()
-                .into_iter()
-                .map(|(_, fate)| fate == ipop::StreamFate::Closed),
-        );
+        assert_eq!(receiver.take_stream_accepted(), vec![(from, id)]);
+        let mut bytes = Vec::new();
+        for (remote, stream_id, chunk) in receiver.take_stream_data() {
+            assert_eq!((remote, stream_id), (from, id));
+            bytes.extend_from_slice(&chunk);
+        }
+        received.push(bytes);
+        fates.extend(receiver.take_stream_events().into_iter().filter_map(fate));
         let sender = sim
             .net_mut()
             .agent_as_mut::<IpopHostAgent>(plab.nodes[src])
             .unwrap();
-        fates.extend(
-            sender
-                .take_stream_fates()
-                .into_iter()
-                .map(|(_, fate)| fate == ipop::StreamFate::Closed),
-        );
+        fates.extend(sender.take_stream_events().into_iter().filter_map(fate));
     }
     let mut streams = Vec::with_capacity(N);
     let mut pubsub = Vec::with_capacity(N);
