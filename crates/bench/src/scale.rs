@@ -405,7 +405,7 @@ pub struct WarmRing {
     pub net: ScaleNet,
     /// Global node id → overlay address, in ascending ring order.
     pub addrs: Arc<Vec<Address>>,
-    /// One warm-started node per id: near edges to `OverlayConfig::near_per_side`
+    /// One warm-started node per id: near edges to `ipop_overlay::NEAR_PER_SIDE`
     /// ring neighbours each side, `seeded_shortcuts` harmonically-drawn Far edges.
     pub nodes: Vec<OverlayNode>,
     /// The event-slice width the substrate was built with.
@@ -413,7 +413,7 @@ pub struct WarmRing {
 }
 
 /// Build the substrate and warm-start the ring: near edges to the nodes'
-/// `OverlayConfig::near_per_side` ring neighbours on each side, plus
+/// `ipop_overlay::NEAR_PER_SIDE` ring neighbours on each side, plus
 /// `seeded_shortcuts` harmonically-drawn Far edges (both directions, like a
 /// completed handshake). The remaining shortcut budget is left for live
 /// maintenance to fill.
@@ -443,7 +443,7 @@ pub fn build_warm_ring(cfg: &ScaleConfig) -> WarmRing {
 
     let t0 = SimTime::ZERO;
     for (i, node) in nodes.iter_mut().enumerate() {
-        for d in 1..=node.config().near_per_side.min(n / 2) {
+        for d in 1..=ipop_overlay::NEAR_PER_SIDE.min(n / 2) {
             for j in [(i + d) % n, (i + n - d) % n] {
                 if j != i {
                     node.seed_connection(

@@ -206,7 +206,7 @@ pub struct FairnessConfig {
 }
 
 /// Ring distance between each pair. Kept within the warm ring's near set
-/// (`OverlayConfig::near_per_side`), so every pair has a direct edge and even a trimmed edge
+/// (`ipop_overlay::NEAR_PER_SIDE`), so every pair has a direct edge and even a trimmed edge
 /// falls back to the ±1 ring invariant: paths are 1–2 hops by construction,
 /// and the fairness ratio measures the engine rather than topology luck.
 const STRIDE: u32 = 2;

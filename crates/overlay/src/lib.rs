@@ -55,7 +55,7 @@ pub use address::{Address, Distance};
 /// imports it; ROADMAP item 9(xii) deletes both together.
 pub use dht::SoftStateStore as DhtStore;
 pub use dht::{DhtConfig, DhtRecord, SoftStateStore, SyncAction, SyncDigestEntry};
-pub use node::{OverlayConfig, OverlayNode, OverlayStats};
+pub use node::{OverlayConfig, OverlayNode, OverlayStats, NEAR_PER_SIDE};
 pub use packets::{
     ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPacket, RoutedPayload,
 };

@@ -40,6 +40,9 @@ const DEFAULT_TTL: Duration = Duration::from_secs(120);
 /// when [`OverlayConfig::phi_accrual`] is off).
 const PROBE_FAILURE_LIMIT: u32 = 3;
 
+/// Structured-near connections a node keeps on each side of the ring.
+pub const NEAR_PER_SIDE: usize = 2;
+
 /// Configuration of an overlay node.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OverlayConfig {
@@ -49,8 +52,6 @@ pub struct OverlayConfig {
     pub local_endpoint: Endpoint,
     /// Physical endpoints of bootstrap nodes already in the overlay.
     pub bootstrap: Vec<Endpoint>,
-    /// Desired number of structured-near connections per ring side.
-    pub near_per_side: usize,
     /// Maximum number of Kleinberg shortcut connections (0 turns shortcuts
     /// off: the ablation switch).
     pub max_shortcuts: usize,
@@ -101,7 +102,6 @@ impl OverlayConfig {
             address,
             local_endpoint,
             bootstrap: Vec::new(),
-            near_per_side: 2,
             max_shortcuts: 4,
             maintenance_interval: Duration::from_millis(500),
             connection_timeout: Duration::from_secs(45),
@@ -772,20 +772,19 @@ mod tests {
     use std::collections::BTreeMap as Map;
     use std::net::Ipv4Addr;
 
-    /// The three knobs that make no sense at zero are raised to one wherever
+    /// The two knobs that make no sense at zero are raised to one wherever
     /// the configuration came from — fields are `pub`, so a builder's clamp
     /// would be bypassed by plain assignment.
     #[test]
     fn knobs_assigned_zero_run_with_one() {
         let cfg = OverlayConfig {
-            near_per_side: 0,
             packet_ttl: 0,
             pubsub_fanout: 0,
             ..OverlayConfig::new(Address::ZERO, ep(0))
         };
         let node = OverlayNode::new(cfg, StreamRng::new(1, "clamp"));
         let c = node.config();
-        assert_eq!((c.near_per_side, c.packet_ttl, c.pubsub_fanout), (1, 1, 1));
+        assert_eq!((c.packet_ttl, c.pubsub_fanout), (1, 1));
     }
 
     /// A tiny in-memory "physical network": endpoints map straight to nodes, every

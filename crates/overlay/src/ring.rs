@@ -324,7 +324,7 @@ impl Ring {
         let from = core.cfg.address;
         // The near view is taken here, not handed down from the top of the
         // tick: keep-alive expiry and dead-edge detection drop edges in between.
-        let near = || core.table.near_view(&from, core.cfg.near_per_side);
+        let near = || core.table.near_view(&from, crate::NEAR_PER_SIDE);
         let view = || near().map(|c| (c.peer, c.endpoint));
         self.quiet_rounds += 1;
         if self.quiet_rounds >= GOSSIP_REFRESH || !view().eq(self.told_view.iter().copied()) {
@@ -393,7 +393,7 @@ impl Ring {
         // (a) Routed request addressed to our own address in Closest mode: the node
         //     nearest to us on the ring answers, giving us at least one true
         //     neighbour; repeated requests plus gossip converge the near set.
-        if core.table.count_kind(ConnectionKind::Near) < 2 * core.cfg.near_per_side
+        if core.table.count_kind(ConnectionKind::Near) < 2 * crate::NEAR_PER_SIDE
             && core.is_connected()
         {
             let request = self.connect_request(core, now, ConnectionKind::Near);
@@ -407,7 +407,7 @@ impl Ring {
             }
         }
         // (b) Link towards gossip candidates that would improve the neighbour set.
-        let (me, per_side) = (core.cfg.address, core.cfg.near_per_side);
+        let (me, per_side) = (core.cfg.address, crate::NEAR_PER_SIDE);
         for (addr, ep) in near_hello_targets(&core.table, &self.candidates, &me, per_side) {
             self.send_hello(core, now, ep, ConnectionKind::Near);
             // Consume the candidate: if the hello lands, the edge appears in
@@ -500,13 +500,13 @@ impl Ring {
 }
 
 /// Demote established `Near` edges that are not among the
-/// `near_per_side` nearest established peers on either side: they are far
+/// [`crate::NEAR_PER_SIDE`] nearest established peers on either side: they are far
 /// links in fact, and belong to the shortcut budget. Adjacency is decided
 /// purely from local state, so the classification is stable — unlike the
 /// old behaviour of trusting whatever kind the last handshake carried.
 fn reclassify_near_edges(core: &mut Core) {
     let me = core.cfg.address;
-    let near_view = || core.table.near_view(&me, core.cfg.near_per_side);
+    let near_view = || core.table.near_view(&me, crate::NEAR_PER_SIDE);
     let near_in_view = near_view()
         .filter(|c| c.kind == ConnectionKind::Near)
         .count();
@@ -757,7 +757,7 @@ mod tests {
         }
 
         /// Does every live member's near view equal the reference — the
-        /// `near_per_side` nearest live addresses on each side, found by
+        /// `NEAR_PER_SIDE` nearest live addresses on each side, found by
         /// sorting — with no more `Near` edges than that view has room for?
         fn converged(&self) -> bool {
             let live: Vec<Address> = (0..self.members.len())
@@ -771,7 +771,7 @@ mod tests {
                 .zip(&self.silenced)
                 .filter(|(_, silenced)| !**silenced)
                 .all(|(m, _)| {
-                    let (me, per_side) = (m.core.cfg.address, m.core.cfg.near_per_side);
+                    let (me, per_side) = (m.core.cfg.address, crate::NEAR_PER_SIDE);
                     let at = live.binary_search(&me).expect("a live member");
                     let others = live.len() - 1;
                     let reference: BTreeSet<Address> = (1..=per_side.min(others))
@@ -1221,7 +1221,7 @@ mod tests {
     /// Build a table (mixing kinds and states, with re-upserts and removals)
     /// and a candidate map of up to 80 draws from `addr_of`, then require the
     /// range-probe selection to return the reference's list — content and
-    /// order — for every `near_per_side` in use.
+    /// order — for every count of near edges per side in use.
     fn assert_selection_matches_reference(
         me: Address,
         edges: &[u16],

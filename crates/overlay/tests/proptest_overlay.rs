@@ -615,7 +615,7 @@ fn idx_of(ep: &(Ipv4Addr, u16)) -> usize {
     o[2] as usize * 200 + o[3] as usize - 1
 }
 
-/// A ring of `n` real nodes at the given addresses with `near_per_side = 2`
+/// A ring of `n` real nodes at the given addresses with `NEAR_PER_SIDE` (2)
 /// near edges seeded both ways.
 fn converged_ring(addrs: &[Address]) -> Vec<OverlayNode> {
     let n = addrs.len();
