@@ -528,10 +528,10 @@ pub(crate) struct Dht {
     /// draws a random initial offset (so a fleet started together does not
     /// sweep in lockstep).
     next_sweep: Option<SimTime>,
-    /// Established-peer snapshot of the last re-replication scan; the scan
-    /// only reruns when this set changes (new records and refresh puts
-    /// replicate immediately on the store path instead).
-    last_replica_peers: Vec<Address>,
+    /// The table's change counter at the last re-replication check, and the
+    /// established peers at the last scan, which reruns only when they change
+    /// (new records and refresh puts replicate on the store path instead).
+    last_replica_peers: (u64, Vec<Address>),
 }
 
 impl Dht {
@@ -1298,12 +1298,12 @@ impl Dht {
         // only when the established-peer set actually changed. Ownership and
         // replica targets are pure functions of that set, and fresh stores /
         // refresh puts already replicate on the delivery path.
-        if !core
-            .table
-            .established_addrs()
-            .eq(self.last_replica_peers.iter())
+        let (checked, peers) = &mut self.last_replica_peers;
+        let version = core.table.version();
+        if std::mem::replace(checked, version) != version
+            && !core.table.established_addrs().eq(peers.iter())
         {
-            self.last_replica_peers = core.table.peers();
+            *peers = core.table.peers();
             for key in self.store.keys() {
                 self.replicate_key(core, now, key);
             }

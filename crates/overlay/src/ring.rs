@@ -17,7 +17,7 @@ use ipop_simcore::{Duration, SimTime, StreamRng};
 use crate::address::{Address, Distance};
 use crate::packets::{ConnectionKind, DeliveryMode, Endpoint, LinkMessage, RoutedPayload};
 use crate::router::Core;
-use crate::table::{Candidates, Connection, ConnectionTable};
+use crate::table::{near_hello_targets, Candidates, Connection};
 
 /// Neighbour candidates kept from one tick to the next. A wiped map is
 /// refilled by whatever the peers gossip next: their news at once, their
@@ -37,6 +37,9 @@ const PING_INTERVAL: Duration = Duration::from_secs(10);
 /// what re-merges the sub-rings after the partition heals (the hellos
 /// are simply lost while it lasts).
 const BOOTSTRAP_RETRY_INTERVAL: Duration = Duration::from_secs(30);
+
+/// A stage's stamp before it first ran: no change counter reads this.
+const NEVER: u64 = u64::MAX;
 
 struct PendingLink {
     kind: ConnectionKind,
@@ -63,12 +66,26 @@ pub(crate) struct Ring {
     told_view: Vec<(Address, Endpoint)>,
     told: Vec<Address>,
     quiet_rounds: u32,
+    /// The change counters a maintenance stage last ran at, where what it
+    /// computes is a pure function of them: (table, candidates) at the last
+    /// candidate scan that found no target, (table, candidate removals) at
+    /// the last keep-alive merge, the table's after the last
+    /// reclassification and at the last gossip round. While they stand, the
+    /// stage would find nothing to do, and a quiet tick skips it.
+    quiet_scan: [u64; 2],
+    merged: [u64; 2],
+    classified: u64,
+    gossiped: u64,
 }
 
 impl Ring {
     pub(crate) fn new(local_endpoint: Endpoint) -> Self {
         Ring {
             advertised: vec![local_endpoint],
+            quiet_scan: [NEVER; 2],
+            merged: [NEVER; 2],
+            classified: NEVER,
+            gossiped: NEVER,
             ..Ring::default()
         }
     }
@@ -292,8 +309,12 @@ impl Ring {
         //     early hubs accumulate dozens of symmetric "Near" edges to
         //     distant peers. Those edges are, in truth, far links — counting
         //     them against the shortcut budget (instead of leaving the near
-        //     count inflated forever) is what lets the far budget fill.
-        reclassify_near_edges(core);
+        //     count inflated forever) is what lets the far budget fill. A
+        //     table it already classified needs nothing.
+        if self.classified != core.table.version() {
+            reclassify_near_edges(core);
+            self.classified = core.table.version();
+        }
         // 3. Shortcuts.
         if core.table.count_kind(ConnectionKind::Far) < core.cfg.max_shortcuts
             && core.table.len() >= 2
@@ -327,6 +348,12 @@ impl Ring {
         let near = || core.table.near_view(&from, crate::NEAR_PER_SIDE);
         let view = || near().map(|c| (c.peer, c.endpoint));
         self.quiet_rounds += 1;
+        // The last round left every peer told the view of a table that has
+        // not changed since: it would find nobody to tell.
+        if self.gossiped == core.table.version() && self.quiet_rounds < GOSSIP_REFRESH {
+            return;
+        }
+        self.gossiped = core.table.version();
         if self.quiet_rounds >= GOSSIP_REFRESH || !view().eq(self.told_view.iter().copied()) {
             self.told_view = view().collect();
             self.told.clear();
@@ -406,9 +433,19 @@ impl Ring {
                 core.push_out(ep, LinkMessage::Routed(pkt));
             }
         }
-        // (b) Link towards gossip candidates that would improve the neighbour set.
+        // (b) Link towards gossip candidates that would improve the neighbour
+        //     set — unless neither the table nor the candidates changed since
+        //     the scan last found none.
+        let scanned = [core.table.version(), self.candidates.version()];
+        if self.quiet_scan == scanned {
+            return;
+        }
         let (me, per_side) = (core.cfg.address, crate::NEAR_PER_SIDE);
-        for (addr, ep) in near_hello_targets(&core.table, &self.candidates, &me, per_side) {
+        let targets = near_hello_targets(&core.table, &self.candidates, &me, per_side);
+        if targets.is_empty() {
+            self.quiet_scan = scanned;
+        }
+        for (addr, ep) in targets {
             self.send_hello(core, now, ep, ConnectionKind::Near);
             // Consume the candidate: if the hello lands, the edge appears in
             // the table; if the peer is gone, gossip will not resurrect it
@@ -472,9 +509,13 @@ impl Ring {
         }
         // Record every established peer (one about to be dropped included) as
         // a candidate we can gossip to others — seen by the next tick's
-        // candidate scan, which has already run in this one.
-        let edges = core.table.established().map(|c| (c.peer, c.endpoint));
-        self.candidates.learn_all(&me, edges);
+        // candidate scan, which has already run in this one. Until an edge
+        // changes or a candidate goes or moves, they are all still there.
+        if self.merged != [core.table.version(), self.candidates.removals()] {
+            let edges = core.table.established().map(|c| (c.peer, c.endpoint));
+            self.candidates.learn_all(&me, edges);
+            self.merged = [core.table.version(), self.candidates.removals()];
+        }
         for peer in to_drop {
             core.table.remove(&peer);
         }
@@ -557,56 +598,6 @@ fn draw_shortcut_distance(rng: &mut StreamRng, floor_bits: f64) -> Distance {
     Distance(out)
 }
 
-/// The gossip candidates ring repair says hello to this tick: right-side
-/// picks first, then left-side picks not already picked.
-///
-/// Peers already linked as Near are settled; an existing Far or Leaf edge
-/// stays eligible — when a true ring neighbour first joined us via a shortcut
-/// or bootstrap handshake, re-helloing it as Near promotes the edge on both
-/// ends (freeing the shortcut budget slot it may have been occupying).
-///
-/// Of the eligible candidates only the nearest `per_side` on each side are
-/// considered, and of those only the ones that improve that side of the near
-/// set. While the near set is underfull every candidate "improves", and
-/// helloing the whole gossip backlog at once permanently meshed small rings
-/// (and at scale would flood a joining node); the nearest candidates are the
-/// only ones that can end up in the converged near set anyway. `candidates`
-/// is sorted by address, i.e. already in ring order, so "nearest" is a walk
-/// from `me` in each direction — one binary search per side, no sort.
-fn near_hello_targets(
-    table: &ConnectionTable,
-    candidates: &Candidates,
-    me: &Address,
-    per_side: usize,
-) -> Vec<(Address, Endpoint)> {
-    /// How many established neighbours a side has, and its farthest one.
-    fn side<'a>(nearest: impl Iterator<Item = &'a Connection>) -> (usize, Option<Address>) {
-        nearest.fold((0, None), |(n, _), c| (n + 1, Some(c.peer)))
-    }
-    let (right_len, right_last) = side(table.right_of(me).take(per_side));
-    let (left_len, left_last) = side(table.left_of(me).take(per_side));
-    let worst_right = right_last.map(|a| me.clockwise_distance(&a));
-    let worst_left = left_last.map(|a| a.clockwise_distance(me));
-    let eligible =
-        |(a, _): &&(Address, Endpoint)| table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near);
-    let mut picked: Vec<(Address, Endpoint)> = Vec::new();
-    let clockwise = candidates.clockwise_from(me);
-    for &(addr, ep) in clockwise.filter(eligible).take(per_side) {
-        if right_len < per_side || worst_right.is_some_and(|w| me.clockwise_distance(&addr) < w) {
-            picked.push((addr, ep));
-        }
-    }
-    let counter_clockwise = candidates.counter_clockwise_from(me);
-    for &(addr, ep) in counter_clockwise.filter(eligible).take(per_side) {
-        let improves =
-            left_len < per_side || worst_left.is_some_and(|w| addr.clockwise_distance(me) < w);
-        if improves && !picked.contains(&(addr, ep)) {
-            picked.push((addr, ep));
-        }
-    }
-    picked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,7 +615,7 @@ mod tests {
     use crate::node::OverlayConfig;
     use crate::packets::RoutedPacket;
     use crate::router::Arrival;
-    use crate::table::ConnectionState;
+    use crate::table::{ConnectionState, ConnectionTable};
     use std::collections::{BTreeMap, BTreeSet};
 
     /// The maintenance interval the fabric ticks at.

@@ -61,6 +61,8 @@ pub struct ConnectionTable {
     /// Edges per [`ConnectionKind`] (indexed by `kind as usize`), maintained
     /// by `upsert`/`remove`; kind never changes in place.
     kind_counts: [usize; 3],
+    /// See [`ConnectionTable::version`].
+    version: u64,
 }
 
 impl ConnectionTable {
@@ -79,6 +81,15 @@ impl ConnectionTable {
         self.edges.is_empty()
     }
 
+    /// A change counter: bumped by every upsert, by a removal that removes
+    /// something and by an endpoint change, so that a maintenance stage that
+    /// reads only peers, kinds and endpoints may skip its work while the
+    /// counter stands where it last found nothing to do. Liveness times do
+    /// not move it.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Where `peer` is, or would be inserted.
     fn find(&self, peer: &Address) -> Result<usize, usize> {
         self.edges.binary_search_by(|c| c.peer.cmp(peer))
@@ -91,6 +102,7 @@ impl ConnectionTable {
             self.remove(&conn.peer);
             return;
         }
+        self.version += 1;
         self.kind_counts[conn.kind as usize] += 1;
         match self.find(&conn.peer) {
             Ok(i) => {
@@ -105,6 +117,7 @@ impl ConnectionTable {
     pub fn remove(&mut self, peer: &Address) -> Option<Connection> {
         let old = self.edges.remove(self.find(peer).ok()?);
         self.kind_counts[old.kind as usize] -= 1;
+        self.version += 1;
         Some(old)
     }
 
@@ -123,9 +136,13 @@ impl ConnectionTable {
     /// Liveness bookkeeping: `peer` was heard from `endpoint` at `now`. No-op
     /// without an edge to `peer`.
     pub fn note_heard(&mut self, peer: &Address, now: SimTime, endpoint: Endpoint) {
-        if let Some(conn) = self.get_mut(peer) {
+        if let Ok(i) = self.find(peer) {
+            let conn = &mut self.edges[i];
             conn.last_heard = now;
-            conn.endpoint = endpoint;
+            if conn.endpoint != endpoint {
+                conn.endpoint = endpoint;
+                self.version += 1;
+            }
         }
     }
 
@@ -225,20 +242,30 @@ impl ConnectionTable {
         &'a self,
         me: &Address,
     ) -> impl Iterator<Item = &'a Connection> + Clone + 'a {
-        let (below, above) = self.split_at(me);
-        above.iter().chain(below)
+        self.sides(me).0
     }
 
     /// Every peer in the counter-clockwise (left) direction from `me`,
     /// closest first: `me` itself if it is a peer, then descending addresses
     /// from `me`, wrapping.
     pub fn left_of<'a>(&'a self, me: &Address) -> impl Iterator<Item = &'a Connection> + 'a {
+        self.sides(me).1
+    }
+
+    /// [`ConnectionTable::right_of`] and [`ConnectionTable::left_of`] `me`,
+    /// from one binary search.
+    fn sides<'a>(
+        &'a self,
+        me: &Address,
+    ) -> (
+        impl Iterator<Item = &'a Connection> + Clone + 'a,
+        impl Iterator<Item = &'a Connection> + Clone + 'a,
+    ) {
         let (below, above) = self.split_at(me);
         let at_me = above.first().is_some_and(|c| c.peer == *me);
-        let (at, above) = above.split_at(usize::from(at_me));
-        at.iter()
-            .chain(below.iter().rev())
-            .chain(above.iter().rev())
+        let (at, rest) = above.split_at(usize::from(at_me));
+        let left = at.iter().chain(below.iter().rev()).chain(rest.iter().rev());
+        (above.iter().chain(below), left)
     }
 
     /// The near view of `me`: its `count` nearest peers on the right, then
@@ -249,8 +276,8 @@ impl ConnectionTable {
         me: &'a Address,
         count: usize,
     ) -> impl Iterator<Item = &'a Connection> + 'a {
-        let right = self.right_of(me).take(count);
-        let left = self.left_of(me).take(count);
+        let (right, left) = self.sides(me);
+        let (right, left) = (right.take(count), left.take(count));
         right
             .clone()
             .chain(left.filter(move |c| right.clone().all(|r| r.peer != c.peer)))
@@ -278,6 +305,12 @@ impl ConnectionTable {
 #[derive(Default)]
 pub(crate) struct Candidates {
     entries: Vec<Candidate>,
+    /// Bumped by every change.
+    version: u64,
+    /// Bumped by removals, clears and endpoint overwrites: the changes after
+    /// which an entry the set held may be gone or different. Between two
+    /// bumps the set only grows.
+    removals: u64,
 }
 
 /// A neighbour candidate: its address and the endpoint it was heard at.
@@ -290,6 +323,22 @@ impl Candidates {
 
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.bump_removals();
+    }
+
+    /// See [`ConnectionTable::version`]: here any change moves it.
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// The counter only removals, clears and endpoint overwrites move.
+    pub(crate) fn removals(&self) -> u64 {
+        self.removals
+    }
+
+    fn bump_removals(&mut self) {
+        self.version += 1;
+        self.removals += 1;
     }
 
     /// Where `addr` is, or would be inserted.
@@ -301,15 +350,23 @@ impl Candidates {
     /// takes the new endpoint.
     pub(crate) fn learn(&mut self, me: &Address, addr: Address, endpoint: Endpoint) {
         match self.find(&addr) {
-            Ok(i) => self.entries[i].1 = endpoint,
+            Ok(i) if self.entries[i].1 != endpoint => {
+                self.entries[i].1 = endpoint;
+                self.bump_removals();
+            }
+            Ok(_) => {}
             Err(_) if addr == *me => {}
-            Err(i) => self.entries.insert(i, (addr, endpoint)),
+            Err(i) => {
+                self.entries.insert(i, (addr, endpoint));
+                self.version += 1;
+            }
         }
     }
 
     pub(crate) fn remove(&mut self, addr: &Address) {
         if let Ok(i) = self.find(addr) {
             self.entries.remove(i);
+            self.bump_removals();
         }
     }
 
@@ -342,19 +399,26 @@ impl Candidates {
             .all(|(x, y)| x.0 < y.0));
         // Forward: known addresses take their new endpoints, new ones are
         // counted.
-        let (mut at, mut fresh) = (0, 0);
+        let (mut at, mut fresh, mut overwrote) = (0, 0, false);
         for (addr, endpoint) in batch.clone() {
             while self.entries.get(at).is_some_and(|(a, _)| *a < addr) {
                 at += 1;
             }
             match self.entries.get_mut(at) {
-                Some((a, e)) if *a == addr => *e = endpoint,
+                Some((a, e)) if *a == addr => {
+                    overwrote |= *e != endpoint;
+                    *e = endpoint;
+                }
                 _ => fresh += usize::from(addr != *me),
             }
+        }
+        if overwrote {
+            self.bump_removals();
         }
         if fresh == 0 {
             return;
         }
+        self.version += 1;
         // Backward: slide the old entries up to make room, dropping each new
         // one into its gap.
         let mut read = self.entries.len();
@@ -380,18 +444,74 @@ impl Candidates {
             .split_at(self.entries.partition_point(|(a, _)| a < at))
     }
 
-    /// Every candidate clockwise from `me`: ascending from `me`, wrapping.
-    pub(crate) fn clockwise_from(&self, me: &Address) -> impl Iterator<Item = &Candidate> {
-        let (below, above) = self.split_at(me);
-        above.iter().chain(below)
+    /// Every candidate clockwise from `at` (ascending from `at`, wrapping)
+    /// and every one counter-clockwise from it (descending from just below
+    /// `at`, wrapping), from one binary search.
+    pub(crate) fn sides(
+        &self,
+        at: &Address,
+    ) -> (
+        impl Iterator<Item = &Candidate>,
+        impl Iterator<Item = &Candidate>,
+    ) {
+        let (below, above) = self.split_at(at);
+        let counter_clockwise = below.iter().rev().chain(above.iter().rev());
+        (above.iter().chain(below), counter_clockwise)
     }
+}
 
-    /// Every candidate counter-clockwise from `me`: descending from just
-    /// below `me`, wrapping.
-    pub(crate) fn counter_clockwise_from(&self, me: &Address) -> impl Iterator<Item = &Candidate> {
-        let (below, above) = self.split_at(me);
-        below.iter().rev().chain(above.iter().rev())
+/// The gossip candidates ring repair says hello to this tick: right-side
+/// picks first, then left-side picks not already picked.
+///
+/// Peers already linked as Near are settled; an existing Far or Leaf edge
+/// stays eligible — when a true ring neighbour first joined us via a shortcut
+/// or bootstrap handshake, re-helloing it as Near promotes the edge on both
+/// ends (freeing the shortcut budget slot it may have been occupying).
+///
+/// Of the eligible candidates only the nearest `per_side` on each side are
+/// considered, and of those only the ones that improve that side of the near
+/// set. While the near set is underfull every candidate "improves", and
+/// helloing the whole gossip backlog at once permanently meshed small rings
+/// (and at scale would flood a joining node); the nearest candidates are the
+/// only ones that can end up in the converged near set anyway. `candidates`
+/// is sorted by address, i.e. already in ring order, so "nearest" is a walk
+/// from `me` in each direction — one binary search per structure, no sort.
+/// Distance grows along each walk (`me` is never a candidate), so the walk
+/// stops at the first candidate that cannot improve a full side: the
+/// eligible ones inside that arc, first `per_side`, are the same as the
+/// improvers among the first `per_side` eligible.
+pub(crate) fn near_hello_targets(
+    table: &ConnectionTable,
+    candidates: &Candidates,
+    me: &Address,
+    per_side: usize,
+) -> Vec<(Address, Endpoint)> {
+    // A full side is improved only inside the arc to its `per_side`-th
+    // neighbour; a side with fewer neighbours by any candidate.
+    let (mut right, mut left) = table.sides(me);
+    let nth = per_side.saturating_sub(1);
+    let right_arc = right.nth(nth).map(|c| me.clockwise_distance(&c.peer));
+    let left_arc = left.nth(nth).map(|c| c.peer.clockwise_distance(me));
+    let inside = |arc: Option<Distance>, d: Distance| arc.is_none_or(|w| d < w);
+    let eligible =
+        |(a, _): &&Candidate| table.get(a).is_none_or(|c| c.kind != ConnectionKind::Near);
+    let (clockwise, counter_clockwise) = candidates.sides(me);
+    let mut picked: Vec<Candidate> = clockwise
+        .take_while(|(a, _)| inside(right_arc, me.clockwise_distance(a)))
+        .filter(eligible)
+        .take(per_side)
+        .copied()
+        .collect();
+    let left_picks = counter_clockwise
+        .take_while(|(a, _)| inside(left_arc, a.clockwise_distance(me)))
+        .filter(eligible)
+        .take(per_side);
+    for pick in left_picks {
+        if !picked.contains(pick) {
+            picked.push(*pick);
+        }
     }
+    picked
 }
 
 #[cfg(test)]
@@ -665,14 +785,12 @@ mod tests {
             let entries: Vec<(Address, Endpoint)> = model.iter().map(|(a, e)| (*a, *e)).collect();
             assert_eq!(candidates.entries, entries);
             assert_eq!(candidates.len(), entries.len());
+            let (clockwise, counter_clockwise) = candidates.sides(from);
             let cw = model.range(*from..).chain(model.range(..*from));
-            assert!(candidates.clockwise_from(from).map(|(a, e)| (a, e)).eq(cw));
+            assert!(clockwise.map(|(a, e)| (a, e)).eq(cw));
             let below = model.range(..*from).rev();
             let ccw = below.chain(model.range(*from..).rev());
-            assert!(candidates
-                .counter_clockwise_from(from)
-                .map(|(a, e)| (a, e))
-                .eq(ccw));
+            assert!(counter_clockwise.map(|(a, e)| (a, e)).eq(ccw));
         }
 
         /// The largest list the wire carries, 255 entries in no order —
