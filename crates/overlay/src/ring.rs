@@ -643,6 +643,28 @@ mod tests {
         /// When set, every second `Neighbors` message (by this stream's draw)
         /// is lost on the way; everything else still arrives.
         gossip_loss: Option<StreamRng>,
+        /// When set, every message sent, `(sender, destination, message)`,
+        /// delivered or not.
+        trace: Option<Vec<(usize, Endpoint, LinkMessage)>>,
+    }
+
+    /// A member's ring state as a skipped stage could have left it: its
+    /// candidates, its table (every field), and what it last gossiped.
+    type MemberState = (
+        Vec<(Address, Endpoint)>,
+        Vec<(Address, Endpoint, ConnectionKind, SimTime, SimTime)>,
+        Vec<(Address, Endpoint)>,
+        Vec<Address>,
+        u32,
+    );
+
+    impl Ring {
+        /// Forget when each maintenance stage last ran, so that the next
+        /// tick runs every one of them in full.
+        fn clear_stamps(&mut self) {
+            (self.quiet_scan, self.merged) = ([NEVER; 2], [NEVER; 2]);
+            (self.classified, self.gossiped) = (NEVER, NEVER);
+        }
     }
 
     impl Fabric {
@@ -666,6 +688,7 @@ mod tests {
                 silenced: vec![false; addrs.len()],
                 now: SimTime::ZERO,
                 gossip_loss: None,
+                trace: None,
             }
         }
 
@@ -709,6 +732,9 @@ mod tests {
                 let mut quiet = true;
                 for i in 0..self.members.len() {
                     for (dst, msg) in self.members[i].core.take_outbox() {
+                        if let Some(trace) = &mut self.trace {
+                            trace.push((i, dst, msg.clone()));
+                        }
                         let to = (0..self.members.len()).find(|j| ep(*j) == dst);
                         let lost = matches!(msg, LinkMessage::Neighbors { .. })
                             && self.gossip_loss.as_mut().is_some_and(|r| r.index(2) == 0);
@@ -735,6 +761,25 @@ mod tests {
                 }
             }
             self.deliver();
+        }
+
+        /// The messages traced since the last look, and every member's state.
+        fn snapshot(&mut self) -> (Vec<(usize, Endpoint, LinkMessage)>, Vec<MemberState>) {
+            let sent = std::mem::take(self.trace.as_mut().expect("a traced fabric"));
+            let members = self.members.iter().map(|Member { core, ring }| {
+                let (candidates, _) = ring.candidates.sides(&Address::ZERO);
+                let table = core.table.established();
+                (
+                    candidates.copied().collect(),
+                    table
+                        .map(|c| (c.peer, c.endpoint, c.kind, c.last_heard, c.last_ping_sent))
+                        .collect(),
+                    ring.told_view.clone(),
+                    ring.told.clone(),
+                    ring.quiet_rounds,
+                )
+            });
+            (sent, members.collect())
         }
 
         /// Tick until [`Fabric::converged`], at most `bound` times.
@@ -865,6 +910,71 @@ mod tests {
                 for _ in 0..2 * GOSSIP_REFRESH {
                     fabric.tick();
                     prop_assert!(fabric.converged(), "{n} members diverged again");
+                }
+            }
+
+            /// Every stage a quiet tick skips is a pure function of the
+            /// change counters it is stamped with. So a run whose stamps are
+            /// wiped before every tick, which runs every stage in full, must
+            /// send the same messages and end every tick in the same state:
+            /// through joins, optionally on the lossy gossip fabric, an
+            /// endpoint change heard through `note_heard`, and a silenced
+            /// member's edges timing out.
+            #[test]
+            fn skipped_stages_send_and_leave_what_full_ticks_do(
+                seed: u64,
+                n in 3usize..=16,
+                a_tick_apart: bool,
+                lossy: bool,
+            ) {
+                let run = |full: bool| {
+                    let mut rng = StreamRng::new(seed, "ring-convergence");
+                    let addrs: Vec<Address> = (0..n).map(|_| Address::random(&mut rng)).collect();
+                    let mut order: Vec<usize> = (1..n).collect();
+                    rng.shuffle(&mut order);
+                    let mut fabric = Fabric::new(&addrs, seed);
+                    fabric.trace = Some(Vec::new());
+                    if lossy {
+                        fabric.gossip_loss = Some(StreamRng::new(seed, "gossip-loss"));
+                    }
+                    let mut ticks = Vec::new();
+                    let mut tick = |fabric: &mut Fabric| {
+                        if full {
+                            fabric.members.iter_mut().for_each(|m| m.ring.clear_stamps());
+                        }
+                        fabric.tick();
+                        ticks.push(fabric.snapshot());
+                    };
+                    fabric.start(0);
+                    for i in order {
+                        fabric.start(i);
+                        if a_tick_apart {
+                            tick(&mut fabric);
+                        }
+                    }
+                    for _ in 0..CONVERGE_TICKS {
+                        tick(&mut fabric);
+                    }
+                    // One member hears another from an endpoint nobody is at,
+                    // until that peer's next message moves it back.
+                    let (hearer, heard) = (rng.index(n), rng.index(n));
+                    let (peer, now) = (fabric.members[heard].core.cfg.address, fabric.now);
+                    fabric.members[hearer].core.table.note_heard(&peer, now, ep(n));
+                    for _ in 0..GOSSIP_REFRESH {
+                        tick(&mut fabric);
+                    }
+                    fabric.silenced[rng.index(n)] = true;
+                    let timeout_ticks = (CONNECTION_TIMEOUT.as_nanos() / TICK.as_nanos()) as usize;
+                    for _ in 0..timeout_ticks + CONVERGE_TICKS {
+                        tick(&mut fabric);
+                    }
+                    ticks
+                };
+                let (skipping, full) = (run(false), run(true));
+                prop_assert_eq!(skipping.len(), full.len());
+                for (at, (skipped, ran)) in skipping.iter().zip(&full).enumerate() {
+                    prop_assert!(skipped.0 == ran.0, "tick {at}: other messages");
+                    prop_assert!(skipped.1 == ran.1, "tick {at}: other state");
                 }
             }
         }
@@ -1015,6 +1125,7 @@ mod tests {
             silenced: vec![false],
             now: SimTime::ZERO,
             gossip_loss: None,
+            trace: None,
         };
         fabric.receive(0, ep(9), request(5));
         let out = fabric.members[0].core.take_outbox();
