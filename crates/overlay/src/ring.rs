@@ -38,9 +38,6 @@ const PING_INTERVAL: Duration = Duration::from_secs(10);
 /// are simply lost while it lasts).
 const BOOTSTRAP_RETRY_INTERVAL: Duration = Duration::from_secs(30);
 
-/// A stage's stamp before it first ran: no change counter reads this.
-const NEVER: u64 = u64::MAX;
-
 struct PendingLink {
     kind: ConnectionKind,
     started: SimTime,
@@ -71,7 +68,8 @@ pub(crate) struct Ring {
     /// candidate scan that found no target, (table, candidate removals) at
     /// the last keep-alive merge, the table's after the last
     /// reclassification and at the last gossip round. While they stand, the
-    /// stage would find nothing to do, and a quiet tick skips it.
+    /// stage would find nothing to do, and a quiet tick skips it. They start
+    /// at 0, the counters of the empty structures, where no stage has work.
     quiet_scan: [u64; 2],
     merged: [u64; 2],
     classified: u64,
@@ -82,10 +80,6 @@ impl Ring {
     pub(crate) fn new(local_endpoint: Endpoint) -> Self {
         Ring {
             advertised: vec![local_endpoint],
-            quiet_scan: [NEVER; 2],
-            merged: [NEVER; 2],
-            classified: NEVER,
-            gossiped: NEVER,
             ..Ring::default()
         }
     }
@@ -660,10 +654,10 @@ mod tests {
 
     impl Ring {
         /// Forget when each maintenance stage last ran, so that the next
-        /// tick runs every one of them in full.
+        /// tick runs every one of them in full: no counter reaches `MAX`.
         fn clear_stamps(&mut self) {
-            (self.quiet_scan, self.merged) = ([NEVER; 2], [NEVER; 2]);
-            (self.classified, self.gossiped) = (NEVER, NEVER);
+            (self.quiet_scan, self.merged) = ([u64::MAX; 2], [u64::MAX; 2]);
+            (self.classified, self.gossiped) = (u64::MAX, u64::MAX);
         }
     }
 

@@ -615,90 +615,66 @@ mod tests {
         assert_eq!(t.peers(), vec![addr(1)]);
     }
 
-    /// `change` applied to `s`: did it move `counter`?
-    fn moves<T>(s: &mut T, counter: impl Fn(&T) -> u64, change: impl FnOnce(&mut T)) -> bool {
-        let before = counter(s);
-        change(s);
-        counter(s) != before
-    }
-
     #[test]
     fn the_table_counter_moves_with_what_a_skipped_stage_reads() {
-        let mut t = ConnectionTable::new();
-        let version = |t: &ConnectionTable| t.version();
+        let moved = |t: &mut ConnectionTable, change: &dyn Fn(&mut ConnectionTable)| {
+            let before = t.version();
+            change(t);
+            t.version() != before
+        };
         let near = || conn(1, ConnectionKind::Near, ConnectionState::Established);
-        assert!(moves(&mut t, version, |t| t.upsert(near())));
-        assert!(moves(&mut t, version, |t| t.upsert(near())), "any upsert");
-        let (heard, new_endpoint) = (SimTime::from_nanos(5), (Ipv4Addr::new(10, 9, 9, 9), 9));
-        let same_endpoint = near().endpoint;
-        assert!(!moves(&mut t, version, |t| t.note_heard(
-            &addr(1),
-            heard,
-            same_endpoint
-        )));
-        assert_eq!(t.get(&addr(1)).map(|c| c.last_heard), Some(heard));
-        assert!(moves(&mut t, version, |t| t.note_heard(
-            &addr(1),
-            heard,
-            new_endpoint
-        )));
-        assert!(!moves(&mut t, version, |t| t.note_ping_sent(&addr(1), heard)));
-        assert!(!moves(&mut t, version, |t| t.note_heard(
-            &addr(2),
-            heard,
-            new_endpoint
-        )));
-        assert!(!moves(&mut t, version, |t| drop(t.remove(&addr(2)))));
-        assert!(moves(&mut t, version, |t| drop(t.remove(&addr(1)))));
-        let connecting = conn(1, ConnectionKind::Near, ConnectionState::Connecting);
-        assert!(
-            !moves(&mut t, version, |t| t.upsert(connecting)),
-            "nothing removed"
-        );
+        let (now, moved_to) = (SimTime::from_nanos(5), (Ipv4Addr::new(10, 9, 9, 9), 9));
+        let heard = |peer: u8, from: Endpoint| {
+            move |t: &mut ConnectionTable| t.note_heard(&addr(peer), now, from)
+        };
+        let remove = |peer: u8| {
+            move |t: &mut ConnectionTable| {
+                t.remove(&addr(peer));
+            }
+        };
+        let mut t = ConnectionTable::new();
+        assert!(moved(&mut t, &|t| t.upsert(near())));
+        assert!(moved(&mut t, &|t| t.upsert(near())), "any upsert");
+        assert!(!moved(&mut t, &heard(1, near().endpoint)));
+        assert_eq!(t.get(&addr(1)).map(|c| c.last_heard), Some(now));
+        assert!(moved(&mut t, &heard(1, moved_to)));
+        assert!(!moved(&mut t, &heard(2, moved_to)), "no edge");
+        assert!(!moved(&mut t, &|t| t.note_ping_sent(&addr(1), now)));
+        assert!(!moved(&mut t, &remove(2)));
+        assert!(moved(&mut t, &remove(1)));
+        let connecting = || conn(1, ConnectionKind::Near, ConnectionState::Connecting);
+        assert!(!moved(&mut t, &|t| t.upsert(connecting())), "no edge");
     }
 
     #[test]
     fn candidate_inserts_move_one_counter_and_everything_else_both() {
         let me = addr(0);
         let ep = |n: u8| (Ipv4Addr::new(10, 0, 0, n), 4001);
-        let mut c = Candidates::default();
-        let both = |c: &Candidates| c.version() + c.removals();
-        // (did the any-change counter move, did the removal counter move)
-        let moved = |c: &mut Candidates, change: &dyn Fn(&mut Candidates)| {
-            let removals = c.removals();
-            (
-                moves(c, Candidates::version, change),
-                c.removals() != removals,
-            )
-        };
-        assert_eq!(
-            moved(&mut c, &|c| c.learn(&me, addr(1), ep(1))),
-            (true, false)
-        );
+        let learn = |a: u8, e: u8| move |c: &mut Candidates| c.learn(&me, addr(a), ep(e));
+        let gossip =
+            |a: u8, e: u8| move |c: &mut Candidates| c.learn_gossip(&me, vec![(addr(a), ep(e))]);
         let batch = [(addr(1), ep(1)), (addr(2), ep(2))];
         let learn_all = |c: &mut Candidates| c.learn_all(&me, batch.iter().copied());
-        assert_eq!(moved(&mut c, &learn_all), (true, false));
-        assert_eq!(
-            moved(&mut c, &|c| c.learn_gossip(&me, vec![(addr(3), ep(3))])),
-            (true, false)
-        );
-        // What changes nothing moves nothing.
-        assert!(!moves(&mut c, both, |c| c.learn(&me, addr(1), ep(1))));
-        assert!(!moves(&mut c, both, |c| c.learn(&me, me, ep(0))));
-        assert!(!moves(&mut c, both, learn_all));
-        assert!(!moves(&mut c, both, |c| c.remove(&addr(9))));
-        // An endpoint overwrite, a removal and a clear move both.
-        assert_eq!(
-            moved(&mut c, &|c| c.learn(&me, addr(1), ep(7))),
-            (true, true)
-        );
-        assert_eq!(moved(&mut c, &learn_all), (true, true));
-        assert_eq!(
-            moved(&mut c, &|c| c.learn_gossip(&me, vec![(addr(3), ep(8))])),
-            (true, true)
-        );
-        assert_eq!(moved(&mut c, &|c| c.remove(&addr(2))), (true, true));
-        assert_eq!(moved(&mut c, &|c| c.clear()), (true, true));
+        // Which counters `change` moves: (any change, removals).
+        let moved = |c: &mut Candidates, change: &dyn Fn(&mut Candidates)| {
+            let before = (c.version(), c.removals());
+            change(c);
+            (c.version() != before.0, c.removals() != before.1)
+        };
+        let (insert, neither, both) = ((true, false), (false, false), (true, true));
+        let mut c = Candidates::default();
+        assert_eq!(moved(&mut c, &learn(1, 1)), insert);
+        assert_eq!(moved(&mut c, &learn_all), insert);
+        assert_eq!(moved(&mut c, &gossip(3, 3)), insert);
+        assert_eq!(moved(&mut c, &learn(1, 1)), neither);
+        assert_eq!(moved(&mut c, &|c| c.learn(&me, me, ep(0))), neither);
+        assert_eq!(moved(&mut c, &learn_all), neither);
+        assert_eq!(moved(&mut c, &|c| c.remove(&addr(9))), neither);
+        assert_eq!(moved(&mut c, &learn(1, 7)), both, "an endpoint overwrite");
+        assert_eq!(moved(&mut c, &learn_all), both, "and back");
+        assert_eq!(moved(&mut c, &gossip(3, 8)), both);
+        assert_eq!(moved(&mut c, &|c| c.remove(&addr(2))), both);
+        assert_eq!(moved(&mut c, &|c| c.clear()), both);
     }
 
     /// A ratchet: every hop binary-searches a cold node's edge vector, so
