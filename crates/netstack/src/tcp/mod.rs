@@ -951,4 +951,77 @@ mod tests {
         let got = s.recv(usize::MAX);
         assert_eq!(got.len(), 20_000.min(data.len()));
     }
+
+    /// Open the client's congestion window: six 10 kB chunks, each read by
+    /// the server as soon as it arrives, so its advertised window stays wide.
+    fn warmed_pair(now: &mut SimTime) -> (TcpSocket, TcpSocket) {
+        let (mut c, mut s) = established_pair(now);
+        for _ in 0..6 {
+            c.send(&[0x5A; 10_000]);
+            pump(&mut c, &mut s, now, Duration::from_millis(1));
+            assert_eq!(s.recv(usize::MAX).len(), 10_000);
+        }
+        (c, s)
+    }
+
+    /// Pump the pair, firing the client's retransmission timer whenever the
+    /// exchange goes quiet, until the client holds nothing unacknowledged or
+    /// has given up.
+    fn pump_until_acked(c: &mut TcpSocket, s: &mut TcpSocket, now: &mut SimTime) {
+        for _ in 0..2 * MAX_RETRIES {
+            pump(c, s, now, Duration::from_millis(1));
+            match c.next_timeout() {
+                Some(deadline) if c.unacked() > 0 => *now = deadline.max(*now),
+                _ => return,
+            }
+        }
+    }
+
+    #[test]
+    fn an_ack_past_a_fast_retransmit_is_taken() {
+        let mut now = SimTime::ZERO;
+        let (mut c, mut s) = warmed_pair(&mut now);
+        let data: Vec<u8> = (0..50_000u32).map(|i| (i % 253) as u8).collect();
+        c.send(&data);
+        let mut segs = c.poll(now);
+        assert!(segs.len() > 8, "a wide window: {} segments", segs.len());
+        // The first segment is lost and the rest are buffered out of order:
+        // the retransmission that fills the hole is acked far past the
+        // rewound `snd_nxt`.
+        segs.remove(0);
+        for seg in &segs {
+            s.on_segment(now, seg);
+        }
+        pump_until_acked(&mut c, &mut s, &mut now);
+        assert!(!c.is_closed(), "the sender gave up");
+        assert_eq!(c.unacked(), 0);
+        assert_eq!(s.recv(usize::MAX), data);
+    }
+
+    #[test]
+    fn a_delayed_ack_after_a_spurious_rto_is_taken() {
+        let mut now = SimTime::ZERO;
+        let (mut c, mut s) = warmed_pair(&mut now);
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
+        c.send(&data);
+        for seg in c.poll(now) {
+            s.on_segment(now, &seg);
+        }
+        // Every segment arrived, but the acks are held past the RTO: the
+        // client goes back to `snd_una` before they land.
+        let acks = s.poll(now);
+        now = c.next_timeout().expect("retransmission timer armed");
+        let resent = c.poll(now);
+        assert!(!resent.is_empty(), "the RTO resent data");
+        for ack in &acks {
+            c.on_segment(now, ack);
+        }
+        for seg in &resent {
+            s.on_segment(now, seg);
+        }
+        pump_until_acked(&mut c, &mut s, &mut now);
+        assert!(!c.is_closed(), "the sender gave up");
+        assert_eq!(c.unacked(), 0);
+        assert_eq!(s.recv(usize::MAX), data);
+    }
 }
