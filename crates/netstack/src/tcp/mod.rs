@@ -74,6 +74,9 @@ pub struct TcpSocket {
     iss: u32,
     snd_una: u32,
     snd_nxt: u32,
+    /// The highest sequence ever sent: a go-back-N rewinds `snd_nxt`, and
+    /// the peer may still ack anything below this.
+    snd_max: u32,
     snd_wnd: u32,
     /// Bytes from `snd_una` onwards: in-flight first, then unsent.
     send_buf: VecDeque<u8>,
@@ -157,6 +160,7 @@ impl TcpSocket {
             iss,
             snd_una: iss,
             snd_nxt: iss,
+            snd_max: iss,
             snd_wnd: u32::from(u16::MAX),
             send_buf: VecDeque::new(),
             fin_queued: false,
@@ -324,6 +328,7 @@ impl TcpSocket {
         self.rcv_nxt = seg.seq.wrapping_add(1);
         self.snd_una = seg.ack;
         self.snd_nxt = seg.ack;
+        self.snd_max = seg.ack;
         self.snd_wnd = u32::from(seg.window);
         self.state = TcpState::Established;
         self.pending_acks = 1;
@@ -373,20 +378,28 @@ impl TcpSocket {
             self.state = TcpState::Established;
             self.snd_una = self.iss.wrapping_add(1);
             self.snd_nxt = self.snd_una;
+            self.snd_max = self.snd_una;
             self.rtx_deadline = None;
             self.rtx_count = 0;
             if let Some(sent) = self.syn_sent_at {
                 self.rtt.sample(now.saturating_since(sent));
             }
         }
-        if seq::gt(ack, self.snd_una) && seq::le(ack, self.snd_nxt) {
-            let fin_acked = self.fin_sent && ack == self.fin_seq.wrapping_add(1);
+        // Acks up to `snd_max`, not `snd_nxt`: after a go-back-N the peer
+        // acks data it already holds (the BSD rule, `tcp_input`).
+        if seq::gt(ack, self.snd_una) && seq::le(ack, self.snd_max) {
             let newly_acked_seq = seq::distance(self.snd_una, ack);
+            // The FIN's only position is right after the buffered data; a
+            // rewind clears `fin_sent` although the peer may ack the FIN.
+            let fin_acked = newly_acked_seq as usize == self.send_buf.len() + 1;
             let data_acked = newly_acked_seq - u32::from(fin_acked);
             // Drop acknowledged bytes from the front of the send buffer.
             let drop = (data_acked as usize).min(self.send_buf.len());
             self.send_buf.drain(..drop);
             self.snd_una = ack;
+            if seq::gt(ack, self.snd_nxt) {
+                self.snd_nxt = ack;
+            }
             self.dup_acks = 0;
             self.cong.on_ack(data_acked as usize, self.snd_una);
             // RTT sample.
@@ -631,7 +644,7 @@ impl TcpSocket {
             if self.rtt_probe.is_none() {
                 self.rtt_probe = Some((self.snd_nxt.wrapping_add(len as u32), now));
             }
-            self.snd_nxt = self.snd_nxt.wrapping_add(len as u32);
+            self.advance_snd_nxt(len as u32);
             out.push(seg);
             if self.rtx_deadline.is_none() {
                 self.arm_rtx(now);
@@ -653,7 +666,7 @@ impl TcpSocket {
                 payload: Vec::new(),
             };
             self.fin_seq = self.snd_nxt;
-            self.snd_nxt = self.snd_nxt.wrapping_add(1);
+            self.advance_snd_nxt(1);
             self.fin_sent = true;
             out.push(seg);
             if self.rtx_deadline.is_none() {
@@ -692,6 +705,14 @@ impl TcpSocket {
             self.rcv_nxt,
             self.recv_window().min(u16::MAX as usize) as u16,
         )
+    }
+
+    /// Move `snd_nxt` past `len` sequence numbers just sent.
+    fn advance_snd_nxt(&mut self, len: u32) {
+        self.snd_nxt = self.snd_nxt.wrapping_add(len);
+        if seq::gt(self.snd_nxt, self.snd_max) {
+            self.snd_max = self.snd_nxt;
+        }
     }
 
     fn arm_rtx(&mut self, now: SimTime) {
