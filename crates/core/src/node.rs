@@ -29,7 +29,6 @@ use ipop_overlay::transport::Transport;
 use ipop_overlay::{Address, OverlayNode, OverlayStats, StreamEvent};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
-use ipop_services::pubsub::{PubSub, TopicMessage};
 use ipop_services::{Resolution, ReverseResolution};
 use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
 
@@ -46,10 +45,6 @@ pub struct IpopHostAgent {
     overlay: OverlayNode,
     selfconfig: SelfConfig,
     dataplane: DataPlane,
-    /// Topic pub/sub client state, and the messages delivered on subscribed
-    /// topics until the application drains them.
-    pubsub: PubSub,
-    topic_messages: Vec<TopicMessage>,
     next_overlay_tick: SimTime,
     wakeup: Wakeup,
     last_forwarded: u64,
@@ -84,9 +79,7 @@ impl IpopHostAgent {
             transport,
             overlay: OverlayNode::new(cfg.overlay.clone(), StreamRng::new(seed, "ipop.overlay")),
             selfconfig: SelfConfig::new(&cfg, cfg.overlay.address, seed),
-            pubsub: PubSub::new(cfg.pubsub_ttl),
             dataplane: DataPlane::new(cfg, app, StreamRng::new(seed, "ipop.app")),
-            topic_messages: Vec::new(),
             next_overlay_tick: SimTime::ZERO,
             wakeup: Wakeup::default(),
             last_forwarded: 0,
@@ -218,35 +211,35 @@ impl IpopHostAgent {
         std::mem::take(&mut self.selfconfig.reverse_results)
     }
 
-    /// Subscribe to a pub/sub topic by name. The subscription is soft state,
-    /// renewed at half [`IpopConfig::pubsub_ttl`] until unsubscribed;
-    /// messages arrive via [`IpopHostAgent::take_topic_messages`].
-    pub fn subscribe(&mut self, now: SimTime, topic: &str) {
-        self.pubsub.subscribe(&mut self.overlay, now, topic);
+    /// Subscribe to the topic whose key is `topic` (a name hashes to one with
+    /// [`ipop_overlay::pubsub::topic_key`]). The subscription is soft state,
+    /// renewed at half [`IpopConfig::pubsub_ttl`] until unsubscribed.
+    pub fn pubsub_subscribe(&mut self, now: SimTime, topic: Address) {
+        self.overlay
+            .pubsub_subscribe(now, topic, self.dataplane.cfg.pubsub_ttl);
     }
 
-    /// Withdraw a topic subscription.
-    pub fn unsubscribe(&mut self, now: SimTime, topic: &str) {
-        self.pubsub.unsubscribe(&mut self.overlay, now, topic);
+    /// Withdraw a topic subscription; one never held sends nothing.
+    pub fn pubsub_unsubscribe(&mut self, now: SimTime, topic: Address) {
+        self.overlay.pubsub_unsubscribe(now, topic);
     }
 
-    /// Publish `payload` on a topic (no subscription needed); returns the
-    /// assigned message id. The publish routes to the topic root, which fans
-    /// it out to every subscriber along a bounded-degree relay tree.
-    pub fn publish(&mut self, now: SimTime, topic: &str, payload: ipop_packet::Bytes) -> u64 {
-        self.pubsub.publish(&mut self.overlay, now, topic, payload)
+    /// Publish `payload` on a topic (no subscription needed) and return its
+    /// message id. The publish routes to the topic root, which fans it out to
+    /// every subscriber along a bounded-degree relay tree.
+    pub fn pubsub_publish(
+        &mut self,
+        now: SimTime,
+        topic: Address,
+        payload: impl Into<Bytes>,
+    ) -> u64 {
+        self.overlay.pubsub_publish(now, topic, payload)
     }
 
     /// Messages delivered on subscribed topics since the last call, in
-    /// delivery order; each names its topic.
-    pub fn take_topic_messages(&mut self) -> Vec<TopicMessage> {
-        std::mem::take(&mut self.topic_messages)
-    }
-
-    /// Pub/sub client counters: `(published, received, unknown-topic drops)`.
-    pub fn pubsub_counters(&self) -> (u64, u64, u64) {
-        let p = &self.pubsub;
-        (p.published, p.received, p.unknown_topic)
+    /// delivery order: `(topic key, msg id, body)`.
+    pub fn take_pubsub_delivered(&mut self) -> Vec<(Address, u64, Bytes)> {
+        self.overlay.take_pubsub_delivered()
     }
 
     /// Open a virtual stream — ordered, reliable bytes over routed overlay
@@ -349,13 +342,11 @@ impl IpopHostAgent {
         self.overlay.note_malformed(malformed);
 
         // Overlay output for the agent: deliveries → the router's receive
-        // queue; pub/sub messages → the application. Stream output stays in
-        // the overlay until the application drains it.
+        // queue. Pub/sub and stream output stay in the overlay until the
+        // application drains it.
         moved |= self.overlay.has_output();
         let cpu = &mut |work| ctx.consume_cpu(work);
         self.dataplane.receive(&mut self.overlay, now, charge, cpu);
-        self.topic_messages
-            .extend(self.pubsub.poll(&mut self.overlay));
 
         // Self-configuration, then the DHT replies it left to Brunet-ARP.
         let (changed, arp_replies) =

@@ -213,6 +213,8 @@ pub struct OverlayStats {
     pub pubsub_fanout_sent: u64,
     /// Pub/sub messages delivered to this node's local subscriber inbox.
     pub pubsub_delivered: u64,
+    /// Pub/sub messages for a topic this node does not subscribe to, dropped.
+    pub pubsub_unknown_topic: u64,
     /// Deliver packets whose delegated relay list this node re-fanned onward.
     pub pubsub_relayed: u64,
     /// Dead subscribers removed from owned topic records when the link
@@ -431,10 +433,10 @@ impl OverlayNode {
     }
 
     /// True while one of the agent-facing `take_*` drains has something. The
-    /// stream drains are not among them: they wait for the application.
+    /// stream and pub/sub drains are not among them: they wait for the
+    /// application.
     pub fn has_output(&self) -> bool {
         !(self.delivered.is_empty()
-            && self.pubsub.inbox.is_empty()
             && self.dht.replies.is_empty()
             && self.dht.create_replies.is_empty()
             && self.dht.lost_leases.is_empty())
@@ -1624,6 +1626,16 @@ mod tests {
         assert_eq!(node.take_dht_replies(), vec![(token, None)]);
         assert!(!node.has_output());
         assert!(node.take_delivered().is_empty());
+
+        // Pub/sub output waits for the application, like stream output.
+        let topic = crate::pubsub::topic_key("own");
+        node.pubsub_subscribe(SimTime::ZERO, topic, Duration::from_secs(60));
+        let msg_id = node.pubsub_publish(SimTime::ZERO, topic, b"to my topic".to_vec());
+        assert!(!node.has_output());
+        let got = node.take_pubsub_delivered();
+        assert_eq!(got.len(), 1);
+        assert_eq!((got[0].0, got[0].1), (topic, msg_id));
+        assert_eq!(got[0].2.as_slice(), b"to my topic");
     }
 
     /// Tokens of `DhtCreate` payloads in a drained outbox.
@@ -2285,6 +2297,11 @@ mod tests {
         h.start_all();
         h.run(20);
         let topic = crate::pubsub::topic_key("salvage-direct");
+        let now = h.now;
+        for i in [2, 6] {
+            h.nodes[i].pubsub_subscribe(now, topic, Duration::from_secs(60));
+        }
+        h.pump();
         let mut rng = StreamRng::new(9, "absent-head");
         let absent = Address::random(&mut rng);
         let relay_to = vec![h.nodes[2].address(), h.nodes[6].address()];

@@ -113,8 +113,8 @@ pub(crate) struct PubSub {
     /// peer out of owned subscriber sets; entries fall away once the record
     /// is gone or owned elsewhere.
     topics_seen: BTreeSet<Address>,
-    /// Messages delivered to this node, for the embedding agent to drain:
-    /// `(topic key, msg id, body)`.
+    /// Messages delivered on topics in `subs`, for the embedding agent to
+    /// drain: `(topic key, msg id, body)`.
     pub(crate) inbox: VecDeque<(Address, u64, Bytes)>,
     /// Publishes awaiting root confirmation of fan-out, keyed by msg id; a
     /// retryable nack from a re-homing root schedules a re-route here.
@@ -183,7 +183,8 @@ impl PubSub {
     }
 
     /// Leave `topic`: stop renewing and ask the root to drop this node from
-    /// the subscriber set immediately.
+    /// the subscriber set immediately. Leaving a topic never held sends
+    /// nothing.
     pub(crate) fn unsubscribe(
         &mut self,
         core: &mut Core,
@@ -191,7 +192,9 @@ impl PubSub {
         now: SimTime,
         topic: Address,
     ) {
-        self.subs.remove(&topic);
+        if self.subs.remove(&topic).is_none() {
+            return;
+        }
         let payload = RoutedPayload::PubSubUnsubscribe {
             topic,
             subscriber: core.cfg.address,
@@ -351,8 +354,7 @@ impl PubSub {
                     .collect();
                 if let Some(at) = recipients.iter().position(|a| *a == core.cfg.address) {
                     recipients.remove(at);
-                    core.stats.pubsub_delivered += 1;
-                    self.inbox.push_back((topic, msg_id, payload.clone()));
+                    self.deliver_local(core, topic, msg_id, &payload);
                 }
                 self.fan_out(core, dht, now, topic, msg_id, &payload, &recipients);
             }
@@ -362,8 +364,7 @@ impl PubSub {
                 relay_to,
                 payload,
             } => {
-                core.stats.pubsub_delivered += 1;
-                self.inbox.push_back((topic, msg_id, payload.clone()));
+                self.deliver_local(core, topic, msg_id, &payload);
                 // This node has its copy: a chunk that names it again is not
                 // one an honest root planned.
                 let relay_to = checked_chunk(core, relay_to, Some(core.cfg.address));
@@ -377,6 +378,18 @@ impl PubSub {
             RoutedPayload::PubSubNack { msg_id, .. } => self.on_nack(core, now, msg_id),
             // Not a `PubSub*` tag: nobody hands one here.
             _ => {}
+        }
+    }
+
+    /// This node's own copy of a message: into the inbox if it holds the
+    /// topic. One for a topic it does not hold (a straggler after an
+    /// unsubscribe, or a stale subscriber set) is counted and dropped.
+    fn deliver_local(&mut self, core: &mut Core, topic: Address, msg_id: u64, payload: &Bytes) {
+        if self.subs.contains_key(&topic) {
+            core.stats.pubsub_delivered += 1;
+            self.inbox.push_back((topic, msg_id, payload.clone()));
+        } else {
+            core.stats.pubsub_unknown_topic += 1;
         }
     }
 

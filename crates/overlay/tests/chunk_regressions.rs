@@ -31,7 +31,7 @@ fn now() -> SimTime {
     SimTime::ZERO + Duration::from_secs(100)
 }
 
-/// The node under attack. It never subscribes to anything.
+/// The node under attack. It subscribes to the forged topic only.
 fn me() -> Address {
     addr(1)
 }
@@ -45,6 +45,7 @@ fn departed_head() -> Address {
 }
 
 /// The node with five peers, and those peers in ring (= address) order.
+/// It holds the forged topic, so a copy of a forged message is delivered.
 fn node_with_peers() -> (OverlayNode, Vec<Address>) {
     let mut node = OverlayNode::new(OverlayConfig::new(me(), ep(1)), StreamRng::new(7, "chunks"));
     let mut peers: Vec<Address> = (10..15).map(addr).collect();
@@ -52,6 +53,7 @@ fn node_with_peers() -> (OverlayNode, Vec<Address>) {
     for (i, peer) in peers.iter().enumerate() {
         node.seed_connection(SimTime::ZERO, *peer, ep(10 + i as u8), ConnectionKind::Near);
     }
+    node.pubsub_subscribe(now(), topic_key("forged"), Duration::from_secs(60));
     (node, peers)
 }
 
@@ -59,14 +61,19 @@ fn body() -> Bytes {
     Bytes::from(vec![0x5A; 1000])
 }
 
-/// Message 42 with the delegated chunk `relay_to`, from a stranger.
-fn forged(relay_to: Vec<Address>) -> RoutedPayload {
+/// Message 42 on `topic` with the delegated chunk `relay_to`.
+fn message(topic: &str, relay_to: Vec<Address>) -> RoutedPayload {
     RoutedPayload::PubSubDeliver {
-        topic: topic_key("forged"),
+        topic: topic_key(topic),
         msg_id: 42,
         relay_to,
         payload: body(),
     }
+}
+
+/// Message 42 with the delegated chunk `relay_to`, from a stranger.
+fn forged(relay_to: Vec<Address>) -> RoutedPayload {
+    message("forged", relay_to)
 }
 
 /// Deliver `payload`, `Exact`-addressed to `dst`, to the node over a link.
@@ -138,12 +145,7 @@ fn a_salvaging_node_that_is_a_chunk_member_gets_exactly_one_copy() {
     chunk.sort();
     deliver(&mut node, departed_head(), forged(chunk.clone()));
     assert_eq!(node.take_pubsub_delivered().len(), 1);
-    let mut reached: Vec<Address> = relayed(&mut node)
-        .into_iter()
-        .flat_map(|(head, rest)| std::iter::once(head).chain(rest))
-        .collect();
-    reached.sort();
-    assert_eq!(reached, [peers[0], peers[3]]);
+    assert_eq!(reached(&mut node), [peers[0], peers[3]]);
     assert_eq!(node.stats().pubsub_bad_chunk_entries, 0);
 
     // Forged: the same chunk naming the salvaging node three times.
@@ -151,6 +153,43 @@ fn a_salvaging_node_that_is_a_chunk_member_gets_exactly_one_copy() {
     deliver(&mut node, departed_head(), forged(chunk));
     assert_eq!(node.take_pubsub_delivered().len(), 1);
     assert_eq!(node.stats().pubsub_bad_chunk_entries, 2);
+}
+
+/// Every address a drained fan-out reached, heads and delegated chunks, in
+/// ring order.
+fn reached(node: &mut OverlayNode) -> Vec<Address> {
+    let mut reached: Vec<Address> = relayed(node)
+        .into_iter()
+        .flat_map(|(head, rest)| std::iter::once(head).chain(rest))
+        .collect();
+    reached.sort();
+    reached
+}
+
+#[test]
+fn a_delivery_on_a_topic_not_held_is_relayed_but_dropped() {
+    let (mut node, peers) = node_with_peers();
+    let chunk = vec![peers[1], peers[3]];
+    // Never subscribed: the chunk still goes on, the copy does not.
+    deliver(&mut node, me(), message("elsewhere", chunk.clone()));
+    assert_eq!(reached(&mut node), chunk);
+    assert_eq!(node.take_pubsub_delivered(), vec![]);
+    assert_eq!(node.stats().pubsub_unknown_topic, 1);
+
+    // A straggler after an unsubscribe is dropped the same way.
+    let topic = topic_key("elsewhere");
+    node.pubsub_subscribe(now(), topic, Duration::from_secs(60));
+    node.pubsub_unsubscribe(now(), topic);
+    deliver(&mut node, me(), message("elsewhere", chunk.clone()));
+    assert_eq!(reached(&mut node), chunk);
+    assert_eq!(node.take_pubsub_delivered(), vec![]);
+    let stats = node.stats();
+    assert_eq!((stats.pubsub_unknown_topic, stats.pubsub_delivered), (2, 0));
+
+    // Leaving a topic never held sends nothing.
+    node.pubsub_unsubscribe(now(), topic);
+    node.pubsub_unsubscribe(now(), topic_key("never"));
+    assert!(node.take_outbox().is_empty());
 }
 
 #[test]

@@ -16,12 +16,10 @@
 //!   resolver over the DHT keeps (the name service, Brunet-ARP).
 //! * [`name`] — an overlay name service mapping hostnames to virtual IPs, so
 //!   applications can address peers symbolically before any IP is known.
-//! * [`pubsub`] — a topic pub/sub client translating topic names to overlay
-//!   keys and deliveries back to names.
 //!
-//! The services drive the overlay through narrow traits ([`DhtClient`],
-//! [`pubsub::PubSubClient`]) which [`ipop_overlay::OverlayNode`] implements;
-//! tests substitute scripted fakes.
+//! The services drive the overlay through a narrow trait ([`DhtClient`])
+//! which [`ipop_overlay::OverlayNode`] implements; tests substitute a scripted
+//! fake.
 
 use ipop_overlay::{Address, OverlayNode};
 use ipop_packet::Bytes;
@@ -30,11 +28,9 @@ use ipop_simcore::{Duration, SimTime};
 pub mod dhcp;
 pub mod lookup;
 pub mod name;
-pub mod pubsub;
 
 pub use dhcp::{DhcpAllocator, DhcpState, Subnet};
 pub use name::{NameService, Resolution, ReverseResolution};
-pub use pubsub::{PubSub, PubSubClient, TopicMessage};
 
 /// The DHT operations the self-configuration services need — a narrow façade
 /// over the overlay node so services can be unit-tested against a fake.

@@ -9,6 +9,8 @@ use ipop::prelude::*;
 use ipop::IpopHostAgent;
 use ipop_apps::ping::PingApp;
 use ipop_netsim::fig4_testbed;
+use ipop_overlay::pubsub::topic_key;
+use ipop_overlay::Address;
 
 /// Outcome of one scenario run, in comparable form.
 #[derive(Debug, PartialEq)]
@@ -481,12 +483,12 @@ fn dynamic_join_runs_are_byte_identical() {
 struct PubSubTrace {
     events: u64,
     delivered: u64,
-    /// `(published, received, unknown_topic)` per member.
+    /// `(publishes fanned out as root, delivered, unknown_topic)` per member.
     counters: Vec<(u64, u64, u64)>,
     /// `(fanout_sent, delivered, relayed, salvaged)` per member.
     relay: Vec<(u64, u64, u64, u64)>,
     /// Every topic message each member drained, in arrival order.
-    messages: Vec<Vec<(String, u64, Vec<u8>)>>,
+    messages: Vec<Vec<(Address, u64, Vec<u8>)>>,
 }
 
 /// A 16-node overlay carrying mixed pub/sub traffic on two topics: half the
@@ -518,10 +520,10 @@ fn run_pubsub_mesh(seed: u64) -> PubSubTrace {
             .agent_as_mut::<IpopHostAgent>(plab.nodes[i])
             .unwrap();
         if i % 2 == 0 {
-            agent.subscribe(now, "alpha");
+            agent.pubsub_subscribe(now, topic_key("alpha"));
         }
         if i % 3 == 0 {
-            agent.subscribe(now, "beta");
+            agent.pubsub_subscribe(now, topic_key("beta"));
         }
     }
     sim.run_for(Duration::from_secs(5));
@@ -534,7 +536,7 @@ fn run_pubsub_mesh(seed: u64) -> PubSubTrace {
             sim.net_mut()
                 .agent_as_mut::<IpopHostAgent>(plab.nodes[pb])
                 .unwrap()
-                .publish(now, topic, payload);
+                .pubsub_publish(now, topic_key(topic), payload);
         }
         sim.run_for(Duration::from_secs(2));
     }
@@ -548,8 +550,12 @@ fn run_pubsub_mesh(seed: u64) -> PubSubTrace {
             .net_mut()
             .agent_as_mut::<IpopHostAgent>(h)
             .expect("member alive");
-        counters.push(agent.pubsub_counters());
         let s = agent.overlay_stats();
+        counters.push((
+            s.pubsub_publishes,
+            s.pubsub_delivered,
+            s.pubsub_unknown_topic,
+        ));
         relay.push((
             s.pubsub_fanout_sent,
             s.pubsub_delivered,
@@ -558,9 +564,9 @@ fn run_pubsub_mesh(seed: u64) -> PubSubTrace {
         ));
         messages.push(
             agent
-                .take_topic_messages()
+                .take_pubsub_delivered()
                 .into_iter()
-                .map(|m| (m.topic, m.msg_id, m.payload.as_slice().to_vec()))
+                .map(|(topic, msg_id, payload)| (topic, msg_id, payload.as_slice().to_vec()))
                 .collect(),
         );
     }
@@ -582,11 +588,17 @@ fn pubsub_mesh_runs_are_byte_identical() {
     assert_eq!(
         a.counters.iter().map(|c| c.0).sum::<u64>(),
         12,
-        "publishes recorded"
+        "publishes fanned out"
     );
     for (i, msgs) in a.messages.iter().enumerate() {
-        let alpha = msgs.iter().filter(|(t, _, _)| t == "alpha").count();
-        let beta = msgs.iter().filter(|(t, _, _)| t == "beta").count();
+        let alpha = msgs
+            .iter()
+            .filter(|(t, _, _)| *t == topic_key("alpha"))
+            .count();
+        let beta = msgs
+            .iter()
+            .filter(|(t, _, _)| *t == topic_key("beta"))
+            .count();
         assert_eq!(alpha, if i % 2 == 0 { 8 } else { 0 }, "node {i} alpha");
         assert_eq!(beta, if i % 3 == 0 { 4 } else { 0 }, "node {i} beta");
     }
@@ -621,7 +633,7 @@ struct StreamMeshTrace {
     received: Vec<Vec<u8>>,
     /// Terminal fates harvested at the four endpoints (true = clean close).
     fates: Vec<bool>,
-    /// `(published, received, unknown_topic)` per member.
+    /// `(publishes fanned out as root, delivered, unknown_topic)` per member.
     pubsub: Vec<(u64, u64, u64)>,
 }
 
@@ -648,13 +660,13 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
 
     // Static members: the stream targets' overlay addresses are the SHA-1 of
     // their virtual IPs.
-    use ipop_overlay::{Address, StreamEvent};
+    use ipop_overlay::StreamEvent;
     let pairs = [(1usize, 9usize), (4usize, 12usize)];
     let now = sim.now();
     sim.net_mut()
         .agent_as_mut::<IpopHostAgent>(plab.nodes[2])
         .unwrap()
-        .subscribe(now, "mixed");
+        .pubsub_subscribe(now, topic_key("mixed"));
     let mut opened = Vec::new();
     for &(src, dst) in &pairs {
         let now = sim.now();
@@ -682,7 +694,7 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
         sim.net_mut()
             .agent_as_mut::<IpopHostAgent>(plab.nodes[3])
             .unwrap()
-            .publish(now, "mixed", ipop_packet::Bytes::from(vec![round, 0x5E]));
+            .pubsub_publish(now, topic_key("mixed"), vec![round, 0x5E]);
         sim.run_for(Duration::from_secs(2));
     }
     for (k, &(src, _)) in pairs.iter().enumerate() {
@@ -744,7 +756,11 @@ fn run_stream_mesh(seed: u64) -> StreamMeshTrace {
             s.stream_closed,
             s.stream_orphan_frames,
         ));
-        pubsub.push(agent.pubsub_counters());
+        pubsub.push((
+            s.pubsub_publishes,
+            s.pubsub_delivered,
+            s.pubsub_unknown_topic,
+        ));
     }
     StreamMeshTrace {
         events: sim.events_executed(),

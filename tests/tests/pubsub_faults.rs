@@ -62,30 +62,28 @@ fn topic_root_crash_loses_no_subscribers() {
         let now = h.now();
         h.agent_mut(s)
             .expect("subscriber alive")
-            .subscribe(now, TOPIC);
+            .pubsub_subscribe(now, key);
     }
     h.run_for(Duration::from_secs(5));
 
     // Baseline: a pre-crash publish reaches every subscriber through the
     // still-live root.
     let now = h.now();
-    h.agent_mut(publisher).expect("publisher alive").publish(
-        now,
-        TOPIC,
-        ipop_packet::Bytes::copy_from_slice(b"before"),
-    );
+    h.agent_mut(publisher)
+        .expect("publisher alive")
+        .pubsub_publish(now, key, ipop_packet::Bytes::copy_from_slice(b"before"));
     h.run_for(Duration::from_secs(5));
     for &s in &subscribers {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages();
+            .take_pubsub_delivered();
         assert_eq!(
             msgs.len(),
             1,
             "subscriber {s} got the pre-crash publish: {msgs:?}"
         );
-        assert_eq!(msgs[0].payload.as_slice(), b"before");
+        assert_eq!(msgs[0].2.as_slice(), b"before");
     }
 
     // The root crashes at 75 s; give the overlay time to detect the dead
@@ -102,32 +100,36 @@ fn topic_root_crash_loses_no_subscribers() {
     // The post-crash publish must reach every subscriber: zero permanently
     // lost subscriptions.
     let now = h.now();
-    h.agent_mut(publisher).expect("publisher alive").publish(
-        now,
-        TOPIC,
-        ipop_packet::Bytes::copy_from_slice(b"after"),
-    );
+    h.agent_mut(publisher)
+        .expect("publisher alive")
+        .pubsub_publish(now, key, ipop_packet::Bytes::copy_from_slice(b"after"));
     h.run_for(Duration::from_secs(10));
     for &s in &subscribers {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages();
+            .take_pubsub_delivered();
         assert_eq!(
             msgs.len(),
             1,
             "subscriber {s} survived the root crash: {msgs:?}"
         );
-        assert_eq!(msgs[0].topic, TOPIC);
-        assert_eq!(msgs[0].payload.as_slice(), b"after");
+        assert_eq!(msgs[0].0, key);
+        assert_eq!(msgs[0].2.as_slice(), b"after");
     }
 
-    // And the subscriptions stayed registered app-side, not just delivered.
+    // And the subscriptions stayed registered at the subscribers, not just
+    // delivered.
     for &s in &subscribers {
-        let (_published, received, unknown) =
-            h.agent_mut(s).expect("subscriber alive").pubsub_counters();
-        assert_eq!(received, 2, "subscriber {s} received both publishes");
-        assert_eq!(unknown, 0, "no deliveries on unknown topics");
+        let stats = h.agent(s).expect("subscriber alive").overlay_stats();
+        assert_eq!(
+            stats.pubsub_delivered, 2,
+            "subscriber {s} received both publishes"
+        );
+        assert_eq!(
+            stats.pubsub_unknown_topic, 0,
+            "no deliveries on unknown topics"
+        );
     }
 }
 
@@ -169,11 +171,9 @@ fn recordless_root_nacks_and_the_publisher_retries_until_delivered() {
 
     // Publish before any subscription exists: the root holds no record.
     let now = h.now();
-    h.agent_mut(publisher).expect("publisher alive").publish(
-        now,
-        TOPIC,
-        ipop_packet::Bytes::copy_from_slice(b"too-soon"),
-    );
+    h.agent_mut(publisher)
+        .expect("publisher alive")
+        .pubsub_publish(now, key, ipop_packet::Bytes::copy_from_slice(b"too-soon"));
     h.run_for(Duration::from_secs(2));
 
     // The root nacked rather than dropped, and the publisher is now backing
@@ -192,8 +192,8 @@ fn recordless_root_nacks_and_the_publisher_retries_until_delivered() {
     assert_eq!(
         h.agent(subscriber)
             .expect("subscriber alive")
-            .pubsub_counters()
-            .1,
+            .overlay_stats()
+            .pubsub_delivered,
         0,
         "nothing delivered yet"
     );
@@ -203,15 +203,15 @@ fn recordless_root_nacks_and_the_publisher_retries_until_delivered() {
     let now = h.now();
     h.agent_mut(subscriber)
         .expect("subscriber alive")
-        .subscribe(now, TOPIC);
+        .pubsub_subscribe(now, key);
     h.run_for(Duration::from_secs(25));
 
     let msgs = h
         .agent_mut(subscriber)
         .expect("subscriber alive")
-        .take_topic_messages();
+        .take_pubsub_delivered();
     assert_eq!(msgs.len(), 1, "the retried publish arrived: {msgs:?}");
-    assert_eq!(msgs[0].payload.as_slice(), b"too-soon");
+    assert_eq!(msgs[0].2.as_slice(), b"too-soon");
     let pub_stats = h.agent(publisher).expect("publisher alive").overlay_stats();
     assert!(
         pub_stats.pubsub_publish_retries >= 1,
@@ -275,23 +275,21 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
         let now = h.now();
         h.agent_mut(s)
             .expect("subscriber alive")
-            .subscribe(now, TOPIC);
+            .pubsub_subscribe(now, key);
     }
     h.run_for(Duration::from_secs(5));
 
     // Baseline publish through the original root.
     let now = h.now();
-    h.agent_mut(publisher).expect("publisher alive").publish(
-        now,
-        TOPIC,
-        ipop_packet::Bytes::copy_from_slice(b"before"),
-    );
+    h.agent_mut(publisher)
+        .expect("publisher alive")
+        .pubsub_publish(now, key, ipop_packet::Bytes::copy_from_slice(b"before"));
     h.run_for(Duration::from_secs(5));
     for &s in &subscribers {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages();
+            .take_pubsub_delivered();
         assert_eq!(msgs.len(), 1, "subscriber {s} got the baseline: {msgs:?}");
     }
 
@@ -302,7 +300,7 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
     let now = h.now();
     h.agent_mut(quitter)
         .expect("quitter alive")
-        .unsubscribe(now, TOPIC);
+        .pubsub_unsubscribe(now, key);
 
     // Ride through the partition, the heal, the re-home back onto the old
     // root and the stale entries' expiry.
@@ -310,24 +308,22 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
 
     // The post-churn publish must reach exactly the remaining subscribers.
     let now = h.now();
-    h.agent_mut(publisher).expect("publisher alive").publish(
-        now,
-        TOPIC,
-        ipop_packet::Bytes::copy_from_slice(b"after"),
-    );
+    h.agent_mut(publisher)
+        .expect("publisher alive")
+        .pubsub_publish(now, key, ipop_packet::Bytes::copy_from_slice(b"after"));
     h.run_for(Duration::from_secs(15));
 
     for &s in keepers {
         let msgs = h
             .agent_mut(s)
             .expect("subscriber alive")
-            .take_topic_messages();
+            .take_pubsub_delivered();
         assert_eq!(
             msgs.len(),
             1,
             "subscriber {s} survived the double re-home: {msgs:?}"
         );
-        assert_eq!(msgs[0].payload.as_slice(), b"after");
+        assert_eq!(msgs[0].2.as_slice(), b"after");
     }
 
     // The ghost check: the quitter saw nothing after its unsubscribe — no
@@ -336,14 +332,20 @@ fn rehomed_topic_resurrects_no_ghost_subscribers() {
     let ghost_msgs = h
         .agent_mut(quitter)
         .expect("quitter alive")
-        .take_topic_messages();
+        .take_pubsub_delivered();
     assert!(
         ghost_msgs.is_empty(),
         "ghost delivery to the unsubscribed node: {ghost_msgs:?}"
     );
-    let (_, received, unknown) = h.agent(quitter).expect("quitter alive").pubsub_counters();
-    assert_eq!(received, 1, "the quitter only ever saw the baseline");
-    assert_eq!(unknown, 0, "no stray deliveries on an unsubscribed topic");
+    let stats = h.agent(quitter).expect("quitter alive").overlay_stats();
+    assert_eq!(
+        stats.pubsub_delivered, 1,
+        "the quitter only ever saw the baseline"
+    );
+    assert_eq!(
+        stats.pubsub_unknown_topic, 0,
+        "no stray deliveries on an unsubscribed topic"
+    );
 
     // And the publish was never lost: whatever nacks the re-home produced
     // were retried to success, not counted out.
