@@ -1632,10 +1632,8 @@ mod tests {
         node.pubsub_subscribe(SimTime::ZERO, topic, Duration::from_secs(60));
         let msg_id = node.pubsub_publish(SimTime::ZERO, topic, b"to my topic".to_vec());
         assert!(!node.has_output());
-        let got = node.take_pubsub_delivered();
-        assert_eq!(got.len(), 1);
-        assert_eq!((got[0].0, got[0].1), (topic, msg_id));
-        assert_eq!(got[0].2.as_slice(), b"to my topic");
+        let body = Bytes::from(b"to my topic".as_slice());
+        assert_eq!(node.take_pubsub_delivered(), vec![(topic, msg_id, body)]);
     }
 
     /// Tokens of `DhtCreate` payloads in a drained outbox.
