@@ -15,22 +15,21 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
+use crate::dhcp::{decode_owner, lease_key};
+use crate::lookup::Lookups;
 use ipop_overlay::Address;
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
-use ipop_services::dhcp::{decode_owner, lease_key};
-use ipop_services::lookup::Lookups;
-pub use ipop_services::lookup::QUERY_TIMEOUT;
 use ipop_simcore::{Duration, SimTime};
 
 /// Bound on packets parked per unresolved destination. Traffic to an
 /// unresolvable IP must not grow memory without limit; beyond this the oldest
-/// parked packet is dropped (counted in [`BrunetArp::dropped`]).
-pub const DEFAULT_PARK_LIMIT: usize = 32;
+/// parked packet is dropped.
+const PARK_LIMIT: usize = 32;
 
 /// Outcome of a resolution attempt.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Resolution {
+pub(crate) enum Resolution {
     /// The destination's overlay address is known (cache hit or direct mapping).
     Resolved(Address),
     /// A DHT query is required; the caller should issue `dht_get(key)` and park the
@@ -41,52 +40,32 @@ pub enum Resolution {
 }
 
 /// Sender-side Brunet-ARP resolver.
-pub struct BrunetArp {
+pub(crate) struct BrunetArp {
     /// Cached mappings, and outstanding DHT queries: one older than
     /// [`QUERY_TIMEOUT`] no longer blocks a fresh query for its destination
     /// (a lost reply must not pin it in `Pending` forever).
     lookups: Lookups<Ipv4Addr, Address>,
     /// Packets waiting for a resolution, per destination IP. Bounded to
-    /// [`DEFAULT_PARK_LIMIT`] per destination, drop-oldest.
+    /// [`PARK_LIMIT`] per destination, drop-oldest.
     parked: BTreeMap<Ipv4Addr, VecDeque<Ipv4Packet>>,
-    /// Statistics.
-    pub cache_hits: u64,
-    /// Statistics.
-    pub cache_misses: u64,
-    /// Statistics: resolutions that found no mapping in the DHT.
-    pub failed: u64,
-    /// Statistics: parked packets dropped because a destination's queue was
-    /// full or its resolution failed.
-    pub dropped: u64,
 }
 
 impl BrunetArp {
     /// A resolver whose cache entries live for `cache_ttl`.
-    pub fn new(cache_ttl: Duration) -> Self {
+    pub(crate) fn new(cache_ttl: Duration) -> Self {
         BrunetArp {
             lookups: Lookups::new(cache_ttl),
             parked: BTreeMap::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            failed: 0,
-            dropped: 0,
         }
-    }
-
-    /// Number of parked packets across all destinations.
-    pub fn parked_packets(&self) -> usize {
-        self.parked.values().map(VecDeque::len).sum()
     }
 
     /// Look up the overlay address for `dst`, indicating whether a DHT query is
     /// needed. The caller parks `pkt` with [`BrunetArp::park`] when a query is
     /// required or pending.
-    pub fn resolve(&mut self, now: SimTime, dst: Ipv4Addr) -> Resolution {
+    pub(crate) fn resolve(&mut self, now: SimTime, dst: Ipv4Addr) -> Resolution {
         if let Some(addr) = self.lookups.cached(now, &dst) {
-            self.cache_hits += 1;
             return Resolution::Resolved(addr);
         }
-        self.cache_misses += 1;
         if self.lookups.is_pending(now, &dst) {
             return Resolution::Pending;
         }
@@ -95,27 +74,25 @@ impl BrunetArp {
 
     /// Record that DHT query `token` is resolving `dst` (and prune every
     /// timed-out query; see [`Lookups::issued`]).
-    pub fn query_issued(&mut self, now: SimTime, token: u64, dst: Ipv4Addr) {
+    pub(crate) fn query_issued(&mut self, now: SimTime, token: u64, dst: Ipv4Addr) {
         self.lookups.issued(now, token, dst);
     }
 
     /// Park a packet until `dst` resolves. When the destination's queue is
-    /// full the oldest parked packet is dropped (and counted), so traffic to
-    /// an unresolvable IP occupies bounded memory.
-    pub fn park(&mut self, dst: Ipv4Addr, pkt: Ipv4Packet) {
+    /// full the oldest parked packet is dropped, so traffic to an
+    /// unresolvable IP occupies bounded memory.
+    pub(crate) fn park(&mut self, dst: Ipv4Addr, pkt: Ipv4Packet) {
         let queue = self.parked.entry(dst).or_default();
-        if queue.len() >= DEFAULT_PARK_LIMIT {
+        if queue.len() >= PARK_LIMIT {
             queue.pop_front();
-            self.dropped += 1;
         }
         queue.push_back(pkt);
     }
 
     /// Process a DHT reply. A found mapping is cached and returned with the
-    /// packets that were waiting for it; a missing one drops them (counted in
-    /// [`BrunetArp::failed`] and [`BrunetArp::dropped`]) and returns `None`,
-    /// as does a token that is not ours.
-    pub fn on_reply(
+    /// packets that were waiting for it; a missing one drops them and returns
+    /// `None`, as does a token that is not ours.
+    pub(crate) fn on_reply(
         &mut self,
         now: SimTime,
         token: u64,
@@ -123,11 +100,7 @@ impl BrunetArp {
     ) -> Option<(Address, Vec<Ipv4Packet>)> {
         let dst = self.lookups.answered(token)?;
         let waiting: Vec<Ipv4Packet> = self.parked.remove(&dst).map(Vec::from).unwrap_or_default();
-        let Some(addr) = value.as_deref().and_then(decode_owner) else {
-            self.failed += 1;
-            self.dropped += waiting.len() as u64;
-            return None;
-        };
+        let addr = value.as_deref().and_then(decode_owner)?;
         self.lookups.store(now, dst, addr);
         Some((addr, waiting))
     }
@@ -137,8 +110,7 @@ impl BrunetArp {
     /// packets were sourced from the old address, and a late reply releasing
     /// them would emit traffic from an address this node no longer holds.
     /// The resolution cache survives — it maps *other* hosts' addresses.
-    pub fn reset_pending(&mut self) {
-        self.dropped += self.parked_packets() as u64;
+    pub(crate) fn reset_pending(&mut self) {
         self.parked.clear();
         self.lookups.clear_outstanding();
     }
@@ -147,8 +119,9 @@ impl BrunetArp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dhcp::encode_owner;
+    use crate::lookup::QUERY_TIMEOUT;
     use ipop_packet::ipv4::Ipv4Payload;
-    use ipop_services::dhcp::encode_owner;
 
     fn pkt(dst: Ipv4Addr) -> Ipv4Packet {
         Ipv4Packet::new(
@@ -183,16 +156,15 @@ mod tests {
         // Second packet while the query is outstanding: pending.
         assert_eq!(arp.resolve(now, DST), Resolution::Pending);
         arp.park(DST, pkt(DST));
-        assert_eq!(arp.parked_packets(), 2);
+        assert_eq!(arp.parked[&DST].len(), 2);
         // Reply arrives: both packets released, mapping cached.
         let target = Address::from_key(b"host routing for DST");
         let (addr, released) = arp.on_reply(now, 7, Some(encode_owner(&target))).unwrap();
         assert_eq!(addr, target);
         assert_eq!(released.len(), 2);
+        assert!(arp.parked.is_empty());
         // Third packet: cache hit.
         assert_eq!(arp.resolve(now, DST), Resolution::Resolved(target));
-        assert_eq!(arp.cache_hits, 1);
-        assert_eq!(arp.cache_misses, 2);
     }
 
     #[test]
@@ -219,13 +191,19 @@ mod tests {
         arp.park(DST, pkt(DST));
         arp.park(DST, pkt(DST));
         assert_eq!(arp.on_reply(SimTime::ZERO, 3, None), None);
-        assert_eq!(arp.parked_packets(), 0);
-        assert_eq!(arp.failed, 1);
-        assert_eq!(arp.dropped, 2, "a failed resolution drops what was parked");
+        assert!(arp.parked.is_empty());
         assert!(
             matches!(arp.resolve(SimTime::ZERO, DST), Resolution::NeedsQuery(_)),
             "nothing cached"
         );
+        // A failed resolution drops what was parked: a later answer for the
+        // same destination releases nothing.
+        arp.query_issued(SimTime::ZERO, 4, DST);
+        let target = Address::from_key(b"n");
+        let (_, released) = arp
+            .on_reply(SimTime::ZERO, 4, Some(encode_owner(&target)))
+            .unwrap();
+        assert!(released.is_empty());
     }
 
     #[test]
@@ -243,8 +221,8 @@ mod tests {
         let other = Ipv4Addr::new(172, 16, 0, 99);
         arp.query_issued(SimTime::ZERO, 2, other);
         // Two packets more than the limit to one destination: only the
-        // newest `DEFAULT_PARK_LIMIT` survive.
-        let limit = DEFAULT_PARK_LIMIT as u8;
+        // newest `PARK_LIMIT` survive.
+        let limit = PARK_LIMIT as u8;
         for i in 0..limit + 2 {
             arp.park(
                 DST,
@@ -257,13 +235,13 @@ mod tests {
         }
         // The bound is per destination: another IP's queue is unaffected.
         arp.park(other, pkt(other));
-        assert_eq!(arp.parked_packets(), DEFAULT_PARK_LIMIT + 1);
-        assert_eq!(arp.dropped, 2);
+        assert_eq!(arp.parked[&DST].len(), PARK_LIMIT);
+        assert_eq!(arp.parked[&other].len(), 1);
         let target = Address::from_key(b"n");
         let (_, released) = arp
             .on_reply(SimTime::ZERO, 1, Some(encode_owner(&target)))
             .unwrap();
-        assert_eq!(released.len(), DEFAULT_PARK_LIMIT);
+        assert_eq!(released.len(), PARK_LIMIT);
         // Drop-oldest: the survivors are the newest packets, in order.
         let tails: Vec<u8> = released
             .iter()
@@ -316,8 +294,7 @@ mod tests {
         arp.query_issued(SimTime::ZERO, 2, other);
         arp.park(other, pkt(other));
         arp.reset_pending();
-        assert_eq!(arp.parked_packets(), 0);
-        assert_eq!(arp.dropped, 1);
+        assert!(arp.parked.is_empty());
         // A late reply for the cleared query releases nothing.
         assert!(arp
             .on_reply(SimTime::ZERO, 2, Some(encode_owner(&target)))

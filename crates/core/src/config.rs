@@ -5,8 +5,9 @@ use std::net::Ipv4Addr;
 use ipop_overlay::packets::Endpoint;
 use ipop_overlay::transport::TransportMode;
 use ipop_overlay::{Address, OverlayConfig};
-use ipop_services::Subnet;
 use ipop_simcore::Duration;
+
+use crate::dhcp::Subnet;
 
 /// Configuration of one IPOP node (paper Section III).
 #[derive(Clone, Debug)]
@@ -17,7 +18,7 @@ pub struct IpopConfig {
     /// dynamically — see [`IpopConfig::dynamic`].
     pub virtual_ip: Ipv4Addr,
     /// When set, the node joins with no address and allocates one from this
-    /// subnet through the DHCP-over-DHT allocator (`ipop-services`). Implies
+    /// subnet through the DHCP-over-DHT allocator. Implies
     /// Brunet-ARP: with a dynamic address the overlay address cannot be the
     /// hash of the virtual IP, so mappings must live in the DHT.
     pub dynamic_subnet: Option<(Ipv4Addr, u8)>,
@@ -88,7 +89,7 @@ impl IpopConfig {
 
     /// The virtual address space: the dynamic subnet, or else the paper's
     /// 172.16.0.0/16.
-    pub fn virtual_prefix(&self) -> Subnet {
+    pub(crate) fn virtual_prefix(&self) -> Subnet {
         let (net, prefix) = self
             .dynamic_subnet
             .unwrap_or((Ipv4Addr::new(172, 16, 0, 0), 16));

@@ -16,12 +16,12 @@ use ipop_overlay::{Address, OverlayNode};
 use ipop_packet::ether::{EthernetFrame, FramePayload, MacAddr};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
-use ipop_services::dhcp::{encode_owner, lease_key};
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::app::{AppHost, VirtualApp};
 use crate::brunet_arp::{BrunetArp, Resolution};
 use crate::config::IpopConfig;
+use crate::dhcp::{encode_owner, lease_key};
 
 /// Counters describing one IPOP node's activity.
 #[derive(Clone, Copy, Debug, Default)]

@@ -22,20 +22,20 @@ use ipop_overlay::Address;
 use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
-use crate::DhtClient;
+use crate::selfconfig::DhtClient;
 
 /// An IPv4 subnet (network address + prefix length).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Subnet {
+pub(crate) struct Subnet {
     /// Network address (host bits zeroed).
-    pub net: Ipv4Addr,
+    pub(crate) net: Ipv4Addr,
     /// Prefix length in bits (max 30: at least two usable host addresses).
-    pub prefix: u8,
+    pub(crate) prefix: u8,
 }
 
 impl Subnet {
     /// A subnet from any address inside it plus a prefix length.
-    pub fn new(addr: Ipv4Addr, prefix: u8) -> Self {
+    pub(crate) fn new(addr: Ipv4Addr, prefix: u8) -> Self {
         assert!(prefix <= 30, "prefix too long for host allocation");
         let mask = Self::mask_of(prefix);
         Subnet {
@@ -53,22 +53,22 @@ impl Subnet {
     }
 
     /// The subnet mask.
-    pub fn mask(&self) -> u32 {
+    fn mask(&self) -> u32 {
         Self::mask_of(self.prefix)
     }
 
     /// Is `ip` inside the subnet?
-    pub fn contains(&self, ip: Ipv4Addr) -> bool {
+    pub(crate) fn contains(&self, ip: Ipv4Addr) -> bool {
         (u32::from(ip) & self.mask()) == u32::from(self.net)
     }
 
     /// The broadcast address (all host bits set).
-    pub fn broadcast(&self) -> Ipv4Addr {
+    pub(crate) fn broadcast(&self) -> Ipv4Addr {
         Ipv4Addr::from(u32::from(self.net) | !self.mask())
     }
 
     /// Number of assignable host addresses (network and broadcast excluded).
-    pub fn usable_hosts(&self) -> u64 {
+    fn usable_hosts(&self) -> u64 {
         (1u64 << (32 - self.prefix)) - 2
     }
 
@@ -79,7 +79,7 @@ impl Subnet {
     /// Bounded work: a short burst of rejection sampling for the common
     /// sparse case, then one deterministic scan from a random start — never
     /// the unbounded retry loop that would hang a joiner on a full subnet.
-    pub fn draw_avoiding(
+    fn draw_avoiding(
         &self,
         rng: &mut StreamRng,
         reserved: &[Ipv4Addr],
@@ -120,19 +120,19 @@ impl Subnet {
 
 /// The DHT key under which the lease (= Brunet-ARP mapping) for `ip` lives:
 /// `SHA-1(ip)`, the same point on the ring the base IPOP design routes to.
-pub fn lease_key(ip: Ipv4Addr) -> Address {
+pub(crate) fn lease_key(ip: Ipv4Addr) -> Address {
     Address::from_ip(ip)
 }
 
 /// Encode the claimant's overlay address as the lease value (a shared buffer;
 /// storing and replicating it never copy). A DHCP-over-DHT claim *is* a
 /// Brunet-ARP mapping, so resolvers read it with [`decode_owner`] too.
-pub fn encode_owner(addr: &Address) -> Bytes {
+pub(crate) fn encode_owner(addr: &Address) -> Bytes {
     Bytes::copy_from_slice(&addr.0)
 }
 
 /// Decode a lease value back into the owner's overlay address.
-pub fn decode_owner(value: &[u8]) -> Option<Address> {
+pub(crate) fn decode_owner(value: &[u8]) -> Option<Address> {
     if value.len() != 20 {
         return None;
     }
@@ -154,7 +154,7 @@ const MAX_ATTEMPTS: u32 = 128;
 
 /// Allocation progress.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DhcpState {
+pub(crate) enum DhcpState {
     /// Waiting for the overlay to be ready.
     Idle,
     /// A claim (`DhtCreate`) is outstanding for the candidate address.
@@ -201,7 +201,7 @@ pub enum DhcpState {
 }
 
 /// The DHCP-style allocator state machine for one node.
-pub struct DhcpAllocator {
+pub(crate) struct DhcpAllocator {
     subnet: Subnet,
     /// Lease lifetime; the overlay renews the claim at half this.
     lease_ttl: Duration,
@@ -220,17 +220,15 @@ pub struct DhcpAllocator {
     /// The stream candidate addresses are drawn from.
     rng: StreamRng,
     /// Claims lost to an existing live lease.
-    pub collisions: u64,
+    pub(crate) collisions: u64,
     /// Claims issued.
-    pub attempts: u32,
-    /// Bound leases lost to a conflicting winner (healed partitions).
-    pub leases_lost: u64,
+    attempts: u32,
 }
 
 impl DhcpAllocator {
     /// An allocator drawing from `subnet` with `rng`, claiming leases of
     /// `lease_ttl` on behalf of `owner`.
-    pub fn new(subnet: Subnet, owner: Address, lease_ttl: Duration, rng: StreamRng) -> Self {
+    pub(crate) fn new(subnet: Subnet, owner: Address, lease_ttl: Duration, rng: StreamRng) -> Self {
         DhcpAllocator {
             subnet,
             lease_ttl,
@@ -243,24 +241,23 @@ impl DhcpAllocator {
             rng,
             collisions: 0,
             attempts: 0,
-            leases_lost: 0,
         }
     }
 
     /// Builder: addresses that must never be drawn (e.g. the fabricated
     /// gateway of the static-ARP trick).
-    pub fn with_reserved(mut self, reserved: Vec<Ipv4Addr>) -> Self {
+    pub(crate) fn with_reserved(mut self, reserved: Vec<Ipv4Addr>) -> Self {
         self.reserved = reserved;
         self
     }
 
     /// Current state.
-    pub fn state(&self) -> DhcpState {
+    pub(crate) fn state(&self) -> DhcpState {
         self.state
     }
 
     /// The allocated address, once bound.
-    pub fn ip(&self) -> Option<Ipv4Addr> {
+    pub(crate) fn ip(&self) -> Option<Ipv4Addr> {
         match self.state {
             DhcpState::Bound { ip } => Some(ip),
             _ => None,
@@ -268,12 +265,12 @@ impl DhcpAllocator {
     }
 
     /// Time from the first poll to the confirmed allocation.
-    pub fn allocation_latency(&self) -> Option<Duration> {
+    pub(crate) fn allocation_latency(&self) -> Option<Duration> {
         Some(self.bound_at?.saturating_since(self.started_at?))
     }
 
     /// Release the lease (graceful leave): delete the mapping from the DHT.
-    pub fn release(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
+    pub(crate) fn release(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
         match self.state {
             DhcpState::Bound { ip } => {
                 dht.remove(now, lease_key(ip));
@@ -294,7 +291,7 @@ impl DhcpAllocator {
     /// Drive the state machine. `ready` signals that the overlay is converged
     /// enough to claim (the caller typically requires established ring
     /// neighbours on both sides). Safe to call every tick.
-    pub fn poll(&mut self, now: SimTime, ready: bool, dht: &mut dyn DhtClient) {
+    pub(crate) fn poll(&mut self, now: SimTime, ready: bool, dht: &mut dyn DhtClient) {
         if self.started_at.is_none() {
             self.started_at = Some(now);
         }
@@ -361,7 +358,7 @@ impl DhcpAllocator {
     /// quorum (partition minority — the same address is retried; it is not
     /// taken, and blacklisting free addresses would walk the allocator into a
     /// false `AddressSpaceExhausted` on a mostly-empty subnet).
-    pub fn on_create_reply(
+    pub(crate) fn on_create_reply(
         &mut self,
         now: SimTime,
         token: u64,
@@ -407,7 +404,7 @@ impl DhcpAllocator {
 
     /// Feed a DHT get reply (the confirmation read). Returns true when the
     /// token belonged to this allocator.
-    pub fn on_get_reply(
+    pub(crate) fn on_get_reply(
         &mut self,
         now: SimTime,
         token: u64,
@@ -449,11 +446,10 @@ impl DhcpAllocator {
     /// found a conflicting record owning the key (the other side of a healed
     /// partition won). The publication is already gone — re-allocate a fresh
     /// address; the caller re-binds when the new lease confirms.
-    pub fn on_lease_lost(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
+    pub(crate) fn on_lease_lost(&mut self, now: SimTime, dht: &mut dyn DhtClient) {
         let DhcpState::Bound { ip } = self.state else {
             return;
         };
-        self.leases_lost += 1;
         self.tried.insert(ip);
         self.claim(now, dht);
     }
@@ -500,7 +496,7 @@ impl DhcpAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{FakeDht, Op};
+    use crate::selfconfig::testutil::{FakeDht, Op};
 
     fn subnet() -> Subnet {
         Subnet::new(Ipv4Addr::new(172, 16, 9, 0), 24)
@@ -789,7 +785,7 @@ mod tests {
         assert!(a.ip().is_some());
         // The overlay reports the lease lost (healed-partition conflict).
         a.on_lease_lost(t0 + Duration::from_secs(60), &mut dht);
-        assert_eq!(a.leases_lost, 1);
+        assert!(a.tried.contains(&ip), "the lost address counts as taken");
         let DhcpState::Claiming { ip: ip2, .. } = a.state() else {
             panic!("re-claim expected, got {:?}", a.state())
         };

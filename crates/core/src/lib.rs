@@ -21,7 +21,10 @@
 //! * [`plain`] — [`PlainHostAgent`]: the same application run directly on the
 //!   physical network (the "physical" baseline rows of the paper's tables).
 //! * [`app`] — the [`VirtualApp`] trait the workloads in `ipop-apps` implement.
-//! * [`brunet_arp`] — the DHT-based IP→overlay-address mapper of Section III-E.
+//! * `selfconfig`, `dhcp`, `name`, `brunet_arp` and `lookup` (crate-private) —
+//!   self-configuration over the DHT (Section III): DHCP-style address
+//!   leases, the name service and the Section III-E Brunet-ARP resolver,
+//!   which [`IpopHostAgent`] drives and exposes.
 //! * [`builder`] — one-call deployment of an IPOP virtual network over a simulated
 //!   physical topology.
 //!
@@ -53,17 +56,19 @@
 //! ```
 
 pub mod app;
-pub mod brunet_arp;
+mod brunet_arp;
 pub mod builder;
 pub mod config;
 mod dataplane;
+mod dhcp;
+mod lookup;
+mod name;
 pub mod node;
 pub mod plain;
 mod selfconfig;
 mod wakeup;
 
 pub use app::{AppEnv, NullApp, VirtualApp};
-pub use brunet_arp::{BrunetArp, Resolution};
 pub use builder::{deploy_ipop, deploy_plain, DeployOptions, IpopMember};
 pub use config::IpopConfig;
 pub use dataplane::IpopMetrics;

@@ -13,11 +13,11 @@ use ipop_simcore::{Duration, SimTime};
 
 /// How long an unanswered query stays in the table. A pruned query's late
 /// reply is dropped; a fresh query answers instead.
-pub const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
+pub(crate) const QUERY_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Answers cached for `cache_ttl`, and outstanding query tokens, for lookups
 /// of a `K` that resolve to a `V`. `BTreeMap`s for deterministic iteration.
-pub struct Lookups<K, V> {
+pub(crate) struct Lookups<K, V> {
     cache_ttl: Duration,
     cache: BTreeMap<K, (V, SimTime)>,
     /// Query token → the key it resolves and when it was issued.
@@ -26,7 +26,7 @@ pub struct Lookups<K, V> {
 
 impl<K: Ord, V: Clone> Lookups<K, V> {
     /// An empty table whose cache entries live for `cache_ttl`.
-    pub fn new(cache_ttl: Duration) -> Self {
+    pub(crate) fn new(cache_ttl: Duration) -> Self {
         Lookups {
             cache_ttl,
             cache: BTreeMap::new(),
@@ -35,7 +35,7 @@ impl<K: Ord, V: Clone> Lookups<K, V> {
     }
 
     /// The cached answer for `key` while it is fresh; a stale one is dropped.
-    pub fn cached<Q>(&mut self, now: SimTime, key: &Q) -> Option<V>
+    pub(crate) fn cached<Q>(&mut self, now: SimTime, key: &Q) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -49,7 +49,7 @@ impl<K: Ord, V: Clone> Lookups<K, V> {
     }
 
     /// Is a query for `key` outstanding and not yet timed out?
-    pub fn is_pending(&self, now: SimTime, key: &K) -> bool {
+    pub(crate) fn is_pending(&self, now: SimTime, key: &K) -> bool {
         self.outstanding
             .values()
             .any(|(k, issued)| k == key && now.saturating_since(*issued) < QUERY_TIMEOUT)
@@ -58,7 +58,7 @@ impl<K: Ord, V: Clone> Lookups<K, V> {
     /// Record that query `token` resolves `key`. Every timed-out entry is
     /// pruned (not just this key's) — without this, a lost reply for a key
     /// never queried again would leak its entry for the life of the node.
-    pub fn issued(&mut self, now: SimTime, token: u64, key: K) {
+    pub(crate) fn issued(&mut self, now: SimTime, token: u64, key: K) {
         self.outstanding
             .retain(|_, (_, issued)| now.saturating_since(*issued) < QUERY_TIMEOUT);
         self.outstanding.insert(token, (key, now));
@@ -66,17 +66,17 @@ impl<K: Ord, V: Clone> Lookups<K, V> {
 
     /// The reply to `token` arrived: forget the query and name the key it
     /// asked for. `None` when the token is not ours (or was pruned).
-    pub fn answered(&mut self, token: u64) -> Option<K> {
+    pub(crate) fn answered(&mut self, token: u64) -> Option<K> {
         self.outstanding.remove(&token).map(|(key, _)| key)
     }
 
     /// Cache `value` as the answer for `key`.
-    pub fn store(&mut self, now: SimTime, key: K, value: V) {
+    pub(crate) fn store(&mut self, now: SimTime, key: K, value: V) {
         self.cache.insert(key, (value, now));
     }
 
     /// Forget every outstanding query; the cache survives.
-    pub fn clear_outstanding(&mut self) {
+    pub(crate) fn clear_outstanding(&mut self) {
         self.outstanding.clear();
     }
 

@@ -19,10 +19,10 @@ use ipop_packet::Bytes;
 use ipop_simcore::{Duration, SimTime};
 
 use crate::lookup::Lookups;
-use crate::DhtClient;
+use crate::selfconfig::DhtClient;
 
 /// The DHT key of a hostname record.
-pub fn name_key(name: &str) -> Address {
+fn name_key(name: &str) -> Address {
     let mut keyed = Vec::with_capacity(5 + name.len());
     keyed.extend_from_slice(b"name:");
     keyed.extend_from_slice(name.as_bytes());
@@ -30,7 +30,7 @@ pub fn name_key(name: &str) -> Address {
 }
 
 /// The DHT key of a reverse (IP → hostname) record.
-pub fn reverse_key(ip: Ipv4Addr) -> Address {
+fn reverse_key(ip: Ipv4Addr) -> Address {
     let mut keyed = Vec::with_capacity(6 + 4);
     keyed.extend_from_slice(b"rname:");
     keyed.extend_from_slice(&ip.octets());
@@ -38,67 +38,47 @@ pub fn reverse_key(ip: Ipv4Addr) -> Address {
 }
 
 /// Encode a virtual IP as a name-record value.
-pub fn encode_ip(ip: Ipv4Addr) -> Bytes {
+fn encode_ip(ip: Ipv4Addr) -> Bytes {
     Bytes::copy_from_slice(&ip.octets())
 }
 
 /// Decode a name-record value back into a virtual IP.
-pub fn decode_ip(value: &[u8]) -> Option<Ipv4Addr> {
+fn decode_ip(value: &[u8]) -> Option<Ipv4Addr> {
     let octets: [u8; 4] = value.try_into().ok()?;
     Some(Ipv4Addr::from(octets))
 }
 
 /// Encode a hostname as a reverse-record value.
-pub fn encode_name(name: &str) -> Bytes {
+fn encode_name(name: &str) -> Bytes {
     Bytes::copy_from_slice(name.as_bytes())
 }
 
 /// Decode a reverse-record value back into a hostname.
-pub fn decode_name(value: &[u8]) -> Option<String> {
+fn decode_name(value: &[u8]) -> Option<String> {
     String::from_utf8(value.to_vec()).ok()
 }
 
-/// Outcome of a resolution attempt: a hostname's IP, or (reverse) an IP's
-/// hostname.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Resolution<T = Ipv4Addr> {
-    /// Answered from the local cache.
-    Cached(T),
-    /// A DHT read was issued under the given token; the answer arrives via
-    /// [`NameService::on_reply`] (reverse: [`NameService::on_reverse_reply`]).
-    Pending(u64),
-}
-
-/// Outcome of a reverse (IP → hostname) resolution attempt.
-pub type ReverseResolution = Resolution<String>;
-
 /// Resolver-side (and registrar-side) name service state for one node.
-pub struct NameService {
+pub(crate) struct NameService {
     /// Hostname → IP: cached answers and outstanding lookups.
     forward: Lookups<String, Ipv4Addr>,
     /// IP → hostname: cached answers and outstanding reverse lookups.
     reverse: Lookups<Ipv4Addr, String>,
-    /// Lookups answered from the DHT with a mapping.
-    pub resolved: u64,
-    /// Lookups that found no record.
-    pub failed: u64,
 }
 
 impl NameService {
     /// A name service whose cache entries live for `cache_ttl`.
-    pub fn new(cache_ttl: Duration) -> Self {
+    pub(crate) fn new(cache_ttl: Duration) -> Self {
         NameService {
             forward: Lookups::new(cache_ttl),
             reverse: Lookups::new(cache_ttl),
-            resolved: 0,
-            failed: 0,
         }
     }
 
     /// Register (or re-register, e.g. after migration) `name → ip` as a
     /// refreshed lease with the given TTL — plus the reverse `ip → name`
     /// record under [`reverse_key`].
-    pub fn register(
+    pub(crate) fn register(
         dht: &mut dyn DhtClient,
         now: SimTime,
         name: &str,
@@ -110,25 +90,31 @@ impl NameService {
     }
 
     /// Remove the registration for `name` and its reverse record for `ip`.
-    pub fn unregister(dht: &mut dyn DhtClient, now: SimTime, name: &str, ip: Ipv4Addr) {
+    pub(crate) fn unregister(dht: &mut dyn DhtClient, now: SimTime, name: &str, ip: Ipv4Addr) {
         dht.remove(now, name_key(name));
         dht.remove(now, reverse_key(ip));
     }
 
-    /// Resolve `name`, from cache when fresh, otherwise via a DHT read.
-    pub fn resolve(&mut self, dht: &mut dyn DhtClient, now: SimTime, name: &str) -> Resolution {
-        if let Some(ip) = self.forward.cached(now, name) {
-            return Resolution::Cached(ip);
+    /// Resolve `name` from cache when fresh; otherwise issue a DHT read,
+    /// whose answer arrives via [`NameService::on_reply`], and return `None`.
+    pub(crate) fn resolve(
+        &mut self,
+        dht: &mut dyn DhtClient,
+        now: SimTime,
+        name: &str,
+    ) -> Option<Ipv4Addr> {
+        let cached = self.forward.cached(now, name);
+        if cached.is_none() {
+            let token = dht.get(now, name_key(name));
+            self.forward.issued(now, token, name.to_string());
         }
-        let token = dht.get(now, name_key(name));
-        self.forward.issued(now, token, name.to_string());
-        Resolution::Pending(token)
+        cached
     }
 
     /// Feed a DHT get reply. Returns `Some((name, ip))` when the token
     /// belonged to an outstanding name lookup (ip is `None` when no record
     /// exists), `None` when the token is not ours.
-    pub fn on_reply(
+    pub(crate) fn on_reply(
         &mut self,
         now: SimTime,
         token: u64,
@@ -136,37 +122,35 @@ impl NameService {
     ) -> Option<(String, Option<Ipv4Addr>)> {
         let name = self.forward.answered(token)?;
         let ip = value.and_then(decode_ip);
-        match ip {
-            Some(ip) => {
-                self.resolved += 1;
-                self.forward.store(now, name.clone(), ip);
-            }
-            None => self.failed += 1,
+        if let Some(ip) = ip {
+            self.forward.store(now, name.clone(), ip);
         }
         Some((name, ip))
     }
 
-    /// Reverse-resolve `ip` to the hostname registered for it, from cache
-    /// when fresh, otherwise via a DHT read of the [`reverse_key`] record.
-    pub fn lookup_ip(
+    /// Reverse-resolve `ip` to the hostname registered for it from cache
+    /// when fresh; otherwise issue a DHT read of the [`reverse_key`] record,
+    /// whose answer arrives via [`NameService::on_reverse_reply`], and return
+    /// `None`.
+    pub(crate) fn lookup_ip(
         &mut self,
         dht: &mut dyn DhtClient,
         now: SimTime,
         ip: Ipv4Addr,
-    ) -> ReverseResolution {
-        if let Some(name) = self.reverse.cached(now, &ip) {
-            return ReverseResolution::Cached(name);
+    ) -> Option<String> {
+        let cached = self.reverse.cached(now, &ip);
+        if cached.is_none() {
+            let token = dht.get(now, reverse_key(ip));
+            self.reverse.issued(now, token, ip);
         }
-        let token = dht.get(now, reverse_key(ip));
-        self.reverse.issued(now, token, ip);
-        ReverseResolution::Pending(token)
+        cached
     }
 
     /// Feed a DHT get reply that may answer a reverse lookup. Returns
     /// `Some((ip, hostname))` when the token belonged to an outstanding
     /// reverse lookup (hostname is `None` when no record exists), `None`
     /// when the token is not ours.
-    pub fn on_reverse_reply(
+    pub(crate) fn on_reverse_reply(
         &mut self,
         now: SimTime,
         token: u64,
@@ -174,12 +158,8 @@ impl NameService {
     ) -> Option<(Ipv4Addr, Option<String>)> {
         let ip = self.reverse.answered(token)?;
         let name = value.and_then(decode_name);
-        match &name {
-            Some(name) => {
-                self.resolved += 1;
-                self.reverse.store(now, ip, name.clone());
-            }
-            None => self.failed += 1,
+        if let Some(name) = &name {
+            self.reverse.store(now, ip, name.clone());
         }
         Some((ip, name))
     }
@@ -188,7 +168,7 @@ impl NameService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{FakeDht, Op};
+    use crate::selfconfig::testutil::{FakeDht, Op};
 
     const IP: Ipv4Addr = Ipv4Addr::new(172, 16, 9, 42);
 
@@ -229,44 +209,40 @@ mod tests {
             "registration also writes the reverse record"
         );
         // First lookup goes to the DHT.
-        let Resolution::Pending(token) = ns.resolve(&mut dht, t0, "worker-1") else {
-            panic!("expected a pending lookup")
-        };
+        assert_eq!(ns.resolve(&mut dht, t0, "worker-1"), None);
+        assert_eq!(dht.ops[2], Op::Get(name_key("worker-1")));
         let v = encode_ip(IP);
         assert_eq!(
-            ns.on_reply(t0, token, Some(v.as_slice())),
+            ns.on_reply(t0, dht.last_token(), Some(v.as_slice())),
             Some(("worker-1".to_string(), Some(IP)))
         );
-        assert_eq!(ns.resolved, 1);
-        // Second lookup is served from cache.
+        // Second lookup is served from cache, with no DHT read.
         assert_eq!(
             ns.resolve(&mut dht, t0 + Duration::from_secs(10), "worker-1"),
-            Resolution::Cached(IP)
+            Some(IP)
         );
+        assert_eq!(dht.ops.len(), 3);
         // After the cache TTL the name is re-resolved (migration pickup).
-        assert!(matches!(
+        assert_eq!(
             ns.resolve(&mut dht, t0 + Duration::from_secs(61), "worker-1"),
-            Resolution::Pending(_)
-        ));
+            None
+        );
+        assert_eq!(dht.ops[3], Op::Get(name_key("worker-1")));
     }
 
     #[test]
     fn missing_names_count_as_failures() {
         let mut ns = NameService::new(Duration::from_secs(60));
         let mut dht = FakeDht::default();
-        let Resolution::Pending(token) = ns.resolve(&mut dht, SimTime::ZERO, "ghost") else {
-            panic!()
-        };
+        assert_eq!(ns.resolve(&mut dht, SimTime::ZERO, "ghost"), None);
         assert_eq!(
-            ns.on_reply(SimTime::ZERO, token, None),
+            ns.on_reply(SimTime::ZERO, dht.last_token(), None),
             Some(("ghost".to_string(), None))
         );
-        assert_eq!(ns.failed, 1);
-        assert!(
-            matches!(
-                ns.resolve(&mut dht, SimTime::ZERO, "ghost"),
-                Resolution::Pending(_)
-            ),
+        assert_eq!(ns.resolve(&mut dht, SimTime::ZERO, "ghost"), None);
+        assert_eq!(
+            dht.ops,
+            vec![Op::Get(name_key("ghost")), Op::Get(name_key("ghost"))],
             "a missing name is not cached"
         );
         // Unknown tokens are not ours.
@@ -283,10 +259,8 @@ mod tests {
         for i in 0..1000u32 {
             let now = SimTime::ZERO + Duration::from_millis(100) * u64::from(i);
             let r = ns.resolve(&mut dht, now, &format!("ghost-{i}"));
-            let Resolution::Pending(token) = r else {
-                panic!("nothing ever answered, nothing is cached")
-            };
-            first.get_or_insert(token);
+            assert_eq!(r, None, "nothing ever answered, nothing is cached");
+            first.get_or_insert(dht.last_token());
             ns.lookup_ip(&mut dht, now, Ipv4Addr::from(0xAC10_0000 + i));
         }
         // Ten lookups a second, five seconds each: fifty at a time, not 1000.
@@ -315,33 +289,32 @@ mod tests {
         let mut dht = FakeDht::default();
         let t0 = SimTime::ZERO;
         // First reverse lookup goes to the DHT under the reverse key.
-        let ReverseResolution::Pending(token) = ns.lookup_ip(&mut dht, t0, IP) else {
-            panic!("expected a pending reverse lookup")
-        };
+        assert_eq!(ns.lookup_ip(&mut dht, t0, IP), None);
         assert_eq!(dht.ops, vec![Op::Get(reverse_key(IP))]);
         let v = encode_name("worker-1");
         assert_eq!(
-            ns.on_reverse_reply(t0, token, Some(v.as_slice())),
+            ns.on_reverse_reply(t0, dht.last_token(), Some(v.as_slice())),
             Some((IP, Some("worker-1".to_string())))
         );
-        assert_eq!(ns.resolved, 1);
-        // Second lookup is served from the reverse cache.
+        // Second lookup is served from the reverse cache, with no DHT read.
         assert_eq!(
             ns.lookup_ip(&mut dht, t0 + Duration::from_secs(10), IP),
-            ReverseResolution::Cached("worker-1".to_string())
+            Some("worker-1".to_string())
         );
+        assert_eq!(dht.ops.len(), 1);
         // After the cache TTL the IP is re-resolved (re-registration pickup).
-        assert!(matches!(
+        assert_eq!(
             ns.lookup_ip(&mut dht, t0 + Duration::from_secs(61), IP),
-            ReverseResolution::Pending(_)
-        ));
-        // An unregistered IP reverse-resolves to nothing.
+            None
+        );
+        assert_eq!(dht.ops[1], Op::Get(reverse_key(IP)));
+        // An unregistered IP reverse-resolves to nothing, and is not cached.
         let other = Ipv4Addr::new(172, 16, 9, 77);
-        let ReverseResolution::Pending(t2) = ns.lookup_ip(&mut dht, t0, other) else {
-            panic!()
-        };
+        assert_eq!(ns.lookup_ip(&mut dht, t0, other), None);
+        let t2 = dht.last_token();
         assert_eq!(ns.on_reverse_reply(t0, t2, None), Some((other, None)));
-        assert_eq!(ns.failed, 1);
+        assert_eq!(ns.lookup_ip(&mut dht, t0, other), None);
+        assert_eq!(dht.ops[3], Op::Get(reverse_key(other)));
         // A forward-lookup token is not a reverse one and vice versa.
         assert_eq!(ns.on_reverse_reply(t0, 999, None), None);
     }

@@ -29,7 +29,6 @@ use ipop_overlay::transport::Transport;
 use ipop_overlay::{Address, OverlayNode, OverlayStats, StreamEvent};
 use ipop_packet::ipv4::Ipv4Packet;
 use ipop_packet::Bytes;
-use ipop_services::{Resolution, ReverseResolution};
 use ipop_simcore::{Duration, SimTime, StreamRng, TimerToken};
 
 use crate::app::VirtualApp;
@@ -185,10 +184,7 @@ impl IpopHostAgent {
     /// cached IP when fresh; otherwise issues a DHT lookup whose outcome
     /// arrives via [`IpopHostAgent::take_name_results`].
     pub fn lookup_name(&mut self, now: SimTime, name: &str) -> Option<Ipv4Addr> {
-        match self.selfconfig.names.resolve(&mut self.overlay, now, name) {
-            Resolution::Cached(ip) => Some(ip),
-            Resolution::Pending(_) => None,
-        }
+        self.selfconfig.names.resolve(&mut self.overlay, now, name)
     }
 
     /// Completed name lookups: `(hostname, IP if registered)`.
@@ -200,10 +196,7 @@ impl IpopHostAgent {
     /// Returns the cached name when fresh; otherwise issues a DHT lookup
     /// whose outcome arrives via [`IpopHostAgent::take_reverse_results`].
     pub fn lookup_ip(&mut self, now: SimTime, ip: Ipv4Addr) -> Option<String> {
-        match self.selfconfig.names.lookup_ip(&mut self.overlay, now, ip) {
-            ReverseResolution::Cached(name) => Some(name),
-            ReverseResolution::Pending(_) => None,
-        }
+        self.selfconfig.names.lookup_ip(&mut self.overlay, now, ip)
     }
 
     /// Completed reverse lookups: `(IP, hostname if registered)`.

@@ -1,21 +1,84 @@
-//! Self-configuration (paper Section III): a dynamic node's DHCP-over-DHT
-//! lease and when it may claim, lost-lease matching, the hostname, name
-//! lookups and resolution probes. [`SelfConfig`] is sans-IO: each call is
-//! lent the overlay node and the instant, and binding or giving up an
-//! address reconfigures the [`DataPlane`] lent alongside.
+//! Self-configuration (paper Section III). A machine joins the grid knowing
+//! only the virtual subnet and a bootstrap endpoint; everything else — its
+//! virtual address, the IP → overlay-address mapping other nodes need to
+//! reach it, its name — is configured through the overlay's replicated DHT:
+//!
+//! * [`crate::dhcp`] — DHCP-style allocation: draw a candidate address from
+//!   the subnet, claim it with the DHT's atomic create-if-absent primitive,
+//!   retry on collision, confirm, then renew the claim as a lease. The claim
+//!   record *is* the Brunet-ARP mapping (`SHA-1(ip) → overlay address`), so
+//!   winning an address simultaneously makes it resolvable.
+//! * [`crate::brunet_arp`] — the sender-side resolver of Section III-E that
+//!   reads those mappings.
+//! * [`crate::name`] — the overlay name service: hostnames → virtual IPs,
+//!   and back.
+//! * [`crate::lookup`] — the answer cache and outstanding-query table every
+//!   resolver over the DHT keeps.
+//!
+//! [`SelfConfig`] is one node's share of it: the lease and when it may claim,
+//! lost-lease matching, the hostname, name lookups and resolution probes. It
+//! is sans-IO: each call is lent the overlay node and the instant, and
+//! binding or giving up an address reconfigures the [`DataPlane`] lent
+//! alongside. The allocator and the name service drive the overlay through
+//! [`DhtClient`], which [`OverlayNode`] implements and unit tests replace
+//! with a scripted fake.
 
 use std::net::Ipv4Addr;
 
 use ipop_overlay::{Address, ConnectionKind, OverlayNode};
 use ipop_packet::Bytes;
-use ipop_services::dhcp::{decode_owner, lease_key, DhcpAllocator, DhcpState};
-use ipop_services::lookup::Lookups;
-use ipop_services::name::NameService;
-use ipop_services::Subnet;
 use ipop_simcore::{Duration, SimTime, StreamRng};
 
 use crate::config::IpopConfig;
 use crate::dataplane::DataPlane;
+use crate::dhcp::{decode_owner, lease_key, DhcpAllocator, DhcpState, Subnet};
+use crate::lookup::Lookups;
+use crate::name::NameService;
+
+/// The DHT operations the allocator and the name service need: a narrow
+/// façade over the overlay node, so they can be unit-tested against a fake.
+pub(crate) trait DhtClient {
+    /// Atomic create-if-absent; the outcome arrives as a create reply carrying
+    /// the returned token.
+    fn create(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration) -> u64;
+    /// Abandon an outstanding create: a reply arriving after this must not
+    /// turn the claim into a refreshed publication.
+    fn cancel_create(&mut self, token: u64);
+    /// Lookup; the value arrives as a get reply carrying the returned token.
+    fn get(&mut self, now: SimTime, key: Address) -> u64;
+    /// Store (overwrite) and keep refreshed as a lease.
+    fn put(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration);
+    /// Delete the record and stop refreshing it.
+    fn remove(&mut self, now: SimTime, key: Address);
+    /// Stop refreshing the record without deleting it (it ages out).
+    fn unpublish(&mut self, key: &Address);
+}
+
+impl DhtClient for OverlayNode {
+    fn create(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration) -> u64 {
+        self.dht_create(now, key, value, ttl)
+    }
+
+    fn cancel_create(&mut self, token: u64) {
+        self.dht_cancel_create(token);
+    }
+
+    fn get(&mut self, now: SimTime, key: Address) -> u64 {
+        self.dht_get(now, key)
+    }
+
+    fn put(&mut self, now: SimTime, key: Address, value: Bytes, ttl: Duration) {
+        self.dht_put_ttl(now, key, value, ttl);
+    }
+
+    fn remove(&mut self, now: SimTime, key: Address) {
+        self.dht_remove(now, key);
+    }
+
+    fn unpublish(&mut self, key: &Address) {
+        self.dht_unpublish(key);
+    }
+}
 
 /// How long a connected node waits for ring neighbours on both sides before
 /// it claims anyway: deployments too small to ever reach two `Near` edges
@@ -220,6 +283,65 @@ impl SelfConfig {
         }
         if !ip.is_unspecified() {
             self.unregister_name(overlay, now, ip);
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+
+    /// One recorded DHT operation.
+    #[derive(Clone, Debug, PartialEq)]
+    pub(crate) enum Op {
+        Create(Address, Bytes, Duration),
+        CancelCreate(u64),
+        Get(Address),
+        Put(Address, Bytes, Duration),
+        Remove(Address),
+        Unpublish(Address),
+    }
+
+    /// A scripted [`DhtClient`] that records operations and hands out tokens.
+    #[derive(Default)]
+    pub(crate) struct FakeDht {
+        pub(crate) ops: Vec<Op>,
+        pub(crate) next_token: u64,
+    }
+
+    impl FakeDht {
+        pub(crate) fn last_token(&self) -> u64 {
+            self.next_token
+        }
+    }
+
+    impl DhtClient for FakeDht {
+        fn create(&mut self, _now: SimTime, key: Address, value: Bytes, ttl: Duration) -> u64 {
+            self.ops.push(Op::Create(key, value, ttl));
+            self.next_token += 1;
+            self.next_token
+        }
+
+        fn cancel_create(&mut self, token: u64) {
+            self.ops.push(Op::CancelCreate(token));
+        }
+
+        fn get(&mut self, _now: SimTime, key: Address) -> u64 {
+            self.ops.push(Op::Get(key));
+            self.next_token += 1;
+            self.next_token
+        }
+
+        fn put(&mut self, _now: SimTime, key: Address, value: Bytes, ttl: Duration) {
+            self.ops.push(Op::Put(key, value, ttl));
+        }
+
+        fn remove(&mut self, _now: SimTime, key: Address) {
+            self.ops.push(Op::Remove(key));
+        }
+
+        fn unpublish(&mut self, key: &Address) {
+            self.ops.push(Op::Unpublish(*key));
         }
     }
 }

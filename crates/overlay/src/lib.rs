@@ -24,7 +24,7 @@
 //!   the phi-accrual / fixed-limit dead-edge verdict, told what it needs and
 //!   returning who to probe and who is dead.
 //! * [`dht`] — the replicated soft-state DHT used by IPOP's Brunet-ARP mapper
-//!   and the self-configuration services in `ipop-services`: the store
+//!   and the self-configuration services in `ipop`: the store
 //!   (records with a TTL and a version, in address order) and the
 //!   protocol over it — publisher renewals, quorum writes and reads,
 //!   replication, read repair, anti-entropy, hand-off on leave.
