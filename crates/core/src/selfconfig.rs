@@ -306,7 +306,7 @@ pub(crate) mod testutil {
     #[derive(Default)]
     pub(crate) struct FakeDht {
         pub(crate) ops: Vec<Op>,
-        pub(crate) next_token: u64,
+        next_token: u64,
     }
 
     impl FakeDht {
