@@ -973,6 +973,33 @@ mod tests {
         assert_eq!(got.len(), 20_000.min(data.len()));
     }
 
+    #[test]
+    fn window_updates_are_not_duplicate_acks() {
+        let mut now = SimTime::ZERO;
+        let (mut c, _s) = established_pair(&mut now);
+        c.send(&[0x33; 5_000]);
+        let first = c.poll(now).first().expect("data in flight").seq;
+        // Three pure ACKs at `snd_una`, each opening the window further: RFC
+        // 5681 §2 counts an ACK as a duplicate only if the window is unchanged.
+        for window in [30_000, 40_000, 50_000] {
+            let update = TcpSegment {
+                src_port: 80,
+                dst_port: 40_000,
+                seq: c.rcv_nxt,
+                ack: first,
+                flags: TcpFlags::ACK,
+                window,
+                mss: None,
+                payload: vec![],
+            };
+            c.on_segment(now, &update);
+        }
+        assert!(
+            c.poll(now).iter().all(|seg| seg.seq != first),
+            "window updates triggered a fast retransmit"
+        );
+    }
+
     /// Open the client's congestion window: six 10 kB chunks, each read by
     /// the server as soon as it arrives, so its advertised window stays wide.
     fn warmed_pair(now: &mut SimTime) -> (TcpSocket, TcpSocket) {
