@@ -373,6 +373,7 @@ impl TcpSocket {
 
     fn process_ack(&mut self, now: SimTime, seg: &TcpSegment) {
         let ack = seg.ack;
+        let window_unchanged = u32::from(seg.window) == self.snd_wnd;
         self.snd_wnd = u32::from(seg.window);
         if self.state == TcpState::SynReceived && seq::ge(ack, self.iss.wrapping_add(1)) {
             self.state = TcpState::Established;
@@ -432,9 +433,10 @@ impl TcpSocket {
             && seg.payload.is_empty()
             && !seg.flags.syn
             && !seg.flags.fin
+            && window_unchanged
             && self.bytes_in_flight() > 0
         {
-            // Duplicate ACK.
+            // Duplicate ACK (RFC 5681 §2: a window update is not one).
             self.dup_acks += 1;
             if self.dup_acks == 3 && self.cong.on_fast_retransmit(self.snd_nxt) {
                 // Go back to the lost segment: rewind snd_nxt so poll() resends it.
