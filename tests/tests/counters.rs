@@ -19,6 +19,10 @@ const COUNTERS: &[(&str, &str)] = &[
     ("crates/overlay", "MonitorStats"),
     ("crates/netsim", "NetCounters"),
     ("crates/netsim", "ImpairmentCounters"),
+    ("crates/netsim", "HostCounters"),
+    ("crates/netstack", "EthCounters"),
+    ("crates/netstack", "TapCounters"),
+    ("crates/netstack", "StackCounters"),
     ("crates/core", "IpopMetrics"),
 ];
 

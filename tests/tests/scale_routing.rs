@@ -12,12 +12,14 @@
 //!   room for routing-irrelevant perturbations without letting a broken
 //!   shortcut layer — ring-walk stretch would be ~19 — slip through);
 //! * the sharded parallel tick replays the sequential history bit-for-bit;
+//! * the shard count partitions the work, not the run: every report field
+//!   but the per-shard trace hash is the same at 1 shard and at 8;
 //! * the three ring workloads (probes, pub/sub fan-out, stream fairness)
 //!   replay one pinned history each, so a change to the ring driver they
 //!   share cannot move an event unnoticed.
 
 use ipop_bench::fanout::{run_fanout, FanoutConfig};
-use ipop_bench::scale::{run_both_modes, run_scale, ScaleConfig};
+use ipop_bench::scale::{run_both_modes, run_scale, ScaleConfig, ScaleReport};
 use ipop_bench::streams::{run_fairness, FairnessConfig};
 use ipop_simcore::Duration;
 
@@ -67,6 +69,59 @@ fn thousand_node_parallel_tick_matches_sequential() {
     assert_eq!(seq.events, par.events);
     assert_eq!(seq.hops, par.hops);
     assert_eq!(seq.probes_delivered, par.probes_delivered);
+}
+
+/// What a shard count must not move: the report but `shards` and
+/// `trace_hash` (folded shard by shard), with `hops` sorted (gathered shard
+/// by shard).
+fn shard_invariant(r: &ScaleReport) -> (u64, u64, u64, Vec<u32>, f64, u32, u64, u64, bool) {
+    let mut hops = r.hops.clone();
+    hops.sort_unstable();
+    (
+        r.events,
+        r.probes_sent,
+        r.probes_delivered,
+        hops,
+        r.mean_far,
+        r.full_budget_nodes,
+        r.dropped_no_target,
+        r.dropped_ttl,
+        r.drained,
+    )
+}
+
+/// The cross-shard barrier merges in `(time, source shard, emission index)`
+/// order, so how the ring is cut into shards must not change what happens
+/// on it. Sequential runs, so the thread count plays no part.
+#[test]
+fn shard_count_changes_no_outcome() {
+    let pinned = ScaleConfig {
+        maintenance_ticks: 4,
+        probes: 64,
+        parallel: false,
+        ..ScaleConfig::ring(128)
+    };
+    let thousand = ScaleConfig {
+        parallel: false,
+        ..thousand()
+    };
+    for (cfg, counts) in [(pinned, &[1, 2, 3, 8][..]), (thousand, &[1, 8])] {
+        let run = |shards| {
+            shard_invariant(&run_scale(&ScaleConfig {
+                shards,
+                ..cfg.clone()
+            }))
+        };
+        let one = run(1);
+        for &shards in &counts[1..] {
+            assert_eq!(
+                run(shards),
+                one,
+                "{} nodes: {shards} shards vs 1",
+                cfg.nodes
+            );
+        }
+    }
 }
 
 /// `ShardedSim::trace_hash` folds every executed `(time, seq)` and `seq` is
