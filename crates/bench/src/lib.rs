@@ -3,9 +3,8 @@
 //! Each experiment builds the relevant physical topology (`ipop-netsim`), deploys
 //! either baseline agents or a full IPOP virtual network (`ipop`), runs the
 //! corresponding workload (`ipop-apps`) inside the deterministic simulator and
-//! reports the same quantities the paper's tables report. Independent scenarios of
-//! one table run in parallel with rayon — each scenario is its own simulation, so
-//! determinism per scenario is preserved.
+//! reports the same quantities the paper's tables report. A table's independent
+//! scenarios run on scoped threads, each its own deterministic simulation.
 //!
 //! Every experiment is a scenario function returning an [`Outcome`]; the one
 //! binary, `ipop-bench <scenario> [--quick] [--out PATH]`, dispatches them:
@@ -78,6 +77,21 @@ pub(crate) fn ensure(ok: bool, msg: impl Into<String>) -> Result<(), String> {
     } else {
         Err(msg.into())
     }
+}
+
+/// `f` over `items`, one scoped thread per item, results in input order.
+pub(crate) fn par_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = items
+            .into_iter()
+            .map(|t| scope.spawn(move || f(t)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("a scenario panicked"))
+            .collect()
+    })
 }
 
 /// `"quick"` or `"full"`, as reported in the artefacts.

@@ -2,11 +2,10 @@
 //! IPOP-UDP.
 
 use ipop_simcore::stats;
-use rayon::prelude::*;
 
 use crate::paper::{self, Measured};
 use crate::scenarios::{fig4_ping, Mode};
-use crate::Outcome;
+use crate::{par_map, Outcome};
 
 /// Run the Table I measurement with `count` pings per row: mean, standard
 /// deviation and replies of each.
@@ -21,23 +20,20 @@ pub fn run(count: u32) -> Vec<Measured> {
         ("WAN IPOP-TCP", Mode::IpopTcp, 3, 4),
         ("WAN IPOP-UDP", Mode::IpopUdp, 3, 4),
     ];
-    let cells: Vec<[Measured; 3]> = rows
-        .into_par_iter()
-        .map(|(row, mode, src, dst)| {
-            let (report, history) = fig4_ping(mode, src, dst, count, 0x7ab1e1);
-            let at = |column, value| Measured {
-                key: ("Table I", row, column),
-                value,
-                history,
-            };
-            [
-                at("mean (ms)", stats::mean(&report.rtts_ms)),
-                at("std dev (ms)", stats::std_dev(&report.rtts_ms)),
-                at("replies", report.rtts_ms.len() as f64),
-            ]
-        })
-        .collect();
-    cells.concat()
+    par_map(rows, |(row, mode, src, dst)| {
+        let (report, history) = fig4_ping(mode, src, dst, count, 0x7ab1e1);
+        let at = |column, value| Measured {
+            key: ("Table I", row, column),
+            value,
+            history,
+        };
+        [
+            at("mean (ms)", stats::mean(&report.rtts_ms)),
+            at("std dev (ms)", stats::std_dev(&report.rtts_ms)),
+            at("replies", report.rtts_ms.len() as f64),
+        ]
+    })
+    .concat()
 }
 
 /// Pings per row: 1000, 50 when `quick`.

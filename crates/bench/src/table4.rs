@@ -1,33 +1,28 @@
 //! Table IV — execution time of the LSS parallel application over IPOP, sequential
 //! (1 compute node) vs parallel (4 compute nodes), with cold and warm NFS caches.
 
-use rayon::prelude::*;
-
 use ipop_apps::lss::LssParams;
 
 use crate::paper::{self, Measured};
-use crate::Outcome;
+use crate::{par_map, Outcome};
 
 /// Run Table IV with the given workload parameters: per node count the cold
 /// first image, the warm rest and the total, in seconds, and the warm
 /// speed-up of four nodes over one.
 pub fn run(params: LssParams) -> Vec<Measured> {
-    let rows: Vec<[Measured; 3]> = [("1 node", 1usize), ("4 nodes", 4)]
-        .into_par_iter()
-        .map(|(row, nodes)| {
-            let (report, history) = crate::scenarios::fig4_lss(nodes, params.clone(), 0x7ab1e4);
-            let at = |column, value| Measured {
-                key: ("Table IV", row, column),
-                value,
-                history,
-            };
-            [
-                at("image 1 (s)", report.first_image()),
-                at("images 2-N (s)", report.remaining_images()),
-                at("total (s)", report.total()),
-            ]
-        })
-        .collect();
+    let rows = par_map(vec![("1 node", 1usize), ("4 nodes", 4)], |(row, nodes)| {
+        let (report, history) = crate::scenarios::fig4_lss(nodes, params.clone(), 0x7ab1e4);
+        let at = |column, value| Measured {
+            key: ("Table IV", row, column),
+            value,
+            history,
+        };
+        [
+            at("image 1 (s)", report.first_image()),
+            at("images 2-N (s)", report.remaining_images()),
+            at("total (s)", report.total()),
+        ]
+    });
     // Images 2-N on one node and on four.
     let (seq, par) = (&rows[0][1], &rows[1][1]);
     let speed_up = Measured {

@@ -2,13 +2,11 @@
 //! (F2 → F4, Table II) and across the WAN (F4 → V1, Table III, two transfer
 //! sizes), compared with the physical network.
 
-use rayon::prelude::*;
-
 use ipop_apps::ttcp::sizes::{LARGE, SMALL};
 
 use crate::paper::{self, Measured};
-use crate::scenarios::{fig4_ttcp, History, Mode};
-use crate::Outcome;
+use crate::scenarios::{fig4_ttcp, Mode};
+use crate::{par_map, Outcome};
 
 /// Where the transfer runs, and so which table it fills.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,13 +47,10 @@ pub fn run(scope: Scope, sizes: &[Size]) -> Vec<Measured> {
         .iter()
         .flat_map(|&size| [Mode::Physical, Mode::IpopTcp, Mode::IpopUdp].map(|mode| (size, mode)))
         .collect();
-    let results: Vec<(&str, &str, Mode, f64, History)> = runs
-        .into_par_iter()
-        .map(|((column, rel, bytes), mode)| {
-            let (report, history) = fig4_ttcp(mode, src, dst, bytes, seed);
-            (column, rel, mode, report.kbps, history)
-        })
-        .collect();
+    let results = par_map(runs, |((column, rel, bytes), mode)| {
+        let (report, history) = fig4_ttcp(mode, src, dst, bytes, seed);
+        (column, rel, mode, report.kbps, history)
+    });
     let mut cells = Vec::new();
     for &(column, rel, mode, kbps, history) in &results {
         let physical = results

@@ -21,13 +21,10 @@
 //!    deterministically.
 //!
 //! Because each shard touches only its own state and the merge order is a
-//! pure sort, running the shards on real threads (the vendored `rayon`) or
-//! one after another on a single thread produces byte-identical histories.
+//! pure sort, scoped threads and one thread give byte-identical histories.
 //! [`ShardedSim::trace_hash`] folds every executed `(time, seq)` pair into a
 //! per-shard FNV hash so tests (and `debug_assertions` builds) can assert
 //! `parallel == sequential` cheaply.
-
-use rayon::prelude::*;
 
 use crate::event::EventQueue;
 use crate::rng::{fnv1a, FNV_OFFSET};
@@ -232,13 +229,16 @@ impl<W: ShardWorld> ShardedSim<W> {
         let slice_end = self.now + self.slice;
         let nshards = self.shards.len();
         if self.parallel && nshards > 1 {
-            self.shards = std::mem::take(&mut self.shards)
-                .into_par_iter()
-                .map(|mut s| {
-                    s.run_slice(nshards, slice_end);
-                    s
-                })
-                .collect();
+            let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+            std::thread::scope(|scope| {
+                for chunk in self.shards.chunks_mut(nshards.div_ceil(threads)) {
+                    scope.spawn(move || {
+                        for s in chunk {
+                            s.run_slice(nshards, slice_end);
+                        }
+                    });
+                }
+            });
         } else {
             for s in self.shards.iter_mut() {
                 s.run_slice(nshards, slice_end);
